@@ -54,7 +54,7 @@ staticdiff:
 # at the repo root is the checked-in reference — refresh it alongside
 # deliberate performance changes (see EXPERIMENTS.md).
 bench:
-	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|Lane' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|Lane|SmallRun|ColdRequest' -benchtime 1x ./...
 	$(GO) run ./cmd/fig6 -ab -json BENCH_fig6.json
 
 # Bench-compare gate (cmd/benchcmp): the fresh BENCH_fig6.json against the

@@ -15,14 +15,22 @@ package cachier
 //	BenchmarkFullMapBaseline      — ablation: the same annotations under a
 //	                                 full-map hardware directory
 //	BenchmarkPostStore            — extension: KSR-1 post-store check-ins
+//	BenchmarkSmallRun, BenchmarkColdRequest — cachierd's cold path: one run
+//	                                 of a 4-node corpus program, and one new
+//	                                 program through all four endpoints
+//	                                 (B/op and allocs/op are the point)
 //
 // Custom metrics (reported via b.ReportMetric, suffix explains the unit):
 // normalized execution times, measured check-out counts, and percentage
 // deltas. Wall-clock ns/op measures the simulator itself.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"cachier/internal/bench"
@@ -31,6 +39,8 @@ import (
 	"cachier/internal/dir1sw"
 	"cachier/internal/obs"
 	"cachier/internal/parc"
+	"cachier/internal/parcgen"
+	"cachier/internal/serve"
 	"cachier/internal/sim"
 )
 
@@ -322,6 +332,61 @@ func BenchmarkSimulator(b *testing.B) {
 		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles), "simulated-cycles")
+}
+
+// BenchmarkSmallRun is the other use of the simulator: one run of a 4-node
+// corpus program, where building the machine outweighs interpreting. B/op is
+// what a cachierd trace or simulate phase allocates.
+func BenchmarkSmallRun(b *testing.B) {
+	prog := parc.MustParse(parcgen.Generate(7))
+	cfg := sim.DefaultConfig()
+	cfg.Nodes = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColdRequest sends one program nobody has sent before to vet,
+// annotate, static and simulate on a fresh server: every layer runs once and
+// no cache helps. One op is the four requests.
+func BenchmarkColdRequest(b *testing.B) {
+	src := parcgen.Generate(7)
+	machine := serve.MachineSpec{Nodes: 4}
+	var reqs [4]struct {
+		path string
+		body []byte
+	}
+	for i, r := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/vet", &serve.VetRequest{Source: src, Nodes: 4}},
+		{"/v1/annotate", &serve.AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/static", &serve.AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/simulate", &serve.SimulateRequest{Source: src, Configs: []serve.MachineSpec{machine}}},
+	} {
+		body, err := json.Marshal(r.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i].path, reqs[i].body = r.path, body
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := serve.New(serve.DefaultConfig()).Handler()
+		for _, r := range reqs {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, r.path, bytes.NewReader(r.body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", r.path, w.Code, w.Body)
+			}
+		}
+	}
 }
 
 // BenchmarkAnnotate measures Cachier's own speed (trace processing through

@@ -134,9 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := parc.Check(prog); err != nil {
-			return err
-		}
 		inf, err := staticanno.Infer(prog, staticCfg)
 		if err != nil {
 			return fmt.Errorf("static inference: %w", err)

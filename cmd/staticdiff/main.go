@@ -111,9 +111,6 @@ func diffOne(out io.Writer, name, src string, nodes int, racy, verbose bool) err
 	if err != nil {
 		return err
 	}
-	if err := parc.Check(prog); err != nil {
-		return err
-	}
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.Mode = sim.ModeTrace

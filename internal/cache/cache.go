@@ -8,7 +8,10 @@
 // to decide hits, misses, write faults, and evictions.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is the coherence state of a cached block.
 type State int
@@ -56,7 +59,7 @@ type Cache struct {
 	blockSize int
 	nsets     int
 	assoc     int
-	flat      []line // nsets*assoc lines, set-major
+	flat      []line // the materialised sets' lines, set-major (see New)
 	tick      uint32 // LRU clock
 	resident  int    // number of valid lines
 
@@ -66,8 +69,8 @@ type Cache struct {
 	// associative scan removes most probe work. The shortcut is
 	// self-validating — it is trusted only when the line still holds the
 	// probed block in a valid state — so invalidations, evictions, and
-	// flushes need no bookkeeping here. The flat array is allocated once in
-	// New and never reallocated, so the pointer stays in bounds forever.
+	// flushes need no bookkeeping here. grow, the one place the flat array is
+	// reallocated, drops the pointer.
 	mru *line
 
 	// Statistics.
@@ -79,7 +82,14 @@ type Cache struct {
 // New builds a cache with the given total size in bytes, associativity, and
 // block size. Size must be divisible by assoc*blockSize and the resulting
 // set count must be a power of two.
-func New(size, assoc, blockSize int) (*Cache, error) {
+//
+// reach is the number of blocks in the address space (block numbers are below
+// it), or 0 when unknown. Those blocks index only the first reach sets, so
+// only that many, rounded up to a power of two, are materialised: set-up
+// costs what the program can touch, not what the modelled machine holds. The
+// set index is block & (nsets-1) regardless, so no hit, miss, victim, or LRU
+// stamp depends on reach; a block beyond it grows the array first (grow).
+func New(size, assoc, blockSize int, reach uint64) (*Cache, error) {
 	if size <= 0 || assoc <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry (size=%d assoc=%d block=%d)", size, assoc, blockSize)
 	}
@@ -90,17 +100,21 @@ func New(size, assoc, blockSize int) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", nsets)
 	}
+	have := nsets
+	if reach > 0 && reach < uint64(nsets) {
+		have = 1 << bits.Len64(reach-1)
+	}
 	return &Cache{
 		blockSize: blockSize,
 		nsets:     nsets,
 		assoc:     assoc,
-		flat:      make([]line, nsets*assoc),
+		flat:      make([]line, have*assoc),
 	}, nil
 }
 
 // MustNew is New but panics on error; for configurations known valid.
-func MustNew(size, assoc, blockSize int) *Cache {
-	c, err := New(size, assoc, blockSize)
+func MustNew(size, assoc, blockSize int, reach uint64) *Cache {
+	c, err := New(size, assoc, blockSize, reach)
 	if err != nil {
 		panic(err)
 	}
@@ -118,7 +132,19 @@ func (c *Cache) Resident() int { return c.resident }
 
 func (c *Cache) set(block uint64) []line {
 	i := int(block&uint64(c.nsets-1)) * c.assoc
+	if i >= len(c.flat) {
+		c.grow()
+	}
 	return c.flat[i : i+c.assoc : i+c.assoc]
+}
+
+// grow materialises every set: the old sets keep their lines and the new ones
+// are empty, as in a full-geometry array at this point. mru pointed into the
+// old array; without it the next probe just takes the associative scan.
+func (c *Cache) grow() {
+	full := make([]line, c.nsets*c.assoc)
+	copy(full, c.flat)
+	c.flat, c.mru = full, nil
 }
 
 // bump advances the LRU clock. Just before the 32-bit clock would exhaust,
@@ -138,7 +164,7 @@ func (c *Cache) bump() uint32 {
 // compares — is untouched.
 func (c *Cache) renormalize() {
 	a := c.assoc
-	for s := 0; s < c.nsets; s++ {
+	for s := 0; s < len(c.flat)/a; s++ {
 		set := c.flat[s*a : (s+1)*a]
 		for i := range set {
 			rank := uint32(0)

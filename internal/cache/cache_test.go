@@ -8,7 +8,7 @@ import (
 func small(t *testing.T) *Cache {
 	t.Helper()
 	// 2 sets x 2 ways x 32B blocks = 128 bytes.
-	c, err := New(128, 2, 32)
+	c, err := New(128, 2, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,11 +20,11 @@ func TestGeometryValidation(t *testing.T) {
 		{0, 4, 32}, {256, 0, 32}, {256, 4, 0}, {100, 4, 32}, {3 * 32 * 4, 4, 32},
 	}
 	for _, g := range bad {
-		if _, err := New(g.size, g.assoc, g.block); err == nil {
+		if _, err := New(g.size, g.assoc, g.block, 0); err == nil {
 			t.Errorf("geometry %+v accepted", g)
 		}
 	}
-	c, err := New(DefaultSize, DefaultAssoc, DefaultBlockSize)
+	c, err := New(DefaultSize, DefaultAssoc, DefaultBlockSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBlocksListsResidents(t *testing.T) {
 // evictions and invalidations, and never exceeds capacity/blockSize.
 func TestResidencyInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := MustNew(256, 2, 32) // 4 sets x 2 ways
+		c := MustNew(256, 2, 32, 0) // 4 sets x 2 ways
 		live := make(map[uint64]bool)
 		for _, op := range ops {
 			b := uint64(op % 64)

@@ -109,7 +109,8 @@ type Config struct {
 	// (memory.Layout.TotalBytes). When non-zero, directory entries for
 	// blocks inside it live in a dense slice indexed by block number; only
 	// out-of-layout addresses fall back to a map. Zero keeps the map for
-	// everything.
+	// everything. It is also the reach the caches are sized for (cache.New):
+	// each materialises the sets these blocks index, the rest on demand.
 	AddrSpace uint64
 
 	// Probe validates the coherence invariants — the generic cache/directory
@@ -200,13 +201,15 @@ func New(cfg Config, proto Protocol) (*System, error) {
 	if b := cfg.BlockSize; b > 0 && b&(b-1) == 0 {
 		s.blockShift = bits.TrailingZeros(uint(b))
 	}
+	var blocks uint64 // in the address space; 0 when it is not known
 	if cfg.AddrSpace > 0 && cfg.BlockSize > 0 {
-		if blocks := (cfg.AddrSpace + uint64(cfg.BlockSize) - 1) / uint64(cfg.BlockSize); blocks <= maxDenseBlocks {
+		blocks = (cfg.AddrSpace + uint64(cfg.BlockSize) - 1) / uint64(cfg.BlockSize)
+		if blocks <= maxDenseBlocks {
 			s.dense = make([]Entry, blocks)
 		}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		c, err := cache.New(cfg.CacheSize, cfg.Assoc, cfg.BlockSize)
+		c, err := cache.New(cfg.CacheSize, cfg.Assoc, cfg.BlockSize, blocks)
 		if err != nil {
 			return nil, err
 		}
@@ -230,9 +233,6 @@ func (s *System) Nodes() int { return s.cfg.Nodes }
 
 // BlockSize returns the block size in bytes.
 func (s *System) BlockSize() int { return s.cfg.BlockSize }
-
-// CacheCapacity returns each node's cache capacity in bytes.
-func (s *System) CacheCapacity() int { return s.cfg.CacheSize }
 
 // Cache exposes a node's cache (protocol hooks, the simulator, and tests).
 func (s *System) Cache(node int) *cache.Cache { return s.caches[node] }

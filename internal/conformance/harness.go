@@ -61,7 +61,7 @@ func RunSeed(seed int64) error {
 
 // RunSource runs the differential check on one ParC source text.
 func RunSource(src string) error {
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
@@ -75,7 +75,7 @@ func RunSource(src string) error {
 
 	// Printer round trip: the printed form must re-parse to the same AST.
 	printed := parc.Print(prog)
-	reparsed, err := parseChecked(printed)
+	reparsed, err := parc.Parse(printed)
 	if err != nil {
 		return fmt.Errorf("printed program does not re-parse: %w\n%s", err, printed)
 	}
@@ -175,7 +175,7 @@ func RunSource(src string) error {
 		if err := checkCostReport(v.name, res.Cost, epochs); err != nil {
 			return err
 		}
-		annProg, err := parseChecked(res.Source)
+		annProg, err := parc.Parse(res.Source)
 		if err != nil {
 			return fmt.Errorf("%s: annotated source invalid: %w\n%s", v.name, err, res.Source)
 		}
@@ -221,7 +221,7 @@ func RunSource(src string) error {
 // with/without-prefetch comparison on the same source.
 func RunAnnotatedEquivalence(seed int64) error {
 	src := parcgen.Generate(seed)
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
@@ -237,7 +237,7 @@ func RunAnnotatedEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("annotate: %w", err)
 	}
-	annProg, err := parseChecked(res.Source)
+	annProg, err := parc.Parse(res.Source)
 	if err != nil {
 		return fmt.Errorf("annotated source invalid: %w\n%s", err, res.Source)
 	}
@@ -271,7 +271,7 @@ func RunParallelEquivalence(seed int64) error {
 	if err := checkParallelSource("plain", src, ""); err != nil {
 		return err
 	}
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
@@ -298,7 +298,7 @@ func RunLanesEquivalence(seed int64) error {
 	if err := checkLanesSource("plain", src, ""); err != nil {
 		return err
 	}
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
@@ -340,7 +340,7 @@ func checkLanesSource(name, src, protocol string) error {
 // non-empty wantEngine additionally pins which engine must have produced
 // the candidate result.
 func checkEngineSource(name, src, protocol string, configure func(*sim.Config), wantEngine string) error {
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("%s: source invalid: %w\n%s", name, err, src)
 	}
@@ -477,17 +477,6 @@ func checkObservability(prog *parc.Program, plain *sim.Result) error {
 		return fmt.Errorf("observability differential: snapshots of identical runs differ")
 	}
 	return nil
-}
-
-func parseChecked(src string) (*parc.Program, error) {
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := parc.Check(prog); err != nil {
-		return nil, err
-	}
-	return prog, nil
 }
 
 // checkVariant compares one simulation against the oracle: shared memory

@@ -31,7 +31,7 @@ func ProtocolSpecs() []string {
 // The hardware protocols must additionally never trap.
 func RunProtocolEquivalence(seed int64) error {
 	src := parcgen.Generate(seed)
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
@@ -47,7 +47,7 @@ func RunProtocolEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("annotate: %w", err)
 	}
-	annProg, err := parseChecked(ann.Source)
+	annProg, err := parc.Parse(ann.Source)
 	if err != nil {
 		return fmt.Errorf("annotated source invalid: %w\n%s", err, ann.Source)
 	}

@@ -11,6 +11,7 @@ package conformance
 import (
 	"fmt"
 
+	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
 	"cachier/internal/trace"
@@ -35,7 +36,7 @@ func staticConfig(nodes int) staticanno.Config {
 // (an rnd()-driven guard, say) widen; for those only the footprint
 // covering guarantee is checked, since byte equality is not promised.
 func RunStaticPlacement(src string) error {
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("program invalid: %w", err)
 	}
@@ -59,46 +60,13 @@ func RunStaticPlacement(src string) error {
 	return nil
 }
 
-// StaticPlacementAgainst diffs static placement against a given simulated
-// trace on an arbitrary machine (the bench harness passes its own
-// geometry). requireExact additionally rejects widened inference.
-func StaticPlacementAgainst(src string, tr *trace.Trace, cfg staticanno.Config, requireExact bool) error {
-	diffs, inf, err := staticanno.Compare(src, tr, cfg)
-	if err != nil {
-		return fmt.Errorf("static compare: %w", err)
-	}
-	if requireExact && !inf.Exact {
-		return fmt.Errorf("static inference widened on an enumerable program: %v", inf.Notes)
-	}
-	for _, d := range diffs {
-		if !d.Match {
-			return fmt.Errorf("%s placement diverges (-trace-driven, +static):\n%s", d.Name, d.Diff)
-		}
-	}
-	return nil
-}
-
-// StaticCovers is the weaker guarantee for programs static inference cannot
-// pin exactly: every block a node missed on in the simulation must appear
-// in the static trace's footprint for that node — the over-approximation
-// may add blocks but never drop one a real execution touched. Blocks (not
-// element addresses) are compared because a widened access can shift which
-// element of a block is touched first, and they are compared per node over
-// the whole run because a widened loop may merge epochs.
-func StaticCovers(src string, tr *trace.Trace, cfg staticanno.Config) error {
-	prog, err := parseChecked(src)
-	if err != nil {
-		return err
-	}
-	inf, err := staticanno.Infer(prog, cfg)
-	if err != nil {
-		return err
-	}
-	return StaticCoversResult(inf, tr)
-}
-
-// StaticCoversResult is StaticCovers against an inference the caller has
-// already run (callers that just ran Compare need not infer twice).
+// StaticCoversResult is the weaker guarantee for programs static inference
+// cannot pin exactly: every block a node missed on in the simulation must
+// appear in the static trace's footprint for that node — the
+// over-approximation may add blocks but never drop one a real execution
+// touched. Blocks (not element addresses) are compared because a widened
+// access can shift which element of a block is touched first, and they are
+// compared per node over the whole run because a widened loop may merge epochs.
 func StaticCoversResult(inf *staticanno.Result, tr *trace.Trace) error {
 	bs := uint64(inf.Trace.BlockSize)
 	static := make(map[int]map[uint64]bool)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cachier/internal/bench"
+	"cachier/internal/parc"
 	"cachier/internal/parcgen"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
@@ -35,7 +36,7 @@ func TestStaticPlacementExactness(t *testing.T) {
 		seed := seed
 		t.Run(seedName(seed), func(t *testing.T) {
 			t.Parallel()
-			prog, err := parseChecked(parcgen.Generate(seed))
+			prog, err := parc.Parse(parcgen.Generate(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func TestStaticPlacementBench(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			src := b.Source(b.Train)
-			prog, err := parseChecked(src)
+			prog, err := parc.Parse(src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,8 @@ type Memory interface {
 type Context struct {
 	prog   *parc.Program
 	store  *Store
-	mem    Memory // shared-data override; nil means the plain store
+	bases  []uint64 // base address per parc.SharedDecl.Index; the store's table
+	mem    Memory   // shared-data override; nil means the plain store
 	mach   Machine
 	node   int
 	nprocs int
@@ -95,9 +96,20 @@ const maxCallDepth = 10_000
 
 // NewContext builds an execution context for one processor.
 func NewContext(prog *parc.Program, store *Store, mach Machine, node, nprocs int) *Context {
+	bases := store.bases
+	if bases == nil {
+		// A store made from a bare size has no layout; pack the variables.
+		bases = make([]uint64, len(prog.Shareds))
+		var next uint64
+		for i, d := range prog.Shareds {
+			bases[i] = next
+			next += uint64(d.Size) * parc.ElemSize
+		}
+	}
 	return &Context{
 		prog:   prog,
 		store:  store,
+		bases:  bases,
 		mach:   mach,
 		node:   node,
 		nprocs: nprocs,
@@ -609,7 +621,7 @@ func (c *Context) sharedAddr(decl *parc.SharedDecl, indices []parc.Expr, fr *fra
 	if err != nil {
 		return 0, err
 	}
-	return decl.BaseAddr + uint64(off)*parc.ElemSize, nil
+	return c.bases[decl.Index] + uint64(off)*parc.ElemSize, nil
 }
 
 // loadShared performs a simulated shared read of one word.
@@ -657,7 +669,7 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		case parc.RefConst:
 			return IntVal(n.Const), nil
 		case parc.RefShared:
-			return c.loadShared(n.Shared.BaseAddr, n.Shared.Base), nil
+			return c.loadShared(c.bases[n.Shared.Index], n.Shared.Base), nil
 		}
 		// Generated reference: resolve by name.
 		if b, ok := fr.fn.Bindings[n.Name]; ok && !b.Array {
@@ -670,7 +682,7 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 			return IntVal(v), nil
 		}
 		if decl, ok := c.prog.SharedMap[n.Name]; ok {
-			return c.loadShared(decl.BaseAddr, decl.Base), nil
+			return c.loadShared(c.bases[decl.Index], decl.Base), nil
 		}
 		return Value{}, c.errf("undefined name %q", n.Name)
 
@@ -924,8 +936,9 @@ func (c *Context) evalRangeRef(r *parc.RangeRef, fr *frame) ([]AddrRange, error)
 	if decl == nil {
 		return nil, c.errf("annotation target %q is not shared", r.Name)
 	}
+	base := c.bases[decl.Index]
 	if len(decl.DimSizes) == 0 {
-		return []AddrRange{{Lo: decl.BaseAddr, Hi: decl.BaseAddr}}, nil
+		return []AddrRange{{Lo: base, Hi: base}}, nil
 	}
 	los := make([]int, len(r.Indices))
 	his := make([]int, len(r.Indices))
@@ -964,8 +977,8 @@ func (c *Context) evalRangeRef(r *parc.RangeRef, fr *frame) ([]AddrRange, error)
 		loOff := off*decl.DimSizes[last] + los[last]
 		hiOff := off*decl.DimSizes[last] + his[last]
 		out = append(out, AddrRange{
-			Lo: decl.BaseAddr + uint64(loOff)*parc.ElemSize,
-			Hi: decl.BaseAddr + uint64(hiOff)*parc.ElemSize,
+			Lo: base + uint64(loOff)*parc.ElemSize,
+			Hi: base + uint64(hiOff)*parc.ElemSize,
 		})
 		// Advance the multi-index over dims [0, last).
 		d := last - 1

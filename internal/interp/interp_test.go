@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func run(t *testing.T, src string) (*mockMachine, *Store, *memory.Layout, error)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore(layout.TotalBytes())
+	store := NewStoreFor(layout)
 	m := &mockMachine{}
 	ctx := NewContext(prog, store, m, 0, 1)
 	return m, store, layout, ctx.Run()
@@ -351,7 +352,7 @@ func main() {
 }
 `)
 	layout, _ := memory.New(prog, 32)
-	store := NewStore(layout.TotalBytes())
+	store := NewStoreFor(layout)
 	for node := 0; node < 4; node++ {
 		m := &mockMachine{}
 		if err := NewContext(prog, store, m, node, 4).Run(); err != nil {
@@ -377,7 +378,7 @@ func main() {
 	layout, _ := memory.New(prog, 32)
 	vals := make([]float64, 2)
 	for round := 0; round < 2; round++ {
-		store := NewStore(layout.TotalBytes())
+		store := NewStoreFor(layout)
 		for node := 0; node < 2; node++ {
 			if err := NewContext(prog, store, &mockMachine{}, node, 2).Run(); err != nil {
 				t.Fatal(err)
@@ -456,5 +457,62 @@ func main() {
 `)
 	if len(m.accesses) != 0 {
 		t.Errorf("short-circuit evaluated shared operand: %+v", m.accesses)
+	}
+}
+
+// TestOneProgramManyLayouts: a checked program carries no addresses, so
+// runs that lay it out differently (here by block size) execute the same
+// AST and the same compiled bytecode, each addressing through its own
+// store's table. A store made from a bare size, with no layout, packs the
+// variables from address 0.
+func TestOneProgramManyLayouts(t *testing.T) {
+	prog := parc.MustParse(`
+shared int a[3];
+shared int b;
+shared int c[2];
+func main() {
+    a[2] = 7;
+    b = a[2] + 1;
+    c[1] = b + 1;
+    check_in c[0:1];
+}`)
+	for _, engine := range []string{"vm", "lanes", "tree"} {
+		for _, blockSize := range []int{8, 32, 128} {
+			layout, err := memory.New(prog, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := NewStoreFor(layout)
+			m := &mockMachine{}
+			ctx := NewContext(prog, store, m, 0, 1)
+			switch engine {
+			case "lanes":
+				ctx.UseLaneVM()
+			case "tree":
+				ctx.UseTreeWalker()
+			}
+			if err := ctx.Run(); err != nil {
+				t.Fatalf("%s, block size %d: %v", engine, blockSize, err)
+			}
+			if a, b, c := loadInt(store, layout, "a", 2), loadInt(store, layout, "b"), loadInt(store, layout, "c", 1); a != 7 || b != 8 || c != 9 {
+				t.Errorf("%s, block size %d: a[2], b, c[1] = %d, %d, %d, want 7, 8, 9", engine, blockSize, a, b, c)
+			}
+			cBase := layout.Region("c").BaseAddr
+			if cBase%uint64(blockSize) != 0 {
+				t.Fatalf("c is not block-aligned at %d", cBase)
+			}
+			if len(m.directives) != 1 || len(m.directives[0].ranges) != 1 ||
+				m.directives[0].ranges[0] != (AddrRange{Lo: cBase, Hi: cBase + parc.ElemSize}) {
+				t.Errorf("%s, block size %d: directive ranges %+v, want c's two words at %d", engine, blockSize, m.directives, cBase)
+			}
+		}
+	}
+
+	bare := NewStore(6 * parc.ElemSize)
+	if err := NewContext(prog, bare, &mockMachine{}, 0, 1).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bare.Words(), []uint64{0, 0, 7, 8, 0, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bare store holds %v, want the variables packed: %v", got, want)
 	}
 }

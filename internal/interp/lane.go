@@ -242,7 +242,7 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 	if ph <= phBody {
 		if ma.terms == nil {
 			// Constant offset: exec charges nothing before the flush.
-			lv.addr = ma.decl.BaseAddr + uint64(ma.constOff)*parc.ElemSize
+			lv.addr = c.bases[ma.decl.Index] + uint64(ma.constOff)*parc.ElemSize
 			ph = phFlushR
 		} else {
 			lv.off = ma.constOff
@@ -255,7 +255,7 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 		if st := lv.memWalk(ma, regs, in.pc); st != stepAdvance {
 			return st
 		}
-		lv.addr = ma.decl.BaseAddr + uint64(lv.off)*parc.ElemSize
+		lv.addr = c.bases[ma.decl.Index] + uint64(lv.off)*parc.ElemSize
 		ph = phFlushR
 		lv.phase = ph
 	}
@@ -288,7 +288,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 	ma := in.aux.(*memAccess)
 	if ph <= phBody {
 		if ma.terms == nil {
-			lv.addr = ma.decl.BaseAddr + uint64(ma.constOff)*parc.ElemSize
+			lv.addr = c.bases[ma.decl.Index] + uint64(ma.constOff)*parc.ElemSize
 			ph = phFlushR
 		} else {
 			lv.off = ma.constOff
@@ -301,7 +301,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 		if st := lv.memWalk(ma, regs, in.pc); st != stepAdvance {
 			return st
 		}
-		lv.addr = ma.decl.BaseAddr + uint64(lv.off)*parc.ElemSize
+		lv.addr = c.bases[ma.decl.Index] + uint64(lv.off)*parc.ElemSize
 		ph = phFlushR
 		lv.phase = ph
 	}

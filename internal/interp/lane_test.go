@@ -82,7 +82,7 @@ func TestFramePoolCleanSlate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewContext(prog, NewStore(layout.TotalBytes()), &mockMachine{}, 0, 1)
+	c := NewContext(prog, NewStoreFor(layout), &mockMachine{}, 0, 1)
 	c.pools = make([][]*vmFrame, pcm.nfns)
 
 	fr := c.acquire(co)
@@ -137,7 +137,7 @@ func TestFramePoolCleanAfterRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := NewContext(prog, NewStore(layout.TotalBytes()), &mockMachine{}, 0, 1)
+			ctx := NewContext(prog, NewStoreFor(layout), &mockMachine{}, 0, 1)
 			if eng.lane {
 				if !pcm.laneable {
 					t.Fatal("program not laneable")
@@ -183,7 +183,7 @@ func BenchmarkLaneStep(b *testing.B) {
 	}{{"vm", false}, {"lane", true}} {
 		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				store := NewStore(layout.TotalBytes())
+				store := NewStoreFor(layout)
 				ctx := NewContext(prog, store, &mockMachine{}, 0, 1)
 				if eng.lane {
 					ctx.UseLaneVM()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"cachier/internal/memory"
 	"cachier/internal/parc"
 )
 
@@ -89,11 +90,26 @@ func coerce(v Value, base parc.BaseType) Value {
 // scheduler granularity.
 type Store struct {
 	words []uint64
+	// bases[i] is where this run's layout put the shared variable with
+	// parc.SharedDecl.Index i; the checked program carries no addresses.
+	bases []uint64
 }
 
-// NewStore allocates a store covering totalBytes of address space.
+// NewStore allocates a store covering totalBytes of address space with no
+// layout, for runs with no memory system behind them: a context on it packs
+// the shared variables from address 0. Simulations use NewStoreFor.
 func NewStore(totalBytes uint64) *Store {
 	return &Store{words: make([]uint64, (totalBytes+parc.ElemSize-1)/parc.ElemSize)}
+}
+
+// NewStoreFor allocates the store for one run under the given layout.
+func NewStoreFor(layout *memory.Layout) *Store {
+	s := NewStore(layout.TotalBytes())
+	s.bases = make([]uint64, len(layout.Regions))
+	for i, r := range layout.Regions {
+		s.bases[i] = r.BaseAddr
+	}
+	return s
 }
 
 // Load reads the element word at addr.

@@ -135,7 +135,7 @@ func runProg(prog *parc.Program) (*mockMachine, *Store, *layoutT, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	store := NewStore(layout.TotalBytes())
+	store := NewStoreFor(layout)
 	m := &mockMachine{}
 	err = NewContext(prog, store, m, 0, 1).Run()
 	return m, store, layout, err

@@ -478,7 +478,7 @@ func (c *Context) exec(co *fnCode, fr *vmFrame) (Value, error) {
 					return Value{}, err
 				}
 			}
-			addr := ma.decl.BaseAddr + uint64(off)*parc.ElemSize
+			addr := c.bases[ma.decl.Index] + uint64(off)*parc.ElemSize
 			c.flush()
 			c.mach.Access(c.node, false, addr, int(in.pc))
 			regs[in.a] = FromBits(c.memLoad(addr), ma.isFloat)
@@ -492,7 +492,7 @@ func (c *Context) exec(co *fnCode, fr *vmFrame) (Value, error) {
 					return Value{}, err
 				}
 			}
-			addr := ma.decl.BaseAddr + uint64(off)*parc.ElemSize
+			addr := c.bases[ma.decl.Index] + uint64(off)*parc.ElemSize
 			var cur Value
 			if ma.assignOp != parc.OpSet {
 				// Compound assignment reads the old value first.
@@ -571,8 +571,9 @@ func (c *Context) exec(co *fnCode, fr *vmFrame) (Value, error) {
 // scratch buffer; the Machine contract says ranges are only valid for the
 // duration of the Directive call.
 func (c *Context) expandRanges(decl *parc.SharedDecl) []AddrRange {
+	base := c.bases[decl.Index]
 	if len(decl.DimSizes) == 0 {
-		c.rangeBuf = append(c.rangeBuf[:0], AddrRange{Lo: decl.BaseAddr, Hi: decl.BaseAddr})
+		c.rangeBuf = append(c.rangeBuf[:0], AddrRange{Lo: base, Hi: base})
 		return c.rangeBuf
 	}
 	los, his := c.dirLos, c.dirHis
@@ -591,8 +592,8 @@ func (c *Context) expandRanges(decl *parc.SharedDecl) []AddrRange {
 		loOff := off*decl.DimSizes[last] + los[last]
 		hiOff := off*decl.DimSizes[last] + his[last]
 		out = append(out, AddrRange{
-			Lo: decl.BaseAddr + uint64(loOff)*parc.ElemSize,
-			Hi: decl.BaseAddr + uint64(hiOff)*parc.ElemSize,
+			Lo: base + uint64(loOff)*parc.ElemSize,
+			Hi: base + uint64(hiOff)*parc.ElemSize,
 		})
 		d := last - 1
 		for ; d >= 0; d-- {

@@ -27,7 +27,7 @@ func execAll(t *testing.T, src string, nprocs int, tree bool) (*mockMachine, *St
 	if err != nil {
 		t.Skipf("layout: %v", err)
 	}
-	store := NewStore(layout.TotalBytes())
+	store := NewStoreFor(layout)
 	m := &mockMachine{}
 	var errs []string
 	for node := 0; node < nprocs; node++ {
@@ -142,7 +142,7 @@ func BenchmarkInterp(b *testing.B) {
 	}{{"vm", false}, {"tree", true}} {
 		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				store := NewStore(layout.TotalBytes())
+				store := NewStoreFor(layout)
 				ctx := NewContext(prog, store, &mockMachine{}, 0, 1)
 				if eng.tree {
 					ctx.UseTreeWalker()

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"cachier/internal/parc"
+	"cachier/internal/trace"
 )
 
 // Region describes one shared variable's placement in the address space.
@@ -53,7 +54,9 @@ type Layout struct {
 }
 
 // New computes a layout for the program's shared declarations, aligning each
-// region to blockSize. It also back-fills each SharedDecl's BaseAddr.
+// region to blockSize. Regions[i] places prog.Shareds[i]; the program itself
+// is only read, so any number of runs may lay out one checked program at
+// once, each with its own block size.
 func New(prog *parc.Program, blockSize int) (*Layout, error) {
 	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
 		return nil, fmt.Errorf("memory: block size %d is not a positive power of two", blockSize)
@@ -81,13 +84,21 @@ func New(prog *parc.Program, blockSize int) (*Layout, error) {
 			Elems:    d.Size,
 			Bytes:    uint64(d.Size) * parc.ElemSize,
 		}
-		d.BaseAddr = next
 		l.Regions = append(l.Regions, r)
 		l.byName[d.Name] = r
 		next = alignUp(next+r.Bytes, uint64(blockSize))
 	}
 	l.total = next
 	return l, nil
+}
+
+// Labels returns the regions as the labels a trace carries (Fig. 3).
+func (l *Layout) Labels() []trace.Label {
+	var out []trace.Label
+	for _, r := range l.Regions {
+		out = append(out, trace.Label{Name: r.Label, Base: r.BaseAddr, Elem: parc.ElemSize, Dims: append([]int(nil), r.DimSizes...)})
+	}
+	return out
 }
 
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }

@@ -46,8 +46,10 @@ func TestLayoutAlignmentAndSizes(t *testing.T) {
 	if f := l.Region("flags"); f.Label != "flags" {
 		t.Errorf("unlabelled region label = %q", f.Label)
 	}
-	if prog.SharedMap["A"].BaseAddr != a.BaseAddr {
-		t.Error("SharedDecl.BaseAddr not back-filled")
+	for i, d := range prog.Shareds {
+		if d.Index != i || l.Regions[i].Name != d.Name {
+			t.Errorf("Regions[%d] is %s, Shareds[%d] is %s with Index %d", i, l.Regions[i].Name, i, d.Name, d.Index)
+		}
 	}
 	if x := l.Region("x"); x.Elems != 1 || len(x.DimSizes) != 0 {
 		t.Errorf("scalar region: %+v", x)

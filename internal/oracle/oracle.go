@@ -62,7 +62,7 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	m := &machine{
-		store:   interp.NewStore(layout.TotalBytes()),
+		store:   interp.NewStoreFor(layout),
 		written: make(map[uint64]bool),
 	}
 	for i := 0; i < cfg.Nprocs; i++ {

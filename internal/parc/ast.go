@@ -133,9 +133,12 @@ type SharedDecl struct {
 	Label string // "" if unlabelled
 
 	// Resolved by Check:
-	DimSizes []int  // evaluated Dims (len 0 for scalars)
-	Size     int    // total element count
-	BaseAddr uint64 // assigned by memory layout, in bytes
+	DimSizes []int // evaluated Dims (len 0 for scalars)
+	Size     int   // total element count
+	// Index is the position in Program.Shareds. The address depends on the
+	// run's block size, so a run keeps base addresses in a table of its own
+	// indexed by this (memory.Layout.Regions), and Check is the AST's last writer.
+	Index int
 }
 
 // Param is a function parameter.

@@ -75,7 +75,8 @@ func (c *checker) run() error {
 		p.ConstVal[d.Name] = v
 	}
 
-	for _, d := range p.Shareds {
+	for i, d := range p.Shareds {
+		d.Index = i
 		if _, dup := p.ConstVal[d.Name]; dup {
 			return c.errorf(d.Pos, "shared %q collides with a constant", d.Name)
 		}

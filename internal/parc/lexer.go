@@ -30,11 +30,6 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
 // NewLexerFile returns a lexer over src whose token positions carry file as
 // their file name.
 func NewLexerFile(file, src string) *Lexer {
@@ -264,15 +259,9 @@ func (l *Lexer) Next() (Token, error) {
 }
 
 // Tokenize lexes the whole input, returning the token stream including the
-// trailing EOF token.
+// trailing EOF token. The parser does not use it: it pulls from a Lexer.
 func Tokenize(src string) ([]Token, error) {
-	return TokenizeFile("", src)
-}
-
-// TokenizeFile lexes src like Tokenize, stamping file into every token
-// position (and hence into any error) when it is non-empty.
-func TokenizeFile(file, src string) ([]Token, error) {
-	l := NewLexerFile(file, src)
+	l := NewLexerFile("", src)
 	var toks []Token
 	for {
 		t, err := l.Next()

@@ -1,12 +1,17 @@
 package parc
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// Parser is a recursive-descent parser for ParC.
+// Parser is a recursive-descent parser for ParC. The grammar needs one token
+// of lookahead, so it pulls from the lexer and builds no token slice.
 type Parser struct {
-	toks []Token
-	pos  int
-	prog *Program
+	lex    *Lexer
+	tok    Token // the lookahead
+	lexErr error // the lexer's error; tok is TokEOF from then on
+	prog   *Program
 }
 
 // Parse parses a complete ParC program and runs the semantic checker.
@@ -18,19 +23,32 @@ func Parse(src string) (*Program, error) {
 // every statement position, checker diagnostic, and downstream vet finding
 // then prints as file:line:col.
 func ParseFile(file, src string) (*Program, error) {
-	toks, err := TokenizeFile(file, src)
+	parses.Add(1)
+	p := &Parser{lex: NewLexerFile(file, src), prog: &Program{File: file}}
+	p.advance()
+	err := p.parseProgram()
+	// A malformed token anywhere is reported in preference to a syntax
+	// error, even one that precedes it: lex what the parser left.
+	for err != nil && p.tok.Kind != TokEOF {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
+	if err == nil {
+		err = Check(p.prog)
+	}
 	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, prog: &Program{File: file}}
-	if err := p.parseProgram(); err != nil {
-		return nil, err
-	}
-	if err := Check(p.prog); err != nil {
 		return nil, err
 	}
 	return p.prog, nil
 }
+
+var parses atomic.Uint64
+
+// Parses returns how many sources this process has parsed: a work counter,
+// the same on every host, for tests that pin how often a pipeline parses.
+func Parses() uint64 { return parses.Load() }
 
 // MustParse parses src and panics on error; for tests and embedded
 // benchmark sources that are known to be valid.
@@ -42,14 +60,25 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance pulls the next token. A lexer error ends the stream: the parser
+// sees EOF and stops, and ParseFile reports lexErr.
+func (p *Parser) advance() {
+	tok, err := p.lex.Next()
+	if err != nil {
+		p.lexErr = err
+		tok = Token{Kind: TokEOF, Pos: p.tok.Pos}
+	}
+	p.tok = tok
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
 
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -60,7 +89,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 	if t.Kind != k {
 		return t, &Error{Pos: t.Pos, Msg: fmt.Sprintf("expected %s, found %s", k, t)}
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 

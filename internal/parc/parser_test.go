@@ -243,6 +243,35 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestFirstErrorPrecedence pins which diagnostic a file with several
+// problems gets: a malformed token anywhere wins over a syntax error (also
+// over one that precedes it), the first malformed token wins over later
+// ones, and a syntax error wins over a checker error. The parser pulls
+// tokens as it goes, so the first rule is the one it has to work for.
+func TestFirstErrorPrecedence(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"lex after syntax", "func main() { barrier }\n@", `t.parc:2:1: unexpected character "@"`},
+		{"lex before syntax", "func main() { @ barrier }", `t.parc:1:15: unexpected character "@"`},
+		{"lex at the lookahead", "func main() { barrier @", `t.parc:1:23: unexpected character "@"`},
+		{"first of two lex", "func main() { & }\n\"open", `t.parc:1:15: unexpected '&'`},
+		{"lex in a valid program", "func main() { }\n\"open", `t.parc:2:1: unterminated string literal`},
+		{"syntax alone", "func main() { barrier }", `t.parc:1:23: expected ';', found '}'`},
+		{"syntax before check", "func main() { y = 1; barrier }", `t.parc:1:30: expected ';', found '}'`},
+	}
+	for _, tc := range cases {
+		_, err := ParseFile("t.parc", tc.src)
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+		} else if got := err.Error(); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		// Tokenize sees the same first malformed token, if there is one.
+		if _, lexErr := Tokenize(tc.src); lexErr != nil && (err == nil || "t.parc:"+lexErr.Error() != err.Error()) {
+			t.Errorf("%s: Tokenize reports %v, ParseFile %v", tc.name, lexErr, err)
+		}
+	}
+}
+
 func TestLoopVarImplicitlyDeclared(t *testing.T) {
 	if _, err := Parse(`func main() { for i = 0 to 3 { } for i = 0 to 5 { } }`); err != nil {
 		t.Fatalf("reusing loop variable should be fine: %v", err)

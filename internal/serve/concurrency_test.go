@@ -250,3 +250,70 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSharedProgramManyLayouts sends one program to every endpoint at once,
+// on machines that lay it out differently (block sizes 16 to 128) and on
+// every engine, from goroutines that start together. All of it executes the
+// one cached AST: the program cache hands the same *ProgramInfo to every
+// request and no phase copies it. Under -race this is the proof that a run
+// writes nothing into the program it executes; every body must equal the
+// library's bytes, so no run saw another's layout either.
+func TestSharedProgramManyLayouts(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 256})
+	src := parcgen.Generate(41)
+	type call struct {
+		path string
+		req  any
+		want []byte
+	}
+	var calls []call
+	add := func(path string, req, want any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		bytes, err := MarshalResponse(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call{path, req, bytes})
+	}
+	vreq := &VetRequest{Source: src, Nodes: testNodes}
+	vet, err := EvalVet(vreq)
+	add("/v1/vet", vreq, vet, err)
+	for _, blockSize := range []int{16, 32, 64, 128} {
+		machine := MachineSpec{Nodes: testNodes, BlockSize: blockSize}
+		areq := &AnnotateRequest{Source: src, Machine: machine}
+		ann, err := EvalAnnotate(areq)
+		add("/v1/annotate", areq, ann, err)
+		static, err := EvalStatic(areq)
+		add("/v1/static", areq, static, err)
+		for _, engine := range []string{EngineSequential, EngineLanes, EngineParallel} {
+			machine.Engine = engine
+			sreq := &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}
+			sim, _, err := EvalSimulate(sreq)
+			add("/v1/simulate", sreq, sim, err)
+		}
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, len(calls))
+	for _, c := range calls {
+		wg.Add(1)
+		go func(c call) {
+			defer wg.Done()
+			<-start
+			code, _, body := post(t, ts.URL+c.path, c.req)
+			if code != http.StatusOK || !bytes.Equal(body, c.want) {
+				errc <- fmt.Errorf("%s: status %d or body divergence from the library result", c.path, code)
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}

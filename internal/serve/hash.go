@@ -21,26 +21,17 @@ type ProgramInfo struct {
 	// the submitted formatting.
 	Canonical string
 	// Prog is the AST parsed back from Canonical, so statement IDs and
-	// positions always refer to the canonical text. It is shared by
-	// read-only analyses (vet); phases that execute the program take a
-	// private copy via FreshProg.
+	// positions always refer to the canonical text. A checked program is
+	// immutable (a run keeps its layout in its own tables), so every phase
+	// of every request executes this one AST, concurrently.
 	Prog *parc.Program
 }
 
-// FreshProg re-parses the canonical text into a private AST. The simulator
-// and the static inferrer back-fill memory-layout state (SharedDecl.BaseAddr
-// via memory.New) into the AST they run, so concurrently executing phases
-// must each get their own copy; the shared Prog is for read-only analyses.
-func (pi *ProgramInfo) FreshProg() (*parc.Program, error) {
-	prog, err := parc.Parse(pi.Canonical)
-	if err != nil {
-		return nil, fmt.Errorf("serve: canonical form does not re-parse: %w", err)
-	}
-	if err := parc.Check(prog); err != nil {
-		return nil, fmt.Errorf("serve: canonical form does not check: %w", err)
-	}
-	return prog, nil
-}
+// FreshProg returns Prog; an immutable AST needs no private copies.
+//
+// Deprecated: only benchmark/probes.go calls it. Delete it with the next
+// change that may edit benchmark/.
+func (pi *ProgramInfo) FreshProg() (*parc.Program, error) { return pi.Prog, nil }
 
 // CanonicalProgram parses and checks src, canonicalizes it, and content-
 // addresses the result. Errors are front-end diagnostics suitable for a
@@ -50,18 +41,12 @@ func CanonicalProgram(src string) (*ProgramInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := parc.Check(prog); err != nil {
-		return nil, err
-	}
 	canon := parc.Print(prog)
 	// Reparse so the cached AST's statement IDs agree with the canonical
 	// text that core.Annotate will parse for rewriting.
 	cprog, err := parc.Parse(canon)
 	if err != nil {
 		return nil, fmt.Errorf("serve: canonical form does not re-parse: %w", err)
-	}
-	if err := parc.Check(cprog); err != nil {
-		return nil, fmt.Errorf("serve: canonical form does not check: %w", err)
 	}
 	sum := sha256.Sum256([]byte(canon))
 	return &ProgramInfo{Hash: hex.EncodeToString(sum[:]), Canonical: canon, Prog: cprog}, nil

@@ -165,11 +165,7 @@ func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (
 	traceSpec.Engine = EngineSequential
 	v, err := e.cached("trace", cacheKey(pi.Hash, traceSpec.key()), func() (any, error) {
 		return e.heavy(ctx, "trace", func() (any, error) {
-			prog, err := pi.FreshProg()
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(prog, traceSpec.simConfig(sim.ModeTrace))
+			res, err := sim.Run(pi.Prog, traceSpec.simConfig(sim.ModeTrace))
 			if err != nil {
 				return nil, fmt.Errorf("tracing: %w", err)
 			}
@@ -209,11 +205,7 @@ func (e *evaluator) annotate(ctx context.Context, req *AnnotateRequest, static b
 					Assoc:     machine.Assoc,
 					BlockSize: machine.BlockSize,
 				}
-				prog, err := pi.FreshProg()
-				if err != nil {
-					return nil, err
-				}
-				inf, err := staticanno.Infer(prog, cfg)
+				inf, err := staticanno.Infer(pi.Prog, cfg)
 				if err != nil {
 					return nil, badRequest(fmt.Errorf("static inference: %w", err))
 				}
@@ -349,13 +341,9 @@ func (e *evaluator) simulate(ctx context.Context, req *SimulateRequest) (*Simula
 // runSim executes one simulation with the observability recorder attached
 // and packages the deterministic result + snapshot bytes.
 func (e *evaluator) runSim(pi *ProgramInfo, m MachineSpec) (*simDoc, error) {
-	prog, err := pi.FreshProg()
-	if err != nil {
-		return nil, err
-	}
 	cfg := m.simConfig(sim.ModePerf)
 	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
-	res, err := sim.Run(prog, cfg)
+	res, err := sim.Run(pi.Prog, cfg)
 	if err != nil {
 		// Simulation faults (deadlock, unlock fault) are properties of the
 		// submitted program, not of the server.

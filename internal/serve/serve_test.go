@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"cachier/internal/bench"
+	"cachier/internal/parc"
 	"cachier/internal/parcgen"
 )
 
@@ -295,5 +296,36 @@ func TestHealthzAndMetrics(t *testing.T) {
 	code, body = get(t, ts.URL+"/healthz")
 	if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("draining")) {
 		t.Fatalf("draining healthz: %d %s", code, body)
+	}
+}
+
+// TestColdProgramParses pins the front-end work of one new program sent to
+// all four endpoints: two parses to canonicalise it (the submitted text, then
+// the canonical text the cached AST is built from) and two inside each of
+// the two core.Annotate calls, which rewrite a private AST and re-parse
+// their own output as a self-check. Every executing phase runs the cached
+// AST, so nothing else parses; before the AST was immutable each of the
+// three executing phases parsed a copy of its own, 9 parses in all.
+func TestColdProgramParses(t *testing.T) {
+	_, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed + 1)
+	machine := MachineSpec{Nodes: testNodes}
+	before := parc.Parses()
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/vet", &VetRequest{Source: src, Nodes: testNodes}},
+		{"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/static", &AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}},
+	} {
+		code, hdr, body := post(t, ts.URL+c.path, c.req)
+		if code != http.StatusOK || hdr.Get("X-Cachier-Cache") != "miss" {
+			t.Fatalf("%s: status %d, cache %q: %s", c.path, code, hdr.Get("X-Cachier-Cache"), body)
+		}
+	}
+	if got := parc.Parses() - before; got != 6 {
+		t.Errorf("one cold program through four endpoints parsed %d times, want 6", got)
 	}
 }

@@ -445,7 +445,7 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, er
 		cfg:          cfg,
 		prog:         prog,
 		layout:       layout,
-		store:        interp.NewStore(layout.TotalBytes()),
+		store:        interp.NewStoreFor(layout),
 		sys:          sys,
 		locks:        make(map[int64]*lockState),
 		wake:         make(chan struct{}, 1),
@@ -455,7 +455,7 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, er
 		blockSz:      uint64(cfg.BlockSize),
 	}
 	if cfg.Mode == ModeTrace {
-		m.builder = trace.NewBuilder(cfg.Nodes, cfg.BlockSize, labelsFromLayout(layout))
+		m.builder = trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels())
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		m.procs = append(m.procs, &proc{id: i, resume: make(chan resumeMsg)})
@@ -547,19 +547,6 @@ func (m *Machine) buildResult(ctxs []*interp.Context) (*Result, error) {
 		res.Trace = tr
 	}
 	return res, nil
-}
-
-func labelsFromLayout(l *memory.Layout) []trace.Label {
-	var out []trace.Label
-	for _, r := range l.Regions {
-		out = append(out, trace.Label{
-			Name: r.Label,
-			Base: r.BaseAddr,
-			Elem: parc.ElemSize,
-			Dims: append([]int(nil), r.DimSizes...),
-		})
-	}
-	return out
 }
 
 // runProc is each processor's goroutine body.

@@ -112,6 +112,9 @@ func flattenStreams(sum *vet.Summary, layout *memory.Layout) ([][]rEvent, error)
 	streams := make([][]rEvent, len(sum.Nodes))
 	for n, ns := range sum.Nodes {
 		var out []rEvent
+		if n > 0 { // every node runs the same program: size it like the last
+			out = make([]rEvent, 0, len(streams[n-1]))
+		}
 		for _, ep := range ns.Epochs {
 			for _, ev := range ep.Events {
 				switch ev.Op {
@@ -162,7 +165,7 @@ func replay(cfg Config, layout *memory.Layout, streams [][]rEvent) (*trace.Trace
 	}
 	r := &replayer{
 		sys:   sys,
-		b:     trace.NewBuilder(cfg.Nodes, cfg.BlockSize, traceLabels(layout)),
+		b:     trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels()),
 		locks: make(map[int64]*rLockState),
 	}
 	for i := 0; i < cfg.Nodes; i++ {

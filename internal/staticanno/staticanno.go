@@ -167,25 +167,12 @@ func elementAddrs(region *memory.Region, dims []vet.IndexSet) ([]uint64, error) 
 	return out, nil
 }
 
-func traceLabels(l *memory.Layout) []trace.Label {
-	var out []trace.Label
-	for _, r := range l.Regions {
-		out = append(out, trace.Label{
-			Name: r.Label,
-			Base: r.BaseAddr,
-			Elem: parc.ElemSize,
-			Dims: append([]int(nil), r.DimSizes...),
-		})
-	}
-	return out
-}
-
 // Annotate runs the trace-free pipeline end to end: infer the trace, then
 // the unchanged core placement. The source is parsed twice (once here for
 // inference, once inside core.Annotate); both parses assign the same
 // statement IDs, the same assumption the simulation pipeline relies on.
 func Annotate(src string, cfg Config, opts core.Options) (*core.Result, *Result, error) {
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,7 +210,7 @@ func Styles() []StyleDiff {
 // inference, in every style, and diffs the outputs. The caller supplies the
 // trace so it controls the traced machine; cfg must describe the same one.
 func Compare(src string, tr *trace.Trace, cfg Config) ([]StyleDiff, *Result, error) {
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,17 +235,6 @@ func Compare(src string, tr *trace.Trace, cfg Config) ([]StyleDiff, *Result, err
 		}
 	}
 	return styles, inf, nil
-}
-
-func parseChecked(src string) (*parc.Program, error) {
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := parc.Check(prog); err != nil {
-		return nil, err
-	}
-	return prog, nil
 }
 
 // DiffLines renders a minimal unified diff of two texts ("-" lines from a,

@@ -29,7 +29,7 @@ func main() {
 
 func parseTest(t *testing.T, src string) *parc.Program {
 	t.Helper()
-	prog, err := parseChecked(src)
+	prog, err := parc.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,5 @@ func MustParse(tb testing.TB, src string) *parc.Program {
 	if err != nil {
 		tb.Fatalf("parse: %v", err)
 	}
-	if err := parc.Check(prog); err != nil {
-		tb.Fatalf("check: %v", err)
-	}
 	return prog
 }

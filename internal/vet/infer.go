@@ -161,23 +161,37 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		opts: Options{Nprocs: opts.Nprocs},
 		seen: make(map[string]bool),
 	}
-	sum := &Summary{Nprocs: opts.Nprocs, Exact: true}
+	sum := &Summary{Nprocs: opts.Nprocs, Exact: true, Nodes: make([]NodeSummary, 0, opts.Nprocs)}
+	var prev *nodeRun
 	for p := 0; p < opts.Nprocs; p++ {
-		r := newNodeRun(v, p)
+		r := newNodeRun(v, p, prev)
+		prev = r
 		r.fuel = opts.Fuel
 		r.infer = &inferRun{opts: opts, exact: true}
 		r.run(main)
 		if r.outOfGas {
 			r.inexact(parc.Pos{}, "analysis budget exhausted")
 		}
-		ns := NodeSummary{Node: p}
-		cur := InferEpoch{Index: 0, BarrierID: -1}
+		var like []InferEpoch // the node before's epochs size this node's
+		if p > 0 {
+			like = sum.Nodes[p-1].Epochs
+		}
+		newEpoch := func(i int) InferEpoch {
+			ep := InferEpoch{Index: i, BarrierID: -1}
+			if i < len(like) {
+				ep.Accesses = make([]InferAccess, 0, len(like[i].Accesses))
+				ep.Events = make([]InferEvent, 0, len(like[i].Events))
+			}
+			return ep
+		}
+		ns := NodeSummary{Node: p, Epochs: make([]InferEpoch, 0, len(like))}
+		cur := newEpoch(0)
 		for _, ev := range r.events {
 			switch ev.kind {
 			case evBarrier:
 				cur.BarrierID = ev.stmtID
 				ns.Epochs = append(ns.Epochs, cur)
-				cur = InferEpoch{Index: len(ns.Epochs), BarrierID: -1}
+				cur = newEpoch(len(ns.Epochs))
 			case evAccess:
 				if ev.decl == nil {
 					continue

@@ -252,8 +252,14 @@ func (r *nodeRun) inexact(pos parc.Pos, format string, args ...any) {
 	r.infer.notes = append(r.infer.notes, note)
 }
 
-func newNodeRun(v *vetter, node int) *nodeRun {
-	return &nodeRun{v: v, node: node, fuel: maxFuel, locks: make(map[int64]int)}
+// newNodeRun starts node's run. Every node executes the same program, so the
+// node before's (prev, nil for the first) event count sizes this one's stream.
+func newNodeRun(v *vetter, node int, prev *nodeRun) *nodeRun {
+	r := &nodeRun{v: v, node: node, fuel: maxFuel, locks: make(map[int64]int)}
+	if prev != nil {
+		r.events = make([]event, 0, len(prev.events))
+	}
+	return r
 }
 
 func (r *nodeRun) run(main *parc.FuncDecl) {

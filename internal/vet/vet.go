@@ -156,9 +156,11 @@ func Analyze(prog *parc.Program, opts Options) *Report {
 	}
 	main := prog.FuncMap["main"]
 	runs := make([]*nodeRun, opts.Nprocs)
-	for p := 0; p < opts.Nprocs; p++ {
-		runs[p] = newNodeRun(v, p)
+	var prev *nodeRun
+	for p := range runs {
+		runs[p] = newNodeRun(v, p, prev)
 		runs[p].run(main)
+		prev = runs[p]
 	}
 	v.checkAlignment(runs)
 	v.findRaces(runs)

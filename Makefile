@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticdiff bench benchcmp protosweep check fuzz cover timeline serve-smoke
+.PHONY: all build test race vet staticdiff bench protosweep check fuzz cover timeline serve-smoke
 
 all: build
 
@@ -11,10 +11,10 @@ test:
 	$(GO) test ./...
 
 # The bench package exercises the parallel Figure-6 harness, sim hosts the
-# epoch-parallel engine (producer goroutines + committer), and serve is the
-# HTTP layer (shared caches, singleflight, worker pool); run all of it
-# under the race detector after touching sim, interp, dir1sw, bench, or
-# serve.
+# reference engine's lanes on goroutines that hand one machine back and
+# forth, and serve is the HTTP layer (shared caches, singleflight, worker
+# pool); run all of it under the race detector after touching sim, interp,
+# dir1sw, bench, or serve.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/coherence/... ./internal/dir1sw/... \
 		./internal/dirn/... ./internal/bench/... ./internal/serve/...
@@ -47,23 +47,12 @@ staticdiff:
 # One pass over the performance-tracking benchmarks (see EXPERIMENTS.md,
 # "Simulator performance"), then the Figure 6 harness with its
 # machine-readable result rows — BENCH_fig6.json records cycles, normalized
-# time, per-variant wall-clock, and engine per (benchmark, variant) so
-# performance can be tracked across commits. -ab measures every benchmark
-# on the sequential, lane-batched, and epoch-parallel engines (cycle counts
-# must match bit-for-bit; the harness fails otherwise). BENCH_baseline.json
-# at the repo root is the checked-in reference — refresh it alongside
-# deliberate performance changes (see EXPERIMENTS.md).
+# time, per-variant wall-clock, and engine per (benchmark, variant). The
+# cycles-exact gate is TestFigure6Golden; wall-clock claims are made with
+# benchmark/ (BENCHMARK.json), not from this file.
 bench:
-	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|Lane|SmallRun|ColdRequest' -benchtime 1x ./...
-	$(GO) run ./cmd/fig6 -ab -json BENCH_fig6.json
-
-# Bench-compare gate (cmd/benchcmp): the fresh BENCH_fig6.json against the
-# checked-in baseline. Cycles must match exactly — within the new file every
-# engine must agree per (benchmark, variant), and across files a changed
-# cycle count means the simulated machine changed, which must ship with a
-# deliberate baseline refresh. Wall clock gets a 20% per-cell tolerance.
-benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_baseline.json BENCH_fig6.json
+	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest' -benchtime 1x ./...
+	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
 
 # Cross-protocol smoke sweep: the Figure 6 suite under Dir1SW, Dir4NB, and
 # Dir4B in one run. BENCH_protosweep.json carries one row per (benchmark,
@@ -101,16 +90,17 @@ check: build vet staticdiff test race
 # Native fuzzing over the conformance harness: FuzzPipeline explores the
 # generator's seed space through the full trace/annotate/simulate pipeline,
 # FuzzAnnotatedEquivalence hammers the annotated artifact itself, and
-# FuzzParallelEquivalence and FuzzLanesEquivalence diff the epoch-parallel
-# and lane-batched engines against the sequential scheduler on every surface
-# (cycles, stats, snapshot, timeline).
+# FuzzLanesEquivalence and FuzzParallelEquivalence are the two halves of the
+# reference differential — the production engine against the tree-walking
+# reference on every surface (cycles, stats, memory, trace, snapshot,
+# timeline): measuring mode under a protocol the seed picks, and trace mode.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotatedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
-	$(GO) test -run '^$$' -fuzz '^FuzzParallelEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzLanesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzParallelEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 
 # Coverage with checked-in floors. The floors sit a few points under the

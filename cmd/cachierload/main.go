@@ -251,10 +251,7 @@ func buildRequests(ctx context.Context, seeds, nodes int, static bool) ([]*reque
 		machine := serve.MachineSpec{Nodes: nodes}
 		annReq := &serve.AnnotateRequest{Source: p.src, Prefetch: true, Machine: machine}
 		vetReq := &serve.VetRequest{Source: p.src, Nodes: nodes}
-		simReq := &serve.SimulateRequest{Source: p.src, Configs: []serve.MachineSpec{
-			{Nodes: nodes},
-			{Nodes: nodes, Engine: serve.EngineLanes},
-		}}
+		simReq := &serve.SimulateRequest{Source: p.src, Configs: []serve.MachineSpec{machine}}
 
 		add := func(class string, in, out any, snaps map[string][]byte, err error) error {
 			if err != nil {

@@ -15,20 +15,14 @@
 // Usage:
 //
 //	fig6 [-bench NAME] [-sharing] [-stats] [-source] [-json FILE]
-//	     [-big] [-paper] [-parallel N] [-lanes] [-ab]
-//	     [-protocol SPEC] [-protosweep]
+//	     [-big] [-paper] [-protocol SPEC] [-protosweep]
 //	     [-statsjson FILE] [-timeline FILE]
 //	     [-cpuprofile FILE] [-memprofile FILE]
 //
-// -parallel N simulates on the epoch-parallel engine with N workers (-1:
-// one per CPU) and -lanes on the lane-batched engine (all nodes stepped as
-// lanes of one goroutine with batched access resolution); results are
-// bit-identical to the sequential engine either way, only host wall-clock
-// changes. -ab runs the suite on all three engines — sequential, lanes,
-// and parallel — and writes every measurement to -json, with engine and
-// per-variant wall-clock on every row. -big selects near-paper-scale
-// inputs, -paper the paper-scale ones (Section 6's problem sizes; expect
-// minutes per benchmark).
+// -json writes every measurement with the engine that produced it and its
+// per-variant wall-clock. -big selects near-paper-scale inputs, -paper the
+// paper-scale ones (Section 6's problem sizes; expect minutes per
+// benchmark).
 //
 // -protocol SPEC simulates under a different coherence protocol ("dir1sw",
 // "dirnnb[:n]", "dirnb[:n]"; see internal/coherence). -protosweep runs the
@@ -39,7 +33,7 @@
 // On SIGINT/SIGTERM the run stops at the next suite boundary and -json
 // still receives valid JSON: the rows measured so far plus a sentinel row
 // {"benchmark": "__truncated__", "variant": "interrupted"} marking the
-// truncation (cmd/benchcmp treats the one-sided rows as notes).
+// truncation.
 package main
 
 import (
@@ -63,13 +57,12 @@ import (
 
 // jsonRow is one (benchmark, variant) measurement in the -json output.
 // WallSecs is this variant's own sim.Run wall-clock on the host; Engine
-// says which simulation engine produced it ("sequential", "parallel", or
-// the conflict-fallback label) and Interp which interpreter ran the program
-// (the harness always uses the bytecode VM). BenchWallSecs is the
-// benchmark's full pipeline wall (trace, annotate, simulate all variants),
-// repeated on each of its rows; benchmarks run concurrently, so it measures
-// time to produce the row, not exclusive CPU time. Parallel and HostCPUs
-// record the A/B context: configured workers and the host's CPU count.
+// says which simulation engine produced it (sim.Result.Engine) and Interp
+// which interpreter ran the program (the harness always uses the bytecode
+// VM). BenchWallSecs is the benchmark's full pipeline wall (trace,
+// annotate, simulate all variants), repeated on each of its rows;
+// benchmarks run concurrently, so it measures time to produce the row, not
+// exclusive CPU time. HostCPUs is the host's CPU count.
 type jsonRow struct {
 	Benchmark     string  `json:"benchmark"`
 	Variant       string  `json:"variant"`
@@ -79,7 +72,6 @@ type jsonRow struct {
 	Normalized    float64 `json:"normalized"`
 	Engine        string  `json:"engine"`
 	Interp        string  `json:"interp"`
-	Parallel      int     `json:"parallel"`
 	HostCPUs      int     `json:"host_cpus"`
 	WallSecs      float64 `json:"wall_seconds"`
 	BenchWallSecs float64 `json:"bench_wall_seconds"`
@@ -119,11 +111,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		source     = fs.Bool("source", false, "print each Cachier-annotated program")
 		big        = fs.Bool("big", false, "near-paper-scale inputs (takes minutes)")
 		paper      = fs.Bool("paper", false, "paper-scale inputs (Section 6 problem sizes; takes minutes per benchmark)")
-		parallel   = fs.Int("parallel", 0, "epoch-parallel simulation workers (0 sequential, -1 one per CPU); results are bit-identical")
-		lanes      = fs.Bool("lanes", false, "simulate on the lane-batched engine; results are bit-identical")
 		protocol   = fs.String("protocol", "", `coherence protocol spec: "dir1sw" (the default), "dirnnb[:n]", or "dirnb[:n]"`)
 		protosweep = fs.Bool("protosweep", false, "run the suite once per protocol (dir1sw, dirnnb:4, dirnb:4) and print the cross-protocol table")
-		ab         = fs.Bool("ab", false, "A/B: run the suite on the sequential, lane-batched, AND epoch-parallel (-parallel workers, -1 if unset) engines, emitting all in -json")
 		jsonOut    = fs.String("json", "", "write machine-readable result rows to this file")
 		statsJSON  = fs.String("statsjson", "", "write the Cachier variant's stats snapshot (JSON) to this file (per-benchmark suffix when running several)")
 		timeline   = fs.String("timeline", "", "write the Cachier variant's Perfetto timeline (JSON) to this file (per-benchmark suffix when running several)")
@@ -135,8 +124,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *protosweep {
-		if *ab || *statsJSON != "" || *timeline != "" {
-			return fmt.Errorf("-protosweep cannot combine with -ab, -statsjson, or -timeline")
+		if *statsJSON != "" || *timeline != "" {
+			return fmt.Errorf("-protosweep cannot combine with -statsjson or -timeline")
 		}
 		if *protocol != "" {
 			return fmt.Errorf("-protosweep runs its own protocol list; drop -protocol")
@@ -193,19 +182,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("interrupted: %w", ctx.Err())
 	}
 
-	// runSuite measures every benchmark on one engine configuration.
-	// Benchmarks run concurrently (RunBenchmark bounds actual compute to
-	// the machine's CPUs); rows keep the listing order.
-	runSuite := func(workers int, useLanes bool, proto string) ([]*bench.Row, []time.Duration, error) {
+	// runSuite measures every benchmark under one protocol. Benchmarks run
+	// concurrently (RunBenchmark bounds actual compute to the machine's
+	// CPUs); rows keep the listing order.
+	runSuite := func(proto string) ([]*bench.Row, []time.Duration, error) {
 		rows := make([]*bench.Row, len(benches))
 		errs := make([]error, len(benches))
 		walls := make([]time.Duration, len(benches))
 		var wg sync.WaitGroup
 		for i, b := range benches {
-			b.Parallel = workers
-			b.Lanes = useLanes
 			b.Protocol = proto
-			fmt.Fprintf(stderr, "running %s (%d nodes, parallel=%d, lanes=%v, protocol=%s)...\n", b.Name, b.Nodes, workers, useLanes, protoLabel(proto))
+			fmt.Fprintf(stderr, "running %s (%d nodes, protocol=%s)...\n", b.Name, b.Nodes, protoLabel(proto))
 			wg.Add(1)
 			go func(i int, b *bench.Benchmark) {
 				defer wg.Done()
@@ -230,67 +217,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if ctx.Err() != nil {
 		return interrupted()
 	}
-	rows, walls, err := runSuite(*parallel, *lanes, *protocol)
+	rows, walls, err := runSuite(*protocol)
 	if err != nil {
 		return err
 	}
-	jsonRows = collectRows(rows, walls, *parallel)
+	jsonRows = collectRows(rows, walls)
 	// A signal that arrived while the suite was running is honoured here:
 	// the rows measured so far are flushed with the truncation sentinel and
 	// the exit is nonzero, instead of silently completing the run.
 	if ctx.Err() != nil {
 		return interrupted()
-	}
-
-	// A/B mode: re-run the whole suite on the lane-batched and
-	// epoch-parallel engines. The cycle counts are bit-identical by design
-	// (the conformance corpus pins that); only the host wall-clock differs.
-	if *ab {
-		workers := *parallel
-		if workers == 0 {
-			workers = -1
-		}
-		if ctx.Err() != nil {
-			return interrupted()
-		}
-		laneRows, laneWalls, err := runSuite(0, true, *protocol)
-		if err != nil {
-			return err
-		}
-		jsonRows = append(jsonRows, collectRows(laneRows, laneWalls, 0)...)
-		if ctx.Err() != nil {
-			return interrupted()
-		}
-		abRows, abWalls, err := runSuite(workers, false, *protocol)
-		if err != nil {
-			return err
-		}
-		jsonRows = append(jsonRows, collectRows(abRows, abWalls, workers)...)
-		fmt.Fprintln(stdout, "Engine A/B: per-variant simulation wall-clock, sequential vs lanes vs parallel")
-		fmt.Fprintf(stdout, "%-16s %-17s | %10s %10s %10s | %7s %7s | %s\n",
-			"benchmark", "variant", "seq", "lanes", "par", "lanes", "par", "engines")
-		for i, r := range rows {
-			for _, v := range bench.Variants() {
-				seqW := r.Walls[v].Seconds()
-				laneW := laneRows[i].Walls[v].Seconds()
-				parW := abRows[i].Walls[v].Seconds()
-				laneR, parR := 0.0, 0.0
-				if laneW > 0 {
-					laneR = seqW / laneW
-				}
-				if parW > 0 {
-					parR = seqW / parW
-				}
-				if r.Cycles[v] != laneRows[i].Cycles[v] || r.Cycles[v] != abRows[i].Cycles[v] {
-					return fmt.Errorf("A/B cycle divergence on %s/%s: seq %d, lanes %d, parallel %d",
-						r.Benchmark, v, r.Cycles[v], laneRows[i].Cycles[v], abRows[i].Cycles[v])
-				}
-				fmt.Fprintf(stdout, "%-16s %-17s | %9.3fs %9.3fs %9.3fs | %6.2fx %6.2fx | %s / %s / %s\n",
-					r.Benchmark, v, seqW, laneW, parW, laneR, parR,
-					r.Engines[v], laneRows[i].Engines[v], abRows[i].Engines[v])
-			}
-		}
-		fmt.Fprintln(stdout)
 	}
 
 	fmt.Fprintln(stdout, "Figure 6: execution time normalized to the unannotated version")
@@ -307,11 +243,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if ctx.Err() != nil {
 				return interrupted()
 			}
-			r2, w2, err := runSuite(*parallel, *lanes, spec)
+			r2, w2, err := runSuite(spec)
 			if err != nil {
 				return err
 			}
-			jsonRows = append(jsonRows, collectRows(r2, w2, *parallel)...)
+			jsonRows = append(jsonRows, collectRows(r2, w2)...)
 			allRows = append(allRows, r2)
 		}
 		fmt.Fprintln(stdout, "\nProtocol sweep: unannotated vs Cachier cycles per protocol")
@@ -401,7 +337,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 // collectRows flattens one suite run into JSON rows, one per (benchmark,
 // variant) in listing order.
-func collectRows(rows []*bench.Row, walls []time.Duration, workers int) []jsonRow {
+func collectRows(rows []*bench.Row, walls []time.Duration) []jsonRow {
 	var out []jsonRow
 	for i, r := range rows {
 		for _, v := range bench.Variants() {
@@ -414,7 +350,6 @@ func collectRows(rows []*bench.Row, walls []time.Duration, workers int) []jsonRo
 				Normalized:    r.Normalized(v),
 				Engine:        r.Engines[v],
 				Interp:        "vm",
-				Parallel:      workers,
 				HostCPUs:      runtime.NumCPU(),
 				WallSecs:      r.Walls[v].Seconds(),
 				BenchWallSecs: walls[i].Seconds(),

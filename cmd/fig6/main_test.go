@@ -115,7 +115,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bogus"},
 		{"-bench", "NoSuchBenchmark"},
-		{"-protosweep", "-ab"},
+		{"-protosweep", "-statsjson", "stats.json"},
 		{"-protosweep", "-protocol", "dirnnb"},
 	} {
 		if err := run(context.Background(), args, &buf, &buf); err == nil {

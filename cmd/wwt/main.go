@@ -22,10 +22,6 @@
 //	-poststore      KSR-1 post-store semantics for check-ins (ablation)
 //	-fullmap        full-map hardware directory instead of Dir1SW (ablation)
 //	-protocol SPEC  coherence protocol: dir1sw (default), dirnnb[:n], dirnb[:n]
-//	-parallel N     epoch-parallel engine with N workers (-1: one per CPU);
-//	                results are bit-identical to the sequential engine
-//	-lanes          lane-batched engine: step all nodes as vector lanes in
-//	                one goroutine; results are bit-identical to sequential
 package main
 
 import (
@@ -55,8 +51,6 @@ func main() {
 		postStore  = flag.Bool("poststore", false, "KSR-1 post-store semantics for check-ins")
 		fullMap    = flag.Bool("fullmap", false, "full-map hardware directory instead of Dir1SW")
 		protocol   = flag.String("protocol", "", `coherence protocol spec: "dir1sw" (default), "dirnnb[:n]", or "dirnb[:n]"`)
-		parallel   = flag.Int("parallel", 0, "epoch-parallel engine workers (0 sequential, -1 one per CPU); results are bit-identical")
-		lanes      = flag.Bool("lanes", false, "lane-batched engine (DESIGN.md \u00a79); results are bit-identical")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -82,8 +76,6 @@ func main() {
 	cfg.PostStore = *postStore
 	cfg.FullMap = *fullMap
 	cfg.Protocol = *protocol
-	cfg.Parallel = *parallel
-	cfg.Lanes = *lanes
 	if *traceFile != "" {
 		cfg.Mode = sim.ModeTrace
 	}
@@ -102,15 +94,13 @@ func main() {
 	}
 	fmt.Printf("execution time: %d cycles on %d nodes (%d barriers, %s)\n",
 		res.Cycles, *nodes, res.Barriers, res.Protocol)
-	if *parallel != 0 || *lanes {
-		fmt.Printf("engine: %s\n", res.Engine)
-	}
 	s := res.Stats
 	fmt.Printf("misses: %d read, %d write, %d write faults; %d traps\n",
 		s.ReadMisses, s.WriteMisses, s.WriteFaults, s.Traps)
 	if *stats {
 		snap := res.Snapshot
 		p := &snap.Protocol
+		fmt.Printf("engine: %s\n", res.Engine)
 		fmt.Printf("accesses: %d reads, %d writes, %d hits\n", p.Reads, p.Writes, p.Hits)
 		fmt.Printf("messages: %d requests, %d data, %d control (%d total)\n",
 			p.ReqMsgs, p.DataMsgs, p.CtlMsgs, p.TotalMsgs())

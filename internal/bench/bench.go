@@ -53,16 +53,13 @@ type Benchmark struct {
 	PaperTrain Params
 	PaperTest  Params
 
-	// Parallel selects the simulator's epoch-parallel engine for every run
-	// of this benchmark (sim.Config.Parallel: 0 sequential, -1 one worker
-	// per CPU). Results are bit-identical either way; only host wall-clock
-	// changes.
+	// Parallel and Lanes are ignored. They selected simulator engines that
+	// no longer exist as a choice (see sim.Config.Parallel) and stay only
+	// because benchmark/fig6.go, which a PR outside the benchmark archetype
+	// may not edit, reads them; the next benchmark PR removes that read
+	// and these fields.
 	Parallel int
-
-	// Lanes selects the simulator's lane-batched engine for every run of
-	// this benchmark (sim.Config.Lanes). Results are bit-identical either
-	// way; only host wall-clock changes.
-	Lanes bool
+	Lanes    bool
 
 	// Racy marks benchmarks whose ParC ports genuinely race (the paper
 	// runs them anyway; Section 3.1's epoch model tolerates them). The

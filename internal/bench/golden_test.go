@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"reflect"
 	"testing"
 
 	"cachier/internal/parc"
@@ -45,11 +48,31 @@ var goldenTraces = []struct {
 
 // TestFigure6Golden runs the full (parallel) harness and checks every cycle
 // count and sharing degree against the frozen sequential-implementation
-// results.
+// results. It is the cycles-exact gate; the benchmark's own table of the
+// same 20 cells (benchmark/expected/fig6_cycles.json) must say what this one
+// says, so that neither can be refreshed alone.
 func TestFigure6Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	data, err := os.ReadFile("../../benchmark/expected/fig6_cycles.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expected map[string]map[Variant]uint64
+	if err := json.Unmarshal(data, &expected); err != nil {
+		t.Fatal(err)
+	}
+	golden := make(map[string]map[Variant]uint64)
+	for _, g := range goldenFig6 {
+		golden[g.Benchmark] = map[Variant]uint64{
+			VariantNone: g.None, VariantHand: g.Hand, VariantCachier: g.Cachier, VariantCachierPrefetch: g.CachierPF,
+		}
+	}
+	if !reflect.DeepEqual(expected, golden) {
+		t.Errorf("benchmark/expected/fig6_cycles.json and goldenFig6 disagree:\n%v\n%v", expected, golden)
+	}
+
 	rows, err := Figure6()
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +85,9 @@ func TestFigure6Golden(t *testing.T) {
 		if r.Benchmark != want.Benchmark {
 			t.Fatalf("row %d is %s, want %s (order must be stable)", i, r.Benchmark, want.Benchmark)
 		}
-		got := map[Variant]uint64{
-			VariantNone:            want.None,
-			VariantHand:            want.Hand,
-			VariantCachier:         want.Cachier,
-			VariantCachierPrefetch: want.CachierPF,
-		}
 		for _, v := range Variants() {
-			if r.Cycles[v] != got[v] {
-				t.Errorf("%s/%s: %d cycles, golden %d", r.Benchmark, v, r.Cycles[v], got[v])
+			if got := golden[want.Benchmark][v]; r.Cycles[v] != got {
+				t.Errorf("%s/%s: %d cycles, golden %d", r.Benchmark, v, r.Cycles[v], got)
 			}
 		}
 		if l := fmt.Sprintf("%.6f", r.SharingLoads); l != want.ShLoads {

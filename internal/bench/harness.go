@@ -54,8 +54,7 @@ type Row struct {
 
 	// Walls is each variant's simulation wall-clock on the host (just the
 	// measured sim.Run, not tracing or annotation); Engines is the engine
-	// that produced it ("sequential", "parallel", or the conflict-fallback
-	// label). Both are filled on every run.
+	// that produced it (sim.Result.Engine). Both are filled on every run.
 	Walls   map[Variant]time.Duration
 	Engines map[Variant]string
 
@@ -145,8 +144,6 @@ func RunBenchmarkObserved(b *Benchmark, timeline bool) (*Row, error) {
 
 func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 	cfg := machineConfig(b.Nodes)
-	cfg.Parallel = b.Parallel
-	cfg.Lanes = b.Lanes
 	cfg.Protocol = b.Protocol
 
 	// 1. Trace the unannotated program on the training input; both

@@ -1,13 +1,16 @@
 package coherence
 
-// Batched access resolution for the lane engine (sim.Config.Lanes).
+import "math/bits"
+
+// Batched access resolution.
 //
-// The lane stepper issues shared accesses one at a time, but real programs
+// The interpreter issues shared accesses one at a time, but real programs
 // issue them in runs against the same cache block (stencil sweeps, row
 // walks): grouping a run by BlockOf and resolving the block once is the
 // SPMD "uniform" observation applied to the memory system. The memo below
 // implements that grouping without buffering: each node remembers the last
-// block it resolved per cache set, and as long as no machine-wide state has
+// block it resolved per memo slot (a cache set, or several sets sharing a
+// slot), and as long as no machine-wide state has
 // changed since (directory transitions, installs, evictions, invalidations
 // — everything System.gen counts), a repeat access to that block is served
 // as a pure cache hit with no cache or directory walk at all.
@@ -30,12 +33,17 @@ package coherence
 //     the memo's write bit is only set when the line is already dirty.
 //   - Any slow-path access to a *different* block in the same set
 //     overwrites the memo entry, so the memoized block is always the set's
-//     true MRU line while its generation is current.
+//     true MRU line while its generation is current. That holds for any
+//     power-of-two slot count dividing the set count: a slot is picked by
+//     the block number's low bits, which the set index contains, so blocks
+//     of one set always share a slot. Blocks of different sets sharing one
+//     only cost the memo entry.
 //
-// The memo is enabled only by the lane engine; the sequential engine stays
-// the memo-free oracle the conformance harness diffs against.
+// The memo is enabled only by the simulator's production engine; its
+// reference engine stays the memo-free side the conformance harness diffs
+// against.
 
-// accessMemo is one node's most recent resolution for one cache set.
+// accessMemo is one node's most recent resolution for one memo slot.
 type accessMemo struct {
 	block uint64
 	gen   uint64
@@ -55,12 +63,18 @@ func (s *System) EnableAccessMemo() {
 	if s.memos != nil {
 		return
 	}
-	// cache.New validated the geometry, so nsets is a power of two.
-	nsets := s.cfg.CacheSize / (s.cfg.Assoc * s.cfg.BlockSize)
-	s.memoMask = uint64(nsets - 1)
+	// cache.New validated the geometry, so nsets is a power of two. A slot
+	// per set is only worth allocating for sets the address space reaches
+	// (the same sizing as cache.New's): a 10-block program on the paper's
+	// 2048-set caches needs 16 slots a node, not 2048.
+	slots := s.cfg.CacheSize / (s.cfg.Assoc * s.cfg.BlockSize)
+	if blocks := s.cfg.addrBlocks(); blocks > 0 && blocks < uint64(slots) {
+		slots = 1 << bits.Len64(blocks-1)
+	}
+	s.memoMask = uint64(slots - 1)
 	s.memos = make([][]accessMemo, s.cfg.Nodes)
 	for i := range s.memos {
-		s.memos[i] = make([]accessMemo, nsets)
+		s.memos[i] = make([]accessMemo, slots)
 	}
 }
 

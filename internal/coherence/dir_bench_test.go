@@ -30,7 +30,7 @@ func BenchmarkDirectoryLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedDirectoryLookup measures the lane engine's memoized
+// BenchmarkBatchedDirectoryLookup measures the memoized
 // access path (batch.go ReadFast/WriteFast) against the plain per-access
 // protocol walk on the pattern it exists for: short runs of repeat
 // same-block accesses by one node between coherence-state changes, the

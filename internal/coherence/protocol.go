@@ -23,7 +23,7 @@ import (
 // Hooks run only inside generation-bumped public operations (System.gen,
 // see batch.go): every cache line a hook installs, invalidates, or
 // downgrades — on any node — is already covered by the bump the calling
-// Read/Write/directive performed, so the lane engine's access memo never
+// Read/Write/directive performed, so the access memo never
 // survives a protocol-side mutation. Hooks must route all cross-node cache
 // mutation through the System helpers rather than caching System state
 // across calls.

@@ -173,7 +173,7 @@ type System struct {
 
 	// gen counts machine-wide state changes (any cache or directory
 	// mutation beyond reinforcing a most-recently-used line); memos holds
-	// the per-node access-run memo the lane engine's batched resolution
+	// the per-node access-run memo that batched access resolution
 	// uses. Both live in batch.go; memos stays nil until EnableAccessMemo.
 	gen      uint64
 	memos    [][]accessMemo
@@ -201,12 +201,9 @@ func New(cfg Config, proto Protocol) (*System, error) {
 	if b := cfg.BlockSize; b > 0 && b&(b-1) == 0 {
 		s.blockShift = bits.TrailingZeros(uint(b))
 	}
-	var blocks uint64 // in the address space; 0 when it is not known
-	if cfg.AddrSpace > 0 && cfg.BlockSize > 0 {
-		blocks = (cfg.AddrSpace + uint64(cfg.BlockSize) - 1) / uint64(cfg.BlockSize)
-		if blocks <= maxDenseBlocks {
-			s.dense = make([]Entry, blocks)
-		}
+	blocks := cfg.addrBlocks()
+	if blocks > 0 && blocks <= maxDenseBlocks {
+		s.dense = make([]Entry, blocks)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		c, err := cache.New(cfg.CacheSize, cfg.Assoc, cfg.BlockSize, blocks)
@@ -217,6 +214,15 @@ func New(cfg Config, proto Protocol) (*System, error) {
 		s.inflight = append(s.inflight, make(map[uint64]pending))
 	}
 	return s, nil
+}
+
+// addrBlocks is the number of blocks in the laid-out address space, or 0
+// when it is not known.
+func (c Config) addrBlocks() uint64 {
+	if c.AddrSpace == 0 || c.BlockSize <= 0 {
+		return 0
+	}
+	return (c.AddrSpace + uint64(c.BlockSize) - 1) / uint64(c.BlockSize)
 }
 
 // MustNew is New but panics on error.

@@ -23,6 +23,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"cachier/internal/cico"
@@ -122,28 +123,13 @@ func RunSource(src string) error {
 		return err
 	}
 
-	// Tree-walker differential: the bytecode VM is the engine behind every
-	// run above, so those only prove the VM against the oracle. Re-running
-	// the program through the tree-walking reference implementation and
-	// demanding a bit-identical machine — same cycle count, same protocol
-	// stats — pins the VM to the reference access-for-access, not just
-	// result-for-result.
-	treeCfg := simConfig(sim.ModePerf)
-	treeCfg.TreeWalk = true
-	treeRes, err := sim.Run(prog, treeCfg)
-	if err != nil {
-		return fmt.Errorf("tree-walk run: %w", err)
-	}
-	if err := checkVariant("tree-walk", treeRes, want); err != nil {
+	// Reference differential: the production engine is behind every run
+	// above, so those only prove it against the oracle result-for-result.
+	// Re-running the program on the reference engine (the tree-walking
+	// interpreter, no access memo) and demanding a bit-identical machine on
+	// every surface pins production to the reference access-for-access.
+	if err := checkEngineSource("unannotated", prog, "", sim.ModePerf); err != nil {
 		return err
-	}
-	if treeRes.Cycles != plainRes.Cycles {
-		return fmt.Errorf("tree-walk differential: VM ran %d cycles, tree-walker %d",
-			plainRes.Cycles, treeRes.Cycles)
-	}
-	if treeRes.Stats != plainRes.Stats {
-		return fmt.Errorf("tree-walk differential: protocol stats diverge\nVM:   %+v\ntree: %+v",
-			plainRes.Stats, treeRes.Stats)
 	}
 
 	// Observability differential: the recorder only observes, so attaching
@@ -229,187 +215,164 @@ func RunAnnotatedEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
+	annProg, annSrc, err := annotatedForm(src, prog)
 	if err != nil {
-		return fmt.Errorf("trace run: %w", err)
-	}
-	res, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
-	if err != nil {
-		return fmt.Errorf("annotate: %w", err)
-	}
-	annProg, err := parc.Parse(res.Source)
-	if err != nil {
-		return fmt.Errorf("annotated source invalid: %w\n%s", err, res.Source)
+		return err
 	}
 	annOracle, err := oracle.Run(annProg, oracle.Config{Nprocs: Nodes, BlockSize: blockSize})
 	if err != nil {
-		return fmt.Errorf("oracle on annotated source: %w\n%s", err, res.Source)
+		return fmt.Errorf("oracle on annotated source: %w\n%s", err, annSrc)
 	}
 	if err := testutil.DiffSharedMemory(annOracle.Layout, annOracle.Store, want.Store); err != nil {
-		return fmt.Errorf("annotation changed sequential semantics: %w\n%s", err, res.Source)
+		return fmt.Errorf("annotation changed sequential semantics: %w\n%s", err, annSrc)
 	}
 	cfg := simConfig(sim.ModePerf)
 	cfg.DisablePrefetch = true
 	annRes, err := sim.Run(annProg, cfg)
 	if err != nil {
-		return fmt.Errorf("no-prefetch run: %w\n%s", err, res.Source)
+		return fmt.Errorf("no-prefetch run: %w\n%s", err, annSrc)
 	}
 	return checkVariant("no-prefetch", annRes, want)
 }
 
-// RunParallelEquivalence is the parallel-engine differential: the
-// epoch-parallel engine must be observationally indistinguishable from the
-// sequential scheduler — not statistically close, bit-identical. It runs the
-// generated program, and its Performance+prefetch annotated form (annotation
-// directives travel the parallel engine's cold event path), on both engines
-// with full observability attached, demanding identical cycles, per-node
-// clocks, protocol stats, shared memory, output, snapshot JSON, and timeline
-// JSON. Generated programs are race-free by construction, so a conflict
-// fallback is legal but the fallback result must still match exactly.
-func RunParallelEquivalence(seed int64) error {
-	src := parcgen.Generate(seed)
-	if err := checkParallelSource("plain", src, ""); err != nil {
-		return err
+// annotatedForm traces prog (parsed from src) on the harness's machine and
+// returns its Performance+prefetch annotated form, parsed, and as text.
+func annotatedForm(src string, prog *parc.Program) (*parc.Program, string, error) {
+	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
+	if err != nil {
+		return nil, "", fmt.Errorf("trace run: %w", err)
 	}
+	res, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
+	if err != nil {
+		return nil, "", fmt.Errorf("annotate: %w", err)
+	}
+	annProg, err := parc.Parse(res.Source)
+	if err != nil {
+		return nil, "", fmt.Errorf("annotated source invalid: %w\n%s", err, res.Source)
+	}
+	return annProg, res.Source, nil
+}
+
+// RunReferenceEquivalence is the engine differential: the production engine
+// (compiled lanes, access memo) must be observationally indistinguishable
+// from the reference engine (tree-walker, no memo) — not statistically
+// close, bit-identical. It runs the seed's program under the given
+// coherence protocol spec ("" is Dir1SW) on both, plain and — when
+// annotated is set — in its Performance+prefetch annotated form (directives
+// exercise the generation bumps that guard the access memo).
+func RunReferenceEquivalence(seed int64, protocol string, plain, annotated bool) error {
+	src := parcgen.Generate(seed)
 	prog, err := parc.Parse(src)
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
-	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
-	if err != nil {
-		return fmt.Errorf("trace run: %w", err)
+	if plain {
+		if err := checkEngineSource("plain/"+protocol, prog, protocol, sim.ModePerf); err != nil {
+			return err
+		}
 	}
-	res, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
-	if err != nil {
-		return fmt.Errorf("annotate: %w", err)
+	if !annotated {
+		return nil
 	}
-	return checkParallelSource("annotated", res.Source, "")
-}
-
-// RunLanesEquivalence is the lane-engine differential: the lane-batched
-// engine (sim.Config.Lanes — resumable lane stepper, epoch-bucketed
-// barrier releases, batched access resolution) must be bit-identical to
-// the sequential scheduler on every observable surface. Like the parallel
-// differential it runs the generated program plain and in its
-// Performance+prefetch annotated form (directives exercise the generation
-// bumps that guard the access memo).
-func RunLanesEquivalence(seed int64) error {
-	src := parcgen.Generate(seed)
-	if err := checkLanesSource("plain", src, ""); err != nil {
+	annProg, _, err := annotatedForm(src, prog)
+	if err != nil {
 		return err
 	}
-	prog, err := parc.Parse(src)
+	return checkEngineSource("annotated/"+protocol, annProg, protocol, sim.ModePerf)
+}
+
+// RunTraceEquivalence is the same differential in trace mode, where the
+// barrier cache flushes hit the access memo and the surface that matters is
+// the miss trace Cachier consumes.
+func RunTraceEquivalence(seed int64) error {
+	prog, err := parc.Parse(parcgen.Generate(seed))
 	if err != nil {
 		return fmt.Errorf("generated program invalid: %w", err)
 	}
-	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
-	if err != nil {
-		return fmt.Errorf("trace run: %w", err)
-	}
-	res, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
-	if err != nil {
-		return fmt.Errorf("annotate: %w", err)
-	}
-	return checkLanesSource("annotated", res.Source, "")
+	return checkEngineSource("trace-mode", prog, "", sim.ModeTrace)
 }
 
-// checkParallelSource runs one source text on the sequential and
-// epoch-parallel engines, under the given coherence protocol spec ("" is
-// Dir1SW), and diffs every observable surface. Generated programs are
-// race-free by construction, so a conflict fallback is legal, but the
-// fallback result must still match exactly.
-func checkParallelSource(name, src, protocol string) error {
-	return checkEngineSource(name, src, protocol, func(cfg *sim.Config) {
-		cfg.Parallel = sim.ParallelAuto
-	}, "")
-}
-
-// checkLanesSource is the same differential against the lane-batched
-// engine. Generated programs always compile, so a silent fallback to the
-// sequential engine would make the check vacuous — the candidate result
-// must come from the "lanes" engine.
-func checkLanesSource(name, src, protocol string) error {
-	return checkEngineSource(name, src, protocol, func(cfg *sim.Config) {
-		cfg.Lanes = true
-	}, "lanes")
-}
-
-// checkEngineSource runs one source text on the sequential engine and on a
-// candidate engine (selected by configure), under the given coherence
-// protocol spec ("" is Dir1SW), and diffs every observable surface. A
-// non-empty wantEngine additionally pins which engine must have produced
-// the candidate result.
-func checkEngineSource(name, src, protocol string, configure func(*sim.Config), wantEngine string) error {
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return fmt.Errorf("%s: source invalid: %w\n%s", name, err, src)
-	}
-	run := func(configure func(*sim.Config)) (*sim.Result, *obs.Recorder, error) {
-		cfg := simConfig(sim.ModePerf)
+// checkEngineSource runs one program on the production engine and on the
+// reference engine, under the given coherence protocol spec ("" is Dir1SW),
+// with full observability attached, and diffs every observable surface:
+// error text, cycles, per-node clocks, protocol stats, shared memory,
+// output order, miss trace, snapshot JSON, and timeline JSON. Each run must
+// report the engine it was asked for, or the check would be vacuous.
+func checkEngineSource(name string, prog *parc.Program, protocol string, mode sim.Mode) error {
+	run := func(reference bool) (*sim.Result, *obs.Recorder, error) {
+		cfg := simConfig(mode)
 		cfg.Protocol = protocol
+		cfg.TreeWalk = reference
 		cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
 		cfg.Recorder.EnableTimeline()
-		if configure != nil {
-			configure(&cfg)
-		}
 		res, err := sim.Run(prog, cfg)
 		return res, cfg.Recorder, err
 	}
-	seq, seqRec, seqErr := run(nil)
-	par, parRec, parErr := run(configure)
-	if (seqErr == nil) != (parErr == nil) {
-		return fmt.Errorf("%s: error divergence: sequential %v, candidate %v", name, seqErr, parErr)
+	prod, prodRec, prodErr := run(false)
+	ref, refRec, refErr := run(true)
+	if (prodErr == nil) != (refErr == nil) {
+		return fmt.Errorf("%s: error divergence: production %v, reference %v", name, prodErr, refErr)
 	}
-	if seqErr != nil {
-		if seqErr.Error() != parErr.Error() {
-			return fmt.Errorf("%s: error text divergence:\nsequential: %v\ncandidate:  %v", name, seqErr, parErr)
+	if prodErr != nil {
+		if prodErr.Error() != refErr.Error() {
+			return fmt.Errorf("%s: error text divergence:\nproduction: %v\nreference:  %v", name, prodErr, refErr)
 		}
 		return nil
 	}
-	if wantEngine != "" && par.Engine != wantEngine {
-		return fmt.Errorf("%s: candidate ran on engine %q, want %q", name, par.Engine, wantEngine)
+	if prod.Engine != "lanes" || ref.Engine != "reference" {
+		return fmt.Errorf("%s: runs report engines %q and %q, want lanes and reference", name, prod.Engine, ref.Engine)
 	}
-	if seq.Cycles != par.Cycles {
-		return fmt.Errorf("%s: cycles diverge: sequential %d, parallel %d (%s)", name, seq.Cycles, par.Cycles, par.Engine)
+	if prod.Cycles != ref.Cycles {
+		return fmt.Errorf("%s: cycles diverge: production %d, reference %d", name, prod.Cycles, ref.Cycles)
 	}
-	if !equalUints(seq.NodeCycles, par.NodeCycles) {
-		return fmt.Errorf("%s: node cycles diverge (%s)", name, par.Engine)
+	if !equalUints(prod.NodeCycles, ref.NodeCycles) {
+		return fmt.Errorf("%s: node cycles diverge", name)
 	}
-	if seq.Stats != par.Stats {
-		return fmt.Errorf("%s: protocol stats diverge (%s)\nsequential: %+v\nparallel:   %+v", name, par.Engine, seq.Stats, par.Stats)
+	if prod.Stats != ref.Stats {
+		return fmt.Errorf("%s: protocol stats diverge\nproduction: %+v\nreference:  %+v", name, prod.Stats, ref.Stats)
 	}
-	if !equalUints(seq.Store.Words(), par.Store.Words()) {
-		return fmt.Errorf("%s: shared memory diverges (%s)", name, par.Engine)
+	if !equalUints(prod.Store.Words(), ref.Store.Words()) {
+		return fmt.Errorf("%s: shared memory diverges", name)
 	}
-	if err := diffOutput(par.Output, seq.Output); err != nil {
-		return fmt.Errorf("%s (%s): %w", name, par.Engine, err)
+	if len(prod.Output) != len(ref.Output) {
+		return fmt.Errorf("%s: production printed %d lines, reference %d", name, len(prod.Output), len(ref.Output))
 	}
-	for i := range seq.Output {
-		if seq.Output[i] != par.Output[i] {
-			return fmt.Errorf("%s: output order diverges at line %d (%s): %q vs %q",
-				name, i, par.Engine, seq.Output[i], par.Output[i])
+	for i := range ref.Output {
+		if prod.Output[i] != ref.Output[i] {
+			return fmt.Errorf("%s: output diverges at line %d: %q vs %q", name, i, prod.Output[i], ref.Output[i])
 		}
 	}
-	seqSnap, err := seq.Snapshot.MarshalIndentJSON()
+	if !reflect.DeepEqual(prod.Trace, ref.Trace) {
+		return fmt.Errorf("%s: miss traces diverge", name)
+	}
+	// Dispatched ops are the one count the engines do not share: bytecode
+	// instructions on one, statements on the other.
+	for _, snap := range []*obs.Snapshot{prod.Snapshot, ref.Snapshot} {
+		snap.Interp.Ops = 0
+		for i := range snap.PerNode {
+			snap.PerNode[i].Ops = 0
+		}
+	}
+	prodSnap, err := prod.Snapshot.MarshalIndentJSON()
 	if err != nil {
-		return fmt.Errorf("%s: marshal sequential snapshot: %w", name, err)
+		return fmt.Errorf("%s: marshal production snapshot: %w", name, err)
 	}
-	parSnap, err := par.Snapshot.MarshalIndentJSON()
+	refSnap, err := ref.Snapshot.MarshalIndentJSON()
 	if err != nil {
-		return fmt.Errorf("%s: marshal parallel snapshot: %w", name, err)
+		return fmt.Errorf("%s: marshal reference snapshot: %w", name, err)
 	}
-	if !bytes.Equal(seqSnap, parSnap) {
-		return fmt.Errorf("%s: snapshots diverge (%s)", name, par.Engine)
+	if !bytes.Equal(prodSnap, refSnap) {
+		return fmt.Errorf("%s: snapshots diverge", name)
 	}
-	var seqTL, parTL bytes.Buffer
-	if err := seqRec.Timeline("conformance").WriteJSON(&seqTL); err != nil {
-		return fmt.Errorf("%s: sequential timeline: %w", name, err)
+	var prodTL, refTL bytes.Buffer
+	if err := prodRec.Timeline("conformance").WriteJSON(&prodTL); err != nil {
+		return fmt.Errorf("%s: production timeline: %w", name, err)
 	}
-	if err := parRec.Timeline("conformance").WriteJSON(&parTL); err != nil {
-		return fmt.Errorf("%s: parallel timeline: %w", name, err)
+	if err := refRec.Timeline("conformance").WriteJSON(&refTL); err != nil {
+		return fmt.Errorf("%s: reference timeline: %w", name, err)
 	}
-	if !bytes.Equal(seqTL.Bytes(), parTL.Bytes()) {
-		return fmt.Errorf("%s: timelines diverge (%s)", name, par.Engine)
+	if !bytes.Equal(prodTL.Bytes(), refTL.Bytes()) {
+		return fmt.Errorf("%s: timelines diverge", name)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 
-	"cachier/internal/core"
 	"cachier/internal/oracle"
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
@@ -39,17 +38,9 @@ func RunProtocolEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
+	annProg, _, err := annotatedForm(src, prog)
 	if err != nil {
-		return fmt.Errorf("trace run: %w", err)
-	}
-	ann, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
-	if err != nil {
-		return fmt.Errorf("annotate: %w", err)
-	}
-	annProg, err := parc.Parse(ann.Source)
-	if err != nil {
-		return fmt.Errorf("annotated source invalid: %w\n%s", err, ann.Source)
+		return err
 	}
 	sources := []struct {
 		name string
@@ -102,21 +93,4 @@ func RunProtocolEquivalence(seed int64) error {
 		}
 	}
 	return nil
-}
-
-// RunParallelProtocol runs the seed's plain program under one protocol spec
-// on both engines and diffs every observable surface — the parallel
-// committer drives the same coherence.System regardless of protocol, and
-// this check keeps that true as protocols are added.
-func RunParallelProtocol(seed int64, spec string) error {
-	return checkParallelSource("plain/"+spec, parcgen.Generate(seed), spec)
-}
-
-// RunLanesProtocol runs the seed's plain program under one protocol spec
-// on the sequential and lane-batched engines and diffs every observable
-// surface — the lane engine's batched access resolution leans on every
-// protocol bumping the state generation (coherence batch.go), and this
-// check keeps that true as protocols are added.
-func RunLanesProtocol(seed int64, spec string) error {
-	return checkLanesSource("plain/"+spec, parcgen.Generate(seed), spec)
 }

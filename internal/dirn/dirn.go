@@ -30,7 +30,7 @@
 // behaviourally (evictions, broadcast bit) and as a checked invariant
 // (CheckEntry: sharer count ≤ n for NB, or the broadcast bit set and the
 // entry Shared for B). Pointer eviction and broadcast handling behave
-// identically under the lane engine's batched access resolution
+// identically under batched access resolution
 // (coherence/batch.go): both run inside generation-bumped miss paths, so
 // no memoized access run ever spans them.
 package dirn

@@ -7,7 +7,7 @@ import (
 )
 
 // This file lowers checked ParC functions into the flat instruction streams
-// executed by vm.go. The compiler's contract is strict observational
+// executed by lane.go. The compiler's contract is strict observational
 // equivalence with the tree-walker in interp.go: the sequence of Machine
 // calls (Access/Directive/Barrier/Lock/Unlock/Work/Print), the argument of
 // every one of them, and the points at which accumulated local work is
@@ -39,9 +39,9 @@ import (
 //     counter name colliding with a constant or shared variable) fall back
 //     to the tree-walker wholesale.
 //
-// Functions the compiler cannot lower are left out of the progCode and run
-// on the tree-walker via Context.call; compiled callers invoke them through
-// a fallback call instruction, so mixed execution is transparent.
+// A program with a function the compiler cannot lower — main, or one that
+// compiled code calls — is not laneable: it runs whole on the tree-walker,
+// never partly on each.
 
 // op is a VM opcode.
 type op uint8
@@ -69,7 +69,7 @@ const (
 	opGt                    // ... > 0
 	opGe                    // ... >= 0
 	opBuiltin               // regs[a] = builtin n(regs[b], regs[c])
-	opCall                  // regs[a] = call aux.(*callPayload) (compiled or tree)
+	opCall                  // regs[a] = call aux.(*callPayload)
 	opRet                   // return regs[a] (a<0: fall-off-end/void)
 	opForPrep               // init hidden loop state for aux.(*forPayload)
 	opForCheck              // loop entry test; sets counter reg; exit to n
@@ -150,8 +150,7 @@ type memAccess struct {
 }
 
 // callPayload describes a user-function call site. code is nil when the
-// callee could not be compiled; the VM then routes through the
-// tree-walker's Context.call.
+// callee could not be compiled, which makes the program not laneable.
 type callPayload struct {
 	fn   *parc.FuncDecl
 	code *fnCode
@@ -220,15 +219,14 @@ type progCode struct {
 	nfns int
 
 	// laneable reports that the whole program runs on compiled code — main
-	// compiled and no call site falls back to the tree-walker — so the
-	// resumable lane stepper (lane.go) can execute it. Computed once here;
-	// a non-laneable program makes NewLaneVM refuse and the lane engine
-	// fall back to the sequential engine.
+	// compiled and no call site names an uncompiled function — so the lane
+	// VM (lane.go) can execute it. Computed once here; a non-laneable
+	// program makes NewLaneVM refuse and runs whole on the tree-walker.
 	laneable bool
 }
 
 // compileProgram lowers every function it can; uncompilable functions map
-// to nil and run on the tree-walker.
+// to nil.
 func compileProgram(prog *parc.Program) *progCode {
 	pc := &progCode{fns: make(map[*parc.FuncDecl]*fnCode, len(prog.Funcs))}
 	for _, f := range prog.Funcs {

@@ -8,24 +8,12 @@ import (
 	"cachier/internal/parc"
 )
 
-// Memory is the context's view of shared-variable storage. The default
-// view is the run's *Store; the simulator's epoch-parallel engine swaps in
-// a speculative view (epoch-start shadow plus the node's private writes)
-// via SetMemory. Every shared load and store the interpreter performs goes
-// through this interface, bracketed by the corresponding Machine.Access
-// call exactly as with the plain store.
-type Memory interface {
-	Load(addr uint64) uint64
-	StoreWord(addr uint64, bits uint64)
-}
-
 // Context executes one simulated processor's SPMD instance of a ParC
 // program.
 type Context struct {
 	prog   *parc.Program
 	store  *Store
 	bases  []uint64 // base address per parc.SharedDecl.Index; the store's table
-	mem    Memory   // shared-data override; nil means the plain store
 	mach   Machine
 	node   int
 	nprocs int
@@ -45,12 +33,9 @@ type Context struct {
 	countOps bool
 	ops      uint64
 
-	// Bytecode engine state (vm.go). The tree-walker below stays the
-	// reference implementation; set treeWalk to force it. laneRun routes
-	// Run through the resumable lane stepper (lane.go) in run-to-completion
-	// mode instead of the recursive VM; see UseLaneVM.
+	// Bytecode engine state (lane.go, vm.go). The tree-walker below stays
+	// the reference implementation; set treeWalk to force it.
 	treeWalk bool
-	laneRun  bool
 	pools    [][]*vmFrame // per-function frame free-lists
 	printBuf []Value      // print argument scratch
 	rangeBuf []AddrRange  // directive range scratch (valid during the call only)
@@ -65,14 +50,6 @@ type Context struct {
 // run them differentially); the tree-walker exists as the executable
 // specification and for debugging the compiler.
 func (c *Context) UseTreeWalker() { c.treeWalk = true }
-
-// UseLaneVM asks Run to execute on the resumable lane stepper (lane.go,
-// with a nil yielder: run-to-completion) instead of the recursive VM. The
-// two are observationally identical; the epoch-parallel engine uses this
-// when lanes are requested so that both composed engines exercise the same
-// interpreter. Ignored — Run falls back to the recursive VM or tree-walker
-// — when the program is not laneable.
-func (c *Context) UseLaneVM() { c.laneRun = true }
 
 // PrivateAccesses returns how many private-array loads and stores this
 // context performed; the simulator uses them to compute sharing degrees
@@ -117,50 +94,18 @@ func NewContext(prog *parc.Program, store *Store, mach Machine, node, nprocs int
 	}
 }
 
-// SetMemory replaces the context's shared-data view; nil restores the run's
-// plain store. Must be called before Run.
-func (c *Context) SetMemory(m Memory) {
-	c.mem = m
-}
-
-// memLoad and memStore route shared-data traffic: the common (sequential)
-// case has no override and stays a direct, inlinable *Store call; only a
-// context the parallel engine rewired pays interface dispatch.
-func (c *Context) memLoad(addr uint64) uint64 {
-	if c.mem != nil {
-		return c.mem.Load(addr)
-	}
-	return c.store.Load(addr)
-}
-
-func (c *Context) memStore(addr uint64, bits uint64) {
-	if c.mem != nil {
-		c.mem.StoreWord(addr, bits)
-		return
-	}
-	c.store.StoreWord(addr, bits)
-}
-
 // Run executes main to completion, flushing any residual work. Programs are
 // compiled to bytecode once (cached on the Program itself) and run on the
-// register VM; functions the compiler cannot lower — and whole programs,
-// when main is one of them or UseTreeWalker was called — execute on the
+// lane VM without a yielder, so it never suspends; a program the compiler
+// cannot lower whole, or any program after UseTreeWalker, executes on the
 // reference tree-walker with identical observable behaviour.
 func (c *Context) Run() error {
 	main := c.prog.FuncMap["main"]
 	if main == nil {
 		return fmt.Errorf("interp: program has no main")
 	}
-	if c.laneRun && !c.treeWalk {
-		if lv, ok := c.NewLaneVM(nil); ok {
-			return lv.RunToCompletion()
-		}
-	}
-	if !c.treeWalk {
-		pcm := c.prog.Artifact(func() any { return compileProgram(c.prog) }).(*progCode)
-		if co := pcm.fns[main]; co != nil {
-			return c.runVM(pcm, co)
-		}
+	if lv, ok := c.NewLaneVM(nil); ok {
+		return lv.RunToCompletion()
 	}
 	if _, err := c.call(main, nil); err != nil {
 		return err
@@ -520,12 +465,12 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 			// Compound assignment reads the old value first.
 			c.flush()
 			c.mach.Access(c.node, false, addr, c.curPC)
-			cur = FromBits(c.memLoad(addr), isFloat)
+			cur = FromBits(c.store.Load(addr), isFloat)
 		}
 		out := applyOp(cur, n.Op, rhs, isFloat)
 		c.flush()
 		c.mach.Access(c.node, true, addr, c.curPC)
-		c.memStore(addr, out.Bits())
+		c.store.StoreWord(addr, out.Bits())
 		return nil
 	}
 
@@ -628,7 +573,7 @@ func (c *Context) sharedAddr(decl *parc.SharedDecl, indices []parc.Expr, fr *fra
 func (c *Context) loadShared(addr uint64, base parc.BaseType) Value {
 	c.flush()
 	c.mach.Access(c.node, false, addr, c.curPC)
-	return FromBits(c.memLoad(addr), base == parc.FloatType)
+	return FromBits(c.store.Load(addr), base == parc.FloatType)
 }
 
 // evalPrivIndex reads an element of a private array slot.

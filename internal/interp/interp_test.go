@@ -476,7 +476,7 @@ func main() {
     c[1] = b + 1;
     check_in c[0:1];
 }`)
-	for _, engine := range []string{"vm", "lanes", "tree"} {
+	for _, engine := range []string{"vm", "tree"} {
 		for _, blockSize := range []int{8, 32, 128} {
 			layout, err := memory.New(prog, blockSize)
 			if err != nil {
@@ -485,10 +485,7 @@ func main() {
 			store := NewStoreFor(layout)
 			m := &mockMachine{}
 			ctx := NewContext(prog, store, m, 0, 1)
-			switch engine {
-			case "lanes":
-				ctx.UseLaneVM()
-			case "tree":
+			if engine == "tree" {
 				ctx.UseTreeWalker()
 			}
 			if err := ctx.Run(); err != nil {

@@ -4,37 +4,33 @@ import (
 	"cachier/internal/parc"
 )
 
-// This file is the lane-batched execution engine's interpreter half: a
-// resumable form of the VM dispatch loop in vm.go. The sequential engine
-// runs each node's Context on its own goroutine and parks it inside Machine
-// calls; the lane engine (internal/sim/lanes.go) instead steps all P nodes
-// as lanes of one goroutine, so the interpreter must be able to *return*
-// whenever the machine parks or reschedules the lane, and to pick up
-// exactly where it stopped on the next Resume.
+// This file is the bytecode VM: a resumable dispatch loop over the
+// instruction streams compile.go produces. The simulator (internal/sim)
+// steps all P nodes as lanes of one scheduler loop, so the interpreter must
+// be able to *return* whenever the machine parks or reschedules the lane,
+// and to pick up exactly where it stopped on the next Resume.
 //
 // The stepper keeps the call stack explicitly (laneFrame), and every
 // suspendable instruction — anything that can reach a Machine call: work
 // charge flushes, shared accesses, barriers, locks, prints, directives,
 // calls — is broken into numbered phases. lv.phase names the phase to
 // re-enter; scalar scratch (term/off/addr/val/text) carries the
-// instruction's partial state across the suspension. Instructions that
-// cannot suspend are verbatim copies of the exec loop's cases.
+// instruction's partial state across the suspension.
 //
-// Observational equivalence with exec is the whole contract (see
-// compile.go): the sequence of Machine calls, their arguments, and the
+// Observational equivalence with the tree-walker is the whole contract
+// (see compile.go): the sequence of Machine calls, their arguments, and the
 // flush boundaries are identical, because each phase issues exactly the
-// calls exec issues at that point and nothing else. Data touches
-// (memLoad/memStore) stay *after* the corresponding Access call returns
-// control to the lane — the same point in the total order at which a
-// sequential proc goroutine, resumed from its park, would perform them.
+// calls the tree-walker issues at that point and nothing else. Data touches
+// (Store.Load/StoreWord) stay *after* the corresponding Access call returns
+// control to the lane — the same point in the total order at which the
+// tree-walker, resumed from its park inside that call (sim/reference.go),
+// performs them.
 
-// LaneYielder is the lane engine's scheduling probe. After every Machine
-// call (and every work-charge flush) the stepper asks whether its node is
-// still the running lane; a false answer suspends the stepper at the
-// current phase. A nil yielder never suspends: Resume then runs the
-// program to completion, with Machine calls blocking internally exactly
-// like the plain VM (run-to-completion mode, used inside the sequential
-// and epoch-parallel engines).
+// LaneYielder is the scheduler's probe. After every Machine call (and
+// every work-charge flush) the stepper asks whether its node is still the
+// running lane; a false answer suspends the stepper at the current phase.
+// A nil yielder never suspends: Resume then runs the program to completion,
+// with Machine calls free to block internally (Context.Run).
 type LaneYielder interface {
 	LaneRunning(node int) bool
 }
@@ -108,10 +104,10 @@ type LaneVM struct {
 
 // NewLaneVM prepares a resumable lane for the context's program. It reports
 // false when the program cannot run on the stepper — the context is pinned
-// to the tree-walker, main did not compile, or some call site falls back to
-// the tree-walker — and the caller should use Run (or another engine)
-// instead. On success the context is committed to this LaneVM; do not also
-// call Run.
+// to the tree-walker, or the compiler refused main or a function compiled
+// code calls — and the program must run whole on the tree-walker instead
+// (Run does). On success the context is committed to this LaneVM; do not
+// also call Run.
 func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, bool) {
 	if c.treeWalk {
 		return nil, false
@@ -161,17 +157,18 @@ func (lv *LaneVM) finish() LaneStatus {
 }
 
 func (lv *LaneVM) fail(err error) LaneStatus {
-	// Error propagation in the recursive VM decrements depth at each level
-	// as it unwinds (and skips the frame releases); mirror that here.
+	// The frames on the stack are abandoned, not released; their depth is
+	// given back, as the tree-walker's unwinding calls give theirs back.
 	lv.c.depth -= len(lv.stack)
 	lv.err = err
 	lv.done = true
 	return LaneDone
 }
 
-// drainPending replays chargeUnits' flush cadence (vm.go): pending crossed
-// the limit, so report exactly workFlushLimit cycles per Work call until it
-// is below the limit again. Returns false when the yielder parked the lane
+// drainPending replays the flush cadence of the tree-walker's per-unit
+// work(1) charges, which cross the limit one unit at a time: pending
+// crossed the limit, so report exactly workFlushLimit cycles per Work call
+// until it is below the limit again. Returns false when the yielder parked the lane
 // mid-drain; Resume's preamble finishes the job on the next schedule.
 func (lv *LaneVM) drainPending() bool {
 	c := lv.c
@@ -199,7 +196,8 @@ func (lv *LaneVM) flushPending() bool {
 }
 
 // memWalk resumes (or starts) a memAccess subscript walk at phMem: per-term
-// unit charges, index read, bounds check, in exactly memOff's order, with
+// unit charges, index read, bounds check, in exactly the tree-walker's
+// order (the charges and checks compile.go folded into the access op), with
 // the postWork charges after the last check. The flattened element offset
 // accumulates in lv.off. charged guards against re-adding a term's charge
 // when a flush parked the lane between the add and the drain's end.
@@ -241,7 +239,7 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 	ma := in.aux.(*memAccess)
 	if ph <= phBody {
 		if ma.terms == nil {
-			// Constant offset: exec charges nothing before the flush.
+			// Constant offset: nothing is charged before the flush.
 			lv.addr = c.bases[ma.decl.Index] + uint64(ma.constOff)*parc.ElemSize
 			ph = phFlushR
 		} else {
@@ -274,8 +272,8 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 		}
 	}
 	// phDataR: the data touch happens when the lane is scheduled after the
-	// Access — the same point a resumed sequential goroutine reads it.
-	regs[in.a] = FromBits(c.memLoad(lv.addr), ma.isFloat)
+	// Access — the same point the tree-walker, resumed inside it, reads.
+	regs[in.a] = FromBits(c.store.Load(lv.addr), ma.isFloat)
 	lv.phase = phStart
 	return stepAdvance
 }
@@ -328,7 +326,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 		ph = phDataR
 	}
 	if ph == phDataR {
-		cur := FromBits(c.memLoad(lv.addr), ma.isFloat)
+		cur := FromBits(c.store.Load(lv.addr), ma.isFloat)
 		lv.val = applyOp(cur, ma.assignOp, regs[in.b], ma.isFloat)
 		ph = phFlushW
 		lv.phase = ph
@@ -336,8 +334,9 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 	if ph == phFlushW {
 		ph = phAccW
 		lv.phase = ph
-		// After a compound's read this is pending == 0, matching exec's
-		// second (empty) flush; for a plain store it carries the real flush.
+		// After a compound's read this is pending == 0, matching the
+		// tree-walker's second (empty) flush; for a plain store it carries
+		// the real flush.
 		if !lv.flushPending() {
 			return stepSuspend
 		}
@@ -350,7 +349,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 		}
 	}
 	// phDataW: deferred store, after the write Access returned the lane.
-	c.memStore(lv.addr, lv.val.Bits())
+	c.store.StoreWord(lv.addr, lv.val.Bits())
 	lv.phase = phStart
 	return stepAdvance
 }
@@ -390,7 +389,7 @@ func (lv *LaneVM) machineCall(in *instr, regs []Value, ph uint8) stepResult {
 	c := lv.c
 	if ph <= phBody {
 		if in.op == opPrint {
-			// Format before the flush, exactly as exec does.
+			// Format before the flush, exactly as the tree-walker does.
 			p := in.aux.(*printPayload)
 			vals := c.printBuf[:0]
 			for _, r := range p.args {
@@ -435,7 +434,7 @@ func (lv *LaneVM) machineCall(in *instr, regs []Value, ph uint8) stepResult {
 
 // call is opCall in phases: the call-overhead charge (Context.work(2) — a
 // single flush of the whole pending amount at the threshold, unlike
-// chargeUnits' fixed-size drains), then depth check and frame push.
+// drainPending's fixed-size drains), then depth check and frame push.
 func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
 	c := lv.c
 	p := in.aux.(*callPayload)
@@ -471,9 +470,8 @@ func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
 	return stepFrame
 }
 
-// Resume advances the lane until the yielder parks it or the program ends.
-// It is exec's dispatch loop over an explicit frame stack; the private
-// (non-suspending) cases are copied from exec verbatim, with ip held in the
+// Resume advances the lane until the yielder parks it or the program ends:
+// the dispatch loop, over an explicit frame stack with ip held in the
 // frame.
 func (lv *LaneVM) Resume() LaneStatus {
 	if lv.done {

@@ -10,8 +10,7 @@ import (
 // poolSrc exercises every frame-pool compartment: kernel has named scalars
 // (the cleared prefix), literal constants (materialized into the constant
 // pool), temporaries, and a private array, and main calls it repeatedly so
-// frames cycle through the per-function free-list on both the recursive VM
-// and the lane stepper.
+// frames cycle through the per-function free-list.
 const poolSrc = `
 shared float out[4];
 func kernel(n int) float {
@@ -122,29 +121,49 @@ func TestFramePoolCleanSlate(t *testing.T) {
 	}
 }
 
-// TestFramePoolCleanAfterRun runs the same program to completion on the
-// recursive VM and on the lane stepper, then audits every frame left in
-// every pool: both engines must honor the release contract on every path
-// (including the lane stepper's opRet and final-flush unwinding).
+// parkEveryOther is a yielder that parks its lane at every second probe, so
+// a run under it suspends and resumes at about half of its Machine calls.
+type parkEveryOther struct{ probes int }
+
+func (y *parkEveryOther) LaneRunning(int) bool {
+	y.probes++
+	return y.probes%2 == 0
+}
+
+// TestFramePoolCleanAfterRun runs the same program to completion, once
+// straight through (Run: no yielder, never suspended) and once stepped
+// under a yielder that keeps parking the lane, then audits every frame left
+// in every pool: the release contract must hold on every path, including
+// opRet and the final flush re-entered after a suspension.
 func TestFramePoolCleanAfterRun(t *testing.T) {
-	for _, eng := range []struct {
-		name string
-		lane bool
+	for _, mode := range []struct {
+		name    string
+		stepped bool
 	}{{"vm", false}, {"lane", true}} {
-		t.Run(eng.name, func(t *testing.T) {
+		t.Run(mode.name, func(t *testing.T) {
 			prog, pcm := compileFor(t, poolSrc)
 			layout, err := memory.New(prog, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := NewContext(prog, NewStoreFor(layout), &mockMachine{}, 0, 1)
-			if eng.lane {
-				if !pcm.laneable {
+			if mode.stepped {
+				y := &parkEveryOther{}
+				lv, ok := ctx.NewLaneVM(y)
+				if !ok {
 					t.Fatal("program not laneable")
 				}
-				ctx.UseLaneVM()
-			}
-			if err := ctx.Run(); err != nil {
+				resumes := 0
+				for lv.Resume() != LaneDone {
+					resumes++
+				}
+				if err := lv.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if resumes == 0 {
+					t.Fatal("the yielder never suspended the lane")
+				}
+			} else if err := ctx.Run(); err != nil {
 				t.Fatal(err)
 			}
 			audited := 0
@@ -159,38 +178,6 @@ func TestFramePoolCleanAfterRun(t *testing.T) {
 			}
 			if audited == 0 {
 				t.Fatal("no pooled frames to audit")
-			}
-		})
-	}
-}
-
-// BenchmarkLaneStep compares the resumable lane stepper (run-to-completion
-// through Run's UseLaneVM route) against the recursive VM on the same
-// compute-bound program BenchmarkInterp uses, isolating the per-instruction
-// cost of the explicit-stack dispatch from the simulator around it.
-func BenchmarkLaneStep(b *testing.B) {
-	prog := parc.MustParse(interpBenchSrc)
-	if err := parc.Check(prog); err != nil {
-		b.Fatal(err)
-	}
-	layout, err := memory.New(prog, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []struct {
-		name string
-		lane bool
-	}{{"vm", false}, {"lane", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				store := NewStoreFor(layout)
-				ctx := NewContext(prog, store, &mockMachine{}, 0, 1)
-				if eng.lane {
-					ctx.UseLaneVM()
-				}
-				if err := ctx.Run(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -119,9 +119,9 @@ func (s *Store) Load(addr uint64) uint64 { return s.words[addr/parc.ElemSize] }
 func (s *Store) StoreWord(addr uint64, bits uint64) { s.words[addr/parc.ElemSize] = bits }
 
 // Words exposes the store's backing array, one uint64 per element word
-// (index addr/parc.ElemSize). The simulator's epoch-parallel engine uses it
-// to build and synchronize its shadow image of shared memory; callers must
-// follow the same single-active-writer discipline as Load/StoreWord.
+// (index addr/parc.ElemSize), for callers that compare or dump whole memory
+// images; they must follow the same single-active-writer discipline as
+// Load/StoreWord.
 func (s *Store) Words() []uint64 { return s.words }
 
 // RuntimeError is an error raised during ParC execution, carrying the

@@ -54,516 +54,8 @@ func (c *Context) vmErr(pc int32, format string, args ...any) error {
 	return &RuntimeError{Node: c.node, Pos: pos, PC: int(pc), Msg: fmt.Sprintf(format, args...)}
 }
 
-// chargeUnits replays n unit work charges, flushing at exactly the same
-// boundary the tree-walker's per-unit work(1) calls would: pending crosses
-// the limit one unit at a time, so every flush reports exactly
-// workFlushLimit cycles.
-func (c *Context) chargeUnits(n uint16) {
-	tot := c.pending + uint64(n)
-	for tot >= workFlushLimit {
-		c.mach.Work(c.node, workFlushLimit)
-		tot -= workFlushLimit
-	}
-	c.pending = tot
-}
-
-// memOff computes a memory access's flattened element offset, replaying the
-// per-subscript work charges and bounds checks that were folded into the
-// access op in exactly the tree-walker's order: for each term, its pending
-// unit charges, then the index read, then the check; charges that followed
-// the last folded check (constant subscripts) come after all checks.
-// Callers handle the zero-term case inline; the single-subscript form —
-// the bulk of array traffic — avoids the loop entirely.
-func (c *Context) memOff(ma *memAccess, regs []Value, pc int32) (int64, error) {
-	if len(ma.terms) == 1 {
-		t := &ma.terms[0]
-		if t.nwork != 0 {
-			if tot := c.pending + uint64(t.nwork); tot < workFlushLimit {
-				c.pending = tot
-			} else {
-				c.chargeUnits(t.nwork)
-			}
-		}
-		ix := regs[t.reg].AsInt()
-		if t.size > 0 && uint64(ix) >= uint64(t.size) {
-			return 0, c.boundsErr(ma, t, ix, pc)
-		}
-		if ma.postWork != 0 {
-			if tot := c.pending + uint64(ma.postWork); tot < workFlushLimit {
-				c.pending = tot
-			} else {
-				c.chargeUnits(ma.postWork)
-			}
-		}
-		return ma.constOff + ix*t.stride, nil
-	}
-	off := ma.constOff
-	for i := range ma.terms {
-		t := &ma.terms[i]
-		if t.nwork != 0 {
-			c.chargeUnits(t.nwork)
-		}
-		ix := regs[t.reg].AsInt()
-		if t.size > 0 && uint64(ix) >= uint64(t.size) {
-			return 0, c.boundsErr(ma, t, ix, pc)
-		}
-		off += ix * t.stride
-	}
-	if ma.postWork != 0 {
-		c.chargeUnits(ma.postWork)
-	}
-	return off, nil
-}
-
 func (c *Context) boundsErr(ma *memAccess, t *idxTerm, ix int64, pc int32) error {
 	return c.vmErr(pc, "%s: index %d out of range [0,%d) in dimension %d", ma.name, ix, t.size, t.dim)
-}
-
-// callCompiled invokes a compiled function, coercing arguments from the
-// caller's registers per the parameter types.
-func (c *Context) callCompiled(pc int32, p *callPayload, caller []Value) (Value, error) {
-	co := p.code
-	if c.depth >= maxCallDepth {
-		return Value{}, c.vmErr(pc, "call depth exceeds %d (runaway recursion in %s?)", maxCallDepth, co.fn.Name)
-	}
-	c.depth++
-	fr := c.acquire(co)
-	for i := range co.fn.Params {
-		fr.regs[i] = coerce(caller[p.args[i]], co.fn.Params[i].Base)
-	}
-	v, err := c.exec(co, fr)
-	c.depth--
-	if err != nil {
-		return Value{}, err
-	}
-	c.release(co, fr)
-	if co.fn.Result != nil {
-		return coerce(v, *co.fn.Result), nil
-	}
-	return Value{}, nil
-}
-
-// runVM executes main through the compiled program. The caller has already
-// verified that main compiled.
-func (c *Context) runVM(pcm *progCode, main *fnCode) error {
-	if c.pools == nil || len(c.pools) < pcm.nfns {
-		c.pools = make([][]*vmFrame, pcm.nfns)
-	}
-	c.depth++
-	fr := c.acquire(main)
-	_, err := c.exec(main, fr)
-	c.depth--
-	if err != nil {
-		return err
-	}
-	c.release(main, fr)
-	c.flush()
-	return nil
-}
-
-// exec is the VM dispatch loop. It mirrors the tree-walker's observable
-// behaviour exactly; see the contract at the top of compile.go.
-func (c *Context) exec(co *fnCode, fr *vmFrame) (Value, error) {
-	ins := co.ins
-	regs := fr.regs
-	ip := 0
-	// Dispatched-op counting for the observability layer: accumulate into a
-	// local so the hot loop pays one register increment when enabled and a
-	// single predictable untaken branch when disabled, folding into the
-	// context only once per activation (the deferred add also covers every
-	// error return).
-	count := c.countOps
-	var nops uint64
-	if count {
-		defer func() { c.ops += nops }()
-	}
-	for {
-		in := &ins[ip]
-		if count {
-			nops++
-		}
-		if in.nwork != 0 {
-			// Inlined chargeUnits fast path: stay below the flush limit.
-			if tot := c.pending + uint64(in.nwork); tot < workFlushLimit {
-				c.pending = tot
-			} else {
-				c.chargeUnits(in.nwork)
-			}
-		}
-		switch in.op {
-		case opNop:
-
-		case opConst:
-			regs[in.a] = in.imm
-
-		case opCoerce:
-			regs[in.a] = coerce(regs[in.b], parc.BaseType(in.n))
-
-		case opJump:
-			ip = int(in.n)
-			continue
-
-		case opJz:
-			if !regs[in.a].Truthy() {
-				ip = int(in.n)
-				continue
-			}
-
-		case opSCAnd:
-			if !regs[in.b].Truthy() {
-				regs[in.a] = IntVal(0)
-				ip = int(in.n)
-				continue
-			}
-
-		case opSCOr:
-			if regs[in.b].Truthy() {
-				regs[in.a] = IntVal(1)
-				ip = int(in.n)
-				continue
-			}
-
-		case opTruthy:
-			regs[in.a] = boolVal(regs[in.b].Truthy())
-
-		case opNeg:
-			if x := regs[in.b]; x.Float {
-				regs[in.a] = FloatVal(-x.F)
-			} else {
-				regs[in.a] = IntVal(-x.I)
-			}
-
-		case opNot:
-			if regs[in.b].Truthy() {
-				regs[in.a] = IntVal(0)
-			} else {
-				regs[in.a] = IntVal(1)
-			}
-
-		case opAdd:
-			x, y := regs[in.b], regs[in.c]
-			if x.Float || y.Float {
-				regs[in.a] = FloatVal(x.AsFloat() + y.AsFloat())
-			} else {
-				regs[in.a] = IntVal(x.I + y.I)
-			}
-
-		case opSub:
-			x, y := regs[in.b], regs[in.c]
-			if x.Float || y.Float {
-				regs[in.a] = FloatVal(x.AsFloat() - y.AsFloat())
-			} else {
-				regs[in.a] = IntVal(x.I - y.I)
-			}
-
-		case opMul:
-			x, y := regs[in.b], regs[in.c]
-			if x.Float || y.Float {
-				regs[in.a] = FloatVal(x.AsFloat() * y.AsFloat())
-			} else {
-				regs[in.a] = IntVal(x.I * y.I)
-			}
-
-		case opDiv:
-			x, y := regs[in.b], regs[in.c]
-			if x.Float || y.Float {
-				regs[in.a] = FloatVal(x.AsFloat() / y.AsFloat())
-			} else if y.I == 0 {
-				return Value{}, c.vmErr(in.pc, "integer division by zero")
-			} else {
-				regs[in.a] = IntVal(x.I / y.I)
-			}
-
-		case opMod:
-			x, y := regs[in.b], regs[in.c]
-			if x.Float || y.Float {
-				return Value{}, c.vmErr(in.pc, "%% requires integer operands")
-			}
-			if y.I == 0 {
-				return Value{}, c.vmErr(in.pc, "integer modulo by zero")
-			}
-			regs[in.a] = IntVal(x.I % y.I)
-
-		case opEq:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) == 0)
-		case opNe:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) != 0)
-		case opLt:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) < 0)
-		case opLe:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) <= 0)
-		case opGt:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) > 0)
-		case opGe:
-			regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) >= 0)
-
-		case opEqJf:
-			if compare(regs[in.b], regs[in.c]) != 0 {
-				ip = int(in.n)
-				continue
-			}
-		case opNeJf:
-			if compare(regs[in.b], regs[in.c]) == 0 {
-				ip = int(in.n)
-				continue
-			}
-		case opLtJf:
-			if compare(regs[in.b], regs[in.c]) >= 0 {
-				ip = int(in.n)
-				continue
-			}
-		case opLeJf:
-			if compare(regs[in.b], regs[in.c]) > 0 {
-				ip = int(in.n)
-				continue
-			}
-		case opGtJf:
-			if compare(regs[in.b], regs[in.c]) <= 0 {
-				ip = int(in.n)
-				continue
-			}
-		case opGeJf:
-			if compare(regs[in.b], regs[in.c]) < 0 {
-				ip = int(in.n)
-				continue
-			}
-
-		case opBuiltin:
-			v, err := c.vmBuiltin(in, regs)
-			if err != nil {
-				return Value{}, err
-			}
-			regs[in.a] = v
-
-		case opCall:
-			p := in.aux.(*callPayload)
-			c.work(2)
-			if p.code != nil {
-				v, err := c.callCompiled(in.pc, p, regs)
-				if err != nil {
-					return Value{}, err
-				}
-				regs[in.a] = v
-			} else {
-				// Callee did not compile: run it on the tree-walker.
-				c.curPC = int(in.pc)
-				if s := c.prog.Stmts[int(in.pc)]; s != nil {
-					c.curPos = s.Position()
-				} else {
-					c.curPos = parc.Pos{}
-				}
-				args := make([]Value, len(p.args))
-				for i, r := range p.args {
-					args[i] = regs[r]
-				}
-				v, err := c.call(p.fn, args)
-				if err != nil {
-					return Value{}, err
-				}
-				regs[in.a] = v
-			}
-
-		case opRet:
-			if in.a >= 0 {
-				return regs[in.a], nil
-			}
-			return Value{}, nil
-
-		case opForPrep:
-			p := in.aux.(*forPayload)
-			st := int64(1)
-			if p.step >= 0 {
-				st = regs[p.step].AsInt()
-			}
-			if st == 0 {
-				return Value{}, c.vmErr(in.pc, "for %s: zero step", p.varName)
-			}
-			regs[p.base] = IntVal(regs[p.from].AsInt())
-			regs[p.base+1] = IntVal(regs[p.to].AsInt())
-			regs[p.base+2] = IntVal(st)
-
-		case opForCheck:
-			i, hi, st := regs[in.a].I, regs[in.a+1].I, regs[in.a+2].I
-			if (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-				regs[in.b] = IntVal(i)
-			} else {
-				ip = int(in.n)
-				continue
-			}
-
-		case opForNext:
-			st := regs[in.a+2].I
-			i := regs[in.a].I + st
-			regs[in.a].I = i
-			if (st > 0 && i <= regs[in.a+1].I) || (st < 0 && i >= regs[in.a+1].I) {
-				regs[in.b] = IntVal(i)
-				ip = int(in.n) + 1 // skip the entry check, straight to the body
-				continue
-			}
-			// Loop finished: fall through to the exit label bound just after.
-
-		case opAllocArr:
-			p := in.aux.(*allocPayload)
-			pa := &fr.arrays[p.arr]
-			if cap(pa.cache) >= p.size {
-				pa.data = pa.cache[:p.size]
-			} else {
-				pa.data = make([]Value, p.size)
-				pa.cache = pa.data
-			}
-			zero := coerce(Value{}, p.base)
-			for i := range pa.data {
-				pa.data[i] = zero
-			}
-			pa.base = p.base
-			pa.dims = p.dims
-
-		case opArrNil:
-			if fr.arrays[in.a].data == nil {
-				return Value{}, c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg)
-			}
-
-		case opBounds:
-			ix := int(regs[in.b].AsInt())
-			if ix < 0 || ix >= int(in.n) {
-				bp := in.aux.(*boundsPayload)
-				return Value{}, c.vmErr(in.pc, "%s: index %d out of range [0,%d) in dimension %d", bp.name, ix, int(in.n), bp.dim)
-			}
-
-		case opFail:
-			return Value{}, c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg)
-
-		case opDivGuardReg:
-			if rhs := regs[in.b]; !rhs.Float && rhs.I == 0 && !regs[in.a].Float {
-				return Value{}, c.vmErr(in.pc, "integer division by zero in /=")
-			}
-
-		case opDivGuardInt:
-			if rhs := regs[in.b]; !rhs.Float && rhs.I == 0 {
-				return Value{}, c.vmErr(in.pc, "integer division by zero in /=")
-			}
-
-		case opAsgLocal:
-			cur := regs[in.a]
-			regs[in.a] = applyOp(cur, parc.AssignOp(in.n), regs[in.b], cur.Float)
-
-		case opLoadArr:
-			ma := in.aux.(*memAccess)
-			off, err := c.memOff(ma, regs, in.pc)
-			if err != nil {
-				return Value{}, err
-			}
-			c.privReads++
-			regs[in.a] = fr.arrays[ma.arr].data[off]
-
-		case opAsgArr:
-			ma := in.aux.(*memAccess)
-			off, err := c.memOff(ma, regs, in.pc)
-			if err != nil {
-				return Value{}, err
-			}
-			pa := &fr.arrays[ma.arr]
-			if ma.assignOp != parc.OpSet {
-				c.privReads++
-			}
-			c.privWrites++
-			pa.data[off] = applyOp(pa.data[off], ma.assignOp, regs[in.b], ma.isFloat)
-
-		case opLoadShared:
-			ma := in.aux.(*memAccess)
-			off := ma.constOff
-			if ma.terms != nil {
-				var err error
-				if off, err = c.memOff(ma, regs, in.pc); err != nil {
-					return Value{}, err
-				}
-			}
-			addr := c.bases[ma.decl.Index] + uint64(off)*parc.ElemSize
-			c.flush()
-			c.mach.Access(c.node, false, addr, int(in.pc))
-			regs[in.a] = FromBits(c.memLoad(addr), ma.isFloat)
-
-		case opAsgShared:
-			ma := in.aux.(*memAccess)
-			off := ma.constOff
-			if ma.terms != nil {
-				var err error
-				if off, err = c.memOff(ma, regs, in.pc); err != nil {
-					return Value{}, err
-				}
-			}
-			addr := c.bases[ma.decl.Index] + uint64(off)*parc.ElemSize
-			var cur Value
-			if ma.assignOp != parc.OpSet {
-				// Compound assignment reads the old value first.
-				c.flush()
-				c.mach.Access(c.node, false, addr, int(in.pc))
-				cur = FromBits(c.memLoad(addr), ma.isFloat)
-			}
-			out := applyOp(cur, ma.assignOp, regs[in.b], ma.isFloat)
-			c.flush()
-			c.mach.Access(c.node, true, addr, int(in.pc))
-			c.memStore(addr, out.Bits())
-
-		case opBarrier:
-			c.flush()
-			c.mach.Barrier(c.node, int(in.pc))
-
-		case opLock:
-			c.flush()
-			c.mach.Lock(c.node, regs[in.a].AsInt(), int(in.pc))
-
-		case opUnlock:
-			c.flush()
-			c.mach.Unlock(c.node, regs[in.a].AsInt(), int(in.pc))
-
-		case opPrint:
-			p := in.aux.(*printPayload)
-			vals := c.printBuf[:0]
-			for _, r := range p.args {
-				vals = append(vals, regs[r])
-			}
-			c.printBuf = vals
-			text := formatPrint(p.format, vals)
-			c.flush()
-			c.mach.Print(c.node, text)
-
-		case opDirBegin:
-			c.dirLos = c.dirLos[:0]
-			c.dirHis = c.dirHis[:0]
-
-		case opDirDim:
-			p := in.aux.(*dirPayload)
-			lo := int(regs[in.a].AsInt())
-			hi := lo
-			if in.b >= 0 {
-				hi = int(regs[in.b].AsInt())
-			}
-			lo = max(lo, 0)
-			hi = min(hi, p.decl.DimSizes[in.c]-1)
-			if lo > hi {
-				ip = int(in.n) // empty after clamping
-				continue
-			}
-			c.dirLos = append(c.dirLos, lo)
-			c.dirHis = append(c.dirHis, hi)
-
-		case opDirEmit:
-			p := in.aux.(*dirPayload)
-			ranges := c.expandRanges(p.decl)
-			c.flush()
-			c.mach.Directive(c.node, p.kind, ranges, int(in.pc))
-
-		case opDirNil:
-			p := in.aux.(*dirPayload)
-			c.flush()
-			c.mach.Directive(c.node, p.kind, nil, int(in.pc))
-
-		default:
-			return Value{}, c.vmErr(in.pc, "vm: bad opcode %d", in.op)
-		}
-		ip++
-	}
 }
 
 // expandRanges builds the contiguous address ranges for a directive from

@@ -200,23 +200,6 @@ func New(nodes, blockSize int) *Recorder {
 // disabled recorder.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Reset discards everything recorded so far and returns the Recorder to its
-// fresh post-New (and, if enabled, post-EnableTimeline) state. The simulator
-// calls it when an epoch-parallel run hits a speculation conflict and is
-// discarded: the sequential re-run must feed a recorder indistinguishable
-// from a fresh one, or snapshots would double-count the abandoned attempt.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	timeline := r.timeline
-	fresh := New(r.nodes, int(r.blockSize))
-	*r = *fresh
-	if timeline {
-		r.EnableTimeline()
-	}
-}
-
 // EnableTimeline turns on per-node timeline event collection. Must be
 // called before the run starts (it opens each node's first epoch span).
 func (r *Recorder) EnableTimeline() {

@@ -2,8 +2,9 @@
 // and reports the final shared memory, print output, and write footprint.
 //
 // The oracle is the ground truth for differential testing: it shares the
-// interpreter and memory layout with the simulator but replaces the whole
-// Dir1SW machine with the trivial one — every access hits the flat store
+// reference interpreter (the tree-walker, never the compiled bytecode the
+// production engine runs) and the memory layout with the simulator but
+// replaces the whole Dir1SW machine with the trivial one — every access hits the flat store
 // directly, caches and directives do not exist, and scheduling is the
 // simplest deterministic policy imaginable: processors run one at a time in
 // node order, each to its next barrier (or completion), epoch by epoch.
@@ -73,6 +74,7 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	}
 	for i := 0; i < cfg.Nprocs; i++ {
 		ctx := interp.NewContext(prog, m.store, m, i, cfg.Nprocs)
+		ctx.UseTreeWalker()
 		go m.runProc(ctx, m.procs[i])
 	}
 

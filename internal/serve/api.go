@@ -35,22 +35,14 @@ import (
 
 // MachineSpec selects the simulated machine for a request. Zero values mean
 // the simulator's defaults (32 nodes, 256 KB 4-way caches, 32-byte blocks,
-// Dir1SW, sequential engine).
+// Dir1SW).
 type MachineSpec struct {
 	Nodes     int    `json:"nodes,omitempty"`
 	CacheSize int    `json:"cache_size,omitempty"`
 	Assoc     int    `json:"assoc,omitempty"`
 	BlockSize int    `json:"block_size,omitempty"`
 	Protocol  string `json:"protocol,omitempty"` // "dir1sw", "dirnnb[:n]", "dirnb[:n]"
-	Engine    string `json:"engine,omitempty"`   // "sequential", "lanes", "parallel"
 }
-
-// Engine names accepted by MachineSpec.Engine.
-const (
-	EngineSequential = "sequential"
-	EngineLanes      = "lanes"
-	EngineParallel   = "parallel"
-)
 
 // resolved fills defaults and validates the spec; the returned spec is
 // fully explicit, so its JSON form is a canonical cache-key component.
@@ -79,13 +71,6 @@ func (m MachineSpec) resolved() (MachineSpec, error) {
 		return m, &apiError{code: 400, msg: err.Error()}
 	}
 	m.Protocol = specString(spec)
-	switch m.Engine {
-	case "":
-		m.Engine = EngineSequential
-	case EngineSequential, EngineLanes, EngineParallel:
-	default:
-		return m, &apiError{code: 400, msg: fmt.Sprintf("unknown engine %q", m.Engine)}
-	}
 	return m, nil
 }
 
@@ -106,18 +91,12 @@ func (m MachineSpec) simConfig(mode sim.Mode) sim.Config {
 	cfg.BlockSize = m.BlockSize
 	cfg.Protocol = m.Protocol
 	cfg.Mode = mode
-	switch m.Engine {
-	case EngineLanes:
-		cfg.Lanes = true
-	case EngineParallel:
-		cfg.Parallel = sim.ParallelAuto
-	}
 	return cfg
 }
 
 // key is the spec's canonical cache-key form (the spec must be resolved).
 func (m MachineSpec) key() string {
-	return fmt.Sprintf("n%d.c%d.a%d.b%d.%s.%s", m.Nodes, m.CacheSize, m.Assoc, m.BlockSize, m.Protocol, m.Engine)
+	return fmt.Sprintf("n%d.c%d.a%d.b%d.%s", m.Nodes, m.CacheSize, m.Assoc, m.BlockSize, m.Protocol)
 }
 
 // AnnotateRequest asks for CICO annotation of Source. The same shape serves
@@ -196,15 +175,16 @@ type VetResponse struct {
 
 // SimulateRequest simulates Source exactly as given (CICO directives are
 // honoured) on each config — the batched fan-out for one program × many
-// machines/protocols/engines. An empty Configs list means one default
-// machine.
+// machines/protocols. An empty Configs list means one default machine.
 type SimulateRequest struct {
 	Source  string        `json:"source"`
 	Configs []MachineSpec `json:"configs,omitempty"`
 }
 
-// SimResult is one config's simulation outcome. SnapshotID content-
-// addresses the run's structured stats snapshot for GET /v1/snapshot/{id}.
+// SimResult is one config's simulation outcome. Engine is provenance:
+// which of the simulator's two engines ran it (sim.Result.Engine).
+// SnapshotID content-addresses the run's structured stats snapshot for
+// GET /v1/snapshot/{id}.
 type SimResult struct {
 	Config     MachineSpec     `json:"config"`
 	Cycles     uint64          `json:"cycles"`

@@ -212,7 +212,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		vreq := &VetRequest{Source: src, Nodes: testNodes}
 		sreq := &SimulateRequest{Source: src, Configs: []MachineSpec{
 			{Nodes: testNodes},
-			{Nodes: testNodes, Engine: EngineLanes},
+			{Nodes: testNodes, Protocol: "dirnb:4"},
 		}}
 		wantVet, err := EvalVet(vreq)
 		if err != nil {
@@ -252,8 +252,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 }
 
 // TestSharedProgramManyLayouts sends one program to every endpoint at once,
-// on machines that lay it out differently (block sizes 16 to 128) and on
-// every engine, from goroutines that start together. All of it executes the
+// on machines that lay it out differently (block sizes 16 to 128), from
+// goroutines that start together. All of it executes the
 // one cached AST: the program cache hands the same *ProgramInfo to every
 // request and no phase copies it. Under -race this is the proof that a run
 // writes nothing into the program it executes; every body must equal the
@@ -288,12 +288,9 @@ func TestSharedProgramManyLayouts(t *testing.T) {
 		add("/v1/annotate", areq, ann, err)
 		static, err := EvalStatic(areq)
 		add("/v1/static", areq, static, err)
-		for _, engine := range []string{EngineSequential, EngineLanes, EngineParallel} {
-			machine.Engine = engine
-			sreq := &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}
-			sim, _, err := EvalSimulate(sreq)
-			add("/v1/simulate", sreq, sim, err)
-		}
+		sreq := &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}
+		sim, _, err := EvalSimulate(sreq)
+		add("/v1/simulate", sreq, sim, err)
 	}
 
 	start := make(chan struct{})

@@ -158,14 +158,11 @@ func (e *evaluator) vet(ctx context.Context, pi *ProgramInfo, nodes int) ([]VetF
 }
 
 // trace simulates the unannotated canonical program in trace mode on the
-// given machine (cached). Tracing always uses the sequential engine — every
-// engine is bit-identical, so the cheapest deterministic one wins.
+// given machine (cached).
 func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*trace.Trace, error) {
-	traceSpec := m
-	traceSpec.Engine = EngineSequential
-	v, err := e.cached("trace", cacheKey(pi.Hash, traceSpec.key()), func() (any, error) {
+	v, err := e.cached("trace", cacheKey(pi.Hash, m.key()), func() (any, error) {
 		return e.heavy(ctx, "trace", func() (any, error) {
-			res, err := sim.Run(pi.Prog, traceSpec.simConfig(sim.ModeTrace))
+			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
 			if err != nil {
 				return nil, fmt.Errorf("tracing: %w", err)
 			}

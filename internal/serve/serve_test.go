@@ -113,7 +113,6 @@ func TestGoldenEndpoints(t *testing.T) {
 		annReq := &AnnotateRequest{Source: sc.src, Prefetch: true, Machine: machine}
 		simReq := &SimulateRequest{Source: sc.src, Configs: []MachineSpec{
 			{Nodes: testNodes},
-			{Nodes: testNodes, Engine: EngineLanes},
 			{Nodes: testNodes, Protocol: "dirnnb:4"},
 		}}
 		vetReq := &VetRequest{Source: sc.src, Nodes: testNodes}
@@ -248,12 +247,6 @@ func TestErrorResponses(t *testing.T) {
 
 	code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: parcgen.Generate(1), Style: "bogus"})
 	checkErr("bad style", code, 400, body)
-
-	code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{
-		Source:  parcgen.Generate(1),
-		Configs: []MachineSpec{{Nodes: testNodes, Engine: "warp"}},
-	})
-	checkErr("bad engine", code, 400, body)
 
 	code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{
 		Source:  parcgen.Generate(1),

@@ -24,27 +24,17 @@ func main() {
 }
 `
 
-func benchScheduler(b *testing.B, parallel int) {
+func BenchmarkScheduler(b *testing.B) {
 	prog, err := parc.Parse(schedulerSource)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Nodes = 64
-	cfg.Parallel = parallel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkScheduler(b *testing.B) {
-	// sequential: the in-place scheduler driving interpreters directly.
-	b.Run("sequential", func(b *testing.B) { benchScheduler(b, 0) })
-	// parallel: the same schedule via the epoch dispatcher — producer
-	// goroutines logging events, the committer replaying them through the
-	// identical heap. Measures dispatch overhead, bit-identical results.
-	b.Run("parallel", func(b *testing.B) { benchScheduler(b, ParallelAuto) })
 }

@@ -1,0 +1,321 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"cachier/internal/obs"
+	"cachier/internal/parc"
+)
+
+// The scheduler's tests. Their names say Lanes because they were written
+// when the lane scheduler was one engine of three; it is the scheduler now.
+
+// runHost runs src on the production engine or on the reference engine,
+// 8 nodes unless mutate says otherwise, with a recorder and timeline
+// attached, and checks that the run left no goroutine behind.
+func runHost(t *testing.T, src string, reference bool, mutate func(*Config)) (*Result, *obs.Recorder, error) {
+	t.Helper()
+	prog, err := parc.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes = 8
+	cfg.TreeWalk = reference
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
+	cfg.Recorder.EnableTimeline()
+	before := runtime.NumGoroutine()
+	res, err := Run(prog, cfg)
+	waitGoroutines(t, before)
+	return res, cfg.Recorder, err
+}
+
+// checkBothHosts runs src under the scheduler's two lane hosts — compiled
+// lanes stepped in the scheduler's own loop, and tree-walking interpreters
+// parked on goroutines (reference.go) — and asserts the runs bit-identical
+// on every observable surface, each reporting the engine it was asked for.
+// It returns the shared outcome: the production result, or the error both
+// runs ended with.
+func checkBothHosts(t *testing.T, src string, mutate func(*Config)) (*Result, error) {
+	t.Helper()
+	prod, prodRec, prodErr := runHost(t, src, false, mutate)
+	ref, refRec, refErr := runHost(t, src, true, mutate)
+
+	if (prodErr == nil) != (refErr == nil) {
+		t.Fatalf("error divergence: production %v, reference %v", prodErr, refErr)
+	}
+	if prodErr != nil {
+		if prodErr.Error() != refErr.Error() {
+			t.Fatalf("error text divergence:\nproduction: %v\nreference:  %v", prodErr, refErr)
+		}
+		return nil, prodErr
+	}
+	if prod.Engine != engineLanes || ref.Engine != engineReference {
+		t.Fatalf("runs report engines %q and %q, want %q and %q", prod.Engine, ref.Engine, engineLanes, engineReference)
+	}
+	if prod.Cycles != ref.Cycles {
+		t.Errorf("cycles: production %d, reference %d", prod.Cycles, ref.Cycles)
+	}
+	if !reflect.DeepEqual(prod.NodeCycles, ref.NodeCycles) {
+		t.Errorf("node cycles diverge:\nproduction: %v\nreference:  %v", prod.NodeCycles, ref.NodeCycles)
+	}
+	if prod.Stats != ref.Stats {
+		t.Errorf("stats diverge:\nproduction: %+v\nreference:  %+v", prod.Stats, ref.Stats)
+	}
+	if !reflect.DeepEqual(prod.Output, ref.Output) {
+		t.Errorf("output diverges:\nproduction: %q\nreference:  %q", prod.Output, ref.Output)
+	}
+	if prod.Barriers != ref.Barriers {
+		t.Errorf("barriers: production %d, reference %d", prod.Barriers, ref.Barriers)
+	}
+	if !reflect.DeepEqual(prod.SharedReads, ref.SharedReads) || !reflect.DeepEqual(prod.SharedWrites, ref.SharedWrites) {
+		t.Errorf("sharing counters diverge")
+	}
+	pl, ps := prod.SharingDegree()
+	rl, rs := ref.SharingDegree()
+	if pl != rl || ps != rs {
+		t.Errorf("sharing degree diverges: production (%g, %g), reference (%g, %g)", pl, ps, rl, rs)
+	}
+	if !reflect.DeepEqual(prod.Store.Words(), ref.Store.Words()) {
+		t.Errorf("shared memory diverges")
+	}
+	if !reflect.DeepEqual(prod.Trace, ref.Trace) {
+		t.Errorf("miss traces diverge")
+	}
+	// Dispatched ops are the one count the hosts do not share: bytecode
+	// instructions on one, statements on the other.
+	for _, snap := range []*obs.Snapshot{prod.Snapshot, ref.Snapshot} {
+		snap.Interp.Ops = 0
+		for i := range snap.PerNode {
+			snap.PerNode[i].Ops = 0
+		}
+	}
+	prodSnap, err := prod.Snapshot.MarshalIndentJSON()
+	if err != nil {
+		t.Fatalf("marshal production snapshot: %v", err)
+	}
+	refSnap, err := ref.Snapshot.MarshalIndentJSON()
+	if err != nil {
+		t.Fatalf("marshal reference snapshot: %v", err)
+	}
+	if !bytes.Equal(prodSnap, refSnap) {
+		t.Errorf("snapshots diverge:\nproduction:\n%s\nreference:\n%s", prodSnap, refSnap)
+	}
+	var prodTL, refTL bytes.Buffer
+	if err := prodRec.Timeline("t").WriteJSON(&prodTL); err != nil {
+		t.Fatalf("production timeline: %v", err)
+	}
+	if err := refRec.Timeline("t").WriteJSON(&refTL); err != nil {
+		t.Fatalf("reference timeline: %v", err)
+	}
+	if !bytes.Equal(prodTL.Bytes(), refTL.Bytes()) {
+		t.Errorf("timelines diverge")
+	}
+	return prod, nil
+}
+
+// TestLanesMaskedLockParkUnpark exercises parking around lock traps: every
+// lane contends for one lock, so each acquisition parks the losers (no
+// stepping while parked) and the release unparks exactly one waiter in FIFO
+// order. The prints inside the critical section pin the handoff order: each
+// entrant must see the count its predecessor left.
+func TestLanesMaskedLockParkUnpark(t *testing.T) {
+	res, err := checkBothHosts(t, `
+shared int turn[1];
+func main() {
+    var spin int = 0;
+    for i = 0 to pid() * 7 { spin += i; }
+    lock(3);
+    print("enter %d", turn[0]);
+    turn[0] += 1;
+    unlock(3);
+    barrier;
+    if (pid() == 0) { print("total %d", turn[0]); }
+}
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Output) != 9 || res.Output[8] != "node 0: total 8" {
+		t.Fatalf("output = %q, want 8 entries then node 0's total 8", res.Output)
+	}
+	for i, line := range res.Output[:8] {
+		if want := fmt.Sprintf(" %d", i); !strings.HasPrefix(line, "node ") || !strings.HasSuffix(line, want) {
+			t.Errorf("entry %d printed %q, want turn%s", i, line, want)
+		}
+	}
+}
+
+// TestLanesBarrierQuiescenceOrder exercises the epoch bucket: lanes arrive
+// at the barrier at staggered clocks (different work before it), the last
+// arrival releases everyone at one clock, and the released lanes must then
+// step in pid order behind the lane that released them (node 3, the last
+// to arrive, keeps running) — observable as the print order after the
+// barrier.
+func TestLanesBarrierQuiescenceOrder(t *testing.T) {
+	res, err := checkBothHosts(t, `
+shared int v[8];
+func main() {
+    var spin int = 0;
+    for i = 0 to ((pid() + 4) % 8) * 11 { spin += i; }
+    v[pid()] = spin + pid();
+    barrier;
+    print("after");
+    barrier;
+}
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range res.Output {
+		order = append(order, strings.TrimSuffix(strings.TrimPrefix(line, "node "), ": after"))
+	}
+	if want := "3 0 1 2 4 5 6 7"; strings.Join(order, " ") != want {
+		t.Fatalf("nodes printed in order %q after the barrier, want %q", strings.Join(order, " "), want)
+	}
+}
+
+// TestLanesUnlockFault: unlocking an unheld lock is a machine fault; the
+// scheduler kills the lane in place — a compiled lane stops dispatching, a
+// reference lane's goroutine unwinds — and the run reports the fault.
+func TestLanesUnlockFault(t *testing.T) {
+	_, err := checkBothHosts(t, `
+shared int v[8];
+func main() {
+    v[pid()] = pid();
+    if (pid() == 3) {
+        unlock(9);
+    }
+    v[pid()] = v[pid()] + 1;
+}
+`, nil)
+	if want := "sim: node 3 unlocked lock 9 it does not hold"; err == nil || err.Error() != want {
+		t.Fatalf("run error = %v, want %q", err, want)
+	}
+}
+
+// TestLanesDeadlock: a processor exits holding a lock the others want; the
+// scheduler must detect the empty heap and bucket with lanes still waiting.
+func TestLanesDeadlock(t *testing.T) {
+	_, err := checkBothHosts(t, `
+func main() {
+    if (pid() == 0) {
+        lock(1);
+    }
+    if (pid() != 0) {
+        lock(1);
+        unlock(1);
+    }
+}
+`, nil)
+	if want := "sim: deadlock: 7 of 8 nodes blocked (barrier waiters: 0)"; err == nil || err.Error() != want {
+		t.Fatalf("run error = %v, want %q", err, want)
+	}
+}
+
+// TestLanesSingleNode: one lane — the degenerate machine, where the first
+// yield that cannot continue ends the run.
+func TestLanesSingleNode(t *testing.T) {
+	res, err := checkBothHosts(t, `
+shared int v[1];
+func main() {
+    for i = 0 to 63 { v[0] += i; }
+    print("v %d", v[0]);
+}
+`, func(cfg *Config) { cfg.Nodes = 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"node 0: v 2016"}; !reflect.DeepEqual(res.Output, want) {
+		t.Fatalf("output = %q, want %q", res.Output, want)
+	}
+}
+
+// TestLanesTreeWalkFallback: a program the compiler refuses — here a loop
+// generated after checking whose counter shadows a constant, so its name
+// resolution depends on execution — runs whole on the reference engine
+// without being asked to, says so in Result.Engine, and produces what the
+// reference engine produces when asked.
+func TestLanesTreeWalkFallback(t *testing.T) {
+	prog, err := parc.Parse(`
+const N = 4;
+shared int v[8];
+func main() {
+    v[pid()] = pid() * 2 + N;
+    barrier;
+    if (pid() == 0) { print("v3 %d", v[3]); }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := prog.FuncMap["main"]
+	main.Body.Stmts = append(main.Body.Stmts, &parc.ForStmt{
+		Var: "N", From: &parc.IntLit{Value: 0}, To: &parc.IntLit{Value: 1}, Body: &parc.Block{},
+	})
+	cfg := DefaultConfig()
+	cfg.Nodes = 8
+	got, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Engine != engineReference {
+		t.Fatalf("uncompilable program ran on engine %q, want %q", got.Engine, engineReference)
+	}
+	cfg.TreeWalk = true
+	want, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || !reflect.DeepEqual(got.NodeCycles, want.NodeCycles) || got.Stats != want.Stats {
+		t.Errorf("cycles or stats differ from the asked-for reference run: %d vs %d", got.Cycles, want.Cycles)
+	}
+	if out := []string{"node 0: v3 10"}; !reflect.DeepEqual(got.Output, out) || !reflect.DeepEqual(want.Output, out) {
+		t.Errorf("output = %q and %q, want %q", got.Output, want.Output, out)
+	}
+	if !reflect.DeepEqual(got.Store.Words(), want.Store.Words()) {
+		t.Errorf("shared memory differs from the asked-for reference run")
+	}
+}
+
+// TestLanesLockContentionFIFO pins the waiter queue order specifically: the
+// lock handoff must be first-come-first-served by simulated arrival, not by
+// pid or by lane stepping order. Arrival clocks grow with (pid*13)%29, in
+// steps well over the scheduling quantum, so the slots must fill in that
+// order.
+func TestLanesLockContentionFIFO(t *testing.T) {
+	res, err := checkBothHosts(t, `
+shared int order[9];
+func main() {
+    var spin int = 0;
+    for i = 0 to ((pid() * 13) % 29) * 40 { spin += i; }
+    lock(5);
+    order[8] += 1;
+    order[order[8] - 1] = pid();
+    print("slot %d %d", order[8] - 1, pid());
+    unlock(5);
+    barrier;
+}
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pid:            0  1   2   3   4  5   6  7
+	// (pid*13)%29:    0  13  26  10  23 7   20 4
+	var got []string
+	for _, line := range res.Output {
+		got = append(got, line[strings.LastIndex(line, " ")+1:])
+	}
+	if want := "0 7 5 3 1 6 4 2"; strings.Join(got, " ") != want {
+		t.Fatalf("acquisition order by pid = %q, want %q\n%q", strings.Join(got, " "), want, res.Output)
+	}
+}

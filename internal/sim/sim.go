@@ -19,6 +19,14 @@
 // optimizations: the schedule, and therefore every simulated result, is
 // bit-identical to the original linear-scan scheduler's.
 //
+// One loop (sched.go) executes the schedule by resuming processors as
+// lanes. The production engine, "lanes", runs each processor's compiled
+// bytecode on a resumable VM, with the memory system's access memo on. The
+// reference engine runs the tree-walking interpreter instead, each lane
+// parked on a goroutine (reference.go), with the memo off; Config.TreeWalk
+// selects it, and a program the compiler refuses runs on it whole. The
+// conformance harness holds the two bit-identical on every result.
+//
 // In trace mode the simulator additionally flushes every node's shared-data
 // cache at each barrier and records all misses, producing the paper's
 // Figure 3 trace for Cachier; CICO annotations are ignored so the trace
@@ -26,7 +34,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"cachier/internal/coherence"
@@ -120,40 +127,26 @@ type Config struct {
 	// results; nil disables it at the cost of a branch per event.
 	Recorder *obs.Recorder
 
-	// TreeWalk forces the interpreter's tree-walking reference
-	// implementation instead of the bytecode VM. The two are maintained to
-	// produce identical Machine call sequences; the conformance harness
-	// runs both and compares, and this switch is how it (or a suspicious
+	// TreeWalk runs the program on the reference engine: the tree-walking
+	// interpreter, hosted as lanes of the same scheduler (reference.go) with
+	// the memory system's access memo off. The reference and the production
+	// engine are maintained to produce identical Machine call sequences and
+	// therefore identical results; the conformance harness runs both and
+	// compares every surface, and this switch is how it (or a suspicious
 	// user) pins the reference path.
 	TreeWalk bool
 
-	// Parallel selects the epoch-parallel engine (see parallel.go): node
-	// interpreters run speculatively on real goroutines and their protocol
-	// events are committed by a single merge goroutine in the exact order
-	// the sequential scheduler produces, so every simulated result — cycles,
-	// stats, output, Snapshot, timeline — is bit-identical to Parallel == 0.
-	// The value caps how many node interpreters execute concurrently;
-	// ParallelAuto uses GOMAXPROCS. 0 (the default) runs sequentially. A
-	// speculation conflict (a racy program whose cross-node data flow is not
-	// lock- or barrier-ordered) falls back to one sequential re-run.
+	// Parallel is ignored. It selected an engine that no longer exists and
+	// stays only because benchmark/fig6.go, which a PR outside the
+	// benchmark archetype may not edit, assigns it; the next benchmark PR
+	// removes the assignment and this field.
 	Parallel int
 
-	// Lanes selects the lane-batched engine (see lanes.go): all node
-	// interpreters step as resumable lanes of one goroutine (SoA frame
-	// banks, an execution mask, and an epoch bucket for barrier releases
-	// instead of heap churn), and the memory system batches same-block
-	// access runs (coherence batch.go). Scheduling decisions, and therefore
-	// every simulated result — cycles, per-node cycles, stats, memory
-	// image, output, Snapshot, timeline — are bit-identical to the
-	// sequential engine's. A program the lane stepper cannot run (tree-walk
-	// forced, or a function that did not compile) falls back to one
-	// sequential run. When combined with Parallel, the epoch producers use
-	// the lane interpreter in run-to-completion mode.
+	// Lanes is ignored, for the same reason as Parallel: benchmark/fig6.go
+	// assigns it. The engine it selected is the only production engine now.
+	// The next benchmark PR removes the assignment and this field.
 	Lanes bool
 }
-
-// ParallelAuto sizes Config.Parallel to runtime.GOMAXPROCS(0).
-const ParallelAuto = -1
 
 // DefaultConfig is the paper's machine: 32 nodes, 256 KB 4-way caches,
 // 32-byte blocks.
@@ -175,9 +168,11 @@ func DefaultConfig() Config {
 
 // Result reports a completed simulation.
 type Result struct {
-	// Engine names the execution engine that produced the result:
-	// "sequential", "parallel", or "sequential (conflict fallback)" when a
-	// Parallel run hit a speculation conflict and was re-run sequentially.
+	// Engine names the execution engine that produced the result: "lanes",
+	// the production engine (compiled bytecode stepped as resumable lanes),
+	// or "reference", the tree-walking interpreter — taken when
+	// Config.TreeWalk asks for it, or when the compiler refuses the
+	// program, which then runs whole on the reference.
 	Engine string
 
 	// Protocol is the coherence protocol's display name ("Dir1SW",
@@ -244,21 +239,8 @@ type proc struct {
 	id      int
 	clock   uint64
 	status  procStatus
-	resume  chan resumeMsg
 	arrival uint64 // clock when the proc last blocked at a barrier
 }
-
-type resumeMsg struct {
-	abort bool
-}
-
-var (
-	errAborted = errors.New("sim: aborted")
-	// errProcFault unwinds a processor whose program committed a machine
-	// fault (e.g. unlocking a lock it does not hold); the fault is recorded
-	// in runErr at the raise site and the processor terminates cleanly.
-	errProcFault = errors.New("sim: processor fault")
-)
 
 type lockState struct {
 	held    bool
@@ -266,16 +248,27 @@ type lockState struct {
 	waiters []int // FIFO
 }
 
+// lane is one processor's interpreter as the scheduler drives it. Resume
+// runs it until the machine schedules another processor (or the run halts)
+// and reports whether its program has ended; Err is that ending's error.
+// Kill ends a lane from outside its program: it never executes another
+// statement, and its next Resume reports it done with a nil Err.
+// *interp.LaneVM is the production implementation, refLane (reference.go)
+// the reference one.
+type lane interface {
+	Resume() interp.LaneStatus
+	Kill()
+	Err() error
+}
+
 // Machine implements interp.Machine and owns all simulation state.
 //
-// Single-owner invariant: a Machine belongs to exactly one Run call. Within
-// a run, the proc goroutines and the coordinator hand execution off through
-// channels so that at most one of them is ever active; all mutations happen
-// inside that single active goroutine, which is why no field is locked.
-// Concurrent simulations (e.g. the parallel bench harness) must each call
-// Run and get their own Machine — sharing one across goroutines, or calling
-// interp.Machine methods from outside the run's own proc goroutines, is a
-// data race.
+// Single-owner invariant: a Machine belongs to exactly one Run call, and
+// within a run exactly one flow of control is active: the scheduler loop
+// (sched.go) or the lane it resumed. No field is locked. Concurrent
+// simulations (e.g. the parallel bench harness) must each call Run and get
+// their own Machine — sharing one across goroutines, or calling
+// interp.Machine methods from outside the run's own lanes, is a data race.
 type Machine struct {
 	cfg    Config
 	prog   *parc.Program
@@ -284,18 +277,26 @@ type Machine struct {
 	sys    *dir1sw.System
 
 	procs            []*proc
+	ctxs             []*interp.Context
+	lanes            []lane
 	waiting          int // procs blocked at the barrier
 	pendingBarrierPC int // barrier statement the current waiters sit at
 	done             int
 	locks            map[int64]*lockState
-	wake             chan struct{} // coordinator wakeup
 
-	// ready holds the parked runnable processors; limit caches
-	// ready.min().clock + Quantum (MaxUint64 when the heap is empty) so the
-	// running processor's keep-running test is a single compare. The cache is
-	// refreshed after every heap mutation.
-	ready readyHeap
-	limit uint64
+	// Scheduler state (sched.go). cur is the running processor; ready holds
+	// the parked runnable ones, except those the last barrier released,
+	// which sit in the epoch bucket; limit caches the smallest parked
+	// runnable clock + Quantum (MaxUint64 when nothing is parked) so the
+	// running processor's keep-running test is a single compare. The cache
+	// is refreshed after every heap or bucket mutation. halt ends the run.
+	cur         *proc
+	ready       readyHeap
+	bucket      coherence.NodeSet
+	bucketClock uint64
+	bucketLen   int
+	limit       uint64
+	halt        bool
 
 	builder  *trace.Builder
 	barriers int
@@ -307,22 +308,17 @@ type Machine struct {
 	rec          *obs.Recorder // nil when recording is disabled
 	blockSz      uint64        // cache block size, for block-number computation
 
-	// par is non-nil when this machine is driven by the epoch-parallel
-	// committer (parallel.go) instead of per-processor goroutines; the
-	// scheduler seam in yieldSwitch consults it instead of parking.
-	par *parEngine
-
-	// lanes is non-nil when this machine is driven by the lane-batched
-	// engine (lanes.go): every processor is a resumable lane of one
-	// goroutine, context switches retarget which lane Resume steps next,
-	// and shared accesses resolve through the memory system's batched path.
-	lanes *laneEngine
-
 	added struct {
 		privReads  uint64
 		privWrites uint64
 	}
 }
+
+// Engine names reported in Result.Engine.
+const (
+	engineLanes     = "lanes"
+	engineReference = "reference"
+)
 
 // Run simulates prog under cfg.
 func Run(prog *parc.Program, cfg Config) (*Result, error) {
@@ -335,97 +331,34 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	if cfg.Mode == ModeTrace {
 		cfg.IgnoreDirectives = true
 	}
-	if cfg.Parallel != 0 && cfg.Nodes > 1 {
-		res, err, ok := runParallel(prog, cfg)
-		if ok {
-			return res, err
-		}
-		// Speculation conflict: the program's cross-node data flow is not
-		// ordered by barriers or locks, so the epoch logs cannot commit.
-		// Re-run sequentially — the authoritative semantics — after wiping
-		// anything the discarded attempt fed the recorder.
-		if cfg.Recorder != nil {
-			cfg.Recorder.Reset()
-		}
-		res, err = runSequential(prog, cfg)
-		if res != nil {
-			res.Engine = engineSeqFallback
-		}
-		return res, err
-	}
-	if cfg.Lanes {
-		res, err, ok := runLanes(prog, cfg)
-		if ok {
-			return res, err
-		}
-		// The lane stepper refused the program (tree-walk forced, or a
-		// function fell back to the tree-walking interpreter). Re-run on
-		// the sequential engine after wiping anything the abandoned
-		// attempt fed the recorder.
-		if cfg.Recorder != nil {
-			cfg.Recorder.Reset()
-		}
-		res, err = runSequential(prog, cfg)
-		if res != nil {
-			res.Engine = engineLanesFallback
-		}
-		return res, err
-	}
-	return runSequential(prog, cfg)
-}
-
-// Engine names reported in Result.Engine.
-const (
-	engineSequential    = "sequential"
-	engineParallel      = "parallel"
-	engineLanes         = "lanes"
-	engineSeqFallback   = "sequential (conflict fallback)"
-	engineLanesFallback = "sequential (lanes fallback)"
-)
-
-// runSequential is the original engine: one goroutine per simulated
-// processor, exactly one unparked at a time.
-func runSequential(prog *parc.Program, cfg Config) (*Result, error) {
-	m, ctxs, err := newMachine(prog, cfg)
+	m, err := newMachine(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		go m.runProc(ctxs[i], m.procs[i])
+	engine := engineLanes
+	if cfg.TreeWalk || !m.compiledLanes() {
+		engine = engineReference
+		m.referenceLanes()
 	}
-
-	// Start processor 0 and wait for the machine to finish or fail. All
-	// other processors begin parked and runnable at clock 0.
-	for i := 1; i < cfg.Nodes; i++ {
-		m.ready.push(m.procs[i])
-	}
-	m.refreshLimit()
-	m.procs[0].resume <- resumeMsg{}
-	<-m.wake
-
-	// Unblock any still-parked goroutines so they exit.
-	for _, p := range m.procs {
-		if p.status != statusDone {
-			p.resume <- resumeMsg{abort: true}
-		}
-	}
-	res, err := m.buildResult(ctxs)
+	m.run()
+	res, err := m.buildResult()
 	if res != nil {
-		res.Engine = engineSequential
+		res.Engine = engine
 	}
 	return res, err
 }
 
-// newMachine builds the simulation state shared by both engines: layout,
-// store, memory system, processors, and one interpreter context per node.
-func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, error) {
+// newMachine builds the simulation state: layout, store, memory system,
+// and processors. The lanes that execute the program are attached by
+// compiledLanes or referenceLanes.
+func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 	layout, err := memory.New(prog, cfg.BlockSize)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	proto, err := protocolFor(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sys, err := coherence.New(coherence.Config{
 		Nodes:     cfg.Nodes,
@@ -439,7 +372,7 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, er
 		Recorder:  cfg.Recorder,
 	}, proto)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := &Machine{
 		cfg:          cfg,
@@ -447,8 +380,10 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, er
 		layout:       layout,
 		store:        interp.NewStoreFor(layout),
 		sys:          sys,
+		ctxs:         make([]*interp.Context, cfg.Nodes),
+		lanes:        make([]lane, cfg.Nodes),
 		locks:        make(map[int64]*lockState),
-		wake:         make(chan struct{}, 1),
+		bucket:       coherence.NewNodeSet(cfg.Nodes),
 		sharedReads:  make([]uint64, cfg.Nodes),
 		sharedWrites: make([]uint64, cfg.Nodes),
 		rec:          cfg.Recorder,
@@ -458,18 +393,35 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, []*interp.Context, er
 		m.builder = trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels())
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		m.procs = append(m.procs, &proc{id: i, resume: make(chan resumeMsg)})
+		m.procs = append(m.procs, &proc{id: i})
 	}
+	return m, nil
+}
 
-	ctxs := make([]*interp.Context, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		ctxs[i] = interp.NewContext(prog, m.store, m, i, cfg.Nodes)
-		if cfg.TreeWalk {
-			ctxs[i].UseTreeWalker()
+// newContext builds node's interpreter context; mach is the machine its
+// program calls into.
+func (m *Machine) newContext(node int, mach interp.Machine) *interp.Context {
+	ctx := interp.NewContext(m.prog, m.store, mach, node, m.cfg.Nodes)
+	ctx.CountOps(m.rec != nil)
+	return ctx
+}
+
+// compiledLanes attaches the production lanes: every processor's compiled
+// program on a resumable interp.LaneVM, with the memory system's access
+// memo on. It reports false, having changed nothing, when the compiler
+// refused the program; that is a property of the program, so node 0's
+// context already says so.
+func (m *Machine) compiledLanes() bool {
+	for i := range m.procs {
+		ctx := m.newContext(i, m)
+		lv, ok := ctx.NewLaneVM(m)
+		if !ok {
+			return false
 		}
-		ctxs[i].CountOps(cfg.Recorder != nil)
+		m.ctxs[i], m.lanes[i] = ctx, lv
 	}
-	return m, ctxs, nil
+	m.sys.EnableAccessMemo()
+	return true
 }
 
 // protocolFor resolves Config.Protocol (plus the Dir1SW-specific FullMap
@@ -497,9 +449,9 @@ func protocolFor(cfg Config) (coherence.Protocol, error) {
 	}
 }
 
-// buildResult is the shared run epilogue: surface run errors, validate the
+// buildResult is the run epilogue: surface run errors, validate the
 // protocol probe, and assemble the Result (stats, snapshot, trace).
-func (m *Machine) buildResult(ctxs []*interp.Context) (*Result, error) {
+func (m *Machine) buildResult() (*Result, error) {
 	cfg := m.cfg
 	sys := m.sys
 	if m.runErr != nil {
@@ -530,7 +482,7 @@ func (m *Machine) buildResult(ctxs []*interp.Context) (*Result, error) {
 	}
 	if m.rec != nil {
 		m.rec.Finish(res.NodeCycles)
-		for i, ctx := range ctxs {
+		for i, ctx := range m.ctxs {
 			m.rec.SetOps(i, ctx.OpsDispatched())
 		}
 		res.Snapshot = m.rec.Snapshot(res.Cycles, res.NodeCycles, m.barriers, sys.Stats.Protocol())
@@ -549,161 +501,6 @@ func (m *Machine) buildResult(ctxs []*interp.Context) (*Result, error) {
 	return res, nil
 }
 
-// runProc is each processor's goroutine body.
-func (m *Machine) runProc(ctx *interp.Context, p *proc) {
-	if msg := <-p.resume; msg.abort {
-		return
-	}
-	err := m.runInterp(ctx)
-	if errors.Is(err, errAborted) {
-		return // coordinator shut us down mid-run; touch nothing
-	}
-	pr, pw := ctx.PrivateAccesses()
-	m.finishProc(p, err, pr, pw)
-}
-
-// finishProc retires a completed (or faulted) processor: folds its private
-// access counters into the machine, records completion, surfaces its error,
-// releases a barrier it was the last straggler for, and yields its place in
-// the schedule. Both engines terminate processors through this path.
-func (m *Machine) finishProc(p *proc, err error, privReads, privWrites uint64) {
-	m.added.privReads += privReads
-	m.added.privWrites += privWrites
-	p.status = statusDone
-	if m.lanes != nil {
-		m.lanes.mask.Remove(p.id)
-	}
-	m.rec.NodeDone(p.id, p.clock)
-	m.done++
-	if err != nil && m.runErr == nil && !errors.Is(err, errProcFault) {
-		m.runErr = err
-	}
-	// A finishing processor may be the last thing a barrier was waiting on.
-	if m.waiting > 0 && m.waiting == m.activeProcs() {
-		m.releaseBarrier(m.pendingBarrierPC, p.id)
-	}
-	m.yield(p)
-}
-
-// runInterp executes the processor's program, converting the machine's
-// control panics (abort, processor fault) back into errors.
-func (m *Machine) runInterp(ctx *interp.Context) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && (errors.Is(e, errAborted) || errors.Is(e, errProcFault)) {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
-	return ctx.Run()
-}
-
-// park blocks the calling proc until resumed, aborting via panic if the
-// coordinator is shutting down.
-func (m *Machine) park(p *proc) {
-	if msg := <-p.resume; msg.abort {
-		panic(errAborted)
-	}
-}
-
-// yield hands control to the runnable processor with the smallest clock. If
-// the caller remains the best choice (within the quantum) it simply returns.
-// When nothing is runnable it wakes the coordinator (completion or
-// deadlock).
-//
-// The fast path is the cycle batch that lets plain cache hits and local Work
-// stay on the running goroutine: while the caller's clock is within the
-// cached limit (smallest parked runnable clock + quantum) no scheduler state
-// is touched at all — the accumulated cycles are only reconciled against the
-// heap when the quantum is exceeded or the caller blocks. The decision
-// points and their outcomes are identical to the original O(P) scan: the
-// scan kept the caller running iff its clock was within one quantum of the
-// smallest runnable clock, which is exactly what limit encodes.
-func (m *Machine) yield(p *proc) {
-	if p.status == statusReady && p.clock <= m.limit {
-		return // keep running
-	}
-	m.yieldSwitch(p)
-}
-
-// refreshLimit recomputes the running processor's keep-running bound after a
-// heap mutation. On the lane engine the barrier-release bucket also holds
-// runnable processors, so the bound covers it too.
-func (m *Machine) refreshLimit() {
-	lo := ^uint64(0)
-	if m.ready.len() > 0 {
-		lo = m.ready.min().clock
-	}
-	if m.lanes != nil && m.lanes.bucketLen > 0 && m.lanes.bucketClock < lo {
-		lo = m.lanes.bucketClock
-	}
-	if lo == ^uint64(0) {
-		m.limit = lo
-	} else {
-		m.limit = lo + m.cfg.Quantum
-	}
-}
-
-// yieldSwitch is yield's slow path: hand off to the heap minimum, or wake
-// the coordinator when nothing is runnable.
-func (m *Machine) yieldSwitch(p *proc) {
-	if m.lanes != nil {
-		m.lanes.laneSwitch(p)
-		return
-	}
-	if m.ready.len() == 0 {
-		// Nothing else is runnable, and the caller cannot continue (a
-		// runnable caller would have taken the fast path, since an empty
-		// heap leaves the limit unbounded): the program completed, or every
-		// remaining node is blocked (deadlock).
-		if m.done < len(m.procs) && m.runErr == nil {
-			m.runErr = fmt.Errorf("sim: deadlock: %d of %d nodes blocked (barrier waiters: %d)",
-				len(m.procs)-m.done, len(m.procs), m.waiting)
-		}
-		if m.par != nil {
-			m.par.halt = true
-			return
-		}
-		m.wake <- struct{}{}
-		if p.status != statusDone {
-			m.park(p) // blocks until the coordinator aborts us
-		}
-		return
-	}
-	q := m.ready.min()
-	m.rec.Handoff()
-	if p.status == statusReady {
-		// The common handoff: the caller stays runnable, so it takes the
-		// popped minimum's slot directly (one sift-down instead of
-		// pop+push), and the new limit is read off the root without the
-		// empty-heap test refreshLimit would repeat.
-		m.ready.replaceMin(p)
-		m.limit = m.ready.min().clock + m.cfg.Quantum
-	} else {
-		m.ready.pop()
-		m.refreshLimit()
-	}
-	if m.par != nil {
-		// Epoch-parallel commit: the single committer goroutine drives every
-		// processor, so a context switch is just retargeting which event
-		// stream it consumes next — no parking, no channel handoff.
-		m.par.cur = q
-		return
-	}
-	// Decide our own fate BEFORE waking the next processor: after the send,
-	// the woken chain runs concurrently with us and may mutate our status
-	// (a barrier release flipping us back to ready), so reading it past the
-	// handoff would race. A done processor never changes status again.
-	amDone := p.status == statusDone
-	q.resume <- resumeMsg{}
-	if amDone {
-		return
-	}
-	m.park(p)
-}
-
 // --- interp.Machine implementation ---
 
 // Access implements interp.Machine.
@@ -712,18 +509,10 @@ func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 	var r dir1sw.Result
 	if write {
 		m.sharedWrites[node]++
-		if m.lanes != nil {
-			r = m.sys.WriteFast(node, addr, p.clock)
-		} else {
-			r = m.sys.Write(node, addr, p.clock)
-		}
+		r = m.sys.WriteFast(node, addr, p.clock)
 	} else {
 		m.sharedReads[node]++
-		if m.lanes != nil {
-			r = m.sys.ReadFast(node, addr, p.clock)
-		} else {
-			r = m.sys.Read(node, addr, p.clock)
-		}
+		r = m.sys.ReadFast(node, addr, p.clock)
 	}
 	p.clock += r.Cycles
 	if m.builder != nil && r.Kind != dir1sw.Hit {
@@ -825,9 +614,6 @@ func (m *Machine) Barrier(node int, pc int) {
 	p := m.procs[node]
 	p.status = statusBarrier
 	p.arrival = p.clock
-	if m.lanes != nil {
-		m.lanes.mask.Remove(node)
-	}
 	m.waiting++
 	m.pendingBarrierPC = pc
 	if m.waiting == m.activeProcs() {
@@ -840,9 +626,9 @@ func (m *Machine) Barrier(node int, pc int) {
 func (m *Machine) activeProcs() int { return len(m.procs) - m.done }
 
 // releaseBarrier completes a global barrier: synchronizes clocks, flushes
-// caches and closes the trace epoch in trace mode. Released processors are
-// returned to the ready heap, except the active one (identified by its
-// processor ID), whose fate the subsequent yield decides.
+// caches and closes the trace epoch in trace mode. Released processors
+// enter the scheduler's epoch bucket, except the active one (identified by
+// its processor ID), whose fate the subsequent yield decides.
 func (m *Machine) releaseBarrier(pc int, active int) {
 	var maxClock uint64
 	for _, q := range m.procs {
@@ -876,21 +662,15 @@ func (m *Machine) releaseBarrier(pc int, active int) {
 		if q.status == statusBarrier {
 			q.status = statusReady
 			q.clock = release
-			if m.lanes != nil {
-				// Lane engine: released lanes enter the epoch bucket —
-				// one shared clock and a node-set instead of per-proc heap
-				// pushes. The bucket is empty here: a barrier only releases
-				// when every non-done processor is parked at it, and a
-				// bucketed lane cannot have reached the barrier without
-				// first being scheduled out of the bucket.
-				m.lanes.mask.Add(q.id)
-				if q.id != active {
-					m.lanes.bucket.Add(q.id)
-					m.lanes.bucketLen++
-					m.lanes.bucketClock = release
-				}
-			} else if q.id != active {
-				m.ready.push(q)
+			// One shared clock and a node-set instead of per-proc heap
+			// pushes. The bucket is empty here: a barrier only releases
+			// when every non-done processor is parked at it, and a
+			// bucketed processor cannot have reached the barrier without
+			// first being scheduled out of the bucket.
+			if q.id != active {
+				m.bucket.Add(q.id)
+				m.bucketLen++
+				m.bucketClock = release
 			}
 		}
 	}
@@ -906,13 +686,6 @@ func (m *Machine) releaseBarrier(pc int, active int) {
 		if err := m.sys.ProbeError(); err != nil {
 			m.runErr = fmt.Errorf("sim: invariant violation by barrier %d: %w", m.barriers, err)
 		}
-	}
-	if m.par != nil {
-		// Epoch boundary on the parallel engine: every live producer is
-		// blocked on its barrier ack, so this is the one quiescent point
-		// where the epoch-start shadow image can absorb the epoch's
-		// committed writes before the producers speculate onward.
-		m.par.epochRoll()
 	}
 }
 
@@ -942,41 +715,23 @@ func (m *Machine) Lock(node int, id int64, pc int) {
 	}
 	ls.waiters = append(ls.waiters, node)
 	p.status = statusLock
-	if m.lanes != nil {
-		m.lanes.mask.Remove(node)
-	}
 	m.yield(p)
 }
 
-// Unlock implements interp.Machine.
+// Unlock implements interp.Machine: release the lock and hand it to the
+// head waiter. A release of a lock the node does not hold is a machine
+// fault: it is recorded as the run's error and the processor is retired on
+// the spot, its lane killed so it never executes another statement.
 func (m *Machine) Unlock(node int, id int64, pc int) {
-	if err := m.unlockCore(node, id); err != nil {
-		if m.lanes != nil {
-			// Lane engine: no goroutine to unwind. Mark the lane's stepper
-			// done so it never dispatches again and retire the processor —
-			// the same terminal state the sequential panic path reaches.
-			m.lanes.kill(node)
-			return
-		}
-		// Terminate this processor: unwind its interpreter so it cannot
-		// keep executing concurrently with whoever is scheduled next.
-		panic(err)
-	}
-}
-
-// unlockCore releases a lock and hands it to the head waiter. A release of a
-// lock the node does not hold is a machine fault: it is recorded in runErr
-// and errProcFault is returned so the caller can terminate the processor —
-// by panic on the sequential engine, by killing the producer on the parallel
-// one.
-func (m *Machine) unlockCore(node int, id int64) error {
 	p := m.procs[node]
 	ls := m.locks[id]
 	if ls == nil || !ls.held || ls.owner != node {
 		if m.runErr == nil {
 			m.runErr = fmt.Errorf("sim: node %d unlocked lock %d it does not hold", node, id)
 		}
-		return errProcFault
+		m.lanes[node].Kill()
+		m.finishProc(p, nil)
+		return
 	}
 	p.clock += m.cfg.LockAcquire
 	if len(ls.waiters) > 0 {
@@ -988,16 +743,12 @@ func (m *Machine) unlockCore(node int, id int64) error {
 		if t := p.clock + m.cfg.LockTransfer; t > q.clock {
 			q.clock = t
 		}
-		if m.lanes != nil {
-			m.lanes.mask.Add(w)
-		}
 		m.ready.push(q)
 		m.refreshLimit()
 	} else {
 		ls.held = false
 	}
 	m.yield(p)
-	return nil
 }
 
 // Work implements interp.Machine.

@@ -56,8 +56,8 @@ const (
 	rBarrier
 )
 
-// rEvent is one flattened scheduler event: widened accesses are already
-// expanded to single element addresses.
+// rEvent is one scheduler event: a widened access reaches the scheduler as
+// one event per element address.
 type rEvent struct {
 	op     rOp
 	write  bool
@@ -81,8 +81,60 @@ type rProc struct {
 	clock   uint64
 	status  rStatus
 	arrival uint64 // clock when the proc last blocked at a barrier
-	stream  []rEvent
-	pos     int
+
+	// The pull cursor over the node's inferred epochs: the next event is
+	// epochs[ep].Events[ev], after the element addresses still owed by the
+	// access the cursor last read.
+	epochs []vet.InferEpoch
+	ep, ev int
+	addrs  []uint64
+	acc    *vet.InferAccess // the access addrs belongs to
+}
+
+// next pulls the processor's next event: the remaining element addresses of
+// a widened access one by one, then the epoch's events in order, then the
+// barrier that closes the epoch. ok is false at the end of the program.
+func (p *rProc) next(layout *memory.Layout) (ev rEvent, ok bool, err error) {
+	for {
+		if len(p.addrs) > 0 {
+			addr := p.addrs[0]
+			p.addrs = p.addrs[1:]
+			return rEvent{op: rAccess, write: p.acc.Write, addr: addr, pc: p.acc.Stmt}, true, nil
+		}
+		if p.ep >= len(p.epochs) {
+			return rEvent{}, false, nil
+		}
+		ep := &p.epochs[p.ep]
+		if p.ev >= len(ep.Events) {
+			p.ep++
+			p.ev = 0
+			if ep.BarrierID >= 0 {
+				return rEvent{op: rBarrier, pc: ep.BarrierID}, true, nil
+			}
+			continue
+		}
+		e := &ep.Events[p.ev]
+		p.ev++
+		switch e.Op {
+		case vet.OpAccess:
+			region := layout.Region(e.Access.Var)
+			if region == nil {
+				return rEvent{}, false, fmt.Errorf("staticanno: access to unknown shared variable %q", e.Access.Var)
+			}
+			if p.addrs, err = elementAddrs(region, e.Access.Dims); err != nil {
+				return rEvent{}, false, err
+			}
+			p.acc = &e.Access
+		case vet.OpLock:
+			return rEvent{op: rLock, lockID: e.Lock, pc: e.Stmt}, true, nil
+		case vet.OpUnlock:
+			return rEvent{op: rUnlock, lockID: e.Lock, pc: e.Stmt}, true, nil
+		case vet.OpPrint:
+			return rEvent{op: rPrint, pc: e.Stmt}, true, nil
+		case vet.OpWork:
+			return rEvent{op: rWork, work: e.Work, pc: e.Stmt}, true, nil
+		}
+	}
 }
 
 type rLockState struct {
@@ -94,64 +146,22 @@ type rLockState struct {
 // replayer owns one coherent replay: the protocol state, the processor
 // streams, and the simulator's ready-heap scheduler.
 type replayer struct {
-	sys   *coherence.System
-	b     *trace.Builder
-	procs []*rProc
-	ready []*rProc // min-heap by (clock, id); excludes the running proc
-	limit uint64
-	locks map[int64]*rLockState
+	sys    *coherence.System
+	layout *memory.Layout
+	b      *trace.Builder
+	procs  []*rProc
+	ready  []*rProc // min-heap by (clock, id); excludes the running proc
+	limit  uint64
+	locks  map[int64]*rLockState
 
 	waiting          int
 	pendingBarrierPC int
 	done             int
 }
 
-// flattenStreams expands each node's inferred epochs into one linear event
-// stream with explicit barrier events between epochs.
-func flattenStreams(sum *vet.Summary, layout *memory.Layout) ([][]rEvent, error) {
-	streams := make([][]rEvent, len(sum.Nodes))
-	for n, ns := range sum.Nodes {
-		var out []rEvent
-		if n > 0 { // every node runs the same program: size it like the last
-			out = make([]rEvent, 0, len(streams[n-1]))
-		}
-		for _, ep := range ns.Epochs {
-			for _, ev := range ep.Events {
-				switch ev.Op {
-				case vet.OpAccess:
-					acc := ev.Access
-					region := layout.Region(acc.Var)
-					if region == nil {
-						return nil, fmt.Errorf("staticanno: access to unknown shared variable %q", acc.Var)
-					}
-					addrs, err := elementAddrs(region, acc.Dims)
-					if err != nil {
-						return nil, err
-					}
-					for _, addr := range addrs {
-						out = append(out, rEvent{op: rAccess, write: acc.Write, addr: addr, pc: acc.Stmt})
-					}
-				case vet.OpLock:
-					out = append(out, rEvent{op: rLock, lockID: ev.Lock, pc: ev.Stmt})
-				case vet.OpUnlock:
-					out = append(out, rEvent{op: rUnlock, lockID: ev.Lock, pc: ev.Stmt})
-				case vet.OpPrint:
-					out = append(out, rEvent{op: rPrint, pc: ev.Stmt})
-				case vet.OpWork:
-					out = append(out, rEvent{op: rWork, work: ev.Work, pc: ev.Stmt})
-				}
-			}
-			if ep.BarrierID >= 0 {
-				out = append(out, rEvent{op: rBarrier, pc: ep.BarrierID})
-			}
-		}
-		streams[n] = out
-	}
-	return streams, nil
-}
-
-// replay runs the streams to completion and returns the synthesized trace.
-func replay(cfg Config, layout *memory.Layout, streams [][]rEvent) (*trace.Trace, error) {
+// replay runs every node's inferred event stream to completion and returns
+// the synthesized trace.
+func replay(cfg Config, layout *memory.Layout, sum *vet.Summary) (*trace.Trace, error) {
 	sys, err := coherence.New(coherence.Config{
 		Nodes:     cfg.Nodes,
 		CacheSize: cfg.CacheSize,
@@ -164,12 +174,13 @@ func replay(cfg Config, layout *memory.Layout, streams [][]rEvent) (*trace.Trace
 		return nil, err
 	}
 	r := &replayer{
-		sys:   sys,
-		b:     trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels()),
-		locks: make(map[int64]*rLockState),
+		sys:    sys,
+		layout: layout,
+		b:      trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels()),
+		locks:  make(map[int64]*rLockState),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		r.procs = append(r.procs, &rProc{id: i, stream: streams[i]})
+		r.procs = append(r.procs, &rProc{id: i, epochs: sum.Nodes[i].Epochs})
 	}
 	// Processor 0 runs first; all others start parked and runnable at
 	// clock 0, exactly as the simulator launches.
@@ -197,7 +208,11 @@ func replay(cfg Config, layout *memory.Layout, streams [][]rEvent) (*trace.Trace
 // machine call.
 func (r *replayer) run(cur *rProc) error {
 	for cur != nil {
-		if cur.pos >= len(cur.stream) {
+		ev, ok, err := cur.next(r.layout)
+		if err != nil {
+			return err
+		}
+		if !ok {
 			// This processor's program ended. It may be the last thing a
 			// barrier was waiting on.
 			cur.status = rDone
@@ -208,8 +223,6 @@ func (r *replayer) run(cur *rProc) error {
 			cur = r.yield(cur)
 			continue
 		}
-		ev := cur.stream[cur.pos]
-		cur.pos++
 		switch ev.op {
 		case rAccess:
 			var res coherence.Result

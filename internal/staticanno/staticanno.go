@@ -100,11 +100,7 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	streams, err := flattenStreams(sum, layout)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := replay(cfg, layout, streams)
+	tr, err := replay(cfg, layout, sum)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ vet:
 # annotate the checked-in ParC sources byte-identically to the trace-driven
 # pipeline (both are exact), and every Figure 6 port must satisfy its
 # conformance contract — exact ports place identically, widened ports keep
-# the footprint covering. See DESIGN.md section 10.
+# the footprint covering. See DESIGN.md section 9.
 staticdiff:
 	$(GO) run ./cmd/staticdiff examples/parc/jacobi_wholefit.parc examples/parc/race_demo.parc
 	$(GO) run ./cmd/staticdiff -bench all
@@ -94,6 +94,8 @@ check: build vet staticdiff test race
 # reference differential — the production engine against the tree-walking
 # reference on every surface (cycles, stats, memory, trace, snapshot,
 # timeline): measuring mode under a protocol the seed picks, and trace mode.
+# FuzzStaticPlacement is the trace-free differential (see staticdiff above)
+# on generated programs outside the 200-seed corpus.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
@@ -102,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLanesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzStaticPlacement$$' -fuzztime $(FUZZTIME) ./internal/conformance
 
 # Coverage with checked-in floors. The floors sit a few points under the
 # current numbers (see EXPERIMENTS.md) so they trip on real regressions, not

@@ -27,6 +27,20 @@ func TestStaticPlacementCorpus(t *testing.T) {
 	}
 }
 
+// FuzzStaticPlacement extends TestStaticPlacementCorpus to arbitrary seeds.
+// The static replay runs on the simulator's own scheduler, so what is left
+// to go wrong on a program nobody has looked at is vet's event streams.
+func FuzzStaticPlacement(f *testing.F) {
+	for seed := int64(0); seed < 10; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := RunStaticPlacement(parcgen.Generate(seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestStaticPlacementExactness pins which corpus programs the inference
 // widens on: seed 47's rnd()-derived guard is the only one. If generator or
 // inference changes move this set, the assertion localizes it immediately.

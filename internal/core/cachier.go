@@ -50,63 +50,7 @@ type Result struct {
 // program information, rewrite the AST, and unparse. The trace must come
 // from a simulation of the same source text (statement IDs must agree).
 func Annotate(src string, tr *trace.Trace, opts Options) (*Result, error) {
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 256 * 1024
-	}
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: parsing target program: %w", err)
-	}
-	if tr.BlockSize <= 0 {
-		return nil, fmt.Errorf("core: trace has no block size")
-	}
-	layout, err := memory.New(prog, tr.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkLabels(layout, tr); err != nil {
-		return nil, err
-	}
-	info := analysis.Analyze(prog)
-
-	epochs := ProcessTrace(tr)
-	conflicts := FindAllConflicts(epochs, tr.BlockSize)
-	ann := ComputeAnnotations(epochs, conflicts, opts.Style)
-	// Prefetch-shared candidates come from the Programmer-style read sets
-	// even in Performance mode.
-	var readAnn [][]AnnSets
-	if opts.Prefetch && opts.Style == StylePerformance {
-		readAnn = ComputeAnnotations(epochs, conflicts, StyleProgrammer)
-	}
-
-	pl := newPlanner(prog, info, layout, opts)
-	for _, g := range groupEpochs(epochs) {
-		pl.planGroup(g, epochs, conflicts, ann, readAnn)
-	}
-
-	inserted, err := applyInsertions(prog, info, pl.sortedInsertions())
-	if err != nil {
-		return nil, err
-	}
-	out := parc.Print(prog)
-	// The annotated program must remain a valid ParC program; re-parse as a
-	// self-check (annotations never change semantics, Section 4.5).
-	if _, err := parc.Parse(out); err != nil {
-		return nil, fmt.Errorf("core: internal error: annotated program does not re-parse: %w\n%s", err, out)
-	}
-	sort.Slice(pl.reports, func(i, j int) bool {
-		if pl.reports[i].Epoch != pl.reports[j].Epoch {
-			return pl.reports[i].Epoch < pl.reports[j].Epoch
-		}
-		return pl.reports[i].Var < pl.reports[j].Var
-	})
-	return &Result{
-		Source:      out,
-		Program:     prog,
-		Reports:     pl.reports,
-		Annotations: inserted,
-		Cost:        buildCostReport(epochs, ann, layout),
-	}, nil
+	return AnnotateMulti(src, []*trace.Trace{tr}, opts)
 }
 
 // AnnotateMulti runs Cachier with a training SET of traces rather than a
@@ -128,6 +72,9 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 	if err != nil {
 		return nil, fmt.Errorf("core: parsing target program: %w", err)
 	}
+	if traces[0].BlockSize <= 0 {
+		return nil, fmt.Errorf("core: trace has no block size")
+	}
 	layout, err := memory.New(prog, traces[0].BlockSize)
 	if err != nil {
 		return nil, err
@@ -148,6 +95,8 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 		epochs := ProcessTrace(tr)
 		conflicts := FindAllConflicts(epochs, tr.BlockSize)
 		ann := ComputeAnnotations(epochs, conflicts, opts.Style)
+		// Prefetch-shared candidates come from the Programmer-style read sets
+		// even in Performance mode.
 		var readAnn [][]AnnSets
 		if opts.Prefetch && opts.Style == StylePerformance {
 			readAnn = ComputeAnnotations(epochs, conflicts, StyleProgrammer)
@@ -165,6 +114,8 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 		return nil, err
 	}
 	out := parc.Print(prog)
+	// The annotated program must remain a valid ParC program; re-parse as a
+	// self-check (annotations never change semantics, Section 4.5).
 	if _, err := parc.Parse(out); err != nil {
 		return nil, fmt.Errorf("core: internal error: annotated program does not re-parse: %w\n%s", err, out)
 	}

@@ -87,6 +87,11 @@ func New(prog *parc.Program, blockSize int) (*Layout, error) {
 		l.Regions = append(l.Regions, r)
 		l.byName[d.Name] = r
 		next = alignUp(next+r.Bytes, uint64(blockSize))
+		// The checker bounds each array; many arrays each under the bound
+		// must not add up past it either.
+		if next > parc.MaxArrayBytes {
+			return nil, fmt.Errorf("memory: shared data through %q is larger than the limit of %d bytes", d.Name, parc.MaxArrayBytes)
+		}
 	}
 	l.total = next
 	return l, nil

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -157,5 +158,21 @@ func TestBadBlockSize(t *testing.T) {
 		if _, err := New(prog, bs); err == nil {
 			t.Errorf("block size %d accepted", bs)
 		}
+	}
+}
+
+// TestTotalSizeBound: arrays the checker accepts one by one must not add up
+// to a shared address space past the same bound.
+func TestTotalSizeBound(t *testing.T) {
+	prog := parc.MustParse(`
+shared int a[33554432];
+shared int b[8];
+func main() { }
+`)
+	if _, err := New(prog, 32); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("layout of %d bytes and more: err = %v, want the bound named at a", parc.MaxArrayBytes, err)
+	}
+	if _, err := New(parc.MustParse(`shared int a[16777216]; func main() { }`), 32); err != nil {
+		t.Errorf("a layout of half the bound: %v", err)
 	}
 }

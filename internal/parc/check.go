@@ -48,12 +48,43 @@ func Check(p *Program) error {
 	return c.run()
 }
 
+// MaxArrayBytes bounds the arrays a program may declare: each array, shared
+// or private, and the shared address space as a whole (memory.New). Programs
+// arrive from outside (cachierd, the CLIs) and every run allocates what
+// they declare, so an unchecked dimension is an out-of-memory kill or, past
+// 2^63 elements, a wrapped size. The largest checked-in program is Tomcatv
+// at 16 392 blocks = 512 KB; 256 MB is over 500 times that.
+const MaxArrayBytes = 1 << 28
+
 type checker struct {
 	prog *Program
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// arrayDims evaluates the dimensions of the array name (a "shared" or a
+// "variable") declared at pos: every dimension positive, the element count
+// within MaxArrayBytes. elems is 1 and sizes nil for a scalar.
+func (c *checker) arrayDims(pos Pos, what, name string, dims []Expr) (sizes []int, elems int, err error) {
+	const limit = MaxArrayBytes / ElemSize
+	elems = 1
+	for _, dim := range dims {
+		n, err := evalConstExpr(dim, c.prog.ConstVal)
+		if err != nil {
+			return nil, 0, err
+		}
+		if n <= 0 {
+			return nil, 0, c.errorf(pos, "%s %q has non-positive dimension %d", what, name, n)
+		}
+		if n > limit || elems > limit/int(n) {
+			return nil, 0, c.errorf(pos, "%s %q is larger than the array limit of %d elements", what, name, limit)
+		}
+		sizes = append(sizes, int(n))
+		elems *= int(n)
+	}
+	return sizes, elems, nil
 }
 
 func (c *checker) run() error {
@@ -83,18 +114,9 @@ func (c *checker) run() error {
 		if _, dup := p.SharedMap[d.Name]; dup {
 			return c.errorf(d.Pos, "shared %q redeclared", d.Name)
 		}
-		d.Size = 1
-		d.DimSizes = nil
-		for _, dim := range d.Dims {
-			n, err := evalConstExpr(dim, p.ConstVal)
-			if err != nil {
-				return err
-			}
-			if n <= 0 {
-				return c.errorf(d.Pos, "shared %q has non-positive dimension %d", d.Name, n)
-			}
-			d.DimSizes = append(d.DimSizes, int(n))
-			d.Size *= int(n)
+		var err error
+		if d.DimSizes, d.Size, err = c.arrayDims(d.Pos, "shared", d.Name, d.Dims); err != nil {
+			return err
 		}
 		p.SharedMap[d.Name] = d
 	}
@@ -164,16 +186,9 @@ func (c *checker) checkStmt(s Stmt, fn *FuncDecl) error {
 		if c.nameKind(n.Name, fn) != nameUnknown {
 			return c.errorf(n.Position(), "variable %q redeclares an existing name", n.Name)
 		}
-		n.DimSizes = nil
-		for _, dim := range n.Dims {
-			v, err := evalConstExpr(dim, c.prog.ConstVal)
-			if err != nil {
-				return err
-			}
-			if v <= 0 {
-				return c.errorf(n.Position(), "variable %q has non-positive dimension %d", n.Name, v)
-			}
-			n.DimSizes = append(n.DimSizes, int(v))
+		var err error
+		if n.DimSizes, _, err = c.arrayDims(n.Position(), "variable", n.Name, n.Dims); err != nil {
+			return err
 		}
 		if n.Init != nil {
 			if err := c.checkExpr(n.Init, fn); err != nil {

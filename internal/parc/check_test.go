@@ -39,6 +39,33 @@ func main() { barrier; }`,
 func main() { barrier; }`,
 			want: `test.parc:1:1: shared "A" has non-positive dimension 0`,
 		},
+		// Sizes arrive from outside: a declaration the machine cannot hold is
+		// a positioned error, not an out-of-memory kill or a wrapped product.
+		{
+			name: "shared array over the limit",
+			src: `shared float A[4000000000];
+func main() { A[0] = 1.0; }`,
+			want: `test.parc:1:1: shared "A" is larger than the array limit of 33554432 elements`,
+		},
+		{
+			name: "shared array whose element count overflows",
+			src: `shared int A[4294967296][4294967296];
+func main() { A[0][0] = 1; }`,
+			want: `test.parc:1:1: shared "A" is larger than the array limit of 33554432 elements`,
+		},
+		{
+			name: "shared array over the limit only as a product",
+			src: `shared int A[8192][8192];
+func main() { A[0][0] = 1; }`,
+			want: `test.parc:1:1: shared "A" is larger than the array limit of 33554432 elements`,
+		},
+		{
+			name: "private array over the limit",
+			src: `func main() {
+    var big float[4000000000];
+}`,
+			want: `test.parc:2:5: variable "big" is larger than the array limit of 33554432 elements`,
+		},
 		{
 			name: "main takes parameters",
 			src:  `func main(x int) { barrier; }`,

@@ -96,18 +96,27 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (val any, shared bo
 		<-call.done
 		return call.val, true, call.err
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.m[key] = call
 	g.mu.Unlock()
 
+	// Completed in a defer: a leader whose fn panics must still release its
+	// followers (they get the error the call was born with) and forget the
+	// key, or every later call with it would wait forever. The panic itself
+	// continues up the leader's stack.
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(call.done)
+	}()
 	call.val, call.err = fn()
-	close(call.done)
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
 	return call.val, false, call.err
 }
+
+// errLeaderPanicked is what a flight's followers get when its leader's fn
+// panicked instead of returning.
+var errLeaderPanicked = errors.New("serve: the execution this request was waiting on panicked")
 
 // errBusy is returned by pool.acquire when the wait queue is at its bound;
 // the HTTP layer maps it to 429 + Retry-After. Backpressure is explicit and

@@ -91,6 +91,48 @@ func TestFlightGroupErrorSharing(t *testing.T) {
 	}
 }
 
+// TestFlightGroupLeaderPanic: a leader whose fn panics keeps its panic, but
+// its follower is released with an error and the key is forgotten, so the
+// next call runs fn again instead of waiting on a flight nobody will finish.
+func TestFlightGroupLeaderPanic(t *testing.T) {
+	g := newFlightGroup()
+	inside, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.do("k", func() (any, error) {
+			close(inside)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-inside
+	follower := make(chan error, 1)
+	go func() {
+		_, _, err := g.do("k", func() (any, error) { return nil, nil })
+		follower <- err
+	}()
+	// The follower either joins the flight or, arriving after the panic,
+	// runs its own fn; hold the leader until it has had time to join.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if r := <-leader; r != "boom" {
+		t.Errorf("leader recovered %v, want its own panic", r)
+	}
+	select {
+	case err := <-follower:
+		if !errors.Is(err, errLeaderPanicked) {
+			t.Errorf("follower error = %v, want errLeaderPanicked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower still waiting on a flight whose leader panicked")
+	}
+	v, shared, err := g.do("k", func() (any, error) { return 7, nil })
+	if v != 7 || shared || err != nil {
+		t.Errorf("call after the panic = (%v, %v, %v), want a fresh execution", v, shared, err)
+	}
+}
+
 func TestPoolBackpressure(t *testing.T) {
 	p := newPool(1, 1)
 	ctx := context.Background()

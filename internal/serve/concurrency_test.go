@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,6 +196,80 @@ func TestGracefulDrain(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("second Drain: %v", err)
+	}
+}
+
+// TestPipelinePanicContained makes the first pipeline execution panic while
+// a second identical request waits on its flight. Both must get the same
+// 500 naming the program, promptly; nothing may be cached, so a retry
+// executes again and succeeds; and the server must still drain.
+func TestPipelinePanicContained(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	g := newGate(1)
+	var executions atomic.Int32
+	s.eval.slow = func() {
+		if executions.Add(1) == 1 {
+			g.hook()()
+			panic("boom")
+		}
+	}
+	src := parcgen.Generate(41)
+	pi, err := CanonicalProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &VetRequest{Source: src, Nodes: testNodes}
+
+	type reply struct {
+		code int
+		body []byte
+	}
+	replies := make(chan reply, 2)
+	send := func() {
+		code, _, body := post(t, ts.URL+"/v1/vet", req)
+		replies <- reply{code, body}
+	}
+	go send()
+	g.waitEntered(t)
+	go send()
+	time.Sleep(50 * time.Millisecond) // let the second request join the flight
+	close(g.release)
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-replies:
+			if r.code != http.StatusInternalServerError ||
+				!bytes.Contains(r.body, []byte(pi.Hash)) || !bytes.Contains(r.body, []byte("boom")) {
+				t.Errorf("reply %d: status %d %s, want a 500 naming program %s and the panic", i, r.code, r.body, pi.Hash)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a request is still waiting on the execution that panicked")
+		}
+	}
+
+	if code, _, body := post(t, ts.URL+"/v1/vet", req); code != http.StatusOK {
+		t.Fatalf("retry: status %d: %s", code, body)
+	}
+	if got := executions.Load(); got != 2 {
+		t.Errorf("pipeline executed %d times, want 2 (the panic, then the retry)", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain after a contained panic: %v", err)
+	}
+}
+
+// TestBatchPanicContained: a panic in one config of a simulate batch, which
+// runs on a goroutine of its own, fails the request and not the process.
+func TestBatchPanicContained(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	s.eval.slow = func() { panic("boom") }
+	code, _, body := post(t, ts.URL+"/v1/simulate", &SimulateRequest{
+		Source:  parcgen.Generate(42),
+		Configs: []MachineSpec{{Nodes: 2}, {Nodes: testNodes}},
+	})
+	if code != http.StatusInternalServerError || !bytes.Contains(body, []byte("boom")) {
+		t.Fatalf("status %d %s, want a 500 carrying the panic", code, body)
 	}
 }
 

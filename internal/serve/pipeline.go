@@ -93,9 +93,20 @@ func (e *evaluator) cached(kind, key string, fn func() (any, error)) (any, error
 	return v, err
 }
 
-// heavy runs one expensive pipeline execution under the worker pool (when
-// there is one), honouring the request deadline while queued.
-func (e *evaluator) heavy(ctx context.Context, phase string, fn func() (any, error)) (any, error) {
+// contain, deferred, turns a panic under it into a 500 that names the
+// program, so that one program the pipeline has a bug on costs its own
+// requests an error and not the daemon a handler, a flight key or its life.
+func contain(hash string, err *error) {
+	if r := recover(); r != nil {
+		*err = &apiError{code: 500, msg: fmt.Sprintf("internal error on program %s: %v", hash, r)}
+	}
+}
+
+// heavy runs one expensive pipeline execution on program hash under the
+// worker pool (when there is one), honouring the request deadline while
+// queued. A panic in the execution is contained.
+func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (any, error)) (v any, err error) {
+	defer contain(hash, &err)
 	if e.pool != nil {
 		if err := e.pool.acquire(ctx); err != nil {
 			return nil, err
@@ -127,7 +138,7 @@ func (e *evaluator) program(src string) (*ProgramInfo, error) {
 // vet runs the static race detector and CICO lint (cached).
 func (e *evaluator) vet(ctx context.Context, pi *ProgramInfo, nodes int) ([]VetFinding, error) {
 	v, err := e.cached("vet", cacheKey(pi.Hash, fmt.Sprint(nodes)), func() (any, error) {
-		return e.heavy(ctx, "vet", func() (any, error) {
+		return e.heavy(ctx, "vet", pi.Hash, func() (any, error) {
 			rep := vet.Analyze(pi.Prog, vet.Options{Nprocs: nodes})
 			out := make([]VetFinding, 0, len(rep.Findings))
 			for _, f := range rep.Findings {
@@ -161,7 +172,7 @@ func (e *evaluator) vet(ctx context.Context, pi *ProgramInfo, nodes int) ([]VetF
 // given machine (cached).
 func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*trace.Trace, error) {
 	v, err := e.cached("trace", cacheKey(pi.Hash, m.key()), func() (any, error) {
-		return e.heavy(ctx, "trace", func() (any, error) {
+		return e.heavy(ctx, "trace", pi.Hash, func() (any, error) {
 			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
 			if err != nil {
 				return nil, fmt.Errorf("tracing: %w", err)
@@ -195,7 +206,7 @@ func (e *evaluator) annotate(ctx context.Context, req *AnnotateRequest, static b
 		var tr *trace.Trace
 		var inf *staticanno.Result
 		if static {
-			v, err := e.heavy(ctx, "static", func() (any, error) {
+			v, err := e.heavy(ctx, "static", pi.Hash, func() (any, error) {
 				cfg := staticanno.Config{
 					Nodes:     machine.Nodes,
 					CacheSize: machine.CacheSize,
@@ -219,7 +230,7 @@ func (e *evaluator) annotate(ctx context.Context, req *AnnotateRequest, static b
 				return nil, err
 			}
 		}
-		return e.heavy(ctx, "annotate", func() (any, error) {
+		return e.heavy(ctx, "annotate", pi.Hash, func() (any, error) {
 			opts := core.DefaultOptions()
 			opts.Style = style
 			opts.Prefetch = req.Prefetch
@@ -288,8 +299,11 @@ func (e *evaluator) simulate(ctx context.Context, req *SimulateRequest) (*Simula
 	docs := make([]*simDoc, len(resolved))
 	errs := make([]error, len(resolved))
 	run := func(i int, m MachineSpec) {
+		// run is also the body of the fan-out goroutines below, where an
+		// uncontained panic would end the process.
+		defer contain(pi.Hash, &errs[i])
 		v, err := e.cached("simulate", cacheKey(pi.Hash, m.key()), func() (any, error) {
-			return e.heavy(ctx, "simulate", func() (any, error) {
+			return e.heavy(ctx, "simulate", pi.Hash, func() (any, error) {
 				return e.runSim(pi, m)
 			})
 		})

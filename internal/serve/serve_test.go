@@ -254,6 +254,19 @@ func TestErrorResponses(t *testing.T) {
 	})
 	checkErr("bad protocol", code, 400, body)
 
+	// Array sizes the machine cannot hold: refused by the checker, never
+	// allocated (see parc.MaxArrayBytes).
+	for name, src := range map[string]string{
+		"huge shared array":   "shared float A[4000000000];\nfunc main() { A[0] = 1.0; }",
+		"huge private array":  "func main() {\n    var big float[4000000000];\n}",
+		"overflowing product": "shared int A[4294967296][4294967296];\nfunc main() { A[0][0] = 1; }",
+	} {
+		code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src})
+		checkErr(name+", simulate", code, 400, body)
+		code, _, body = post(t, ts.URL+"/v1/static", &AnnotateRequest{Source: src})
+		checkErr(name+", static", code, 400, body)
+	}
+
 	code, body = get(t, ts.URL+"/v1/snapshot/deadbeef")
 	checkErr("unknown snapshot", code, 404, body)
 }

@@ -52,14 +52,10 @@ func (m *Machine) LaneRunning(node int) bool {
 	return !m.halt && m.cur.id == node
 }
 
-// finishProc retires a completed, faulted or killed processor: folds its
-// private access counters into the machine, records completion, surfaces
-// its error, releases a barrier it was the last straggler for, and yields
-// its place in the schedule.
+// finishProc retires a completed, faulted or killed processor: records
+// completion, surfaces its error, releases a barrier it was the last
+// straggler for, and yields its place in the schedule.
 func (m *Machine) finishProc(p *proc, err error) {
-	pr, pw := m.ctxs[p.id].PrivateAccesses()
-	m.added.privReads += pr
-	m.added.privWrites += pw
 	p.status = statusDone
 	m.rec.NodeDone(p.id, p.clock)
 	m.done++

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -317,5 +319,119 @@ func main() {
 	}
 	if want := "0 7 5 3 1 6 4 2"; strings.Join(got, " ") != want {
 		t.Fatalf("acquisition order by pid = %q, want %q\n%q", strings.Join(got, " "), want, res.Output)
+	}
+}
+
+// TestSchedulerAgainstSortedModel checks the scheduler's two queues and its
+// cached limit against the rule they implement, with no interpreter in the
+// way: the test plays the lanes of a bare Machine, making random Machine
+// calls as whichever processor is current — work that overruns the quantum
+// (the caller is pushed on the heap), barriers (the last arrival fills the
+// epoch bucket at one clock), contended locks (a blocked caller; the
+// release pushes the waiter on the heap), program ends — and after every
+// call recomputes from the processors' own status and clocks what the
+// decision must have been: the caller keeps running iff it is runnable and
+// within one quantum of the smallest parked runnable (clock, id); otherwise
+// that smallest one runs; and the limit is the smallest (clock, id) still
+// parked plus the quantum. The model is a sorted slice; it knows nothing
+// of heaps, buckets or caching.
+func TestSchedulerAgainstSortedModel(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		cfg.Nodes = 1 + rng.Intn(9)
+		cfg.Quantum = uint64(1 + rng.Intn(120))
+		if seed%2 == 1 {
+			// Free locks wake a waiter at its releaser's clock: ties in
+			// the heap, ordered by processor ID alone.
+			cfg.LockAcquire, cfg.LockTransfer = 0, 0
+		}
+		m, err := newMachine(parc.MustParse(`func main() { }`), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(m.procs); i++ {
+			m.ready.push(m.procs[i])
+		}
+		m.refreshLimit()
+		m.cur = m.procs[0]
+
+		steps := make([]int, cfg.Nodes) // calls left before each processor ends
+		for i := range steps {
+			steps[i] = rng.Intn(60)
+		}
+		holds := make([]int64, cfg.Nodes) // the lock each processor holds, or -1
+		for i := range holds {
+			holds[i] = -1
+		}
+		for n := 0; !m.halt; n++ {
+			p := m.cur
+			var what string
+			switch r := rng.Intn(10); {
+			case holds[p.id] >= 0 && r < 5:
+				// At most one lock at a time and none across a barrier or
+				// the program's end, so that no sequence deadlocks.
+				what = "unlock"
+				m.Unlock(p.id, holds[p.id], 0)
+				holds[p.id] = -1
+			case steps[p.id] == 0 && holds[p.id] < 0:
+				what = "end"
+				m.finishProc(p, nil)
+			case r >= 7 && holds[p.id] < 0:
+				what = "lock"
+				id := int64(rng.Intn(2))
+				holds[p.id] = id // acquired now, or by the time p runs again
+				m.Lock(p.id, id, 0)
+			case r >= 5 && holds[p.id] < 0:
+				what = "barrier"
+				m.Barrier(p.id, 0)
+			default:
+				what = "work"
+				m.Work(p.id, uint64(rng.Intn(3))*uint64(rng.Intn(int(cfg.Quantum)+2)))
+			}
+			if steps[p.id] > 0 {
+				steps[p.id]--
+			}
+
+			var parked []*proc
+			for _, q := range m.procs {
+				if q != p && q.status == statusReady {
+					parked = append(parked, q)
+				}
+			}
+			byClock := func() {
+				sort.Slice(parked, func(i, j int) bool { return heapLess(parked[i], parked[j]) })
+			}
+			byClock()
+			want := p
+			if p.status != statusReady || (len(parked) > 0 && p.clock > parked[0].clock+cfg.Quantum) {
+				if len(parked) == 0 {
+					want = nil
+				} else {
+					want, parked = parked[0], parked[1:]
+					if p.status == statusReady {
+						parked = append(parked, p)
+						byClock()
+					}
+				}
+			}
+			if want == nil {
+				if !m.halt {
+					t.Fatalf("seed %d call %d (%s by %d): nothing is runnable but the run did not halt", seed, n, what, p.id)
+				}
+				break
+			}
+			wantLimit := ^uint64(0)
+			if len(parked) > 0 {
+				wantLimit = parked[0].clock + cfg.Quantum
+			}
+			if m.halt || m.cur != want || m.limit != wantLimit {
+				t.Fatalf("seed %d call %d (%s by %d): halt %v, current %d, limit %d; the model runs %d with limit %d",
+					seed, n, what, p.id, m.halt, m.cur.id, m.limit, want.id, wantLimit)
+			}
+		}
+		if m.runErr != nil || m.done != cfg.Nodes {
+			t.Fatalf("seed %d: run ended with %d of %d processors done: %v", seed, m.done, cfg.Nodes, m.runErr)
+		}
 	}
 }

@@ -25,7 +25,10 @@
 // reference engine runs the tree-walking interpreter instead, each lane
 // parked on a goroutine (reference.go), with the memo off; Config.TreeWalk
 // selects it, and a program the compiler refuses runs on it whole. The
-// conformance harness holds the two bit-identical on every result.
+// conformance harness holds the two bit-identical on every result. A third
+// kind of lane executes no ParC at all: Replay (events.go) drives the same
+// machine from ready-made event streams, which is how the static annotator
+// gets its trace.
 //
 // In trace mode the simulator additionally flushes every node's shared-data
 // cache at each barrier and records all misses, producing the paper's
@@ -172,7 +175,8 @@ type Result struct {
 	// the production engine (compiled bytecode stepped as resumable lanes),
 	// or "reference", the tree-walking interpreter — taken when
 	// Config.TreeWalk asks for it, or when the compiler refuses the
-	// program, which then runs whole on the reference.
+	// program, which then runs whole on the reference. A Replay reports
+	// "events".
 	Engine string
 
 	// Protocol is the coherence protocol's display name ("Dir1SW",
@@ -185,7 +189,7 @@ type Result struct {
 	Trace      *trace.Trace // non-nil in ModeTrace
 	Output     []string     // print statements, in schedule order
 	Layout     *memory.Layout
-	Store      *interp.Store
+	Store      *interp.Store // nil from Replay, which executes no program
 
 	// Sharing-degree inputs (paper Section 6 discussion): shared vs private
 	// array references per node.
@@ -254,7 +258,7 @@ type lockState struct {
 // Kill ends a lane from outside its program: it never executes another
 // statement, and its next Resume reports it done with a nil Err.
 // *interp.LaneVM is the production implementation, refLane (reference.go)
-// the reference one.
+// the reference one, and eventLane (events.go) replays a ready-made stream.
 type lane interface {
 	Resume() interp.LaneStatus
 	Kill()
@@ -307,21 +311,46 @@ type Machine struct {
 	sharedWrites []uint64
 	rec          *obs.Recorder // nil when recording is disabled
 	blockSz      uint64        // cache block size, for block-number computation
-
-	added struct {
-		privReads  uint64
-		privWrites uint64
-	}
 }
 
 // Engine names reported in Result.Engine.
 const (
 	engineLanes     = "lanes"
 	engineReference = "reference"
+	engineEvents    = "events" // Replay
 )
 
 // Run simulates prog under cfg.
 func Run(prog *parc.Program, cfg Config) (*Result, error) {
+	m, err := newMachine(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.store = interp.NewStoreFor(m.layout)
+	m.ctxs = make([]*interp.Context, cfg.Nodes)
+	engine := engineLanes
+	if cfg.TreeWalk || !m.compiledLanes() {
+		engine = engineReference
+		m.referenceLanes()
+	}
+	return m.finish(engine)
+}
+
+// finish runs the attached lanes to completion and assembles the Result.
+func (m *Machine) finish(engine string) (*Result, error) {
+	m.run()
+	res, err := m.buildResult()
+	if res != nil {
+		res.Engine = engine
+	}
+	return res, err
+}
+
+// newMachine normalises cfg and builds the simulation state every engine
+// shares: layout, memory system, and processors. The lanes that execute the
+// program are attached by the caller (Run: compiledLanes or referenceLanes,
+// with the store and contexts interpreters need; Replay: event lanes).
+func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("sim: need at least one node")
 	}
@@ -331,27 +360,6 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	if cfg.Mode == ModeTrace {
 		cfg.IgnoreDirectives = true
 	}
-	m, err := newMachine(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	engine := engineLanes
-	if cfg.TreeWalk || !m.compiledLanes() {
-		engine = engineReference
-		m.referenceLanes()
-	}
-	m.run()
-	res, err := m.buildResult()
-	if res != nil {
-		res.Engine = engine
-	}
-	return res, err
-}
-
-// newMachine builds the simulation state: layout, store, memory system,
-// and processors. The lanes that execute the program are attached by
-// compiledLanes or referenceLanes.
-func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 	layout, err := memory.New(prog, cfg.BlockSize)
 	if err != nil {
 		return nil, err
@@ -378,9 +386,7 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 		cfg:          cfg,
 		prog:         prog,
 		layout:       layout,
-		store:        interp.NewStoreFor(layout),
 		sys:          sys,
-		ctxs:         make([]*interp.Context, cfg.Nodes),
 		lanes:        make([]lane, cfg.Nodes),
 		locks:        make(map[int64]*lockState),
 		bucket:       coherence.NewNodeSet(cfg.Nodes),
@@ -471,8 +477,6 @@ func (m *Machine) buildResult() (*Result, error) {
 		SharedReads:  m.sharedReads,
 		SharedWrites: m.sharedWrites,
 		Barriers:     m.barriers,
-		privReads:    m.added.privReads,
-		privWrites:   m.added.privWrites,
 	}
 	for i, p := range m.procs {
 		res.NodeCycles[i] = p.clock
@@ -480,11 +484,16 @@ func (m *Machine) buildResult() (*Result, error) {
 			res.Cycles = p.clock
 		}
 	}
+	// What only an interpreter counts: private-array accesses and dispatched
+	// ops. An event run has no contexts and reports none.
+	for i, ctx := range m.ctxs {
+		pr, pw := ctx.PrivateAccesses()
+		res.privReads += pr
+		res.privWrites += pw
+		m.rec.SetOps(i, ctx.OpsDispatched())
+	}
 	if m.rec != nil {
 		m.rec.Finish(res.NodeCycles)
-		for i, ctx := range m.ctxs {
-			m.rec.SetOps(i, ctx.OpsDispatched())
-		}
 		res.Snapshot = m.rec.Snapshot(res.Cycles, res.NodeCycles, m.barriers, sys.Stats.Protocol())
 		res.Snapshot.ProtocolName = res.Protocol
 	}

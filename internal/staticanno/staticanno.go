@@ -5,11 +5,10 @@
 // trace statically: the vet abstract interpreter's inference mode
 // (vet.Summarize) reconstructs each node's barrier-delimited stream of
 // scheduler-visible events — shared accesses, locks, prints — directly
-// from the AST, and a coherent replay (replay.go) runs all the streams
-// through the real Dir1SW protocol under the simulator's own scheduling
-// rule, so cross-node interference on falsely-shared blocks produces the
-// same extra misses, kind flips, and write faults a simulated trace
-// carries. The synthetic trace then feeds the unchanged core.Annotate
+// from the AST, and a coherent replay (replay.go) runs all the streams on
+// the simulator's own machine, scheduler and Dir1SW protocol (sim.Replay),
+// so cross-node interference on falsely-shared blocks produces the same
+// extra misses, kind flips, and write faults a simulated trace carries. The synthetic trace then feeds the unchanged core.Annotate
 // pipeline, so every placement rule (hoisting, generated loops, pinned
 // conflict annotations) behaves identically whether the trace came from a
 // simulation or from this package.
@@ -96,15 +95,11 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	if err := sum.CheckBarrierStructure(); err != nil {
 		return nil, fmt.Errorf("staticanno: %w", err)
 	}
-	layout, err := memory.New(prog, cfg.BlockSize)
+	res, err := replay(prog, cfg, sum)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := replay(cfg, layout, sum)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Trace: tr, Exact: sum.Exact, Notes: sum.Notes, Summary: sum}, nil
+	return &Result{Trace: res.Trace, Exact: sum.Exact, Notes: sum.Notes, Summary: sum}, nil
 }
 
 // elementAddrs expands one access's per-dimension element sets to byte

@@ -192,3 +192,45 @@ func TestDiffLines(t *testing.T) {
 		t.Errorf("unexpected diff:\n%s", d)
 	}
 }
+
+// TestInferMachineFaults: a program that faults the machine faults the
+// replay the same way, because it is the same machine. Inference returns
+// the simulator's own error for a release of a lock that is not held and
+// for a lock whose holder exits while another node still waits for it.
+func TestInferMachineFaults(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"unlock of a lock not held", `
+shared int v[4];
+func main() {
+    v[pid()] = pid();
+    if (pid() == 3) {
+        unlock(9);
+    }
+    v[pid()] = v[pid()] + 1;
+}`},
+		{"holder exits with a waiter", `
+func main() {
+    if (pid() == 0) {
+        lock(1);
+    }
+    if (pid() != 0) {
+        lock(1);
+        unlock(1);
+    }
+}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := parseTest(t, tc.src)
+			cfg := sim.DefaultConfig()
+			cfg.Nodes = 4
+			cfg.Mode = sim.ModeTrace
+			_, simErr := sim.Run(prog, cfg)
+			if simErr == nil || !strings.HasPrefix(simErr.Error(), "sim: ") {
+				t.Fatalf("simulation error = %v, want a machine fault", simErr)
+			}
+			if _, err := Infer(prog, testConfig(4)); err == nil || err.Error() != simErr.Error() {
+				t.Errorf("Infer error = %v, want the simulator's %q", err, simErr)
+			}
+		})
+	}
+}

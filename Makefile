@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticdiff bench protosweep check fuzz cover timeline serve-smoke
+.PHONY: all build test race vet staticdiff bench profile protosweep check fuzz cover timeline serve-smoke
 
 all: build
 
@@ -53,6 +53,24 @@ staticdiff:
 bench:
 	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest' -benchtime 1x ./...
 	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
+
+# Where a Figure 6 regeneration spends its CPU and its bytes, as text: three
+# fig6 runs' CPU profiles merged (cumulative top 60), then the allocated
+# bytes by site of one more run. PROFILE_fig6.txt from two commits is the
+# attribution table a performance claim is read off (EXPERIMENTS.md,
+# "Annotate without maps"); the raw profiles stay in PROFILE_DIR.
+PROFILE_DIR ?= /tmp/cachier-profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/fig6 ./cmd/fig6
+	for i in 1 2 3; do $(PROFILE_DIR)/fig6 -cpuprofile $(PROFILE_DIR)/cpu$$i.prof > /dev/null || exit 1; done
+	$(PROFILE_DIR)/fig6 -memprofile $(PROFILE_DIR)/mem.prof > /dev/null
+	{ echo "# CPU, three fig6 runs merged:"; \
+	  $(GO) tool pprof -top -cum -nodecount=60 $(PROFILE_DIR)/fig6 \
+		$(PROFILE_DIR)/cpu1.prof $(PROFILE_DIR)/cpu2.prof $(PROFILE_DIR)/cpu3.prof; \
+	  echo; echo "# Allocated bytes by site, one fig6 run:"; \
+	  $(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 $(PROFILE_DIR)/fig6 $(PROFILE_DIR)/mem.prof; \
+	} > PROFILE_fig6.txt
 
 # Cross-protocol smoke sweep: the Figure 6 suite under Dir1SW, Dir4NB, and
 # Dir4B in one run. BENCH_protosweep.json carries one row per (benchmark,

@@ -390,22 +390,38 @@ func BenchmarkColdRequest(b *testing.B) {
 }
 
 // BenchmarkAnnotate measures Cachier's own speed (trace processing through
-// unparse) on the largest benchmark trace.
+// unparse) the way the benchmark module's core rows do: each Figure 6
+// training trace annotated twice, without and with prefetch. records/s is
+// trace records consumed per second (core.records_per_s in the ledger);
+// B/op and allocs/op are one port's two passes.
 func BenchmarkAnnotate(b *testing.B) {
-	bm := bench.Barnes()
-	traceCfg := sim.DefaultConfig()
-	traceCfg.Nodes = bm.Nodes
-	traceCfg.Mode = sim.ModeTrace
-	src := bm.Source(bm.Train)
-	tr, err := sim.Run(parc.MustParse(src), traceCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Annotate(src, tr.Trace, core.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+	for _, bm := range bench.All() {
+		b.Run(bm.Name, func(b *testing.B) {
+			traceCfg := sim.DefaultConfig()
+			traceCfg.Nodes = bm.Nodes
+			traceCfg.Mode = sim.ModeTrace
+			src := bm.Source(bm.Train)
+			tr, err := sim.Run(parc.MustParse(src), traceCfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			records := 0
+			for _, e := range tr.Trace.Epochs {
+				records += len(e.Misses)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, prefetch := range []bool{false, true} {
+					opts := core.DefaultOptions()
+					opts.Prefetch = prefetch
+					if _, err := core.Annotate(src, tr.Trace, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(2*records*b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
 }
 

@@ -117,12 +117,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		any := false
 		for i, c := range conflicts {
 			byVar := map[string][2]int{}
-			for a := range c.Race {
+			for _, a := range c.Race {
 				v := byVar[labelOf(a)]
 				v[0]++
 				byVar[labelOf(a)] = v
 			}
-			for a := range c.FalseShare {
+			for _, a := range c.FalseShare {
 				v := byVar[labelOf(a)]
 				v[1]++
 				byVar[labelOf(a)] = v

@@ -17,21 +17,24 @@ func BlocksInRange(lo, hi uint64, blockSize int) uint64 {
 }
 
 // BlocksTouched returns how many distinct cache blocks a set of element
-// addresses occupies. It is the block-footprint side of the CICO cost
-// equations: a node that writes these addresses in an epoch must acquire at
-// least this many blocks exclusively (by write miss, write fault,
-// check_out_x, or prefetch_x), which is what lets a differential harness
-// bound measured protocol counters by trace-derived footprints.
-func BlocksTouched(addrs map[uint64]bool, blockSize int) uint64 {
+// addresses, given in ascending order, occupies. It is the block-footprint
+// side of the CICO cost equations: a node that writes these addresses in an
+// epoch must acquire at least this many blocks exclusively (by write miss,
+// write fault, check_out_x, or prefetch_x), which is what lets a
+// differential harness bound measured protocol counters by trace-derived
+// footprints.
+func BlocksTouched(addrs []uint64, blockSize int) uint64 {
 	if blockSize <= 0 {
 		return 0
 	}
 	bs := uint64(blockSize)
-	blocks := make(map[uint64]bool, len(addrs))
-	for a := range addrs {
-		blocks[a/bs] = true
+	var n uint64
+	for i, a := range addrs {
+		if i == 0 || a/bs != addrs[i-1]/bs {
+			n++
+		}
 	}
-	return uint64(len(blocks))
+	return n
 }
 
 // JacobiWholeMatrixCheckouts is the paper's Section 2.1 first regime: the

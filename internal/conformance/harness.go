@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"cachier/internal/cico"
@@ -482,7 +483,12 @@ func diffOutput(got, want []string) error {
 // below (cost model Section 2: "a processor must check out a block to write
 // it").
 func checkCheckoutBound(name string, st dir1sw.Stats, want *oracle.Result) error {
-	written := cico.BlocksTouched(want.Written, blockSize)
+	addrs := make([]uint64, 0, len(want.Written))
+	for a := range want.Written {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	written := cico.BlocksTouched(addrs, blockSize)
 	acq := st.WriteMisses + st.WriteFaults + st.CheckOutX + st.PrefetchX
 	if acq < written {
 		return fmt.Errorf("%s: wrote %d distinct blocks but acquired only %d exclusively", name, written, acq)

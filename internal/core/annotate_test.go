@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -376,5 +379,78 @@ func main() {
 	res := annotate(t, src, 4, DefaultOptions())
 	if n := strings.Count(res.Source, "check_in A[pid() * 8];"); n > 1 {
 		t.Errorf("duplicated annotation (%d copies):\n%s", n, res.Source)
+	}
+}
+
+// stencilSrc is a 1-D relaxation: a time-step loop around two barriers, each
+// node reading its neighbours' boundary elements.
+const stencilSrc = `
+const N = 64;
+shared float A[N] label "A";
+shared float B[N] label "B";
+func main() {
+    var per int = N / nprocs();
+    var lo int = pid() * per;
+    var hi int = lo + per - 1;
+    for i = lo to hi {
+        A[i] = float(i);
+    }
+    barrier;
+    var s int = 0;
+    while s < 3 {
+        for i = lo to hi {
+            B[i] = A[(i + 1) % N] + A[(i + N - 1) % N];
+        }
+        barrier;
+        for i = lo to hi {
+            A[i] = B[i];
+        }
+        barrier;
+        s += 1;
+    }
+}
+`
+
+// TestAnnotateOrderIndependent: a trace carries no order among an epoch's
+// misses (Section 3), and ProcessTrace groups them by the order sim.Run
+// happens to leave them in, so Annotate on the same trace with every epoch
+// shuffled must return byte-identical source, reports and cost report. The
+// programs cover races and false sharing (pinned, spread placement), a
+// generated strided loop, and a repeatedly executed epoch.
+func TestAnnotateOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for name, src := range map[string]string{
+		"racy matmul": matMulSrc, "race-free matmul": raceFreeMM, "strided": collapseSrc, "time steps": stencilSrc,
+	} {
+		tr := traceOf(t, src, 4).res.Trace
+		shuffled := *tr
+		shuffled.Epochs = slices.Clone(tr.Epochs)
+		for i := range shuffled.Epochs {
+			ms := slices.Clone(shuffled.Epochs[i].Misses)
+			rng.Shuffle(len(ms), func(a, b int) { ms[a], ms[b] = ms[b], ms[a] })
+			shuffled.Epochs[i].Misses = ms
+		}
+		for _, opts := range []Options{
+			{Style: StylePerformance, CacheSize: 256 * 1024, Prefetch: true},
+			{Style: StyleProgrammer, CacheSize: 512},
+		} {
+			want, err := Annotate(src, tr, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := Annotate(src, &shuffled, opts)
+			if err != nil {
+				t.Fatalf("%s, shuffled: %v", name, err)
+			}
+			if got.Source != want.Source {
+				t.Errorf("%s (%v): shuffling the trace changed the annotated source:\n%s\n--- was ---\n%s", name, opts.Style, got.Source, want.Source)
+			}
+			if !reflect.DeepEqual(got.Reports, want.Reports) {
+				t.Errorf("%s (%v): shuffling the trace changed the reports: %+v, was %+v", name, opts.Style, got.Reports, want.Reports)
+			}
+			if !reflect.DeepEqual(got.Cost, want.Cost) || got.Cost.String() != want.Cost.String() {
+				t.Errorf("%s (%v): shuffling the trace changed the cost report:\n%s--- was ---\n%s", name, opts.Style, got.Cost, want.Cost)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"cachier/internal/analysis"
+	"cachier/internal/cico"
 	"cachier/internal/memory"
 	"cachier/internal/parc"
 	"cachier/internal/trace"
@@ -137,12 +138,8 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 // checkLabels cross-checks the trace's labelled regions against the
 // program's layout, catching trace/program mismatches early.
 func checkLabels(layout *memory.Layout, tr *trace.Trace) error {
-	byBase := make(map[uint64]string)
-	for _, r := range layout.Regions {
-		byBase[r.BaseAddr] = r.Label
-	}
 	for _, l := range tr.Labels {
-		if name, ok := byBase[l.Base]; !ok || name != l.Name {
+		if r := layout.RegionOf(l.Base); r == nil || r.BaseAddr != l.Base || r.Label != l.Name {
 			return fmt.Errorf("core: trace label %q at base %d does not match the program's layout (trace from a different program?)", l.Name, l.Base)
 		}
 	}
@@ -174,12 +171,14 @@ func (pl *planner) planGroup(g []int, epochs []*EpochSets, conflicts []*Conflict
 
 	nonDRFS := func(pick func(a AnnSets) AddrSet) func(e, n int) (AddrSet, func(uint64) bool) {
 		return func(e, n int) (AddrSet, func(uint64) bool) {
-			return pick(ann[e][n]), not(conflicts[e].DRFS)
+			d := conflicts[e].cursor()
+			return pick(ann[e][n]), func(a uint64) bool { return !d.has(a) }
 		}
 	}
 	onlyDRFS := func(pick func(a AnnSets) AddrSet) func(e, n int) (AddrSet, func(uint64) bool) {
 		return func(e, n int) (AddrSet, func(uint64) bool) {
-			return pick(ann[e][n]), conflicts[e].DRFS
+			d := conflicts[e].cursor()
+			return pick(ann[e][n]), d.has
 		}
 	}
 	cox := func(a AnnSets) AddrSet { return a.CoX }
@@ -222,28 +221,32 @@ func (pl *planner) planGroup(g []int, epochs []*EpochSets, conflicts []*Conflict
 		// within the lookahead window of ANY instance: passing the filter
 		// only on the final iteration (after which nothing writes anything)
 		// must not license a prefetch that runs on every iteration.
-		writtenSoon := make(AddrSet)
+		var soon []uint64
+		done := 0 // epochs below this index are already in
 		for _, e := range g {
-			for k := 0; k <= ciLookahead && e+k < len(epochs); k++ {
-				for a := range epochs[e+k].AllSW {
-					writtenSoon[a] = true
-				}
+			for k := max(e, done); k <= e+ciLookahead && k < len(epochs); k++ {
+				soon = append(soon, epochs[k].AllSW...)
+				done = k + 1
 			}
 		}
+		writtenSoon := normalize(soon)
 		// An exclusive prefetch of a block some other node reads during the
 		// same epoch (a boundary block read as a stencil neighbour) would
 		// be snatched back before the write, making the fault worse, not
 		// better — prefetch only privately-written blocks early.
+		touched := make([]cursor, len(g)) // into each group epoch's touch table
 		coxPrefetchable := func(e, n int) (AddrSet, func(uint64) bool) {
+			d := conflicts[e].cursor()
+			for i, ge := range g {
+				touched[i] = cursor{s: epochs[ge].Touched.Addrs}
+			}
 			return ann[e][n].CoX, func(a uint64) bool {
-				if conflicts[e].DRFS(a) {
+				if d.has(a) {
 					return false
 				}
-				for _, ge := range g {
-					for m, other := range epochs[ge].Nodes {
-						if m != n && (other.SR[a] || other.SW[a]) {
-							return false
-						}
+				for i, ge := range g {
+					if c := &touched[i]; c.has(a) && epochs[ge].Touched.Nodes[c.i].hasOther(n) {
+						return false
 					}
 				}
 				return true
@@ -257,8 +260,9 @@ func (pl *planner) planGroup(g []int, epochs []*EpochSets, conflicts []*Conflict
 			// prefetch of data the owner writes this epoch or the next just
 			// creates a copy to invalidate.
 			nonDRFSRead := func(e, n int) (AddrSet, func(uint64) bool) {
+				d, soon := conflicts[e].cursor(), cursor{s: writtenSoon}
 				return readAnn[e][n].CoS, func(a uint64) bool {
-					return !conflicts[e].DRFS(a) && !writtenSoon[a]
+					return !d.has(a) && !soon.has(a)
 				}
 			}
 			for _, w := range pl.attribute(epochs, g, nonDRFSRead, false, false) {
@@ -283,31 +287,17 @@ func (pl *planner) pushCheckIns(works []*siteWork) []*siteWork {
 		k := key{site: site.ID(), v: w.varName}
 		m := merged[k]
 		if m == nil {
-			m = &siteWork{
-				site:    site,
-				varName: w.varName,
-				perNode: make([]AddrSet, len(w.perNode)),
-				merged:  make(AddrSet),
-			}
+			m = &siteWork{site: site, varName: w.varName, perNode: make([]AddrSet, len(w.perNode))}
 			merged[k] = m
 			order = append(order, k)
 		}
 		for n, set := range w.perNode {
-			if len(set) == 0 {
-				continue
-			}
-			if m.perNode[n] == nil {
-				m.perNode[n] = make(AddrSet)
-			}
-			for a := range set {
-				m.perNode[n][a] = true
-				m.merged[a] = true
-			}
+			m.perNode[n] = append(m.perNode[n], set...)
 		}
 	}
 	out := make([]*siteWork, 0, len(merged))
 	for _, k := range order {
-		out = append(out, merged[k])
+		out = append(out, merged[k].finish())
 	}
 	return out
 }
@@ -352,7 +342,7 @@ func (pl *planner) generatedLoop(w *siteWork, ref analysis.Ref, hoisted []*parc.
 	region := pl.layout.Region(w.varName)
 	indices := make([]int64, 0, len(w.merged))
 	ixBuf := make([]int, len(decl.DimSizes))
-	for _, addr := range w.merged.Sorted() {
+	for _, addr := range w.merged {
 		ix, err := region.IndexInto(addr, ixBuf)
 		if err != nil {
 			return 0, 0, 0, false
@@ -375,11 +365,11 @@ func (pl *planner) placePinned(kind parc.AnnKind, w *siteWork, where whereKind, 
 
 	var isRace, isFS bool
 	for _, ei := range g {
-		for addr := range w.merged {
-			if conflicts[ei].Race[addr] {
+		for _, addr := range w.merged {
+			if conflicts[ei].Race.Has(addr) {
 				isRace = true
 			}
-			if conflicts[ei].FalseShare[addr] {
+			if conflicts[ei].FalseShare.Has(addr) {
 				isFS = true
 			}
 		}
@@ -434,11 +424,7 @@ func (pl *planner) placePrefetch(kind parc.AnnKind, w *siteWork, wantWrite bool)
 		if len(set) == 0 {
 			continue
 		}
-		blocks := make(map[uint64]bool)
-		for a := range set {
-			blocks[pl.layout.BlockOf(a)] = true
-		}
-		if n := uint64(len(blocks)); n < neededBlocks {
+		if n := cico.BlocksTouched(set, pl.layout.BlockSize); n < neededBlocks {
 			neededBlocks = n
 		}
 	}

@@ -18,78 +18,49 @@ type Conflicts struct {
 	FalseShare AddrSet
 }
 
-// DRFS reports whether the address is in a data race or false sharing.
-func (c *Conflicts) DRFS(a uint64) bool { return c.Race[a] || c.FalseShare[a] }
-
-// FS reports whether the address is involved in false sharing.
-func (c *Conflicts) FS(a uint64) bool { return c.FalseShare[a] }
-
-// FindConflicts computes the epoch's conflicts for the given block size.
-func FindConflicts(es *EpochSets, blockSize int) *Conflicts {
-	c := &Conflicts{Race: make(AddrSet), FalseShare: make(AddrSet)}
-
-	// Data races: same address, >= 2 nodes, >= 1 write.
-	for addr, nodes := range es.Touched {
-		if nodes.Multi() && es.Written[addr] {
-			c.Race[addr] = true
-		}
-	}
-
-	// False sharing: group addresses by block; within a written block, an
-	// address falsely shares if some other node touched a different address
-	// of the block.
-	type blockInfo struct {
-		addrs   []uint64
-		written bool
-	}
-	blocks := make(map[uint64]*blockInfo)
-	bs := uint64(blockSize)
-	for addr := range es.Touched {
-		b := addr / bs
-		bi := blocks[b]
-		if bi == nil {
-			bi = &blockInfo{}
-			blocks[b] = bi
-		}
-		bi.addrs = append(bi.addrs, addr)
-		if es.Written[addr] {
-			bi.written = true
-		}
-	}
-	for _, bi := range blocks {
-		if !bi.written || len(bi.addrs) < 2 {
-			continue
-		}
-		// A pair of distinct addresses in the block exhibits false sharing
-		// when some node touches one and a different node touches the other;
-		// both addresses are then involved. (Same-address contention alone
-		// is a race, not false sharing.)
-		for i, a := range bi.addrs {
-			for _, b := range bi.addrs[i+1:] {
-				if crossNode(es.Touched[a], es.Touched[b]) {
-					c.FalseShare[a] = true
-					c.FalseShare[b] = true
-				}
-			}
-		}
-	}
-	return c
+// cursor returns the DRFS predicate — the address is in a data race or in
+// false sharing — for queries in ascending address order.
+func (c *Conflicts) cursor() drfsCursor {
+	return drfsCursor{race: cursor{s: c.Race}, fs: cursor{s: c.FalseShare}}
 }
 
-// crossNode reports whether the two addresses' toucher sets conflict only
-// through distinct addresses: some node n touches the first and a different
-// node m touches the second, and the pair's contention is not already
-// same-address contention (both touching both), which is a race rather than
-// false sharing.
-//
-// For the nonempty sets trace processing produces this reduces to set
-// inequality: if some node is in one set but not the other, pairing it with
-// any member of the other set satisfies the predicate (the missing
-// membership falsifies the both-touch-both exclusion); if the sets are
-// identical, every cross pair (n, m) has both nodes touching both
-// addresses, which the exclusion rejects.
-func crossNode(ta, tb NodeBits) bool {
-	return !ta.Equal(tb)
+type drfsCursor struct{ race, fs cursor }
+
+func (d *drfsCursor) has(a uint64) bool { return d.race.has(a) || d.fs.has(a) }
+
+// FindConflicts computes the epoch's conflicts for the given block size in
+// one walk over the epoch's address-sorted touch table.
+func FindConflicts(es *EpochSets, blockSize int) *Conflicts {
+	c := &Conflicts{}
+	t := &es.Touched
+	bs := uint64(blockSize)
+	for lo := 0; lo < len(t.Addrs); {
+		// [lo, hi) are the touched addresses of one block.
+		block := t.Addrs[lo] / bs
+		hi := lo
+		written, mixed := false, false
+		for ; hi < len(t.Addrs) && t.Addrs[hi]/bs == block; hi++ {
+			written = written || t.Written[hi]
+			mixed = mixed || !t.Nodes[hi].Equal(t.Nodes[lo])
+			// Data races: same address, >= 2 nodes, >= 1 write.
+			if t.Written[hi] && t.Nodes[hi].Multi() {
+				c.Race = append(c.Race, t.Addrs[hi])
+			}
+		}
+		// False sharing: a pair of distinct addresses in a written block
+		// exhibits it when some node touches one and a different node touches
+		// the other, unless both touch both (same-address contention alone is
+		// a race, not false sharing). For the nonempty toucher sets trace
+		// processing produces that reduces to the two sets differing: a node
+		// in one set but not the other pairs with any member of the other.
+		// And once any two sets in the block differ, every address has a
+		// partner whose set differs from its own, so the whole block is in.
+		if written && mixed {
+			c.FalseShare = append(c.FalseShare, t.Addrs[lo:hi]...)
+		}
+		lo = hi
+	}
+	return c
 }
 
 // FindAllConflicts runs conflict detection over every epoch.

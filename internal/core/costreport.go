@@ -46,67 +46,65 @@ type CostReport struct {
 // moves data).
 func buildCostReport(epochs []*EpochSets, ann [][]AnnSets, layout *memory.Layout) *CostReport {
 	rep := &CostReport{}
-	byPC := make(map[int]*EpochCost)
+	byPC := make(map[int]int) // barrier PC -> index in rep.Epochs, first-occurrence order
 	blockSize := uint64(layout.BlockSize)
 
-	countBlocks := func(set AddrSet) map[string]uint64 {
-		perVarBlocks := make(map[string]map[uint64]bool)
-		for addr := range set {
-			region, _, ok := layout.Resolve(addr)
-			if !ok {
-				continue
+	// blocksByVar reports each variable's distinct-block count in the set:
+	// regions are block-aligned and the set is sorted, so a variable's
+	// addresses are adjacent and a block is new exactly when it differs from
+	// the previous address's.
+	blocksByVar := func(set AddrSet, add func(v string, blocks uint64)) {
+		var region *memory.Region
+		var blocks, lastBlock uint64
+		for _, addr := range set {
+			if region == nil || !region.Contains(addr) {
+				if blocks > 0 {
+					add(region.Name, blocks)
+				}
+				blocks, lastBlock = 0, ^uint64(0)
+				if region = layout.RegionOf(addr); region == nil {
+					continue
+				}
 			}
-			m := perVarBlocks[region.Name]
-			if m == nil {
-				m = make(map[uint64]bool)
-				perVarBlocks[region.Name] = m
+			if b := addr / blockSize; b != lastBlock {
+				lastBlock = b
+				blocks++
 			}
-			m[addr/blockSize] = true
 		}
-		out := make(map[string]uint64, len(perVarBlocks))
-		for v, blocks := range perVarBlocks {
-			out[v] = uint64(len(blocks))
+		if blocks > 0 {
+			add(region.Name, blocks)
 		}
-		return out
 	}
 
 	for i, es := range epochs {
-		ec := byPC[es.BarrierPC]
-		if ec == nil {
-			ec = &EpochCost{BarrierPC: es.BarrierPC, Vars: make(map[string]VarCost)}
-			byPC[es.BarrierPC] = ec
-			rep.Epochs = append(rep.Epochs, EpochCost{})
+		ei, ok := byPC[es.BarrierPC]
+		if !ok {
+			ei = len(rep.Epochs)
+			byPC[es.BarrierPC] = ei
+			rep.Epochs = append(rep.Epochs, EpochCost{BarrierPC: es.BarrierPC, Vars: make(map[string]VarCost)})
 		}
+		ec := &rep.Epochs[ei]
 		ec.Instances++
 		for n := range es.Nodes {
 			a := ann[i][n]
-			for v, blocks := range countBlocks(a.CoX) {
+			blocksByVar(a.CoX, func(v string, blocks uint64) {
 				vc := ec.Vars[v]
 				vc.CoXBlocks += blocks
 				ec.Vars[v] = vc
 				rep.TotalCoX += blocks
-			}
-			for v, blocks := range countBlocks(a.CoS) {
+			})
+			blocksByVar(a.CoS, func(v string, blocks uint64) {
 				vc := ec.Vars[v]
 				vc.CoSBlocks += blocks
 				ec.Vars[v] = vc
 				rep.TotalCoS += blocks
-			}
-			for v, blocks := range countBlocks(a.CI) {
+			})
+			blocksByVar(a.CI, func(v string, blocks uint64) {
 				vc := ec.Vars[v]
 				vc.CIBlocks += blocks
 				ec.Vars[v] = vc
 				rep.TotalCI += blocks
-			}
-		}
-	}
-	// Preserve first-occurrence epoch order.
-	rep.Epochs = rep.Epochs[:0]
-	seen := make(map[int]bool)
-	for _, es := range epochs {
-		if !seen[es.BarrierPC] {
-			seen[es.BarrierPC] = true
-			rep.Epochs = append(rep.Epochs, *byPC[es.BarrierPC])
+			})
 		}
 	}
 	rep.ModelCost = cico.DefaultCosts().ProgramCost(rep.TotalCoX+rep.TotalCoS, rep.TotalCI)

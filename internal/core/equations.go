@@ -53,137 +53,123 @@ const ciLookahead = 2
 // where sets are per-node except SW_{i+1}^any, the union over all nodes
 // ("written by some processor in the next epoch").
 //
-// The set expressions are evaluated as fused single passes over the source
-// sets instead of chained Minus/Filter/Union calls: each equation of the form
-// X.Minus(P).Filter(¬C) ∪ X.Filter(C) is the set {a ∈ X : C(a) ∨ a ∉ P}
-// (absorption), which one loop builds with no intermediate maps. The
-// annotation phase runs once per style per program and the chained form
-// dominated its profile.
+// Each equation of the form !C{X - P} + C{X} is the set {a ∈ X : C(a) ∨ a ∉ P}
+// (absorption), so every output is one ascending walk over its source set
+// with cursors into the neighbouring epochs' sets and the conflict sets, and
+// comes out sorted.
 func ComputeAnnotations(epochs []*EpochSets, conflicts []*Conflicts, style Style) [][]AnnSets {
 	out := make([][]AnnSets, len(epochs))
-	// Scratch sets for futureRead, reused across every epoch/node: clear()
-	// keeps the grown buckets, so after warmup the lookahead never rehashes.
-	frScratch := make(AddrSet)
-	selfScratch := make(AddrSet)
+	var empty NodeSets // the neighbour of the first and last epochs
+	var buf []uint64   // scratch: outputs are copied out at their final size
+	// filter returns the members of s that pass keep, asked in ascending
+	// order.
+	filter := func(s AddrSet, keep func(a uint64) bool) AddrSet {
+		buf = buf[:0]
+		for _, a := range s {
+			if keep(a) {
+				buf = append(buf, a)
+			}
+		}
+		return cloneSet(buf)
+	}
 	for i, es := range epochs {
 		cf := conflicts[i]
 		out[i] = make([]AnnSets, len(es.Nodes))
 		for n, ns := range es.Nodes {
-			// Neighbouring-epoch sets; nil (no such epoch) reads as empty.
-			var prevSW, prevSR, nextSW, nextSR AddrSet
+			prev, next := &empty, &empty
 			if i > 0 {
-				prevSW = epochs[i-1].Nodes[n].SW
-				prevSR = epochs[i-1].Nodes[n].SR
+				prev = epochs[i-1].Nodes[n]
 			}
 			if i+1 < len(epochs) {
-				nextSW = epochs[i+1].Nodes[n].SW
-				nextSR = epochs[i+1].Nodes[n].SR
+				next = epochs[i+1].Nodes[n]
 			}
-			// futureRead collects SR_i addresses some OTHER processor
-			// writes within the lookahead window, stopping a given address
-			// once this node touches it again before the write. The
-			// returned set is the shared scratch — valid only until the
-			// next call.
-			futureRead := func() AddrSet {
-				fr, selfTouched := frScratch, selfScratch
-				clear(fr)
-				selfFilled := false
-				for k := 1; k <= ciLookahead && i+k < len(epochs); k++ {
-					ekn := epochs[i+k].Nodes[n]
-					for addr := range ns.SR {
-						if fr[addr] || (selfFilled && selfTouched[addr]) {
-							continue
-						}
-						if epochs[i+k].AllSW[addr] && !ekn.SW[addr] {
-							fr[addr] = true
-						}
-					}
-					// S of the intermediate epoch; only needed if another
-					// lookahead round will consult it.
-					if k < ciLookahead && i+k+1 < len(epochs) {
-						if !selfFilled {
-							clear(selfTouched)
-							selfFilled = true
-						}
-						for addr := range ekn.SW {
-							selfTouched[addr] = true
-						}
-						for addr := range ekn.SR {
-							selfTouched[addr] = true
-						}
-					}
-				}
-				return fr
-			}
-
-			a := AnnSets{}
+			a := &out[i][n]
+			drfs, prevSW := cf.cursor(), cursor{s: prev.SW}
+			fresh := func(addr uint64) bool { return drfs.has(addr) || !prevSW.has(addr) }
 			switch style {
 			case StyleProgrammer:
-				// Output sets are presized to their source-set bounds: the
-				// predicates pass most addresses, so the hint is near-exact
-				// and growth rehashes disappear from the profile.
-				a.CoX = make(AddrSet, len(ns.SW))
-				for addr := range ns.SW {
-					if cf.DRFS(addr) || !prevSW[addr] {
-						a.CoX[addr] = true
-					}
-				}
+				a.CoX = filter(ns.SW, fresh)
 				// An exclusive check-out subsumes a shared one.
-				a.CoS = make(AddrSet, len(ns.SR))
-				for addr := range ns.SR {
-					if (cf.FS(addr) || !prevSR[addr]) && !a.CoX[addr] {
-						a.CoS[addr] = true
+				fs, prevSR, cox := cursor{s: cf.FalseShare}, cursor{s: prev.SR}, cursor{s: a.CoX}
+				a.CoS = filter(ns.SR, func(addr uint64) bool {
+					return (fs.has(addr) || !prevSR.has(addr)) && !cox.has(addr)
+				})
+				drfs = cf.cursor() // a new walk: rewound
+				nextSW, nextSR := cursor{s: next.SW}, cursor{s: next.SR}
+				buf = buf[:0]
+				union(ns.SW, ns.SR, func(addr uint64, _, _ bool) {
+					if drfs.has(addr) || !(nextSW.has(addr) || nextSR.has(addr)) {
+						buf = append(buf, addr)
 					}
-				}
-				// ci over S = SW ∪ SR, with next-epoch S membership tested
-				// against its two halves.
-				a.CI = make(AddrSet, len(ns.SW)+len(ns.SR))
-				ci := func(addr uint64) {
-					if cf.DRFS(addr) || !(nextSW[addr] || nextSR[addr]) {
-						a.CI[addr] = true
-					}
-				}
-				for addr := range ns.SW {
-					ci(addr)
-				}
-				for addr := range ns.SR {
-					if !ns.SW[addr] {
-						ci(addr)
-					}
-				}
+				})
+				a.CI = cloneSet(buf)
 			case StylePerformance:
-				a.CoX = make(AddrSet, len(ns.WF))
-				for addr := range ns.WF {
-					if cf.DRFS(addr) || !prevSW[addr] {
-						a.CoX[addr] = true
+				a.CoX = filter(ns.WF, fresh)
+				// ci = {SW_i : DRFS ∨ ∉ SW_{i+1}} ∪ {SR_i : DRFS ∨ written by
+				// another processor within the lookahead window}.
+				drfs = cf.cursor() // a new walk: rewound
+				nextSW := cursor{s: next.SW}
+				future := newLookahead(epochs, i, n)
+				buf = buf[:0]
+				union(ns.SW, ns.SR, func(addr uint64, inSW, inSR bool) {
+					d := drfs.has(addr)
+					if (inSW && (d || !nextSW.has(addr))) || (inSR && (d || future.written(addr))) {
+						buf = append(buf, addr)
 					}
-				}
-				a.CoS = make(AddrSet)
-				// The SW loop also covers S.Filter(DRFS) for written
-				// addresses; the SR loop adds the read-only DRFS remainder.
-				a.CI = make(AddrSet, len(ns.SW))
-				for addr := range ns.SW {
-					if cf.DRFS(addr) || !nextSW[addr] {
-						a.CI[addr] = true
-					}
-				}
-				for addr := range futureRead() {
-					if !cf.DRFS(addr) {
-						a.CI[addr] = true
-					}
-				}
-				for addr := range ns.SR {
-					if cf.DRFS(addr) {
-						a.CI[addr] = true
-					}
-				}
+				})
+				a.CI = cloneSet(buf)
 			}
-			out[i][n] = a
 		}
 	}
 	return out
 }
 
-func not(f func(uint64) bool) func(uint64) bool {
-	return func(a uint64) bool { return !f(a) }
+// union calls f for every member of s ∪ t in ascending order, saying which
+// of the two it came from.
+func union(s, t AddrSet, f func(a uint64, inS, inT bool)) {
+	for len(s) > 0 || len(t) > 0 {
+		switch {
+		case len(t) == 0 || (len(s) > 0 && s[0] < t[0]):
+			f(s[0], true, false)
+			s = s[1:]
+		case len(s) == 0 || t[0] < s[0]:
+			f(t[0], false, true)
+			t = t[1:]
+		default:
+			f(s[0], true, true)
+			s, t = s[1:], t[1:]
+		}
+	}
+}
+
+// lookahead answers, for ascending addresses node n read in epoch i, whether
+// some OTHER processor writes the address within ciLookahead epochs before
+// node n touches it again.
+type lookahead struct {
+	allSW, sw, sr [ciLookahead]cursor // of epochs i+1 ..., and node n's sets in them
+	depth         int
+}
+
+func newLookahead(epochs []*EpochSets, i, n int) lookahead {
+	var l lookahead
+	for ; l.depth < ciLookahead && i+1+l.depth < len(epochs); l.depth++ {
+		ek := epochs[i+1+l.depth]
+		l.allSW[l.depth] = cursor{s: ek.AllSW}
+		l.sw[l.depth] = cursor{s: ek.Nodes[n].SW}
+		l.sr[l.depth] = cursor{s: ek.Nodes[n].SR}
+	}
+	return l
+}
+
+func (l *lookahead) written(a uint64) bool {
+	for k := 0; k < l.depth; k++ {
+		self := l.sw[k].has(a)
+		if !self && l.allSW[k].has(a) {
+			return true
+		}
+		if self || l.sr[k].has(a) {
+			return false
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cachier/internal/trace"
@@ -59,15 +60,9 @@ func figure4Trace() *trace.Trace {
 
 func setEq(t *testing.T, name string, got AddrSet, want ...uint64) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s = %v, want %v", name, got.Sorted(), want)
-		return
-	}
-	for _, a := range want {
-		if !got[a] {
-			t.Errorf("%s = %v, want %v", name, got.Sorted(), want)
-			return
-		}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s = %v, want %v", name, got, want)
 	}
 }
 
@@ -110,10 +105,10 @@ func TestFigure4PerformanceCICO(t *testing.T) {
 func TestFigure4RaceDetected(t *testing.T) {
 	epochs := ProcessTrace(figure4Trace())
 	conflicts := FindAllConflicts(epochs, 32)
-	if !conflicts[0].Race[aAddr] {
+	if !conflicts[0].Race.Has(aAddr) {
 		t.Error("race on a in epoch i-1 not detected")
 	}
-	if conflicts[1].Race[aAddr] {
+	if conflicts[1].Race.Has(aAddr) {
 		t.Error("phantom race on a in epoch i")
 	}
 	for i, c := range conflicts {
@@ -134,8 +129,8 @@ func TestProcessTraceFoldsWriteFaults(t *testing.T) {
 	setEq(t, "SR", ns.SR, bAddr) // a removed: its fault folded into SW
 	setEq(t, "SW", ns.SW, aAddr)
 	setEq(t, "WF", ns.WF, aAddr)
-	if len(ns.PCs[aAddr]) != 2 {
-		t.Errorf("PCs = %v", ns.PCs[aAddr])
+	if i := ns.PCs.Addrs.search(aAddr); len(ns.PCs.At(i)) != 2 {
+		t.Errorf("PCs = %v", ns.PCs.At(i))
 	}
 }
 
@@ -168,27 +163,29 @@ func TestFalseSharingAsymmetric(t *testing.T) {
 	b.EndEpoch(-1, []uint64{10, 10}, true)
 	epochs := ProcessTrace(b.Trace())
 	c := FindConflicts(epochs[0], 32)
-	if !c.FalseShare[32] || !c.FalseShare[40] {
+	if !c.FalseShare.Has(32) || !c.FalseShare.Has(40) {
 		t.Errorf("false sharing = %v", c.FalseShare.Sorted())
 	}
 	// 40 is touched by both nodes but never written; only the block is
 	// written. It is false sharing, not a race.
-	if c.Race[40] || c.Race[32] {
+	if c.Race.Has(40) || c.Race.Has(32) {
 		t.Errorf("races = %v", c.Race.Sorted())
 	}
 }
 
 func TestAddrSetOps(t *testing.T) {
-	s := AddrSet{1: true, 2: true, 3: true}
-	u := AddrSet{3: true, 4: true}
-	setEq(t, "minus", s.Minus(u), 1, 2)
-	setEq(t, "intersect", s.Intersect(u), 3)
+	s := AddrSet{1, 2, 3}
+	u := AddrSet{3, 4}
 	setEq(t, "union", s.Union(u), 1, 2, 3, 4)
-	setEq(t, "filter", s.Filter(func(a uint64) bool { return a%2 == 1 }), 1, 3)
-	cl := s.Clone()
-	delete(cl, 1)
-	if !s[1] {
-		t.Error("clone aliases original")
+	setEq(t, "union with empty", s.Union(nil), 1, 2, 3)
+	setEq(t, "normalize", normalize([]uint64{3, 1, 3, 2, 1}), 1, 2, 3)
+	for a := uint64(0); a <= 5; a++ {
+		if got, want := s.Has(a), a >= 1 && a <= 3; got != want {
+			t.Errorf("Has(%d) = %v", a, got)
+		}
+	}
+	if (AddrSet)(nil).Has(0) {
+		t.Error("empty set has a member")
 	}
 	got := s.Sorted()
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {

@@ -63,7 +63,23 @@ type siteWork struct {
 	site    parc.Stmt
 	varName string
 	perNode []AddrSet
-	merged  AddrSet
+	merged  AddrSet // the union of perNode
+}
+
+// finish turns per-node address lists accumulated by appending into sets,
+// and derives their union.
+func (w *siteWork) finish() *siteWork {
+	total := 0
+	for n, s := range w.perNode {
+		w.perNode[n] = normalize(s)
+		total += len(w.perNode[n])
+	}
+	all := make([]uint64, 0, total)
+	for _, s := range w.perNode {
+		all = append(all, s...)
+	}
+	w.merged = normalize(all)
+	return w
 }
 
 func newPlanner(prog *parc.Program, info *analysis.Info, layout *memory.Layout, opts Options) *planner {
@@ -107,10 +123,12 @@ func (pl *planner) refFor(stmt parc.Stmt, varName string, write bool) (analysis.
 // attribute groups annotation addresses by (reference site, variable). get
 // returns the address set for one (epoch, node) plus an optional membership
 // predicate applied while iterating (so callers never materialize filtered
-// copies). For check-outs each address is attributed to its earliest
-// referencing statement, for check-ins (pickMax) the latest. With spread,
-// conflicted addresses are attributed to every referencing statement so each
-// reference gets a pinned annotation.
+// copies); the predicate is asked about that set's members in ascending
+// order, one (epoch, node) at a time, so it may hold cursors. For check-outs
+// each address is attributed to its earliest referencing statement, for
+// check-ins (pickMax) the latest. With spread, conflicted addresses are
+// attributed to every referencing statement so each reference gets a pinned
+// annotation.
 func (pl *planner) attribute(epochs []*EpochSets, group []int, get func(e, n int) (AddrSet, func(uint64) bool),
 	pickMax, spread bool) []*siteWork {
 
@@ -119,44 +137,42 @@ func (pl *planner) attribute(epochs []*EpochSets, group []int, get func(e, n int
 		v    string
 	}
 	work := make(map[key]*siteWork)
+	// Neighbouring addresses usually share a site and a variable, so the
+	// previous address's work item is tried before the map.
+	var last *siteWork
 	record := func(es *EpochSets, n int, site int, region string, addr uint64) {
-		stmt := pl.prog.Stmts[site]
-		if stmt == nil {
-			return
-		}
-		k := key{site: site, v: region}
-		w := work[k]
-		if w == nil {
-			w = &siteWork{
-				site:    stmt,
-				varName: region,
-				perNode: make([]AddrSet, len(es.Nodes)),
-				merged:  make(AddrSet),
+		if last == nil || last.site.ID() != site || last.varName != region {
+			k := key{site: site, v: region}
+			if last = work[k]; last == nil {
+				stmt := pl.prog.Stmts[site]
+				if stmt == nil {
+					return
+				}
+				last = &siteWork{site: stmt, varName: region, perNode: make([]AddrSet, len(es.Nodes))}
+				work[k] = last
 			}
-			work[k] = w
 		}
-		if w.perNode[n] == nil {
-			w.perNode[n] = make(AddrSet)
-		}
-		w.perNode[n][addr] = true
-		w.merged[addr] = true
+		last.perNode[n] = append(last.perNode[n], addr)
 	}
 	for _, ei := range group {
 		es := epochs[ei]
 		for n, ns := range es.Nodes {
 			set, keep := get(ei, n)
-			for addr := range set {
+			pcs := cursor{s: ns.PCs.Addrs}
+			var region *memory.Region
+			for _, addr := range set {
 				if keep != nil && !keep(addr) {
 					continue
 				}
-				region := pl.layout.RegionOf(addr)
-				if region == nil {
+				if region == nil || !region.Contains(addr) {
+					if region = pl.layout.RegionOf(addr); region == nil {
+						continue
+					}
+				}
+				if !pcs.has(addr) {
 					continue
 				}
-				ids := ns.PCs[addr]
-				if len(ids) == 0 {
-					continue
-				}
+				ids := ns.PCs.At(pcs.i)
 				if spread {
 					for _, id := range ids {
 						record(es, n, id, region.Name, addr)
@@ -175,7 +191,7 @@ func (pl *planner) attribute(epochs []*EpochSets, group []int, get func(e, n int
 	}
 	out := make([]*siteWork, 0, len(work))
 	for _, w := range work {
-		out = append(out, w)
+		out = append(out, w.finish())
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].site.ID() != out[j].site.ID() {
@@ -309,12 +325,10 @@ func (pl *planner) spansFor(varName string) []uint64 {
 			lo := make([]int, nd)
 			hi := make([]int, nd)
 			first := true
-			// Scan S = SW ∪ SR without materializing the union; an address
-			// in both sets is folded twice, which min/max absorbs.
+			// Scan the region's slice of S = SW ∪ SR without materializing
+			// the union; an address in both sets is folded twice, which
+			// min/max absorbs.
 			scan := func(addr uint64) {
-				if !region.Contains(addr) {
-					return
-				}
 				ix, err := region.IndexInto(addr, ixBuf)
 				if err != nil {
 					return
@@ -329,11 +343,10 @@ func (pl *planner) spansFor(varName string) []uint64 {
 				}
 				first = false
 			}
-			for addr := range ns.SW {
-				scan(addr)
-			}
-			for addr := range ns.SR {
-				scan(addr)
+			for _, set := range []AddrSet{ns.SW, ns.SR} {
+				for _, addr := range set[set.search(region.BaseAddr):set.search(region.End())] {
+					scan(addr)
+				}
 			}
 			if first {
 				continue
@@ -372,7 +385,7 @@ func (pl *planner) dimSpans(w *siteWork, decl *parc.SharedDecl) []uint64 {
 		hi := make([]int, nd)
 		first := true
 		region := pl.layout.Region(decl.Name)
-		for addr := range set {
+		for _, addr := range set {
 			ix, err := region.IndexInto(addr, ixBuf)
 			if err != nil {
 				continue

@@ -241,17 +241,17 @@ func main() { }
 	}
 
 	// 1-D: block-coalesced single run.
-	set := AddrSet{addrOf(v, 0): true, addrOf(v, 4): true, addrOf(v, 8): true}
+	set := AddrSet{addrOf(v, 0), addrOf(v, 4), addrOf(v, 8)}
 	if got := render(pl.literalTargets("V", set)); got != "V[0:11]" {
 		t.Errorf("1-D coalesced: %q", got)
 	}
 	// 1-D: two runs with a block gap.
-	set = AddrSet{addrOf(v, 0): true, addrOf(v, 32): true}
+	set = AddrSet{addrOf(v, 0), addrOf(v, 32)}
 	if got := render(pl.literalTargets("V", set)); got != "V[0:3] V[32:35]" {
 		t.Errorf("1-D gapped: %q", got)
 	}
 	// 2-D: run within one row.
-	set = AddrSet{addrOf(m, 2, 0): true, addrOf(m, 2, 4): true}
+	set = AddrSet{addrOf(m, 2, 0), addrOf(m, 2, 4)}
 	if got := render(pl.literalTargets("M", set)); got != "M[2:2][0:7]" {
 		t.Errorf("2-D one row: %q", got)
 	}
@@ -259,21 +259,21 @@ func main() { }
 	set = AddrSet{}
 	for i := 1; i <= 3; i++ {
 		for j := 0; j < 8; j += 4 {
-			set[addrOf(m, i, j)] = true
+			set = append(set, addrOf(m, i, j))
 		}
 	}
 	if got := render(pl.literalTargets("M", set)); got != "M[1:3][0:7]" {
 		t.Errorf("2-D full rows: %q", got)
 	}
 	// Scalar.
-	if got := render(pl.literalTargets("s", AddrSet{pl.layout.Region("s").BaseAddr: true})); got != "s" {
+	if got := render(pl.literalTargets("s", AddrSet{pl.layout.Region("s").BaseAddr})); got != "s" {
 		t.Errorf("scalar: %q", got)
 	}
 	// Empty set and unknown variable.
 	if pl.literalTargets("V", AddrSet{}) != nil {
 		t.Error("empty set produced targets")
 	}
-	if pl.literalTargets("nope", AddrSet{1: true}) != nil {
+	if pl.literalTargets("nope", AddrSet{1}) != nil {
 		t.Error("unknown variable produced targets")
 	}
 }
@@ -357,11 +357,11 @@ func main() {
 }
 
 func TestSoleNode(t *testing.T) {
-	w := &siteWork{perNode: []AddrSet{nil, {1: true}, nil}}
+	w := &siteWork{perNode: []AddrSet{nil, {1}, nil}}
 	if got := soleNode(w); got != 1 {
 		t.Errorf("soleNode = %d", got)
 	}
-	w.perNode[2] = AddrSet{2: true}
+	w.perNode[2] = AddrSet{2}
 	if got := soleNode(w); got != -1 {
 		t.Errorf("multi-node soleNode = %d", got)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -48,8 +49,8 @@ func TestPerformanceCoXSubset(t *testing.T) {
 		perf := core.ComputeAnnotations(epochs, conflicts, core.StylePerformance)
 		for i := range epochs {
 			for n := range epochs[i].Nodes {
-				for addr := range perf[i][n].CoX {
-					if !prog[i][n].CoX[addr] {
+				for _, addr := range perf[i][n].CoX {
+					if !prog[i][n].CoX.Has(addr) {
 						t.Logf("epoch %d node %d: performance co_x %d not in programmer set", i, n, addr)
 						return false
 					}
@@ -83,18 +84,8 @@ func TestConflictOrderIndependence(t *testing.T) {
 		c1 := core.FindAllConflicts(epochs1, tr.BlockSize)
 		c2 := core.FindAllConflicts(epochs2, tr.BlockSize)
 		for i := range c1 {
-			if len(c1[i].Race) != len(c2[i].Race) || len(c1[i].FalseShare) != len(c2[i].FalseShare) {
+			if !slices.Equal(c1[i].Race, c2[i].Race) || !slices.Equal(c1[i].FalseShare, c2[i].FalseShare) {
 				return false
-			}
-			for a := range c1[i].Race {
-				if !c2[i].Race[a] {
-					return false
-				}
-			}
-			for a := range c1[i].FalseShare {
-				if !c2[i].FalseShare[a] {
-					return false
-				}
 			}
 		}
 		return true

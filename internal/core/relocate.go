@@ -114,9 +114,9 @@ const maxRelocatedTargets = 64
 // index bounds, coalescing maximal contiguous element runs. Supports ranks
 // 0 through 2 (all benchmark arrays); contiguous runs that span rows split
 // into at most three references.
-func (pl *planner) literalTargets(varName string, set AddrSet) []*parc.RangeRef {
+func (pl *planner) literalTargets(varName string, addrs AddrSet) []*parc.RangeRef {
 	region := pl.layout.Region(varName)
-	if region == nil || len(set) == 0 {
+	if region == nil || len(addrs) == 0 {
 		return nil
 	}
 	if len(region.DimSizes) == 0 {
@@ -125,7 +125,6 @@ func (pl *planner) literalTargets(varName string, set AddrSet) []*parc.RangeRef 
 	// Coalesce at cache-block granularity: the trace records only the first
 	// missing element of each block, so element-level runs would fragment
 	// into per-block singletons. Directives operate on whole blocks anyway.
-	addrs := set.Sorted()
 	bs := uint64(pl.layout.BlockSize)
 	elemsPerBlock := pl.layout.ElemsPerBlock()
 	lastElem := region.Elems - 1
@@ -232,14 +231,12 @@ func (pl *planner) placeRelocated(kind parc.AnnKind, w *siteWork, ctx groupCtx) 
 	// particles hit), and under-covering on another input leaves stale
 	// sharers that defeat the annotation's purpose. Over-covering only
 	// costs cheap wasted directives.
-	span := make(AddrSet)
-	addrs := w.merged.Sorted()
-	span[addrs[0]] = true
-	span[addrs[len(addrs)-1]] = true
-	lo, hi := addrs[0], addrs[len(addrs)-1]
-	for a := lo; a <= hi; a += parc.ElemSize {
-		span[a] = true
+	lo, hi := w.merged[0], w.merged[len(w.merged)-1]
+	span := make(AddrSet, 0, (hi-lo)/parc.ElemSize+2)
+	for a := lo; a < hi; a += parc.ElemSize {
+		span = append(span, a)
 	}
+	span = append(span, hi)
 	targets := pl.literalTargets(w.varName, span)
 	if len(targets) == 0 {
 		return

@@ -22,82 +22,151 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"cachier/internal/trace"
 )
 
-// AddrSet is a set of element byte addresses.
-type AddrSet map[uint64]bool
+// AddrSet is a set of element byte addresses: a sorted, duplicate-free slice.
+// Every set the pipeline builds is produced in address order by a merge over
+// sets that already are, so membership is a search, iteration is a range, the
+// set equations are merges, and nothing downstream re-sorts. Memory is one
+// word per member; no set is ever sized by the address space.
+type AddrSet []uint64
 
-// Clone returns a copy of the set.
-func (s AddrSet) Clone() AddrSet {
-	out := make(AddrSet, len(s))
-	for a := range s {
-		out[a] = true
-	}
-	return out
+// Has reports whether the address is in the set.
+func (s AddrSet) Has(a uint64) bool {
+	i := s.search(a)
+	return i < len(s) && s[i] == a
 }
 
-// Minus returns s - t.
-func (s AddrSet) Minus(t AddrSet) AddrSet {
-	out := make(AddrSet, len(s))
-	for a := range s {
-		if !t[a] {
-			out[a] = true
+// search returns the index of the first member >= a. It is written out
+// because every cursor step and membership test ends here: the generic
+// slices.BinarySearch measured 5% slower on a whole Annotate.
+func (s AddrSet) search(a uint64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < a {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return out
-}
-
-// Intersect returns s ∩ t.
-func (s AddrSet) Intersect(t AddrSet) AddrSet {
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	out := make(AddrSet, n)
-	for a := range s {
-		if t[a] {
-			out[a] = true
-		}
-	}
-	return out
+	return lo
 }
 
 // Union returns s ∪ t.
 func (s AddrSet) Union(t AddrSet) AddrSet {
-	out := make(AddrSet, len(s)+len(t))
-	for a := range s {
-		out[a] = true
-	}
-	for a := range t {
-		out[a] = true
-	}
-	return out
+	return merge(make(AddrSet, 0, len(s)+len(t)), s, t)
 }
 
-// Filter returns the subset of s for which keep is true.
-func (s AddrSet) Filter(keep func(uint64) bool) AddrSet {
-	out := make(AddrSet, len(s))
-	for a := range s {
-		if keep(a) {
-			out[a] = true
+// merge appends s ∪ t to dst.
+func merge(dst, s, t AddrSet) AddrSet {
+	if len(s) > 0 && len(t) > 0 && s[len(s)-1] < t[0] {
+		return append(append(dst, s...), t...) // neighbouring partitions
+	}
+	for len(s) > 0 && len(t) > 0 {
+		switch {
+		case s[0] < t[0]:
+			dst, s = append(dst, s[0]), s[1:]
+		case s[0] > t[0]:
+			dst, t = append(dst, t[0]), t[1:]
+		default:
+			dst, s, t = append(dst, s[0]), s[1:], t[1:]
 		}
 	}
-	return out
+	return append(append(dst, s...), t...)
 }
 
-// Sorted returns the addresses in ascending order.
-func (s AddrSet) Sorted() []uint64 {
-	out := make([]uint64, 0, len(s))
-	for a := range s {
-		out = append(out, a)
+// Sorted returns the addresses in ascending order: the set itself.
+func (s AddrSet) Sorted() []uint64 { return s }
+
+// cloneSet copies a set out of a scratch buffer at its final size; the empty
+// set is nil, so it neither allocates nor keeps the scratch alive.
+func cloneSet(s []uint64) AddrSet {
+	if len(s) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(s)
 }
+
+// normalize makes an accumulated address list a set, reusing its storage.
+// The lists this package accumulates are a few sorted runs laid end to end
+// (one per node, or one per epoch), so this is a natural merge sort: find
+// the runs, merge neighbours pairwise until one is left, dropping duplicates
+// on the way. A list that already is a set comes back untouched.
+func normalize(s []uint64) AddrSet {
+	var ends []int // ends[r] is where run r stops
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			ends = append(ends, i)
+		}
+	}
+	if ends == nil {
+		return s
+	}
+	ends = append(ends, len(s))
+	src, dst := AddrSet(s), make(AddrSet, 0, len(s))
+	for len(ends) > 1 {
+		dst = dst[:0]
+		lo, merged := 0, ends[:0]
+		for r := 0; r < len(ends); r += 2 {
+			mid, hi := ends[r], ends[r]
+			if r+1 < len(ends) {
+				hi = ends[r+1]
+			}
+			dst = merge(dst, src[lo:mid], src[mid:hi])
+			lo, merged = hi, append(merged, len(dst))
+		}
+		src, dst, ends = dst, src, merged
+	}
+	return src
+}
+
+// cursor answers membership queries for ascending addresses against one set,
+// galloping forward from the previous answer: a walk over one set with
+// cursors into its neighbours costs O(log gap) per query whether the sets are
+// the same size (the gap is 1) or the neighbour is an epoch-wide set many
+// times larger.
+type cursor struct {
+	s AddrSet
+	i int
+}
+
+// seek advances to, and returns, the index of the first member >= a.
+func (c *cursor) seek(a uint64) int {
+	s, i := c.s, c.i
+	if i < len(s) && s[i] < a {
+		step := 1
+		for i+step < len(s) && s[i+step] < a {
+			i += step
+			step <<= 1
+		}
+		i += 1 + s[i+1:min(i+step, len(s))].search(a)
+		c.i = i
+	}
+	return i
+}
+
+func (c *cursor) has(a uint64) bool {
+	i := c.seek(a)
+	return i < len(c.s) && c.s[i] == a
+}
+
+// PCTable maps each address one node missed on during one epoch to the
+// statement IDs of those misses, for attributing annotations to reference
+// sites: Addrs in address order, and a node's PCs for Addrs[i] at index i.
+type PCTable struct {
+	Addrs AddrSet
+	start []int // PCs of Addrs[i] are pcs[start[i]:start[i+1]]
+	pcs   []int
+}
+
+// At returns the statement IDs recorded for Addrs[i].
+func (t *PCTable) At(i int) []int { return t.pcs[t.start[i]:t.start[i+1]] }
 
 // NodeSets are one node's processed miss sets for one epoch, after the
 // paper's trace processing: SW = shared write misses + shared write faults,
@@ -107,9 +176,7 @@ type NodeSets struct {
 	SW AddrSet // shared write set
 	WF AddrSet // the write-fault subset of SW (read-then-written locations)
 
-	// PCs maps each address to the statement IDs whose misses touched it
-	// this epoch, for attributing annotations to reference sites.
-	PCs map[uint64][]int
+	PCs PCTable
 }
 
 // S returns the node's full access set SW ∪ SR.
@@ -164,6 +231,12 @@ func (s NodeBits) Multi() bool {
 	return s.Count() >= 2
 }
 
+// hasOther reports whether the set has a member other than node n.
+func (s NodeBits) hasOther(n int) bool {
+	c := s.Count()
+	return c > 1 || (c == 1 && !s.Has(n))
+}
+
 // Equal reports whether the two sets have the same members.
 func (s NodeBits) Equal(o NodeBits) bool {
 	if s.lo != o.lo {
@@ -188,96 +261,176 @@ func (s NodeBits) Equal(o NodeBits) bool {
 	return true
 }
 
+// TouchTable is an epoch's machine-wide access summary as parallel columns in
+// address order: who accessed each address and whether anyone wrote it.
+// Addresses of one cache block are adjacent, which is what lets conflict
+// detection find false sharing in one pass.
+type TouchTable struct {
+	Addrs   AddrSet
+	Nodes   []NodeBits // Nodes[i] accessed Addrs[i]
+	Written []bool     // some node wrote Addrs[i]
+}
+
 // EpochSets is one epoch's processed trace data.
 type EpochSets struct {
 	Index     int
 	BarrierPC int
 	Nodes     []*NodeSets
 
-	// Touched maps each address to the set of nodes that accessed it, and
-	// Written marks addresses written by at least one node; conflict
-	// detection consumes these.
-	Touched map[uint64]NodeBits
-	Written AddrSet
+	// Touched is what conflict detection and the prefetch filter consume.
+	Touched TouchTable
 
-	// AllSW is the union of SW over nodes; the Performance check-in
-	// equation's "written by some processor in the next epoch" term uses
-	// the next epoch's AllSW.
+	// AllSW is the union of SW over nodes (the addresses Touched marks
+	// written); the Performance check-in equation's "written by some
+	// processor in the next epoch" term uses the next epoch's AllSW.
 	AllSW AddrSet
 }
 
 // ProcessTrace turns a raw trace into per-epoch, per-node sets
-// (Section 4's first phase).
+// (Section 4's first phase). It establishes the invariant the rest of the
+// package relies on — every AddrSet is sorted — by grouping misses that are
+// already in trace.Miss.Compare order, which is how sim.Run leaves them; an
+// epoch that is not (a trace read from a file, written by hand or shuffled)
+// is copied and sorted first. Memory is O(trace records): every slice built
+// here holds at most one entry per record.
 func ProcessTrace(tr *trace.Trace) []*EpochSets {
-	out := make([]*EpochSets, 0, len(tr.Epochs))
-	// Map size hints are adaptive: each epoch's maps are presized to the
-	// previous epoch's final counts. Successive epochs of the same program
-	// have similar footprints, so the hints are near-exact — growth
-	// rehashes disappear without the fixed-hint failure mode (tried:
-	// misses/4 per epoch map, misses/nodes per node map) of zeroing large
-	// never-filled buckets for the many epochs with few or no misses.
-	var lastES *EpochSets
-	for _, ep := range tr.Epochs {
-		es := &EpochSets{
-			Index:     ep.Index,
-			BarrierPC: ep.BarrierPC,
-		}
-		if lastES != nil {
-			es.Touched = make(map[uint64]NodeBits, len(lastES.Touched))
-			es.Written = make(AddrSet, len(lastES.Written))
-		} else {
-			es.Touched = make(map[uint64]NodeBits)
-			es.Written = make(AddrSet)
-		}
-		// AllSW = ∪ SW over nodes, and every SW insertion below also inserts
-		// into Written (and vice versa), so the union is Written itself. Both
-		// fields are read-only after this function; aliasing is safe.
-		es.AllSW = es.Written
-		for n := 0; n < tr.Nodes; n++ {
-			ns := &NodeSets{}
-			if lastES != nil {
-				ln := lastES.Nodes[n]
-				ns.SR = make(AddrSet, len(ln.SR))
-				ns.SW = make(AddrSet, len(ln.SW))
-				ns.WF = make(AddrSet, len(ln.WF))
-				ns.PCs = make(map[uint64][]int, len(ln.PCs))
-			} else {
-				ns.SR = make(AddrSet)
-				ns.SW = make(AddrSet)
-				ns.WF = make(AddrSet)
-				ns.PCs = make(map[uint64][]int)
-			}
-			es.Nodes = append(es.Nodes, ns)
-		}
-		for _, m := range ep.Misses {
-			ns := es.Nodes[m.Node]
-			switch m.Kind {
-			case trace.ReadMiss:
-				ns.SR[m.Addr] = true
-			case trace.WriteMiss:
-				ns.SW[m.Addr] = true
-				es.Written[m.Addr] = true
-			case trace.WriteFault:
-				// Fold write faults into SW and remember them separately:
-				// these are the read-then-written locations an explicit
-				// check_out_x exists to optimize.
-				ns.SW[m.Addr] = true
-				ns.WF[m.Addr] = true
-				es.Written[m.Addr] = true
-			}
-			ns.PCs[m.Addr] = append(ns.PCs[m.Addr], m.PC)
-			es.Touched[m.Addr] = es.Touched[m.Addr].with(m.Node)
-		}
-		// Remove write-faulted addresses from the read sets (the fault
-		// implies the read already brought the block in; the location's
-		// governing access is the write).
-		for _, ns := range es.Nodes {
-			for a := range ns.WF {
-				delete(ns.SR, a)
-			}
-		}
-		out = append(out, es)
-		lastES = es
+	out := make([]*EpochSets, len(tr.Epochs))
+	var b setBuilder
+	for i := range tr.Epochs {
+		out[i] = b.epoch(&tr.Epochs[i], tr.Nodes)
 	}
 	return out
+}
+
+// setBuilder holds ProcessTrace's scratch: sets are accumulated here and
+// copied out at their final size, so an epoch with few misses costs few bytes
+// however large its neighbours were.
+type setBuilder struct {
+	sr, sw, wf, addrs []uint64
+	start             []int
+}
+
+func (b *setBuilder) epoch(ep *trace.Epoch, nodes int) *EpochSets {
+	misses := ep.Misses
+	if !slices.IsSortedFunc(misses, trace.Miss.Compare) {
+		misses = slices.Clone(misses)
+		slices.SortFunc(misses, trace.Miss.Compare)
+	}
+	es := &EpochSets{Index: ep.Index, BarrierPC: ep.BarrierPC, Nodes: make([]*NodeSets, nodes)}
+	sets := make([]NodeSets, nodes)
+	pcs := make([]int, len(misses))
+	lo := 0
+	for n := range sets {
+		hi := lo
+		for hi < len(misses) && misses[hi].Node == n {
+			hi++
+		}
+		b.node(&sets[n], misses[lo:hi], pcs[lo:hi])
+		es.Nodes[n] = &sets[n]
+		lo = hi
+	}
+	if lo != len(misses) {
+		panic(fmt.Sprintf("core: trace epoch %d has a miss on node %d of %d", ep.Index, misses[lo].Node, nodes))
+	}
+	es.touch()
+	return es
+}
+
+// node builds one node's sets from its misses, which arrive as three
+// address-sorted runs (read misses, write misses, write faults): one
+// three-way merge visits each distinct address once, knowing which kinds of
+// miss it had. pcs receives the misses' statement IDs regrouped by address.
+func (b *setBuilder) node(ns *NodeSets, misses []trace.Miss, pcs []int) {
+	var runs [3][]trace.Miss
+	for k := range runs {
+		end := 0
+		for end < len(misses) && misses[end].Kind == trace.Kind(k) {
+			end++
+		}
+		runs[k], misses = misses[:end], misses[end:]
+	}
+	if len(misses) != 0 {
+		panic(fmt.Sprintf("core: trace miss of unknown kind %d", misses[0].Kind))
+	}
+	b.sr, b.sw, b.wf, b.addrs, b.start = b.sr[:0], b.sw[:0], b.wf[:0], b.addrs[:0], b.start[:0]
+	npc := 0
+	for {
+		addr, any := ^uint64(0), false
+		for _, r := range runs {
+			if len(r) > 0 && r[0].Addr <= addr {
+				addr, any = r[0].Addr, true
+			}
+		}
+		if !any {
+			break
+		}
+		b.addrs = append(b.addrs, addr)
+		b.start = append(b.start, npc)
+		var in [3]bool
+		for k := range runs {
+			for ; len(runs[k]) > 0 && runs[k][0].Addr == addr; runs[k] = runs[k][1:] {
+				pcs[npc] = runs[k][0].PC
+				npc++
+				in[k] = true
+			}
+		}
+		// Fold write faults into SW and out of SR, remembering them
+		// separately: the fault implies the read already brought the block
+		// in, so the location's governing access is the write, and these
+		// read-then-written locations are what an explicit check_out_x
+		// exists to optimize.
+		if in[trace.WriteFault] {
+			b.wf = append(b.wf, addr)
+		}
+		if in[trace.WriteMiss] || in[trace.WriteFault] {
+			b.sw = append(b.sw, addr)
+		}
+		if in[trace.ReadMiss] && !in[trace.WriteFault] {
+			b.sr = append(b.sr, addr)
+		}
+	}
+	if len(b.addrs) == 0 {
+		return
+	}
+	ns.SR, ns.SW, ns.WF = cloneSet(b.sr), cloneSet(b.sw), cloneSet(b.wf)
+	ns.PCs = PCTable{Addrs: cloneSet(b.addrs), start: slices.Clone(append(b.start, npc)), pcs: pcs}
+}
+
+// touch builds the epoch-wide columns from the per-node tables: the sorted
+// union of every node's addresses, then one cursor walk per node to set its
+// bit and its writes.
+func (es *EpochSets) touch() {
+	total := 0
+	for _, ns := range es.Nodes {
+		total += len(ns.PCs.Addrs)
+	}
+	all := make([]uint64, 0, total)
+	for _, ns := range es.Nodes {
+		all = append(all, ns.PCs.Addrs...)
+	}
+	t := &es.Touched
+	t.Addrs = normalize(all)
+	t.Nodes = make([]NodeBits, len(t.Addrs))
+	t.Written = make([]bool, len(t.Addrs))
+	written := 0
+	for n, ns := range es.Nodes {
+		c := cursor{s: t.Addrs}
+		for _, a := range ns.PCs.Addrs {
+			i := c.seek(a)
+			t.Nodes[i] = t.Nodes[i].with(n)
+		}
+		c = cursor{s: t.Addrs}
+		for _, a := range ns.SW {
+			if i := c.seek(a); !t.Written[i] {
+				t.Written[i] = true
+				written++
+			}
+		}
+	}
+	es.AllSW = make(AddrSet, 0, written)
+	for i, w := range t.Written {
+		if w {
+			es.AllSW = append(es.AllSW, t.Addrs[i])
+		}
+	}
 }

@@ -82,9 +82,16 @@ func specString(s coherence.Spec) string {
 	return fmt.Sprintf("%s:%d", s.Name, s.N)
 }
 
+// simCycleBudget is the simulated time, in node-cycles, one submitted
+// program may use per run: about 45 times the largest Figure 6 run (Tomcatv,
+// 3.0 M cycles on 32 nodes) and seconds of host time for a program that
+// spins, after which the request fails with 422 instead of holding a worker.
+const simCycleBudget = 1 << 32
+
 // simConfig builds the simulator config for a resolved spec.
 func (m MachineSpec) simConfig(mode sim.Mode) sim.Config {
 	cfg := sim.DefaultConfig()
+	cfg.CycleBudget = simCycleBudget
 	cfg.Nodes = m.Nodes
 	cfg.CacheSize = m.CacheSize
 	cfg.Assoc = m.Assoc

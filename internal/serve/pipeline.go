@@ -175,7 +175,7 @@ func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (
 		return e.heavy(ctx, "trace", pi.Hash, func() (any, error) {
 			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
 			if err != nil {
-				return nil, fmt.Errorf("tracing: %w", err)
+				return nil, simFault("tracing", err)
 			}
 			return res.Trace, nil
 		})
@@ -349,6 +349,14 @@ func (e *evaluator) simulate(ctx context.Context, req *SimulateRequest) (*Simula
 	return &SimulateResponse{ProgramHash: pi.Hash, Results: results}, snaps, nil
 }
 
+// simFault reports a failed sim.Run as a 422: simulation faults (a runtime
+// error in the program, deadlock, an unlock fault, an exhausted cycle
+// budget) are properties of the submitted program, not of the server, on
+// whichever endpoint ran the simulation. Errors are never cached.
+func simFault(phase string, err error) error {
+	return &apiError{code: 422, msg: fmt.Sprintf("%s: %v", phase, err)}
+}
+
 // runSim executes one simulation with the observability recorder attached
 // and packages the deterministic result + snapshot bytes.
 func (e *evaluator) runSim(pi *ProgramInfo, m MachineSpec) (*simDoc, error) {
@@ -356,9 +364,7 @@ func (e *evaluator) runSim(pi *ProgramInfo, m MachineSpec) (*simDoc, error) {
 	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
 	res, err := sim.Run(pi.Prog, cfg)
 	if err != nil {
-		// Simulation faults (deadlock, unlock fault) are properties of the
-		// submitted program, not of the server.
-		return nil, &apiError{code: 422, msg: fmt.Sprintf("simulation: %v", err)}
+		return nil, simFault("simulation", err)
 	}
 	snap, err := res.Snapshot.MarshalIndentJSON()
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cachier/internal/bench"
 	"cachier/internal/parc"
@@ -267,8 +268,59 @@ func TestErrorResponses(t *testing.T) {
 		checkErr(name+", static", code, 400, body)
 	}
 
+	// A program that faults when run is the submitter's error on every
+	// endpoint that runs it, whichever simulation (measuring or tracing)
+	// met the fault.
+	for name, src := range map[string]string{
+		"division by zero":       "shared int A[4];\nfunc main() { var z int = 0; A[pid() % 4] = 1 / z; }",
+		"subscript out of range": "shared int A[4];\nfunc main() { var i int = 4; A[i] = 1; }",
+		"deadlock":               "func main() { if (pid() == 0) { lock(1); } if (pid() != 0) { lock(1); unlock(1); } }",
+	} {
+		machine := MachineSpec{Nodes: testNodes}
+		code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}})
+		checkErr(name+", simulate", code, 422, body)
+		code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine})
+		checkErr(name+", annotate", code, 422, body)
+	}
+
 	code, body = get(t, ts.URL+"/v1/snapshot/deadbeef")
 	checkErr("unknown snapshot", code, 404, body)
+}
+
+// TestSpinningProgramIsBounded: a program that never terminates is answered
+// with a 422 naming the cycle budget, well inside the request deadline, on
+// both endpoints that simulate; nothing about it is cached, so a repeat
+// simulates again; and the server drains afterwards, which it cannot while
+// a worker is still spinning. Only node 0 spins, on a machine wide enough
+// that its share of the budget is a fraction of a second of host time.
+func TestSpinningProgramIsBounded(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	const src = "func main() { var i int = 0; if (pid() == 0) { while (1) { i = i + 1; } } }"
+	machine := MachineSpec{Nodes: 256}
+	for round := 1; round <= 2; round++ {
+		code, _, body := post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}})
+		if code != 422 || !bytes.Contains(body, []byte("cycle budget exceeded")) {
+			t.Fatalf("simulate, round %d: status %d %s, want a 422 naming the cycle budget", round, code, body)
+		}
+		code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine})
+		if code != 422 || !bytes.Contains(body, []byte("cycle budget exceeded")) {
+			t.Fatalf("annotate, round %d: status %d %s, want a 422 naming the cycle budget", round, code, body)
+		}
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`pipeline_executions_total{phase="simulate"} 2`,
+		`pipeline_executions_total{phase="trace"} 2`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("metrics missing %q (a budget error must not be cached):\n%s", want, metrics)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain after budget errors: %v", err)
+	}
 }
 
 // TestHealthzAndMetrics covers the operational endpoints, including the

@@ -88,7 +88,9 @@ func (m *Machine) yield(p *proc) {
 }
 
 // refreshLimit recomputes the running processor's keep-running bound after
-// a heap or bucket mutation.
+// a heap or bucket mutation. The bound never passes the cycle budget's
+// per-node clock bound, so a processor that runs past its share takes the
+// slow path, where the run ends.
 func (m *Machine) refreshLimit() {
 	lo := ^uint64(0)
 	if m.ready.len() > 0 {
@@ -97,23 +99,30 @@ func (m *Machine) refreshLimit() {
 	if m.bucketLen > 0 && m.bucketClock < lo {
 		lo = m.bucketClock
 	}
-	if lo == ^uint64(0) {
-		m.limit = lo
-	} else {
-		m.limit = lo + m.cfg.Quantum
+	if lo != ^uint64(0) {
+		lo += m.cfg.Quantum
 	}
+	m.limit = min(lo, m.clockBound)
 }
 
 // yieldSwitch is yield's slow path: make the runnable processor with the
 // smallest (clock, processor ID) across the heap and the epoch bucket
 // current — bucketed processors would have sat in the heap at exactly
-// (bucketClock, id) — or halt the run when nothing is runnable.
+// (bucketClock, id) — or halt the run when nothing is runnable, or when the
+// caller has run past the cycle budget's clock bound.
 func (m *Machine) yieldSwitch(p *proc) {
+	if p.clock > m.clockBound {
+		if m.runErr == nil {
+			m.runErr = ErrCycleBudget
+		}
+		m.halt = true
+		return
+	}
 	if m.ready.len() == 0 && m.bucketLen == 0 {
 		// Nothing else is runnable, and the caller cannot continue (a
 		// runnable caller would have taken the fast path, since nothing
-		// parked leaves the limit unbounded): the program completed, or
-		// every remaining node is blocked (deadlock).
+		// parked leaves the limit at the clock bound): the program
+		// completed, or every remaining node is blocked (deadlock).
 		if m.done < len(m.procs) && m.runErr == nil {
 			m.runErr = fmt.Errorf("sim: deadlock: %d of %d nodes blocked (barrier waiters: %d)",
 				len(m.procs)-m.done, len(m.procs), m.waiting)

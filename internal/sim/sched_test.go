@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -221,6 +222,50 @@ func main() {
 `, nil)
 	if want := "sim: deadlock: 7 of 8 nodes blocked (barrier waiters: 0)"; err == nil || err.Error() != want {
 		t.Fatalf("run error = %v, want %q", err, want)
+	}
+}
+
+// TestCycleBudget: a program that never terminates ends with the typed
+// budget error on both hosts, on one node (nothing else is ever runnable,
+// so only the budget bounds the keep-running limit) and on four; the same
+// budget leaves a program that fits untouched, and no budget means none.
+func TestCycleBudget(t *testing.T) {
+	for _, src := range []string{
+		`func main() { var i int = 0; while (1) { i = i + 1; } }`,
+		`func main() { while (1) { } }`,
+		`func main() { if (pid() == 0) { while (1) { } } barrier; }`,
+	} {
+		for _, nodes := range []int{1, 4} {
+			_, err := checkBothHosts(t, src, func(cfg *Config) {
+				cfg.Nodes = nodes
+				cfg.CycleBudget = 1 << 16
+			})
+			if !errors.Is(err, ErrCycleBudget) {
+				t.Errorf("%d nodes, %s: run error = %v, want ErrCycleBudget", nodes, src, err)
+			}
+		}
+	}
+	const fits = `
+shared int v[8];
+func main() {
+    for i = 0 to 63 { v[pid()] += i; }
+    barrier;
+    print("v %d", v[pid()]);
+}
+`
+	free, err := checkBothHosts(t, fits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := checkBothHosts(t, fits, func(cfg *Config) { cfg.CycleBudget = uint64(cfg.Nodes) * (free.Cycles + 1) })
+	if err != nil {
+		t.Fatalf("budget of the run's own length: %v", err)
+	}
+	if bounded.Cycles != free.Cycles || !reflect.DeepEqual(bounded.Output, free.Output) {
+		t.Errorf("a budget that is not exceeded changed the run: %d cycles, was %d", bounded.Cycles, free.Cycles)
+	}
+	if _, err := checkBothHosts(t, fits, func(cfg *Config) { cfg.CycleBudget = uint64(cfg.Nodes) * (free.Cycles - 1) }); !errors.Is(err, ErrCycleBudget) {
+		t.Errorf("budget one cycle short: run error = %v, want ErrCycleBudget", err)
 	}
 }
 

@@ -37,6 +37,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"cachier/internal/coherence"
@@ -139,6 +140,13 @@ type Config struct {
 	// user) pins the reference path.
 	TreeWalk bool
 
+	// CycleBudget bounds the run's simulated time in node-cycles; 0 is
+	// unbounded. It is enforced as a per-node clock bound of CycleBudget /
+	// Nodes: the run ends with ErrCycleBudget as soon as the scheduler meets
+	// a processor whose clock is past it, so a program that never terminates
+	// costs a bounded amount of host time instead of the caller's thread.
+	CycleBudget uint64
+
 	// Parallel is ignored. It selected an engine that no longer exists and
 	// stays only because benchmark/fig6.go, which a PR outside the
 	// benchmark archetype may not edit, assigns it; the next benchmark PR
@@ -168,6 +176,9 @@ func DefaultConfig() Config {
 		SelfCheck:      true,
 	}
 }
+
+// ErrCycleBudget is the error of a run that Config.CycleBudget cut short.
+var ErrCycleBudget = errors.New("sim: cycle budget exceeded")
 
 // Result reports a completed simulation.
 type Result struct {
@@ -293,13 +304,16 @@ type Machine struct {
 	// which sit in the epoch bucket; limit caches the smallest parked
 	// runnable clock + Quantum (MaxUint64 when nothing is parked) so the
 	// running processor's keep-running test is a single compare. The cache
-	// is refreshed after every heap or bucket mutation. halt ends the run.
+	// is refreshed after every heap or bucket mutation. clockBound is the
+	// cycle budget's per-node share (MaxUint64 when unbounded), which limit
+	// never exceeds. halt ends the run.
 	cur         *proc
 	ready       readyHeap
 	bucket      coherence.NodeSet
 	bucketClock uint64
 	bucketLen   int
 	limit       uint64
+	clockBound  uint64
 	halt        bool
 
 	builder  *trace.Builder
@@ -394,6 +408,10 @@ func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 		sharedWrites: make([]uint64, cfg.Nodes),
 		rec:          cfg.Recorder,
 		blockSz:      uint64(cfg.BlockSize),
+		clockBound:   ^uint64(0),
+	}
+	if cfg.CycleBudget > 0 {
+		m.clockBound = cfg.CycleBudget / uint64(cfg.Nodes)
 	}
 	if cfg.Mode == ModeTrace {
 		m.builder = trace.NewBuilder(cfg.Nodes, cfg.BlockSize, layout.Labels())

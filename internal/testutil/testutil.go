@@ -49,21 +49,21 @@ func CheckAnnotationSets(epochs []*core.EpochSets, ann [][]core.AnnSets, style c
 		for n, ns := range es.Nodes {
 			a := ann[i][n]
 			s := ns.S()
-			for addr := range a.CoX {
-				if !ns.SW[addr] {
+			for _, addr := range a.CoX {
+				if !ns.SW.Has(addr) {
 					return fmt.Errorf("style %v epoch %d node %d: co_x of unwritten %d", style, i, n, addr)
 				}
 			}
-			for addr := range a.CoS {
-				if !ns.SR[addr] {
+			for _, addr := range a.CoS {
+				if !ns.SR.Has(addr) {
 					return fmt.Errorf("style %v epoch %d node %d: co_s of unread %d", style, i, n, addr)
 				}
-				if a.CoX[addr] {
+				if a.CoX.Has(addr) {
 					return fmt.Errorf("style %v epoch %d node %d: %d both co_s and co_x", style, i, n, addr)
 				}
 			}
-			for addr := range a.CI {
-				if !s[addr] {
+			for _, addr := range a.CI {
+				if !s.Has(addr) {
 					return fmt.Errorf("style %v epoch %d node %d: ci of untouched %d", style, i, n, addr)
 				}
 			}

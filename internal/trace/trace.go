@@ -12,9 +12,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -135,23 +136,27 @@ func (b *Builder) EndEpoch(barrierPC int, vt []uint64, final bool) {
 // Trace returns the built trace.
 func (b *Builder) Trace() *Trace { return &b.tr }
 
-// SortMisses orders each epoch's misses deterministically (by node, kind,
-// address, PC). Within an epoch the order carries no timing meaning.
+// Compare orders misses by node, kind, address, then PC: the order
+// SortMisses leaves an epoch in, and the one core's trace processing groups
+// by without re-sorting.
+func (m Miss) Compare(o Miss) int {
+	if c := cmp.Compare(m.Node, o.Node); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(m.Kind, o.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(m.Addr, o.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(m.PC, o.PC)
+}
+
+// SortMisses orders each epoch's misses deterministically (see Compare).
+// Within an epoch the order carries no timing meaning.
 func (t *Trace) SortMisses() {
 	for i := range t.Epochs {
-		ms := t.Epochs[i].Misses
-		sort.Slice(ms, func(a, b int) bool {
-			if ms[a].Node != ms[b].Node {
-				return ms[a].Node < ms[b].Node
-			}
-			if ms[a].Kind != ms[b].Kind {
-				return ms[a].Kind < ms[b].Kind
-			}
-			if ms[a].Addr != ms[b].Addr {
-				return ms[a].Addr < ms[b].Addr
-			}
-			return ms[a].PC < ms[b].PC
-		})
+		slices.SortFunc(t.Epochs[i].Misses, Miss.Compare)
 	}
 }
 

@@ -55,10 +55,14 @@ bench:
 	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
 
 # Where a Figure 6 regeneration spends its CPU and its bytes, as text: three
-# fig6 runs' CPU profiles merged (cumulative top 60), then the allocated
-# bytes by site of one more run. PROFILE_fig6.txt from two commits is the
-# attribution table a performance claim is read off (EXPERIMENTS.md,
-# "Annotate without maps"); the raw profiles stay in PROFILE_DIR.
+# fig6 runs' CPU profiles merged (cumulative top 60), the allocated bytes by
+# site of one more run, then the shared-access path on its own: the same
+# three profiles focused on the lane's two access instructions, and the
+# counts that turn their seconds into ns per access (BenchmarkFig6 reports
+# them per port; a regeneration is the five ports' sum). PROFILE_fig6.txt
+# from two commits is the attribution table a performance claim is read off
+# (EXPERIMENTS.md, "Hits stay in the lane"); the raw profiles stay in
+# PROFILE_DIR.
 PROFILE_DIR ?= /tmp/cachier-profile
 profile:
 	mkdir -p $(PROFILE_DIR)
@@ -70,6 +74,17 @@ profile:
 		$(PROFILE_DIR)/cpu1.prof $(PROFILE_DIR)/cpu2.prof $(PROFILE_DIR)/cpu3.prof; \
 	  echo; echo "# Allocated bytes by site, one fig6 run:"; \
 	  $(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 $(PROFILE_DIR)/fig6 $(PROFILE_DIR)/mem.prof; \
+	  echo; echo "# The shared-access path (loadShared, asgShared and below), the same three runs:"; \
+	  $(GO) tool pprof -top -cum -focus='loadShared|asgShared' -nodecount=30 $(PROFILE_DIR)/fig6 \
+		$(PROFILE_DIR)/cpu1.prof $(PROFILE_DIR)/cpu2.prof $(PROFILE_DIR)/cpu3.prof; \
+	  echo; echo "# Its counts, one regeneration:"; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkFig6$$' -benchtime 1x . | awk '/^BenchmarkFig6\// { \
+		for (i = 2; i < NF; i++) { \
+			if ($$(i+1) == "shared-accesses") s += $$i; \
+			if ($$(i+1) == "Machine.Access-calls") c += $$i } } \
+		END { if (s == 0) exit 1; \
+			printf "shared accesses       %9d\nhits counted in lane  %9d (%.1f%%)\nMachine.Access calls  %9d (%.1f%%)\n", \
+			s, s-c, 100*(s-c)/s, c, 100*c/s }'; \
 	} > PROFILE_fig6.txt
 
 # Cross-protocol smoke sweep: the Figure 6 suite under Dir1SW, Dir4NB, and

@@ -62,6 +62,11 @@ func BenchmarkFig6(b *testing.B) {
 			b.ReportMetric(row.Normalized(bench.VariantCachier), "cachier/none")
 			b.ReportMetric(row.Normalized(bench.VariantCachierPrefetch), "cachier+pf/none")
 			b.ReportMetric(100*row.SharingLoads, "%shared-loads")
+			// Where the simulator's host time goes (make profile reads these):
+			// the row's shared references, and how many of them the lanes
+			// could not count in place.
+			b.ReportMetric(float64(row.SharedAccesses), "shared-accesses")
+			b.ReportMetric(float64(row.AccessCalls), "Machine.Access-calls")
 		})
 	}
 }

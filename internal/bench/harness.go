@@ -69,10 +69,23 @@ type Row struct {
 	SharingLoads  float64
 	SharingStores float64
 
+	// SharedAccesses and AccessCalls sum over the row's five simulations
+	// (trace run, four variants): shared loads and stores, and those of them
+	// that reached Machine.Access, the rest being hits counted in the lane.
+	// BenchmarkFig6 reports them and make profile reads them from there.
+	SharedAccesses, AccessCalls uint64
+
 	// AnnotatedSource is the Cachier (no-prefetch) annotated program.
 	AnnotatedSource string
 	// Reports are the data races / false sharing Cachier flagged.
 	Reports []core.ConflictReport
+}
+
+func (r *Row) countAccesses(res *sim.Result) {
+	for i := range res.SharedReads {
+		r.SharedAccesses += res.SharedReads[i] + res.SharedWrites[i]
+	}
+	r.AccessCalls += res.AccessCalls
 }
 
 // Normalized returns the variant's execution time relative to the
@@ -220,6 +233,7 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 		AnnotatedSource: annotated.Source,
 		Reports:         annotated.Reports,
 	}
+	row.countAccesses(traceRes)
 	if observe {
 		row.Snapshots = make(map[Variant]*obs.Snapshot)
 		row.Recorders = make(map[Variant]*obs.Recorder)
@@ -258,6 +272,7 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 		row.Stats[v] = results[i].Stats
 		row.Walls[v] = walls[i]
 		row.Engines[v] = results[i].Engine
+		row.countAccesses(results[i])
 		if observe {
 			row.Snapshots[v] = results[i].Snapshot
 			row.Recorders[v] = recs[i]

@@ -63,15 +63,17 @@ type Cache struct {
 	tick      uint32 // LRU clock
 	resident  int    // number of valid lines
 
-	// mru caches the most recently hit or inserted line. Programs show
-	// strong block locality (array walks touch the same 32-byte block
-	// several times in a row), so checking one pointer before the
-	// associative scan removes most probe work. The shortcut is
-	// self-validating — it is trusted only when the line still holds the
-	// probed block in a valid state — so invalidations, evictions, and
-	// flushes need no bookkeeping here. grow, the one place the flat array is
-	// reallocated, drops the pointer.
-	mru *line
+	// hot holds one key per materialised set, naming the set's most recently
+	// used line: block<<HotShift | HotDirty | HotExclusive | HotValid, or 0.
+	// Array walks touch one block several times in a row, so a compare with
+	// the key answers most probes without the associative scan. The key is
+	// exact: its block is resident, carries its set's greatest LRU stamp and
+	// has exactly the key's state bits. A scan hit in Touch and every Insert
+	// (what makes a line most recently used) write it; SetState, MarkDirty,
+	// Invalidate and FlushAll (what else changes a line) re-key or clear it.
+	// A hit on the key skips the LRU stamp, which nothing can observe: the
+	// line already carries its set's greatest (DESIGN.md section 5).
+	hot []uint64
 
 	// Statistics.
 	Hits      uint64
@@ -109,6 +111,7 @@ func New(size, assoc, blockSize int, reach uint64) (*Cache, error) {
 		nsets:     nsets,
 		assoc:     assoc,
 		flat:      make([]line, have*assoc),
+		hot:       make([]uint64, have),
 	}, nil
 }
 
@@ -130,21 +133,82 @@ func (c *Cache) Capacity() int { return c.nsets * c.assoc * c.blockSize }
 // Resident returns the number of valid lines currently cached.
 func (c *Cache) Resident() int { return c.resident }
 
-func (c *Cache) set(block uint64) []line {
-	i := int(block&uint64(c.nsets-1)) * c.assoc
-	if i >= len(c.flat) {
-		c.grow()
+// The bits of a hot key below the block number (see Cache.hot).
+const (
+	HotValid     uint64 = 1 << 0
+	HotExclusive uint64 = 1 << 1
+	HotDirty     uint64 = 1 << 2
+	HotShift            = 3
+)
+
+// HotHit reports whether key names block as a line an access hits with no
+// state change: any valid copy for a read, an exclusive dirty one for a
+// write.
+func HotHit(key, block uint64, write bool) bool {
+	need := HotValid
+	if write {
+		need = HotValid | HotExclusive | HotDirty
 	}
-	return c.flat[i : i+c.assoc : i+c.assoc]
+	return key>>HotShift == block && key&need == need
 }
 
-// grow materialises every set: the old sets keep their lines and the new ones
-// are empty, as in a full-geometry array at this point. mru pointed into the
-// old array; without it the next probe just takes the associative scan.
+// Hot exposes the per-set keys, read-only, to the simulator's lanes: a
+// pointer to the slice header, which grow replaces, and the mask that turns a
+// block number into a set index (one beyond the slice is not materialised).
+func (c *Cache) Hot() (keys *[]uint64, setMask uint64) {
+	return &c.hot, uint64(c.nsets - 1)
+}
+
+// hotKey is the key naming a line: 0 for an invalid one, or one whose block
+// number does not fit above the state bits (no laid-out address reaches it).
+func hotKey(ln *line) uint64 {
+	if ln.state == uint8(Invalid) || ln.block<<HotShift>>HotShift != ln.block {
+		return 0
+	}
+	k := ln.block<<HotShift | HotValid
+	if ln.state == uint8(Exclusive) {
+		k |= HotExclusive
+	}
+	if ln.dirty {
+		k |= HotDirty
+	}
+	return k
+}
+
+func named(key, block uint64) bool { return HotHit(key, block, false) }
+
+// hotState is the state a valid key carries: Shared, or with the bit Exclusive.
+func hotState(key uint64) State { return Shared + State(key&HotExclusive>>1) }
+
+// setIndex returns the block's set number, materialising the set first if
+// it is beyond the reach the cache was sized for.
+func (c *Cache) setIndex(block uint64) int {
+	s := int(block & uint64(c.nsets-1))
+	if s >= len(c.hot) {
+		c.grow()
+	}
+	return s
+}
+
+// find scans set s for the block's valid line.
+func (c *Cache) find(s int, block uint64) *line {
+	set := c.flat[s*c.assoc : (s+1)*c.assoc]
+	for i := range set {
+		if ln := &set[i]; ln.state != uint8(Invalid) && ln.block == block {
+			return ln
+		}
+	}
+	return nil
+}
+
+// grow materialises every set: the old sets keep their lines and keys and
+// the new ones are empty, as in a full-geometry array at this point.
 func (c *Cache) grow() {
 	full := make([]line, c.nsets*c.assoc)
 	copy(full, c.flat)
-	c.flat, c.mru = full, nil
+	hot := make([]uint64, c.nsets)
+	copy(hot, c.hot)
+	c.flat, c.hot = full, hot
 }
 
 // bump advances the LRU clock. Just before the 32-bit clock would exhaust,
@@ -164,75 +228,60 @@ func (c *Cache) bump() uint32 {
 // compares — is untouched.
 func (c *Cache) renormalize() {
 	a := c.assoc
+	ranks := make([]uint32, a) // a set's ranks are all taken from its old stamps
 	for s := 0; s < len(c.flat)/a; s++ {
 		set := c.flat[s*a : (s+1)*a]
 		for i := range set {
-			rank := uint32(0)
+			ranks[i] = 0
 			for j := range set {
 				if set[j].use < set[i].use {
-					rank++
+					ranks[i]++
 				}
 			}
-			set[i].use = rank
+		}
+		for i := range set {
+			set[i].use = ranks[i]
 		}
 	}
 	c.tick = uint32(c.assoc)
 }
 
-// hot reports whether the MRU shortcut currently holds the block.
-func (c *Cache) hot(block uint64) bool {
-	return c.mru != nil && c.mru.block == block && c.mru.state != uint8(Invalid)
-}
-
 // Lookup returns the block's state without touching LRU order. It returns
 // Invalid for absent blocks.
 func (c *Cache) Lookup(block uint64) State {
-	if c.hot(block) {
-		return State(c.mru.state)
+	s := c.setIndex(block)
+	if k := c.hot[s]; named(k, block) {
+		return hotState(k)
 	}
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			return State(ln.state)
-		}
+	if ln := c.find(s, block); ln != nil {
+		return State(ln.state)
 	}
 	return Invalid
 }
 
 // Dirty reports whether the block is cached and dirty.
 func (c *Cache) Dirty(block uint64) bool {
-	if c.hot(block) {
-		return c.mru.dirty
+	s := c.setIndex(block)
+	if k := c.hot[s]; named(k, block) {
+		return k&HotDirty != 0
 	}
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			return ln.dirty
-		}
-	}
-	return false
+	ln := c.find(s, block)
+	return ln != nil && ln.dirty
 }
 
 // Touch marks the block most-recently used and returns its state. Use it for
 // accesses that hit.
 func (c *Cache) Touch(block uint64) State {
-	tick := c.bump()
-	if c.hot(block) {
-		c.mru.use = tick
+	s := c.setIndex(block)
+	if k := c.hot[s]; named(k, block) {
 		c.Hits++
-		return State(c.mru.state)
+		return hotState(k)
 	}
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			ln.use = tick
-			c.Hits++
-			c.mru = ln
-			return State(ln.state)
-		}
+	if ln := c.find(s, block); ln != nil {
+		ln.use = c.bump()
+		c.Hits++
+		c.hot[s] = hotKey(ln)
+		return State(ln.state)
 	}
 	c.Misses++
 	return Invalid
@@ -253,14 +302,15 @@ func (c *Cache) Insert(block uint64, state State) (Victim, bool) {
 		panic("cache: Insert with Invalid state")
 	}
 	tick := c.bump()
-	set := c.set(block)
+	s := c.setIndex(block)
+	set := c.flat[s*c.assoc : (s+1)*c.assoc]
 	var free, lru = -1, 0
 	for i := range set {
 		ln := &set[i]
 		if ln.state != uint8(Invalid) && ln.block == block {
 			ln.state = uint8(state)
 			ln.use = tick
-			c.mru = ln
+			c.hot[s] = hotKey(ln)
 			return Victim{}, false
 		}
 		if ln.state == uint8(Invalid) {
@@ -272,77 +322,68 @@ func (c *Cache) Insert(block uint64, state State) (Victim, bool) {
 	if free >= 0 {
 		set[free] = line{block: block, state: uint8(state), use: tick}
 		c.resident++
-		c.mru = &set[free]
+		c.hot[s] = hotKey(&set[free])
 		return Victim{}, false
 	}
 	v := Victim{Block: set[lru].block, State: State(set[lru].state), Dirty: set[lru].dirty}
 	set[lru] = line{block: block, state: uint8(state), use: tick}
 	c.Evictions++
-	c.mru = &set[lru]
+	c.hot[s] = hotKey(&set[lru])
 	return v, true
 }
 
 // SetState updates the state of a resident block (for upgrades and
 // downgrades). It reports whether the block was present.
 func (c *Cache) SetState(block uint64, state State) bool {
-	if c.hot(block) {
-		if state == Invalid {
-			c.mru.state = uint8(Invalid)
-			c.mru.dirty = false
-			c.resident--
-		} else {
-			c.mru.state = uint8(state)
-		}
-		return true
+	s := c.setIndex(block)
+	ln := c.find(s, block)
+	if ln == nil {
+		return false
 	}
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			if state == Invalid {
-				ln.state = uint8(Invalid)
-				ln.dirty = false
-				c.resident--
-			} else {
-				ln.state = uint8(state)
-			}
-			return true
-		}
+	ln.state = uint8(state)
+	if state == Invalid {
+		ln.dirty = false
+		c.resident--
 	}
-	return false
+	if named(c.hot[s], block) {
+		c.hot[s] = hotKey(ln)
+	}
+	return true
 }
 
 // MarkDirty records that the block has been written. It reports whether the
 // block was present.
 func (c *Cache) MarkDirty(block uint64) bool {
-	if c.hot(block) {
-		c.mru.dirty = true
+	s := c.setIndex(block)
+	k := c.hot[s]
+	if named(k, block) && k&HotDirty != 0 {
 		return true
 	}
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			ln.dirty = true
-			return true
-		}
+	ln := c.find(s, block)
+	if ln == nil {
+		return false
 	}
-	return false
+	ln.dirty = true
+	if named(k, block) {
+		c.hot[s] = k | HotDirty
+	}
+	return true
 }
 
 // Invalidate removes the block, returning its prior state and dirtiness.
 func (c *Cache) Invalidate(block uint64) (State, bool) {
-	set := c.set(block)
-	for i := range set {
-		ln := &set[i]
-		if ln.state != uint8(Invalid) && ln.block == block {
-			st, dirty := State(ln.state), ln.dirty
-			*ln = line{}
-			c.resident--
-			return st, dirty
-		}
+	s := c.setIndex(block)
+	ln := c.find(s, block)
+	if ln == nil {
+		return Invalid, false
 	}
-	return Invalid, false
+	st, dirty := State(ln.state), ln.dirty
+	*ln = line{}
+	c.resident--
+	if named(c.hot[s], block) {
+		c.hot[s] = 0
+	}
+	return st, dirty
 }
 
 // FlushAll invalidates every line, calling fn (if non-nil) for each valid
@@ -360,6 +401,7 @@ func (c *Cache) FlushAll(fn func(block uint64, state State, dirty bool)) {
 			c.resident--
 		}
 	}
+	clear(c.hot)
 }
 
 // ForEach calls fn for every valid line without modifying anything. Lines of

@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,130 +230,286 @@ func TestInsertInvalidPanics(t *testing.T) {
 	small(t).Insert(0, Invalid)
 }
 
-// TestMRUShortcut exercises the one-entry MRU position cache: hits through
-// it, staleness after invalidation, after the line is reused for another
-// block, and after a flush.
+// TestMRUShortcut exercises the per-set hot key: hits through it, that it
+// follows state and dirtiness, that it is gone after invalidation, after the
+// set's MRU moves to another block, and after a flush.
 func TestMRUShortcut(t *testing.T) {
 	c := small(t)
+	key := func(block uint64) uint64 { return c.hot[block&1] }
 
 	c.Insert(4, Exclusive)
-	if c.mru == nil || c.mru.block != 4 {
-		t.Fatal("Insert did not set MRU")
+	if key(4) != 4<<HotShift|HotExclusive|HotValid {
+		t.Fatalf("Insert left key %#x", key(4))
 	}
 	if st := c.Touch(4); st != Exclusive {
-		t.Fatalf("Touch via MRU = %v", st)
+		t.Fatalf("Touch via the key = %v", st)
 	}
 	if c.Hits != 1 {
-		t.Fatalf("Hits = %d after MRU touch", c.Hits)
+		t.Fatalf("Hits = %d after a touch via the key", c.Hits)
+	}
+	if c.tick != 1 {
+		t.Fatalf("a touch via the key stamped the line (tick %d)", c.tick)
 	}
 	if !c.MarkDirty(4) || !c.Dirty(4) {
-		t.Fatal("MarkDirty/Dirty via MRU failed")
+		t.Fatal("MarkDirty/Dirty via the key failed")
+	}
+	if !HotHit(key(4), 4, true) || !HotHit(key(4), 4, false) || HotHit(key(4), 6, false) {
+		t.Fatalf("key %#x after MarkDirty", key(4))
 	}
 
-	// Invalidate the MRU block: the stale pointer must not report a hit.
+	// Invalidate the hot block: the key must not outlive the line.
 	c.Invalidate(4)
-	if c.Lookup(4) != Invalid || c.Dirty(4) || c.Touch(4) != Invalid {
-		t.Fatal("stale MRU survived Invalidate")
+	if key(4) != 0 || c.Lookup(4) != Invalid || c.Dirty(4) || c.Touch(4) != Invalid {
+		t.Fatal("key survived Invalidate")
 	}
 	if c.Misses != 1 {
 		t.Fatalf("Misses = %d", c.Misses)
 	}
 
-	// Reuse the same line slot for a different block in the same set
-	// (blocks 4 and 6 both map to set 0 of a 2-set cache): the MRU pointer
-	// now holds block 6, so probing 4 must miss.
+	// Another block of the same set becomes MRU (blocks 4 and 6 both map to
+	// set 0 of a 2-set cache): the key names it, so probing 4 must miss.
 	c.Insert(6, Shared)
 	if c.Lookup(4) != Invalid {
-		t.Fatal("MRU confused block 6 with block 4")
+		t.Fatal("key confused block 6 with block 4")
 	}
-	if c.Lookup(6) != Shared {
+	if c.Lookup(6) != Shared || HotHit(key(6), 6, true) || !HotHit(key(6), 6, false) {
 		t.Fatal("lost block 6")
 	}
 
-	// SetState through the MRU, including downgrade to Invalid.
+	// SetState through the key, including downgrade to Invalid.
 	c.Touch(6)
-	if !c.SetState(6, Exclusive) || c.Lookup(6) != Exclusive {
-		t.Fatal("SetState upgrade via MRU failed")
+	if !c.SetState(6, Exclusive) || c.Lookup(6) != Exclusive || key(6)&HotExclusive == 0 {
+		t.Fatal("SetState upgrade of the hot line failed")
 	}
-	if !c.SetState(6, Invalid) || c.Lookup(6) != Invalid {
-		t.Fatal("SetState invalidate via MRU failed")
+	if !c.SetState(6, Invalid) || c.Lookup(6) != Invalid || key(6) != 0 {
+		t.Fatal("SetState invalidate of the hot line failed")
 	}
 	if c.Resident() != 0 {
 		t.Fatalf("Resident = %d after invalidating everything", c.Resident())
 	}
 
-	// Flush with a valid MRU pointer outstanding.
+	// Flush with a key outstanding.
 	c.Insert(8, Shared)
 	c.FlushAll(nil)
-	if c.Lookup(8) != Invalid || c.Touch(8) != Invalid {
-		t.Fatal("stale MRU survived FlushAll")
+	if key(8) != 0 || c.Lookup(8) != Invalid || c.Touch(8) != Invalid {
+		t.Fatal("key survived FlushAll")
 	}
 
-	// Eviction reuses the victim's slot; MRU must follow the new block.
+	// A scan hit moves the key; an eviction gives it to the new block.
 	c2 := small(t)
 	c2.Insert(0, Shared) // set 0
 	c2.Insert(2, Shared) // set 0 -> set full
 	c2.Touch(0)
+	if !HotHit(c2.hot[0], 0, false) {
+		t.Fatal("a scan hit did not take the key")
+	}
 	c2.Insert(4, Shared) // evicts block 2 (LRU)
 	if v := c2.Lookup(2); v != Invalid {
 		t.Fatalf("evicted block still visible: %v", v)
 	}
-	if c2.Lookup(4) != Shared || c2.Touch(4) != Shared {
-		t.Fatal("MRU not tracking newly inserted block after eviction")
+	if !HotHit(c2.hot[0], 4, false) || c2.Lookup(4) != Shared || c2.Touch(4) != Shared {
+		t.Fatal("key not naming the newly inserted block after eviction")
+	}
+
+	// A block number with bits above what a key can hold is never keyed.
+	huge := uint64(1)<<63 | 2
+	c2.Insert(huge, Exclusive)
+	if c2.hot[0] != 0 || HotHit(c2.hot[0], huge<<HotShift>>HotShift, false) {
+		t.Fatalf("key %#x for a block that does not fit one", c2.hot[0])
+	}
+	if c2.Touch(huge) != Exclusive || c2.Lookup(4) != Shared {
+		t.Fatal("unkeyed block lost")
 	}
 }
 
-// TestMRUAgainstScan cross-checks every MRU fast path against a shortcut-free
-// reference cache over a pseudo-random operation stream.
-func TestMRUAgainstScan(t *testing.T) {
-	c := small(t)
-	ref := small(t)
-	ref.mru = nil // keep the reference honest: clear before every probe
-	rng := uint64(1)
-	next := func() uint64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return rng >> 33
+// modelLine is a line of the hint-free model.
+type modelLine struct {
+	block uint64
+	state State
+	dirty bool
+}
+
+// modelCache is a plain per-set LRU list, most recently used first: what a
+// Cache must be indistinguishable from, with no hot key, no stamps and no
+// reach sizing.
+type modelCache struct {
+	nsets, assoc            int
+	sets                    [][]modelLine
+	hits, misses, evictions uint64
+}
+
+func (m *modelCache) find(block uint64) (set *[]modelLine, i int) {
+	set = &m.sets[block%uint64(m.nsets)]
+	for i, ln := range *set {
+		if ln.block == block {
+			return set, i
+		}
 	}
-	for i := 0; i < 20000; i++ {
-		block := next() % 16
-		op := next() % 6
-		ref.mru = nil
-		switch op {
-		case 0:
-			if got, want := c.Touch(block), ref.Touch(block); got != want {
-				t.Fatalf("op %d: Touch(%d) = %v, want %v", i, block, got, want)
+	return set, -1
+}
+
+func (m *modelCache) front(set *[]modelLine, i int) {
+	ln := (*set)[i]
+	copy((*set)[1:i+1], (*set)[:i])
+	(*set)[0] = ln
+}
+
+func (m *modelCache) remove(set *[]modelLine, i int) {
+	*set = append((*set)[:i], (*set)[i+1:]...)
+}
+
+func (m *modelCache) touch(block uint64) State {
+	set, i := m.find(block)
+	if i < 0 {
+		m.misses++
+		return Invalid
+	}
+	m.hits++
+	m.front(set, i)
+	return (*set)[0].state
+}
+
+func (m *modelCache) insert(block uint64, st State) (Victim, bool) {
+	set, i := m.find(block)
+	if i >= 0 {
+		(*set)[i].state = st
+		m.front(set, i)
+		return Victim{}, false
+	}
+	var v Victim
+	evicted := len(*set) == m.assoc
+	if evicted {
+		last := (*set)[m.assoc-1]
+		v = Victim{Block: last.block, State: last.state, Dirty: last.dirty}
+		*set = (*set)[:m.assoc-1]
+		m.evictions++
+	}
+	*set = append([]modelLine{{block: block, state: st}}, *set...)
+	return v, evicted
+}
+
+func (m *modelCache) resident() int {
+	n := 0
+	for _, set := range m.sets {
+		n += len(set)
+	}
+	return n
+}
+
+// TestMRUAgainstScan holds the cache, hot keys and all, against the
+// hint-free model over seeded operation streams: every return value and
+// victim equal, and after every operation every non-zero key names a block
+// the model has resident, at the front of its set's LRU list, with exactly
+// the key's exclusive and dirty bits. The streams reach beyond the sized
+// sets (growth under live keys) and start the LRU clock just short of its
+// wrap (renormalize under live keys).
+func TestMRUAgainstScan(t *testing.T) {
+	const nsets, assoc, reach, steps = 8, 4, 3, 6000
+	for seed := int64(1); seed <= 30; seed++ {
+		c := MustNew(nsets*assoc*32, assoc, 32, reach)
+		c.tick = ^uint32(0) - 700
+		m := &modelCache{nsets: nsets, assoc: assoc, sets: make([][]modelLine, nsets)}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < steps; i++ {
+			blocks := int64(4 * reach) // several blocks a set, inside the sized sets
+			if i >= steps/3 {
+				blocks = 6 * nsets
 			}
-		case 1:
-			if got, want := c.Lookup(block), ref.Lookup(block); got != want {
-				t.Fatalf("op %d: Lookup(%d) = %v, want %v", i, block, got, want)
+			b := uint64(rng.Int63n(blocks))
+			at := fmt.Sprintf("seed %d step %d block %d", seed, i, b)
+			switch op := rng.Intn(20); {
+			case op < 6:
+				if got, want := c.Touch(b), m.touch(b); got != want {
+					t.Fatalf("%s: Touch = %v, model %v", at, got, want)
+				}
+			case op < 11:
+				st := State(1 + rng.Intn(2))
+				gv, gok := c.Insert(b, st)
+				wv, wok := m.insert(b, st)
+				if gv != wv || gok != wok {
+					t.Fatalf("%s: Insert(%v) = %+v %v, model %+v %v", at, st, gv, gok, wv, wok)
+				}
+			case op < 13:
+				set, j := m.find(b)
+				want := j >= 0
+				if want {
+					(*set)[j].dirty = true
+				}
+				if got := c.MarkDirty(b); got != want {
+					t.Fatalf("%s: MarkDirty = %v, model %v", at, got, want)
+				}
+			case op < 16:
+				st := State(rng.Intn(3))
+				set, j := m.find(b)
+				want := j >= 0
+				if want && st == Invalid {
+					m.remove(set, j)
+				} else if want {
+					(*set)[j].state = st
+				}
+				if got := c.SetState(b, st); got != want {
+					t.Fatalf("%s: SetState(%v) = %v, model %v", at, st, got, want)
+				}
+			case op < 18:
+				set, j := m.find(b)
+				var ws State
+				var wd bool
+				if j >= 0 {
+					ws, wd = (*set)[j].state, (*set)[j].dirty
+					m.remove(set, j)
+				}
+				if gs, gd := c.Invalidate(b); gs != ws || gd != wd {
+					t.Fatalf("%s: Invalidate = %v %v, model %v %v", at, gs, gd, ws, wd)
+				}
+			case op < 19:
+				// Probe every block of the set, not just b.
+				for k := b % nsets; k < uint64(blocks); k += nsets {
+					set, j := m.find(k)
+					ws, wd := Invalid, false
+					if j >= 0 {
+						ws, wd = (*set)[j].state, (*set)[j].dirty
+					}
+					if gs, gd := c.Lookup(k), c.Dirty(k); gs != ws || gd != wd {
+						t.Fatalf("%s: Lookup/Dirty(%d) = %v %v, model %v %v", at, k, gs, gd, ws, wd)
+					}
+				}
+			default:
+				if rng.Intn(6) != 0 { // a flush empties the cache; keep it rare
+					break
+				}
+				var got, want []modelLine
+				c.FlushAll(func(b uint64, s State, d bool) { got = append(got, modelLine{b, s, d}) })
+				for s := range m.sets {
+					want = append(want, m.sets[s]...)
+					m.sets[s] = nil
+				}
+				byBlock := func(x, y modelLine) int { return cmp.Compare(x.block, y.block) }
+				slices.SortFunc(got, byBlock)
+				slices.SortFunc(want, byBlock)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: FlushAll visited %v, model %v", at, got, want)
+				}
 			}
-		case 2:
-			st := Shared
-			if next()%2 == 0 {
-				st = Exclusive
+			if c.Hits != m.hits || c.Misses != m.misses || c.Evictions != m.evictions || c.Resident() != m.resident() {
+				t.Fatalf("%s: hits/misses/evictions/resident %d/%d/%d/%d, model %d/%d/%d/%d", at,
+					c.Hits, c.Misses, c.Evictions, c.Resident(), m.hits, m.misses, m.evictions, m.resident())
 			}
-			gv, gok := c.Insert(block, st)
-			wv, wok := ref.Insert(block, st)
-			if gv != wv || gok != wok {
-				t.Fatalf("op %d: Insert(%d) = %v,%v want %v,%v", i, block, gv, gok, wv, wok)
-			}
-		case 3:
-			if got, want := c.MarkDirty(block), ref.MarkDirty(block); got != want {
-				t.Fatalf("op %d: MarkDirty(%d) = %v, want %v", i, block, got, want)
-			}
-		case 4:
-			gs, gd := c.Invalidate(block)
-			ws, wd := ref.Invalidate(block)
-			if gs != ws || gd != wd {
-				t.Fatalf("op %d: Invalidate(%d) = %v,%v want %v,%v", i, block, gs, gd, ws, wd)
-			}
-		case 5:
-			if got, want := c.Dirty(block), ref.Dirty(block); got != want {
-				t.Fatalf("op %d: Dirty(%d) = %v, want %v", i, block, got, want)
+			for s, k := range c.hot {
+				if k == 0 {
+					continue
+				}
+				set := m.sets[s]
+				if k&HotValid == 0 || len(set) == 0 || set[0].block != k>>HotShift || int(k>>HotShift)%nsets != s ||
+					(k&HotExclusive != 0) != (set[0].state == Exclusive) || (k&HotDirty != 0) != set[0].dirty {
+					t.Fatalf("%s: set %d key %#x, model's list %+v", at, s, k, set)
+				}
 			}
 		}
-		if c.Resident() != ref.Resident() {
-			t.Fatalf("op %d: resident %d vs %d", i, c.Resident(), ref.Resident())
+		if len(c.hot) != nsets {
+			t.Errorf("seed %d: the stream never grew the cache (%d sets)", seed, len(c.hot))
+		}
+		if c.tick >= ^uint32(0)-700 {
+			t.Errorf("seed %d: the LRU clock never wrapped (tick %d)", seed, c.tick)
 		}
 	}
 }

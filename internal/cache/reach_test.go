@@ -138,22 +138,28 @@ func TestReachSizedMatchesFullGeometry(t *testing.T) {
 	}
 }
 
-// TestGrowRevalidatesMRU: the MRU shortcut points into the array grow
-// replaces. A probe of the shortcut's block straight after growth must read
-// the new array, and a write through it must land there.
+// TestGrowRevalidatesMRU: growth replaces the line array and the hot keys
+// under a live key. The key must come across, a probe through it straight
+// after growth must answer as before, and a write must land in the new array
+// and the new key.
 func TestGrowRevalidatesMRU(t *testing.T) {
 	sized, full := diffPair()
+	keys, mask := sized.Hot()
+	before := *keys
 	for _, c := range []*Cache{sized, full} {
-		c.Insert(3, Exclusive) // MRU -> block 3
-		c.Touch(40)            // set 40 is beyond the 16 materialised: grows, and a miss leaves MRU alone
+		c.Insert(3, Exclusive) // set 3's key -> block 3
+		c.Touch(40)            // set 40 is beyond the 16 materialised: grows, and a miss leaves the keys alone
 		c.Touch(3)
 		c.MarkDirty(3)
 	}
 	if materialised(sized) != diffSets {
 		t.Fatalf("block 40 did not grow the array: %d sets", materialised(sized))
 	}
-	if sized.mru == nil || sized.mru != &sized.flat[3*diffAssoc+1] && sized.mru != &sized.flat[3*diffAssoc] {
-		t.Error("MRU shortcut does not point into the grown array")
+	if mask != diffSets-1 || len(*keys) != diffSets || &(*keys)[0] == &before[0] {
+		t.Error("Hot's pointer does not see the grown keys")
+	}
+	if got, want := (*keys)[3], full.hot[3]; got != want || !HotHit(got, 3, true) {
+		t.Errorf("set 3's key after growth %#x, full geometry %#x", got, want)
 	}
 	if !sized.Dirty(3) || sized.Lookup(3) != Exclusive {
 		t.Error("line lost across growth")

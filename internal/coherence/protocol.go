@@ -20,13 +20,8 @@ import (
 // Stats.Invalidations increment with a Recorder.Invalidations call (the
 // snapshot consistency checker crosses the two).
 //
-// Hooks run only inside generation-bumped public operations (System.gen,
-// see batch.go): every cache line a hook installs, invalidates, or
-// downgrades — on any node — is already covered by the bump the calling
-// Read/Write/directive performed, so the access memo never
-// survives a protocol-side mutation. Hooks must route all cross-node cache
-// mutation through the System helpers rather than caching System state
-// across calls.
+// Hooks change other nodes' lines through cache.Cache's methods, which keep
+// the hot keys exact: a lane counting hits off one never sees a stale line.
 type Protocol interface {
 	// Name identifies the protocol in results, snapshots, and goldens
 	// (e.g. "Dir1SW", "Dir4NB").

@@ -171,14 +171,6 @@ type System struct {
 	// probeErr latches the first violation the per-access probe found.
 	probeErr error
 
-	// gen counts machine-wide state changes (any cache or directory
-	// mutation beyond reinforcing a most-recently-used line); memos holds
-	// the per-node access-run memo that batched access resolution
-	// uses. Both live in batch.go; memos stays nil until EnableAccessMemo.
-	gen      uint64
-	memos    [][]accessMemo
-	memoMask uint64
-
 	// rec is the observability recorder (nil when disabled).
 	rec *obs.Recorder
 
@@ -426,11 +418,9 @@ func (s *System) Read(node int, addr uint64, now uint64) Result {
 	}
 	c := s.caches[node]
 	if st := c.Touch(block); st != cache.Invalid {
-		s.Stats.Hits++
+		s.Stats.Hits++ // LaneView.Hit mirrors this return
 		return Result{Cycles: s.cfg.Costs.CacheHit, Kind: Hit}
 	}
-	// Everything below installs, evicts, or moves directory state.
-	s.gen++
 	if stall, ok := s.checkInflight(node, block, now, false); ok {
 		s.Stats.Hits++
 		c.Touch(block)
@@ -456,13 +446,12 @@ func (s *System) Write(node int, addr uint64, now uint64) Result {
 	co := s.cfg.Costs
 	switch c.Touch(block) {
 	case cache.Exclusive:
-		s.Stats.Hits++
+		s.Stats.Hits++ // LaneView.Hit mirrors this return when the line is dirty already
 		c.MarkDirty(block)
 		return Result{Cycles: co.CacheHit, Kind: Hit}
 	case cache.Shared:
 		// Write fault: upgrade the shared copy (paper Section 4.1). The
 		// explicit check_out_x directive exists to avoid exactly this.
-		s.gen++
 		cost, trap := s.upgrade(node, block)
 		s.Stats.WriteFaults++
 		if trap {
@@ -472,8 +461,6 @@ func (s *System) Write(node int, addr uint64, now uint64) Result {
 		c.MarkDirty(block)
 		return Result{Cycles: cost, Kind: WriteFault, Trap: trap}
 	}
-	// Invalid: everything below installs, evicts, or moves directory state.
-	s.gen++
 	if stall, ok := s.checkInflight(node, block, now, true); ok {
 		s.Stats.Hits++
 		c.Touch(block)
@@ -490,12 +477,75 @@ func (s *System) Write(node int, addr uint64, now uint64) Result {
 	return Result{Cycles: cost, Kind: WriteMiss, Trap: trap}
 }
 
+// LaneView is what the processor running on a node may touch of the
+// machine's state without a call, so that the two events that dominate a run,
+// a charge of local work and a shared access that hits, cost a few loads and
+// one compare. Clock and Limit are the caller's: the node's virtual clock and
+// the scheduler's keep-running bound on it, which the holder compares after
+// everything it adds to the clock. The rest is Hit's.
+type LaneView struct {
+	Clock, Limit *uint64
+
+	// The node's cache keys (cache.Cache.Hot) and how to find an address's.
+	hot        *[]uint64
+	setMask    uint64
+	blockShift uint
+	hitCost    uint64
+
+	// What a hit counts: Stats', and the caller's per-node references.
+	reads, writes, hits   *uint64
+	nodeReads, nodeWrites *uint64
+}
+
+// LaneView returns node's view; clock, limit and the two counters of the
+// node's shared reads and writes are the caller's. There is none under a
+// recorder (every access is an event) or the probe (every access is
+// checked), nor when the block size is no power of two (Hit finds a block by
+// shifting).
+func (s *System) LaneView(node int, clock, limit, nodeReads, nodeWrites *uint64) (LaneView, bool) {
+	if s.rec != nil || s.cfg.Probe || s.blockShift < 0 {
+		return LaneView{}, false
+	}
+	hot, mask := s.caches[node].Hot()
+	return LaneView{
+		Clock: clock, Limit: limit,
+		hot: hot, setMask: mask, blockShift: uint(s.blockShift), hitCost: s.cfg.Costs.CacheHit,
+		reads: &s.Stats.Reads, writes: &s.Stats.Writes, hits: &s.Stats.Hits,
+		nodeReads: nodeReads, nodeWrites: nodeWrites,
+	}, true
+}
+
+// Hit is the first return of Read and of Write with the calls taken out: it
+// reports whether the access to addr hits a line whose state it leaves alone
+// (cache.HotHit), and if so does what that return and its caller do and
+// nothing else: Stats.Reads or Writes, Stats.Hits, the caller's count of the
+// node's references, and Costs.CacheHit onto the clock. Whatever Read, Write
+// or their caller (sim.Machine.Access) come to count or charge for such a hit
+// belongs here too; the differentials' bare third run is what tells.
+func (v *LaneView) Hit(write bool, addr uint64) bool {
+	block := addr >> v.blockShift
+	hot := *v.hot
+	set := block & v.setMask
+	if set >= uint64(len(hot)) || !cache.HotHit(hot[set], block, write) {
+		return false
+	}
+	if write {
+		*v.writes++
+		*v.nodeWrites++
+	} else {
+		*v.reads++
+		*v.nodeReads++
+	}
+	*v.hits++
+	*v.Clock += v.hitCost
+	return true
+}
+
 // CheckOutX explicitly checks out addr's block exclusive. It is the
 // directive counterpart of a write miss/fault, issued early so that later
 // reads-then-writes find the block already writable.
 func (s *System) CheckOutX(node int, addr uint64, now uint64) Result {
 	s.Stats.CheckOutX++
-	s.gen++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("check_out_x", block)
@@ -539,7 +589,6 @@ func (s *System) CheckOutX(node int, addr uint64, now uint64) Result {
 // directive for Programmer CICO runs.
 func (s *System) CheckOutS(node int, addr uint64, now uint64) Result {
 	s.Stats.CheckOutS++
-	s.gen++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("check_out_s", block)
@@ -566,7 +615,6 @@ func (s *System) CheckOutS(node int, addr uint64, now uint64) Result {
 // traps (the annotation's whole purpose as a directive).
 func (s *System) CheckIn(node int, addr uint64) Result {
 	s.Stats.CheckIns++
-	s.gen++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("check_in", block)
@@ -643,7 +691,6 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 	} else {
 		s.Stats.PrefetchS++
 	}
-	s.gen++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("prefetch", block)
@@ -688,7 +735,6 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 // blocks and reconciling the directory. The WWT-style tracer calls this for
 // all nodes at every barrier (paper Section 3.3).
 func (s *System) FlushNode(node int) {
-	s.gen++
 	s.caches[node].FlushAll(func(block uint64, st cache.State, dirty bool) {
 		e := s.entryFor(block)
 		switch e.State {

@@ -93,9 +93,9 @@ func TestProtocolEquivalenceCorpus(t *testing.T) {
 
 // TestProtocolLanesCorpus is the plain-source slice under every non-default
 // protocol, including the degenerate one-pointer DirnNB (maximum directory
-// churn, the hardest case for the access memo's generation counter): the
-// memo leans on every protocol bumping the state generation (coherence
-// batch.go), and this keeps that true as protocols are added.
+// churn, so the most lines taken from under a lane counting hits off its
+// cache's keys): a protocol hook changes another node's cache only through
+// cache.Cache's methods, and this keeps that true as protocols are added.
 func TestProtocolLanesCorpus(t *testing.T) {
 	for _, spec := range []string{"dirnnb:1", "dirnnb:4", "dirnb:4"} {
 		spec := spec

@@ -127,7 +127,7 @@ func RunSource(src string) error {
 	// Reference differential: the production engine is behind every run
 	// above, so those only prove it against the oracle result-for-result.
 	// Re-running the program on the reference engine (the tree-walking
-	// interpreter, no access memo) and demanding a bit-identical machine on
+	// interpreter, no lane view) and demanding a bit-identical machine on
 	// every surface pins production to the reference access-for-access.
 	if err := checkEngineSource("unannotated", prog, "", sim.ModePerf); err != nil {
 		return err
@@ -255,12 +255,13 @@ func annotatedForm(src string, prog *parc.Program) (*parc.Program, string, error
 }
 
 // RunReferenceEquivalence is the engine differential: the production engine
-// (compiled lanes, access memo) must be observationally indistinguishable
-// from the reference engine (tree-walker, no memo) — not statistically
-// close, bit-identical. It runs the seed's program under the given
-// coherence protocol spec ("" is Dir1SW) on both, plain and — when
-// annotated is set — in its Performance+prefetch annotated form (directives
-// exercise the generation bumps that guard the access memo).
+// (compiled lanes, with and without their lane view) must be observationally
+// indistinguishable from the reference engine (tree-walker, every event a
+// Machine call) — not statistically close, bit-identical. It runs the
+// seed's program under the given coherence protocol spec ("" is Dir1SW) on
+// both, plain and — when annotated is set — in its Performance+prefetch
+// annotated form (directives re-key and clear the cache keys a lane counts
+// hits off).
 func RunReferenceEquivalence(seed int64, protocol string, plain, annotated bool) error {
 	src := parcgen.Generate(seed)
 	prog, err := parc.Parse(src)
@@ -283,7 +284,7 @@ func RunReferenceEquivalence(seed int64, protocol string, plain, annotated bool)
 }
 
 // RunTraceEquivalence is the same differential in trace mode, where the
-// barrier cache flushes hit the access memo and the surface that matters is
+// barrier cache flushes clear the cache keys and the surface that matters is
 // the miss trace Cachier consumes.
 func RunTraceEquivalence(seed int64) error {
 	prog, err := parc.Parse(parcgen.Generate(seed))
@@ -299,52 +300,51 @@ func RunTraceEquivalence(seed int64) error {
 // error text, cycles, per-node clocks, protocol stats, shared memory,
 // output order, miss trace, snapshot JSON, and timeline JSON. Each run must
 // report the engine it was asked for, or the check would be vacuous.
+//
+// A recorder or the probe takes the lane view away (coherence.System.LaneView),
+// so a third run, production with neither, is the one in which lanes charge
+// work and count hits in place; it must match the recorded production run on
+// every surface a bare run has.
 func checkEngineSource(name string, prog *parc.Program, protocol string, mode sim.Mode) error {
-	run := func(reference bool) (*sim.Result, *obs.Recorder, error) {
+	run := func(reference, bare bool) (*sim.Result, *obs.Recorder, error) {
 		cfg := simConfig(mode)
 		cfg.Protocol = protocol
 		cfg.TreeWalk = reference
-		cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
-		cfg.Recorder.EnableTimeline()
+		if bare {
+			cfg.Probe = false
+		} else {
+			cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
+			cfg.Recorder.EnableTimeline()
+		}
 		res, err := sim.Run(prog, cfg)
 		return res, cfg.Recorder, err
 	}
-	prod, prodRec, prodErr := run(false)
-	ref, refRec, refErr := run(true)
-	if (prodErr == nil) != (refErr == nil) {
-		return fmt.Errorf("%s: error divergence: production %v, reference %v", name, prodErr, refErr)
+	prod, prodRec, prodErr := run(false, false)
+	ref, refRec, refErr := run(true, false)
+	bare, _, bareErr := run(false, true)
+	for _, o := range []struct {
+		name string
+		err  error
+	}{{"reference", refErr}, {"bare production", bareErr}} {
+		if (prodErr == nil) != (o.err == nil) {
+			return fmt.Errorf("%s: error divergence: production %v, %s %v", name, prodErr, o.name, o.err)
+		}
+		if prodErr != nil && prodErr.Error() != o.err.Error() {
+			return fmt.Errorf("%s: error text divergence:\nproduction: %v\n%s: %v", name, prodErr, o.name, o.err)
+		}
 	}
 	if prodErr != nil {
-		if prodErr.Error() != refErr.Error() {
-			return fmt.Errorf("%s: error text divergence:\nproduction: %v\nreference:  %v", name, prodErr, refErr)
-		}
 		return nil
 	}
-	if prod.Engine != "lanes" || ref.Engine != "reference" {
-		return fmt.Errorf("%s: runs report engines %q and %q, want lanes and reference", name, prod.Engine, ref.Engine)
+	if prod.Engine != "lanes" || ref.Engine != "reference" || bare.Engine != "lanes" {
+		return fmt.Errorf("%s: runs report engines %q, %q and %q, want lanes, reference and lanes",
+			name, prod.Engine, ref.Engine, bare.Engine)
 	}
-	if prod.Cycles != ref.Cycles {
-		return fmt.Errorf("%s: cycles diverge: production %d, reference %d", name, prod.Cycles, ref.Cycles)
+	if err := diffResults(name, "reference", prod, ref); err != nil {
+		return err
 	}
-	if !equalUints(prod.NodeCycles, ref.NodeCycles) {
-		return fmt.Errorf("%s: node cycles diverge", name)
-	}
-	if prod.Stats != ref.Stats {
-		return fmt.Errorf("%s: protocol stats diverge\nproduction: %+v\nreference:  %+v", name, prod.Stats, ref.Stats)
-	}
-	if !equalUints(prod.Store.Words(), ref.Store.Words()) {
-		return fmt.Errorf("%s: shared memory diverges", name)
-	}
-	if len(prod.Output) != len(ref.Output) {
-		return fmt.Errorf("%s: production printed %d lines, reference %d", name, len(prod.Output), len(ref.Output))
-	}
-	for i := range ref.Output {
-		if prod.Output[i] != ref.Output[i] {
-			return fmt.Errorf("%s: output diverges at line %d: %q vs %q", name, i, prod.Output[i], ref.Output[i])
-		}
-	}
-	if !reflect.DeepEqual(prod.Trace, ref.Trace) {
-		return fmt.Errorf("%s: miss traces diverge", name)
+	if err := diffResults(name, "bare production", prod, bare); err != nil {
+		return err
 	}
 	// Dispatched ops are the one count the engines do not share: bytecode
 	// instructions on one, statements on the other.
@@ -378,16 +378,30 @@ func checkEngineSource(name string, prog *parc.Program, protocol string, mode si
 	return nil
 }
 
-func equalUints(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// diffResults compares two runs on the surfaces every run has.
+func diffResults(name, other string, prod, got *sim.Result) error {
+	if prod.Cycles != got.Cycles {
+		return fmt.Errorf("%s: cycles diverge: production %d, %s %d", name, prod.Cycles, other, got.Cycles)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if !slices.Equal(prod.NodeCycles, got.NodeCycles) {
+		return fmt.Errorf("%s: node cycles diverge from %s", name, other)
 	}
-	return true
+	if prod.Stats != got.Stats {
+		return fmt.Errorf("%s: protocol stats diverge\nproduction: %+v\n%s: %+v", name, prod.Stats, other, got.Stats)
+	}
+	if !slices.Equal(prod.SharedReads, got.SharedReads) || !slices.Equal(prod.SharedWrites, got.SharedWrites) {
+		return fmt.Errorf("%s: per-node shared reference counts diverge from %s", name, other)
+	}
+	if !slices.Equal(prod.Store.Words(), got.Store.Words()) {
+		return fmt.Errorf("%s: shared memory diverges from %s", name, other)
+	}
+	if !slices.Equal(prod.Output, got.Output) {
+		return fmt.Errorf("%s: output diverges\nproduction: %q\n%s: %q", name, prod.Output, other, got.Output)
+	}
+	if !reflect.DeepEqual(prod.Trace, got.Trace) {
+		return fmt.Errorf("%s: miss traces diverge from %s", name, other)
+	}
+	return nil
 }
 
 // checkObservability re-runs prog with a recorder (and timeline) attached

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 
 	"cachier/internal/oracle"
 	"cachier/internal/parc"
@@ -84,7 +85,7 @@ func RunProtocolEquivalence(seed int64) error {
 				return fmt.Errorf("%s: directive counts diverge from %s\n%s: %+v\n%s: %+v",
 					name, baseSpec, spec, r.Stats, baseSpec, base.Stats)
 			}
-			if !equalUints(r.Store.Words(), base.Store.Words()) {
+			if !slices.Equal(r.Store.Words(), base.Store.Words()) {
 				return fmt.Errorf("%s: final shared memory diverges from %s", name, baseSpec)
 			}
 			if err := diffOutput(r.Output, base.Output); err != nil {

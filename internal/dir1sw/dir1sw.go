@@ -21,10 +21,6 @@
 // avoids the later upgrade fault; a check_in returns the block toward Idle
 // so the next node's access avoids a trap and invalidations; prefetches
 // overlap transfer latency with computation.
-//
-// The trap machinery is untouched by batched access
-// resolution (coherence/batch.go): traps only occur on miss/fault paths,
-// which always take the slow path and bump the state generation.
 package dir1sw
 
 import (

@@ -29,10 +29,7 @@
 // Dir1SW) so invalidations can be delivered; the pointer limit is enforced
 // behaviourally (evictions, broadcast bit) and as a checked invariant
 // (CheckEntry: sharer count ≤ n for NB, or the broadcast bit set and the
-// entry Shared for B). Pointer eviction and broadcast handling behave
-// identically under batched access resolution
-// (coherence/batch.go): both run inside generation-bumped miss paths, so
-// no memoized access run ever spans them.
+// entry Shared for B).
 package dirn
 
 import (

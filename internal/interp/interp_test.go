@@ -19,6 +19,7 @@ type mockMachine struct {
 	locks      []int64
 	unlocks    []int64
 	work       uint64
+	works      []uint64 // each Work call's cycles: the flush cadence
 	printed    []string
 }
 
@@ -50,8 +51,11 @@ func (m *mockMachine) Directive(node int, kind parc.AnnKind, ranges []AddrRange,
 func (m *mockMachine) Barrier(node int, pc int)          { m.barriers = append(m.barriers, pc) }
 func (m *mockMachine) Lock(node int, id int64, pc int)   { m.locks = append(m.locks, id) }
 func (m *mockMachine) Unlock(node int, id int64, pc int) { m.unlocks = append(m.unlocks, id) }
-func (m *mockMachine) Work(node int, cycles uint64)      { m.work += cycles }
-func (m *mockMachine) Print(node int, text string)       { m.printed = append(m.printed, text) }
+func (m *mockMachine) Work(node int, cycles uint64) {
+	m.work += cycles
+	m.works = append(m.works, cycles)
+}
+func (m *mockMachine) Print(node int, text string) { m.printed = append(m.printed, text) }
 
 // run executes src on a single simulated processor and returns the machine
 // record, store, and layout.

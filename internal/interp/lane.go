@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"cachier/internal/coherence"
 	"cachier/internal/parc"
 )
 
@@ -26,13 +27,19 @@ import (
 // tree-walker, resumed from its park inside that call (sim/reference.go),
 // performs them.
 
-// LaneYielder is the scheduler's probe. After every Machine call (and
-// every work-charge flush) the stepper asks whether its node is still the
-// running lane; a false answer suspends the stepper at the current phase.
-// A nil yielder never suspends: Resume then runs the program to completion,
-// with Machine calls free to block internally (Context.Run).
+// LaneYielder is the lane's scheduling contract. After every Machine call
+// the stepper asks LaneRunning whether its node is still the running lane; a
+// false answer suspends the stepper at the current phase. With a view of its
+// node (coherence.LaneView, where what a hit accounts for is kept) the lane
+// charges work and counts cache hits in place, and calls LaneSwitch (the
+// scheduling decision a Machine call would have ended in) only when its clock
+// has passed the limit. A nil yielder never suspends: Resume then runs the
+// program to completion, with Machine calls free to block internally
+// (Context.Run).
 type LaneYielder interface {
 	LaneRunning(node int) bool
+	LaneSwitch(node int)
+	LaneView(node int) (v coherence.LaneView, ok bool)
 }
 
 // LaneStatus is Resume's outcome.
@@ -84,8 +91,10 @@ const (
 
 // LaneVM executes one node's program as a resumable lane.
 type LaneVM struct {
-	c *Context
-	y LaneYielder
+	c      *Context
+	y      LaneYielder
+	view   coherence.LaneView
+	viewed bool // false: no view, every charge and access is a Machine call
 
 	stack []laneFrame
 
@@ -126,6 +135,9 @@ func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, bool) {
 	}
 	c.depth++
 	lv := &LaneVM{c: c, y: y}
+	if y != nil {
+		lv.view, lv.viewed = y.LaneView(c.node)
+	}
 	lv.stack = append(lv.stack, laneFrame{co: co, fr: c.acquire(co)})
 	return lv, true
 }
@@ -165,6 +177,39 @@ func (lv *LaneVM) fail(err error) LaneStatus {
 	return LaneDone
 }
 
+// work charges cycles of local computation and reports whether the lane is
+// still running: Machine.Work, or through the view the same clock advance and
+// keep-running compare with no call.
+func (lv *LaneVM) work(cycles uint64) bool {
+	c := lv.c
+	if v := &lv.view; lv.viewed {
+		*v.Clock += cycles
+		if *v.Clock <= *v.Limit {
+			return true
+		}
+		lv.y.LaneSwitch(c.node)
+	} else {
+		c.mach.Work(c.node, cycles)
+	}
+	return lv.running()
+}
+
+// access reports the shared reference at lv.addr and reports whether the
+// lane is still running: Machine.Access, unless the view says it is a hit
+// that changes no state.
+func (lv *LaneVM) access(write bool, pc int32) bool {
+	c := lv.c
+	if v := &lv.view; lv.viewed && v.Hit(write, lv.addr) {
+		if *v.Clock <= *v.Limit {
+			return true
+		}
+		lv.y.LaneSwitch(c.node)
+	} else {
+		c.mach.Access(c.node, write, lv.addr, int(pc))
+	}
+	return lv.running()
+}
+
 // drainPending replays the flush cadence of the tree-walker's per-unit
 // work(1) charges, which cross the limit one unit at a time: pending
 // crossed the limit, so report exactly workFlushLimit cycles per Work call
@@ -174,8 +219,7 @@ func (lv *LaneVM) drainPending() bool {
 	c := lv.c
 	for c.pending >= workFlushLimit {
 		c.pending -= workFlushLimit
-		c.mach.Work(c.node, workFlushLimit)
-		if !lv.running() {
+		if !lv.work(workFlushLimit) {
 			lv.drain = true
 			return false
 		}
@@ -183,16 +227,17 @@ func (lv *LaneVM) drainPending() bool {
 	return true
 }
 
-// flushPending replays Context.flush: one Work call for the whole pending
-// amount. Returns false when the yielder parked the lane after the call.
+// flushPending replays Context.flush: one Work charge for the whole pending
+// amount. Returns false when the yielder parked the lane after it. With
+// nothing pending nothing can have: an executing lane is the running one.
 func (lv *LaneVM) flushPending() bool {
 	c := lv.c
-	if c.pending > 0 {
-		pend := c.pending
-		c.pending = 0
-		c.mach.Work(c.node, pend)
+	if c.pending == 0 {
+		return true
 	}
-	return lv.running()
+	pend := c.pending
+	c.pending = 0
+	return lv.work(pend)
 }
 
 // memWalk resumes (or starts) a memAccess subscript walk at phMem: per-term
@@ -266,8 +311,7 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	if ph == phAccR {
 		lv.phase = phDataR
-		c.mach.Access(c.node, false, lv.addr, int(in.pc))
-		if !lv.running() {
+		if !lv.access(false, in.pc) {
 			return stepSuspend
 		}
 	}
@@ -319,8 +363,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	if ph == phAccR {
 		lv.phase = phDataR
-		c.mach.Access(c.node, false, lv.addr, int(in.pc))
-		if !lv.running() {
+		if !lv.access(false, in.pc) {
 			return stepSuspend
 		}
 		ph = phDataR
@@ -343,8 +386,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	if ph == phAccW {
 		lv.phase = phDataW
-		c.mach.Access(c.node, true, lv.addr, int(in.pc))
-		if !lv.running() {
+		if !lv.access(true, in.pc) {
 			return stepSuspend
 		}
 	}
@@ -442,10 +484,7 @@ func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
 		c.pending += 2
 		if c.pending >= workFlushLimit {
 			lv.phase = phCallWork
-			pend := c.pending
-			c.pending = 0
-			c.mach.Work(c.node, pend)
-			if !lv.running() {
+			if !lv.flushPending() {
 				return stepSuspend
 			}
 		}

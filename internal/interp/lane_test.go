@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"cachier/internal/coherence"
 	"cachier/internal/memory"
 	"cachier/internal/parc"
 )
@@ -128,6 +129,12 @@ type parkEveryOther struct{ probes int }
 func (y *parkEveryOther) LaneRunning(int) bool {
 	y.probes++
 	return y.probes%2 == 0
+}
+
+func (y *parkEveryOther) LaneSwitch(int) {}
+
+func (y *parkEveryOther) LaneView(int) (coherence.LaneView, bool) {
+	return coherence.LaneView{}, false
 }
 
 // TestFramePoolCleanAfterRun runs the same program to completion, once

@@ -70,6 +70,9 @@ func diffEngines(t *testing.T, src string, nprocs int) {
 	if vmM.work != twM.work {
 		t.Fatalf("work charged diverges: VM %d, tree %d\n%s", vmM.work, twM.work, src)
 	}
+	if !reflect.DeepEqual(vmM.works, twM.works) {
+		t.Fatalf("work flushes diverge (VM %d flushes, tree %d)\n%s", len(vmM.works), len(twM.works), src)
+	}
 	if !reflect.DeepEqual(vmM.printed, twM.printed) {
 		t.Fatalf("print output diverges:\nVM:   %q\ntree: %q\n%s", vmM.printed, twM.printed, src)
 	}
@@ -101,6 +104,54 @@ func FuzzVMEquivalence(f *testing.F) {
 func TestVMEquivalenceCorpus(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		diffEngines(t, parcgen.Generate(seed), 4)
+	}
+}
+
+// TestSubscriptWalkMatchesTreeWalker aims at the lane's subscript walk
+// (memWalk): the loops carry pending work across the flush limit at every
+// phase of a two-subscript access, shared and private, plain and compound,
+// and the last program fails its second subscript's check with charges
+// pending.
+func TestSubscriptWalkMatchesTreeWalker(t *testing.T) {
+	for _, src := range []string{`
+shared int a[8][8];
+func main() {
+    var acc int = 0;
+    for r = 0 to 40 {
+        for i = 0 to 7 {
+            for j = 0 to 7 {
+                a[i][j] += r;
+                acc += a[j][i] + a[i][3];
+            }
+        }
+    }
+    a[0][0] = acc;
+}`, `
+shared int out[4];
+func main() {
+    var p int[6][5];
+    var acc int = 0;
+    for r = 0 to 60 {
+        for i = 0 to 5 {
+            for j = 0 to 4 {
+                p[i][j] += i * j;
+                acc += p[i][(j + r) % 5];
+            }
+        }
+    }
+    out[pid()] = acc;
+}`, `
+shared int a[8][8];
+func main() {
+    var acc int = 0;
+    for i = 0 to 7 {
+        for j = 0 to 8 {
+            acc += a[i][j];
+        }
+    }
+    a[0][0] = acc;
+}`} {
+		diffEngines(t, src, 2)
 	}
 }
 

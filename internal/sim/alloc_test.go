@@ -39,7 +39,7 @@ func smallRunAllocs(t *testing.T, mode Mode) (bytesPerRun, allocsPerRun float64)
 // caches. With every set of every cache materialised a trace-mode run of
 // this program allocated 538 851 bytes and a measuring run 533 457, in 132
 // and 98 allocations; the byte budgets are a quarter of that (the runs now
-// read 20 376 and 15 056, the access memo included), and one full-geometry
+// read 16 585 and 14 440, the caches' hot keys included), and one full-geometry
 // cache array, 131 072 bytes, does not fit in them.
 func TestSmallRunAllocBudget(t *testing.T) {
 	for _, tc := range []struct {

@@ -62,7 +62,6 @@ func Replay(prog *parc.Program, cfg Config, sources []EventSource) (*Result, err
 	for i, src := range sources {
 		m.lanes[i] = &eventLane{m: m, node: i, src: src}
 	}
-	m.sys.EnableAccessMemo()
 	return m.finish(engineEvents)
 }
 

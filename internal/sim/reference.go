@@ -33,8 +33,8 @@ type refLane struct {
 var errLaneKilled = errors.New("sim: lane killed")
 
 // referenceLanes attaches the reference lanes: every processor's program on
-// the tree-walker. The access memo stays off, so the reference is the
-// memo-free side of the differential.
+// the tree-walker. They never ask for a lane view, so the reference is the
+// side of the differential on which every event is a Machine call.
 func (m *Machine) referenceLanes() {
 	for i := range m.procs {
 		l := &refLane{m: m, node: i, resume: make(chan struct{}), parked: make(chan struct{})}

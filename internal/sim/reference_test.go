@@ -182,8 +182,8 @@ func main() {
 	}
 }
 
-// Trace mode: barrier cache flushes under the access memo, and the miss
-// trace as the compared surface.
+// Trace mode: barrier cache flushes under the lanes' cache keys, and the
+// miss trace as the compared surface.
 func TestParallelEquivalenceTraceMode(t *testing.T) {
 	res, err := checkBothHosts(t, `
 shared float a[32][8];

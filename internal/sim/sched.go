@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"cachier/internal/coherence"
 	"cachier/internal/interp"
 )
 
@@ -50,6 +51,19 @@ func (m *Machine) run() {
 // while it is the current one and the run has not halted.
 func (m *Machine) LaneRunning(node int) bool {
 	return !m.halt && m.cur.id == node
+}
+
+// LaneSwitch implements interp.LaneYielder: the scheduling decision for a
+// lane that has run its clock past the limit through its view.
+func (m *Machine) LaneSwitch(node int) { m.yieldSwitch(m.procs[node]) }
+
+// LaneView implements interp.LaneYielder. The view lets the lane do what
+// Work and a hit in Access do, minus the calls: add to the clock, count, and
+// make yield's compare against limit. The memory system says when there is
+// one (not under a recorder or the probe) and keeps what a hit counts.
+func (m *Machine) LaneView(node int) (coherence.LaneView, bool) {
+	return m.sys.LaneView(node, &m.procs[node].clock, &m.limit,
+		&m.sharedReads[node], &m.sharedWrites[node])
 }
 
 // finishProc retires a completed, faulted or killed processor: records
@@ -149,7 +163,7 @@ func (m *Machine) yieldSwitch(p *proc) {
 		m.cur = m.procs[id]
 		return
 	}
-	q := m.ready.min()
+	q := m.procs[m.ready.min().id]
 	if p.status == statusReady {
 		// The common handoff: the caller stays runnable, so it takes the
 		// popped minimum's slot directly (one sift-down instead of
@@ -172,42 +186,49 @@ func (m *Machine) yieldSwitch(p *proc) {
 // (quantum exhausted) or when a barrier release or lock handoff makes them
 // runnable again, and leave only via pop. Blocked processors (barrier, lock)
 // are never in the heap, and a processor's clock never changes while it is
-// parked, so no re-keying is ever needed.
+// parked, which is what lets an entry carry its key instead of pointing at
+// the processor: a sift compares neighbouring words, not two procs each.
 type readyHeap struct {
-	ps []*proc
+	ks []readyKey
 }
 
-func (h *readyHeap) len() int { return len(h.ps) }
+// readyKey is a parked processor's place in the order: its clock as it
+// parked, and its ID.
+type readyKey struct {
+	clock uint64
+	id    int
+}
 
-// min returns the runnable processor that must run next; the heap must be
-// non-empty.
-func (h *readyHeap) min() *proc { return h.ps[0] }
+func keyOf(p *proc) readyKey { return readyKey{p.clock, p.id} }
 
-func heapLess(a, b *proc) bool {
+func (a readyKey) less(b readyKey) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
+func (h *readyHeap) len() int { return len(h.ks) }
+
+// min returns the key of the runnable processor that must run next; the heap
+// must be non-empty.
+func (h *readyHeap) min() readyKey { return h.ks[0] }
+
 func (h *readyHeap) push(p *proc) {
-	h.ps = append(h.ps, p)
-	i := len(h.ps) - 1
+	h.ks = append(h.ks, keyOf(p))
+	i := len(h.ks) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !heapLess(h.ps[i], h.ps[parent]) {
+		if !h.ks[i].less(h.ks[parent]) {
 			break
 		}
-		h.ps[i], h.ps[parent] = h.ps[parent], h.ps[i]
+		h.ks[i], h.ks[parent] = h.ks[parent], h.ks[i]
 		i = parent
 	}
 }
 
-func (h *readyHeap) pop() *proc {
-	top := h.ps[0]
-	last := len(h.ps) - 1
-	h.ps[0] = h.ps[last]
-	h.ps[last] = nil
-	h.ps = h.ps[:last]
+func (h *readyHeap) pop() {
+	last := len(h.ks) - 1
+	h.ks[0] = h.ks[last]
+	h.ks = h.ks[:last]
 	h.siftDown()
-	return top
 }
 
 // replaceMin swaps p in for the current minimum and restores heap order with
@@ -216,27 +237,28 @@ func (h *readyHeap) pop() *proc {
 // unaffected because (clock, id) is a strict total order, so which array
 // layout the heap happens to hold never changes which processor pops next.
 func (h *readyHeap) replaceMin(p *proc) {
-	h.ps[0] = p
+	h.ks[0] = keyOf(p)
 	h.siftDown()
 }
 
 // siftDown restores heap order after the root was replaced.
 func (h *readyHeap) siftDown() {
-	n := len(h.ps)
+	ks := h.ks
+	n := len(ks)
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && heapLess(h.ps[l], h.ps[smallest]) {
+		if l < n && ks[l].less(ks[smallest]) {
 			smallest = l
 		}
-		if r < n && heapLess(h.ps[r], h.ps[smallest]) {
+		if r < n && ks[r].less(ks[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			break
 		}
-		h.ps[i], h.ps[smallest] = h.ps[smallest], h.ps[i]
+		ks[i], ks[smallest] = ks[smallest], ks[i]
 		i = smallest
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachier/internal/interp"
 	"cachier/internal/obs"
 	"cachier/internal/parc"
 )
@@ -20,8 +21,8 @@ import (
 
 // runHost runs src on the production engine or on the reference engine,
 // 8 nodes unless mutate says otherwise, with a recorder and timeline
-// attached, and checks that the run left no goroutine behind.
-func runHost(t *testing.T, src string, reference bool, mutate func(*Config)) (*Result, *obs.Recorder, error) {
+// attached unless bare, and checks that the run left no goroutine behind.
+func runHost(t *testing.T, src string, reference, bare bool, mutate func(*Config)) (*Result, *obs.Recorder, error) {
 	t.Helper()
 	prog, err := parc.Parse(src)
 	if err != nil {
@@ -33,8 +34,10 @@ func runHost(t *testing.T, src string, reference bool, mutate func(*Config)) (*R
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
-	cfg.Recorder.EnableTimeline()
+	if !bare {
+		cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
+		cfg.Recorder.EnableTimeline()
+	}
 	before := runtime.NumGoroutine()
 	res, err := Run(prog, cfg)
 	waitGoroutines(t, before)
@@ -45,53 +48,69 @@ func runHost(t *testing.T, src string, reference bool, mutate func(*Config)) (*R
 // lanes stepped in the scheduler's own loop, and tree-walking interpreters
 // parked on goroutines (reference.go) — and asserts the runs bit-identical
 // on every observable surface, each reporting the engine it was asked for.
-// It returns the shared outcome: the production result, or the error both
-// runs ended with.
+// The recorder that makes the surfaces observable also takes the compiled
+// lanes' view away (LaneView), so a third run, production with no recorder,
+// is held to the recorded one on everything a bare run reports. It returns
+// the shared outcome: the production result, or the error all runs ended
+// with.
 func checkBothHosts(t *testing.T, src string, mutate func(*Config)) (*Result, error) {
 	t.Helper()
-	prod, prodRec, prodErr := runHost(t, src, false, mutate)
-	ref, refRec, refErr := runHost(t, src, true, mutate)
+	prod, prodRec, prodErr := runHost(t, src, false, false, mutate)
+	ref, refRec, refErr := runHost(t, src, true, false, mutate)
+	bare, _, bareErr := runHost(t, src, false, true, mutate)
 
-	if (prodErr == nil) != (refErr == nil) {
-		t.Fatalf("error divergence: production %v, reference %v", prodErr, refErr)
+	for _, o := range []struct {
+		name string
+		err  error
+	}{{"reference", refErr}, {"bare production", bareErr}} {
+		if (prodErr == nil) != (o.err == nil) {
+			t.Fatalf("error divergence: production %v, %s %v", prodErr, o.name, o.err)
+		}
+		if prodErr != nil && prodErr.Error() != o.err.Error() {
+			t.Fatalf("error text divergence:\nproduction: %v\n%s: %v", prodErr, o.name, o.err)
+		}
 	}
 	if prodErr != nil {
-		if prodErr.Error() != refErr.Error() {
-			t.Fatalf("error text divergence:\nproduction: %v\nreference:  %v", prodErr, refErr)
-		}
 		return nil, prodErr
 	}
-	if prod.Engine != engineLanes || ref.Engine != engineReference {
-		t.Fatalf("runs report engines %q and %q, want %q and %q", prod.Engine, ref.Engine, engineLanes, engineReference)
+	if prod.Engine != engineLanes || ref.Engine != engineReference || bare.Engine != engineLanes {
+		t.Fatalf("runs report engines %q, %q and %q, want %q, %q and %q",
+			prod.Engine, ref.Engine, bare.Engine, engineLanes, engineReference, engineLanes)
 	}
-	if prod.Cycles != ref.Cycles {
-		t.Errorf("cycles: production %d, reference %d", prod.Cycles, ref.Cycles)
-	}
-	if !reflect.DeepEqual(prod.NodeCycles, ref.NodeCycles) {
-		t.Errorf("node cycles diverge:\nproduction: %v\nreference:  %v", prod.NodeCycles, ref.NodeCycles)
-	}
-	if prod.Stats != ref.Stats {
-		t.Errorf("stats diverge:\nproduction: %+v\nreference:  %+v", prod.Stats, ref.Stats)
-	}
-	if !reflect.DeepEqual(prod.Output, ref.Output) {
-		t.Errorf("output diverges:\nproduction: %q\nreference:  %q", prod.Output, ref.Output)
-	}
-	if prod.Barriers != ref.Barriers {
-		t.Errorf("barriers: production %d, reference %d", prod.Barriers, ref.Barriers)
-	}
-	if !reflect.DeepEqual(prod.SharedReads, ref.SharedReads) || !reflect.DeepEqual(prod.SharedWrites, ref.SharedWrites) {
-		t.Errorf("sharing counters diverge")
-	}
-	pl, ps := prod.SharingDegree()
-	rl, rs := ref.SharingDegree()
-	if pl != rl || ps != rs {
-		t.Errorf("sharing degree diverges: production (%g, %g), reference (%g, %g)", pl, ps, rl, rs)
-	}
-	if !reflect.DeepEqual(prod.Store.Words(), ref.Store.Words()) {
-		t.Errorf("shared memory diverges")
-	}
-	if !reflect.DeepEqual(prod.Trace, ref.Trace) {
-		t.Errorf("miss traces diverge")
+	for _, o := range []struct {
+		name string
+		res  *Result
+	}{{"reference", ref}, {"bare production", bare}} {
+		got := o.res
+		if prod.Cycles != got.Cycles {
+			t.Errorf("cycles: production %d, %s %d", prod.Cycles, o.name, got.Cycles)
+		}
+		if !reflect.DeepEqual(prod.NodeCycles, got.NodeCycles) {
+			t.Errorf("node cycles diverge:\nproduction: %v\n%s: %v", prod.NodeCycles, o.name, got.NodeCycles)
+		}
+		if prod.Stats != got.Stats {
+			t.Errorf("stats diverge:\nproduction: %+v\n%s: %+v", prod.Stats, o.name, got.Stats)
+		}
+		if !reflect.DeepEqual(prod.Output, got.Output) {
+			t.Errorf("output diverges:\nproduction: %q\n%s: %q", prod.Output, o.name, got.Output)
+		}
+		if prod.Barriers != got.Barriers {
+			t.Errorf("barriers: production %d, %s %d", prod.Barriers, o.name, got.Barriers)
+		}
+		if !reflect.DeepEqual(prod.SharedReads, got.SharedReads) || !reflect.DeepEqual(prod.SharedWrites, got.SharedWrites) {
+			t.Errorf("sharing counters diverge from %s", o.name)
+		}
+		pl, ps := prod.SharingDegree()
+		rl, rs := got.SharingDegree()
+		if pl != rl || ps != rs {
+			t.Errorf("sharing degree diverges: production (%g, %g), %s (%g, %g)", pl, ps, o.name, rl, rs)
+		}
+		if !reflect.DeepEqual(prod.Store.Words(), got.Store.Words()) {
+			t.Errorf("shared memory diverges from %s", o.name)
+		}
+		if !reflect.DeepEqual(prod.Trace, got.Trace) {
+			t.Errorf("miss traces diverge from %s", o.name)
+		}
 	}
 	// Dispatched ops are the one count the hosts do not share: bytecode
 	// instructions on one, statements on the other.
@@ -445,7 +464,7 @@ func TestSchedulerAgainstSortedModel(t *testing.T) {
 				}
 			}
 			byClock := func() {
-				sort.Slice(parked, func(i, j int) bool { return heapLess(parked[i], parked[j]) })
+				sort.Slice(parked, func(i, j int) bool { return keyOf(parked[i]).less(keyOf(parked[j])) })
 			}
 			byClock()
 			want := p
@@ -478,5 +497,78 @@ func TestSchedulerAgainstSortedModel(t *testing.T) {
 		if m.runErr != nil || m.done != cfg.Nodes {
 			t.Fatalf("seed %d: run ended with %d of %d processors done: %v", seed, m.done, cfg.Nodes, m.runErr)
 		}
+	}
+}
+
+// rereadSource has every node read one word of its own block 10 000 times
+// between two barriers: after the first read, every access is a hit on the
+// most recently used line of its set.
+const rereadSource = `
+shared int v[32];
+func main() {
+    var acc int = 0;
+    v[pid() * 4] = pid();
+    barrier;
+    for i = 1 to 10000 { acc += v[pid() * 4]; }
+    barrier;
+    v[pid() * 4 + 1] = acc;
+}
+`
+
+// TestHitsStayInTheLane pins, independently of the host's speed, that a
+// compiled lane counts a hit on its set's hot line without calling into the
+// machine: the memory system's hit counter advances for every re-read while
+// the caches' own Touch counters, which only a call can reach, stay where
+// the few first touches left them. Under a recorder the lanes have no view
+// and every hit reaches Touch, with the same cycles and stats.
+func TestHitsStayInTheLane(t *testing.T) {
+	const nodes, reads = 8, 10000
+	run := func(rec *obs.Recorder) (*Machine, *Result) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Nodes = nodes
+		cfg.Recorder = rec
+		m, err := newMachine(parc.MustParse(rereadSource), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.store = interp.NewStoreFor(m.layout)
+		m.ctxs = make([]*interp.Context, cfg.Nodes)
+		if !m.compiledLanes() {
+			t.Fatal("program not laneable")
+		}
+		res, err := m.finish(engineLanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, res
+	}
+	touched := func(m *Machine) (hits uint64) {
+		for n := 0; n < nodes; n++ {
+			hits += m.sys.Cache(n).Hits
+		}
+		return hits
+	}
+
+	bare, bareRes := run(nil)
+	if bareRes.Stats.Hits < nodes*reads {
+		t.Fatalf("%d hits, want at least %d", bareRes.Stats.Hits, nodes*reads)
+	}
+	if got := touched(bare); got > 4*nodes {
+		t.Errorf("%d hits reached a cache's Touch, want a handful per node: hits are not staying in the lane", got)
+	}
+
+	recorded, recRes := run(obs.New(nodes, DefaultConfig().BlockSize))
+	if got := touched(recorded); got < nodes*reads {
+		t.Errorf("under a recorder %d hits reached Touch, want all %d: the lanes kept their view", got, nodes*reads)
+	}
+	if recRes.Cycles != bareRes.Cycles || !reflect.DeepEqual(recRes.NodeCycles, bareRes.NodeCycles) {
+		t.Errorf("cycles: %d with a recorder, %d without", recRes.Cycles, bareRes.Cycles)
+	}
+	if recRes.Stats != bareRes.Stats {
+		t.Errorf("stats diverge:\nrecorded: %+v\nbare:     %+v", recRes.Stats, bareRes.Stats)
+	}
+	if !reflect.DeepEqual(recRes.SharedReads, bareRes.SharedReads) || !reflect.DeepEqual(recRes.SharedWrites, bareRes.SharedWrites) {
+		t.Errorf("per-node shared reference counts diverge")
 	}
 }

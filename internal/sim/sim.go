@@ -21,10 +21,12 @@
 //
 // One loop (sched.go) executes the schedule by resuming processors as
 // lanes. The production engine, "lanes", runs each processor's compiled
-// bytecode on a resumable VM, with the memory system's access memo on. The
+// bytecode on a resumable VM, which charges local work and counts cache hits
+// in place through a view of its node's state (LaneView, sched.go). The
 // reference engine runs the tree-walking interpreter instead, each lane
-// parked on a goroutine (reference.go), with the memo off; Config.TreeWalk
-// selects it, and a program the compiler refuses runs on it whole. The
+// parked on a goroutine (reference.go), every event a Machine call;
+// Config.TreeWalk selects it, and a program the compiler refuses runs on it
+// whole. The
 // conformance harness holds the two bit-identical on every result. A third
 // kind of lane executes no ParC at all: Replay (events.go) drives the same
 // machine from ready-made event streams, which is how the static annotator
@@ -133,7 +135,7 @@ type Config struct {
 
 	// TreeWalk runs the program on the reference engine: the tree-walking
 	// interpreter, hosted as lanes of the same scheduler (reference.go) with
-	// the memory system's access memo off. The reference and the production
+	// no lane view. The reference and the production
 	// engine are maintained to produce identical Machine call sequences and
 	// therefore identical results; the conformance harness runs both and
 	// compares every surface, and this switch is how it (or a suspicious
@@ -207,6 +209,11 @@ type Result struct {
 	SharedReads  []uint64
 	SharedWrites []uint64
 	Barriers     int // completed global barriers
+
+	// AccessCalls is the shared references that reached Machine.Access, the
+	// rest being hits a lane counted through its view: what make profile
+	// attributes host time with.
+	AccessCalls uint64
 
 	privReads  uint64 // private-array loads, summed over nodes
 	privWrites uint64 // private-array stores, summed over nodes
@@ -321,6 +328,8 @@ type Machine struct {
 	outputs  []string
 	runErr   error
 
+	accessCalls uint64 // see Result
+
 	sharedReads  []uint64
 	sharedWrites []uint64
 	rec          *obs.Recorder // nil when recording is disabled
@@ -431,10 +440,9 @@ func (m *Machine) newContext(node int, mach interp.Machine) *interp.Context {
 }
 
 // compiledLanes attaches the production lanes: every processor's compiled
-// program on a resumable interp.LaneVM, with the memory system's access
-// memo on. It reports false, having changed nothing, when the compiler
-// refused the program; that is a property of the program, so node 0's
-// context already says so.
+// program on a resumable interp.LaneVM. It reports false, having changed
+// nothing, when the compiler refused the program; that is a property of the
+// program, so node 0's context already says so.
 func (m *Machine) compiledLanes() bool {
 	for i := range m.procs {
 		ctx := m.newContext(i, m)
@@ -444,7 +452,6 @@ func (m *Machine) compiledLanes() bool {
 		}
 		m.ctxs[i], m.lanes[i] = ctx, lv
 	}
-	m.sys.EnableAccessMemo()
 	return true
 }
 
@@ -495,6 +502,7 @@ func (m *Machine) buildResult() (*Result, error) {
 		SharedReads:  m.sharedReads,
 		SharedWrites: m.sharedWrites,
 		Barriers:     m.barriers,
+		AccessCalls:  m.accessCalls,
 	}
 	for i, p := range m.procs {
 		res.NodeCycles[i] = p.clock
@@ -521,9 +529,7 @@ func (m *Machine) buildResult() (*Result, error) {
 			vts[i] = p.clock
 		}
 		m.builder.EndEpoch(-1, vts, true)
-		tr := m.builder.Trace()
-		tr.SortMisses()
-		res.Trace = tr
+		res.Trace = m.builder.Trace() // each epoch in Miss.Compare order
 	}
 	return res, nil
 }
@@ -533,13 +539,17 @@ func (m *Machine) buildResult() (*Result, error) {
 // Access implements interp.Machine.
 func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 	p := m.procs[node]
+	m.accessCalls++
+	// What this does for a hit (the node's reference count, the hit's cycles
+	// onto the clock, yield's compare) coherence.LaneView.Hit and the lane do
+	// without the call; keep them in step.
 	var r dir1sw.Result
 	if write {
 		m.sharedWrites[node]++
-		r = m.sys.WriteFast(node, addr, p.clock)
+		r = m.sys.Write(node, addr, p.clock)
 	} else {
 		m.sharedReads[node]++
-		r = m.sys.ReadFast(node, addr, p.clock)
+		r = m.sys.Read(node, addr, p.clock)
 	}
 	p.clock += r.Cycles
 	if m.builder != nil && r.Kind != dir1sw.Hit {

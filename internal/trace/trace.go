@@ -88,11 +88,15 @@ type Trace struct {
 }
 
 // Builder accumulates a trace during simulation, deduplicating misses within
-// an epoch the way the paper's per-epoch hash table does.
+// an epoch as the paper's per-epoch hash table does, but with no table: the
+// open epoch's misses are appended to one buffer as they come, and sorted and
+// compacted when the epoch ends and whenever the buffer is full, so what is
+// held stays proportional to the distinct records. A closed epoch keeps an
+// exact-size copy, in Miss.Compare order.
 type Builder struct {
-	tr   Trace
-	cur  *Epoch
-	seen map[Miss]bool
+	tr  Trace
+	cur *Epoch // the open epoch; nil once the final one is closed
+	buf []Miss // the open epoch's misses, reused from epoch to epoch
 }
 
 // NewBuilder starts a trace for the given machine geometry.
@@ -108,18 +112,35 @@ func (b *Builder) startEpoch() {
 		VT:    make([]uint64, b.tr.Nodes),
 	})
 	b.cur = &b.tr.Epochs[len(b.tr.Epochs)-1]
-	b.seen = make(map[Miss]bool)
+	b.buf = b.buf[:0]
 }
 
 // AddMiss records a miss in the current epoch. Duplicate
-// (kind, addr, pc, node) tuples are dropped.
+// (kind, addr, pc, node) tuples are dropped, by the epoch's end at the
+// latest.
 func (b *Builder) AddMiss(kind Kind, addr uint64, pc, node int) {
-	m := Miss{Kind: kind, Addr: addr, PC: pc, Node: node}
-	if b.seen[m] {
-		return
+	if len(b.buf) == cap(b.buf) {
+		// Full: drop the duplicates first, and grow only if that left it more
+		// than half full, so each compaction is paid for by as many appends.
+		b.compact()
+		if 2*len(b.buf) >= cap(b.buf) {
+			b.buf = slices.Grow(b.buf, max(len(b.buf), 8))
+		}
 	}
-	b.seen[m] = true
-	b.cur.Misses = append(b.cur.Misses, m)
+	b.buf = append(b.buf, Miss{Kind: kind, Addr: addr, PC: pc, Node: node})
+}
+
+// compact sorts the buffer (see Compare) and drops the duplicates.
+func (b *Builder) compact() {
+	slices.SortFunc(b.buf, Miss.Compare)
+	b.buf = slices.Compact(b.buf)
+}
+
+// flush gives the current epoch the buffer's distinct misses: nil for none,
+// as Read leaves an epoch without any.
+func (b *Builder) flush() {
+	b.compact()
+	b.cur.Misses = append([]Miss(nil), b.buf...)
 }
 
 // EndEpoch closes the current epoch at a barrier: barrierPC is the barrier
@@ -128,13 +149,21 @@ func (b *Builder) AddMiss(kind Kind, addr uint64, pc, node int) {
 func (b *Builder) EndEpoch(barrierPC int, vt []uint64, final bool) {
 	b.cur.BarrierPC = barrierPC
 	copy(b.cur.VT, vt)
+	b.flush()
+	b.cur = nil
 	if !final {
 		b.startEpoch()
 	}
 }
 
-// Trace returns the built trace.
-func (b *Builder) Trace() *Trace { return &b.tr }
+// Trace returns the built trace; an epoch still open is brought up to date
+// first.
+func (b *Builder) Trace() *Trace {
+	if b.cur != nil {
+		b.flush()
+	}
+	return &b.tr
+}
 
 // Compare orders misses by node, kind, address, then PC: the order
 // SortMisses leaves an epoch in, and the one core's trace processing groups

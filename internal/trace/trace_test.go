@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,9 +30,59 @@ func TestBuilderDedup(t *testing.T) {
 	b.AddMiss(ReadMiss, 32, 5, 0) // duplicate
 	b.AddMiss(ReadMiss, 32, 6, 0) // different PC: kept
 	b.AddMiss(WriteMiss, 32, 5, 0)
+	b.AddMiss(ReadMiss, 32, 5, 0) // duplicate, not adjacent to the first
+	// The contract holds at Trace(), with or without an EndEpoch before it:
+	// distinct records, in Compare order.
+	want := []Miss{{ReadMiss, 32, 5, 0}, {ReadMiss, 32, 6, 0}, {WriteMiss, 32, 5, 0}}
+	if got := b.Trace().Epochs[0].Misses; !slices.Equal(got, want) {
+		t.Errorf("open epoch: got %v, want %v", got, want)
+	}
+	b.AddMiss(ReadMiss, 32, 6, 0)
 	b.EndEpoch(-1, []uint64{1}, true)
-	if n := len(b.Trace().Epochs[0].Misses); n != 3 {
-		t.Errorf("got %d misses, want 3", n)
+	if got := b.Trace().Epochs[0].Misses; !slices.Equal(got, want) {
+		t.Errorf("closed epoch: got %v, want %v", got, want)
+	}
+}
+
+// TestBuilderBoundedUnderDuplicates: a program that misses on one word a
+// million times in an epoch (two nodes ping-ponging a block) costs the
+// builder a few records of memory, not a million.
+func TestBuilderBoundedUnderDuplicates(t *testing.T) {
+	b := NewBuilder(1, 32, nil)
+	for i := 0; i < 1_000_000; i++ {
+		b.AddMiss(WriteMiss, 64, 7, 0)
+		if c := cap(b.buf); c > 64 {
+			t.Fatalf("after %d identical misses the epoch holds room for %d", i+1, c)
+		}
+	}
+	if got := b.Trace().Epochs[0].Misses; len(got) != 1 {
+		t.Errorf("got %d misses, want 1", len(got))
+	}
+}
+
+// TestBuilderMatchesSet: random epochs with many repeats come out as the
+// sorted set of what went in, whatever the interleaving of growth and
+// compaction.
+func TestBuilderMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		b := NewBuilder(4, 32, nil)
+		set := map[Miss]bool{}
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			m := Miss{Kind(rng.Intn(3)), uint64(rng.Intn(1+round)) * 8, rng.Intn(3), rng.Intn(4)}
+			set[m] = true
+			b.AddMiss(m.Kind, m.Addr, m.PC, m.Node)
+		}
+		got := b.Trace().Epochs[0].Misses
+		if len(got) != len(set) || !slices.IsSortedFunc(got, Miss.Compare) {
+			t.Fatalf("round %d: %d records (sorted %v), want the %d distinct ones sorted",
+				round, len(got), slices.IsSortedFunc(got, Miss.Compare), len(set))
+		}
+		for _, m := range got {
+			if !set[m] {
+				t.Fatalf("round %d: record %v was never added", round, m)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticdiff bench profile protosweep check fuzz cover timeline serve-smoke
+.PHONY: all build test race vet loc staticdiff bench profile protosweep check fuzz cover timeline serve-smoke
 
 all: build
 
@@ -19,12 +19,15 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/coherence/... ./internal/dir1sw/... \
 		./internal/dirn/... ./internal/bench/... ./internal/serve/...
 
-# Static checks: go vet over the Go code, then parcvet (the ParC static
-# race detector and CICO annotation linter, cmd/parcvet) over the checked-in
-# ParC sources and the Figure 6 benchmark ports. The annotated Jacobi must
-# come out clean, the race demo must be flagged, and every benchmark's
-# verdict must match its known racy/race-free classification.
+# Static checks: gofmt (any file it would reformat fails the target) and go
+# vet over the Go code, then parcvet (the ParC static race detector and CICO
+# annotation linter, cmd/parcvet) over the checked-in ParC sources and the
+# Figure 6 benchmark ports. The annotated Jacobi must come out clean, the
+# race demo must be flagged, and every benchmark's verdict must match its
+# known racy/race-free classification.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/parcvet examples/parc/jacobi_wholefit.parc
 	$(GO) run ./cmd/parcvet -q -expect-races examples/parc/race_demo.parc
@@ -34,6 +37,12 @@ vet:
 	$(GO) run ./cmd/parcvet -q -bench all > /tmp/parcvet.dir1sw.out
 	$(GO) run ./cmd/parcvet -q -protocol dirnnb:4 -bench all | diff /tmp/parcvet.dir1sw.out -
 	$(GO) run ./cmd/parcvet -q -protocol dirnb:4 -bench all | diff /tmp/parcvet.dir1sw.out -
+
+# Non-test Go lines in the three trees of code, the size ROADMAP.md tracks.
+loc:
+	@for d in internal cmd benchmark; do \
+		printf '%-10s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
 
 # Trace-free placement differential (cmd/staticdiff): static inference must
 # annotate the checked-in ParC sources byte-identically to the trace-driven

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachier/internal/oracle"
 	"cachier/internal/sim"
 )
 
@@ -346,6 +347,57 @@ func TestLoopCollapsePresentation(t *testing.T) {
 	body := second[:strings.Index(second, "}")]
 	if strings.Contains(body, "check_out") {
 		t.Errorf("second loop body has a redundant check-out:\n%s", src)
+	}
+}
+
+// counterClashSrc is collapseSrc with a user variable named like the counter
+// its generated check-out loop would get from the insertion count.
+const counterClashSrc = `
+const N = 64;
+shared float A[N] label "A";
+
+func main() {
+    var __cico1 int = 7;
+    if pid() == 0 {
+        for i = 0 to 56 step 8 {
+            A[i] = 1.0;
+        }
+        for i = 0 to 63 {
+            A[i] = 2.0;
+        }
+        print("x %d", __cico1);
+    }
+}
+`
+
+// TestGeneratedCounterKeepsUserVariable: a generated loop's counter never
+// reuses a name the function already binds, so the annotated program prints
+// and stores exactly what the original does (Section 4.5) — run from the
+// checked program Annotate returns.
+func TestGeneratedCounterKeepsUserVariable(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Style = StyleProgrammer
+	res := annotate(t, counterClashSrc, 2, opts)
+	if !strings.Contains(res.Source, "= 4 to 60 step 8 {") {
+		t.Fatalf("no generated check-out loop to test:\n%s", res.Source)
+	}
+	if strings.Contains(res.Source, "for __cico1 =") {
+		t.Errorf("generated loop reuses the user's variable __cico1:\n%s", res.Source)
+	}
+	cfg := oracle.Config{Nprocs: 2}
+	want, err := oracle.Run(mustParse(t, counterClashSrc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := oracle.Run(res.Program, cfg)
+	if err != nil {
+		t.Fatalf("annotated program: %v\n%s", err, res.Source)
+	}
+	if !reflect.DeepEqual(got.Output, want.Output) {
+		t.Errorf("annotated program prints %q, the original %q", got.Output, want.Output)
+	}
+	if !reflect.DeepEqual(got.Store.Words(), want.Store.Words()) {
+		t.Errorf("annotated program leaves different shared memory")
 	}
 }
 

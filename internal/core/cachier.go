@@ -39,8 +39,8 @@ func DefaultOptions() Options {
 
 // Result is an annotation run's output.
 type Result struct {
-	Source      string // annotated program text
-	Program     *parc.Program
+	Source      string           // annotated program text
+	Program     *parc.Program    // Source parsed and checked
 	Reports     []ConflictReport // data races and false sharing found
 	Annotations int              // statements inserted
 	Cost        *CostReport      // the CICO cost model's communication summary
@@ -116,8 +116,11 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 	}
 	out := parc.Print(prog)
 	// The annotated program must remain a valid ParC program; re-parse as a
-	// self-check (annotations never change semantics, Section 4.5).
-	if _, err := parc.Parse(out); err != nil {
+	// self-check (annotations never change semantics, Section 4.5). The
+	// rewritten AST is never checked, so the re-parsed one is what a caller
+	// may execute.
+	annotated, err := parc.Parse(out)
+	if err != nil {
 		return nil, fmt.Errorf("core: internal error: annotated program does not re-parse: %w\n%s", err, out)
 	}
 	sort.Slice(pl.reports, func(i, j int) bool {
@@ -128,7 +131,7 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 	})
 	return &Result{
 		Source:      out,
-		Program:     prog,
+		Program:     annotated,
 		Reports:     pl.reports,
 		Annotations: inserted,
 		Cost:        buildCostReport(firstEpochs, firstAnn, layout),

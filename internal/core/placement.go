@@ -655,12 +655,6 @@ func (pl *planner) addInsertion(kind parc.AnnKind, anchor parc.Stmt, where where
 	if _, dup := pl.insertions[key]; dup {
 		return
 	}
-	if target != nil && target.Shared == nil {
-		// Resolve the generated target against the shared declarations now;
-		// the interpreter otherwise re-derives exactly this binding on every
-		// execution of the directive.
-		target.Shared = pl.prog.SharedMap[target.Name]
-	}
 	st := &parc.CICOStmt{Kind: kind, Target: target}
 	setStmtID(pl.prog, st)
 	pl.insertions[key] = &insertion{
@@ -682,12 +676,10 @@ func (pl *planner) addGeneratedLoop(kind parc.AnnKind, anchor parc.Stmt, where w
 	if _, dup := pl.insertions[key]; dup {
 		return
 	}
-	iv := fmt.Sprintf("__cico%d", len(pl.insertions))
-	ivRef := parc.NewVarRef(iv)
+	iv := pl.counterName(anchor)
 	cico := &parc.CICOStmt{Kind: kind, Target: &parc.RangeRef{
 		Name:    varName,
-		Indices: []parc.RangeIndex{{Lo: ivRef}},
-		Shared:  pl.prog.SharedMap[varName],
+		Indices: []parc.RangeIndex{{Lo: parc.NewVarRef(iv)}},
 	}}
 	body := &parc.Block{Stmts: []parc.Stmt{cico}}
 	loop := &parc.ForStmt{
@@ -697,26 +689,6 @@ func (pl *planner) addGeneratedLoop(kind parc.AnnKind, anchor parc.Stmt, where w
 		Step: parc.NewIntLit(step),
 		Body: body,
 	}
-	// Bind the counter into the enclosing function's frame at rewrite time,
-	// exactly as Check would have: the name is fresh (derived from the
-	// insertion count) and ParC scoping is function-wide, so extending the
-	// frame by one scalar slot is always sound. The mutated AST then executes
-	// the loop through the ordinary slot path — the interpreter's dynamic
-	// name fallback and the bytecode compiler's synthetic-register machinery
-	// remain only for ASTs rewritten by other tools.
-	if fn := pl.info.Func(anchor.ID()); fn != nil {
-		if _, exists := fn.Bindings[iv]; !exists {
-			if fn.Bindings == nil {
-				fn.Bindings = make(map[string]parc.Binding)
-			}
-			slot := fn.NumScalars
-			fn.NumScalars++
-			fn.Bindings[iv] = parc.Binding{Slot: slot}
-			loop.VarSlot = slot + 1
-			ivRef.Ref = parc.RefLocal
-			ivRef.Slot = slot
-		}
-	}
 	setStmtID(pl.prog, loop)
 	setStmtID(pl.prog, body)
 	setStmtID(pl.prog, cico)
@@ -725,6 +697,27 @@ func (pl *planner) addGeneratedLoop(kind parc.AnnKind, anchor parc.Stmt, where w
 		where:    where,
 		stmts:    []parc.Stmt{loop},
 		sortKey:  key,
+	}
+}
+
+// counterName names a generated loop's counter: __cicoN for the first N from
+// the insertion count up that the anchor's function does not already bind
+// (ParC scoping is function-wide, so a bound name would make the loop
+// overwrite the user's variable) and that is neither a constant nor a shared
+// variable (the annotated program would not check).
+func (pl *planner) counterName(anchor parc.Stmt) string {
+	var bound map[string]parc.Binding
+	if fn := pl.info.Func(anchor.ID()); fn != nil {
+		bound = fn.Bindings
+	}
+	for n := len(pl.insertions); ; n++ {
+		name := fmt.Sprintf("__cico%d", n)
+		_, local := bound[name]
+		_, isConst := pl.prog.ConstVal[name]
+		_, shared := pl.prog.SharedMap[name]
+		if !local && !isConst && !shared {
+			return name
+		}
 	}
 }
 

@@ -27,21 +27,12 @@ import (
 //   - Constant subscripts are folded into a precomputed offset, but the
 //     per-dimension work charge and bounds check the tree-walker performs
 //     are preserved (value math is folded, charge events are not).
-//   - Dynamic name resolution for nodes synthesized after checking
-//     (Cachier's rewriter) is resolved at compile time in the same order
-//     the tree-walker resolves it at run time. The one divergence is
-//     deliberate: a generated loop counter gets a synthetic register
-//     instead of a frame.dyn map entry, so a read of such a counter before
-//     its loop ever ran yields 0 where the tree-walker reports "undefined
-//     name". The rewriter only references counters inside their own loops,
-//     so no reachable Cachier output hits the difference; programs where
-//     the compiler cannot prove the resolution unambiguous (a generated
-//     counter name colliding with a constant or shared variable) fall back
-//     to the tree-walker wholesale.
 //
-// A program with a function the compiler cannot lower — main, or one that
-// compiled code calls — is not laneable: it runs whole on the tree-walker,
-// never partly on each.
+// The compiler reads only what parc.Check resolved (Ref, Slot, Shared, Fn,
+// Builtin, VarSlot); it never looks a name up. Every checked program
+// compiles, so a function the compiler refuses — a node built after Check
+// ran, or a compiler bug — makes the whole program an error (NewLaneVM
+// reports it), never a reason to run on another engine.
 
 // op is a VM opcode.
 type op uint8
@@ -149,8 +140,8 @@ type memAccess struct {
 	postWork uint16
 }
 
-// callPayload describes a user-function call site. code is nil when the
-// callee could not be compiled, which makes the program not laneable.
+// callPayload describes a user-function call site; compileProgram fills in
+// the callee's code once every function is compiled.
 type callPayload struct {
 	fn   *parc.FuncDecl
 	code *fnCode
@@ -196,11 +187,11 @@ type failPayload struct {
 }
 
 // fnCode is one compiled function. Registers are laid out as
-// [named scalars | synthetic counters | constant pool | temporaries]: the
-// constant pool holds every distinct literal the body materializes, written
-// once when a frame is first allocated and preserved across pooled reuse
-// (release only clears the clearRegs named+synthetic prefix; temporaries
-// are always written before they are read).
+// [named scalars | constant pool | temporaries]: the constant pool holds
+// every distinct literal the body materializes, written once when a frame is
+// first allocated and preserved across pooled reuse (release only clears the
+// clearRegs named-scalar prefix; temporaries are always written before they
+// are read).
 type fnCode struct {
 	fn        *parc.FuncDecl
 	idx       int // frame pool index
@@ -215,51 +206,27 @@ type fnCode struct {
 // progCode is the compiled form of a Program, cached on the Program via
 // Artifact and shared by every Context that executes it.
 type progCode struct {
-	fns  map[*parc.FuncDecl]*fnCode
-	nfns int
-
-	// laneable reports that the whole program runs on compiled code — main
-	// compiled and no call site names an uncompiled function — so the lane
-	// VM (lane.go) can execute it. Computed once here; a non-laneable
-	// program makes NewLaneVM refuse and runs whole on the tree-walker.
-	laneable bool
+	fns map[*parc.FuncDecl]*fnCode // fnCode.idx numbers them 0..len-1
+	err error                      // the first function the compiler refused, if any
 }
 
-// compileProgram lowers every function it can; uncompilable functions map
-// to nil.
+// compileProgram lowers every function, stopping at the first it refuses.
 func compileProgram(prog *parc.Program) *progCode {
 	pc := &progCode{fns: make(map[*parc.FuncDecl]*fnCode, len(prog.Funcs))}
 	for _, f := range prog.Funcs {
-		co, err := compileFunc(prog, f)
+		co, err := compileFunc(f)
 		if err != nil {
-			pc.fns[f] = nil
-			continue
+			pc.err = fmt.Errorf("interp: compiling %s: %w", f.Name, err)
+			return pc
 		}
-		co.idx = pc.nfns
-		pc.nfns++
+		co.idx = len(pc.fns)
 		pc.fns[f] = co
 	}
 	// Resolve call sites now that every function has been compiled.
 	for _, co := range pc.fns {
-		if co == nil {
-			continue
-		}
 		for i := range co.ins {
-			if cp, ok := co.ins[i].aux.(*callPayload); ok && cp.fn != nil {
+			if cp, ok := co.ins[i].aux.(*callPayload); ok {
 				cp.code = pc.fns[cp.fn]
-			}
-		}
-	}
-	pc.laneable = pc.fns[prog.FuncMap["main"]] != nil
-	for _, co := range pc.fns {
-		if co == nil || !pc.laneable {
-			continue
-		}
-		for i := range co.ins {
-			if cp, ok := co.ins[i].aux.(*callPayload); ok && cp.code == nil {
-				// A tree-walker fallback call cannot suspend/resume.
-				pc.laneable = false
-				break
 			}
 		}
 	}
@@ -267,8 +234,7 @@ func compileProgram(prog *parc.Program) *progCode {
 }
 
 type funcCompiler struct {
-	prog *parc.Program
-	fn   *parc.FuncDecl
+	fn *parc.FuncDecl
 
 	ins     []instr
 	pend    int
@@ -276,8 +242,6 @@ type funcCompiler struct {
 
 	sp    int32 // next free register
 	maxSp int32
-
-	syn map[string]int32 // synthetic registers for generated loop counters
 
 	pool       map[Value]int32 // literal value -> constant-pool register
 	constSeen  map[Value]bool
@@ -291,22 +255,18 @@ type funcCompiler struct {
 // distinct literal values the body materializes, the second compiles for
 // real with those values pinned in constant-pool registers, so literal
 // references cost nothing in the instruction stream.
-func compileFunc(prog *parc.Program, f *parc.FuncDecl) (*fnCode, error) {
-	scout := &funcCompiler{prog: prog, fn: f, sp: int32(f.NumScalars)}
+func compileFunc(f *parc.FuncDecl) (*fnCode, error) {
+	scout := &funcCompiler{fn: f, sp: int32(f.NumScalars)}
 	if _, err := scout.compile(nil); err != nil {
 		return nil, err
 	}
-	fc := &funcCompiler{prog: prog, fn: f, sp: int32(f.NumScalars)}
+	fc := &funcCompiler{fn: f, sp: int32(f.NumScalars)}
 	return fc.compile(scout.constOrder)
 }
 
 func (fc *funcCompiler) compile(poolVals []Value) (*fnCode, error) {
 	f := fc.fn
 	fc.maxSp = fc.sp
-	if err := fc.collectSyn(); err != nil {
-		return nil, err
-	}
-	clearRegs := int(fc.sp) // named scalars + synthetic counters
 	poolBase := fc.sp
 	if len(poolVals) > 0 {
 		fc.pool = make(map[Value]int32, len(poolVals))
@@ -334,7 +294,7 @@ func (fc *funcCompiler) compile(poolVals []Value) (*fnCode, error) {
 		narrs:     f.NumArrays,
 		poolBase:  poolBase,
 		poolVals:  poolVals,
-		clearRegs: clearRegs,
+		clearRegs: f.NumScalars,
 	}, nil
 }
 
@@ -468,49 +428,10 @@ func (fc *funcCompiler) fuseCompares() {
 	fc.ins = out
 }
 
-// errUncompilable marks constructs the compiler hands back to the
-// tree-walker.
+// errUncompilable marks a construct the compiler refuses; the program then
+// does not run.
 func errUncompilable(format string, args ...any) error {
 	return fmt.Errorf("uncompilable: "+format, args...)
-}
-
-// collectSyn pre-assigns registers to loop counters of generated (unchecked)
-// for statements, mirroring the tree-walker's frame.dyn map. A counter name
-// that collides with a constant or shared variable would make the dynamic
-// resolution order execution-dependent, so those functions are rejected.
-func (fc *funcCompiler) collectSyn() error {
-	var err error
-	parc.Walk(fc.fn.Body, func(s parc.Stmt) bool {
-		f, ok := s.(*parc.ForStmt)
-		if !ok || f.VarSlot != 0 {
-			return true
-		}
-		if b, ok := fc.fn.Bindings[f.Var]; ok && !b.Array {
-			return true // resolves to a checked slot, no synthetic needed
-		}
-		if _, dup := fc.synReg(f.Var); dup {
-			return true
-		}
-		if _, isConst := fc.prog.ConstVal[f.Var]; isConst {
-			err = errUncompilable("generated counter %q shadows a constant", f.Var)
-			return false
-		}
-		if _, isShared := fc.prog.SharedMap[f.Var]; isShared {
-			err = errUncompilable("generated counter %q shadows a shared variable", f.Var)
-			return false
-		}
-		if fc.syn == nil {
-			fc.syn = make(map[string]int32)
-		}
-		fc.syn[f.Var] = fc.alloc()
-		return true
-	})
-	return err
-}
-
-func (fc *funcCompiler) synReg(name string) (int32, bool) {
-	r, ok := fc.syn[name]
-	return r, ok
 }
 
 // constVal returns a register holding the literal value: the constant-pool
@@ -599,8 +520,7 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 
 	case *parc.VarDeclStmt:
 		if n.Slot == 0 {
-			fc.emit(instr{op: opFail, aux: &failPayload{msg: fmt.Sprintf("declaration of %q was not checked", n.Name)}})
-			return nil
+			return errUncompilable("declaration of %q was not checked", n.Name)
 		}
 		if len(n.DimSizes) > 0 {
 			size := 1
@@ -689,16 +609,10 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 				return err
 			}
 		}
-		slot := int32(n.VarSlot - 1)
-		if slot < 0 {
-			if b, ok := fc.fn.Bindings[n.Var]; ok && !b.Array {
-				slot = int32(b.Slot)
-			} else if r, ok := fc.synReg(n.Var); ok {
-				slot = r
-			} else {
-				return errUncompilable("loop counter %q has no register", n.Var)
-			}
+		if n.VarSlot == 0 {
+			return errUncompilable("loop counter %q has no slot", n.Var)
 		}
+		slot := int32(n.VarSlot - 1)
 		fp := &forPayload{varName: n.Var, from: rf, to: rt, step: rs, base: base, slot: slot}
 		fc.emit(instr{op: opForPrep, aux: fp})
 		head := fc.newLabel()
@@ -783,11 +697,7 @@ func (fc *funcCompiler) directive(n *parc.CICOStmt) error {
 	r := n.Target
 	decl := r.Shared
 	if decl == nil {
-		decl = fc.prog.SharedMap[r.Name]
-	}
-	if decl == nil {
-		fc.emit(instr{op: opFail, aux: &failPayload{msg: fmt.Sprintf("annotation target %q is not shared", r.Name)}})
-		return nil
+		return errUncompilable("annotation target %q was not checked", r.Name)
 	}
 	dp := &dirPayload{kind: n.Kind, decl: decl}
 	if len(decl.DimSizes) == 0 {
@@ -821,71 +731,48 @@ func (fc *funcCompiler) directive(n *parc.CICOStmt) error {
 	return nil
 }
 
-// lvKind mirrors Context.resolveLValue at compile time. The extra synthetic
-// case models the frame.dyn fallback.
+// assign lowers an assignment to the destination Check resolved.
 func (fc *funcCompiler) assign(n *parc.AssignStmt) error {
 	lv := n.LHS
 	rhs, err := fc.expr(n.RHS)
 	if err != nil {
 		return err
 	}
-
-	ref, slot, decl := lv.Ref, int32(lv.Slot), lv.Shared
-	synSlot := int32(-1)
-	if ref == parc.RefUnresolved {
-		if b, ok := fc.fn.Bindings[lv.Name]; ok {
-			if b.Array {
-				ref, slot = parc.RefArray, int32(b.Slot)
-			} else {
-				ref, slot = parc.RefLocal, int32(b.Slot)
-			}
-		} else if d, ok := fc.prog.SharedMap[lv.Name]; ok {
-			ref, decl = parc.RefShared, d
-		} else if r, ok := fc.synReg(lv.Name); ok && len(lv.Indices) == 0 {
-			synSlot = r
+	slot, decl := int32(lv.Slot), lv.Shared
+	var arr *parc.VarDeclStmt
+	switch lv.Ref {
+	case parc.RefLocal, parc.RefShared:
+	case parc.RefArray:
+		if arr = fc.arrayDecl(lv.Name, slot); arr == nil {
+			return errUncompilable("array %q has no declaration", lv.Name)
 		}
+	default:
+		return errUncompilable("assignment to %q was not checked", lv.Name)
 	}
 
 	// The /= integer-zero guard runs after the RHS evaluation but before
-	// any index evaluation or resolution failure, so it is emitted first.
+	// any index evaluation, so it is emitted first.
 	if n.Op == parc.OpDiv {
-		switch {
-		case ref == parc.RefLocal:
+		switch lv.Ref {
+		case parc.RefLocal:
 			fc.emit(instr{op: opDivGuardReg, a: slot, b: rhs})
-		case synSlot >= 0:
-			fc.emit(instr{op: opDivGuardReg, a: synSlot, b: rhs})
-		case ref == parc.RefArray:
-			if fc.fn.Bindings == nil {
-				return errUncompilable("array assign without bindings")
-			}
-			if !fc.arrayIsFloat(lv, slot) {
+		case parc.RefArray:
+			if arr.Base != parc.FloatType {
 				fc.emit(instr{op: opDivGuardInt, b: rhs})
 			}
-		case ref == parc.RefShared:
+		case parc.RefShared:
 			if decl.Base != parc.FloatType {
 				fc.emit(instr{op: opDivGuardInt, b: rhs})
 			}
-		default:
-			// Unresolved destination: destIsFloat reports false, so the
-			// guard still fires before the "undefined variable" error.
-			fc.emit(instr{op: opDivGuardInt, b: rhs})
 		}
 	}
 
-	switch {
-	case ref == parc.RefLocal:
+	switch lv.Ref {
+	case parc.RefLocal:
 		fc.emit(instr{op: opAsgLocal, a: slot, b: rhs, n: int32(n.Op)})
 		return nil
 
-	case synSlot >= 0:
-		fc.emit(instr{op: opAsgLocal, a: synSlot, b: rhs, n: int32(n.Op)})
-		return nil
-
-	case ref == parc.RefArray:
-		arr := fc.arrayDecl(lv.Name, slot)
-		if arr == nil {
-			return errUncompilable("array %q has no declaration", lv.Name)
-		}
+	case parc.RefArray:
 		fc.emit(instr{op: opArrNil, a: slot, aux: &failPayload{msg: fmt.Sprintf("undefined variable %q", lv.Name)}})
 		ma := &memAccess{name: lv.Name, arr: slot, isFloat: arr.Base == parc.FloatType, assignOp: n.Op}
 		if err := fc.indices(ma, arr.DimSizes, lv.Indices); err != nil {
@@ -893,42 +780,23 @@ func (fc *funcCompiler) assign(n *parc.AssignStmt) error {
 		}
 		fc.emitAccess(instr{op: opAsgArr, b: rhs, n: int32(n.Op), aux: ma}, ma)
 		return nil
-
-	case ref == parc.RefShared:
-		ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType, assignOp: n.Op}
-		if err := fc.indices(ma, decl.DimSizes, lv.Indices); err != nil {
-			return err
-		}
-		fc.emitAccess(instr{op: opAsgShared, b: rhs, n: int32(n.Op), aux: ma}, ma)
-		return nil
 	}
 
-	fc.emit(instr{op: opFail, aux: &failPayload{msg: fmt.Sprintf("undefined variable %q", lv.Name)}})
+	ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType, assignOp: n.Op}
+	if err := fc.indices(ma, decl.DimSizes, lv.Indices); err != nil {
+		return err
+	}
+	fc.emitAccess(instr{op: opAsgShared, b: rhs, n: int32(n.Op), aux: ma}, ma)
 	return nil
 }
 
 // arrayDecl finds the VarDeclStmt for a private array slot so the compiler
 // can see its dimensions; the checker records it in the binding table.
 func (fc *funcCompiler) arrayDecl(name string, slot int32) *parc.VarDeclStmt {
-	b, ok := fc.fn.Bindings[name]
-	if ok && b.Array && int32(b.Slot) == slot && b.Decl != nil {
+	if b, ok := fc.fn.Bindings[name]; ok && b.Array && int32(b.Slot) == slot {
 		return b.Decl
 	}
-	// Fall back to scanning bindings (the name may differ only on
-	// generated nodes, which always use the declared name anyway).
-	for _, b := range fc.fn.Bindings {
-		if b.Array && int32(b.Slot) == slot && b.Decl != nil {
-			return b.Decl
-		}
-	}
 	return nil
-}
-
-func (fc *funcCompiler) arrayIsFloat(lv *parc.LValue, slot int32) bool {
-	if d := fc.arrayDecl(lv.Name, slot); d != nil {
-		return d.Base == parc.FloatType
-	}
-	return false
 }
 
 // indices lowers a subscript list: per dimension, the tree-walker charges
@@ -1034,17 +902,6 @@ func (fc *funcCompiler) constIndex(e parc.Expr) (int64, bool) {
 		if x.Ref == parc.RefConst {
 			return x.Const, true
 		}
-		if x.Ref == parc.RefUnresolved {
-			if _, ok := fc.fn.Bindings[x.Name]; ok {
-				return 0, false
-			}
-			if _, ok := fc.synReg(x.Name); ok {
-				return 0, false
-			}
-			if v, ok := fc.prog.ConstVal[x.Name]; ok {
-				return v, true
-			}
-		}
 	}
 	return 0, false
 }
@@ -1103,49 +960,13 @@ func (fc *funcCompiler) varRef(n *parc.VarRef) (int32, error) {
 		fc.emit(instr{op: opLoadShared, a: dst, aux: &memAccess{name: n.Name, decl: n.Shared, isFloat: n.Shared.Base == parc.FloatType}})
 		return dst, nil
 	}
-	// Generated reference: mirror the tree-walker's dynamic order
-	// (bindings, dyn, constants, shared).
-	if b, ok := fc.fn.Bindings[n.Name]; ok && !b.Array {
-		return int32(b.Slot), nil
-	}
-	if r, ok := fc.synReg(n.Name); ok {
-		return r, nil
-	}
-	if v, ok := fc.prog.ConstVal[n.Name]; ok {
-		return fc.constVal(IntVal(v)), nil
-	}
-	if decl, ok := fc.prog.SharedMap[n.Name]; ok {
-		dst := fc.alloc()
-		fc.emit(instr{op: opLoadShared, a: dst, aux: &memAccess{name: n.Name, decl: decl, isFloat: decl.Base == parc.FloatType}})
-		return dst, nil
-	}
-	dst := fc.alloc()
-	fc.emit(instr{op: opFail, a: dst, aux: &failPayload{msg: fmt.Sprintf("undefined name %q", n.Name)}})
-	return dst, nil
+	return 0, errUncompilable("reference to %q was not checked", n.Name)
 }
 
 func (fc *funcCompiler) indexExpr(n *parc.IndexExpr) (int32, error) {
-	var (
-		arrSlot = int32(-1)
-		decl    *parc.SharedDecl
-	)
 	switch n.Ref {
 	case parc.RefArray:
-		arrSlot = int32(n.Slot)
-	case parc.RefShared:
-		decl = n.Shared
-	default:
-		if b, ok := fc.fn.Bindings[n.Name]; ok && b.Array {
-			arrSlot = int32(b.Slot)
-		} else if d := fc.prog.SharedMap[n.Name]; d != nil {
-			decl = d
-		} else {
-			dst := fc.alloc()
-			fc.emit(instr{op: opFail, a: dst, aux: &failPayload{msg: fmt.Sprintf("%q is not an array", n.Name)}})
-			return dst, nil
-		}
-	}
-	if arrSlot >= 0 {
+		arrSlot := int32(n.Slot)
 		arr := fc.arrayDecl(n.Name, arrSlot)
 		if arr == nil {
 			return 0, errUncompilable("array %q has no declaration", n.Name)
@@ -1160,27 +981,24 @@ func (fc *funcCompiler) indexExpr(n *parc.IndexExpr) (int32, error) {
 		dst := fc.alloc()
 		fc.emitAccess(instr{op: opLoadArr, a: dst, aux: ma}, ma)
 		return dst, nil
+
+	case parc.RefShared:
+		decl := n.Shared
+		ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType}
+		if err := fc.indices(ma, decl.DimSizes, n.Indices); err != nil {
+			return 0, err
+		}
+		dst := fc.alloc()
+		fc.emitAccess(instr{op: opLoadShared, a: dst, aux: ma}, ma)
+		return dst, nil
 	}
-	ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType}
-	if err := fc.indices(ma, decl.DimSizes, n.Indices); err != nil {
-		return 0, err
-	}
-	dst := fc.alloc()
-	fc.emitAccess(instr{op: opLoadShared, a: dst, aux: ma}, ma)
-	return dst, nil
+	return 0, errUncompilable("reference to %q was not checked", n.Name)
 }
 
 func (fc *funcCompiler) callExpr(n *parc.CallExpr) (int32, error) {
 	id, f := n.Builtin, n.Fn
 	if id == parc.BuiltinNone && f == nil {
-		// Generated call: resolve by name, builtins first.
-		if bid, ok := parc.BuiltinByName[n.Name]; ok {
-			id = bid
-		} else if f = fc.prog.FuncMap[n.Name]; f == nil {
-			dst := fc.alloc()
-			fc.emit(instr{op: opFail, a: dst, aux: &failPayload{msg: fmt.Sprintf("undefined function %q", n.Name)}})
-			return dst, nil
-		}
+		return 0, errUncompilable("call to %q was not checked", n.Name)
 	}
 	if id != parc.BuiltinNone {
 		if len(n.Args) > 2 {

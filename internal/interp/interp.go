@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -44,11 +45,11 @@ type Context struct {
 	dirIdx   []int // cartesian walk scratch
 }
 
-// UseTreeWalker forces this context onto the reference tree-walking
-// interpreter instead of the compiled bytecode VM. The two are
-// observationally identical (the conformance corpus and FuzzVMEquivalence
-// run them differentially); the tree-walker exists as the executable
-// specification and for debugging the compiler.
+// UseTreeWalker makes Run execute on the reference tree-walking interpreter
+// instead of the compiled bytecode VM. The two are observationally identical
+// (the conformance corpus and FuzzVMEquivalence run them differentially);
+// the tree-walker exists as the executable specification and for debugging
+// the compiler.
 func (c *Context) UseTreeWalker() { c.treeWalk = true }
 
 // PrivateAccesses returns how many private-array loads and stores this
@@ -70,6 +71,8 @@ func (c *Context) OpsDispatched() uint64 { return c.ops }
 // maxCallDepth bounds recursion; ParC benchmarks are loop-based, so any
 // deep recursion is almost certainly a bug in the program under test.
 const maxCallDepth = 10_000
+
+var errNoMain = errors.New("interp: program has no main")
 
 // NewContext builds an execution context for one processor.
 func NewContext(prog *parc.Program, store *Store, mach Machine, node, nprocs int) *Context {
@@ -96,16 +99,21 @@ func NewContext(prog *parc.Program, store *Store, mach Machine, node, nprocs int
 
 // Run executes main to completion, flushing any residual work. Programs are
 // compiled to bytecode once (cached on the Program itself) and run on the
-// lane VM without a yielder, so it never suspends; a program the compiler
-// cannot lower whole, or any program after UseTreeWalker, executes on the
-// reference tree-walker with identical observable behaviour.
+// lane VM without a yielder, so it never suspends; after UseTreeWalker the
+// program executes on the reference tree-walker instead, with identical
+// observable behaviour. Either way the program must be checked: a program
+// the compiler refuses is an error, not a reason to switch engines.
 func (c *Context) Run() error {
+	if !c.treeWalk {
+		lv, err := c.NewLaneVM(nil)
+		if err != nil {
+			return err
+		}
+		return lv.RunToCompletion()
+	}
 	main := c.prog.FuncMap["main"]
 	if main == nil {
-		return fmt.Errorf("interp: program has no main")
-	}
-	if lv, ok := c.NewLaneVM(nil); ok {
-		return lv.RunToCompletion()
+		return errNoMain
 	}
 	if _, err := c.call(main, nil); err != nil {
 		return err
@@ -134,19 +142,13 @@ func (c *Context) flush() {
 
 // frame is one function activation. Scalars and private arrays live in
 // exact-size slices; the checker assigns every parameter, local, and loop
-// variable a slot (parc.FuncDecl.NumScalars/NumArrays), so name lookups on
-// checked references are a single index. Locals are function-scoped and
-// slots start zero-valued: a resolved read before the declaration executes
-// yields the zero value rather than a runtime "undefined variable" error.
-//
-// dyn holds loop variables of statements synthesized after checking
-// (Cachier's rewriter generates annotation loops with fresh __cicoN
-// counters directly into a checked AST); it is nil until such a loop runs.
+// variable a slot (parc.FuncDecl.NumScalars/NumArrays), so every name
+// reference is a single index. Locals are function-scoped and slots start
+// zero-valued: a read before the declaration executes yields the zero value
+// rather than a runtime "undefined variable" error.
 type frame struct {
-	fn      *parc.FuncDecl
 	scalars []Value
 	arrays  []privArray
-	dyn     map[string]Value
 }
 
 type privArray struct {
@@ -158,14 +160,6 @@ type privArray struct {
 	// declarations allocate only on first use; data stays the source of
 	// truth (nil means "declaration never executed this activation").
 	cache []Value
-}
-
-// setDyn binds a runtime-created scalar name (generated loop counters).
-func (fr *frame) setDyn(name string, v Value) {
-	if fr.dyn == nil {
-		fr.dyn = make(map[string]Value)
-	}
-	fr.dyn[name] = v
 }
 
 type ctrl int
@@ -181,7 +175,7 @@ func (c *Context) call(f *parc.FuncDecl, args []Value) (Value, error) {
 	}
 	c.depth++
 	defer func() { c.depth-- }()
-	fr := &frame{fn: f, scalars: make([]Value, f.NumScalars), arrays: make([]privArray, f.NumArrays)}
+	fr := &frame{scalars: make([]Value, f.NumScalars), arrays: make([]privArray, f.NumArrays)}
 	for i, p := range f.Params {
 		fr.scalars[i] = coerce(args[i], p.Base)
 	}
@@ -308,22 +302,12 @@ func (c *Context) execStmt(s parc.Stmt, fr *frame) (ctrl, Value, error) {
 		if step == 0 {
 			return ctrlNext, Value{}, c.errf("for %s: zero step", n.Var)
 		}
-		lo, hi := from.AsInt(), to.AsInt()
-		// Resolve the loop counter's slot: checked loops carry it; loops
-		// generated by the rewriter fall back to the binding table, and
-		// fresh generated names (__cicoN) live in the frame's dyn map.
-		slot := n.VarSlot - 1
-		if slot < 0 {
-			if b, ok := fr.fn.Bindings[n.Var]; ok && !b.Array {
-				slot = b.Slot
-			}
+		if n.VarSlot == 0 {
+			return ctrlNext, Value{}, c.errf("loop counter %q has no slot", n.Var)
 		}
+		lo, hi := from.AsInt(), to.AsInt()
 		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-			if slot >= 0 {
-				fr.scalars[slot] = IntVal(i)
-			} else {
-				fr.setDyn(n.Var, IntVal(i))
-			}
+			fr.scalars[n.VarSlot-1] = IntVal(i)
 			ct, v, err := c.execBlock(n.Body, fr)
 			if err != nil || ct == ctrlReturn {
 				return ct, v, err
@@ -397,26 +381,6 @@ func (c *Context) execStmt(s parc.Stmt, fr *frame) (ctrl, Value, error) {
 	return ctrlNext, Value{}, c.errf("cannot execute %T", s)
 }
 
-// resolveLValue returns an lvalue's resolution: the checker's static one
-// when present, otherwise a dynamic lookup for nodes synthesized after
-// checking. RefUnresolved with a nil decl means the name is unknown (or a
-// dyn-map scalar, which the caller checks last).
-func (c *Context) resolveLValue(lv *parc.LValue, fr *frame) (parc.RefKind, int, *parc.SharedDecl) {
-	if lv.Ref != parc.RefUnresolved {
-		return lv.Ref, lv.Slot, lv.Shared
-	}
-	if b, ok := fr.fn.Bindings[lv.Name]; ok {
-		if b.Array {
-			return parc.RefArray, b.Slot, nil
-		}
-		return parc.RefLocal, b.Slot, nil
-	}
-	if d, ok := c.prog.SharedMap[lv.Name]; ok {
-		return parc.RefShared, 0, d
-	}
-	return parc.RefUnresolved, 0, nil
-}
-
 func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 	rhs, err := c.eval(n.RHS, fr)
 	if err != nil {
@@ -429,16 +393,15 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 		}
 	}
 
-	ref, slot, decl := c.resolveLValue(lv, fr)
-	switch ref {
+	switch lv.Ref {
 	case parc.RefLocal:
 		// Private scalar (local, param, or loop variable).
-		cur := fr.scalars[slot]
-		fr.scalars[slot] = applyOp(cur, n.Op, rhs, cur.Float)
+		cur := fr.scalars[lv.Slot]
+		fr.scalars[lv.Slot] = applyOp(cur, n.Op, rhs, cur.Float)
 		return nil
 
 	case parc.RefArray:
-		arr := &fr.arrays[slot]
+		arr := &fr.arrays[lv.Slot]
 		if arr.data == nil {
 			return c.errf("undefined variable %q", lv.Name)
 		}
@@ -455,11 +418,11 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 		return nil
 
 	case parc.RefShared:
-		addr, err := c.sharedAddr(decl, lv.Indices, fr)
+		addr, err := c.sharedAddr(lv.Shared, lv.Indices, fr)
 		if err != nil {
 			return err
 		}
-		isFloat := decl.Base == parc.FloatType
+		isFloat := lv.Shared.Base == parc.FloatType
 		var cur Value
 		if n.Op != parc.OpSet {
 			// Compound assignment reads the old value first.
@@ -473,29 +436,19 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 		c.store.StoreWord(addr, out.Bits())
 		return nil
 	}
-
-	// Runtime-created scalar (generated loop counter).
-	if cur, ok := fr.dyn[lv.Name]; ok && len(lv.Indices) == 0 {
-		fr.dyn[lv.Name] = applyOp(cur, n.Op, rhs, cur.Float)
-		return nil
-	}
-	return c.errf("undefined variable %q", lv.Name)
+	return c.errf("assignment to %q was not checked", lv.Name)
 }
 
 // destIsFloat reports whether an lvalue's destination has float type, so
 // compound division can distinguish IEEE division from integer division.
 func (c *Context) destIsFloat(lv *parc.LValue, fr *frame) bool {
-	ref, slot, decl := c.resolveLValue(lv, fr)
-	switch ref {
+	switch lv.Ref {
 	case parc.RefLocal:
-		return fr.scalars[slot].Float
+		return fr.scalars[lv.Slot].Float
 	case parc.RefArray:
-		return fr.arrays[slot].base == parc.FloatType
+		return fr.arrays[lv.Slot].base == parc.FloatType
 	case parc.RefShared:
-		return decl.Base == parc.FloatType
-	}
-	if v, ok := fr.dyn[lv.Name]; ok {
-		return v.Float
+		return lv.Shared.Base == parc.FloatType
 	}
 	return false
 }
@@ -616,20 +569,7 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		case parc.RefShared:
 			return c.loadShared(c.bases[n.Shared.Index], n.Shared.Base), nil
 		}
-		// Generated reference: resolve by name.
-		if b, ok := fr.fn.Bindings[n.Name]; ok && !b.Array {
-			return fr.scalars[b.Slot], nil
-		}
-		if v, ok := fr.dyn[n.Name]; ok {
-			return v, nil
-		}
-		if v, ok := c.prog.ConstVal[n.Name]; ok {
-			return IntVal(v), nil
-		}
-		if decl, ok := c.prog.SharedMap[n.Name]; ok {
-			return c.loadShared(c.bases[decl.Index], decl.Base), nil
-		}
-		return Value{}, c.errf("undefined name %q", n.Name)
+		return Value{}, c.errf("reference to %q was not checked", n.Name)
 
 	case *parc.IndexExpr:
 		switch n.Ref {
@@ -638,28 +578,14 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		case parc.RefShared:
 			return c.evalSharedIndex(n.Shared, n.Indices, fr)
 		}
-		// Generated reference: resolve by name.
-		if b, ok := fr.fn.Bindings[n.Name]; ok && b.Array {
-			return c.evalPrivIndex(n.Name, &fr.arrays[b.Slot], n.Indices, fr)
-		}
-		decl := c.prog.SharedMap[n.Name]
-		if decl == nil {
-			return Value{}, c.errf("%q is not an array", n.Name)
-		}
-		return c.evalSharedIndex(decl, n.Indices, fr)
+		return Value{}, c.errf("reference to %q was not checked", n.Name)
 
 	case *parc.CallExpr:
-		id, f := n.Builtin, n.Fn
-		if id == parc.BuiltinNone && f == nil {
-			// Generated call: resolve by name.
-			if bid, ok := parc.BuiltinByName[n.Name]; ok {
-				id = bid
-			} else if f = c.prog.FuncMap[n.Name]; f == nil {
-				return Value{}, c.errf("undefined function %q", n.Name)
-			}
+		if n.Builtin != parc.BuiltinNone {
+			return c.evalBuiltin(n, fr)
 		}
-		if id != parc.BuiltinNone {
-			return c.evalBuiltin(n, id, fr)
+		if n.Fn == nil {
+			return Value{}, c.errf("call to %q was not checked", n.Name)
 		}
 		args := make([]Value, len(n.Args))
 		for i, a := range n.Args {
@@ -671,7 +597,7 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		}
 		c.work(2)
 		savedPC, savedPos := c.curPC, c.curPos
-		v, err := c.call(f, args)
+		v, err := c.call(n.Fn, args)
 		c.curPC, c.curPos = savedPC, savedPos
 		return v, err
 
@@ -806,7 +732,7 @@ func compare(x, y Value) int {
 	return 0
 }
 
-func (c *Context) evalBuiltin(n *parc.CallExpr, id parc.BuiltinID, fr *frame) (Value, error) {
+func (c *Context) evalBuiltin(n *parc.CallExpr, fr *frame) (Value, error) {
 	// Builtins take at most two arguments; keep them off the heap.
 	var buf [2]Value
 	args := buf[:]
@@ -823,7 +749,7 @@ func (c *Context) evalBuiltin(n *parc.CallExpr, id parc.BuiltinID, fr *frame) (V
 		args[i] = v
 	}
 	c.work(1)
-	switch id {
+	switch n.Builtin {
 	case parc.BuiltinPid:
 		return IntVal(int64(c.node)), nil
 	case parc.BuiltinNprocs:
@@ -875,11 +801,7 @@ func (c *Context) evalBuiltin(n *parc.CallExpr, id parc.BuiltinID, fr *frame) (V
 func (c *Context) evalRangeRef(r *parc.RangeRef, fr *frame) ([]AddrRange, error) {
 	decl := r.Shared
 	if decl == nil {
-		// Generated annotation: resolve by name.
-		decl = c.prog.SharedMap[r.Name]
-	}
-	if decl == nil {
-		return nil, c.errf("annotation target %q is not shared", r.Name)
+		return nil, c.errf("annotation target %q was not checked", r.Name)
 	}
 	base := c.bases[decl.Index]
 	if len(decl.DimSizes) == 0 {

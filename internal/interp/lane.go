@@ -111,27 +111,22 @@ type LaneVM struct {
 	done bool
 }
 
-// NewLaneVM prepares a resumable lane for the context's program. It reports
-// false when the program cannot run on the stepper — the context is pinned
-// to the tree-walker, or the compiler refused main or a function compiled
-// code calls — and the program must run whole on the tree-walker instead
-// (Run does). On success the context is committed to this LaneVM; do not
-// also call Run.
-func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, bool) {
-	if c.treeWalk {
-		return nil, false
-	}
+// NewLaneVM prepares a resumable lane for the context's program. It fails
+// when the program has no main or the compiler refused one of its functions,
+// which for a checked program is a compiler bug. On success the context is
+// committed to this LaneVM; do not also call Run.
+func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, error) {
 	main := c.prog.FuncMap["main"]
 	if main == nil {
-		return nil, false
+		return nil, errNoMain
 	}
 	pcm := c.prog.Artifact(func() any { return compileProgram(c.prog) }).(*progCode)
-	if !pcm.laneable {
-		return nil, false
+	if pcm.err != nil {
+		return nil, pcm.err
 	}
 	co := pcm.fns[main]
-	if c.pools == nil || len(c.pools) < pcm.nfns {
-		c.pools = make([][]*vmFrame, pcm.nfns)
+	if c.pools == nil || len(c.pools) < len(pcm.fns) {
+		c.pools = make([][]*vmFrame, len(pcm.fns))
 	}
 	c.depth++
 	lv := &LaneVM{c: c, y: y}
@@ -139,7 +134,7 @@ func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, bool) {
 		lv.view, lv.viewed = y.LaneView(c.node)
 	}
 	lv.stack = append(lv.stack, laneFrame{co: co, fr: c.acquire(co)})
-	return lv, true
+	return lv, nil
 }
 
 // Err returns the program's terminal error once Resume reported LaneDone
@@ -491,11 +486,6 @@ func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	lv.phase = phStart
 	co := p.code
-	if co == nil {
-		// NewLaneVM only accepts laneable programs; this is unreachable.
-		lv.err = c.vmErr(in.pc, "vm: lane stepper reached a tree-walker call")
-		return stepErr
-	}
 	if c.depth >= maxCallDepth {
 		lv.err = c.vmErr(in.pc, "call depth exceeds %d (runaway recursion in %s?)", maxCallDepth, co.fn.Name)
 		return stepErr

@@ -83,7 +83,7 @@ func TestFramePoolCleanSlate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewContext(prog, NewStoreFor(layout), &mockMachine{}, 0, 1)
-	c.pools = make([][]*vmFrame, pcm.nfns)
+	c.pools = make([][]*vmFrame, len(pcm.fns))
 
 	fr := c.acquire(co)
 	for i, v := range co.poolVals {
@@ -156,9 +156,9 @@ func TestFramePoolCleanAfterRun(t *testing.T) {
 			ctx := NewContext(prog, NewStoreFor(layout), &mockMachine{}, 0, 1)
 			if mode.stepped {
 				y := &parkEveryOther{}
-				lv, ok := ctx.NewLaneVM(y)
-				if !ok {
-					t.Fatal("program not laneable")
+				lv, err := ctx.NewLaneVM(y)
+				if err != nil {
+					t.Fatal(err)
 				}
 				resumes := 0
 				for lv.Resume() != LaneDone {
@@ -175,9 +175,6 @@ func TestFramePoolCleanAfterRun(t *testing.T) {
 			}
 			audited := 0
 			for _, co := range pcm.fns {
-				if co == nil {
-					continue
-				}
 				for _, fr := range ctx.pools[co.idx] {
 					checkFrameClean(t, co, fr)
 					audited++

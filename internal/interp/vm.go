@@ -8,7 +8,7 @@ import (
 )
 
 // vmFrame is one compiled-function activation: registers (the first
-// fn.NumScalars are the checker's scalar slots, synthetic counters and
+// fn.NumScalars are the checker's scalar slots, the constant pool and
 // temporaries follow) and private array storage. Frames are pooled
 // per-function on the Context, and released arrays keep their backing
 // slice, so steady-state execution allocates nothing.
@@ -32,8 +32,8 @@ func (c *Context) acquire(co *fnCode) *vmFrame {
 	return fr
 }
 
-// release returns a frame to its pool. Only the named-scalar and
-// synthetic-counter prefix is cleared: constant-pool registers keep their
+// release returns a frame to its pool. Only the named-scalar prefix is
+// cleared: constant-pool registers keep their
 // values (they are never written after acquire), and temporaries are always
 // written before they are read.
 func (c *Context) release(co *fnCode, fr *vmFrame) {

@@ -148,15 +148,15 @@ type Param struct {
 }
 
 // RefKind classifies what a name reference resolved to. Check fills it in
-// for every reference in a parsed program; nodes synthesized afterwards
+// for every reference in a parsed program. Nodes synthesized afterwards
 // (Cachier's rewriter builds annotation statements into an already-checked
-// AST) keep the zero value RefUnresolved and are resolved by name at run
-// time instead.
+// AST) keep the zero value RefUnresolved: they are unchecked, and nothing
+// executes them — an executable program comes from parsing printed source.
 type RefKind uint8
 
 // Reference kinds.
 const (
-	RefUnresolved RefKind = iota // resolve dynamically (generated node)
+	RefUnresolved RefKind = iota // not checked (generated node)
 	RefLocal                     // private scalar: Slot indexes the frame's scalars
 	RefArray                     // private array: Slot indexes the frame's arrays
 	RefShared                    // shared variable: Shared points at the declaration
@@ -165,8 +165,8 @@ const (
 
 // Binding records where a function-local name lives at run time: a slot in
 // the activation frame's scalar or array storage. Check builds one per
-// parameter, local, and loop variable; the interpreter consults the table
-// to resolve generated references that carry no static resolution.
+// parameter, local, and loop variable, and resolves every reference through
+// the table; the compiler reads a private array's declaration from it.
 type Binding struct {
 	Decl  *VarDeclStmt // nil for parameters and implicit loop variables
 	Slot  int
@@ -174,8 +174,7 @@ type Binding struct {
 }
 
 // BuiltinID identifies a builtin function. BuiltinNone marks a call that is
-// not a builtin (a user function, or a generated node pending dynamic
-// lookup).
+// not a builtin (a user function, or an unchecked generated node).
 type BuiltinID uint8
 
 // Builtin identifiers.
@@ -331,8 +330,7 @@ type ForStmt struct {
 	Body *Block
 
 	// VarSlot is the loop variable's scalar frame slot + 1, resolved by
-	// Check; 0 means unresolved (generated loops look the name up at run
-	// time).
+	// Check; 0 means unchecked (a generated loop).
 	VarSlot int
 }
 
@@ -396,7 +394,7 @@ type RangeRef struct {
 	Name    string
 	Indices []RangeIndex
 
-	Shared *SharedDecl // resolved by Check; nil on generated nodes
+	Shared *SharedDecl // resolved by Check; nil on unchecked generated nodes
 }
 
 // RangeIndex is one dimension of a RangeRef. Hi is nil for a single index.
@@ -460,7 +458,7 @@ type CallExpr struct {
 	Args []Expr
 
 	// Resolved by Check: exactly one of Builtin/Fn is set for checked
-	// calls; both zero on generated nodes (resolved by name at run time).
+	// calls; both zero on unchecked generated nodes.
 	Builtin BuiltinID
 	Fn      *FuncDecl
 }
@@ -480,7 +478,8 @@ type BinaryExpr struct {
 }
 
 // Constructors used by Cachier's rewriter for generated nodes. Generated
-// nodes carry a zero position.
+// nodes carry a zero position and no resolution: they are printed, and the
+// printed program is parsed and checked before anything executes it.
 
 // NewIntLit builds an integer literal expression.
 func NewIntLit(v int64) *IntLit { return &IntLit{Value: v} }

@@ -323,6 +323,26 @@ func TestSpinningProgramIsBounded(t *testing.T) {
 	}
 }
 
+// TestEndlessPrintIsBounded: a program that prints forever on the default
+// machine is answered with a 422 naming the output limit well within a
+// second, instead of growing the server's heap until the cycle budget ends
+// it.
+func TestEndlessPrintIsBounded(t *testing.T) {
+	body, err := json.Marshal(&SimulateRequest{Source: `func main() { while (1) { print("x"); } }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	New(DefaultConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate", bytes.NewReader(body)))
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("answered after %v, want well within a second", elapsed)
+	}
+	if rec.Code != 422 || !strings.Contains(rec.Body.String(), "output limit exceeded") {
+		t.Fatalf("status %d %s, want a 422 naming the output limit", rec.Code, rec.Body)
+	}
+}
+
 // TestHealthzAndMetrics covers the operational endpoints, including the
 // draining flip.
 func TestHealthzAndMetrics(t *testing.T) {

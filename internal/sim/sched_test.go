@@ -306,12 +306,20 @@ func main() {
 	}
 }
 
-// TestLanesTreeWalkFallback: a program the compiler refuses — here a loop
-// generated after checking whose counter shadows a constant, so its name
-// resolution depends on execution — runs whole on the reference engine
-// without being asked to, says so in Result.Engine, and produces what the
-// reference engine produces when asked.
-func TestLanesTreeWalkFallback(t *testing.T) {
+// TestOutputLimit: a program that prints forever ends with the typed output
+// error on both hosts, having kept no more than the bound.
+func TestOutputLimit(t *testing.T) {
+	_, err := checkBothHosts(t, `func main() { while (1) { print("x"); } }`, func(cfg *Config) { cfg.Nodes = 4 })
+	if !errors.Is(err, ErrOutputLimit) {
+		t.Fatalf("run error = %v, want ErrOutputLimit", err)
+	}
+}
+
+// TestUncheckedProgramRefused: a node added to the AST after Check — here a
+// loop whose counter the checker never gave a slot — is not run at all: the
+// production engine's compiler refuses the program and Run returns that
+// refusal, naming the counter, instead of running it on the reference.
+func TestUncheckedProgramRefused(t *testing.T) {
 	prog, err := parc.Parse(`
 const N = 4;
 shared int v[8];
@@ -330,26 +338,9 @@ func main() {
 	})
 	cfg := DefaultConfig()
 	cfg.Nodes = 8
-	got, err := Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != engineReference {
-		t.Fatalf("uncompilable program ran on engine %q, want %q", got.Engine, engineReference)
-	}
-	cfg.TreeWalk = true
-	want, err := Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != want.Cycles || !reflect.DeepEqual(got.NodeCycles, want.NodeCycles) || got.Stats != want.Stats {
-		t.Errorf("cycles or stats differ from the asked-for reference run: %d vs %d", got.Cycles, want.Cycles)
-	}
-	if out := []string{"node 0: v3 10"}; !reflect.DeepEqual(got.Output, out) || !reflect.DeepEqual(want.Output, out) {
-		t.Errorf("output = %q and %q, want %q", got.Output, want.Output, out)
-	}
-	if !reflect.DeepEqual(got.Store.Words(), want.Store.Words()) {
-		t.Errorf("shared memory differs from the asked-for reference run")
+	res, err := Run(prog, cfg)
+	if res != nil || err == nil || !strings.Contains(err.Error(), `loop counter "N"`) {
+		t.Fatalf("Run = %v, %v; want no result and an error naming the loop counter", res, err)
 	}
 }
 
@@ -534,8 +525,8 @@ func TestHitsStayInTheLane(t *testing.T) {
 		}
 		m.store = interp.NewStoreFor(m.layout)
 		m.ctxs = make([]*interp.Context, cfg.Nodes)
-		if !m.compiledLanes() {
-			t.Fatal("program not laneable")
+		if err := m.compiledLanes(); err != nil {
+			t.Fatal(err)
 		}
 		res, err := m.finish(engineLanes)
 		if err != nil {

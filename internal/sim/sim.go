@@ -24,13 +24,11 @@
 // bytecode on a resumable VM, which charges local work and counts cache hits
 // in place through a view of its node's state (LaneView, sched.go). The
 // reference engine runs the tree-walking interpreter instead, each lane
-// parked on a goroutine (reference.go), every event a Machine call;
-// Config.TreeWalk selects it, and a program the compiler refuses runs on it
-// whole. The
-// conformance harness holds the two bit-identical on every result. A third
-// kind of lane executes no ParC at all: Replay (events.go) drives the same
-// machine from ready-made event streams, which is how the static annotator
-// gets its trace.
+// parked on a goroutine (reference.go), every event a Machine call; only
+// Config.TreeWalk selects it. The conformance harness holds the two
+// bit-identical on every result. A third kind of lane executes no ParC at
+// all: Replay (events.go) drives the same machine from ready-made event
+// streams, which is how the static annotator gets its trace.
 //
 // In trace mode the simulator additionally flushes every node's shared-data
 // cache at each barrier and records all misses, producing the paper's
@@ -182,14 +180,24 @@ func DefaultConfig() Config {
 // ErrCycleBudget is the error of a run that Config.CycleBudget cut short.
 var ErrCycleBudget = errors.New("sim: cycle budget exceeded")
 
+// MaxOutputBytes bounds what one run may print, counted over the lines of
+// Result.Output. Programs arrive from outside (cachierd, the CLIs), and a
+// print in an endless loop would otherwise grow the output until the host
+// runs out of memory long before any cycle budget ends the run. The largest
+// output of any checked-in program or corpus seed is 87 376 bytes (parcgen
+// seed 787 on 1 024 nodes, cachierd's widest machine); 1 MB is 12 times that.
+const MaxOutputBytes = 1 << 20
+
+// ErrOutputLimit is the error of a run that printed more than
+// MaxOutputBytes; the run halts at the print that crossed the bound.
+var ErrOutputLimit = errors.New("sim: output limit exceeded")
+
 // Result reports a completed simulation.
 type Result struct {
 	// Engine names the execution engine that produced the result: "lanes",
 	// the production engine (compiled bytecode stepped as resumable lanes),
-	// or "reference", the tree-walking interpreter — taken when
-	// Config.TreeWalk asks for it, or when the compiler refuses the
-	// program, which then runs whole on the reference. A Replay reports
-	// "events".
+	// or "reference", the tree-walking interpreter, only when Config.TreeWalk
+	// asks for it. A Replay reports "events".
 	Engine string
 
 	// Protocol is the coherence protocol's display name ("Dir1SW",
@@ -323,10 +331,11 @@ type Machine struct {
 	clockBound  uint64
 	halt        bool
 
-	builder  *trace.Builder
-	barriers int
-	outputs  []string
-	runErr   error
+	builder     *trace.Builder
+	barriers    int
+	outputs     []string
+	outputBytes int // summed length of outputs, bounded by MaxOutputBytes
+	runErr      error
 
 	accessCalls uint64 // see Result
 
@@ -351,12 +360,14 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	}
 	m.store = interp.NewStoreFor(m.layout)
 	m.ctxs = make([]*interp.Context, cfg.Nodes)
-	engine := engineLanes
-	if cfg.TreeWalk || !m.compiledLanes() {
-		engine = engineReference
+	if cfg.TreeWalk {
 		m.referenceLanes()
+		return m.finish(engineReference)
 	}
-	return m.finish(engine)
+	if err := m.compiledLanes(); err != nil {
+		return nil, err
+	}
+	return m.finish(engineLanes)
 }
 
 // finish runs the attached lanes to completion and assembles the Result.
@@ -440,19 +451,19 @@ func (m *Machine) newContext(node int, mach interp.Machine) *interp.Context {
 }
 
 // compiledLanes attaches the production lanes: every processor's compiled
-// program on a resumable interp.LaneVM. It reports false, having changed
-// nothing, when the compiler refused the program; that is a property of the
-// program, so node 0's context already says so.
-func (m *Machine) compiledLanes() bool {
+// program on a resumable interp.LaneVM. It fails when the compiler refused
+// the program; that is a property of the program, so node 0's context
+// already says so.
+func (m *Machine) compiledLanes() error {
 	for i := range m.procs {
 		ctx := m.newContext(i, m)
-		lv, ok := ctx.NewLaneVM(m)
-		if !ok {
-			return false
+		lv, err := ctx.NewLaneVM(m)
+		if err != nil {
+			return err
 		}
 		m.ctxs[i], m.lanes[i] = ctx, lv
 	}
-	return true
+	return nil
 }
 
 // protocolFor resolves Config.Protocol (plus the Dir1SW-specific FullMap
@@ -796,8 +807,17 @@ func (m *Machine) Work(node int, cycles uint64) {
 	m.yield(p)
 }
 
-// Print implements interp.Machine.
+// Print implements interp.Machine. A line that takes the run's output past
+// MaxOutputBytes halts the run with ErrOutputLimit instead.
 func (m *Machine) Print(node int, text string) {
-	m.outputs = append(m.outputs, fmt.Sprintf("node %d: %s", node, text))
+	line := fmt.Sprintf("node %d: %s", node, text)
+	if m.outputBytes += len(line); m.outputBytes > MaxOutputBytes {
+		if m.runErr == nil {
+			m.runErr = ErrOutputLimit
+		}
+		m.halt = true
+		return
+	}
+	m.outputs = append(m.outputs, line)
 	m.yield(m.procs[node])
 }

@@ -121,7 +121,7 @@ func (st *state) clone() *state {
 }
 
 func (st *state) equal(o *state) bool {
-	if st.dead != o.dead || st.ret != o.ret || len(st.vals) != len(o.vals) {
+	if st.dead != o.dead || st.ret != o.ret {
 		return false
 	}
 	for i := range st.vals {
@@ -144,17 +144,8 @@ func joinState(a, b *state) *state {
 	if b.dead || b.ret {
 		return a
 	}
-	for len(a.vals) < len(b.vals) {
-		a.vals = append(a.vals, avC(0))
-	}
 	for i := range a.vals {
-		var bv aval
-		if i < len(b.vals) {
-			bv = b.vals[i]
-		} else {
-			bv = avC(0)
-		}
-		a.vals[i] = joinAval(a.vals[i], bv)
+		a.vals[i] = joinAval(a.vals[i], b.vals[i])
 	}
 	return a
 }
@@ -174,9 +165,6 @@ func widenState(old, next *state) *state {
 		return next
 	}
 	for i := range next.vals {
-		if i >= len(old.vals) {
-			break
-		}
 		a, b := old.vals[i], next.vals[i]
 		if a == b {
 			continue
@@ -417,36 +405,9 @@ func (r *nodeRun) structural(pos parc.Pos, format string, args ...any) {
 	})
 }
 
-// ---- name resolution (handles generated nodes left RefUnresolved) ----
-
-func (r *nodeRun) scalarSlot(st *state, name string) int {
-	if b, ok := st.fn.Bindings[name]; ok && !b.Array {
-		return b.Slot
-	}
-	return -1
-}
-
-func (r *nodeRun) loopSlot(st *state, n *parc.ForStmt) int {
-	if n.VarSlot > 0 {
-		return n.VarSlot - 1
-	}
-	return r.scalarSlot(st, n.Var)
-}
-
-func (r *nodeRun) load(st *state, slot int) aval {
-	if slot < 0 || slot >= len(st.vals) {
-		return avTopInt()
-	}
-	return st.vals[slot]
-}
+// ---- frame slots (resolved by parc.Check) ----
 
 func (r *nodeRun) store(st *state, slot int, a aval) {
-	if slot < 0 {
-		return
-	}
-	for slot >= len(st.vals) {
-		st.vals = append(st.vals, avC(0))
-	}
 	if a.aff {
 		a = r.matv(st, a)
 	}
@@ -463,8 +424,8 @@ func (r *nodeRun) mat(st *state, a aval) si {
 		return a.set
 	}
 	base := siTop
-	if a.slot >= 0 && a.slot < len(st.vals) && !st.vals[a.slot].isFloat {
-		base = st.vals[a.slot].set
+	if v := st.vals[a.slot]; !v.isFloat {
+		base = v.set
 	}
 	return base.scale(a.coef).addConst(a.off)
 }
@@ -526,21 +487,11 @@ func (r *nodeRun) varRef(st *state, n *parc.VarRef) aval {
 	case parc.RefShared:
 		return r.sharedScalar(st, n.Shared, n.Position(), n.Name)
 	}
-	// Generated node: resolve by name.
-	if c, ok := r.v.prog.ConstVal[n.Name]; ok {
-		return avC(c)
-	}
-	if b, ok := st.fn.Bindings[n.Name]; ok && !b.Array {
-		return r.localVal(st, b.Slot)
-	}
-	if d, ok := r.v.prog.SharedMap[n.Name]; ok && len(d.DimSizes) == 0 {
-		return r.sharedScalar(st, d, n.Position(), n.Name)
-	}
 	return avTopInt()
 }
 
 func (r *nodeRun) localVal(st *state, slot int) aval {
-	v := r.load(st, slot)
+	v := st.vals[slot]
 	if v.isFloat {
 		return v
 	}
@@ -557,18 +508,14 @@ func (r *nodeRun) sharedScalar(st *state, decl *parc.SharedDecl, pos parc.Pos, n
 		kind: evAccess, varName: name, decl: decl, write: false,
 		lockKey: r.lockKey(), pos: pos, exprText: name,
 	})
-	if decl != nil && decl.Base == parc.IntType {
+	if decl.Base == parc.IntType {
 		return avTopInt()
 	}
 	return avFloat()
 }
 
 func (r *nodeRun) indexExpr(st *state, n *parc.IndexExpr) aval {
-	decl := n.Shared
-	if decl == nil && n.Ref == parc.RefUnresolved {
-		decl = r.v.prog.SharedMap[n.Name]
-	}
-	if decl != nil {
+	if decl := n.Shared; decl != nil {
 		dims, variant, text := r.indexDims(st, decl, n.Name, n.Indices)
 		r.emit(event{
 			kind: evAccess, varName: n.Name, decl: decl, dims: dims,
@@ -693,37 +640,16 @@ func (r *nodeRun) addVal(st *state, a, b aval) aval {
 	return avInt(r.mat(st, a).add(r.mat(st, b)))
 }
 
-var builtinByName = map[string]parc.BuiltinID{
-	"pid": parc.BuiltinPid, "nprocs": parc.BuiltinNprocs,
-	"min": parc.BuiltinMin, "max": parc.BuiltinMax, "abs": parc.BuiltinAbs,
-	"sqrt": parc.BuiltinSqrt, "sin": parc.BuiltinSin, "cos": parc.BuiltinCos,
-	"floor": parc.BuiltinFloor, "float": parc.BuiltinFloat, "int": parc.BuiltinInt,
-	"rnd": parc.BuiltinRnd, "rndseed": parc.BuiltinRndseed,
-}
-
 func (r *nodeRun) call(st *state, n *parc.CallExpr) aval {
-	bi, fn := n.Builtin, n.Fn
-	if bi == parc.BuiltinNone && fn == nil {
-		if id, ok := builtinByName[n.Name]; ok {
-			bi = id
-		} else {
-			fn = r.v.prog.FuncMap[n.Name]
-		}
-	}
-	if bi != parc.BuiltinNone {
+	if n.Builtin != parc.BuiltinNone {
 		args := make([]aval, len(n.Args))
 		for i, a := range n.Args {
 			args[i] = r.evalExpr(st, a)
 		}
 		r.charge(1)
-		return r.builtin(st, bi, args)
+		return r.builtin(st, n.Builtin, args)
 	}
-	if fn == nil {
-		for _, a := range n.Args {
-			r.evalExpr(st, a)
-		}
-		return avTopInt()
-	}
+	fn := n.Fn
 	args := make([]aval, len(n.Args))
 	for i, a := range n.Args {
 		args[i] = r.matv(st, r.evalExpr(st, a))
@@ -1120,7 +1046,7 @@ func (r *nodeRun) refineMod(st *state, x, y parc.Expr) bool {
 	cd := ((coef/d)%md + md) % md
 	_, p, _ := egcd(cd, md)
 	v0 := ((rhs/d%md*(((p%md)+md)%md))%md + md) % md
-	cur := r.load(st, inner.slot)
+	cur := st.vals[inner.slot]
 	if cur.isFloat {
 		return true
 	}
@@ -1149,7 +1075,7 @@ func refineClass(cur si, v0, md int64) si {
 
 // refineCmp narrows an affine view's slot under coef*v + off OP c.
 func (r *nodeRun) refineCmp(st *state, a aval, op parc.TokKind, c int64) {
-	cur := r.load(st, a.slot)
+	cur := st.vals[a.slot]
 	if cur.isFloat || a.coef == 0 {
 		return
 	}
@@ -1265,12 +1191,7 @@ func (r *nodeRun) evalStmt(st *state, s parc.Stmt) {
 		r.evalBlock(st, n)
 	case *parc.VarDeclStmt:
 		if n.Init != nil {
-			v := r.evalExpr(st, n.Init)
-			slot := n.Slot - 1
-			if n.Slot == 0 {
-				slot = r.scalarSlot(st, n.Name)
-			}
-			r.store(st, slot, v)
+			r.store(st, n.Slot-1, r.evalExpr(st, n.Init))
 		}
 	case *parc.AssignStmt:
 		r.assign(st, n)
@@ -1356,23 +1277,11 @@ func (r *nodeRun) lockOp(st *state, idExpr parc.Expr, delta int, stmtID int) {
 func (r *nodeRun) assign(st *state, n *parc.AssignStmt) {
 	rhs := r.evalExpr(st, n.RHS)
 	lv := n.LHS
-	ref, slot, decl := lv.Ref, lv.Slot, lv.Shared
-	if ref == parc.RefUnresolved {
-		if d, ok := r.v.prog.SharedMap[lv.Name]; ok {
-			ref, decl = parc.RefShared, d
-		} else if b, ok := st.fn.Bindings[lv.Name]; ok {
-			if b.Array {
-				ref = parc.RefArray
-			} else {
-				ref, slot = parc.RefLocal, b.Slot
-			}
-		}
-	}
-	switch ref {
+	switch lv.Ref {
 	case parc.RefShared:
-		dims, variant, text := r.indexDims(st, decl, lv.Name, lv.Indices)
+		dims, variant, text := r.indexDims(st, lv.Shared, lv.Name, lv.Indices)
 		base := event{
-			varName: lv.Name, decl: decl, dims: dims, lockKey: r.lockKey(),
+			varName: lv.Name, decl: lv.Shared, dims: dims, lockKey: r.lockKey(),
 			pos: lv.Pos, stmtID: n.ID(), exprText: text, variant: variant,
 		}
 		if n.Op != parc.OpSet {
@@ -1388,9 +1297,9 @@ func (r *nodeRun) assign(st *state, n *parc.AssignStmt) {
 		if n.Op == parc.OpSet {
 			nv = rhs
 		} else {
-			nv = r.arith(st, assignTok(n.Op), r.load(st, slot), rhs)
+			nv = r.arith(st, assignTok(n.Op), st.vals[lv.Slot], rhs)
 		}
-		r.store(st, slot, nv)
+		r.store(st, lv.Slot, nv)
 	case parc.RefArray:
 		for _, ix := range lv.Indices {
 			r.charge(1)
@@ -1415,16 +1324,7 @@ func assignTok(op parc.AssignOp) parc.TokKind {
 
 func (r *nodeRun) cico(st *state, n *parc.CICOStmt) {
 	tgt := n.Target
-	if tgt == nil {
-		return
-	}
 	decl := tgt.Shared
-	if decl == nil {
-		decl = r.v.prog.SharedMap[tgt.Name]
-	}
-	if decl == nil {
-		return
-	}
 	var dims []si
 	variant := false
 	for d, ix := range tgt.Indices {
@@ -1572,7 +1472,7 @@ func (r *nodeRun) inferWhile(st *state, n *parc.WhileStmt) bool {
 }
 
 func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
-	slot := r.loopSlot(st, n)
+	slot := n.VarSlot - 1
 	from := r.mat(st, r.evalExpr(st, n.From))
 	to := r.mat(st, r.evalExpr(st, n.To))
 	step, stepOK := int64(1), true

@@ -117,11 +117,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("expected one program, got %d arguments", fs.NArg())
 	}
-	srcBytes, err := os.ReadFile(fs.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	src := string(srcBytes)
+	prog, err := parc.Parse(string(src))
+	if err != nil {
+		return err
+	}
 
 	staticCfg := staticanno.DefaultConfig()
 	staticCfg.Nodes = *nodes
@@ -130,10 +133,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case static == staticOn:
 		// Trace-free mode: synthesize the trace from the program alone.
-		prog, err := parc.Parse(src)
-		if err != nil {
-			return err
-		}
 		inf, err := staticanno.Infer(prog, staticCfg)
 		if err != nil {
 			return fmt.Errorf("static inference: %w", err)
@@ -141,10 +140,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reportInexact(stderr, inf)
 		traces = []*trace.Trace{inf.Trace}
 	case *selfTrace:
-		prog, err := parc.Parse(src)
-		if err != nil {
-			return err
-		}
 		cfg := sim.DefaultConfig()
 		cfg.Nodes = *nodes
 		cfg.Protocol = *protocol
@@ -178,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(traces) != 1 {
 			return fmt.Errorf("-static=verify compares against a single trace, got %d", len(traces))
 		}
-		diffs, inf, err := staticanno.Compare(src, traces[0], staticCfg)
+		diffs, inf, err := staticanno.Compare(prog, traces[0], staticCfg)
 		if err != nil {
 			return fmt.Errorf("static verify: %w", err)
 		}
@@ -212,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown style %q", *style)
 	}
 
-	res, err := core.AnnotateMulti(src, traces, opts)
+	res, err := core.AnnotateMulti(prog, traces, opts)
 	if err != nil {
 		return err
 	}
@@ -235,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stderr, res.Cost.String())
 	}
 	if *stats != "" {
-		if err := writeStats(*stats, res.Source, *nodes, *cache, *protocol, stderr); err != nil {
+		if err := writeStats(*stats, res.Program, *nodes, *cache, *protocol, stderr); err != nil {
 			return err
 		}
 	}
@@ -258,11 +253,7 @@ func reportInexact(stderr io.Writer, inf *staticanno.Result) {
 // protocol (Dir1SW by default) with the observability recorder attached and
 // writes the structured stats snapshot (internal/obs) — the same schema
 // fig6 -statsjson and tracestat -json emit.
-func writeStats(path, source string, nodes, cache int, protocol string, stderr io.Writer) error {
-	prog, err := parc.Parse(source)
-	if err != nil {
-		return fmt.Errorf("annotated program does not parse: %w", err)
-	}
+func writeStats(path string, prog *parc.Program, nodes, cache int, protocol string, stderr io.Writer) error {
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.CacheSize = cache

@@ -123,7 +123,7 @@ func diffOne(out io.Writer, name, src string, nodes int, racy, verbose bool) err
 		Nodes: nodes, CacheSize: cfg.CacheSize,
 		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize,
 	}
-	diffs, inf, err := staticanno.Compare(src, traceRes.Trace, scfg)
+	diffs, inf, err := staticanno.Compare(prog, traceRes.Trace, scfg)
 	if err != nil {
 		return fmt.Errorf("static compare: %w", err)
 	}

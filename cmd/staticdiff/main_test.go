@@ -1,9 +1,61 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden file")
+
+// TestGolden pins what make staticdiff prints, byte for byte: the table for
+// the two checked-in examples, then the table for every Figure 6 port at its
+// own geometry. Inference, the replay, placement and the printer all feed
+// these rows, so a change to any of them that moves an answer shows here.
+// Run with -update to rewrite testdata/staticdiff.golden.
+func TestGolden(t *testing.T) {
+	golden, err := filepath.Abs(filepath.Join("testdata", "staticdiff.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run from the Makefile's working directory, so rows name the same paths.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	}()
+	var out strings.Builder
+	for _, args := range [][]string{
+		{"examples/parc/jacobi_wholefit.parc", "examples/parc/race_demo.parc"},
+		{"-bench", "all"},
+	} {
+		if code := run(args, &out); code != 0 {
+			t.Fatalf("staticdiff %s: exit %d\n%s", strings.Join(args, " "), code, out.String())
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("staticdiff output changed (re-run with -update if intended)\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	}
+}
 
 // TestExamples runs the differential over the checked-in ParC sources; both
 // must be exact with byte-identical placement in every style (race_demo

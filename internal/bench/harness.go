@@ -13,6 +13,7 @@ import (
 	"cachier/internal/obs"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
+	"cachier/internal/trace"
 )
 
 // workTokens bounds the package's concurrent compute (simulations and
@@ -176,7 +177,8 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 	}
 
 	// 2. Cachier annotates (Performance CICO, as in the evaluation), with
-	// and without prefetch, concurrently.
+	// and without prefetch, concurrently; both passes only read trainProg.
+	traces := []*trace.Trace{traceRes.Trace}
 	var (
 		annotated, annotatedPF *core.Result
 		annErr, annPFErr       error
@@ -189,7 +191,7 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 		defer releaseWork()
 		opts := core.DefaultOptions()
 		opts.CacheSize = cfg.CacheSize
-		annotated, annErr = core.Annotate(trainSrc, traceRes.Trace, opts)
+		annotated, annErr = core.AnnotateMulti(trainProg, traces, opts)
 	}()
 	go func() {
 		defer wg.Done()
@@ -198,7 +200,7 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 		opts := core.DefaultOptions()
 		opts.CacheSize = cfg.CacheSize
 		opts.Prefetch = true
-		annotatedPF, annPFErr = core.Annotate(trainSrc, traceRes.Trace, opts)
+		annotatedPF, annPFErr = core.AnnotateMulti(trainProg, traces, opts)
 	}()
 	wg.Wait()
 	if annErr != nil {

@@ -17,6 +17,7 @@ import (
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
+	"cachier/internal/trace"
 )
 
 // StaticRow is one benchmark's static-vs-trace fidelity measurement.
@@ -70,7 +71,7 @@ func RunStaticFidelity(b *Benchmark) (*StaticRow, error) {
 		Nodes: b.Nodes, CacheSize: cfg.CacheSize,
 		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize,
 	}
-	diffs, inf, err := staticanno.Compare(trainSrc, traceRes.Trace, scfg)
+	diffs, inf, err := staticanno.Compare(trainProg, traceRes.Trace, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: static compare: %w", b.Name, err)
 	}
@@ -88,11 +89,11 @@ func RunStaticFidelity(b *Benchmark) (*StaticRow, error) {
 	// then measure on the test input.
 	opts := core.DefaultOptions()
 	opts.CacheSize = cfg.CacheSize
-	traced, err := core.Annotate(trainSrc, traceRes.Trace, opts)
+	traced, err := core.AnnotateMulti(trainProg, []*trace.Trace{traceRes.Trace}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: trace-driven annotate: %w", b.Name, err)
 	}
-	static, err := core.Annotate(trainSrc, inf.Trace, opts)
+	static, err := core.AnnotateMulti(trainProg, []*trace.Trace{inf.Trace}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: static annotate: %w", b.Name, err)
 	}

@@ -36,6 +36,7 @@ import (
 	"cachier/internal/parcgen"
 	"cachier/internal/sim"
 	"cachier/internal/testutil"
+	"cachier/internal/trace"
 	"cachier/internal/vet"
 )
 
@@ -144,8 +145,9 @@ func RunSource(src string) error {
 	}
 
 	// Cachier placement in all three styles, each simulated from its
-	// printed source so the annotated text round-trips through the real
-	// parser exactly as a user's file would.
+	// printed source (Result.Program is that text parsed and checked) so the
+	// annotated text round-trips through the real parser exactly as a user's
+	// file would.
 	variants := []struct {
 		name string
 		opts core.Options
@@ -155,17 +157,14 @@ func RunSource(src string) error {
 		{"programmer", core.Options{Style: core.StyleProgrammer}},
 	}
 	for _, v := range variants {
-		res, err := core.Annotate(src, traceRes.Trace, v.opts)
+		res, err := core.AnnotateMulti(prog, []*trace.Trace{traceRes.Trace}, v.opts)
 		if err != nil {
 			return fmt.Errorf("%s annotate: %w", v.name, err)
 		}
 		if err := checkCostReport(v.name, res.Cost, epochs); err != nil {
 			return err
 		}
-		annProg, err := parc.Parse(res.Source)
-		if err != nil {
-			return fmt.Errorf("%s: annotated source invalid: %w\n%s", v.name, err, res.Source)
-		}
+		annProg := res.Program
 		// Cachier's inserted annotations must satisfy the CICO protocol
 		// lint (and must not, of course, have introduced races).
 		annVet := vet.Analyze(annProg, vet.Options{Nprocs: Nodes})
@@ -216,7 +215,7 @@ func RunAnnotatedEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	annProg, annSrc, err := annotatedForm(src, prog)
+	annProg, annSrc, err := annotatedForm(prog)
 	if err != nil {
 		return err
 	}
@@ -236,22 +235,18 @@ func RunAnnotatedEquivalence(seed int64) error {
 	return checkVariant("no-prefetch", annRes, want)
 }
 
-// annotatedForm traces prog (parsed from src) on the harness's machine and
-// returns its Performance+prefetch annotated form, parsed, and as text.
-func annotatedForm(src string, prog *parc.Program) (*parc.Program, string, error) {
+// annotatedForm traces prog on the harness's machine and returns its
+// Performance+prefetch annotated form, parsed, and as text.
+func annotatedForm(prog *parc.Program) (*parc.Program, string, error) {
 	traceRes, err := sim.Run(prog, simConfig(sim.ModeTrace))
 	if err != nil {
 		return nil, "", fmt.Errorf("trace run: %w", err)
 	}
-	res, err := core.Annotate(src, traceRes.Trace, core.Options{Style: core.StylePerformance, Prefetch: true})
+	res, err := core.AnnotateMulti(prog, []*trace.Trace{traceRes.Trace}, core.Options{Style: core.StylePerformance, Prefetch: true})
 	if err != nil {
 		return nil, "", fmt.Errorf("annotate: %w", err)
 	}
-	annProg, err := parc.Parse(res.Source)
-	if err != nil {
-		return nil, "", fmt.Errorf("annotated source invalid: %w\n%s", err, res.Source)
-	}
-	return annProg, res.Source, nil
+	return res.Program, res.Source, nil
 }
 
 // RunReferenceEquivalence is the engine differential: the production engine
@@ -276,7 +271,7 @@ func RunReferenceEquivalence(seed int64, protocol string, plain, annotated bool)
 	if !annotated {
 		return nil
 	}
-	annProg, _, err := annotatedForm(src, prog)
+	annProg, _, err := annotatedForm(prog)
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func RunProtocolEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	annProg, _, err := annotatedForm(src, prog)
+	annProg, _, err := annotatedForm(prog)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,8 @@ package conformance
 
 // Differential placement conformance for trace-free static annotation
 // (internal/staticanno): on race-free, statically enumerable programs the
-// synthetic trace must drive core.Annotate to the byte-identical output the
-// simulated trace does, in every annotation style. Programs the inference
+// synthetic trace must drive core.AnnotateMulti to the byte-identical output
+// the simulated trace does, in every annotation style. Programs the inference
 // over-approximates (or that genuinely race, where a simulated trace is one
 // schedule's story) get the weaker covering guarantee instead: every miss
 // the simulation recorded lies inside the static trace's footprint.
@@ -45,7 +45,7 @@ func RunStaticPlacement(src string) error {
 		return fmt.Errorf("trace run: %w", err)
 	}
 	cfg := staticConfig(Nodes)
-	diffs, inf, err := staticanno.Compare(src, traceRes.Trace, cfg)
+	diffs, inf, err := staticanno.Compare(prog, traceRes.Trace, cfg)
 	if err != nil {
 		return fmt.Errorf("static compare: %w", err)
 	}

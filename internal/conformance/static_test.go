@@ -12,8 +12,8 @@ import (
 
 // TestStaticPlacementCorpus runs the trace-free placement differential over
 // the full corpus: on every seed the statically inferred trace must drive
-// core.Annotate to the byte-identical output the simulated trace does, in
-// all three styles — or, where the generated program is genuinely
+// core.AnnotateMulti to the byte-identical output the simulated trace does,
+// in all three styles — or, where the generated program is genuinely
 // data-dependent (an rnd()-driven guard), satisfy the footprint covering.
 func TestStaticPlacementCorpus(t *testing.T) {
 	for seed := int64(0); seed < corpusSize; seed++ {
@@ -96,8 +96,7 @@ func TestStaticPlacementBench(t *testing.T) {
 		}
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			src := b.Source(b.Train)
-			prog, err := parc.Parse(src)
+			prog, err := parc.Parse(b.Source(b.Train))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +111,7 @@ func TestStaticPlacementBench(t *testing.T) {
 				t.Fatalf("trace run: %v", err)
 			}
 			cfg := staticConfig(b.Nodes)
-			diffs, inf, err := staticanno.Compare(src, traceRes.Trace, cfg)
+			diffs, inf, err := staticanno.Compare(prog, traceRes.Trace, cfg)
 			if err != nil {
 				t.Fatalf("static compare: %v", err)
 			}

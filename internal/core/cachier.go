@@ -46,32 +46,36 @@ type Result struct {
 	Cost        *CostReport      // the CICO cost model's communication summary
 }
 
-// Annotate runs the full Cachier pipeline: parse the unannotated program,
-// process the trace, compute the annotation sets, place them using static
-// program information, rewrite the AST, and unparse. The trace must come
-// from a simulation of the same source text (statement IDs must agree).
+// Annotate runs the full Cachier pipeline on source text: parse it, then
+// AnnotateMulti with the one trace. The trace must come from a simulation of
+// the same source text (statement IDs must agree).
 func Annotate(src string, tr *trace.Trace, opts Options) (*Result, error) {
-	return AnnotateMulti(src, []*trace.Trace{tr}, opts)
+	prog, err := parc.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("core: parsing target program: %w", err)
+	}
+	return AnnotateMulti(prog, []*trace.Trace{tr}, opts)
 }
 
-// AnnotateMulti runs Cachier with a training SET of traces rather than a
-// single execution — the alternative Section 4.5 discusses ("The
-// alternative would have been to use a training set rather than a single
-// input data set"). Every trace must come from the same source text.
-// Annotation sets are computed per trace and merged during placement
-// (duplicate annotations collapse), so the result covers the union of the
-// observed behaviours. The returned cost report and conflict list describe
-// the first trace.
-func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, error) {
+// AnnotateMulti runs Cachier on a checked program: process the traces,
+// compute the annotation sets, place them using static program information,
+// and print the program with the annotations spliced in. Every trace must
+// come from a simulation of prog itself (or of a program parsed from the
+// same text), so that its PCs are prog's statement IDs. prog is only read:
+// any number of runs and annotations may share it.
+//
+// Several traces form a training SET rather than a single execution — the
+// alternative Section 4.5 discusses ("The alternative would have been to use
+// a training set rather than a single input data set"). Annotation sets are
+// computed per trace and merged during placement (duplicate annotations
+// collapse), so the result covers the union of the observed behaviours. The
+// returned cost report and conflict list describe the first trace.
+func AnnotateMulti(prog *parc.Program, traces []*trace.Trace, opts Options) (*Result, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: AnnotateMulti needs at least one trace")
 	}
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 256 * 1024
-	}
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: parsing target program: %w", err)
 	}
 	if traces[0].BlockSize <= 0 {
 		return nil, fmt.Errorf("core: trace has no block size")
@@ -110,15 +114,14 @@ func AnnotateMulti(src string, traces []*trace.Trace, opts Options) (*Result, er
 		}
 	}
 
-	inserted, err := applyInsertions(prog, info, pl.sortedInsertions())
+	edits, inserted, err := applyInsertions(prog, info, pl.sortedInsertions())
 	if err != nil {
 		return nil, err
 	}
-	out := parc.Print(prog)
+	out := parc.PrintEdited(prog, edits)
 	// The annotated program must remain a valid ParC program; re-parse as a
 	// self-check (annotations never change semantics, Section 4.5). The
-	// rewritten AST is never checked, so the re-parsed one is what a caller
-	// may execute.
+	// re-parsed, checked program is what a caller may execute.
 	annotated, err := parc.Parse(out)
 	if err != nil {
 		return nil, fmt.Errorf("core: internal error: annotated program does not re-parse: %w\n%s", err, out)

@@ -53,7 +53,7 @@ func TestAnnotateMultiUnionsBehaviours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := AnnotateMulti(src0, []*trace.Trace{tr0, tr1}, DefaultOptions())
+	multi, err := AnnotateMulti(mustParse(t, src0), []*trace.Trace{tr0, tr1}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestAnnotateMultiUnionsBehaviours(t *testing.T) {
 }
 
 func TestAnnotateMultiValidation(t *testing.T) {
-	if _, err := AnnotateMulti("func main() { }", nil, DefaultOptions()); err == nil {
+	if _, err := AnnotateMulti(mustParse(t, "func main() { }"), nil, DefaultOptions()); err == nil {
 		t.Error("empty trace set accepted")
 	}
 	src, tr0 := multiTrace(t, "0")
 	bad := &trace.Trace{Nodes: 2, BlockSize: 64}
-	if _, err := AnnotateMulti(src, []*trace.Trace{tr0, bad}, DefaultOptions()); err == nil {
+	if _, err := AnnotateMulti(mustParse(t, src), []*trace.Trace{tr0, bad}, DefaultOptions()); err == nil {
 		t.Error("mismatched block sizes accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestAnnotateMultiSingleEqualsAnnotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := AnnotateMulti(src, []*trace.Trace{tr}, DefaultOptions())
+	m, err := AnnotateMulti(mustParse(t, src), []*trace.Trace{tr}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

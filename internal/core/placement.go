@@ -19,7 +19,9 @@ const (
 	whereBlockStart // earliest valid position in the anchor's block
 )
 
-// insertion is one planned AST edit.
+// insertion is one planned splice: statements that print next to an anchor.
+// The statements are built for the printer alone: they are never given IDs,
+// checked or executed.
 type insertion struct {
 	anchorID int
 	where    whereKind
@@ -655,12 +657,10 @@ func (pl *planner) addInsertion(kind parc.AnnKind, anchor parc.Stmt, where where
 	if _, dup := pl.insertions[key]; dup {
 		return
 	}
-	st := &parc.CICOStmt{Kind: kind, Target: target}
-	setStmtID(pl.prog, st)
 	pl.insertions[key] = &insertion{
 		anchorID: anchor.ID(),
 		where:    where,
-		stmts:    []parc.Stmt{st},
+		stmts:    []parc.Stmt{&parc.CICOStmt{Kind: kind, Target: target}},
 		sortKey:  key,
 	}
 }
@@ -681,17 +681,13 @@ func (pl *planner) addGeneratedLoop(kind parc.AnnKind, anchor parc.Stmt, where w
 		Name:    varName,
 		Indices: []parc.RangeIndex{{Lo: parc.NewVarRef(iv)}},
 	}}
-	body := &parc.Block{Stmts: []parc.Stmt{cico}}
 	loop := &parc.ForStmt{
 		Var:  iv,
 		From: parc.NewIntLit(lo),
 		To:   parc.NewIntLit(hi),
 		Step: parc.NewIntLit(step),
-		Body: body,
+		Body: &parc.Block{Stmts: []parc.Stmt{cico}},
 	}
-	setStmtID(pl.prog, loop)
-	setStmtID(pl.prog, body)
-	setStmtID(pl.prog, cico)
 	pl.insertions[key] = &insertion{
 		anchorID: anchor.ID(),
 		where:    where,
@@ -728,15 +724,12 @@ func (pl *planner) addFlag(kind string, w *siteWork, ref analysis.Ref, epoch int
 	key := fmt.Sprintf("%d|flag|%s", w.site.ID(), text)
 	if !pl.flags[key] {
 		pl.flags[key] = true
-		cm := &parc.CommentStmt{Text: text}
-		setStmtID(pl.prog, cm)
-		ins := &insertion{
+		pl.insertions[key] = &insertion{
 			anchorID: w.site.ID(),
 			where:    whereBefore,
-			stmts:    []parc.Stmt{cm},
+			stmts:    []parc.Stmt{&parc.CommentStmt{Text: text}},
 			sortKey:  key,
 		}
-		pl.insertions[key] = ins
 		pl.reports = append(pl.reports, ConflictReport{
 			Kind:  kind,
 			Var:   w.varName,
@@ -753,14 +746,6 @@ func titleCase(s string) string {
 		words[i] = strings.ToUpper(w[:1]) + w[1:]
 	}
 	return strings.Join(words, " ")
-}
-
-// setStmtID assigns a fresh program-unique ID to a generated statement.
-func setStmtID(prog *parc.Program, s parc.Stmt) {
-	type idSetter interface{ SetID(int) }
-	if set, ok := s.(idSetter); ok {
-		set.SetID(prog.NewID())
-	}
 }
 
 // sortedInsertions returns the plan in deterministic order.

@@ -252,20 +252,14 @@ func (pl *planner) placeRelocated(kind parc.AnnKind, w *siteWork, ctx groupCtx) 
 	}
 	var stmts []parc.Stmt
 	for _, t := range targets {
-		st := &parc.CICOStmt{Kind: kind, Target: t}
-		setStmtID(pl.prog, st)
-		stmts = append(stmts, st)
+		stmts = append(stmts, &parc.CICOStmt{Kind: kind, Target: t})
 	}
 	if node >= 0 {
-		body := &parc.Block{Stmts: stmts}
-		guard := &parc.IfStmt{
+		stmts = []parc.Stmt{&parc.IfStmt{
 			Cond: parc.NewBinary(parc.TokEq,
 				&parc.CallExpr{Name: "pid"}, parc.NewIntLit(int64(node))),
-			Then: body,
-		}
-		setStmtID(pl.prog, body)
-		setStmtID(pl.prog, guard)
-		stmts = []parc.Stmt{guard}
+			Then: &parc.Block{Stmts: stmts},
+		}}
 	}
 	pl.insertions[key] = &insertion{
 		anchorID: anchor.ID(),

@@ -8,12 +8,12 @@ import (
 	"cachier/internal/parc"
 )
 
-// applyInsertions edits the program's AST in place, inserting the planned
-// statements around their anchors, and returns the number of statements
-// inserted.
-func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion) (int, error) {
+// applyInsertions splices the planned statements in around their anchors.
+// It returns, for every block that receives any, the block's new statement
+// list, for parc.PrintEdited, and the number of statements inserted. The
+// program itself is never modified.
+func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion) (map[*parc.Block][]parc.Stmt, int, error) {
 	type blockEdits struct {
-		block      *parc.Block
 		before     map[int][]*insertion // anchor ID -> insertions
 		after      map[int][]*insertion
 		blockStart []*insertion
@@ -23,7 +23,6 @@ func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion)
 		e := edits[b]
 		if e == nil {
 			e = &blockEdits{
-				block:  b,
 				before: make(map[int][]*insertion),
 				after:  make(map[int][]*insertion),
 			}
@@ -44,7 +43,7 @@ func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion)
 			}
 			p := info.Parent(aid)
 			if p == nil {
-				return 0, fmt.Errorf("core: anchor statement %d has no enclosing block", ins.anchorID)
+				return nil, 0, fmt.Errorf("core: anchor statement %d has no enclosing block", ins.anchorID)
 			}
 			aid = p.ID()
 		}
@@ -62,17 +61,9 @@ func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion)
 	}
 
 	inserted := 0
-	// Deterministic block order.
-	blocks := make([]*parc.Block, 0, len(edits))
-	for b := range edits {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].ID() < blocks[j].ID() })
-
 	pl := &planner{prog: prog, info: info} // for introducedBefore during positioning
-
-	for _, b := range blocks {
-		e := edits[b]
+	lists := make(map[*parc.Block][]parc.Stmt, len(edits))
+	for b, e := range edits {
 		// Compute each blockStart insertion's position: the earliest index
 		// not after its anchor at which every mentioned local name is
 		// already introduced.
@@ -104,7 +95,7 @@ func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion)
 			}
 			startAt[pos] = append(startAt[pos], ins)
 		}
-		var out []parc.Stmt
+		out := make([]parc.Stmt, 0, len(b.Stmts))
 		for i, s := range b.Stmts {
 			for _, ins := range sortIns(startAt[i]) {
 				out = append(out, ins.stmts...)
@@ -120,9 +111,9 @@ func applyInsertions(prog *parc.Program, info *analysis.Info, plan []*insertion)
 				inserted += len(ins.stmts)
 			}
 		}
-		b.Stmts = out
+		lists[b] = out
 	}
-	return inserted, nil
+	return lists, inserted, nil
 }
 
 func sortIns(list []*insertion) []*insertion {

@@ -58,8 +58,9 @@ func (k AnnKind) String() string {
 func (k AnnKind) IsCheckOut() bool { return k != AnnCheckIn }
 
 // Program is a parsed ParC compilation unit. Statement IDs are unique within
-// a Program and dense in [0, NumStmts); the simulator reports them as trace
-// program counters.
+// a Program and dense in [0, NumStmts), in source order; the simulator
+// reports them as trace program counters. After Check nothing modifies a
+// Program, so any number of runs may share one.
 type Program struct {
 	File    string // source file name when parsed with ParseFile, else ""
 	Consts  []*ConstDecl
@@ -74,40 +75,28 @@ type Program struct {
 	FuncMap   map[string]*FuncDecl
 	Stmts     map[int]Stmt // statement ID -> statement
 
-	artifactMu  sync.Mutex
-	artifact    any
-	artifactIDs int
+	artifactMu sync.Mutex
+	artifact   any
 }
 
-// Artifact returns a per-Program derived artifact, building it on first use
-// and rebuilding it if statement IDs have been allocated since (the rewriter
-// assigns NewID to every statement it inserts, so structural growth
-// invalidates the cache). The parc package has no opinion about the value;
-// the interpreter uses it to cache compiled bytecode across the many
-// contexts and runs that execute one parsed Program. Safe for concurrent
-// use; mutating a Program without allocating IDs after its first execution
-// is not supported.
+// Artifact returns a per-Program derived artifact, building it on first use.
+// The parc package has no opinion about the value; the interpreter uses it
+// to cache compiled bytecode across the many contexts and runs that execute
+// one parsed Program. Safe for concurrent use. A checked Program is never
+// modified (Cachier prints its annotations into the text with PrintEdited),
+// so the artifact never goes stale.
 func (p *Program) Artifact(build func() any) any {
 	p.artifactMu.Lock()
 	defer p.artifactMu.Unlock()
-	if p.artifact == nil || p.artifactIDs != p.nextID {
+	if p.artifact == nil {
 		p.artifact = build()
-		p.artifactIDs = p.nextID
 	}
 	return p.artifact
 }
 
-// NumStmts returns the number of statement IDs allocated so far; valid IDs
-// are 0..NumStmts-1.
+// NumStmts returns the number of statement IDs the parser allocated; valid
+// IDs are 0..NumStmts-1.
 func (p *Program) NumStmts() int { return p.nextID }
-
-// NewID allocates a fresh statement ID. The parser uses it for every parsed
-// statement; Cachier's rewriter uses it for generated statements.
-func (p *Program) NewID() int {
-	id := p.nextID
-	p.nextID++
-	return id
-}
 
 // ConstDecl is a named integer constant: const N = 256; The initializer may
 // reference previously declared constants and is evaluated by Check.
@@ -148,10 +137,10 @@ type Param struct {
 }
 
 // RefKind classifies what a name reference resolved to. Check fills it in
-// for every reference in a parsed program. Nodes synthesized afterwards
-// (Cachier's rewriter builds annotation statements into an already-checked
-// AST) keep the zero value RefUnresolved: they are unchecked, and nothing
-// executes them — an executable program comes from parsing printed source.
+// for every reference in a parsed program. Nodes built outside the parser
+// (the annotation statements Cachier prints with PrintEdited) keep the zero
+// value RefUnresolved: they are unchecked, and nothing executes them — an
+// executable program comes from parsing printed source.
 type RefKind uint8
 
 // Reference kinds.
@@ -213,8 +202,9 @@ type FuncDecl struct {
 	Bindings   map[string]Binding
 }
 
-// Stmt is a ParC statement. Every statement has a unique ID within its
-// Program and a source position (zero for generated statements).
+// Stmt is a ParC statement. Every parsed statement has a unique ID within
+// its Program and a source position; a generated statement (built outside
+// the parser, only ever printed) has ID 0 and a zero position.
 type Stmt interface {
 	ID() int
 	Position() Pos
@@ -229,11 +219,6 @@ type stmtInfo struct {
 func (s *stmtInfo) ID() int       { return s.id }
 func (s *stmtInfo) Position() Pos { return s.pos }
 func (s *stmtInfo) stmtNode()     {}
-
-// SetID assigns the statement's unique ID. Tools that synthesize statements
-// after parsing (Cachier's rewriter) allocate IDs with Program.NewID and
-// attach them here.
-func (s *stmtInfo) SetID(id int) { s.id = id }
 
 // Block is a braced statement list.
 type Block struct {
@@ -477,9 +462,9 @@ type BinaryExpr struct {
 	X, Y Expr
 }
 
-// Constructors used by Cachier's rewriter for generated nodes. Generated
-// nodes carry a zero position and no resolution: they are printed, and the
-// printed program is parsed and checked before anything executes it.
+// Constructors for the generated nodes Cachier splices in with PrintEdited.
+// Generated nodes carry a zero position and no resolution: they are printed,
+// and the printed program is parsed and checked before anything executes it.
 
 // NewIntLit builds an integer literal expression.
 func NewIntLit(v int64) *IntLit { return &IntLit{Value: v} }

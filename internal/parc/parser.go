@@ -60,6 +60,14 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// stmtAt allocates the next statement ID for a statement at pos. IDs follow
+// parse order, which is source order.
+func (p *Parser) stmtAt(pos Pos) stmtInfo {
+	id := p.prog.nextID
+	p.prog.nextID++
+	return stmtInfo{id: id, pos: pos}
+}
+
 // advance pulls the next token. A lexer error ends the stream: the parser
 // sees EOF and stops, and ParseFile reports lexErr.
 func (p *Parser) advance() {
@@ -234,7 +242,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: lb.Pos}}
+	b := &Block{stmtInfo: p.stmtAt(lb.Pos)}
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
 			return nil, p.errorf(lb.Pos, "unclosed block")
@@ -267,7 +275,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BarrierStmt{stmtInfo{id: p.prog.NewID(), pos: t.Pos}}, nil
+		return &BarrierStmt{p.stmtAt(t.Pos)}, nil
 	case TokLock, TokUnlock:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
@@ -283,14 +291,14 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		info := stmtInfo{id: p.prog.NewID(), pos: t.Pos}
+		info := p.stmtAt(t.Pos)
 		if t.Kind == TokLock {
 			return &LockStmt{stmtInfo: info, LockID: e}, nil
 		}
 		return &UnlockStmt{stmtInfo: info, LockID: e}, nil
 	case TokReturn:
 		p.next()
-		r := &ReturnStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: t.Pos}}
+		r := &ReturnStmt{stmtInfo: p.stmtAt(t.Pos)}
 		if !p.at(TokSemi) {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -322,7 +330,7 @@ func (p *Parser) parseVarDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDeclStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: kw.Pos}, Name: name.Text, Base: base}
+	d := &VarDeclStmt{stmtInfo: p.stmtAt(kw.Pos), Name: name.Text, Base: base}
 	for p.accept(TokLBracket) {
 		dim, err := p.parseExpr()
 		if err != nil {
@@ -355,7 +363,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: kw.Pos}, Cond: cond}
+	s := &IfStmt{stmtInfo: p.stmtAt(kw.Pos), Cond: cond}
 	s.Then, err = p.parseBlock()
 	if err != nil {
 		return nil, err
@@ -381,7 +389,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	}
 	// Allocate the statement's ID before parsing the body so that IDs are
 	// ordered outer-before-inner, as elsewhere.
-	s := &WhileStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: kw.Pos}, Cond: cond}
+	s := &WhileStmt{stmtInfo: p.stmtAt(kw.Pos), Cond: cond}
 	s.Body, err = p.parseBlock()
 	if err != nil {
 		return nil, err
@@ -409,7 +417,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ForStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: kw.Pos}, Var: name.Text, From: from, To: to}
+	s := &ForStmt{stmtInfo: p.stmtAt(kw.Pos), Var: name.Text, From: from, To: to}
 	if p.accept(TokStep) {
 		s.Step, err = p.parseExpr()
 		if err != nil {
@@ -432,7 +440,7 @@ func (p *Parser) parsePrint() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &PrintStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: kw.Pos}, Format: f.Text}
+	s := &PrintStmt{stmtInfo: p.stmtAt(kw.Pos), Format: f.Text}
 	for p.accept(TokComma) {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -471,7 +479,7 @@ func (p *Parser) parseCICO() (Stmt, error) {
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	return &CICOStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: t.Pos}, Kind: kind, Target: ref}, nil
+	return &CICOStmt{stmtInfo: p.stmtAt(t.Pos), Kind: kind, Target: ref}, nil
 }
 
 func (p *Parser) parseRangeRef() (*RangeRef, error) {
@@ -510,7 +518,7 @@ func (p *Parser) parseAssignOrCall() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &ExprStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: name.Pos}, Call: call}, nil
+		return &ExprStmt{stmtInfo: p.stmtAt(name.Pos), Call: call}, nil
 	}
 	lv := &LValue{Pos: name.Pos, Name: name.Text}
 	for p.accept(TokLBracket) {
@@ -546,7 +554,7 @@ func (p *Parser) parseAssignOrCall() (Stmt, error) {
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	return &AssignStmt{stmtInfo: stmtInfo{id: p.prog.NewID(), pos: name.Pos}, LHS: lv, Op: op, RHS: rhs}, nil
+	return &AssignStmt{stmtInfo: p.stmtAt(name.Pos), LHS: lv, Op: op, RHS: rhs}, nil
 }
 
 func (p *Parser) parseCallTail(name Token) (*CallExpr, error) {

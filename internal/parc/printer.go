@@ -5,11 +5,17 @@ import (
 	"strings"
 )
 
-// Print unparses a program back to ParC source text. Cachier emits annotated
-// programs through this printer; the output re-parses to an equivalent
-// program (modulo statement IDs and positions).
-func Print(p *Program) string {
-	pr := &printer{}
+// Print unparses a program back to ParC source text. The output re-parses to
+// an equivalent program (modulo statement IDs and positions).
+func Print(p *Program) string { return PrintEdited(p, nil) }
+
+// PrintEdited prints p as Print does, except that every block in edits
+// prints the statement list it maps to in place of its own. Cachier emits
+// annotated programs this way: it splices its statements into the lists at
+// print time and never modifies the checked program, which other runs may
+// be executing.
+func PrintEdited(p *Program, edits map[*Block][]Stmt) string {
+	pr := &printer{edits: edits}
 	for _, d := range p.Consts {
 		pr.printf("const %s = %s;\n", d.Name, ExprString(d.Expr))
 	}
@@ -41,6 +47,7 @@ func Print(p *Program) string {
 type printer struct {
 	sb     strings.Builder
 	indent int
+	edits  map[*Block][]Stmt
 }
 
 func (pr *printer) printf(format string, args ...any) {
@@ -55,6 +62,20 @@ func (pr *printer) line(format string, args ...any) {
 	pr.nl()
 }
 
+// body prints a block's statements one level in: the list edits maps it to,
+// if any, else its own.
+func (pr *printer) body(b *Block) {
+	stmts, ok := pr.edits[b]
+	if !ok {
+		stmts = b.Stmts
+	}
+	pr.indent++
+	for _, s := range stmts {
+		pr.printStmt(s)
+	}
+	pr.indent--
+}
+
 func (pr *printer) printFunc(f *FuncDecl) {
 	var params []string
 	for _, p := range f.Params {
@@ -65,11 +86,7 @@ func (pr *printer) printFunc(f *FuncDecl) {
 		sig += " " + f.Result.String()
 	}
 	pr.line("%s {", sig)
-	pr.indent++
-	for _, s := range f.Body.Stmts {
-		pr.printStmt(s)
-	}
-	pr.indent--
+	pr.body(f.Body)
 	pr.line("}")
 }
 
@@ -77,11 +94,7 @@ func (pr *printer) printStmt(s Stmt) {
 	switch n := s.(type) {
 	case *Block:
 		pr.line("{")
-		pr.indent++
-		for _, c := range n.Stmts {
-			pr.printStmt(c)
-		}
-		pr.indent--
+		pr.body(n)
 		pr.line("}")
 	case *VarDeclStmt:
 		dims := ""
@@ -96,14 +109,10 @@ func (pr *printer) printStmt(s Stmt) {
 	case *AssignStmt:
 		pr.line("%s %s %s;", lvalueString(n.LHS), n.Op, ExprString(n.RHS))
 	case *IfStmt:
-		pr.printIf(n, "if")
+		pr.printIf(n, false)
 	case *WhileStmt:
 		pr.line("while %s {", ExprString(n.Cond))
-		pr.indent++
-		for _, c := range n.Body.Stmts {
-			pr.printStmt(c)
-		}
-		pr.indent--
+		pr.body(n.Body)
 		pr.line("}")
 	case *ForStmt:
 		head := fmt.Sprintf("for %s = %s to %s", n.Var, ExprString(n.From), ExprString(n.To))
@@ -111,11 +120,7 @@ func (pr *printer) printStmt(s Stmt) {
 			head += " step " + ExprString(n.Step)
 		}
 		pr.line("%s {", head)
-		pr.indent++
-		for _, c := range n.Body.Stmts {
-			pr.printStmt(c)
-		}
-		pr.indent--
+		pr.body(n.Body)
 		pr.line("}")
 	case *BarrierStmt:
 		pr.line("barrier;")
@@ -147,55 +152,25 @@ func (pr *printer) printStmt(s Stmt) {
 	}
 }
 
-func (pr *printer) printIf(n *IfStmt, kw string) {
-	pr.line("%s %s {", kw, ExprString(n.Cond))
-	pr.indent++
-	for _, c := range n.Then.Stmts {
-		pr.printStmt(c)
-	}
-	pr.indent--
-	switch e := n.Else.(type) {
-	case nil:
-		pr.line("}")
-	case *IfStmt:
+// printIf prints an if statement; an else-if (chained) continues the
+// "} else " line its parent began instead of starting an indented one.
+func (pr *printer) printIf(n *IfStmt, chained bool) {
+	if !chained {
 		pr.sb.WriteString(strings.Repeat("    ", pr.indent))
-		pr.printf("} else ")
-		// Print the else-if chain inline: emit "if cond {" without indent
-		// prefix, then its body.
-		pr.printElseIf(e)
-	case *Block:
-		pr.line("} else {")
-		pr.indent++
-		for _, c := range e.Stmts {
-			pr.printStmt(c)
-		}
-		pr.indent--
-		pr.line("}")
 	}
-}
-
-func (pr *printer) printElseIf(n *IfStmt) {
 	pr.printf("if %s {", ExprString(n.Cond))
 	pr.nl()
-	pr.indent++
-	for _, c := range n.Then.Stmts {
-		pr.printStmt(c)
-	}
-	pr.indent--
+	pr.body(n.Then)
 	switch e := n.Else.(type) {
 	case nil:
 		pr.line("}")
 	case *IfStmt:
 		pr.sb.WriteString(strings.Repeat("    ", pr.indent))
 		pr.printf("} else ")
-		pr.printElseIf(e)
+		pr.printIf(e, true)
 	case *Block:
 		pr.line("} else {")
-		pr.indent++
-		for _, c := range e.Stmts {
-			pr.printStmt(c)
-		}
-		pr.indent--
+		pr.body(e)
 		pr.line("}")
 	}
 }

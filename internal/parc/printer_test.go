@@ -1,6 +1,7 @@
 package parc
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -175,15 +176,65 @@ func main() {
 
 func TestCommentStmtPrints(t *testing.T) {
 	prog := MustParse(`func main() { barrier; }`)
+	body := prog.Funcs[0].Body
 	cm := &CommentStmt{Text: "Data Race on C[i][j]"}
-	cm.SetID(prog.NewID())
-	prog.Funcs[0].Body.Stmts = append([]Stmt{cm}, prog.Funcs[0].Body.Stmts...)
-	out := Print(prog)
+	out := PrintEdited(prog, map[*Block][]Stmt{body: append([]Stmt{cm}, body.Stmts...)})
 	if !strings.Contains(out, "/*** Data Race on C[i][j] ***/") {
 		t.Errorf("comment not printed:\n%s", out)
 	}
 	if _, err := Parse(out); err != nil {
 		t.Errorf("printed comment does not re-parse: %v", err)
+	}
+}
+
+// TestPrintEdited: every kind of block prints its edited list in place of
+// its own, blocks without an edit print as they are, and the program itself
+// is untouched.
+func TestPrintEdited(t *testing.T) {
+	const src = `func main() {
+    if pid() == 0 {
+        barrier;
+    } else if pid() == 1 {
+        barrier;
+    } else {
+        barrier;
+    }
+    while 0 {
+        barrier;
+    }
+    for i = 0 to 1 {
+        barrier;
+    }
+    {
+        barrier;
+    }
+}
+`
+	prog := MustParse(src)
+	edits := make(map[*Block][]Stmt)
+	n := 0
+	WalkProgram(prog, func(s Stmt) bool {
+		if b, ok := s.(*Block); ok {
+			n++
+			cm := &CommentStmt{Text: fmt.Sprintf("edit %d", n)}
+			edits[b] = append([]Stmt{cm}, b.Stmts...)
+		}
+		return true
+	})
+	out := PrintEdited(prog, edits)
+	for i := 1; i <= n; i++ {
+		if c := strings.Count(out, fmt.Sprintf("/*** edit %d ***/", i)); c != 1 {
+			t.Errorf("edit %d printed %d times:\n%s", i, c, out)
+		}
+	}
+	if n != 7 {
+		t.Errorf("%d blocks edited, want 7 (main, then, else-if then, else, while, for, bare)", n)
+	}
+	if _, err := Parse(out); err != nil {
+		t.Errorf("edited program does not re-parse: %v\n%s", err, out)
+	}
+	if got := Print(prog); got != src {
+		t.Errorf("Print after PrintEdited:\n%s\nwant the source unchanged:\n%s", got, src)
 	}
 }
 

@@ -16,14 +16,15 @@ import (
 type ProgramInfo struct {
 	// Hash is the hex sha256 of the canonical printed form.
 	Hash string
-	// Canonical is parc.Print of the checked AST. Annotation rewrites this
-	// text, so annotated responses are canonically formatted regardless of
-	// the submitted formatting.
+	// Canonical is parc.Print of the checked AST. Annotation prints Prog
+	// with its annotations spliced in, so annotated responses are
+	// canonically formatted regardless of the submitted formatting.
 	Canonical string
-	// Prog is the AST parsed back from Canonical, so statement IDs and
-	// positions always refer to the canonical text. A checked program is
-	// immutable (a run keeps its layout in its own tables), so every phase
-	// of every request executes this one AST, concurrently.
+	// Prog is the AST parsed back from Canonical, so positions in findings
+	// and conflict reports refer to the canonical text. A checked program is
+	// immutable (a run keeps its layout in its own tables, and annotation
+	// only prints), so every phase of every request reads this one AST,
+	// concurrently.
 	Prog *parc.Program
 }
 
@@ -42,8 +43,9 @@ func CanonicalProgram(src string) (*ProgramInfo, error) {
 		return nil, err
 	}
 	canon := parc.Print(prog)
-	// Reparse so the cached AST's statement IDs agree with the canonical
-	// text that core.Annotate will parse for rewriting.
+	// Reparse so the cached AST's positions are the canonical text's: the
+	// responses quote them, and they must not depend on how the submitted
+	// text was formatted.
 	cprog, err := parc.Parse(canon)
 	if err != nil {
 		return nil, fmt.Errorf("serve: canonical form does not re-parse: %w", err)

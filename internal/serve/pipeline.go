@@ -235,7 +235,7 @@ func (e *evaluator) annotate(ctx context.Context, req *AnnotateRequest, static b
 			opts.Style = style
 			opts.Prefetch = req.Prefetch
 			opts.CacheSize = machine.CacheSize
-			res, err := core.Annotate(pi.Canonical, tr, opts)
+			res, err := core.AnnotateMulti(pi.Prog, []*trace.Trace{tr}, opts)
 			if err != nil {
 				return nil, fmt.Errorf("annotate: %w", err)
 			}

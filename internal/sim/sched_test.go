@@ -288,6 +288,36 @@ func main() {
 	}
 }
 
+// TestBarrierLimit: a barrier in an endless loop ends with the typed
+// barrier error on both hosts, on one node (bounded by MaxBarriers) and on
+// 1 024 (bounded by MaxBarrierArrivals), long before a cycle budget would
+// end it. On one node a loop of exactly MaxBarriers barriers still runs to
+// completion, and one more does not. The runs are bare: a recorder's
+// timeline of a million arrivals would cost more than the bound saves.
+func TestBarrierLimit(t *testing.T) {
+	run := func(src string, nodes int) (*Result, error) {
+		width := func(cfg *Config) { cfg.Nodes = nodes }
+		res, _, err := runHost(t, src, false, true, width)
+		_, _, refErr := runHost(t, src, true, true, width)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%d nodes: production error %v, reference %v", nodes, err, refErr)
+		}
+		return res, err
+	}
+	for _, nodes := range []int{1, 1024} {
+		if _, err := run(`func main() { while (1) { barrier; } }`, nodes); !errors.Is(err, ErrBarrierLimit) {
+			t.Errorf("%d nodes: run error = %v, want ErrBarrierLimit", nodes, err)
+		}
+	}
+	loop := func(n int) string { return fmt.Sprintf(`func main() { for i = 1 to %d { barrier; } }`, n) }
+	if res, err := run(loop(MaxBarriers), 1); err != nil || res.Barriers != MaxBarriers {
+		t.Errorf("%d barriers: %v, want a completed run", MaxBarriers, err)
+	}
+	if _, err := run(loop(MaxBarriers+1), 1); !errors.Is(err, ErrBarrierLimit) {
+		t.Errorf("%d barriers: run error = %v, want ErrBarrierLimit", MaxBarriers+1, err)
+	}
+}
+
 // TestLanesSingleNode: one lane — the degenerate machine, where the first
 // yield that cannot continue ends the run.
 func TestLanesSingleNode(t *testing.T) {

@@ -192,6 +192,26 @@ const MaxOutputBytes = 1 << 20
 // MaxOutputBytes; the run halts at the print that crossed the bound.
 var ErrOutputLimit = errors.New("sim: output limit exceeded")
 
+// MaxBarriers and MaxBarrierArrivals bound the barrier episodes one run may
+// complete: at most MaxBarriers, and at most MaxBarrierArrivals / Nodes, so
+// that episodes times nodes stays bounded too. Every episode adds state that
+// lives until the run ends (trace epochs, the recorder's epoch and per-node
+// records), so a barrier in an endless loop would otherwise exhaust the
+// host's memory long before a cycle budget ends the run. At these bounds an
+// endless barrier loop under a recorder (no timeline) peaked under 150 MB of
+// heap on every machine from 1 to 1 024 nodes. The most any checked-in
+// program completes is 19 (Ocean at paper scale, on 32 nodes); the most any
+// corpus seed completes is 5.
+const (
+	MaxBarriers        = 1 << 16
+	MaxBarrierArrivals = 1 << 20
+)
+
+// ErrBarrierLimit is the error of a run that reached a barrier after
+// completing as many episodes as MaxBarriers and MaxBarrierArrivals allow;
+// the run halts there, with the episode unreleased.
+var ErrBarrierLimit = errors.New("sim: barrier limit exceeded")
+
 // Result reports a completed simulation.
 type Result struct {
 	// Engine names the execution engine that produced the result: "lanes",
@@ -676,8 +696,16 @@ func (m *Machine) activeProcs() int { return len(m.procs) - m.done }
 // releaseBarrier completes a global barrier: synchronizes clocks, flushes
 // caches and closes the trace epoch in trace mode. Released processors
 // enter the scheduler's epoch bucket, except the active one (identified by
-// its processor ID), whose fate the subsequent yield decides.
+// its processor ID), whose fate the subsequent yield decides. An episode
+// past the barrier bound halts the run with ErrBarrierLimit instead.
 func (m *Machine) releaseBarrier(pc int, active int) {
+	if m.barriers >= min(MaxBarriers, MaxBarrierArrivals/len(m.procs)) {
+		if m.runErr == nil {
+			m.runErr = ErrBarrierLimit
+		}
+		m.halt = true
+		return
+	}
 	var maxClock uint64
 	for _, q := range m.procs {
 		if q.status == statusBarrier && q.arrival > maxClock {

@@ -8,8 +8,10 @@
 // from the AST, and a coherent replay (replay.go) runs all the streams on
 // the simulator's own machine, scheduler and Dir1SW protocol (sim.Replay),
 // so cross-node interference on falsely-shared blocks produces the same
-// extra misses, kind flips, and write faults a simulated trace carries. The synthetic trace then feeds the unchanged core.Annotate
-// pipeline, so every placement rule (hoisting, generated loops, pinned
+// extra misses, kind flips, and write faults a simulated trace carries. The
+// synthetic trace's PCs are the statement IDs of the program it was inferred
+// from, so it feeds the unchanged core.AnnotateMulti on that same checked
+// program, and every placement rule (hoisting, generated loops, pinned
 // conflict annotations) behaves identically whether the trace came from a
 // simulation or from this package.
 //
@@ -42,10 +44,6 @@ type Config struct {
 	CacheSize int
 	Assoc     int
 	BlockSize int
-	// EnumLimit and Fuel bound the abstract interpreter's concrete
-	// enumeration; zero means vet's inference defaults.
-	EnumLimit int
-	Fuel      int
 }
 
 // DefaultConfig mirrors sim.DefaultConfig's machine: 32 nodes with 256 KB
@@ -86,9 +84,7 @@ type Result struct {
 // Infer synthesizes the miss trace of prog on the configured machine.
 func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	sum, err := vet.Summarize(prog, vet.InferOptions{
-		Nprocs: cfg.Nodes, EnumLimit: cfg.EnumLimit, Fuel: cfg.Fuel,
-	})
+	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: cfg.Nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -158,26 +154,6 @@ func elementAddrs(region *memory.Region, dims []vet.IndexSet) ([]uint64, error) 
 	return out, nil
 }
 
-// Annotate runs the trace-free pipeline end to end: infer the trace, then
-// the unchanged core placement. The source is parsed twice (once here for
-// inference, once inside core.Annotate); both parses assign the same
-// statement IDs, the same assumption the simulation pipeline relies on.
-func Annotate(src string, cfg Config, opts core.Options) (*core.Result, *Result, error) {
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	inf, err := Infer(prog, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := core.Annotate(src, inf.Trace, opts)
-	if err != nil {
-		return nil, inf, err
-	}
-	return res, inf, nil
-}
-
 // StyleDiff is one annotation style's static-vs-trace comparison.
 type StyleDiff struct {
 	Name   string // "performance", "performance+prefetch", "programmer"
@@ -197,25 +173,23 @@ func Styles() []StyleDiff {
 	}
 }
 
-// Compare annotates src from the given simulation trace and from static
+// Compare annotates prog from the given simulation trace and from static
 // inference, in every style, and diffs the outputs. The caller supplies the
 // trace so it controls the traced machine; cfg must describe the same one.
-func Compare(src string, tr *trace.Trace, cfg Config) ([]StyleDiff, *Result, error) {
-	prog, err := parc.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
+// Both traces carry prog's own statement IDs, so every annotation reads the
+// one checked program.
+func Compare(prog *parc.Program, tr *trace.Trace, cfg Config) ([]StyleDiff, *Result, error) {
 	inf, err := Infer(prog, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	styles := Styles()
 	for i := range styles {
-		traced, err := core.Annotate(src, tr, styles[i].Opts)
+		traced, err := core.AnnotateMulti(prog, []*trace.Trace{tr}, styles[i].Opts)
 		if err != nil {
 			return nil, inf, fmt.Errorf("staticanno: traced %s annotate: %w", styles[i].Name, err)
 		}
-		static, err := core.Annotate(src, inf.Trace, styles[i].Opts)
+		static, err := core.AnnotateMulti(prog, []*trace.Trace{inf.Trace}, styles[i].Opts)
 		if err != nil {
 			return nil, inf, fmt.Errorf("staticanno: static %s annotate: %w", styles[i].Name, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cachier/internal/core"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/trace"
@@ -116,7 +115,7 @@ func TestInferLabels(t *testing.T) {
 // TestCompareAllStylesMatch: end-to-end differential — both pipelines must
 // print byte-identical annotated sources in every style.
 func TestCompareAllStylesMatch(t *testing.T) {
-	diffs, inf, err := Compare(partitionSrc, simTrace(t, partitionSrc, 4), testConfig(4))
+	diffs, inf, err := Compare(parseTest(t, partitionSrc), simTrace(t, partitionSrc, 4), testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +129,6 @@ func TestCompareAllStylesMatch(t *testing.T) {
 		if d.Static.Annotations == 0 {
 			t.Errorf("%s: static pipeline placed no annotations", d.Name)
 		}
-	}
-}
-
-// TestAnnotateStandalone: the trace-free entry point works with no
-// simulation anywhere in the loop.
-func TestAnnotateStandalone(t *testing.T) {
-	res, inf, err := Annotate(partitionSrc, testConfig(4),
-		core.Options{Style: core.StylePerformance})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inf.Exact {
-		t.Fatalf("expected exact inference; notes: %v", inf.Notes)
-	}
-	if res.Annotations == 0 || !strings.Contains(res.Source, "check_in") {
-		t.Errorf("static annotation placed nothing:\n%s", res.Source)
 	}
 }
 

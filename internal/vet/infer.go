@@ -25,13 +25,15 @@ import (
 type InferOptions struct {
 	// Nprocs is the number of SPMD nodes to model. Defaults to 4.
 	Nprocs int
-	// EnumLimit caps concrete enumeration per loop (trip count for for
-	// loops, iterations for while loops). Defaults to 65536.
-	EnumLimit int
-	// Fuel bounds the total abstract-interpretation work per node.
-	// Defaults to 8 << 20.
-	Fuel int
 }
+
+// Inference bounds: inferEnumLimit caps concrete enumeration per loop (trip
+// count for for loops, iterations for while loops), and inferFuel the total
+// abstract-interpretation work per node. Past either the summary widens.
+const (
+	inferEnumLimit = 65536
+	inferFuel      = 8 << 20
+)
 
 // IndexSet is the set of elements one array subscript may take: the
 // integers Lo, Lo+Stride, ..., Hi. Stride 0 means the single element Lo;
@@ -145,12 +147,6 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	if opts.Nprocs <= 0 {
 		opts.Nprocs = 4
 	}
-	if opts.EnumLimit <= 0 {
-		opts.EnumLimit = 65536
-	}
-	if opts.Fuel <= 0 {
-		opts.Fuel = 8 << 20
-	}
 	main := prog.FuncMap["main"]
 	if main == nil {
 		return nil, fmt.Errorf("vet: program has no main function")
@@ -166,8 +162,8 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	for p := 0; p < opts.Nprocs; p++ {
 		r := newNodeRun(v, p, prev)
 		prev = r
-		r.fuel = opts.Fuel
-		r.infer = &inferRun{opts: opts, exact: true}
+		r.fuel = inferFuel
+		r.infer = &inferRun{exact: true}
 		r.run(main)
 		if r.outOfGas {
 			r.inexact(parc.Pos{}, "analysis budget exhausted")

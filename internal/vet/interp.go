@@ -205,14 +205,12 @@ type nodeRun struct {
 	infer    *inferRun // non-nil: trace-free inference mode (see infer.go)
 }
 
-// inferRun carries the inference-mode configuration and exactness state of
-// one nodeRun. In inference mode the interpreter mirrors the bytecode VM:
+// inferRun carries the inference-mode exactness state of one nodeRun. In inference mode the interpreter mirrors the bytecode VM:
 // conditions short-circuit, while loops and large for loops are enumerated
 // concretely, and every widening or unknown branch is recorded as a reason
 // the event stream is an over-approximation rather than the VM's exact
 // access sequence.
 type inferRun struct {
-	opts  InferOptions
 	exact bool
 	notes []string
 }
@@ -305,26 +303,23 @@ func (r *nodeRun) emit(ev event) {
 	r.events = append(r.events, ev)
 }
 
-// charge replays n unit work charges exactly as the VM's chargeUnits does:
-// the pending counter flushes in whole workFlushLimit chunks, each flush a
-// Work call (and so a context-switch point) in the simulator. Charging is
-// inference-only and off during suppressed re-walks, which the concrete
-// interpreter never performs.
+// charge does what the interpreter's Context.work does with n cycles of
+// work: add them to the pending count and, once that reaches
+// workFlushLimit, report all of it in one Work call (and so a context-switch
+// point in the simulator). Unit charges reach the limit exactly, so they
+// report workFlushLimit each time; the call overhead of 2 can pass it and
+// report one cycle more. Charging is inference-only and off during
+// suppressed re-walks, which the concrete interpreter never performs.
 func (r *nodeRun) charge(n uint64) {
 	if r.infer == nil || r.suppress > 0 {
 		return
 	}
-	tot := r.pending + n
-	for tot >= workFlushLimit {
-		r.pending = 0
-		r.emit(event{kind: evWork, work: workFlushLimit})
-		tot -= workFlushLimit
+	if r.pending += n; r.pending >= workFlushLimit {
+		r.flushWork()
 	}
-	r.pending = tot
 }
 
-// flushWork reports any remaining pending work, mirroring the
-// interpreter's end-of-run flush.
+// flushWork reports any pending work, mirroring the interpreter's flush.
 func (r *nodeRun) flushWork() {
 	if r.infer == nil || r.suppress > 0 || r.pending == 0 {
 		return
@@ -1445,7 +1440,7 @@ func (r *nodeRun) inferWhile(st *state, n *parc.WhileStmt) bool {
 	snap := r.snapshot(st)
 	save := r.iterCtx
 	for i := 0; ; i++ {
-		if i >= r.infer.opts.EnumLimit || r.outOfGas {
+		if i >= inferEnumLimit || r.outOfGas {
 			r.rollback(st, snap)
 			r.iterCtx = save
 			return false
@@ -1497,7 +1492,7 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 			} else if step < 0 && from.lo >= to.lo {
 				trip = (from.lo-to.lo)/(-step) + 1
 			}
-			if trip <= int64(r.infer.opts.EnumLimit) {
+			if trip <= inferEnumLimit {
 				r.enumFor(st, n, slot, from.lo, to.lo, step)
 				return
 			}

@@ -3,11 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,52 +12,23 @@ import (
 )
 
 // TestLoadAgainstServer replays a small corpus against an in-process server
-// and checks the report: zero divergences, full hit rate on the cached
-// pass, all classes present.
+// and checks the summary: every request of both passes sent, zero
+// divergences, and a full hit rate on the cached pass.
 func TestLoadAgainstServer(t *testing.T) {
 	ts := httptest.NewServer(serve.New(serve.DefaultConfig()).Handler())
 	defer ts.Close()
 
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var out, errb bytes.Buffer
 	err := run(context.Background(), []string{
 		"-addr", strings.TrimPrefix(ts.URL, "http://"),
 		"-seeds", "5", "-nodes", "4", "-concurrency", "4",
-		"-json", jsonPath,
 	}, &out, &errb)
 	if err != nil {
 		t.Fatalf("run: %v\nstdout:\n%s\nstderr:\n%s", err, &out, &errb)
 	}
-
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v", err)
-	}
-	// 6 programs (5 seeds + jacobi) × 4 classes.
-	if rep.RequestsCold != 24 || rep.RequestsCached != 24 {
-		t.Errorf("requests cold/cached = %d/%d, want 24/24", rep.RequestsCold, rep.RequestsCached)
-	}
-	if rep.Divergences != 0 {
-		t.Errorf("divergences = %d, want 0", rep.Divergences)
-	}
-	if rep.HitRate != 1 {
-		t.Errorf("hit rate = %v, want 1", rep.HitRate)
-	}
-	if rep.Truncated {
-		t.Error("report marked truncated")
-	}
-	for _, class := range []string{"vet", "annotate", "static", "simulate"} {
-		cs := rep.Classes[class]
-		if cs == nil || cs.Requests != 6 {
-			t.Errorf("class %s: %+v, want 6 requests", class, cs)
-		}
-	}
-	if rep.ColdUS.P50 <= 0 || rep.CachedUS.P50 <= 0 {
-		t.Errorf("latency percentiles missing: cold %+v cached %+v", rep.ColdUS, rep.CachedUS)
+	// 6 programs (5 seeds + jacobi) × 4 classes, cold then cached.
+	if want := "cachierload: 24+24 requests, 0 divergences, hit rate 1.000\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("stdout lacks %q:\n%s", want, &out)
 	}
 }
 
@@ -103,32 +71,23 @@ func TestLoadDetectsDivergence(t *testing.T) {
 	}
 }
 
-// TestLoadTruncatesOnCancel: a pre-cancelled context still writes the
-// report, marked truncated, and exits nonzero.
+// TestLoadTruncatesOnCancel: a pre-cancelled context sends nothing, still
+// prints the summary, and exits nonzero as interrupted.
 func TestLoadTruncatesOnCancel(t *testing.T) {
 	ts := httptest.NewServer(serve.New(serve.DefaultConfig()).Handler())
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var out, errb bytes.Buffer
 	err := run(ctx, []string{
 		"-addr", strings.TrimPrefix(ts.URL, "http://"),
-		"-seeds", "3", "-json", jsonPath,
+		"-seeds", "3",
 	}, &out, &errb)
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("err = %v, want interrupted", err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("truncated run did not write the report: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("truncated report is not valid JSON: %v", err)
-	}
-	if !rep.Truncated {
-		t.Error("truncated run not marked truncated")
+	if want := "cachierload: 0+0 requests"; !strings.Contains(out.String(), want) {
+		t.Errorf("stdout lacks %q:\n%s", want, &out)
 	}
 }
 
@@ -143,22 +102,5 @@ func TestLoadBadFlags(t *testing.T) {
 		if err := run(context.Background(), args, &buf, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	var us []int64
-	for i := int64(1); i <= 100; i++ {
-		us = append(us, i)
-	}
-	got := percentiles(us)
-	if got.P50 != 50 || got.P95 != 95 || got.P99 != 99 {
-		t.Errorf("percentiles = %+v, want 50/95/99", got)
-	}
-	if p := percentiles(nil); p != (latencyReport{}) {
-		t.Errorf("empty percentiles = %+v", p)
-	}
-	if p := percentiles([]int64{7}); p.P50 != 7 || p.P99 != 7 {
-		t.Errorf("singleton percentiles = %+v", p)
 	}
 }

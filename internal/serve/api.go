@@ -12,16 +12,18 @@
 //
 // The pipeline itself is deterministic, so every response is a pure
 // function of the request. The server exploits that with content-addressed
-// caching (program hash → AST/vet/trace, (program, config) hash →
-// annotation/simulation), singleflight collapsing of concurrent identical
-// submissions, a bounded worker pool with per-request deadlines, and
-// explicit backpressure (429 + Retry-After at the queue bound). Cached
-// responses are byte-identical to cold ones — the cache status travels in
-// the X-Cachier-Cache header, never in the body.
+// caching, each fact in one place: the response bytes, the source's
+// canonical AST, the trace of (program, machine), and the simulation of
+// (program, machine) with its snapshot. Around the caches sit singleflight
+// collapsing of concurrent identical submissions, a bounded worker pool
+// with per-request deadlines, and explicit backpressure (429 + Retry-After
+// at the queue bound). Cached responses are byte-identical to cold ones —
+// the cache status travels in the X-Cachier-Cache header, never in the
+// body.
 //
-// The Eval* functions are the in-process library path: they compute exactly
-// the response a server would send, with no caches or pools, and are what
-// cmd/cachierload replays the conformance corpus against.
+// The Eval* functions are the in-process library path: they run each
+// endpoint's one request path, the server's own, with no caches or pools,
+// and are what cmd/cachierload replays the conformance corpus against.
 package serve
 
 import (
@@ -201,6 +203,10 @@ type SimResult struct {
 	Stats      coherence.Stats `json:"stats"`
 	Output     []string        `json:"output,omitempty"`
 	SnapshotID string          `json:"snapshot_id"`
+
+	// snapshot is the snapshot's JSON, the body of /v1/snapshot/{SnapshotID}:
+	// it travels and is cached with the result, never in the response.
+	snapshot []byte
 }
 
 // SimulateResponse carries one result per requested config, in order.
@@ -242,13 +248,6 @@ func MarshalResponse(v any) ([]byte, error) {
 	}
 	return append(data, '\n'), nil
 }
-
-// jsonUnmarshal is encoding/json's Unmarshal behind a name the HTTP layer
-// shares.
-func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
-
-// defaultNodes is the default abstract machine size for /v1/vet.
-func defaultNodes() int { return sim.DefaultConfig().Nodes }
 
 // parseStyle maps the request's style string to core's enum.
 func parseStyle(s string) (core.Style, string, error) {

@@ -7,19 +7,25 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // lruCache is a mutex-guarded LRU map with a fixed entry capacity. Values
 // are immutable once inserted (the pipeline caches parsed programs, traces,
-// and marshaled response bytes — none are ever mutated after publication),
-// so readers share them without copying.
+// simulation results and marshaled response bytes — none are ever mutated
+// after publication), so readers share them without copying.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *lruEntry
 	items map[string]*list.Element
+
+	// label names the cache in its metrics and prefixes its flights' keys;
+	// hits, misses and evictions are its counters' names, formatted once.
+	label                   string
+	hits, misses, evictions string
 }
 
 type lruEntry struct {
@@ -27,11 +33,16 @@ type lruEntry struct {
 	val any
 }
 
-func newLRU(capacity int) *lruCache {
-	if capacity <= 0 {
-		capacity = 1
+func newLRU(label string, capacity int) *lruCache {
+	return &lruCache{
+		cap:       capacity,
+		order:     list.New(),
+		items:     make(map[string]*list.Element),
+		label:     label,
+		hits:      fmt.Sprintf("cache_hits_total{cache=%q}", label),
+		misses:    fmt.Sprintf("cache_misses_total{cache=%q}", label),
+		evictions: fmt.Sprintf("cache_evictions_total{cache=%q}", label),
 	}
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
 
 func (c *lruCache) get(key string) (any, bool) {
@@ -45,20 +56,24 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) put(key string, val any) {
+// put inserts or refreshes key and reports whether that evicted the least
+// recently used entry.
+func (c *lruCache) put(key string, val any) (evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).val = val
 		c.order.MoveToFront(el)
-		return
+		return false
 	}
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*lruEntry).key)
+	if c.order.Len() <= c.cap {
+		return false
 	}
+	last := c.order.Back()
+	c.order.Remove(last)
+	delete(c.items, last.Value.(*lruEntry).key)
+	return true
 }
 
 func (c *lruCache) len() int {
@@ -70,8 +85,8 @@ func (c *lruCache) len() int {
 // flightGroup collapses concurrent calls with the same key into one
 // execution: the first caller (the leader) runs fn, everyone else blocks on
 // the leader's result and shares it. Completed flights are forgotten, so a
-// later identical call runs again (the pipeline caches sit in front of the
-// group to make that cheap).
+// later identical call runs again (evaluator.cached puts a cache in front of
+// the group, published by the leader inside fn, to make that cheap).
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall

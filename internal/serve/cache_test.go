@@ -11,12 +11,16 @@ import (
 )
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(3)
+	c := newLRU("test", 3)
 	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprint(i), i)
+		if c.put(fmt.Sprint(i), i) {
+			t.Errorf("put %d into a cache with room reported an eviction", i)
+		}
 	}
 	c.get("0") // refresh 0; 1 is now the least recently used
-	c.put("3", 3)
+	if !c.put("3", 3) {
+		t.Error("put into a full cache reported no eviction")
+	}
 	if _, ok := c.get("1"); ok {
 		t.Error("LRU entry 1 survived eviction")
 	}
@@ -29,7 +33,9 @@ func TestLRUEviction(t *testing.T) {
 		t.Errorf("len = %d, want 3", got)
 	}
 	// Updating an existing key must not grow or evict.
-	c.put("2", 22)
+	if c.put("2", 22) {
+		t.Error("updating an entry reported an eviction")
+	}
 	if v, _ := c.get("2"); v != 22 {
 		t.Errorf("updated entry = %v, want 22", v)
 	}

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,6 +87,71 @@ func TestSingleflightCollapse(t *testing.T) {
 	// Any extra attempts past the gate would have shown up here too.
 	if got := snap[`cache_misses_total{cache="response"}`]; got < 1 {
 		t.Fatalf("expected at least one response-cache miss, got %d", got)
+	}
+}
+
+// TestFollowerOutlivesCancelledLeader: a request that joined another's
+// flight is not failed by the other's cancellation. With the only worker
+// held, request A leads program P's flight and queues for the worker, and
+// B, the same request, joins A's flight; then A's client goes away. A gets
+// its 503, and B, whose client stayed, still gets the library's bytes once
+// the worker is free.
+func TestFollowerOutlivesCancelledLeader(t *testing.T) {
+	s := New(Config{Workers: 1})
+	g := newGate(4)
+	s.eval.slow = g.hook()
+	send := func(ctx context.Context, req *VetRequest) <-chan *httptest.ResponseRecorder {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/vet", bytes.NewReader(body)).WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+
+	holder := send(context.Background(), &VetRequest{Source: parcgen.Generate(51), Nodes: testNodes})
+	g.waitEntered(t) // the only worker is now held
+
+	req := &VetRequest{Source: parcgen.Generate(52), Nodes: testNodes}
+	lib, err := EvalVet(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := MarshalResponse(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxA, cancelA := context.WithCancel(context.Background())
+	a := send(ctxA, req)
+	for s.eval.pool.depth() == 0 { // A is queued, leading P's flight
+		time.Sleep(time.Millisecond)
+	}
+	b := send(context.Background(), req)
+	// B has missed the response cache (after the holder and A) and joins
+	// A's flight next.
+	for s.metrics.Counter(`cache_misses_total{cache="response"}`) < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelA()
+	if rec := <-a; rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled leader: status %d %s, want 503", rec.Code, rec.Body)
+	}
+
+	close(g.release)
+	if rec := <-holder; rec.Code != http.StatusOK {
+		t.Errorf("holder: status %d %s", rec.Code, rec.Body)
+	}
+	rec := <-b
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follower of a cancelled leader: status %d %s, want 200", rec.Code, rec.Body)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("follower's body diverges from the library's\n--- http ---\n%s\n--- library ---\n%s", rec.Body, want)
 	}
 }
 

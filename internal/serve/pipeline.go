@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"cachier/internal/core"
 	"cachier/internal/obs"
@@ -18,22 +20,23 @@ import (
 // the server's evaluator shares the same code with everything switched on,
 // which is what guarantees cached and cold responses are byte-identical to
 // the library result.
+//
+// Each cache holds a fact no other cache holds; the server's response-byte
+// cache is the fourth. A vet finding list or an annotation is cached only
+// as the response bytes it becomes.
 type evaluator struct {
 	// programs: raw source string → *ProgramInfo. Keyed by the submitted
 	// text, but the ProgramInfo (and every downstream key) is content-
 	// addressed on the canonical form, so differently-formatted copies of
 	// one program converge on the same downstream entries.
 	programs *lruCache
-	// vets: (program hash, nodes) → []VetFinding.
-	vets *lruCache
-	// traces: (program hash, machine) → *trace.Trace.
+	// traces: (program hash, machine) → *trace.Trace, shared by both
+	// annotation styles and both prefetch settings.
 	traces *lruCache
-	// annos: (program hash, options) → *AnnotateResponse.
-	annos *lruCache
-	// sims: (program hash, config) → *simDoc (result + snapshot bytes).
+	// sims: snapshot ID, itself content-addressed on (program hash,
+	// machine) → *SimResult, snapshot bytes included; /v1/snapshot/{id}
+	// reads it directly.
 	sims *lruCache
-	// snaps: snapshot ID → snapshot JSON bytes, served by /v1/snapshot.
-	snaps *lruCache
 
 	flight  *flightGroup
 	pool    *pool
@@ -44,12 +47,8 @@ type evaluator struct {
 	slow func()
 }
 
-// simDoc is a cached simulation: the structured result plus its snapshot's
-// JSON bytes.
-type simDoc struct {
-	res  SimResult
-	snap []byte
-}
+// compute is a prepared request's computation of its response.
+type compute[R any] func(context.Context) (R, error)
 
 func (e *evaluator) count(name string) {
 	if e.metrics != nil {
@@ -57,40 +56,50 @@ func (e *evaluator) count(name string) {
 	}
 }
 
-// cached wraps one phase: LRU lookup, then singleflight on a miss, with the
-// leader publishing into the cache. kind labels the metrics.
-func (e *evaluator) cached(kind, key string, fn func() (any, error)) (any, error) {
-	if e.programs == nil { // library path: no caches at all
-		return fn()
+// lookup reads key from c, counting the hit or the miss.
+func (e *evaluator) lookup(c *lruCache, key string) (any, bool) {
+	v, ok := c.get(key)
+	if ok {
+		e.count(c.hits)
+	} else {
+		e.count(c.misses)
 	}
-	var c *lruCache
-	switch kind {
-	case "program":
-		c = e.programs
-	case "vet":
-		c = e.vets
-	case "trace":
-		c = e.traces
-	case "annotate":
-		c = e.annos
-	case "simulate":
-		c = e.sims
-	default:
-		return fn()
+	return v, ok
+}
+
+// cached answers key from c, or runs fn under a singleflight whose leader
+// publishes the value into c before it releases its followers. The
+// disposition is "hit", "miss" (this caller ran fn) or "flight" (it shared
+// another caller's run), as X-Cachier-Cache reports it. fn runs under its
+// leader's context, so a follower whose flight ended because the leader was
+// cancelled or timed out tries again while its own context is live, leading
+// a new flight or joining one: no request fails on another's deadline.
+// Errors are never cached. With no cache (the library path) fn just runs.
+func (e *evaluator) cached(ctx context.Context, c *lruCache, key string, fn compute[any]) (any, string, error) {
+	if c == nil {
+		v, err := fn(ctx)
+		return v, "miss", err
 	}
-	if v, ok := c.get(key); ok {
-		e.count(fmt.Sprintf("cache_hits_total{cache=%q}", kind))
-		return v, nil
+	if v, ok := e.lookup(c, key); ok {
+		return v, "hit", nil
 	}
-	e.count(fmt.Sprintf("cache_misses_total{cache=%q}", kind))
-	v, shared, err := e.flight.do(cacheKey(kind, key), fn)
-	if shared {
+	for {
+		v, shared, err := e.flight.do(cacheKey(c.label, key), func() (any, error) {
+			v, err := fn(ctx)
+			if err == nil && c.put(key, v) {
+				e.count(c.evictions)
+			}
+			return v, err
+		})
+		if !shared {
+			return v, "miss", err
+		}
 		e.count("singleflight_shared_total")
+		leaderGaveUp := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		if !leaderGaveUp || ctx.Err() != nil {
+			return v, "flight", err
+		}
 	}
-	if err == nil && !shared {
-		c.put(key, v)
-	}
-	return v, err
 }
 
 // contain, deferred, turns a panic under it into a 500 that names the
@@ -120,9 +129,10 @@ func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (an
 	return fn()
 }
 
-// program parses, checks, and canonicalizes src (cached).
+// program parses, checks, and canonicalizes src (cached). Canonicalisation
+// holds no worker and is never cancelled.
 func (e *evaluator) program(src string) (*ProgramInfo, error) {
-	v, err := e.cached("program", src, func() (any, error) {
+	v, _, err := e.cached(context.Background(), e.programs, src, func(context.Context) (any, error) {
 		pi, err := CanonicalProgram(src)
 		if err != nil {
 			return nil, badRequest(err)
@@ -135,10 +145,44 @@ func (e *evaluator) program(src string) (*ProgramInfo, error) {
 	return v.(*ProgramInfo), nil
 }
 
-// vet runs the static race detector and CICO lint (cached).
-func (e *evaluator) vet(ctx context.Context, pi *ProgramInfo, nodes int) ([]VetFinding, error) {
-	v, err := e.cached("vet", cacheKey(pi.Hash, fmt.Sprint(nodes)), func() (any, error) {
-		return e.heavy(ctx, "vet", pi.Hash, func() (any, error) {
+// trace simulates the unannotated canonical program in trace mode on the
+// given machine (cached).
+func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*trace.Trace, error) {
+	v, _, err := e.cached(ctx, e.traces, cacheKey(pi.Hash, m.key()), func(ctx context.Context) (any, error) {
+		return e.heavy(ctx, "trace", pi.Hash, func() (any, error) {
+			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
+			if err != nil {
+				return nil, simFault("tracing", err)
+			}
+			return res.Trace, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*trace.Trace), nil
+}
+
+// The prepare functions below are each endpoint's one request path: they
+// validate and default a decoded request, canonicalise its program, and
+// return its response-cache key and the computation of its response. The
+// server's postHandler and the library's Eval* both call them.
+
+// prepVet prepares /v1/vet: static race detection and CICO lint.
+func (e *evaluator) prepVet(req *VetRequest) (string, compute[*VetResponse], error) {
+	nodes := req.Nodes
+	if nodes == 0 {
+		nodes = sim.DefaultConfig().Nodes
+	}
+	if nodes < 1 || nodes > 1024 {
+		return "", nil, &apiError{code: 400, msg: fmt.Sprintf("nodes %d out of range [1,1024]", nodes)}
+	}
+	pi, err := e.program(req.Source)
+	if err != nil {
+		return "", nil, err
+	}
+	return cacheKey(pi.Hash, fmt.Sprint(nodes)), func(ctx context.Context) (*VetResponse, error) {
+		v, err := e.heavy(ctx, "vet", pi.Hash, func() (any, error) {
 			rep := vet.Analyze(pi.Prog, vet.Options{Nprocs: nodes})
 			out := make([]VetFinding, 0, len(rep.Findings))
 			for _, f := range rep.Findings {
@@ -161,192 +205,182 @@ func (e *evaluator) vet(ctx context.Context, pi *ProgramInfo, nodes int) ([]VetF
 			}
 			return out, nil
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]VetFinding), nil
+		if err != nil {
+			return nil, err
+		}
+		return &VetResponse{ProgramHash: pi.Hash, Nodes: nodes, Findings: v.([]VetFinding)}, nil
+	}, nil
 }
 
-// trace simulates the unannotated canonical program in trace mode on the
-// given machine (cached).
-func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*trace.Trace, error) {
-	v, err := e.cached("trace", cacheKey(pi.Hash, m.key()), func() (any, error) {
-		return e.heavy(ctx, "trace", pi.Hash, func() (any, error) {
-			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
-			if err != nil {
-				return nil, simFault("tracing", err)
+// prepAnnotate returns the prepare function of /v1/annotate (trace-driven)
+// or, when static, of /v1/static (trace inferred, nothing simulated).
+func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, compute[*AnnotateResponse], error) {
+	return func(req *AnnotateRequest) (string, compute[*AnnotateResponse], error) {
+		style, styleName, err := parseStyle(req.Style)
+		if err != nil {
+			return "", nil, err
+		}
+		machine, err := req.Machine.resolved()
+		if err != nil {
+			return "", nil, err
+		}
+		pi, err := e.program(req.Source)
+		if err != nil {
+			return "", nil, err
+		}
+		key := cacheKey(pi.Hash, styleName, fmt.Sprintf("p%v", req.Prefetch), machine.key())
+		return key, func(ctx context.Context) (*AnnotateResponse, error) {
+			var (
+				tr  *trace.Trace
+				inf *staticanno.Result
+				err error
+			)
+			if static {
+				var v any
+				v, err = e.heavy(ctx, "static", pi.Hash, func() (any, error) {
+					return inferTrace(pi, machine)
+				})
+				if err == nil {
+					inf = v.(*staticanno.Result)
+					tr = inf.Trace
+				}
+			} else {
+				tr, err = e.trace(ctx, pi, machine)
 			}
-			return res.Trace, nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Trace), nil
-}
-
-// annotate runs the full annotation pipeline, trace-driven or static
-// (cached on the canonical program + all options).
-func (e *evaluator) annotate(ctx context.Context, req *AnnotateRequest, static bool) (*AnnotateResponse, error) {
-	style, styleName, err := parseStyle(req.Style)
-	if err != nil {
-		return nil, err
-	}
-	machine, err := req.Machine.resolved()
-	if err != nil {
-		return nil, err
-	}
-	pi, err := e.program(req.Source)
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey(pi.Hash, styleName, fmt.Sprintf("p%v.s%v", req.Prefetch, static), machine.key())
-	v, err := e.cached("annotate", key, func() (any, error) {
-		var tr *trace.Trace
-		var inf *staticanno.Result
-		if static {
-			v, err := e.heavy(ctx, "static", pi.Hash, func() (any, error) {
-				cfg := staticanno.Config{
-					Nodes:     machine.Nodes,
-					CacheSize: machine.CacheSize,
-					Assoc:     machine.Assoc,
-					BlockSize: machine.BlockSize,
-				}
-				inf, err := staticanno.Infer(pi.Prog, cfg)
+			if err != nil {
+				return nil, err
+			}
+			v, err := e.heavy(ctx, "annotate", pi.Hash, func() (any, error) {
+				opts := core.DefaultOptions()
+				opts.Style = style
+				opts.Prefetch = req.Prefetch
+				opts.CacheSize = machine.CacheSize
+				res, err := core.AnnotateMulti(pi.Prog, []*trace.Trace{tr}, opts)
 				if err != nil {
-					return nil, badRequest(fmt.Errorf("static inference: %w", err))
+					return nil, fmt.Errorf("annotate: %w", err)
 				}
-				return inf, nil
+				resp := &AnnotateResponse{
+					ProgramHash: pi.Hash,
+					Style:       styleName,
+					Prefetch:    req.Prefetch,
+					Static:      static,
+					Annotated:   res.Source,
+					Annotations: res.Annotations,
+					Cost: CostSummary{
+						CoX:       res.Cost.TotalCoX,
+						CoS:       res.Cost.TotalCoS,
+						CI:        res.Cost.TotalCI,
+						ModelCost: res.Cost.ModelCost,
+					},
+				}
+				for _, r := range res.Reports {
+					cr := ConflictReport{Kind: r.Kind, Var: r.Var, Epoch: r.Epoch, Addrs: r.Addrs}
+					if r.Pos.IsValid() {
+						cr.Pos = r.Pos.String()
+					}
+					resp.Reports = append(resp.Reports, cr)
+				}
+				if inf != nil {
+					exact := inf.Exact
+					resp.Exact = &exact
+					resp.Notes = inf.Notes
+				}
+				return resp, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			inf = v.(*staticanno.Result)
-			tr = inf.Trace
-		} else {
-			tr, err = e.trace(ctx, pi, machine)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return e.heavy(ctx, "annotate", pi.Hash, func() (any, error) {
-			opts := core.DefaultOptions()
-			opts.Style = style
-			opts.Prefetch = req.Prefetch
-			opts.CacheSize = machine.CacheSize
-			res, err := core.AnnotateMulti(pi.Prog, []*trace.Trace{tr}, opts)
-			if err != nil {
-				return nil, fmt.Errorf("annotate: %w", err)
-			}
-			resp := &AnnotateResponse{
-				ProgramHash: pi.Hash,
-				Style:       styleName,
-				Prefetch:    req.Prefetch,
-				Static:      static,
-				Annotated:   res.Source,
-				Annotations: res.Annotations,
-				Cost: CostSummary{
-					CoX:       res.Cost.TotalCoX,
-					CoS:       res.Cost.TotalCoS,
-					CI:        res.Cost.TotalCI,
-					ModelCost: res.Cost.ModelCost,
-				},
-			}
-			for _, r := range res.Reports {
-				cr := ConflictReport{Kind: r.Kind, Var: r.Var, Epoch: r.Epoch, Addrs: r.Addrs}
-				if r.Pos.IsValid() {
-					cr.Pos = r.Pos.String()
-				}
-				resp.Reports = append(resp.Reports, cr)
-			}
-			if inf != nil {
-				exact := inf.Exact
-				resp.Exact = &exact
-				resp.Notes = inf.Notes
-			}
-			return resp, nil
-		})
-	})
-	if err != nil {
-		return nil, err
+			return v.(*AnnotateResponse), nil
+		}, nil
 	}
-	return v.(*AnnotateResponse), nil
 }
 
-// simulate runs Source as given on every requested config. Each config is
-// cached and pooled independently, so a batch fans out through the worker
-// pool and repeated configs are near-free.
-func (e *evaluator) simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, map[string][]byte, error) {
+// inferTrace runs static inference on the machine. A fault its replay met
+// is the program's, as it is for a simulation (422); anything else is the
+// inferrer refusing the program (400).
+func inferTrace(pi *ProgramInfo, m MachineSpec) (*staticanno.Result, error) {
+	inf, err := staticanno.Infer(pi.Prog, staticanno.Config{
+		Nodes:     m.Nodes,
+		CacheSize: m.CacheSize,
+		Assoc:     m.Assoc,
+		BlockSize: m.BlockSize,
+	})
+	switch {
+	case errors.Is(err, staticanno.ErrMachineFault):
+		return nil, simFault("static inference", err)
+	case err != nil:
+		return nil, badRequest(fmt.Errorf("static inference: %w", err))
+	}
+	return inf, nil
+}
+
+// prepSimulate prepares /v1/simulate: Source as given on every requested
+// config. Each config is cached and pooled independently, so a batch fans
+// out through the worker pool and repeated configs are near-free.
+func (e *evaluator) prepSimulate(req *SimulateRequest) (string, compute[*SimulateResponse], error) {
 	pi, err := e.program(req.Source)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
 	configs := req.Configs
 	if len(configs) == 0 {
 		configs = []MachineSpec{{}}
 	}
 	if len(configs) > 64 {
-		return nil, nil, &apiError{code: 400, msg: fmt.Sprintf("batch of %d configs exceeds the 64-config bound", len(configs))}
+		return "", nil, &apiError{code: 400, msg: fmt.Sprintf("batch of %d configs exceeds the 64-config bound", len(configs))}
 	}
 	resolved := make([]MachineSpec, len(configs))
+	keyParts := []string{pi.Hash}
 	for i, c := range configs {
 		if resolved[i], err = c.resolved(); err != nil {
-			return nil, nil, err
+			return "", nil, err
 		}
+		keyParts = append(keyParts, resolved[i].key())
 	}
-
-	docs := make([]*simDoc, len(resolved))
-	errs := make([]error, len(resolved))
-	run := func(i int, m MachineSpec) {
-		// run is also the body of the fan-out goroutines below, where an
-		// uncontained panic would end the process.
-		defer contain(pi.Hash, &errs[i])
-		v, err := e.cached("simulate", cacheKey(pi.Hash, m.key()), func() (any, error) {
-			return e.heavy(ctx, "simulate", pi.Hash, func() (any, error) {
-				return e.runSim(pi, m)
+	return cacheKey(keyParts...), func(ctx context.Context) (*SimulateResponse, error) {
+		results := make([]SimResult, len(resolved))
+		errs := make([]error, len(resolved))
+		run := func(i int, m MachineSpec) {
+			// run is also the body of the fan-out goroutines below, where an
+			// uncontained panic would end the process.
+			defer contain(pi.Hash, &errs[i])
+			id := contentID(pi.Hash, m.key())
+			v, _, err := e.cached(ctx, e.sims, id, func(ctx context.Context) (any, error) {
+				return e.heavy(ctx, "simulate", pi.Hash, func() (any, error) {
+					return runSim(pi, m, id)
+				})
 			})
-		})
-		if err != nil {
-			errs[i] = err
-			return
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i] = *v.(*SimResult)
 		}
-		docs[i] = v.(*simDoc)
-	}
-	if e.pool == nil || len(resolved) == 1 {
-		for i, m := range resolved {
-			run(i, m)
-		}
-	} else {
-		// Batched fan-out: each config takes its own worker-pool slot, so
-		// one wide batch shares the machine with other requests instead of
-		// monopolizing the handler.
-		done := make(chan struct{}, len(resolved))
-		for i, m := range resolved {
-			go func(i int, m MachineSpec) {
+		if e.pool == nil || len(resolved) == 1 {
+			for i, m := range resolved {
 				run(i, m)
-				done <- struct{}{}
-			}(i, m)
+			}
+		} else {
+			// Batched fan-out: each config takes its own worker-pool slot, so
+			// one wide batch shares the machine with other requests instead of
+			// monopolizing the handler.
+			var wg sync.WaitGroup
+			for i, m := range resolved {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run(i, m)
+				}()
+			}
+			wg.Wait()
 		}
-		for range resolved {
-			<-done
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
-	}
-	results := make([]SimResult, len(resolved))
-	snaps := make(map[string][]byte, len(resolved))
-	for i, doc := range docs {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		results[i] = doc.res
-		snaps[doc.res.SnapshotID] = doc.snap
-		if e.snaps != nil {
-			// Re-publish on every hit: the snapshot may have been evicted
-			// independently of the cached sim result.
-			e.snaps.put(doc.res.SnapshotID, doc.snap)
-		}
-	}
-	return &SimulateResponse{ProgramHash: pi.Hash, Results: results}, snaps, nil
+		return &SimulateResponse{ProgramHash: pi.Hash, Results: results}, nil
+	}, nil
 }
 
 // simFault reports a failed sim.Run as a 422: simulation faults (a runtime
@@ -358,8 +392,8 @@ func simFault(phase string, err error) error {
 }
 
 // runSim executes one simulation with the observability recorder attached
-// and packages the deterministic result + snapshot bytes.
-func (e *evaluator) runSim(pi *ProgramInfo, m MachineSpec) (*simDoc, error) {
+// and packages the deterministic result with its snapshot's bytes.
+func runSim(pi *ProgramInfo, m MachineSpec, snapshotID string) (*SimResult, error) {
 	cfg := m.simConfig(sim.ModePerf)
 	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
 	res, err := sim.Run(pi.Prog, cfg)
@@ -370,54 +404,53 @@ func (e *evaluator) runSim(pi *ProgramInfo, m MachineSpec) (*simDoc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marshal snapshot: %w", err)
 	}
-	return &simDoc{
-		res: SimResult{
-			Config:     m,
-			Cycles:     res.Cycles,
-			Barriers:   res.Barriers,
-			Engine:     res.Engine,
-			Protocol:   res.Protocol,
-			Stats:      res.Stats,
-			Output:     res.Output,
-			SnapshotID: contentID(pi.Hash, m.key()),
-		},
-		snap: snap,
+	return &SimResult{
+		Config:     m,
+		Cycles:     res.Cycles,
+		Barriers:   res.Barriers,
+		Engine:     res.Engine,
+		Protocol:   res.Protocol,
+		Stats:      res.Stats,
+		Output:     res.Output,
+		SnapshotID: snapshotID,
+		snapshot:   snap,
 	}, nil
+}
+
+// evaluate runs a prepared request on the library path.
+func evaluate[R any](_ string, run compute[R], err error) (R, error) {
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return run(context.Background())
 }
 
 // EvalAnnotate computes /v1/annotate's response in process, uncached.
 func EvalAnnotate(req *AnnotateRequest) (*AnnotateResponse, error) {
-	return (&evaluator{}).annotate(context.Background(), req, false)
+	return evaluate((&evaluator{}).prepAnnotate(false)(req))
 }
 
 // EvalStatic computes /v1/static's response in process, uncached.
 func EvalStatic(req *AnnotateRequest) (*AnnotateResponse, error) {
-	return (&evaluator{}).annotate(context.Background(), req, true)
+	return evaluate((&evaluator{}).prepAnnotate(true)(req))
 }
 
 // EvalVet computes /v1/vet's response in process, uncached.
 func EvalVet(req *VetRequest) (*VetResponse, error) {
-	nodes := req.Nodes
-	if nodes == 0 {
-		nodes = sim.DefaultConfig().Nodes
-	}
-	if nodes < 1 || nodes > 1024 {
-		return nil, &apiError{code: 400, msg: fmt.Sprintf("nodes %d out of range [1,1024]", nodes)}
-	}
-	e := &evaluator{}
-	pi, err := e.program(req.Source)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := e.vet(context.Background(), pi, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return &VetResponse{ProgramHash: pi.Hash, Nodes: nodes, Findings: fs}, nil
+	return evaluate((&evaluator{}).prepVet(req))
 }
 
 // EvalSimulate computes /v1/simulate's response in process, uncached, and
 // returns the snapshot bodies a server would serve from /v1/snapshot/{id}.
 func EvalSimulate(req *SimulateRequest) (*SimulateResponse, map[string][]byte, error) {
-	return (&evaluator{}).simulate(context.Background(), req)
+	resp, err := evaluate((&evaluator{}).prepSimulate(req))
+	if err != nil {
+		return nil, nil, err
+	}
+	snaps := make(map[string][]byte, len(resp.Results))
+	for _, r := range resp.Results {
+		snaps[r.SnapshotID] = r.snapshot
+	}
+	return resp, snaps, nil
 }

@@ -286,6 +286,22 @@ func TestErrorResponses(t *testing.T) {
 		checkErr(name+", annotate", code, 422, body)
 	}
 
+	// A fault of the machine itself is met by static inference's replay of
+	// the program too, and is the submitter's error there as well.
+	for name, src := range map[string]string{
+		"self-deadlock":   "func main() { lock(1); lock(1); }",
+		"unlock fault":    "func main() { unlock(3); }",
+		"layout overflow": "shared float A[20000000];\nshared float B[20000000];\nfunc main() { A[0] = 1.0; B[0] = 1.0; }",
+	} {
+		machine := MachineSpec{Nodes: testNodes}
+		code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}})
+		checkErr(name+", simulate", code, 422, body)
+		code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine})
+		checkErr(name+", annotate", code, 422, body)
+		code, _, body = post(t, ts.URL+"/v1/static", &AnnotateRequest{Source: src, Machine: machine})
+		checkErr(name+", static", code, 422, body)
+	}
+
 	code, body = get(t, ts.URL+"/v1/snapshot/deadbeef")
 	checkErr("unknown snapshot", code, 404, body)
 }
@@ -394,24 +410,39 @@ func TestEndlessBarrierIsBounded(t *testing.T) {
 }
 
 // TestHealthzAndMetrics covers the operational endpoints, including the
-// draining flip.
+// draining flip and the caches' sizes and evictions. The caches hold one
+// entry each (the response cache four): one cold request per endpoint fills
+// them, and a second program's vet request evicts from the two caches it
+// writes.
 func TestHealthzAndMetrics(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := newTestServer(t, Config{CacheEntries: 1})
 	code, body := get(t, ts.URL+"/healthz")
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"ok"`)) {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
 
-	// One request so the counters are non-empty.
-	post(t, ts.URL+"/v1/vet", &VetRequest{Source: parcgen.Generate(2), Nodes: testNodes})
+	for _, c := range coldRequests(parcgen.Generate(2)) {
+		if code, _, body := post(t, ts.URL+c.path, c.req); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, code, body)
+		}
+	}
+	post(t, ts.URL+"/v1/vet", &VetRequest{Source: parcgen.Generate(3), Nodes: testNodes})
 	code, body = get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	for _, want := range []string{
-		`requests_total{endpoint="vet",code="200"} 1`,
-		`pipeline_executions_total{phase="vet"} 1`,
+		`requests_total{endpoint="vet",code="200"} 2`,
+		`pipeline_executions_total{phase="vet"} 2`,
 		"queue_depth 0",
+		`cache_entries{cache="response"} 4`,
+		`cache_entries{cache="program"} 1`,
+		`cache_entries{cache="trace"} 1`,
+		`cache_entries{cache="simulate"} 1`,
+		`cache_evictions_total{cache="response"} 1`,
+		`cache_evictions_total{cache="program"} 1`,
+		`cache_evictions_total{cache="trace"} 0`,
+		`cache_evictions_total{cache="simulate"} 0`,
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
@@ -438,18 +469,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 // twice, 6 in all.
 func TestColdProgramParses(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
-	src := parcgen.Generate(goldenSeed + 1)
-	machine := MachineSpec{Nodes: testNodes}
 	before := parc.Parses()
-	for _, c := range []struct {
-		path string
-		req  any
-	}{
-		{"/v1/vet", &VetRequest{Source: src, Nodes: testNodes}},
-		{"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine}},
-		{"/v1/static", &AnnotateRequest{Source: src, Machine: machine}},
-		{"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}},
-	} {
+	for _, c := range coldRequests(parcgen.Generate(goldenSeed + 1)) {
 		code, hdr, body := post(t, ts.URL+c.path, c.req)
 		if code != http.StatusOK || hdr.Get("X-Cachier-Cache") != "miss" {
 			t.Fatalf("%s: status %d, cache %q: %s", c.path, code, hdr.Get("X-Cachier-Cache"), body)
@@ -457,5 +478,73 @@ func TestColdProgramParses(t *testing.T) {
 	}
 	if got := parc.Parses() - before; got != 4 {
 		t.Errorf("one cold program through four endpoints parsed %d times, want 4", got)
+	}
+}
+
+// coldRequests are one request to each of the four POST endpoints for src,
+// on the test machine.
+func coldRequests(src string) []struct {
+	path string
+	req  any
+} {
+	machine := MachineSpec{Nodes: testNodes}
+	return []struct {
+		path string
+		req  any
+	}{
+		{"/v1/vet", &VetRequest{Source: src, Nodes: testNodes}},
+		{"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/static", &AnnotateRequest{Source: src, Machine: machine}},
+		{"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}}},
+	}
+}
+
+// TestEachFactCachedOnce: one cold program through the four endpoints
+// leaves one entry per fact computed, each in exactly one cache: the four
+// response bodies, the canonical program, the trace /v1/annotate ran, and
+// the simulation. Vet findings, annotations and snapshots have no cache of
+// their own: the snapshot is served from its simulation's entry.
+func TestEachFactCachedOnce(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed + 2)
+	var snapshotID string
+	for _, c := range coldRequests(src) {
+		code, _, body := post(t, ts.URL+c.path, c.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, code, body)
+		}
+		if c.path == "/v1/simulate" {
+			var resp SimulateResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			snapshotID = resp.Results[0].SnapshotID
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		cache *lruCache
+		want  int
+	}{
+		{"response", s.resp, 4},
+		{"program", s.eval.programs, 1},
+		{"trace", s.eval.traces, 1},
+		{"simulation", s.eval.sims, 1},
+	} {
+		if got := c.cache.len(); got != c.want {
+			t.Errorf("%s cache holds %d entries, want %d", c.name, got, c.want)
+		}
+	}
+
+	_, want, err := EvalSimulate(&SimulateRequest{Source: src, Configs: []MachineSpec{{Nodes: testNodes}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, ts.URL+"/v1/snapshot/"+snapshotID)
+	if code != http.StatusOK || !bytes.Equal(body, want[snapshotID]) {
+		t.Fatalf("snapshot %s: status %d, or its bytes diverge from the library's", snapshotID, code)
+	}
+	if got := s.metrics.Snapshot()[`cache_hits_total{cache="simulate"}`]; got != 1 {
+		t.Errorf("the snapshot was served by %d simulation-cache hits, want 1", got)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,8 +26,9 @@ type Config struct {
 	// RequestTimeout is the per-request deadline, covering queue wait and
 	// pipeline execution. Default 60s.
 	RequestTimeout time.Duration
-	// CacheEntries is each content-addressed cache's entry capacity.
-	// Default 512.
+	// CacheEntries is the entry capacity of the program, trace and
+	// simulation caches; the response cache holds four times as many, one
+	// per endpoint. Default 512.
 	CacheEntries int
 	// MaxBodyBytes bounds a request body. Default 4 MiB.
 	MaxBodyBytes int64
@@ -87,22 +89,23 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		eval: &evaluator{
-			programs: newLRU(cfg.CacheEntries),
-			vets:     newLRU(cfg.CacheEntries),
-			traces:   newLRU(cfg.CacheEntries),
-			annos:    newLRU(cfg.CacheEntries),
-			sims:     newLRU(cfg.CacheEntries),
-			snaps:    newLRU(cfg.CacheEntries),
+			programs: newLRU("program", cfg.CacheEntries),
+			traces:   newLRU("trace", cfg.CacheEntries),
+			sims:     newLRU("simulate", cfg.CacheEntries),
 			flight:   newFlightGroup(),
 			pool:     p,
 			metrics:  m,
 		},
-		resp:    newLRU(4 * cfg.CacheEntries),
+		resp:    newLRU("response", 4*cfg.CacheEntries),
 		metrics: m,
 		mux:     http.NewServeMux(),
 	}
 	m.RegisterGauge("queue_depth", p.depth)
 	m.RegisterGauge("workers_busy", p.busy)
+	for _, c := range []*lruCache{s.resp, s.eval.programs, s.eval.traces, s.eval.sims} {
+		m.RegisterGauge(fmt.Sprintf("cache_entries{cache=%q}", c.label), func() int64 { return int64(c.len()) })
+		m.Add(c.evictions, 0) // listed at zero before the first eviction
+	}
 	s.routes()
 	return s
 }
@@ -137,23 +140,20 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/annotate", s.postHandler("annotate", s.buildAnnotate(false)))
-	s.mux.HandleFunc("POST /v1/static", s.postHandler("static", s.buildAnnotate(true)))
-	s.mux.HandleFunc("POST /v1/vet", s.postHandler("vet", s.buildVet))
-	s.mux.HandleFunc("POST /v1/simulate", s.postHandler("simulate", s.buildSimulate))
+	s.mux.HandleFunc("POST /v1/annotate", postHandler(s, "annotate", s.eval.prepAnnotate(false)))
+	s.mux.HandleFunc("POST /v1/static", postHandler(s, "static", s.eval.prepAnnotate(true)))
+	s.mux.HandleFunc("POST /v1/vet", postHandler(s, "vet", s.eval.prepVet))
+	s.mux.HandleFunc("POST /v1/simulate", postHandler(s, "simulate", s.eval.prepSimulate))
 	s.mux.HandleFunc("GET /v1/snapshot/{id}", s.handleSnapshot)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 }
 
-// builder turns a decoded request body into a response cache key and a
-// compute closure. Key derivation is cheap (at most a cached parse); the
-// closure is the expensive part that caching and singleflight collapse.
-type builder func(ctx context.Context, body []byte) (key string, compute func(context.Context) ([]byte, error), err error)
-
-// postHandler wires one POST endpoint: draining check, body bound, timing,
-// response cache + singleflight, error mapping, and counters.
-func (s *Server) postHandler(endpoint string, build builder) http.HandlerFunc {
+// postHandler wires one POST endpoint around its prepare function prep:
+// draining check, body bound, decoding into prep's request type, timing,
+// the response cache over the marshaled response, error mapping, and
+// counters.
+func postHandler[Req, Resp any](s *Server, endpoint string, prep func(*Req) (string, compute[Resp], error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.draining.Load() {
@@ -171,36 +171,28 @@ func (s *Server) postHandler(endpoint string, build builder) http.HandlerFunc {
 			s.finish(w, endpoint, start, "", nil, &apiError{code: http.StatusRequestEntityTooLarge, msg: err.Error()})
 			return
 		}
-		key, compute, err := build(ctx, body)
+		req := new(Req)
+		if err := json.Unmarshal(body, req); err != nil {
+			s.finish(w, endpoint, start, "", nil, &apiError{code: 400, msg: fmt.Sprintf("bad request body: %v", err)})
+			return
+		}
+		key, run, err := prep(req)
 		if err != nil {
 			s.finish(w, endpoint, start, "", nil, err)
 			return
 		}
-		key = cacheKey(endpoint, key)
-		if data, ok := s.resp.get(key); ok {
-			s.metrics.Inc(`cache_hits_total{cache="response"}`)
-			s.finish(w, endpoint, start, "hit", data.([]byte), nil)
-			return
-		}
-		s.metrics.Inc(`cache_misses_total{cache="response"}`)
-		v, shared, err := s.eval.flight.do(cacheKey("resp", key), func() (any, error) {
-			data, err := compute(ctx)
+		data, disposition, err := s.eval.cached(ctx, s.resp, cacheKey(endpoint, key), func(ctx context.Context) (any, error) {
+			resp, err := run(ctx)
 			if err != nil {
 				return nil, err
 			}
-			s.resp.put(key, data)
-			return data, nil
+			return MarshalResponse(resp)
 		})
-		status := "miss"
-		if shared {
-			status = "flight"
-			s.metrics.Inc("singleflight_shared_total")
-		}
 		if err != nil {
 			s.finish(w, endpoint, start, "", nil, err)
 			return
 		}
-		s.finish(w, endpoint, start, status, v.([]byte), nil)
+		s.finish(w, endpoint, start, disposition, data.([]byte), nil)
 	}
 }
 
@@ -234,92 +226,6 @@ func (s *Server) finish(w http.ResponseWriter, endpoint string, start time.Time,
 	s.metrics.Observe(fmt.Sprintf("latency_us{endpoint=%q}", endpoint), uint64(time.Since(start).Microseconds()))
 }
 
-// buildAnnotate serves /v1/annotate (trace-driven) and /v1/static.
-func (s *Server) buildAnnotate(static bool) builder {
-	return func(ctx context.Context, body []byte) (string, func(context.Context) ([]byte, error), error) {
-		var req AnnotateRequest
-		if err := unmarshalRequest(body, &req); err != nil {
-			return "", nil, err
-		}
-		_, styleName, err := parseStyle(req.Style)
-		if err != nil {
-			return "", nil, err
-		}
-		machine, err := req.Machine.resolved()
-		if err != nil {
-			return "", nil, err
-		}
-		pi, err := s.eval.program(req.Source)
-		if err != nil {
-			return "", nil, err
-		}
-		key := cacheKey(pi.Hash, styleName, fmt.Sprintf("p%v.s%v", req.Prefetch, static), machine.key())
-		return key, func(ctx context.Context) ([]byte, error) {
-			resp, err := s.eval.annotate(ctx, &req, static)
-			if err != nil {
-				return nil, err
-			}
-			return MarshalResponse(resp)
-		}, nil
-	}
-}
-
-func (s *Server) buildVet(ctx context.Context, body []byte) (string, func(context.Context) ([]byte, error), error) {
-	var req VetRequest
-	if err := unmarshalRequest(body, &req); err != nil {
-		return "", nil, err
-	}
-	nodes := req.Nodes
-	if nodes == 0 {
-		nodes = defaultNodes()
-	}
-	if nodes < 1 || nodes > 1024 {
-		return "", nil, &apiError{code: 400, msg: fmt.Sprintf("nodes %d out of range [1,1024]", nodes)}
-	}
-	pi, err := s.eval.program(req.Source)
-	if err != nil {
-		return "", nil, err
-	}
-	key := cacheKey(pi.Hash, fmt.Sprint(nodes))
-	return key, func(ctx context.Context) ([]byte, error) {
-		fs, err := s.eval.vet(ctx, pi, nodes)
-		if err != nil {
-			return nil, err
-		}
-		return MarshalResponse(&VetResponse{ProgramHash: pi.Hash, Nodes: nodes, Findings: fs})
-	}, nil
-}
-
-func (s *Server) buildSimulate(ctx context.Context, body []byte) (string, func(context.Context) ([]byte, error), error) {
-	var req SimulateRequest
-	if err := unmarshalRequest(body, &req); err != nil {
-		return "", nil, err
-	}
-	pi, err := s.eval.program(req.Source)
-	if err != nil {
-		return "", nil, err
-	}
-	configs := req.Configs
-	if len(configs) == 0 {
-		configs = []MachineSpec{{}}
-	}
-	keyParts := []string{pi.Hash}
-	for _, c := range configs {
-		rc, err := c.resolved()
-		if err != nil {
-			return "", nil, err
-		}
-		keyParts = append(keyParts, rc.key())
-	}
-	return cacheKey(keyParts...), func(ctx context.Context) ([]byte, error) {
-		resp, _, err := s.eval.simulate(ctx, &req)
-		if err != nil {
-			return nil, err
-		}
-		return MarshalResponse(resp)
-	}, nil
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.draining.Load() {
@@ -329,9 +235,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	id := r.PathValue("id")
-	if v, ok := s.eval.snaps.get(id); ok {
-		s.metrics.Inc(`cache_hits_total{cache="snapshot"}`)
-		s.finish(w, "snapshot", start, "hit", v.([]byte), nil)
+	if v, ok := s.eval.lookup(s.eval.sims, id); ok {
+		s.finish(w, "snapshot", start, "hit", v.(*SimResult).snapshot, nil)
 		return
 	}
 	s.finish(w, "snapshot", start, "", nil,
@@ -351,12 +256,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteText(w)
-}
-
-// unmarshalRequest decodes a JSON request body as a 400 on failure.
-func unmarshalRequest(body []byte, v any) error {
-	if err := jsonUnmarshal(body, v); err != nil {
-		return &apiError{code: 400, msg: fmt.Sprintf("bad request body: %v", err)}
-	}
-	return nil
 }

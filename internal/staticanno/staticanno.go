@@ -26,6 +26,7 @@
 package staticanno
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -93,10 +94,24 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	}
 	res, err := replay(prog, cfg, sum)
 	if err != nil {
-		return nil, err
+		return nil, machineFault{err}
 	}
 	return &Result{Trace: res.Trace, Exact: sum.Exact, Notes: sum.Notes, Summary: sum}, nil
 }
+
+// ErrMachineFault matches, under errors.Is, every error Infer's replay met
+// on the machine: a deadlock, an unlock of a lock not held, a layout the
+// machine cannot hold. A simulation of the program meets the same fault, so
+// it is the program's, where Infer's other errors are the inferrer refusing
+// the program.
+var ErrMachineFault = errors.New("staticanno: machine fault")
+
+// machineFault wraps a replay error as an ErrMachineFault, keeping the
+// machine's own message and error chain.
+type machineFault struct{ err error }
+
+func (f machineFault) Error() string   { return f.err.Error() }
+func (f machineFault) Unwrap() []error { return []error{ErrMachineFault, f.err} }
 
 // elementAddrs expands one access's per-dimension element sets to byte
 // addresses, row-major ascending. Exact accesses expand to one address;

@@ -1,6 +1,7 @@
 package staticanno
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -211,8 +212,12 @@ func main() {
 			if simErr == nil || !strings.HasPrefix(simErr.Error(), "sim: ") {
 				t.Fatalf("simulation error = %v, want a machine fault", simErr)
 			}
-			if _, err := Infer(prog, testConfig(4)); err == nil || err.Error() != simErr.Error() {
+			_, err := Infer(prog, testConfig(4))
+			if err == nil || err.Error() != simErr.Error() {
 				t.Errorf("Infer error = %v, want the simulator's %q", err, simErr)
+			}
+			if !errors.Is(err, ErrMachineFault) {
+				t.Errorf("Infer error %v does not match ErrMachineFault", err)
 			}
 		})
 	}

@@ -112,13 +112,10 @@ type InferEvent struct {
 	Stmt   int         // statement ID (the access's enclosing statement for OpAccess)
 }
 
-// InferEpoch is one barrier-delimited interval of a node's stream. Accesses
-// is the projection of Events onto shared accesses, kept for consumers that
-// only care about the footprint.
+// InferEpoch is one barrier-delimited interval of a node's stream.
 type InferEpoch struct {
 	Index     int
 	BarrierID int // statement ID of the terminating barrier; -1 at program end
-	Accesses  []InferAccess
 	Events    []InferEvent
 }
 
@@ -175,7 +172,6 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		newEpoch := func(i int) InferEpoch {
 			ep := InferEpoch{Index: i, BarrierID: -1}
 			if i < len(like) {
-				ep.Accesses = make([]InferAccess, 0, len(like[i].Accesses))
 				ep.Events = make([]InferEvent, 0, len(like[i].Events))
 			}
 			return ep
@@ -204,7 +200,6 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 				for _, d := range ev.dims {
 					acc.Dims = append(acc.Dims, IndexSet{Lo: d.lo, Hi: d.hi, Stride: d.stride})
 				}
-				cur.Accesses = append(cur.Accesses, acc)
 				cur.Events = append(cur.Events, InferEvent{Op: OpAccess, Access: acc, Stmt: ev.encStmt})
 			case evLock:
 				cur.Events = append(cur.Events, InferEvent{Op: OpLock, Lock: ev.lockID, Stmt: ev.stmtID})

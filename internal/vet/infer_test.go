@@ -19,6 +19,17 @@ func inferProg(t *testing.T, src string) *parc.Program {
 	return prog
 }
 
+// accesses is an epoch's shared accesses, in stream order.
+func accesses(ep InferEpoch) []InferAccess {
+	var out []InferAccess
+	for _, ev := range ep.Events {
+		if ev.Op == OpAccess {
+			out = append(out, ev.Access)
+		}
+	}
+	return out
+}
+
 // TestSummarizeExactPartition pins the core contract: a concretely
 // enumerable SPMD partition program yields an Exact summary whose per-node
 // access streams are single-element, in program order, with the right
@@ -61,10 +72,10 @@ func main() {
 		lo := int64(ns.Node * 4)
 		for ei, wantWrite := range []bool{true, false} {
 			ep := ns.Epochs[ei]
-			if len(ep.Accesses) != 4 {
-				t.Fatalf("node %d epoch %d: %d accesses, want 4", ns.Node, ei, len(ep.Accesses))
+			if len(accesses(ep)) != 4 {
+				t.Fatalf("node %d epoch %d: %d accesses, want 4", ns.Node, ei, len(accesses(ep)))
 			}
-			for k, acc := range ep.Accesses {
+			for k, acc := range accesses(ep) {
 				if acc.Var != "A" || acc.Write != wantWrite || acc.Variant {
 					t.Errorf("node %d epoch %d access %d = %+v", ns.Node, ei, k, acc)
 				}
@@ -107,10 +118,10 @@ func main() {
 	}
 	// Node 0 writes x once per epoch 0..2; node 1 never touches it.
 	for e := 0; e < 3; e++ {
-		if n := len(sum.Nodes[0].Epochs[e].Accesses); n != 1 {
+		if n := len(accesses(sum.Nodes[0].Epochs[e])); n != 1 {
 			t.Errorf("node 0 epoch %d: %d accesses, want 1", e, n)
 		}
-		if n := len(sum.Nodes[1].Epochs[e].Accesses); n != 0 {
+		if n := len(accesses(sum.Nodes[1].Epochs[e])); n != 0 {
 			t.Errorf("node 1 epoch %d: %d accesses, want 0", e, n)
 		}
 	}
@@ -133,12 +144,12 @@ func main() {
 		t.Fatal(err)
 	}
 	// Node 1: pid()==0 folds false, so the VM never reads flag.
-	if n := len(sum.Nodes[1].Epochs[0].Accesses); n != 0 {
+	if n := len(accesses(sum.Nodes[1].Epochs[0])); n != 0 {
 		t.Errorf("node 1 should not touch flag under short-circuit, got %d accesses", n)
 	}
 	// Node 0 reads flag (guard), and the guard is data-dependent, so the
 	// summary must admit inexactness rather than claim the VM's stream.
-	if len(sum.Nodes[0].Epochs[0].Accesses) == 0 {
+	if len(accesses(sum.Nodes[0].Epochs[0])) == 0 {
 		t.Error("node 0 should record the guard read of flag")
 	}
 	if sum.Exact {
@@ -165,7 +176,7 @@ func main() {
 	if sum.Exact {
 		t.Fatal("input-dependent subscript should be inexact")
 	}
-	acc := sum.Nodes[0].Epochs[0].Accesses
+	acc := accesses(sum.Nodes[0].Epochs[0])
 	var write *InferAccess
 	for i := range acc {
 		if acc[i].Write {

@@ -135,10 +135,13 @@ check: build vet staticdiff test race
 # reference on every surface (cycles, stats, memory, trace, snapshot,
 # timeline): measuring mode under a protocol the seed picks, and trace mode.
 # FuzzStaticPlacement is the trace-free differential (see staticdiff above)
-# on generated programs outside the 200-seed corpus.
+# on generated programs outside the 200-seed corpus. FuzzVMEquivalence is the
+# interpreter-level differential under all of them: the typed bytecode VM
+# against the tree-walker on the Machine event stream, errors and memory.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzVMEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotatedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzLanesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance

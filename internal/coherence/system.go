@@ -409,7 +409,10 @@ func (s *System) upgrade(node int, block uint64) (cost uint64, trap bool) {
 	return s.proto.Upgrade(s, e, block, node)
 }
 
-// Read performs a shared-data read by node at addr, at local time now.
+// Read performs a shared-data read by node at addr, at local time now. Its
+// first return, a cache hit, has a twin in LaneView.Hit, which a compiled
+// lane tries before it calls Read at all: what that return counts or charges
+// must change in both.
 func (s *System) Read(node int, addr uint64, now uint64) Result {
 	s.Stats.Reads++
 	block := s.BlockOf(addr)
@@ -435,7 +438,9 @@ func (s *System) Read(node int, addr uint64, now uint64) Result {
 	return Result{Cycles: cost, Kind: ReadMiss, Trap: trap}
 }
 
-// Write performs a shared-data write by node at addr, at local time now.
+// Write performs a shared-data write by node at addr, at local time now. Its
+// first return, a hit on an exclusive line, has a twin in LaneView.Hit for
+// the lines already dirty (see Read).
 func (s *System) Write(node int, addr uint64, now uint64) Result {
 	s.Stats.Writes++
 	block := s.BlockOf(addr)
@@ -515,7 +520,8 @@ func (s *System) LaneView(node int, clock, limit, nodeReads, nodeWrites *uint64)
 	}, true
 }
 
-// Hit is the first return of Read and of Write with the calls taken out: it
+// Hit is the first return of System.Read and of System.Write with the calls
+// taken out (their comments point back here): it
 // reports whether the access to addr hits a line whose state it leaves alone
 // (cache.HotHit), and if so does what that return and its caller do and
 // nothing else: Stats.Reads or Writes, Stats.Hits, the caller's count of the

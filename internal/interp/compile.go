@@ -28,73 +28,170 @@ import (
 //     per-dimension work charge and bounds check the tree-walker performs
 //     are preserved (value math is folded, charge events are not).
 //
+// Registers are typed. The compiler gives every expression a kind from what
+// parc.Check resolved — a slot's declared type (FuncDecl.Scalars), an array's
+// element type, a loop counter, a literal, a builtin's or function's result —
+// and int/float promotion bottom-up through the operators, so the lane holds
+// raw 8-byte words and every arithmetic, compare and assignment op is an int
+// or a float variant that tests no tag. Where the tree-walker converts
+// implicitly (AsFloat, AsInt, coerce) the compiler emits an explicit
+// conversion, which carries no charge of its own. The one type that depends
+// on a value is kDyn's.
+//
 // The compiler reads only what parc.Check resolved (Ref, Slot, Shared, Fn,
-// Builtin, VarSlot); it never looks a name up. Every checked program
-// compiles, so a function the compiler refuses — a node built after Check
-// ran, or a compiler bug — makes the whole program an error (NewLaneVM
-// reports it), never a reason to run on another engine.
+// Builtin, VarSlot, Scalars); it never looks a name up. Every checked
+// program compiles, so a function the compiler refuses — a node built after
+// Check ran, or a compiler bug — makes the whole program an error
+// (NewLaneVM reports it), never a reason to run on another engine.
+
+// kind is the type of a register's contents.
+type kind uint8
+
+const (
+	kInt   kind = iota // int64 bits
+	kFloat             // float64 bits
+	// kDyn is the type min or max of an int and a float has: the winning
+	// operand's, so it is known only once the operands are. A kDyn value
+	// takes two registers, the bits and beside them a tag (nonzero for a
+	// float); opDyn computes on it with the tree-walker's Value semantics,
+	// and opD2I/opD2F convert it wherever a typed consumer takes it.
+	kDyn
+)
+
+func kindOf(b parc.BaseType) kind {
+	if b == parc.FloatType {
+		return kFloat
+	}
+	return kInt
+}
+
+// val is a compiled expression: the register holding it and its kind.
+type val struct {
+	r int32
+	k kind
+}
 
 // op is a VM opcode.
 type op uint8
 
 const (
-	opNop         op = iota // hosts work charges only
-	opConst                 // regs[a] = imm
-	opCoerce                // regs[a] = coerce(regs[b], base(n))
-	opJump                  // ip = n
-	opJz                    // if !regs[a].Truthy() ip = n
-	opSCAnd                 // if !regs[b].Truthy() { regs[a] = 0; ip = n }
-	opSCOr                  // if regs[b].Truthy() { regs[a] = 1; ip = n }
-	opTruthy                // regs[a] = boolVal(regs[b].Truthy())
-	opNeg                   // regs[a] = -regs[b]
-	opNot                   // regs[a] = !regs[b]
-	opAdd                   // regs[a] = regs[b] + regs[c]
-	opSub                   // regs[a] = regs[b] - regs[c]
-	opMul                   // regs[a] = regs[b] * regs[c]
-	opDiv                   // regs[a] = regs[b] / regs[c] (int /0 errors)
-	opMod                   // regs[a] = regs[b] % regs[c] (int only)
-	opEq                    // regs[a] = compare(regs[b], regs[c]) == 0
-	opNe                    // ... != 0
-	opLt                    // ... < 0
-	opLe                    // ... <= 0
-	opGt                    // ... > 0
-	opGe                    // ... >= 0
-	opBuiltin               // regs[a] = builtin n(regs[b], regs[c])
-	opCall                  // regs[a] = call aux.(*callPayload)
-	opRet                   // return regs[a] (a<0: fall-off-end/void)
-	opForPrep               // init hidden loop state for aux.(*forPayload)
-	opForCheck              // loop entry test; sets counter reg; exit to n
-	opForNext               // back edge: counter += step, re-test, continue to n+1
-	opAllocArr              // (re)allocate private array aux.(*allocPayload)
-	opArrNil                // error if private array a never allocated (msg aux)
-	opBounds                // bounds-check index regs[b] against size n
-	opFail                  // unconditional runtime error aux.(*failPayload)
-	opDivGuardReg           // /= guard: rhs regs[b] int-zero and !regs[a].Float errors
-	opDivGuardInt           // /= guard: rhs regs[b] int-zero errors (dest statically int)
-	opAsgLocal              // regs[a] = applyOp(regs[a], AssignOp(n), regs[b], cur.Float)
-	opLoadArr               // regs[a] = private array element (aux *memAccess)
-	opAsgArr                // private array element op= regs[b] (aux *memAccess)
-	opLoadShared            // regs[a] = shared load (flush+Access; aux *memAccess)
-	opAsgShared             // shared store/compound (flush+Access(+read); aux *memAccess)
-	opBarrier               // flush; Barrier
-	opLock                  // flush; Lock(regs[a].AsInt())
-	opUnlock                // flush; Unlock(regs[a].AsInt())
-	opPrint                 // flush; Print (aux *printPayload)
-	opDirBegin              // reset directive clamp state (aux *dirPayload)
-	opDirDim                // clamp dim c from regs[a]:regs[b]; empty → ip = n
-	opDirEmit               // flush; Directive(scratch ranges)
-	opDirNil                // flush; Directive(nil) — range empty after clamping
+	opNop     op = iota // hosts work charges only
+	opConst             // regs[a] = imm
+	opMov               // regs[a] = regs[b]
+	opI2F               // regs[a] = float(int regs[b])
+	opF2I               // regs[a] = int(float regs[b]), truncated
+	opD2I               // regs[a] = kDyn regs[b] as int
+	opD2F               // regs[a] = kDyn regs[b] as float
+	opTruthyF           // regs[a] = float regs[b] != 0
+	opJump              // ip = n
+	opJz                // if regs[a] == 0 ip = n
+	opSCAnd             // if regs[b] == 0 { regs[a] = 0; ip = n }
+	opSCOr              // if regs[b] != 0 { regs[a] = 1; ip = n }
+	opTruthy            // regs[a] = regs[b] != 0
+	opNot               // regs[a] = regs[b] == 0
+	opNegI              // regs[a] = -regs[b]
+	opNegF
+	opModI // regs[a] = regs[b] % regs[c] (modulo by zero errors)
 
-	// Fused compare-and-branch forms: evaluate the comparison and jump to n
-	// when it is false, without materializing the boolean. Produced by the
-	// peephole pass from a comparison whose sole consumer is the
-	// immediately following opJz.
-	opEqJf // if !(regs[b] == regs[c]) ip = n
-	opNeJf
-	opLtJf
-	opLeJf
-	opGtJf
-	opGeJf
+	// Arithmetic, in the order of arithOps: int, then float.
+	opAddI // regs[a] = regs[b] + regs[c]
+	opSubI
+	opMulI
+	opDivI // division by zero errors
+	opAddF
+	opSubF
+	opMulF
+	opDivF
+
+	// Comparisons, in the order of cmpOps: int, then float, then the fused
+	// compare-and-branch forms, which jump to n when the comparison is false
+	// without materializing the boolean (emitJz makes them from a comparison
+	// whose sole consumer is the opJz right after it). Float compares follow
+	// compare's ordering: NaN is neither less nor greater than anything.
+	opEqI // regs[a] = regs[b] == regs[c]
+	opNeI
+	opLtI
+	opLeI
+	opGtI
+	opGeI
+	opEqF
+	opNeF
+	opLtF
+	opLeF
+	opGtF
+	opGeF
+	opEqIJf // if !(regs[b] == regs[c]) ip = n
+	opNeIJf
+	opLtIJf
+	opLeIJf
+	opGtIJf
+	opGeIJf
+	opEqFJf
+	opNeFJf
+	opLtFJf
+	opLeFJf
+	opGtFJf
+	opGeFJf
+
+	opBuiltin  // regs[a] = builtin n (a vb* id) of regs[b], regs[c]
+	opDyn      // a kDyn operation, aux *dynPayload
+	opCall     // regs[a] = call aux.(*callPayload)
+	opRet      // return regs[a] (a<0: fall-off-end/void)
+	opForPrep  // init hidden loop state for aux.(*forPayload)
+	opForCheck // loop entry test; sets counter reg; exit to n
+	opForNext  // back edge: counter += step, re-test, continue to n+1
+	opAllocArr // (re)allocate private array aux.(*allocPayload)
+	opArrNil   // error if private array a never allocated (msg aux)
+	opBounds   // bounds-check index regs[b] against size n
+	opFail     // unconditional runtime error aux.(*failPayload)
+	opDivGuard // /= guard: int rhs regs[b] == 0 errors (int destination)
+
+	opLoadArr    // regs[a] = private array element (aux *memAccess)
+	opAsgArr     // private array element op= regs[b] (aux *memAccess)
+	opLoadShared // regs[a] = shared load (flush+Access; aux *memAccess)
+	opAsgShared  // shared store/compound (flush+Access(+read); aux *memAccess)
+	opBarrier    // flush; Barrier
+	opLock       // flush; Lock(regs[a])
+	opUnlock     // flush; Unlock(regs[a])
+	opPrint      // flush; Print (aux *printPayload)
+	opDirBegin   // reset directive clamp state (aux *dirPayload)
+	opDirDim     // clamp dim c from regs[a]:regs[b]; empty → ip = n
+	opDirEmit    // flush; Directive(scratch ranges)
+	opDirNil     // flush; Directive(nil) — range empty after clamping
+)
+
+// arithOps and cmpOps index the typed operators by token; the float variant
+// of an int op is the int op plus its table's width.
+var (
+	arithOps = map[parc.TokKind]op{parc.TokPlus: opAddI, parc.TokMinus: opSubI, parc.TokStar: opMulI, parc.TokSlash: opDivI}
+	cmpOps   = map[parc.TokKind]op{parc.TokEq: opEqI, parc.TokNe: opNeI, parc.TokLt: opLtI, parc.TokLe: opLeI, parc.TokGt: opGtI, parc.TokGe: opGeI}
+)
+
+const (
+	arithFloat = opAddF - opAddI
+	cmpFloat   = opEqF - opEqI
+	cmpFused   = opEqIJf - opEqI
+)
+
+func isCompare(o op) bool { return o >= opEqI && o <= opGeF }
+
+// Builtins as the lane runs them (opBuiltin's n): the typed variants, and
+// the rest with their arguments already converted to the types they take.
+const (
+	vbPid int32 = iota
+	vbNprocs
+	vbMinI
+	vbMinF
+	vbMaxI
+	vbMaxF
+	vbAbsI
+	vbAbsF
+	vbSqrt
+	vbSin
+	vbCos
+	vbFloor
+	vbRnd
+	vbRndseed
 )
 
 // instr is one VM instruction. pc is the enclosing statement ID (the trace
@@ -104,9 +201,9 @@ type instr struct {
 	op      op
 	nwork   uint16
 	a, b, c int32 // register operands (or slot/array indices)
-	n       int32 // jump target, assignment/builtin op, base type, size
+	n       int32 // jump target, builtin, size
 	pc      int32
-	imm     Value
+	imm     uint64
 	aux     any
 }
 
@@ -128,20 +225,45 @@ type idxTerm struct {
 // non-constant subscript. For private arrays arr is the frame array slot;
 // for shared accesses decl carries the declaration (base address, type).
 // postWork holds unit charges that follow the last folded bounds check
-// (constant-subscript charges), applied after all term checks.
+// (constant-subscript charges), applied after all term checks; work is the
+// walk's charges in all. An assignment combines the element with its
+// right-hand side as asg says.
 type memAccess struct {
 	name     string
 	arr      int32
 	decl     *parc.SharedDecl
 	constOff int64
 	terms    []idxTerm
-	isFloat  bool
+	asg      asgOp
 	assignOp parc.AssignOp
 	postWork uint16
+	work     uint64
 }
 
-// callPayload describes a user-function call site; compileProgram fills in
-// the callee's code once every function is compiled.
+// asgOp is how an element assignment combines the element (of the array's
+// type) with its right-hand side, picked from the two kinds at compile time.
+type asgOp uint8
+
+const (
+	asgSet  asgOp = iota // store the rhs, already converted to the element's type
+	asgAddI              // int element, int rhs
+	asgSubI
+	asgMulI
+	asgDivI
+	asgAddF // float element, rhs converted to float
+	asgSubF
+	asgMulF
+	asgDivF
+	asgAddX // int element, float rhs: computed in floats, truncated
+	asgSubX
+	asgMulX
+	asgDivX
+	asgDyn // int element, kDyn rhs: the tree-walker's applyOp
+)
+
+// callPayload describes a user-function call site, its arguments already of
+// the parameters' types; compileProgram fills in the callee's code once
+// every function is compiled.
 type callPayload struct {
 	fn   *parc.FuncDecl
 	code *fnCode
@@ -149,29 +271,25 @@ type callPayload struct {
 }
 
 // forPayload carries a counted loop's register layout: from/to/step source
-// registers (step < 0 means the default step of 1), the triple of hidden
-// state registers at base (i, hi, step), and the counter's visible register.
+// registers (int; step < 0 means the default step of 1), and the triple of
+// hidden state registers at base (i, hi, step).
 type forPayload struct {
 	varName        string
 	from, to, step int32
 	base           int32
-	slot           int32
 }
 
 type allocPayload struct {
 	arr  int32
 	size int
-	dims []int
-	base parc.BaseType
 }
 
 type printPayload struct {
 	format string
-	args   []int32
+	args   []val
 }
 
-// dirPayload describes a CICO directive target; los/his index the
-// per-dimension clamp state scratch on the Context.
+// dirPayload describes a CICO directive target.
 type dirPayload struct {
 	kind parc.AnnKind
 	decl *parc.SharedDecl
@@ -186,12 +304,34 @@ type failPayload struct {
 	msg string
 }
 
+// dynOp is what an opDyn computes, on regs[b] (kind xk) and, for the
+// binary ones, regs[c] (kind yk), into regs[a] (kind dk).
+type dynOp uint8
+
+const (
+	dynBinary   dynOp = iota // binaryOp(tok)
+	dynNeg                   // negValue
+	dynTruthy                // boolVal(Truthy)
+	dynMin                   // minValue
+	dynMax                   // maxValue
+	dynAbs                   // absValue
+	dynAssign                // applyOp(int regs[b], asg, regs[c]), into int regs[a]
+	dynDivGuard              // the /= guard on a kDyn rhs in regs[b]; writes nothing
+)
+
+type dynPayload struct {
+	op         dynOp
+	tok        parc.TokKind
+	asg        parc.AssignOp
+	xk, yk, dk kind
+}
+
 // fnCode is one compiled function. Registers are laid out as
 // [named scalars | constant pool | temporaries]: the constant pool holds
-// every distinct literal the body materializes, written once when a frame is
-// first allocated and preserved across pooled reuse (release only clears the
-// clearRegs named-scalar prefix; temporaries are always written before they
-// are read).
+// every distinct literal word the body materializes, written once when a
+// frame is first allocated and preserved across pooled reuse (release only
+// clears the clearRegs named-scalar prefix to zero, which is both types'
+// zero; temporaries are always written before they are read).
 type fnCode struct {
 	fn        *parc.FuncDecl
 	idx       int // frame pool index
@@ -199,7 +339,7 @@ type fnCode struct {
 	nregs     int
 	narrs     int
 	poolBase  int32
-	poolVals  []Value
+	poolVals  []uint64
 	clearRegs int
 }
 
@@ -243,33 +383,36 @@ type funcCompiler struct {
 	sp    int32 // next free register
 	maxSp int32
 
-	pool       map[Value]int32 // literal value -> constant-pool register
-	constSeen  map[Value]bool
-	constOrder []Value
+	pool       map[uint64]int32 // literal word -> constant-pool register
+	constSeen  map[uint64]bool
+	constOrder []uint64
 	firstTemp  int32
 
 	labels []int32 // label id -> instruction index (patched at bind time)
+	bound  int     // len(ins) when a label was last bound: the next instruction is a jump target
 }
 
 // compileFunc lowers a function in two passes: the first discovers the
-// distinct literal values the body materializes, the second compiles for
-// real with those values pinned in constant-pool registers, so literal
+// distinct literal words the body materializes, the second compiles for
+// real with those words pinned in constant-pool registers, so literal
 // references cost nothing in the instruction stream.
 func compileFunc(f *parc.FuncDecl) (*fnCode, error) {
-	scout := &funcCompiler{fn: f, sp: int32(f.NumScalars)}
+	scout := &funcCompiler{fn: f}
 	if _, err := scout.compile(nil); err != nil {
 		return nil, err
 	}
-	fc := &funcCompiler{fn: f, sp: int32(f.NumScalars)}
+	fc := &funcCompiler{fn: f}
 	return fc.compile(scout.constOrder)
 }
 
-func (fc *funcCompiler) compile(poolVals []Value) (*fnCode, error) {
+func (fc *funcCompiler) compile(poolVals []uint64) (*fnCode, error) {
 	f := fc.fn
+	fc.sp = int32(len(f.Scalars))
 	fc.maxSp = fc.sp
+	fc.bound = -1
 	poolBase := fc.sp
 	if len(poolVals) > 0 {
-		fc.pool = make(map[Value]int32, len(poolVals))
+		fc.pool = make(map[uint64]int32, len(poolVals))
 		for _, v := range poolVals {
 			fc.pool[v] = fc.alloc()
 		}
@@ -280,8 +423,6 @@ func (fc *funcCompiler) compile(poolVals []Value) (*fnCode, error) {
 	}
 	// Fall-off-the-end return; hosts any trailing pending charges.
 	fc.emit(instr{op: opRet, a: -1})
-	fc.propagateCopies()
-	fc.fuseCompares()
 	for i := range fc.ins {
 		if isJumpOp(fc.ins[i].op) {
 			fc.ins[i].n = fc.labels[fc.ins[i].n]
@@ -294,138 +435,16 @@ func (fc *funcCompiler) compile(poolVals []Value) (*fnCode, error) {
 		narrs:     f.NumArrays,
 		poolBase:  poolBase,
 		poolVals:  poolVals,
-		clearRegs: f.NumScalars,
+		clearRegs: len(f.Scalars),
 	}, nil
 }
 
 func isJumpOp(o op) bool {
 	switch o {
-	case opJump, opJz, opSCAnd, opSCOr, opForCheck, opForNext, opDirDim,
-		opEqJf, opNeJf, opLtJf, opLeJf, opGtJf, opGeJf:
+	case opJump, opJz, opSCAnd, opSCOr, opForCheck, opForNext, opDirDim:
 		return true
 	}
-	return false
-}
-
-// fusedOp maps a comparison opcode to its fused compare-and-branch form.
-func fusedOp(o op) (op, bool) {
-	switch o {
-	case opEq:
-		return opEqJf, true
-	case opNe:
-		return opNeJf, true
-	case opLt:
-		return opLtJf, true
-	case opLe:
-		return opLeJf, true
-	case opGt:
-		return opGtJf, true
-	case opGe:
-		return opGeJf, true
-	}
-	return o, false
-}
-
-// retargetable reports whether an op's only register effect is writing
-// regs[a] (it never reads regs[a]), so its destination can be renamed.
-// Machine-visible side effects (an Access from a load, a builtin's rng
-// update) are untouched by renaming the destination.
-func retargetable(o op) bool {
-	switch o {
-	case opConst, opCoerce, opTruthy, opNeg, opNot,
-		opAdd, opSub, opMul, opDiv, opMod,
-		opEq, opNe, opLt, opLe, opGt, opGe,
-		opBuiltin, opCall, opLoadArr, opLoadShared:
-		return true
-	}
-	return false
-}
-
-// propagateCopies folds the ubiquitous pattern
-//
-//	temp = <op ...>        (temp's only writer)
-//	slot = temp            (plain opAsgLocal, OpSet)
-//
-// into a single instruction writing the slot directly. Safe because every
-// expression temporary has exactly one consumer (the parent construct), so
-// nothing reads temp after the dropped assignment; OpSet stores the value
-// unmodified, so redirecting the producer is observationally identical. The
-// assignment must host no work charges (hosted charges would migrate across
-// the producer's Machine effects) and must not be a jump target (the jump
-// would skip the store). Runs before label patching; removed instructions
-// only require remapping label indices.
-func (fc *funcCompiler) propagateCopies() {
-	isTarget := make(map[int32]bool, len(fc.labels))
-	for _, idx := range fc.labels {
-		isTarget[idx] = true
-	}
-	out := fc.ins[:0]
-	remap := make([]int32, len(fc.ins)+1)
-	for i := 0; i < len(fc.ins); i++ {
-		remap[i] = int32(len(out))
-		in := fc.ins[i]
-		if i > 0 && len(out) > 0 && in.op == opAsgLocal &&
-			parc.AssignOp(in.n) == parc.OpSet && in.nwork == 0 &&
-			in.b >= fc.firstTemp && !isTarget[int32(i)] {
-			prev := &out[len(out)-1]
-			// prev must be the instruction emitted immediately before the
-			// assignment (nothing dropped in between shifts it: drops only
-			// retarget temps to slots, which then fail the prev.a==in.b test).
-			if retargetable(prev.op) && prev.a == in.b {
-				prev.a = in.a
-				continue
-			}
-		}
-		out = append(out, in)
-	}
-	remap[len(fc.ins)] = int32(len(out))
-	for l, idx := range fc.labels {
-		if idx >= 0 {
-			fc.labels[l] = remap[idx]
-		}
-	}
-	fc.ins = out
-}
-
-// fuseCompares rewrites comparison + opJz pairs into single fused
-// compare-and-branch instructions. A pair fuses only when the branch tests
-// the register the comparison just wrote, that register is a temporary (so
-// nothing else reads it), the branch is not itself a jump target, and the
-// merged work charges fit; the charge order is preserved because the
-// comparison's charges precede the test in both forms. Runs before label
-// patching, so removed branches only require remapping label indices.
-func (fc *funcCompiler) fuseCompares() {
-	isTarget := make(map[int32]bool, len(fc.labels))
-	for _, idx := range fc.labels {
-		isTarget[idx] = true
-	}
-	out := fc.ins[:0]
-	remap := make([]int32, len(fc.ins)+1)
-	for i := 0; i < len(fc.ins); i++ {
-		remap[i] = int32(len(out))
-		in := fc.ins[i]
-		if f, ok := fusedOp(in.op); ok && i+1 < len(fc.ins) {
-			nx := fc.ins[i+1]
-			if nx.op == opJz && nx.a == in.a && in.a >= fc.firstTemp &&
-				!isTarget[int32(i+1)] && int(in.nwork)+int(nx.nwork) <= 0xFFFF {
-				in.op = f
-				in.nwork += nx.nwork
-				in.n = nx.n
-				remap[i+1] = int32(len(out))
-				out = append(out, in)
-				i++
-				continue
-			}
-		}
-		out = append(out, in)
-	}
-	remap[len(fc.ins)] = int32(len(out))
-	for l, idx := range fc.labels {
-		if idx >= 0 {
-			fc.labels[l] = remap[idx]
-		}
-	}
-	fc.ins = out
+	return o >= opEqIJf && o <= opGeFJf
 }
 
 // errUncompilable marks a construct the compiler refuses; the program then
@@ -434,26 +453,27 @@ func errUncompilable(format string, args ...any) error {
 	return fmt.Errorf("uncompilable: "+format, args...)
 }
 
-// constVal returns a register holding the literal value: the constant-pool
+// constVal returns a register holding the literal word: the constant-pool
 // register when one is assigned (written once per frame, no per-use
 // instruction), else a freshly written temporary. Literal evaluation is
 // charge-free in the tree-walker, so eliding the instruction moves no work
-// charges across any observable event. On the discovery pass the value is
-// recorded for the real pass's pool.
-func (fc *funcCompiler) constVal(v Value) int32 {
-	if r, ok := fc.pool[v]; ok {
-		return r
+// charges across any observable event. On the discovery pass the word is
+// recorded for the real pass's pool. An int and a float literal with the
+// same bits share a register: the kind belongs to the use.
+func (fc *funcCompiler) constVal(bits uint64, k kind) val {
+	if r, ok := fc.pool[bits]; ok {
+		return val{r, k}
 	}
-	if !fc.constSeen[v] {
+	if !fc.constSeen[bits] {
 		if fc.constSeen == nil {
-			fc.constSeen = make(map[Value]bool)
+			fc.constSeen = make(map[uint64]bool)
 		}
-		fc.constSeen[v] = true
-		fc.constOrder = append(fc.constOrder, v)
+		fc.constSeen[bits] = true
+		fc.constOrder = append(fc.constOrder, bits)
 	}
 	dst := fc.alloc()
-	fc.emit(instr{op: opConst, a: dst, imm: v})
-	return dst
+	fc.emit(instr{op: opConst, a: dst, imm: bits})
+	return val{dst, k}
 }
 
 func (fc *funcCompiler) alloc() int32 {
@@ -461,6 +481,16 @@ func (fc *funcCompiler) alloc() int32 {
 	fc.sp++
 	if fc.sp > fc.maxSp {
 		fc.maxSp = fc.sp
+	}
+	return r
+}
+
+// allocKind allocates a temporary for a value of kind k: two registers for
+// kDyn's bits and tag.
+func (fc *funcCompiler) allocKind(k kind) int32 {
+	r := fc.alloc()
+	if k == kDyn {
+		fc.alloc()
 	}
 	return r
 }
@@ -481,6 +511,116 @@ func (fc *funcCompiler) emit(in instr) int32 {
 	return int32(len(fc.ins) - 1)
 }
 
+// producer returns the last instruction when it wrote the temporary r and
+// the instruction about to be emitted would be a plain successor of it: no
+// jump lands between them and no charges are pending. Nothing else reads an
+// expression temporary but its one consumer, so that consumer may take over
+// the producer.
+func (fc *funcCompiler) producer(r int32) *instr {
+	n := len(fc.ins)
+	if n == 0 || r < fc.firstTemp || fc.bound == n || fc.pend != 0 {
+		return nil
+	}
+	if in := &fc.ins[n-1]; in.a == r {
+		return in
+	}
+	return nil
+}
+
+// retargetable reports whether an op's only register effect is writing
+// regs[a] (kind int or float), so its destination can be renamed. Machine-
+// visible side effects (an Access from a load, a builtin's rng update) are
+// untouched by renaming the destination.
+func retargetable(o op) bool {
+	switch o {
+	case opConst, opMov, opI2F, opF2I, opD2I, opD2F, opTruthyF, opTruthy, opNot,
+		opNegI, opNegF, opModI, opBuiltin, opCall, opLoadArr, opLoadShared:
+		return true
+	}
+	return o >= opAddI && o <= opGeF
+}
+
+// move assigns v to the named slot dst of kind k. The ubiquitous
+//
+//	temp = <op ...>
+//	slot = temp
+//
+// becomes one instruction writing the slot directly when the kinds agree:
+// the temporary has no other reader, and the store would host no charges
+// and be no jump target (see producer).
+func (fc *funcCompiler) move(dst int32, v val, k kind) {
+	if v.k == k {
+		if p := fc.producer(v.r); p != nil && retargetable(p.op) {
+			p.a = dst
+			return
+		}
+	}
+	fc.convertInto(dst, v, k)
+}
+
+// convertInto writes v to dst as kind k (int or float): a move, or the
+// conversion the tree-walker's AsInt/AsFloat/coerce performs.
+func (fc *funcCompiler) convertInto(dst int32, v val, k kind) {
+	o := opMov
+	switch {
+	case v.k == k:
+	case k == kFloat && v.k == kInt:
+		o = opI2F
+	case k == kFloat:
+		o = opD2F
+	case v.k == kFloat:
+		o = opF2I
+	default:
+		o = opD2I
+	}
+	fc.emit(instr{op: o, a: dst, b: v.r})
+}
+
+// convert returns v as kind k (int or float), in a new temporary unless it
+// already is one.
+func (fc *funcCompiler) convert(v val, k kind) val {
+	if v.k == k {
+		return v
+	}
+	dst := fc.alloc()
+	fc.convertInto(dst, v, k)
+	return val{dst, k}
+}
+
+// truth returns an int register that is nonzero exactly when v is truthy.
+func (fc *funcCompiler) truth(v val) int32 {
+	switch v.k {
+	case kFloat:
+		dst := fc.alloc()
+		fc.emit(instr{op: opTruthyF, a: dst, b: v.r})
+		return dst
+	case kDyn:
+		dst := fc.alloc()
+		fc.emit(instr{op: opDyn, a: dst, b: v.r, aux: &dynPayload{op: dynTruthy, xk: kDyn, dk: kInt}})
+		return dst
+	}
+	return v.r
+}
+
+// emitJz branches to label l when v is falsy. A comparison whose result is
+// the temporary tested here fuses with the branch into one compare-and-
+// branch; the charge order is preserved because the comparison's charges
+// precede the test in both forms.
+func (fc *funcCompiler) emitJz(v val, l int32) {
+	r := fc.truth(v)
+	n := len(fc.ins)
+	if n > 0 && r >= fc.firstTemp && fc.bound != n {
+		if p := &fc.ins[n-1]; isCompare(p.op) && p.a == r && int(p.nwork)+fc.pend <= 0xFFFF {
+			p.op += cmpFused
+			p.nwork += uint16(fc.pend)
+			fc.pend = 0
+			p.n = l
+			return
+		}
+	}
+	fc.emit(instr{op: opJz, a: r, n: l})
+}
+
 // closePending hosts any pending charges in an opNop; called before binding
 // a label so charges cannot leak across a control-flow merge.
 func (fc *funcCompiler) closePending() {
@@ -497,6 +637,7 @@ func (fc *funcCompiler) newLabel() int32 {
 func (fc *funcCompiler) bind(l int32) {
 	fc.closePending()
 	fc.labels[l] = int32(len(fc.ins))
+	fc.bound = len(fc.ins)
 }
 
 func (fc *funcCompiler) block(b *parc.Block) error {
@@ -507,6 +648,8 @@ func (fc *funcCompiler) block(b *parc.Block) error {
 	}
 	return nil
 }
+
+func (fc *funcCompiler) slotKind(slot int32) kind { return kindOf(fc.fn.Scalars[slot]) }
 
 func (fc *funcCompiler) stmt(s parc.Stmt) error {
 	fc.curStmt = int32(s.ID())
@@ -527,31 +670,31 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 			for _, d := range n.DimSizes {
 				size *= d
 			}
-			fc.emit(instr{op: opAllocArr, aux: &allocPayload{arr: int32(n.Slot - 1), size: size, dims: n.DimSizes, base: n.Base}})
+			fc.emit(instr{op: opAllocArr, aux: &allocPayload{arr: int32(n.Slot - 1), size: size}})
 			return nil
 		}
 		if n.Init != nil {
-			r, err := fc.expr(n.Init)
+			v, err := fc.expr(n.Init)
 			if err != nil {
 				return err
 			}
-			fc.emit(instr{op: opCoerce, a: int32(n.Slot - 1), b: r, n: int32(n.Base)})
+			fc.convertInto(int32(n.Slot-1), v, kindOf(n.Base))
 			return nil
 		}
-		fc.emit(instr{op: opConst, a: int32(n.Slot - 1), imm: coerce(Value{}, n.Base)})
+		fc.emit(instr{op: opConst, a: int32(n.Slot - 1)}) // both types' zero
 		return nil
 
 	case *parc.AssignStmt:
 		return fc.assign(n)
 
 	case *parc.IfStmt:
-		r, err := fc.expr(n.Cond)
+		v, err := fc.expr(n.Cond)
 		if err != nil {
 			return err
 		}
 		end := fc.newLabel()
 		if n.Else == nil {
-			fc.emit(instr{op: opJz, a: r, n: end})
+			fc.emitJz(v, end)
 			if err := fc.block(n.Then); err != nil {
 				return err
 			}
@@ -559,7 +702,7 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 			return nil
 		}
 		els := fc.newLabel()
-		fc.emit(instr{op: opJz, a: r, n: els})
+		fc.emitJz(v, els)
 		if err := fc.block(n.Then); err != nil {
 			return err
 		}
@@ -576,11 +719,11 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		head := fc.newLabel()
 		exit := fc.newLabel()
 		fc.bind(head)
-		r, err := fc.expr(n.Cond)
+		v, err := fc.expr(n.Cond)
 		if err != nil {
 			return err
 		}
-		fc.emit(instr{op: opJz, a: r, n: exit})
+		fc.emitJz(v, exit)
 		if err := fc.block(n.Body); err != nil {
 			return err
 		}
@@ -595,30 +738,38 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		base := fc.alloc()
 		fc.alloc()
 		fc.alloc()
-		rf, err := fc.expr(n.From)
+		from, err := fc.intExpr(n.From)
 		if err != nil {
 			return err
 		}
-		rt, err := fc.expr(n.To)
+		to, err := fc.intExpr(n.To)
 		if err != nil {
 			return err
 		}
-		rs := int32(-1)
+		step := int32(-1)
 		if n.Step != nil {
-			if rs, err = fc.expr(n.Step); err != nil {
+			if step, err = fc.intExpr(n.Step); err != nil {
 				return err
 			}
 		}
 		if n.VarSlot == 0 {
 			return errUncompilable("loop counter %q has no slot", n.Var)
 		}
+		// The counter is an int; a counter slot declared float receives it
+		// converted at the top of each iteration.
 		slot := int32(n.VarSlot - 1)
-		fp := &forPayload{varName: n.Var, from: rf, to: rt, step: rs, base: base, slot: slot}
-		fc.emit(instr{op: opForPrep, aux: fp})
+		ctr := slot
+		if fc.slotKind(slot) != kInt {
+			ctr = fc.alloc()
+		}
+		fc.emit(instr{op: opForPrep, aux: &forPayload{varName: n.Var, from: from, to: to, step: step, base: base}})
 		head := fc.newLabel()
 		exit := fc.newLabel()
 		fc.bind(head)
-		fc.emit(instr{op: opForCheck, a: base, b: slot, n: exit})
+		fc.emit(instr{op: opForCheck, a: base, b: ctr, n: exit})
+		if ctr != slot {
+			fc.convertInto(slot, val{ctr, kInt}, kFloat)
+		}
 		if err := fc.block(n.Body); err != nil {
 			return err
 		}
@@ -629,7 +780,7 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		// dispatch; opForCheck runs only on loop entry. The head check hosts
 		// no work charges (bind closed pending just before it was emitted),
 		// so skipping it on iterations leaves charging identical.
-		fc.emit(instr{op: opForNext, a: base, b: slot, n: head})
+		fc.emit(instr{op: opForNext, a: base, b: ctr, n: head})
 		fc.bind(exit)
 		return nil
 
@@ -638,7 +789,7 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		return nil
 
 	case *parc.LockStmt:
-		r, err := fc.expr(n.LockID)
+		r, err := fc.intExpr(n.LockID)
 		if err != nil {
 			return err
 		}
@@ -646,7 +797,7 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		return nil
 
 	case *parc.UnlockStmt:
-		r, err := fc.expr(n.LockID)
+		r, err := fc.intExpr(n.LockID)
 		if err != nil {
 			return err
 		}
@@ -654,15 +805,19 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		return nil
 
 	case *parc.ReturnStmt:
-		if n.Value != nil {
-			r, err := fc.expr(n.Value)
-			if err != nil {
-				return err
-			}
-			fc.emit(instr{op: opRet, a: r, n: 1})
+		if n.Value == nil {
+			fc.emit(instr{op: opRet, a: -1, n: 1})
 			return nil
 		}
-		fc.emit(instr{op: opRet, a: -1, n: 1})
+		v, err := fc.expr(n.Value)
+		if err != nil {
+			return err
+		}
+		r := int32(-1) // a void function's return discards the value
+		if res := fc.fn.Result; res != nil {
+			r = fc.convert(v, kindOf(*res)).r
+		}
+		fc.emit(instr{op: opRet, a: r, n: 1})
 		return nil
 
 	case *parc.ExprStmt:
@@ -670,13 +825,13 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		return err
 
 	case *parc.PrintStmt:
-		args := make([]int32, len(n.Args))
+		args := make([]val, len(n.Args))
 		for i, a := range n.Args {
-			r, err := fc.expr(a)
+			v, err := fc.expr(a)
 			if err != nil {
 				return err
 			}
-			args[i] = r
+			args[i] = v
 		}
 		fc.emit(instr{op: opPrint, aux: &printPayload{format: n.Format, args: args}})
 		return nil
@@ -688,6 +843,15 @@ func (fc *funcCompiler) stmt(s parc.Stmt) error {
 		return nil // entry charge rolls into the next instruction
 	}
 	return errUncompilable("cannot compile %T", s)
+}
+
+// intExpr compiles an expression the tree-walker takes AsInt.
+func (fc *funcCompiler) intExpr(e parc.Expr) (int32, error) {
+	v, err := fc.expr(e)
+	if err != nil {
+		return 0, err
+	}
+	return fc.convert(v, kInt).r, nil
 }
 
 // directive lowers a CICO statement. Dimension bounds are evaluated in
@@ -711,13 +875,13 @@ func (fc *funcCompiler) directive(n *parc.CICOStmt) error {
 	empty := fc.newLabel()
 	end := fc.newLabel()
 	for d, ix := range r.Indices {
-		lo, err := fc.expr(ix.Lo)
+		lo, err := fc.intExpr(ix.Lo)
 		if err != nil {
 			return err
 		}
 		hi := int32(-1)
 		if ix.Hi != nil {
-			if hi, err = fc.expr(ix.Hi); err != nil {
+			if hi, err = fc.intExpr(ix.Hi); err != nil {
 				return err
 			}
 		}
@@ -738,56 +902,107 @@ func (fc *funcCompiler) assign(n *parc.AssignStmt) error {
 	if err != nil {
 		return err
 	}
-	slot, decl := int32(lv.Slot), lv.Shared
+	var dk kind
 	var arr *parc.VarDeclStmt
 	switch lv.Ref {
-	case parc.RefLocal, parc.RefShared:
+	case parc.RefLocal:
+		dk = fc.slotKind(int32(lv.Slot))
+	case parc.RefShared:
+		dk = kindOf(lv.Shared.Base)
 	case parc.RefArray:
-		if arr = fc.arrayDecl(lv.Name, slot); arr == nil {
+		if arr = fc.arrayDecl(lv.Name, int32(lv.Slot)); arr == nil {
 			return errUncompilable("array %q has no declaration", lv.Name)
 		}
+		dk = kindOf(arr.Base)
 	default:
 		return errUncompilable("assignment to %q was not checked", lv.Name)
 	}
 
+	// The right-hand side as the combination takes it: of the destination's
+	// type for a plain store or a float destination. An int destination
+	// takes a float rhs as is (the op runs in floats and truncates) and a
+	// kDyn one as is (opDyn, or asgDyn).
+	if n.Op == parc.OpSet || dk == kFloat {
+		rhs = fc.convert(rhs, dk)
+	}
+
 	// The /= integer-zero guard runs after the RHS evaluation but before
-	// any index evaluation, so it is emitted first.
-	if n.Op == parc.OpDiv {
-		switch lv.Ref {
-		case parc.RefLocal:
-			fc.emit(instr{op: opDivGuardReg, a: slot, b: rhs})
-		case parc.RefArray:
-			if arr.Base != parc.FloatType {
-				fc.emit(instr{op: opDivGuardInt, b: rhs})
-			}
-		case parc.RefShared:
-			if decl.Base != parc.FloatType {
-				fc.emit(instr{op: opDivGuardInt, b: rhs})
-			}
+	// any index evaluation, so it is emitted first. A float on either side
+	// makes the division IEEE.
+	if n.Op == parc.OpDiv && dk == kInt {
+		switch rhs.k {
+		case kInt:
+			fc.emit(instr{op: opDivGuard, b: rhs.r})
+		case kDyn:
+			fc.emit(instr{op: opDyn, b: rhs.r, aux: &dynPayload{op: dynDivGuard, xk: kDyn}})
 		}
 	}
 
 	switch lv.Ref {
 	case parc.RefLocal:
-		fc.emit(instr{op: opAsgLocal, a: slot, b: rhs, n: int32(n.Op)})
+		fc.assignLocal(int32(lv.Slot), dk, n.Op, rhs)
 		return nil
 
 	case parc.RefArray:
+		slot := int32(lv.Slot)
 		fc.emit(instr{op: opArrNil, a: slot, aux: &failPayload{msg: fmt.Sprintf("undefined variable %q", lv.Name)}})
-		ma := &memAccess{name: lv.Name, arr: slot, isFloat: arr.Base == parc.FloatType, assignOp: n.Op}
+		ma := &memAccess{name: lv.Name, arr: slot, asg: asgFor(n.Op, dk, rhs.k), assignOp: n.Op}
 		if err := fc.indices(ma, arr.DimSizes, lv.Indices); err != nil {
 			return err
 		}
-		fc.emitAccess(instr{op: opAsgArr, b: rhs, n: int32(n.Op), aux: ma}, ma)
+		fc.emitAccess(instr{op: opAsgArr, b: rhs.r, aux: ma}, ma)
 		return nil
 	}
 
-	ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType, assignOp: n.Op}
+	decl := lv.Shared
+	ma := &memAccess{name: decl.Name, decl: decl, asg: asgFor(n.Op, dk, rhs.k), assignOp: n.Op}
 	if err := fc.indices(ma, decl.DimSizes, lv.Indices); err != nil {
 		return err
 	}
-	fc.emitAccess(instr{op: opAsgShared, b: rhs, n: int32(n.Op), aux: ma}, ma)
+	fc.emitAccess(instr{op: opAsgShared, b: rhs.r, aux: ma}, ma)
 	return nil
+}
+
+// assignOps maps a compound assignment to its int arithmetic op.
+var assignOps = map[parc.AssignOp]op{parc.OpAdd: opAddI, parc.OpSub: opSubI, parc.OpMul: opMulI, parc.OpDiv: opDivI}
+
+// assignLocal lowers slot op= rhs, rhs already converted as assign says.
+func (fc *funcCompiler) assignLocal(slot int32, dk kind, aop parc.AssignOp, rhs val) {
+	if aop == parc.OpSet {
+		fc.move(slot, rhs, dk)
+		return
+	}
+	o := assignOps[aop]
+	switch {
+	case rhs.k == kDyn:
+		fc.emit(instr{op: opDyn, a: slot, b: slot, c: rhs.r, aux: &dynPayload{op: dynAssign, asg: aop, xk: kInt, yk: kDyn, dk: kInt}})
+	case dk == kInt && rhs.k == kFloat:
+		t := fc.convert(val{slot, kInt}, kFloat)
+		fc.emit(instr{op: o + arithFloat, a: t.r, b: t.r, c: rhs.r})
+		fc.convertInto(slot, t, kInt)
+	case dk == kFloat:
+		fc.emit(instr{op: o + arithFloat, a: slot, b: slot, c: rhs.r})
+	default:
+		fc.emit(instr{op: o, a: slot, b: slot, c: rhs.r})
+	}
+}
+
+// asgFor picks an element assignment's combination; rk is the rhs's kind
+// after assign's conversion.
+func asgFor(aop parc.AssignOp, dk, rk kind) asgOp {
+	if aop == parc.OpSet {
+		return asgSet
+	}
+	i := asgOp(aop - parc.OpAdd)
+	switch {
+	case dk == kFloat:
+		return asgAddF + i
+	case rk == kFloat:
+		return asgAddX + i
+	case rk == kDyn:
+		return asgDyn
+	}
+	return asgAddI + i
 }
 
 // arrayDecl finds the VarDeclStmt for a private array slot so the compiler
@@ -829,7 +1044,7 @@ func (fc *funcCompiler) indices(ma *memAccess, dims []int, indices []parc.Expr) 
 			ma.constOff += k * strides[d]
 			continue
 		}
-		r, err := fc.expr(ixe)
+		r, err := fc.intExpr(ixe)
 		if err != nil {
 			return err
 		}
@@ -888,6 +1103,10 @@ func (fc *funcCompiler) emitAccess(in instr, ma *memAccess) {
 		ma.postWork = fc.ins[idx].nwork
 		fc.ins[idx].nwork = 0
 	}
+	ma.work = uint64(ma.postWork)
+	for _, t := range ma.terms {
+		ma.work += uint64(t.nwork)
+	}
 }
 
 // constIndex reports whether a subscript expression is a charge-free
@@ -906,16 +1125,16 @@ func (fc *funcCompiler) constIndex(e parc.Expr) (int64, bool) {
 	return 0, false
 }
 
-// expr compiles an expression and returns the register holding its value.
-// Named scalars are returned in place (no copy); everything else lands in a
-// temporary above the statement's register mark.
-func (fc *funcCompiler) expr(e parc.Expr) (int32, error) {
+// expr compiles an expression and returns the register holding its value
+// and its kind. Named scalars are returned in place (no copy); everything
+// else lands in a temporary above the statement's register mark.
+func (fc *funcCompiler) expr(e parc.Expr) (val, error) {
 	switch n := e.(type) {
 	case *parc.IntLit:
-		return fc.constVal(IntVal(n.Value)), nil
+		return fc.constVal(uint64(n.Value), kInt), nil
 
 	case *parc.FloatLit:
-		return fc.constVal(FloatVal(n.Value)), nil
+		return fc.constVal(FloatVal(n.Value).Bits(), kFloat), nil
 
 	case *parc.VarRef:
 		return fc.varRef(n)
@@ -929,167 +1148,259 @@ func (fc *funcCompiler) expr(e parc.Expr) (int32, error) {
 	case *parc.UnaryExpr:
 		x, err := fc.expr(n.X)
 		if err != nil {
-			return 0, err
+			return val{}, err
 		}
 		fc.charge(1)
-		dst := fc.alloc()
 		switch n.Op {
 		case parc.TokMinus:
-			fc.emit(instr{op: opNeg, a: dst, b: x})
+			switch x.k {
+			case kInt:
+				return fc.emitOp(opNegI, kInt, x.r, 0), nil
+			case kFloat:
+				return fc.emitOp(opNegF, kFloat, x.r, 0), nil
+			}
+			return fc.emitDyn(dynPayload{op: dynNeg, xk: kDyn, dk: kDyn}, x.r, 0), nil
 		case parc.TokNot:
-			fc.emit(instr{op: opNot, a: dst, b: x})
-		default:
-			return 0, errUncompilable("bad unary operator")
+			return fc.emitOp(opNot, kInt, fc.truth(x), 0), nil
 		}
-		return dst, nil
+		return val{}, errUncompilable("bad unary operator")
 
 	case *parc.BinaryExpr:
 		return fc.binary(n)
 	}
-	return 0, errUncompilable("cannot compile %T", e)
+	return val{}, errUncompilable("cannot compile %T", e)
 }
 
-func (fc *funcCompiler) varRef(n *parc.VarRef) (int32, error) {
+// emitOp writes op(b, c) to a new temporary of kind k.
+func (fc *funcCompiler) emitOp(o op, k kind, b, c int32) val {
+	dst := fc.alloc()
+	fc.emit(instr{op: o, a: dst, b: b, c: c})
+	return val{dst, k}
+}
+
+// emitDyn emits an opDyn into a new temporary of kind p.dk.
+func (fc *funcCompiler) emitDyn(p dynPayload, b, c int32) val {
+	dst := fc.allocKind(p.dk)
+	fc.emit(instr{op: opDyn, a: dst, b: b, c: c, aux: &p})
+	return val{dst, p.dk}
+}
+
+func (fc *funcCompiler) varRef(n *parc.VarRef) (val, error) {
 	switch n.Ref {
 	case parc.RefLocal:
-		return int32(n.Slot), nil
+		return val{int32(n.Slot), fc.slotKind(int32(n.Slot))}, nil
 	case parc.RefConst:
-		return fc.constVal(IntVal(n.Const)), nil
+		return fc.constVal(uint64(n.Const), kInt), nil
 	case parc.RefShared:
 		dst := fc.alloc()
-		fc.emit(instr{op: opLoadShared, a: dst, aux: &memAccess{name: n.Name, decl: n.Shared, isFloat: n.Shared.Base == parc.FloatType}})
-		return dst, nil
+		fc.emit(instr{op: opLoadShared, a: dst, aux: &memAccess{name: n.Name, decl: n.Shared}})
+		return val{dst, kindOf(n.Shared.Base)}, nil
 	}
-	return 0, errUncompilable("reference to %q was not checked", n.Name)
+	return val{}, errUncompilable("reference to %q was not checked", n.Name)
 }
 
-func (fc *funcCompiler) indexExpr(n *parc.IndexExpr) (int32, error) {
+func (fc *funcCompiler) indexExpr(n *parc.IndexExpr) (val, error) {
 	switch n.Ref {
 	case parc.RefArray:
 		arrSlot := int32(n.Slot)
 		arr := fc.arrayDecl(n.Name, arrSlot)
 		if arr == nil {
-			return 0, errUncompilable("array %q has no declaration", n.Name)
+			return val{}, errUncompilable("array %q has no declaration", n.Name)
 		}
 		// The tree-walker checks "never allocated" before evaluating
 		// subscripts.
 		fc.emit(instr{op: opArrNil, a: arrSlot, aux: &failPayload{msg: fmt.Sprintf("%q is not an array", n.Name)}})
-		ma := &memAccess{name: n.Name, arr: arrSlot, isFloat: arr.Base == parc.FloatType}
+		ma := &memAccess{name: n.Name, arr: arrSlot}
 		if err := fc.indices(ma, arr.DimSizes, n.Indices); err != nil {
-			return 0, err
+			return val{}, err
 		}
 		dst := fc.alloc()
 		fc.emitAccess(instr{op: opLoadArr, a: dst, aux: ma}, ma)
-		return dst, nil
+		return val{dst, kindOf(arr.Base)}, nil
 
 	case parc.RefShared:
 		decl := n.Shared
-		ma := &memAccess{name: decl.Name, decl: decl, isFloat: decl.Base == parc.FloatType}
+		ma := &memAccess{name: decl.Name, decl: decl}
 		if err := fc.indices(ma, decl.DimSizes, n.Indices); err != nil {
-			return 0, err
+			return val{}, err
 		}
 		dst := fc.alloc()
 		fc.emitAccess(instr{op: opLoadShared, a: dst, aux: ma}, ma)
-		return dst, nil
+		return val{dst, kindOf(decl.Base)}, nil
 	}
-	return 0, errUncompilable("reference to %q was not checked", n.Name)
+	return val{}, errUncompilable("reference to %q was not checked", n.Name)
 }
 
-func (fc *funcCompiler) callExpr(n *parc.CallExpr) (int32, error) {
+func (fc *funcCompiler) callExpr(n *parc.CallExpr) (val, error) {
 	id, f := n.Builtin, n.Fn
 	if id == parc.BuiltinNone && f == nil {
-		return 0, errUncompilable("call to %q was not checked", n.Name)
+		return val{}, errUncompilable("call to %q was not checked", n.Name)
 	}
 	if id != parc.BuiltinNone {
-		if len(n.Args) > 2 {
-			return 0, errUncompilable("builtin %q with %d args", n.Name, len(n.Args))
-		}
-		argr := [2]int32{-1, -1}
-		for i, a := range n.Args {
-			r, err := fc.expr(a)
-			if err != nil {
-				return 0, err
-			}
-			argr[i] = r
-		}
-		fc.charge(1)
-		dst := fc.alloc()
-		fc.emit(instr{op: opBuiltin, a: dst, b: argr[0], c: argr[1], n: int32(id)})
-		return dst, nil
+		return fc.builtin(n)
 	}
 	args := make([]int32, len(n.Args))
 	for i, a := range n.Args {
-		r, err := fc.expr(a)
+		v, err := fc.expr(a)
 		if err != nil {
-			return 0, err
+			return val{}, err
 		}
-		args[i] = r
+		args[i] = fc.convert(v, kindOf(f.Params[i].Base)).r
+	}
+	k := kInt // a void function's call reads as int 0
+	if f.Result != nil {
+		k = kindOf(*f.Result)
 	}
 	dst := fc.alloc()
 	fc.emit(instr{op: opCall, a: dst, aux: &callPayload{fn: f, args: args}})
-	return dst, nil
+	return val{dst, k}, nil
 }
 
-func (fc *funcCompiler) binary(n *parc.BinaryExpr) (int32, error) {
+// builtin lowers a builtin call to its typed form: min, max and abs pick
+// the variant of their arguments' kind (opDyn when that is not one kind),
+// the float functions take their argument converted, and float() and int()
+// are conversions.
+func (fc *funcCompiler) builtin(n *parc.CallExpr) (val, error) {
+	if len(n.Args) > 2 {
+		return val{}, errUncompilable("builtin %q with %d args", n.Name, len(n.Args))
+	}
+	var args [2]val
+	for i, a := range n.Args {
+		v, err := fc.expr(a)
+		if err != nil {
+			return val{}, err
+		}
+		args[i] = v
+	}
+	fc.charge(1)
+	x, y := args[0], args[1]
+	switch n.Builtin {
+	case parc.BuiltinPid:
+		return fc.emitBuiltin(vbPid, kInt, -1, -1), nil
+	case parc.BuiltinNprocs:
+		return fc.emitBuiltin(vbNprocs, kInt, -1, -1), nil
+	case parc.BuiltinMin, parc.BuiltinMax:
+		isMin := n.Builtin == parc.BuiltinMin
+		if x.k != y.k || x.k == kDyn {
+			p := dynPayload{op: dynMax, xk: x.k, yk: y.k, dk: kDyn}
+			if isMin {
+				p.op = dynMin
+			}
+			return fc.emitDyn(p, x.r, y.r), nil
+		}
+		b := vbMaxI
+		if isMin {
+			b = vbMinI
+		}
+		if x.k == kFloat {
+			b++ // the float variant follows the int one
+		}
+		return fc.emitBuiltin(b, x.k, x.r, y.r), nil
+	case parc.BuiltinAbs:
+		switch x.k {
+		case kInt:
+			return fc.emitBuiltin(vbAbsI, kInt, x.r, -1), nil
+		case kFloat:
+			return fc.emitBuiltin(vbAbsF, kFloat, x.r, -1), nil
+		}
+		return fc.emitDyn(dynPayload{op: dynAbs, xk: kDyn, dk: kDyn}, x.r, -1), nil
+	case parc.BuiltinSqrt:
+		return fc.emitBuiltin(vbSqrt, kFloat, fc.convert(x, kFloat).r, -1), nil
+	case parc.BuiltinSin:
+		return fc.emitBuiltin(vbSin, kFloat, fc.convert(x, kFloat).r, -1), nil
+	case parc.BuiltinCos:
+		return fc.emitBuiltin(vbCos, kFloat, fc.convert(x, kFloat).r, -1), nil
+	case parc.BuiltinFloor:
+		return fc.emitBuiltin(vbFloor, kFloat, fc.convert(x, kFloat).r, -1), nil
+	case parc.BuiltinFloat:
+		return fc.convert(x, kFloat), nil
+	case parc.BuiltinInt:
+		return fc.convert(x, kInt), nil
+	case parc.BuiltinRnd:
+		return fc.emitBuiltin(vbRnd, kFloat, -1, -1), nil
+	case parc.BuiltinRndseed:
+		return fc.emitBuiltin(vbRndseed, kInt, fc.convert(x, kInt).r, -1), nil
+	}
+	return val{}, errUncompilable("unknown builtin %q", n.Name)
+}
+
+// emitBuiltin writes builtin b of x and y to a new temporary of kind k.
+func (fc *funcCompiler) emitBuiltin(b int32, k kind, x, y int32) val {
+	dst := fc.alloc()
+	fc.emit(instr{op: opBuiltin, a: dst, b: x, c: y, n: b})
+	return val{dst, k}
+}
+
+func (fc *funcCompiler) binary(n *parc.BinaryExpr) (val, error) {
 	if n.Op == parc.TokAndAnd || n.Op == parc.TokOrOr {
 		x, err := fc.expr(n.X)
 		if err != nil {
-			return 0, err
+			return val{}, err
 		}
 		fc.charge(1)
+		xr := fc.truth(x)
 		dst := fc.alloc()
 		end := fc.newLabel()
 		sc := opSCAnd
 		if n.Op == parc.TokOrOr {
 			sc = opSCOr
 		}
-		fc.emit(instr{op: sc, a: dst, b: x, n: end})
+		fc.emit(instr{op: sc, a: dst, b: xr, n: end})
 		y, err := fc.expr(n.Y)
 		if err != nil {
-			return 0, err
+			return val{}, err
 		}
-		fc.emit(instr{op: opTruthy, a: dst, b: y})
+		fc.emit(instr{op: opTruthy, a: dst, b: fc.truth(y)})
 		fc.bind(end)
-		return dst, nil
+		return val{dst, kInt}, nil
 	}
 
 	x, err := fc.expr(n.X)
 	if err != nil {
-		return 0, err
+		return val{}, err
 	}
 	y, err := fc.expr(n.Y)
 	if err != nil {
-		return 0, err
+		return val{}, err
 	}
 	fc.charge(1)
-	var o op
-	switch n.Op {
-	case parc.TokPlus:
-		o = opAdd
-	case parc.TokMinus:
-		o = opSub
-	case parc.TokStar:
-		o = opMul
-	case parc.TokSlash:
-		o = opDiv
-	case parc.TokPercent:
-		o = opMod
-	case parc.TokEq:
-		o = opEq
-	case parc.TokNe:
-		o = opNe
-	case parc.TokLt:
-		o = opLt
-	case parc.TokLe:
-		o = opLe
-	case parc.TokGt:
-		o = opGt
-	case parc.TokGe:
-		o = opGe
-	default:
-		return 0, errUncompilable("bad binary operator")
+	float := x.k == kFloat || y.k == kFloat
+	dyn := x.k == kDyn || y.k == kDyn
+	if n.Op == parc.TokPercent {
+		switch {
+		case float:
+			dst := fc.alloc()
+			fc.emit(instr{op: opFail, aux: &failPayload{msg: "% requires integer operands"}})
+			return val{dst, kInt}, nil
+		case dyn:
+			return fc.emitDyn(dynPayload{op: dynBinary, tok: n.Op, xk: x.k, yk: y.k, dk: kInt}, x.r, y.r), nil
+		}
+		return fc.emitOp(opModI, kInt, x.r, y.r), nil
 	}
-	dst := fc.alloc()
-	fc.emit(instr{op: o, a: dst, b: x, c: y})
-	return dst, nil
+	o, arith := arithOps[n.Op]
+	if !arith {
+		var ok bool
+		if o, ok = cmpOps[n.Op]; !ok {
+			return val{}, errUncompilable("bad binary operator")
+		}
+	}
+	rk := kInt // what the operation yields
+	switch {
+	case float:
+		// A float operand makes the operation a float one, whatever the
+		// other's kind.
+		x, y = fc.convert(x, kFloat), fc.convert(y, kFloat)
+		if arith {
+			rk = kFloat
+			o += arithFloat
+		} else {
+			o += cmpFloat
+		}
+	case dyn:
+		if arith {
+			rk = kDyn
+		}
+		return fc.emitDyn(dynPayload{op: dynBinary, tok: n.Op, xk: x.k, yk: y.k, dk: rk}, x.r, y.r), nil
+	}
+	return fc.emitOp(o, rk, x.r, y.r), nil
 }

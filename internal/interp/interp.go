@@ -142,12 +142,14 @@ func (c *Context) flush() {
 
 // frame is one function activation. Scalars and private arrays live in
 // exact-size slices; the checker assigns every parameter, local, and loop
-// variable a slot (parc.FuncDecl.NumScalars/NumArrays), so every name
-// reference is a single index. Locals are function-scoped and slots start
-// zero-valued: a read before the declaration executes yields the zero value
-// rather than a runtime "undefined variable" error.
+// variable a slot (parc.FuncDecl.Scalars/NumArrays), so every name
+// reference is a single index. Locals are function-scoped and a slot holds
+// its declared type for the whole activation: it starts as that type's zero,
+// so a read before the declaration executes yields the typed zero rather
+// than a runtime "undefined variable" error.
 type frame struct {
 	scalars []Value
+	types   []parc.BaseType // the function's parc.FuncDecl.Scalars
 	arrays  []privArray
 }
 
@@ -155,11 +157,6 @@ type privArray struct {
 	base parc.BaseType
 	dims []int
 	data []Value
-
-	// cache retains the backing slice across VM frame reuse so re-executed
-	// declarations allocate only on first use; data stays the source of
-	// truth (nil means "declaration never executed this activation").
-	cache []Value
 }
 
 type ctrl int
@@ -175,9 +172,13 @@ func (c *Context) call(f *parc.FuncDecl, args []Value) (Value, error) {
 	}
 	c.depth++
 	defer func() { c.depth-- }()
-	fr := &frame{scalars: make([]Value, f.NumScalars), arrays: make([]privArray, f.NumArrays)}
-	for i, p := range f.Params {
-		fr.scalars[i] = coerce(args[i], p.Base)
+	fr := &frame{scalars: make([]Value, len(f.Scalars)), types: f.Scalars, arrays: make([]privArray, f.NumArrays)}
+	for i, b := range f.Scalars {
+		var v Value // a local starts as its type's zero
+		if i < len(args) {
+			v = args[i]
+		}
+		fr.scalars[i] = coerce(v, b)
 	}
 	ct, v, err := c.execBlock(f.Body, fr)
 	if err != nil {
@@ -305,9 +306,12 @@ func (c *Context) execStmt(s parc.Stmt, fr *frame) (ctrl, Value, error) {
 		if n.VarSlot == 0 {
 			return ctrlNext, Value{}, c.errf("loop counter %q has no slot", n.Var)
 		}
+		// The counter is an int; a counter slot declared float holds it
+		// converted, like any other assignment to the slot.
 		lo, hi := from.AsInt(), to.AsInt()
+		base := fr.types[n.VarSlot-1]
 		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-			fr.scalars[n.VarSlot-1] = IntVal(i)
+			fr.scalars[n.VarSlot-1] = coerce(IntVal(i), base)
 			ct, v, err := c.execBlock(n.Body, fr)
 			if err != nil || ct == ctrlReturn {
 				return ct, v, err
@@ -396,8 +400,7 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 	switch lv.Ref {
 	case parc.RefLocal:
 		// Private scalar (local, param, or loop variable).
-		cur := fr.scalars[lv.Slot]
-		fr.scalars[lv.Slot] = applyOp(cur, n.Op, rhs, cur.Float)
+		fr.scalars[lv.Slot] = applyOp(fr.scalars[lv.Slot], n.Op, rhs, fr.types[lv.Slot] == parc.FloatType)
 		return nil
 
 	case parc.RefArray:
@@ -444,55 +447,13 @@ func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {
 func (c *Context) destIsFloat(lv *parc.LValue, fr *frame) bool {
 	switch lv.Ref {
 	case parc.RefLocal:
-		return fr.scalars[lv.Slot].Float
+		return fr.types[lv.Slot] == parc.FloatType
 	case parc.RefArray:
 		return fr.arrays[lv.Slot].base == parc.FloatType
 	case parc.RefShared:
 		return lv.Shared.Base == parc.FloatType
 	}
 	return false
-}
-
-// applyOp combines the current value with rhs under the assignment operator,
-// coercing the result to the destination's type.
-func applyOp(cur Value, op parc.AssignOp, rhs Value, destFloat bool) Value {
-	var out Value
-	switch op {
-	case parc.OpSet:
-		out = rhs
-	case parc.OpAdd:
-		if cur.Float || rhs.Float {
-			out = FloatVal(cur.AsFloat() + rhs.AsFloat())
-		} else {
-			out = IntVal(cur.I + rhs.I)
-		}
-	case parc.OpSub:
-		if cur.Float || rhs.Float {
-			out = FloatVal(cur.AsFloat() - rhs.AsFloat())
-		} else {
-			out = IntVal(cur.I - rhs.I)
-		}
-	case parc.OpMul:
-		if cur.Float || rhs.Float {
-			out = FloatVal(cur.AsFloat() * rhs.AsFloat())
-		} else {
-			out = IntVal(cur.I * rhs.I)
-		}
-	case parc.OpDiv:
-		// Integer division by zero is rejected by execAssign before the
-		// value reaches here; the int branch guards against it anyway.
-		if cur.Float || rhs.Float {
-			out = FloatVal(cur.AsFloat() / rhs.AsFloat())
-		} else if rhs.I == 0 {
-			out = IntVal(0)
-		} else {
-			out = IntVal(cur.I / rhs.I)
-		}
-	}
-	if destFloat {
-		return FloatVal(out.AsFloat())
-	}
-	return IntVal(out.AsInt())
 }
 
 // offset computes the flattened element offset of an index list against
@@ -609,15 +570,9 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		c.work(1)
 		switch n.Op {
 		case parc.TokMinus:
-			if x.Float {
-				return FloatVal(-x.F), nil
-			}
-			return IntVal(-x.I), nil
+			return negValue(x), nil
 		case parc.TokNot:
-			if x.Truthy() {
-				return IntVal(0), nil
-			}
-			return IntVal(1), nil
+			return boolVal(!x.Truthy()), nil
 		}
 		return Value{}, c.errf("bad unary operator")
 
@@ -625,13 +580,6 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 		return c.evalBinary(n, fr)
 	}
 	return Value{}, c.errf("cannot evaluate %T", e)
-}
-
-func boolVal(b bool) Value {
-	if b {
-		return IntVal(1)
-	}
-	return IntVal(0)
 }
 
 func (c *Context) evalBinary(n *parc.BinaryExpr, fr *frame) (Value, error) {
@@ -664,72 +612,11 @@ func (c *Context) evalBinary(n *parc.BinaryExpr, fr *frame) (Value, error) {
 		return Value{}, err
 	}
 	c.work(1)
-	switch n.Op {
-	case parc.TokPlus:
-		if x.Float || y.Float {
-			return FloatVal(x.AsFloat() + y.AsFloat()), nil
-		}
-		return IntVal(x.I + y.I), nil
-	case parc.TokMinus:
-		if x.Float || y.Float {
-			return FloatVal(x.AsFloat() - y.AsFloat()), nil
-		}
-		return IntVal(x.I - y.I), nil
-	case parc.TokStar:
-		if x.Float || y.Float {
-			return FloatVal(x.AsFloat() * y.AsFloat()), nil
-		}
-		return IntVal(x.I * y.I), nil
-	case parc.TokSlash:
-		if x.Float || y.Float {
-			return FloatVal(x.AsFloat() / y.AsFloat()), nil
-		}
-		if y.I == 0 {
-			return Value{}, c.errf("integer division by zero")
-		}
-		return IntVal(x.I / y.I), nil
-	case parc.TokPercent:
-		if x.Float || y.Float {
-			return Value{}, c.errf("%% requires integer operands")
-		}
-		if y.I == 0 {
-			return Value{}, c.errf("integer modulo by zero")
-		}
-		return IntVal(x.I % y.I), nil
-	case parc.TokEq:
-		return boolVal(compare(x, y) == 0), nil
-	case parc.TokNe:
-		return boolVal(compare(x, y) != 0), nil
-	case parc.TokLt:
-		return boolVal(compare(x, y) < 0), nil
-	case parc.TokLe:
-		return boolVal(compare(x, y) <= 0), nil
-	case parc.TokGt:
-		return boolVal(compare(x, y) > 0), nil
-	case parc.TokGe:
-		return boolVal(compare(x, y) >= 0), nil
+	v, msg := binaryOp(n.Op, x, y)
+	if msg != "" {
+		return Value{}, c.errf("%s", msg)
 	}
-	return Value{}, c.errf("bad binary operator")
-}
-
-func compare(x, y Value) int {
-	if x.Float || y.Float {
-		a, b := x.AsFloat(), y.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case x.I < y.I:
-		return -1
-	case x.I > y.I:
-		return 1
-	}
-	return 0
+	return v, nil
 }
 
 func (c *Context) evalBuiltin(n *parc.CallExpr, fr *frame) (Value, error) {
@@ -755,23 +642,11 @@ func (c *Context) evalBuiltin(n *parc.CallExpr, fr *frame) (Value, error) {
 	case parc.BuiltinNprocs:
 		return IntVal(int64(c.nprocs)), nil
 	case parc.BuiltinMin:
-		if compare(args[0], args[1]) <= 0 {
-			return args[0], nil
-		}
-		return args[1], nil
+		return minValue(args[0], args[1]), nil
 	case parc.BuiltinMax:
-		if compare(args[0], args[1]) >= 0 {
-			return args[0], nil
-		}
-		return args[1], nil
+		return maxValue(args[0], args[1]), nil
 	case parc.BuiltinAbs:
-		if args[0].Float {
-			return FloatVal(math.Abs(args[0].F)), nil
-		}
-		if args[0].I < 0 {
-			return IntVal(-args[0].I), nil
-		}
-		return args[0], nil
+		return absValue(args[0]), nil
 	case parc.BuiltinSqrt:
 		return FloatVal(math.Sqrt(args[0].AsFloat())), nil
 	case parc.BuiltinSin:

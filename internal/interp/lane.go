@@ -16,7 +16,9 @@ import (
 // charge flushes, shared accesses, barriers, locks, prints, directives,
 // calls — is broken into numbered phases. lv.phase names the phase to
 // re-enter; scalar scratch (term/off/addr/val/text) carries the
-// instruction's partial state across the suspension.
+// instruction's partial state across the suspension. Resume finishes a
+// parked instruction before it enters the dispatch loop (reenter), so the
+// loop itself only ever starts instructions and never tests the phase.
 //
 // Observational equivalence with the tree-walker is the whole contract
 // (see compile.go): the sequence of Machine calls, their arguments, and the
@@ -60,10 +62,8 @@ type laneFrame struct {
 	ip int32
 }
 
-// Instruction phases. phStart is the only phase in which per-instruction
-// bookkeeping (op count, entry work charges) runs; every suspendable step
-// records its continuation phase before issuing the call that may park the
-// lane.
+// Instruction phases. Every suspendable step records its continuation phase
+// before issuing the call that may park the lane.
 const (
 	phStart    uint8 = iota // fresh instruction
 	phBody                  // entry charges done; run the body
@@ -87,6 +87,8 @@ const (
 	stepAdvanceSuspend                   // instruction done AND parked
 	stepErr                              // runtime error in lv.err
 	stepFrame                            // call stack changed; reload frame
+	stepRestart                          // start the instruction at ip afresh
+	stepDone                             // the program finished
 )
 
 // LaneVM executes one node's program as a resumable lane.
@@ -104,7 +106,7 @@ type LaneVM struct {
 	term    int   // subscript walk position
 	off     int64 // accumulated element offset
 	addr    uint64
-	val     Value
+	val     uint64
 	text    string
 
 	err  error
@@ -156,11 +158,6 @@ func (lv *LaneVM) RunToCompletion() error {
 
 func (lv *LaneVM) running() bool {
 	return lv.y == nil || lv.y.LaneRunning(lv.c.node)
-}
-
-func (lv *LaneVM) finish() LaneStatus {
-	lv.done = true
-	return LaneDone
 }
 
 func (lv *LaneVM) fail(err error) LaneStatus {
@@ -235,13 +232,30 @@ func (lv *LaneVM) flushPending() bool {
 	return lv.work(pend)
 }
 
+// startWalk begins an access's subscript walk: in one go when its charges
+// cannot reach the flush limit and every check passes (the address is then
+// lv.off), else as the phased walk at phMem.
+func (lv *LaneVM) startWalk(ma *memAccess, regs []uint64) uint8 {
+	c := lv.c
+	if c.pending+ma.work < workFlushLimit {
+		if off, ok := ma.offset(regs); ok {
+			c.pending += ma.work
+			lv.off = off
+			return phFlushR
+		}
+	}
+	lv.off = ma.constOff
+	lv.term = 0
+	return phMem
+}
+
 // memWalk resumes (or starts) a memAccess subscript walk at phMem: per-term
 // unit charges, index read, bounds check, in exactly the tree-walker's
 // order (the charges and checks compile.go folded into the access op), with
 // the postWork charges after the last check. The flattened element offset
 // accumulates in lv.off. charged guards against re-adding a term's charge
 // when a flush parked the lane between the add and the drain's end.
-func (lv *LaneVM) memWalk(ma *memAccess, regs []Value, pc int32) stepResult {
+func (lv *LaneVM) memWalk(ma *memAccess, regs []uint64, pc int32) stepResult {
 	c := lv.c
 	for lv.term < len(ma.terms) {
 		t := &ma.terms[lv.term]
@@ -253,7 +267,7 @@ func (lv *LaneVM) memWalk(ma *memAccess, regs []Value, pc int32) stepResult {
 			return stepSuspend
 		}
 		lv.charged = false
-		ix := regs[t.reg].AsInt()
+		ix := int64(regs[t.reg])
 		if t.size > 0 && uint64(ix) >= uint64(t.size) {
 			lv.err = c.boundsErr(ma, t, ix, pc)
 			return stepErr
@@ -272,30 +286,60 @@ func (lv *LaneVM) memWalk(ma *memAccess, regs []Value, pc int32) stepResult {
 	return stepAdvance
 }
 
-// loadShared is opLoadShared in phases: subscript walk, flush, read Access,
-// deferred data load.
-func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
-	c := lv.c
-	ma := in.aux.(*memAccess)
-	if ph <= phBody {
-		if ma.terms == nil {
-			// Constant offset: nothing is charged before the flush.
-			lv.addr = c.bases[ma.decl.Index] + uint64(ma.constOff)*parc.ElemSize
-			ph = phFlushR
-		} else {
-			lv.off = ma.constOff
-			lv.term = 0
-			ph = phMem
-		}
+// walk runs an access's subscript walk from phase ph to its address: the
+// element offset in lv.off, and for a shared access the byte address in
+// lv.addr. It returns the phase the access continues at.
+func (lv *LaneVM) walk(in *instr, ma *memAccess, regs []uint64, ph uint8) (uint8, stepResult) {
+	if ph == phStart {
+		ph = lv.startWalk(ma, regs)
 		lv.phase = ph
 	}
 	if ph == phMem {
 		if st := lv.memWalk(ma, regs, in.pc); st != stepAdvance {
-			return st
+			return ph, st
 		}
-		lv.addr = c.bases[ma.decl.Index] + uint64(lv.off)*parc.ElemSize
 		ph = phFlushR
 		lv.phase = ph
+	}
+	if ma.decl != nil && ph == phFlushR {
+		lv.addr = lv.c.bases[ma.decl.Index] + uint64(lv.off)*parc.ElemSize
+	}
+	return ph, stepAdvance
+}
+
+// fastAddr is the usual start of a shared access, in one go: with a view,
+// when neither the walk's charges nor the flush after them can reach a
+// limit (the flush limit, the clock's) and every bounds check passes, it
+// makes the walk's charges and the flush, leaves the address in lv.addr and
+// reports true. Otherwise it changes nothing.
+func (lv *LaneVM) fastAddr(ma *memAccess, regs []uint64) bool {
+	c, v := lv.c, &lv.view
+	w := c.pending + ma.work
+	if !lv.viewed || w >= workFlushLimit || *v.Clock+w > *v.Limit {
+		return false
+	}
+	off, ok := ma.offset(regs)
+	if !ok {
+		return false
+	}
+	*v.Clock += w
+	c.pending = 0
+	lv.addr = c.bases[ma.decl.Index] + uint64(off)*parc.ElemSize
+	return true
+}
+
+// loadShared is opLoadShared in phases: subscript walk, flush, read Access,
+// deferred data load.
+func (lv *LaneVM) loadShared(in *instr, regs []uint64, ph uint8) stepResult {
+	c := lv.c
+	ma := in.aux.(*memAccess)
+	if ph == phStart && lv.fastAddr(ma, regs) {
+		ph = phAccR
+	} else {
+		var st stepResult
+		if ph, st = lv.walk(in, ma, regs, ph); st != stepAdvance {
+			return st
+		}
 	}
 	if ph == phFlushR {
 		ph = phAccR
@@ -312,7 +356,7 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	// phDataR: the data touch happens when the lane is scheduled after the
 	// Access — the same point the tree-walker, resumed inside it, reads.
-	regs[in.a] = FromBits(c.store.Load(lv.addr), ma.isFloat)
+	regs[in.a] = c.store.Load(lv.addr)
 	lv.phase = phStart
 	return stepAdvance
 }
@@ -320,32 +364,25 @@ func (lv *LaneVM) loadShared(in *instr, regs []Value, ph uint8) stepResult {
 // asgShared is opAsgShared in phases: subscript walk, then for compound
 // assignment a flush + read Access + deferred load, then flush + write
 // Access + deferred store.
-func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
+func (lv *LaneVM) asgShared(in *instr, regs []uint64, ph uint8) stepResult {
 	c := lv.c
 	ma := in.aux.(*memAccess)
-	if ph <= phBody {
-		if ma.terms == nil {
-			lv.addr = c.bases[ma.decl.Index] + uint64(ma.constOff)*parc.ElemSize
-			ph = phFlushR
-		} else {
-			lv.off = ma.constOff
-			lv.term = 0
-			ph = phMem
+	if ph == phStart && lv.fastAddr(ma, regs) {
+		ph = phAccR
+		if ma.asg == asgSet {
+			lv.val = regs[in.b]
+			ph = phAccW
 		}
-		lv.phase = ph
-	}
-	if ph == phMem {
-		if st := lv.memWalk(ma, regs, in.pc); st != stepAdvance {
+	} else {
+		var st stepResult
+		if ph, st = lv.walk(in, ma, regs, ph); st != stepAdvance {
 			return st
 		}
-		lv.addr = c.bases[ma.decl.Index] + uint64(lv.off)*parc.ElemSize
-		ph = phFlushR
-		lv.phase = ph
 	}
 	if ph == phFlushR {
-		if ma.assignOp == parc.OpSet {
+		if ma.asg == asgSet {
 			// Plain store: no read; the value needs only the RHS register.
-			lv.val = applyOp(Value{}, ma.assignOp, regs[in.b], ma.isFloat)
+			lv.val = regs[in.b]
 			ph = phFlushW
 		} else {
 			ph = phAccR
@@ -364,8 +401,7 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 		ph = phDataR
 	}
 	if ph == phDataR {
-		cur := FromBits(c.store.Load(lv.addr), ma.isFloat)
-		lv.val = applyOp(cur, ma.assignOp, regs[in.b], ma.isFloat)
+		lv.val = ma.apply(c.store.Load(lv.addr), regs, in.b)
 		ph = phFlushW
 		lv.phase = ph
 	}
@@ -386,51 +422,52 @@ func (lv *LaneVM) asgShared(in *instr, regs []Value, ph uint8) stepResult {
 		}
 	}
 	// phDataW: deferred store, after the write Access returned the lane.
-	c.store.StoreWord(lv.addr, lv.val.Bits())
+	c.store.StoreWord(lv.addr, lv.val)
 	lv.phase = phStart
 	return stepAdvance
 }
 
 // privAccess is opLoadArr/opAsgArr in phases: only the subscript walk can
 // suspend (its charges may flush); the data touch is frame-private.
-func (lv *LaneVM) privAccess(in *instr, f *laneFrame, regs []Value, ph uint8) stepResult {
+func (lv *LaneVM) privAccess(in *instr, f *laneFrame, regs []uint64, ph uint8) stepResult {
 	c := lv.c
 	ma := in.aux.(*memAccess)
-	if ph <= phBody {
-		lv.off = ma.constOff
-		lv.term = 0
-		lv.phase = phMem
-	}
-	if st := lv.memWalk(ma, regs, in.pc); st != stepAdvance {
+	if _, st := lv.walk(in, ma, regs, ph); st != stepAdvance {
 		return st
 	}
 	lv.phase = phStart
+	c.privTouch(in, ma, &f.fr.arrays[ma.arr], regs, lv.off)
+	return stepAdvance
+}
+
+// privTouch is a private access's data touch at element off, and its count.
+func (c *Context) privTouch(in *instr, ma *memAccess, pa *vmArray, regs []uint64, off int64) {
 	if in.op == opLoadArr {
 		c.privReads++
-		regs[in.a] = f.fr.arrays[ma.arr].data[lv.off]
-		return stepAdvance
-	}
-	pa := &f.fr.arrays[ma.arr]
-	if ma.assignOp != parc.OpSet {
-		c.privReads++
+		regs[in.a] = pa.data[off]
+		return
 	}
 	c.privWrites++
-	pa.data[lv.off] = applyOp(pa.data[lv.off], ma.assignOp, regs[in.b], ma.isFloat)
-	return stepAdvance
+	if ma.asg == asgSet {
+		pa.data[off] = regs[in.b]
+		return
+	}
+	c.privReads++
+	pa.data[off] = ma.apply(pa.data[off], regs, in.b)
 }
 
 // machineCall handles the flush-then-call instructions (barrier, lock,
 // unlock, print, directives). The call completes the instruction; a park
 // right after it suspends at the *next* instruction.
-func (lv *LaneVM) machineCall(in *instr, regs []Value, ph uint8) stepResult {
+func (lv *LaneVM) machineCall(in *instr, regs []uint64, ph uint8) stepResult {
 	c := lv.c
-	if ph <= phBody {
+	if ph == phStart {
 		if in.op == opPrint {
 			// Format before the flush, exactly as the tree-walker does.
 			p := in.aux.(*printPayload)
 			vals := c.printBuf[:0]
-			for _, r := range p.args {
-				vals = append(vals, regs[r])
+			for _, a := range p.args {
+				vals = append(vals, regValue(regs, a.r, a.k))
 			}
 			c.printBuf = vals
 			lv.text = formatPrint(p.format, vals)
@@ -451,9 +488,9 @@ func (lv *LaneVM) machineCall(in *instr, regs []Value, ph uint8) stepResult {
 	case opBarrier:
 		c.mach.Barrier(c.node, int(in.pc))
 	case opLock:
-		c.mach.Lock(c.node, regs[in.a].AsInt(), int(in.pc))
+		c.mach.Lock(c.node, int64(regs[in.a]), int(in.pc))
 	case opUnlock:
-		c.mach.Unlock(c.node, regs[in.a].AsInt(), int(in.pc))
+		c.mach.Unlock(c.node, int64(regs[in.a]), int(in.pc))
 	case opPrint:
 		c.mach.Print(c.node, lv.text)
 	case opDirEmit:
@@ -471,11 +508,12 @@ func (lv *LaneVM) machineCall(in *instr, regs []Value, ph uint8) stepResult {
 
 // call is opCall in phases: the call-overhead charge (Context.work(2) — a
 // single flush of the whole pending amount at the threshold, unlike
-// drainPending's fixed-size drains), then depth check and frame push.
-func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
+// drainPending's fixed-size drains), then depth check and frame push. The
+// arguments are already of the parameters' types.
+func (lv *LaneVM) call(in *instr, regs []uint64, ph uint8) stepResult {
 	c := lv.c
 	p := in.aux.(*callPayload)
-	if ph <= phBody {
+	if ph == phStart {
 		c.pending += 2
 		if c.pending >= workFlushLimit {
 			lv.phase = phCallWork
@@ -492,67 +530,141 @@ func (lv *LaneVM) call(in *instr, regs []Value, ph uint8) stepResult {
 	}
 	c.depth++
 	fr := c.acquire(co)
-	for i := range co.fn.Params {
-		fr.regs[i] = coerce(regs[p.args[i]], co.fn.Params[i].Base)
+	for i, r := range p.args {
+		fr.regs[i] = regs[r]
 	}
 	lv.stack = append(lv.stack, laneFrame{co: co, fr: fr})
 	return stepFrame
 }
 
-// Resume advances the lane until the yielder parks it or the program ends:
-// the dispatch loop, over an explicit frame stack with ip held in the
-// frame.
+// ret is opRet: pop the frame and deliver the result to the caller's call
+// instruction (zero, both types' zero, when there is none), or, when main
+// returns, end the run with Context.flush.
+func (lv *LaneVM) ret(in *instr, f *laneFrame) stepResult {
+	c := lv.c
+	var w uint64
+	if in.a >= 0 {
+		w = f.fr.regs[in.a]
+	}
+	co := f.co
+	lv.stack = lv.stack[:len(lv.stack)-1]
+	c.release(co, f.fr)
+	c.depth--
+	if len(lv.stack) == 0 {
+		lv.phase = phFinal
+		if !lv.flushPending() {
+			return stepSuspend
+		}
+		return stepDone
+	}
+	pf := &lv.stack[len(lv.stack)-1]
+	pf.fr.regs[pf.co.ins[pf.ip].a] = w
+	pf.ip++
+	return stepFrame
+}
+
+// reenter finishes the instruction the lane was parked in, so that the
+// dispatch loop only ever starts instructions: it calls the instruction's
+// handler at the recorded phase and advances past it.
+func (lv *LaneVM) reenter() stepResult {
+	ph := lv.phase
+	if ph == phFinal {
+		if !lv.flushPending() {
+			return stepSuspend
+		}
+		return stepDone
+	}
+	lv.phase = phStart
+	f := &lv.stack[len(lv.stack)-1]
+	in := &f.co.ins[f.ip]
+	if ph == phBody {
+		// Parked draining the instruction's own charges: start it again
+		// with them taken back out, so the loop's re-add nets to nothing
+		// (pending wraps below zero for that moment, which unsigned
+		// arithmetic undoes exactly).
+		lv.c.pending -= uint64(in.nwork)
+		return stepRestart
+	}
+	regs := f.fr.regs
+	var st stepResult
+	switch in.op {
+	case opCall:
+		st = lv.call(in, regs, ph)
+	case opLoadArr, opAsgArr:
+		st = lv.privAccess(in, f, regs, ph)
+	case opLoadShared:
+		st = lv.loadShared(in, regs, ph)
+	case opAsgShared:
+		st = lv.asgShared(in, regs, ph)
+	default:
+		st = lv.machineCall(in, regs, ph)
+	}
+	if st == stepAdvance || st == stepAdvanceSuspend {
+		f.ip++
+	}
+	return st
+}
+
+// Resume advances the lane until the yielder parks it or the program ends.
 func (lv *LaneVM) Resume() LaneStatus {
 	if lv.done {
 		return LaneDone
 	}
-	c := lv.c
-	count := c.countOps
-	var nops uint64
-	if count {
-		defer func() { c.ops += nops }()
+	st, nops := lv.run()
+	if lv.c.countOps {
+		lv.c.ops += nops
 	}
-	// Finish a parked work drain or the final flush before re-dispatching.
+	return st
+}
+
+// run is Resume's body: re-entry, then the dispatch loop over an explicit
+// frame stack. The loop keeps ip and pending in locals and writes them back
+// (f.ip, c.pending) only around the handlers that can reach a Machine call;
+// nops counts the instructions it starts.
+func (lv *LaneVM) run() (LaneStatus, uint64) {
+	c := lv.c
+	// Finish a parked work drain, then the parked instruction.
 	if lv.drain {
 		if !lv.drainPending() {
-			return LaneSuspended
+			return LaneSuspended, 0
 		}
 		lv.drain = false
 	}
-	if lv.phase == phFinal {
-		if !lv.flushPending() {
-			return LaneSuspended
+	var nops uint64
+	if lv.phase != phStart {
+		switch lv.reenter() {
+		case stepSuspend, stepAdvanceSuspend:
+			return LaneSuspended, 0
+		case stepErr:
+			return lv.fail(lv.err), 0
+		case stepDone:
+			lv.done = true
+			return LaneDone, 0
+		case stepRestart:
+			nops-- // counted when it first started; the loop counts it again
 		}
-		return lv.finish()
 	}
-frames:
 	for {
 		f := &lv.stack[len(lv.stack)-1]
-		co := f.co
-		ins := co.ins
+		ins := f.co.ins
 		regs := f.fr.regs
+		ip := f.ip
+		pending := c.pending
+		var st stepResult
+	dispatch:
 		for {
-			in := &ins[f.ip]
-			ph := lv.phase
-			if ph == phStart {
-				if count {
-					nops++
-				}
-				if in.nwork != 0 {
-					if tot := c.pending + uint64(in.nwork); tot < workFlushLimit {
-						c.pending = tot
-					} else {
-						c.pending = tot
-						lv.phase = phBody
-						if !lv.drainPending() {
-							return LaneSuspended
-						}
-						lv.phase = phStart
+			in := &ins[ip]
+			nops++
+			if in.nwork != 0 {
+				if pending += uint64(in.nwork); pending >= workFlushLimit {
+					c.pending, f.ip = pending, ip
+					lv.phase = phBody
+					if !lv.drainPending() {
+						return LaneSuspended, nops
 					}
+					lv.phase = phStart
+					pending = c.pending
 				}
-			} else {
-				// Re-entry mid-instruction: the handler consumes ph.
-				lv.phase = phStart
 			}
 			switch in.op {
 			case opNop:
@@ -560,210 +672,224 @@ frames:
 			case opConst:
 				regs[in.a] = in.imm
 
-			case opCoerce:
-				regs[in.a] = coerce(regs[in.b], parc.BaseType(in.n))
+			case opMov:
+				regs[in.a] = regs[in.b]
+
+			case opI2F:
+				regs[in.a] = w64(float64(int64(regs[in.b])))
+
+			case opF2I:
+				regs[in.a] = uint64(int64(f64(regs[in.b])))
+
+			case opD2I:
+				if regs[in.b+1] != 0 {
+					regs[in.a] = uint64(int64(f64(regs[in.b])))
+				} else {
+					regs[in.a] = regs[in.b]
+				}
+
+			case opD2F:
+				if regs[in.b+1] != 0 {
+					regs[in.a] = regs[in.b]
+				} else {
+					regs[in.a] = w64(float64(int64(regs[in.b])))
+				}
+
+			case opTruthyF:
+				regs[in.a] = b2w(f64(regs[in.b]) != 0)
 
 			case opJump:
-				f.ip = in.n
+				ip = in.n
 				continue
 
 			case opJz:
-				if !regs[in.a].Truthy() {
-					f.ip = in.n
+				if regs[in.a] == 0 {
+					ip = in.n
 					continue
 				}
 
 			case opSCAnd:
-				if !regs[in.b].Truthy() {
-					regs[in.a] = IntVal(0)
-					f.ip = in.n
+				if regs[in.b] == 0 {
+					regs[in.a] = 0
+					ip = in.n
 					continue
 				}
 
 			case opSCOr:
-				if regs[in.b].Truthy() {
-					regs[in.a] = IntVal(1)
-					f.ip = in.n
+				if regs[in.b] != 0 {
+					regs[in.a] = 1
+					ip = in.n
 					continue
 				}
 
 			case opTruthy:
-				regs[in.a] = boolVal(regs[in.b].Truthy())
-
-			case opNeg:
-				if x := regs[in.b]; x.Float {
-					regs[in.a] = FloatVal(-x.F)
-				} else {
-					regs[in.a] = IntVal(-x.I)
-				}
+				regs[in.a] = b2w(regs[in.b] != 0)
 
 			case opNot:
-				if regs[in.b].Truthy() {
-					regs[in.a] = IntVal(0)
-				} else {
-					regs[in.a] = IntVal(1)
-				}
+				regs[in.a] = b2w(regs[in.b] == 0)
 
-			case opAdd:
-				x, y := regs[in.b], regs[in.c]
-				if x.Float || y.Float {
-					regs[in.a] = FloatVal(x.AsFloat() + y.AsFloat())
-				} else {
-					regs[in.a] = IntVal(x.I + y.I)
-				}
+			case opNegI:
+				regs[in.a] = -regs[in.b]
 
-			case opSub:
-				x, y := regs[in.b], regs[in.c]
-				if x.Float || y.Float {
-					regs[in.a] = FloatVal(x.AsFloat() - y.AsFloat())
-				} else {
-					regs[in.a] = IntVal(x.I - y.I)
-				}
+			case opNegF:
+				regs[in.a] = w64(-f64(regs[in.b]))
 
-			case opMul:
-				x, y := regs[in.b], regs[in.c]
-				if x.Float || y.Float {
-					regs[in.a] = FloatVal(x.AsFloat() * y.AsFloat())
-				} else {
-					regs[in.a] = IntVal(x.I * y.I)
+			case opModI:
+				y := int64(regs[in.c])
+				if y == 0 {
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "integer modulo by zero")), nops
 				}
+				regs[in.a] = uint64(int64(regs[in.b]) % y)
 
-			case opDiv:
-				x, y := regs[in.b], regs[in.c]
-				if x.Float || y.Float {
-					regs[in.a] = FloatVal(x.AsFloat() / y.AsFloat())
-				} else if y.I == 0 {
-					return lv.fail(c.vmErr(in.pc, "integer division by zero"))
-				} else {
-					regs[in.a] = IntVal(x.I / y.I)
+			case opAddI:
+				regs[in.a] = regs[in.b] + regs[in.c]
+			case opSubI:
+				regs[in.a] = regs[in.b] - regs[in.c]
+			case opMulI:
+				regs[in.a] = regs[in.b] * regs[in.c]
+			case opDivI:
+				y := int64(regs[in.c])
+				if y == 0 {
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "integer division by zero")), nops
 				}
+				regs[in.a] = uint64(int64(regs[in.b]) / y)
 
-			case opMod:
-				x, y := regs[in.b], regs[in.c]
-				if x.Float || y.Float {
-					return lv.fail(c.vmErr(in.pc, "%% requires integer operands"))
-				}
-				if y.I == 0 {
-					return lv.fail(c.vmErr(in.pc, "integer modulo by zero"))
-				}
-				regs[in.a] = IntVal(x.I % y.I)
+			case opAddF:
+				regs[in.a] = w64(f64(regs[in.b]) + f64(regs[in.c]))
+			case opSubF:
+				regs[in.a] = w64(f64(regs[in.b]) - f64(regs[in.c]))
+			case opMulF:
+				regs[in.a] = w64(f64(regs[in.b]) * f64(regs[in.c]))
+			case opDivF:
+				regs[in.a] = w64(f64(regs[in.b]) / f64(regs[in.c]))
 
-			case opEq:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) == 0)
-			case opNe:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) != 0)
-			case opLt:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) < 0)
-			case opLe:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) <= 0)
-			case opGt:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) > 0)
-			case opGe:
-				regs[in.a] = boolVal(compare(regs[in.b], regs[in.c]) >= 0)
+			case opEqI:
+				regs[in.a] = b2w(regs[in.b] == regs[in.c])
+			case opNeI:
+				regs[in.a] = b2w(regs[in.b] != regs[in.c])
+			case opLtI:
+				regs[in.a] = b2w(int64(regs[in.b]) < int64(regs[in.c]))
+			case opLeI:
+				regs[in.a] = b2w(int64(regs[in.b]) <= int64(regs[in.c]))
+			case opGtI:
+				regs[in.a] = b2w(int64(regs[in.b]) > int64(regs[in.c]))
+			case opGeI:
+				regs[in.a] = b2w(int64(regs[in.b]) >= int64(regs[in.c]))
+			case opEqF:
+				regs[in.a] = b2w(feq(regs[in.b], regs[in.c]))
+			case opNeF:
+				regs[in.a] = b2w(!feq(regs[in.b], regs[in.c]))
+			case opLtF:
+				regs[in.a] = b2w(f64(regs[in.b]) < f64(regs[in.c]))
+			case opLeF:
+				regs[in.a] = b2w(!(f64(regs[in.b]) > f64(regs[in.c])))
+			case opGtF:
+				regs[in.a] = b2w(f64(regs[in.b]) > f64(regs[in.c]))
+			case opGeF:
+				regs[in.a] = b2w(!(f64(regs[in.b]) < f64(regs[in.c])))
 
-			case opEqJf:
-				if compare(regs[in.b], regs[in.c]) != 0 {
-					f.ip = in.n
+			case opEqIJf:
+				if regs[in.b] != regs[in.c] {
+					ip = in.n
 					continue
 				}
-			case opNeJf:
-				if compare(regs[in.b], regs[in.c]) == 0 {
-					f.ip = in.n
+			case opNeIJf:
+				if regs[in.b] == regs[in.c] {
+					ip = in.n
 					continue
 				}
-			case opLtJf:
-				if compare(regs[in.b], regs[in.c]) >= 0 {
-					f.ip = in.n
+			case opLtIJf:
+				if int64(regs[in.b]) >= int64(regs[in.c]) {
+					ip = in.n
 					continue
 				}
-			case opLeJf:
-				if compare(regs[in.b], regs[in.c]) > 0 {
-					f.ip = in.n
+			case opLeIJf:
+				if int64(regs[in.b]) > int64(regs[in.c]) {
+					ip = in.n
 					continue
 				}
-			case opGtJf:
-				if compare(regs[in.b], regs[in.c]) <= 0 {
-					f.ip = in.n
+			case opGtIJf:
+				if int64(regs[in.b]) <= int64(regs[in.c]) {
+					ip = in.n
 					continue
 				}
-			case opGeJf:
-				if compare(regs[in.b], regs[in.c]) < 0 {
-					f.ip = in.n
+			case opGeIJf:
+				if int64(regs[in.b]) < int64(regs[in.c]) {
+					ip = in.n
+					continue
+				}
+			case opEqFJf:
+				if !feq(regs[in.b], regs[in.c]) {
+					ip = in.n
+					continue
+				}
+			case opNeFJf:
+				if feq(regs[in.b], regs[in.c]) {
+					ip = in.n
+					continue
+				}
+			case opLtFJf:
+				if !(f64(regs[in.b]) < f64(regs[in.c])) {
+					ip = in.n
+					continue
+				}
+			case opLeFJf:
+				if f64(regs[in.b]) > f64(regs[in.c]) {
+					ip = in.n
+					continue
+				}
+			case opGtFJf:
+				if !(f64(regs[in.b]) > f64(regs[in.c])) {
+					ip = in.n
+					continue
+				}
+			case opGeFJf:
+				if f64(regs[in.b]) < f64(regs[in.c]) {
+					ip = in.n
 					continue
 				}
 
 			case opBuiltin:
-				v, err := c.vmBuiltin(in, regs)
-				if err != nil {
-					return lv.fail(err)
-				}
-				regs[in.a] = v
+				c.vmBuiltin(in, regs)
 
-			case opCall:
-				switch lv.call(in, regs, ph) {
-				case stepSuspend:
-					return LaneSuspended
-				case stepErr:
-					return lv.fail(lv.err)
-				case stepFrame:
-					continue frames
+			case opDyn:
+				if msg := vmDyn(in, regs); msg != "" {
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "%s", msg)), nops
 				}
-
-			case opRet:
-				var v Value
-				if in.a >= 0 {
-					v = regs[in.a]
-				}
-				lv.stack = lv.stack[:len(lv.stack)-1]
-				c.release(co, f.fr)
-				c.depth--
-				if len(lv.stack) == 0 {
-					// main returned: the run ends with Context.flush.
-					lv.phase = phFinal
-					if !lv.flushPending() {
-						return LaneSuspended
-					}
-					return lv.finish()
-				}
-				pf := &lv.stack[len(lv.stack)-1]
-				dst := pf.co.ins[pf.ip].a
-				if co.fn.Result != nil {
-					pf.fr.regs[dst] = coerce(v, *co.fn.Result)
-				} else {
-					pf.fr.regs[dst] = Value{}
-				}
-				pf.ip++
-				continue frames
 
 			case opForPrep:
 				p := in.aux.(*forPayload)
 				st := int64(1)
 				if p.step >= 0 {
-					st = regs[p.step].AsInt()
+					st = int64(regs[p.step])
 				}
 				if st == 0 {
-					return lv.fail(c.vmErr(in.pc, "for %s: zero step", p.varName))
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "for %s: zero step", p.varName)), nops
 				}
-				regs[p.base] = IntVal(regs[p.from].AsInt())
-				regs[p.base+1] = IntVal(regs[p.to].AsInt())
-				regs[p.base+2] = IntVal(st)
+				regs[p.base] = regs[p.from]
+				regs[p.base+1] = regs[p.to]
+				regs[p.base+2] = uint64(st)
 
 			case opForCheck:
-				i, hi, st := regs[in.a].I, regs[in.a+1].I, regs[in.a+2].I
+				i, hi, st := int64(regs[in.a]), int64(regs[in.a+1]), int64(regs[in.a+2])
 				if (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-					regs[in.b] = IntVal(i)
+					regs[in.b] = uint64(i)
 				} else {
-					f.ip = in.n
+					ip = in.n
 					continue
 				}
 
 			case opForNext:
-				st := regs[in.a+2].I
-				i := regs[in.a].I + st
-				regs[in.a].I = i
-				if (st > 0 && i <= regs[in.a+1].I) || (st < 0 && i >= regs[in.a+1].I) {
-					regs[in.b] = IntVal(i)
-					f.ip = in.n + 1 // skip the entry check, straight to the body
+				st := int64(regs[in.a+2])
+				i := int64(regs[in.a]) + st
+				regs[in.a] = uint64(i)
+				if hi := int64(regs[in.a+1]); (st > 0 && i <= hi) || (st < 0 && i >= hi) {
+					regs[in.b] = uint64(i)
+					ip = in.n + 1 // skip the entry check, straight to the body
 					continue
 				}
 				// Loop finished: fall through to the exit label bound just after.
@@ -773,77 +899,74 @@ frames:
 				pa := &f.fr.arrays[p.arr]
 				if cap(pa.cache) >= p.size {
 					pa.data = pa.cache[:p.size]
+					clear(pa.data) // both types' zero
 				} else {
-					pa.data = make([]Value, p.size)
+					pa.data = make([]uint64, p.size)
 					pa.cache = pa.data
 				}
-				zero := coerce(Value{}, p.base)
-				for i := range pa.data {
-					pa.data[i] = zero
-				}
-				pa.base = p.base
-				pa.dims = p.dims
 
 			case opArrNil:
 				if f.fr.arrays[in.a].data == nil {
-					return lv.fail(c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg))
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg)), nops
 				}
 
 			case opBounds:
-				ix := int(regs[in.b].AsInt())
-				if ix < 0 || ix >= int(in.n) {
+				if ix := int(int64(regs[in.b])); ix < 0 || ix >= int(in.n) {
 					bp := in.aux.(*boundsPayload)
-					return lv.fail(c.vmErr(in.pc, "%s: index %d out of range [0,%d) in dimension %d", bp.name, ix, int(in.n), bp.dim))
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "%s: index %d out of range [0,%d) in dimension %d", bp.name, ix, int(in.n), bp.dim)), nops
 				}
 
 			case opFail:
-				return lv.fail(c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg))
+				c.pending, f.ip = pending, ip
+				return lv.fail(c.vmErr(in.pc, "%s", in.aux.(*failPayload).msg)), nops
 
-			case opDivGuardReg:
-				if rhs := regs[in.b]; !rhs.Float && rhs.I == 0 && !regs[in.a].Float {
-					return lv.fail(c.vmErr(in.pc, "integer division by zero in /="))
+			case opDivGuard:
+				if regs[in.b] == 0 {
+					c.pending, f.ip = pending, ip
+					return lv.fail(c.vmErr(in.pc, "integer division by zero in /=")), nops
 				}
-
-			case opDivGuardInt:
-				if rhs := regs[in.b]; !rhs.Float && rhs.I == 0 {
-					return lv.fail(c.vmErr(in.pc, "integer division by zero in /="))
-				}
-
-			case opAsgLocal:
-				cur := regs[in.a]
-				regs[in.a] = applyOp(cur, parc.AssignOp(in.n), regs[in.b], cur.Float)
 
 			case opLoadArr, opAsgArr:
-				switch lv.privAccess(in, f, regs, ph) {
-				case stepSuspend:
-					return LaneSuspended
-				case stepErr:
-					return lv.fail(lv.err)
+				ma := in.aux.(*memAccess)
+				if w := pending + ma.work; w < workFlushLimit {
+					// The usual case, inline: no charge of the walk can flush.
+					if off, ok := ma.offset(regs); ok {
+						pending = w
+						c.privTouch(in, ma, &f.fr.arrays[ma.arr], regs, off)
+						break
+					}
+				}
+				c.pending, f.ip = pending, ip
+				st = lv.privAccess(in, f, regs, phStart)
+				pending = c.pending
+				if st != stepAdvance {
+					break dispatch
 				}
 
 			case opLoadShared:
-				switch lv.loadShared(in, regs, ph) {
-				case stepSuspend:
-					return LaneSuspended
-				case stepErr:
-					return lv.fail(lv.err)
+				c.pending, f.ip = pending, ip
+				st = lv.loadShared(in, regs, phStart)
+				pending = c.pending
+				if st != stepAdvance {
+					break dispatch
 				}
 
 			case opAsgShared:
-				switch lv.asgShared(in, regs, ph) {
-				case stepSuspend:
-					return LaneSuspended
-				case stepErr:
-					return lv.fail(lv.err)
+				c.pending, f.ip = pending, ip
+				st = lv.asgShared(in, regs, phStart)
+				pending = c.pending
+				if st != stepAdvance {
+					break dispatch
 				}
 
 			case opBarrier, opLock, opUnlock, opPrint, opDirEmit, opDirNil:
-				switch lv.machineCall(in, regs, ph) {
-				case stepSuspend:
-					return LaneSuspended
-				case stepAdvanceSuspend:
-					f.ip++
-					return LaneSuspended
+				c.pending, f.ip = pending, ip
+				st = lv.machineCall(in, regs, phStart)
+				pending = c.pending
+				if st != stepAdvance {
+					break dispatch
 				}
 
 			case opDirBegin:
@@ -852,24 +975,56 @@ frames:
 
 			case opDirDim:
 				p := in.aux.(*dirPayload)
-				lo := int(regs[in.a].AsInt())
+				lo := int(int64(regs[in.a]))
 				hi := lo
 				if in.b >= 0 {
-					hi = int(regs[in.b].AsInt())
+					hi = int(int64(regs[in.b]))
 				}
 				lo = max(lo, 0)
 				hi = min(hi, p.decl.DimSizes[in.c]-1)
 				if lo > hi {
-					f.ip = in.n // empty after clamping
+					ip = in.n // empty after clamping
 					continue
 				}
 				c.dirLos = append(c.dirLos, lo)
 				c.dirHis = append(c.dirHis, hi)
 
+			case opCall:
+				c.pending, f.ip = pending, ip
+				st = lv.call(in, regs, phStart)
+				break dispatch
+
+			case opRet:
+				c.pending, f.ip = pending, ip
+				st = lv.ret(in, f)
+				break dispatch
+
 			default:
-				return lv.fail(c.vmErr(in.pc, "vm: bad opcode %d", in.op))
+				c.pending, f.ip = pending, ip
+				return lv.fail(c.vmErr(in.pc, "vm: bad opcode %d", in.op)), nops
 			}
-			f.ip++
+			ip++
 		}
+		// A handler left the loop; f.ip and c.pending are current.
+		switch st {
+		case stepSuspend:
+			return LaneSuspended, nops
+		case stepAdvanceSuspend:
+			f.ip++
+			return LaneSuspended, nops
+		case stepErr:
+			return lv.fail(lv.err), nops
+		case stepDone:
+			lv.done = true
+			return LaneDone, nops
+		}
+		// stepFrame: the call stack changed; dispatch in the new top frame.
 	}
+}
+
+func b2w(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -38,19 +38,19 @@ func compileFor(t testing.TB, src string) (*parc.Program, *progCode) {
 }
 
 // checkFrameClean asserts the frame-pool reuse contract on a frame just
-// handed out by acquire: the named-scalar prefix reads as zero Values, the
+// handed out by acquire: the named-scalar prefix reads as zero words, the
 // constant pool still holds exactly the compiled literal values, and private
 // arrays are unbound but keep their cached backing storage.
 func checkFrameClean(t *testing.T, co *fnCode, fr *vmFrame) {
 	t.Helper()
 	for i := 0; i < co.clearRegs; i++ {
-		if fr.regs[i] != (Value{}) {
-			t.Errorf("%s: reg %d not cleared on reuse: %+v", co.fn.Name, i, fr.regs[i])
+		if fr.regs[i] != 0 {
+			t.Errorf("%s: reg %d not cleared on reuse: %#x", co.fn.Name, i, fr.regs[i])
 		}
 	}
 	for i, v := range co.poolVals {
 		if got := fr.regs[int(co.poolBase)+i]; got != v {
-			t.Errorf("%s: constant-pool reg %d corrupted: got %+v want %+v",
+			t.Errorf("%s: constant-pool reg %d corrupted: got %#x want %#x",
 				co.fn.Name, int(co.poolBase)+i, got, v)
 		}
 	}
@@ -66,7 +66,7 @@ func checkFrameClean(t *testing.T, co *fnCode, fr *vmFrame) {
 // verify the next acquire hands the same frame back with the named-scalar
 // prefix zeroed, the constant pool intact, and arrays unbound but with
 // their backing capacity retained. A pooling bug here would leak one
-// activation's register Values into the next and silently corrupt results,
+// activation's register words into the next and silently corrupt results,
 // so this must fail before any engine-level differential does.
 func TestFramePoolCleanSlate(t *testing.T) {
 	prog, pcm := compileFor(t, poolSrc)
@@ -88,7 +88,7 @@ func TestFramePoolCleanSlate(t *testing.T) {
 	fr := c.acquire(co)
 	for i, v := range co.poolVals {
 		if got := fr.regs[int(co.poolBase)+i]; got != v {
-			t.Fatalf("fresh frame constant-pool reg %d: got %+v want %+v", int(co.poolBase)+i, got, v)
+			t.Fatalf("fresh frame constant-pool reg %d: got %#x want %#x", int(co.poolBase)+i, got, v)
 		}
 	}
 	// Scribble the cleared prefix and the temporaries, and bind a private
@@ -96,17 +96,17 @@ func TestFramePoolCleanSlate(t *testing.T) {
 	// compiler never emits a write to those registers), so release is
 	// entitled to preserve rather than restore it.
 	for i := 0; i < co.clearRegs; i++ {
-		fr.regs[i] = FloatVal(float64(i) + 0.5)
+		fr.regs[i] = FloatVal(float64(i) + 0.5).Bits()
 	}
 	for i := int(co.poolBase) + len(co.poolVals); i < co.nregs; i++ {
-		fr.regs[i] = IntVal(int64(i) * 3)
+		fr.regs[i] = uint64(i) * 3
 	}
 	for i := range fr.arrays {
-		data := make([]Value, 6)
+		data := make([]uint64, 6)
 		for j := range data {
-			data[j] = IntVal(int64(j + 1))
+			data[j] = uint64(j + 1)
 		}
-		fr.arrays[i] = privArray{base: parc.IntType, dims: []int{6}, data: data, cache: data}
+		fr.arrays[i] = vmArray{data: data, cache: data}
 	}
 	c.release(co, fr)
 

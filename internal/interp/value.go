@@ -83,6 +83,167 @@ func coerce(v Value, base parc.BaseType) Value {
 	return IntVal(v.AsInt())
 }
 
+// The operations below are ParC's value semantics. The tree-walker computes
+// every expression with them; the lane VM, whose registers the compiler
+// types, needs them only where a type depends on a value (compile.go, kDyn).
+
+func boolVal(b bool) Value {
+	if b {
+		return IntVal(1)
+	}
+	return IntVal(0)
+}
+
+// compare orders two values: as floats when either is one (NaN compares
+// equal to everything, as neither less nor greater), else as ints.
+func compare(x, y Value) int {
+	if x.Float || y.Float {
+		a, b := x.AsFloat(), y.AsFloat()
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	}
+	switch {
+	case x.I < y.I:
+		return -1
+	case x.I > y.I:
+		return 1
+	}
+	return 0
+}
+
+// binaryOp applies a binary operator other than && and ||: in floats when
+// either operand is one, else in ints. msg is the runtime error's text when
+// the operation fails.
+func binaryOp(op parc.TokKind, x, y Value) (v Value, msg string) {
+	fl := x.Float || y.Float
+	switch op {
+	case parc.TokPlus:
+		if fl {
+			return FloatVal(x.AsFloat() + y.AsFloat()), ""
+		}
+		return IntVal(x.I + y.I), ""
+	case parc.TokMinus:
+		if fl {
+			return FloatVal(x.AsFloat() - y.AsFloat()), ""
+		}
+		return IntVal(x.I - y.I), ""
+	case parc.TokStar:
+		if fl {
+			return FloatVal(x.AsFloat() * y.AsFloat()), ""
+		}
+		return IntVal(x.I * y.I), ""
+	case parc.TokSlash:
+		if fl {
+			return FloatVal(x.AsFloat() / y.AsFloat()), ""
+		}
+		if y.I == 0 {
+			return Value{}, "integer division by zero"
+		}
+		return IntVal(x.I / y.I), ""
+	case parc.TokPercent:
+		if fl {
+			return Value{}, "% requires integer operands"
+		}
+		if y.I == 0 {
+			return Value{}, "integer modulo by zero"
+		}
+		return IntVal(x.I % y.I), ""
+	case parc.TokEq:
+		return boolVal(compare(x, y) == 0), ""
+	case parc.TokNe:
+		return boolVal(compare(x, y) != 0), ""
+	case parc.TokLt:
+		return boolVal(compare(x, y) < 0), ""
+	case parc.TokLe:
+		return boolVal(compare(x, y) <= 0), ""
+	case parc.TokGt:
+		return boolVal(compare(x, y) > 0), ""
+	case parc.TokGe:
+		return boolVal(compare(x, y) >= 0), ""
+	}
+	return Value{}, "bad binary operator"
+}
+
+func negValue(x Value) Value {
+	if x.Float {
+		return FloatVal(-x.F)
+	}
+	return IntVal(-x.I)
+}
+
+// minValue and maxValue return the winning argument unchanged, type and
+// all: min of an int and a float is whichever compares smaller.
+func minValue(x, y Value) Value {
+	if compare(x, y) <= 0 {
+		return x
+	}
+	return y
+}
+
+func maxValue(x, y Value) Value {
+	if compare(x, y) >= 0 {
+		return x
+	}
+	return y
+}
+
+func absValue(x Value) Value {
+	if x.Float {
+		return FloatVal(math.Abs(x.F))
+	}
+	if x.I < 0 {
+		return IntVal(-x.I)
+	}
+	return x
+}
+
+// applyOp combines the current value with rhs under the assignment operator,
+// coercing the result to the destination's type.
+func applyOp(cur Value, op parc.AssignOp, rhs Value, destFloat bool) Value {
+	var out Value
+	switch op {
+	case parc.OpSet:
+		out = rhs
+	case parc.OpAdd:
+		if cur.Float || rhs.Float {
+			out = FloatVal(cur.AsFloat() + rhs.AsFloat())
+		} else {
+			out = IntVal(cur.I + rhs.I)
+		}
+	case parc.OpSub:
+		if cur.Float || rhs.Float {
+			out = FloatVal(cur.AsFloat() - rhs.AsFloat())
+		} else {
+			out = IntVal(cur.I - rhs.I)
+		}
+	case parc.OpMul:
+		if cur.Float || rhs.Float {
+			out = FloatVal(cur.AsFloat() * rhs.AsFloat())
+		} else {
+			out = IntVal(cur.I * rhs.I)
+		}
+	case parc.OpDiv:
+		// Integer division by zero is rejected by execAssign before the
+		// value reaches here; the int branch guards against it anyway.
+		if cur.Float || rhs.Float {
+			out = FloatVal(cur.AsFloat() / rhs.AsFloat())
+		} else if rhs.I == 0 {
+			out = IntVal(0)
+		} else {
+			out = IntVal(cur.I / rhs.I)
+		}
+	}
+	if destFloat {
+		return FloatVal(out.AsFloat())
+	}
+	return IntVal(out.AsInt())
+}
+
 // Store holds the values of all shared variables, addressed by byte address
 // (element-aligned). Coherence and cost are modelled separately by the
 // memory system; the Store is the simulator's "main memory + caches" value

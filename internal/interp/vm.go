@@ -8,13 +8,21 @@ import (
 )
 
 // vmFrame is one compiled-function activation: registers (the first
-// fn.NumScalars are the checker's scalar slots, the constant pool and
-// temporaries follow) and private array storage. Frames are pooled
-// per-function on the Context, and released arrays keep their backing
-// slice, so steady-state execution allocates nothing.
+// len(fn.Scalars) are the checker's scalar slots, the constant pool and
+// temporaries follow), each an 8-byte word whose type the compiler knows,
+// and private array storage. Frames are pooled per-function on the Context,
+// and released arrays keep their backing slice, so steady-state execution
+// allocates nothing.
 type vmFrame struct {
-	regs   []Value
-	arrays []privArray
+	regs   []uint64
+	arrays []vmArray
+}
+
+// vmArray is a private array in a frame: data is nil until its declaration
+// executes in this activation; cache keeps the backing slice across frame
+// reuse so re-executed declarations allocate only on first use.
+type vmArray struct {
+	data, cache []uint64
 }
 
 func (c *Context) acquire(co *fnCode) *vmFrame {
@@ -25,17 +33,17 @@ func (c *Context) acquire(co *fnCode) *vmFrame {
 		return fr
 	}
 	fr := &vmFrame{
-		regs:   make([]Value, co.nregs),
-		arrays: make([]privArray, co.narrs),
+		regs:   make([]uint64, co.nregs),
+		arrays: make([]vmArray, co.narrs),
 	}
 	copy(fr.regs[co.poolBase:], co.poolVals)
 	return fr
 }
 
 // release returns a frame to its pool. Only the named-scalar prefix is
-// cleared: constant-pool registers keep their
-// values (they are never written after acquire), and temporaries are always
-// written before they are read.
+// cleared, to the zero word every type shares: constant-pool registers keep
+// their values (they are never written after acquire), and temporaries are
+// always written before they are read.
 func (c *Context) release(co *fnCode, fr *vmFrame) {
 	clear(fr.regs[:co.clearRegs])
 	for i := range fr.arrays {
@@ -103,54 +111,168 @@ func (c *Context) expandRanges(decl *parc.SharedDecl) []AddrRange {
 	return out
 }
 
-// vmBuiltin executes a builtin call; semantics are byte-for-byte those of
-// the tree-walker's evalBuiltin (min/max return their argument unchanged,
-// the rnd stream advances identically).
-func (c *Context) vmBuiltin(in *instr, regs []Value) (Value, error) {
-	switch parc.BuiltinID(in.n) {
-	case parc.BuiltinPid:
-		return IntVal(int64(c.node)), nil
-	case parc.BuiltinNprocs:
-		return IntVal(int64(c.nprocs)), nil
-	case parc.BuiltinMin:
-		x, y := regs[in.b], regs[in.c]
-		if compare(x, y) <= 0 {
-			return x, nil
+func f64(w uint64) float64 { return math.Float64frombits(w) }
+func w64(f float64) uint64 { return math.Float64bits(f) }
+
+// feq is compare(x, y) == 0 on floats: NaN equals everything.
+func feq(x, y uint64) bool { a, b := f64(x), f64(y); return !(a < b || a > b) }
+
+// vmBuiltin executes a builtin on typed registers; semantics are those of
+// the tree-walker's evalBuiltin (min and max return the winning argument's
+// word unchanged, the rnd stream advances identically).
+func (c *Context) vmBuiltin(in *instr, regs []uint64) {
+	var w uint64
+	switch in.n {
+	case vbPid:
+		w = uint64(c.node)
+	case vbNprocs:
+		w = uint64(c.nprocs)
+	case vbMinI:
+		if x, y := int64(regs[in.b]), int64(regs[in.c]); x <= y {
+			w = uint64(x)
+		} else {
+			w = uint64(y)
 		}
-		return y, nil
-	case parc.BuiltinMax:
-		x, y := regs[in.b], regs[in.c]
-		if compare(x, y) >= 0 {
-			return x, nil
+	case vbMaxI:
+		if x, y := int64(regs[in.b]), int64(regs[in.c]); x >= y {
+			w = uint64(x)
+		} else {
+			w = uint64(y)
 		}
-		return y, nil
-	case parc.BuiltinAbs:
-		x := regs[in.b]
-		if x.Float {
-			return FloatVal(math.Abs(x.F)), nil
+	case vbMinF:
+		if w = regs[in.b]; f64(w) > f64(regs[in.c]) {
+			w = regs[in.c]
 		}
-		if x.I < 0 {
-			return IntVal(-x.I), nil
+	case vbMaxF:
+		if w = regs[in.b]; f64(w) < f64(regs[in.c]) {
+			w = regs[in.c]
 		}
-		return x, nil
-	case parc.BuiltinSqrt:
-		return FloatVal(math.Sqrt(regs[in.b].AsFloat())), nil
-	case parc.BuiltinSin:
-		return FloatVal(math.Sin(regs[in.b].AsFloat())), nil
-	case parc.BuiltinCos:
-		return FloatVal(math.Cos(regs[in.b].AsFloat())), nil
-	case parc.BuiltinFloor:
-		return FloatVal(math.Floor(regs[in.b].AsFloat())), nil
-	case parc.BuiltinFloat:
-		return FloatVal(regs[in.b].AsFloat()), nil
-	case parc.BuiltinInt:
-		return IntVal(regs[in.b].AsInt()), nil
-	case parc.BuiltinRnd:
+	case vbAbsI:
+		if w = regs[in.b]; int64(w) < 0 {
+			w = -w
+		}
+	case vbAbsF:
+		w = w64(math.Abs(f64(regs[in.b])))
+	case vbSqrt:
+		w = w64(math.Sqrt(f64(regs[in.b])))
+	case vbSin:
+		w = w64(math.Sin(f64(regs[in.b])))
+	case vbCos:
+		w = w64(math.Cos(f64(regs[in.b])))
+	case vbFloor:
+		w = w64(math.Floor(f64(regs[in.b])))
+	case vbRnd:
 		c.rng = c.rng*6364136223846793005 + 1442695040888963407
-		return FloatVal(float64(c.rng>>11) / (1 << 53)), nil
-	case parc.BuiltinRndseed:
-		c.rng = uint64(regs[in.b].AsInt())*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-		return IntVal(0), nil
+		w = w64(float64(c.rng>>11) / (1 << 53))
+	case vbRndseed:
+		c.rng = regs[in.b]*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	}
-	return Value{}, c.vmErr(in.pc, "unknown builtin")
+	regs[in.a] = w
+}
+
+// regValue reads register r, of kind k, as the tree-walker's Value.
+func regValue(regs []uint64, r int32, k kind) Value {
+	switch k {
+	case kFloat:
+		return FloatVal(f64(regs[r]))
+	case kDyn:
+		return FromBits(regs[r], regs[r+1] != 0)
+	}
+	return IntVal(int64(regs[r]))
+}
+
+// vmDyn executes an opDyn: the operation on Values, whose types are known
+// only now; msg is the runtime error's text when it fails.
+func vmDyn(in *instr, regs []uint64) (msg string) {
+	p := in.aux.(*dynPayload)
+	x := regValue(regs, in.b, p.xk)
+	var y, v Value
+	switch p.op {
+	case dynBinary, dynMin, dynMax, dynAssign:
+		y = regValue(regs, in.c, p.yk)
+	}
+	switch p.op {
+	case dynBinary:
+		if v, msg = binaryOp(p.tok, x, y); msg != "" {
+			return msg
+		}
+	case dynNeg:
+		v = negValue(x)
+	case dynTruthy:
+		v = boolVal(x.Truthy())
+	case dynMin:
+		v = minValue(x, y)
+	case dynMax:
+		v = maxValue(x, y)
+	case dynAbs:
+		v = absValue(x)
+	case dynAssign:
+		v = applyOp(x, p.asg, y, false)
+	case dynDivGuard:
+		if !x.Float && x.I == 0 {
+			return "integer division by zero in /="
+		}
+		return ""
+	}
+	regs[in.a] = v.Bits()
+	if p.dk == kDyn {
+		regs[in.a+1] = b2w(v.Float)
+	}
+	return ""
+}
+
+// apply combines an element word with an assignment's right-hand side in
+// regs[rb] as ma.asg says; the tree-walker's applyOp does the same on
+// Values.
+func (ma *memAccess) apply(cur uint64, regs []uint64, rb int32) uint64 {
+	rhs := regs[rb]
+	switch ma.asg {
+	case asgAddI:
+		return cur + rhs
+	case asgSubI:
+		return cur - rhs
+	case asgMulI:
+		return uint64(int64(cur) * int64(rhs))
+	case asgDivI:
+		if rhs == 0 {
+			return 0 // the /= guard has already failed the program
+		}
+		return uint64(int64(cur) / int64(rhs))
+	case asgAddF:
+		return w64(f64(cur) + f64(rhs))
+	case asgSubF:
+		return w64(f64(cur) - f64(rhs))
+	case asgMulF:
+		return w64(f64(cur) * f64(rhs))
+	case asgDivF:
+		return w64(f64(cur) / f64(rhs))
+	case asgAddX:
+		return uint64(int64(float64(int64(cur)) + f64(rhs)))
+	case asgSubX:
+		return uint64(int64(float64(int64(cur)) - f64(rhs)))
+	case asgMulX:
+		return uint64(int64(float64(int64(cur)) * f64(rhs)))
+	case asgDivX:
+		return uint64(int64(float64(int64(cur)) / f64(rhs)))
+	case asgDyn:
+		return applyOp(IntVal(int64(cur)), ma.assignOp, regValue(regs, rb, kDyn), false).Bits()
+	}
+	return rhs
+}
+
+// offset computes the access's flattened element offset in one go, for
+// when the walk's charges cannot reach the flush limit; false if a bounds
+// check fails, which the phased walk (LaneVM.memWalk) then reports with the
+// charges it had made by then.
+func (ma *memAccess) offset(regs []uint64) (int64, bool) {
+	off := ma.constOff
+	for i := range ma.terms {
+		t := &ma.terms[i]
+		ix := int64(regs[t.reg])
+		if t.size > 0 && uint64(ix) >= uint64(t.size) {
+			return 0, false
+		}
+		off += ix * t.stride
+	}
+	return off, true
 }

@@ -177,7 +177,9 @@ func main() {
 `
 
 // BenchmarkInterp compares the two execution engines on the same
-// compute-bound program (see EXPERIMENTS.md, "Simulator performance").
+// compute-bound program (see EXPERIMENTS.md, "Simulator performance"). Beside
+// ns/op it reports ns/instr, host time per dispatched op (CountOps): a
+// bytecode instruction on vm, a statement on tree.
 func BenchmarkInterp(b *testing.B) {
 	prog := parc.MustParse(interpBenchSrc)
 	if err := parc.Check(prog); err != nil {
@@ -192,16 +194,20 @@ func BenchmarkInterp(b *testing.B) {
 		tree bool
 	}{{"vm", false}, {"tree", true}} {
 		b.Run(eng.name, func(b *testing.B) {
+			var ops uint64
 			for i := 0; i < b.N; i++ {
 				store := NewStoreFor(layout)
 				ctx := NewContext(prog, store, &mockMachine{}, 0, 1)
+				ctx.CountOps(true)
 				if eng.tree {
 					ctx.UseTreeWalker()
 				}
 				if err := ctx.Run(); err != nil {
 					b.Fatal(err)
 				}
+				ops += ctx.OpsDispatched()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/instr")
 		})
 	}
 }

@@ -196,10 +196,12 @@ type FuncDecl struct {
 	// Resolved by Check. Parameters occupy scalar slots 0..len(Params)-1
 	// in declaration order; locals and loop variables follow. ParC scoping
 	// is function-wide with no shadowing, so every name has exactly one
-	// slot for the whole body.
-	NumScalars int
-	NumArrays  int
-	Bindings   map[string]Binding
+	// slot for the whole body. Scalars holds each slot's type, which the
+	// slot keeps for the whole activation: a parameter's or local's declared
+	// type, int for an implicit loop counter.
+	Scalars   []BaseType
+	NumArrays int
+	Bindings  map[string]Binding
 }
 
 // Stmt is a ParC statement. Every parsed statement has a unique ID within

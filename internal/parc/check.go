@@ -156,14 +156,14 @@ func (c *checker) run() error {
 // (parameters first, then locals and loop variables in source order) and
 // records the assignment in f.Bindings.
 func (c *checker) checkFunc(f *FuncDecl) error {
-	f.NumScalars, f.NumArrays = 0, 0
+	f.Scalars, f.NumArrays = nil, 0
 	f.Bindings = make(map[string]Binding)
 	for _, p := range f.Params {
 		if _, dup := f.Bindings[p.Name]; dup {
 			return c.errorf(f.Pos, "parameter %q redeclared", p.Name)
 		}
-		f.Bindings[p.Name] = Binding{Slot: f.NumScalars}
-		f.NumScalars++
+		f.Bindings[p.Name] = Binding{Slot: len(f.Scalars)}
+		f.Scalars = append(f.Scalars, p.Base)
 	}
 	return c.checkStmt(f.Body, f)
 }
@@ -200,9 +200,9 @@ func (c *checker) checkStmt(s Stmt, fn *FuncDecl) error {
 			fn.Bindings[n.Name] = Binding{Decl: n, Slot: fn.NumArrays, Array: true}
 			fn.NumArrays++
 		} else {
-			n.Slot = fn.NumScalars + 1
-			fn.Bindings[n.Name] = Binding{Decl: n, Slot: fn.NumScalars}
-			fn.NumScalars++
+			n.Slot = len(fn.Scalars) + 1
+			fn.Bindings[n.Name] = Binding{Decl: n, Slot: len(fn.Scalars)}
+			fn.Scalars = append(fn.Scalars, n.Base)
 		}
 	case *AssignStmt:
 		if err := c.checkLValue(n.LHS, fn); err != nil {
@@ -243,17 +243,17 @@ func (c *checker) checkStmt(s Stmt, fn *FuncDecl) error {
 		switch k := c.nameKind(n.Var, fn); k {
 		case nameUnknown:
 			// Implicit private int loop variable.
-			n.VarSlot = fn.NumScalars + 1
-			fn.Bindings[n.Var] = Binding{Slot: fn.NumScalars}
-			fn.NumScalars++
+			n.VarSlot = len(fn.Scalars) + 1
+			fn.Bindings[n.Var] = Binding{Slot: len(fn.Scalars)}
+			fn.Scalars = append(fn.Scalars, IntType)
 		case nameLocal, nameParam:
 			if b := fn.Bindings[n.Var]; b.Array {
 				// The name is a private array; the loop counter is a
 				// distinct hidden scalar of the same name. It cannot be
 				// observed elsewhere: any bare reference to the name is
 				// rejected as an unsubscripted array.
-				n.VarSlot = fn.NumScalars + 1
-				fn.NumScalars++
+				n.VarSlot = len(fn.Scalars) + 1
+				fn.Scalars = append(fn.Scalars, IntType)
 			} else {
 				n.VarSlot = b.Slot + 1
 			}

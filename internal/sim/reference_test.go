@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -157,6 +160,26 @@ func main() {
 `, nil)
 	if want := "sim: deadlock: 8 of 8 nodes blocked (barrier waiters: 7)"; err == nil || err.Error() != want {
 		t.Fatalf("run error = %v, want %q", err, want)
+	}
+}
+
+// TestTypedProgramsBothHosts runs the programs interp's
+// TestTypedVMMatchesTreeWalker aims at the typed registers (mixed min/max,
+// conversions, division by zero, NaN) on both hosts; each either completes
+// on both or fails on both with the same error.
+func TestTypedProgramsBothHosts(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "typed", "*.parc"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no typed programs found (%v)", err)
+	}
+	for _, path := range files {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".parc"), func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBothHosts(t, string(src), nil)
+		})
 	}
 }
 

@@ -89,14 +89,19 @@ type Trace struct {
 
 // Builder accumulates a trace during simulation, deduplicating misses within
 // an epoch as the paper's per-epoch hash table does, but with no table: the
-// open epoch's misses are appended to one buffer as they come, and sorted and
-// compacted when the epoch ends and whenever the buffer is full, so what is
-// held stays proportional to the distinct records. A closed epoch keeps an
-// exact-size copy, in Miss.Compare order.
+// open epoch's misses are appended to one buffer as they come, and compacted
+// when the epoch ends and whenever the buffer is full, so what is held stays
+// proportional to the distinct records. A compaction sorts only what was
+// appended since the last one and merges it into the sorted prefix. A closed
+// epoch keeps an exact-size copy, in Miss.Compare order.
 type Builder struct {
 	tr  Trace
 	cur *Epoch // the open epoch; nil once the final one is closed
-	buf []Miss // the open epoch's misses, reused from epoch to epoch
+	// buf holds the open epoch's misses, reused from epoch to epoch:
+	// buf[:sorted] is sorted and distinct, the rest as appended. merge is
+	// the scratch a compaction merges into; it and buf trade places.
+	buf, merge []Miss
+	sorted     int
 }
 
 // NewBuilder starts a trace for the given machine geometry.
@@ -113,6 +118,7 @@ func (b *Builder) startEpoch() {
 	})
 	b.cur = &b.tr.Epochs[len(b.tr.Epochs)-1]
 	b.buf = b.buf[:0]
+	b.sorted = 0
 }
 
 // AddMiss records a miss in the current epoch. Duplicate
@@ -130,10 +136,32 @@ func (b *Builder) AddMiss(kind Kind, addr uint64, pc, node int) {
 	b.buf = append(b.buf, Miss{Kind: kind, Addr: addr, PC: pc, Node: node})
 }
 
-// compact sorts the buffer (see Compare) and drops the duplicates.
+// compact leaves the buffer sorted (see Compare) and without duplicates:
+// it sorts the tail appended since the last compaction and merges it into
+// the sorted prefix.
 func (b *Builder) compact() {
-	slices.SortFunc(b.buf, Miss.Compare)
-	b.buf = slices.Compact(b.buf)
+	head, tail := b.buf[:b.sorted], b.buf[b.sorted:]
+	slices.SortFunc(tail, Miss.Compare)
+	tail = slices.Compact(tail)
+	if len(head) == 0 {
+		b.buf = tail
+		b.sorted = len(tail)
+		return
+	}
+	out := b.merge[:0]
+	for len(head) > 0 && len(tail) > 0 {
+		switch c := head[0].Compare(tail[0]); {
+		case c < 0:
+			out, head = append(out, head[0]), head[1:]
+		case c > 0:
+			out, tail = append(out, tail[0]), tail[1:]
+		default:
+			out, head, tail = append(out, head[0]), head[1:], tail[1:]
+		}
+	}
+	out = append(append(out, head...), tail...)
+	b.merge, b.buf = b.buf[:0], out
+	b.sorted = len(out)
 }
 
 // flush gives the current epoch the buffer's distinct misses: nil for none,

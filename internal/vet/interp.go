@@ -105,7 +105,7 @@ type state struct {
 }
 
 func newState(fn *parc.FuncDecl) *state {
-	st := &state{fn: fn, vals: make([]aval, fn.NumScalars)}
+	st := &state{fn: fn, vals: make([]aval, len(fn.Scalars))}
 	// Frame slots start zeroed, matching the interpreter's zero-initialized
 	// frames.
 	for i := range st.vals {

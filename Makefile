@@ -61,7 +61,7 @@ staticdiff:
 # cycles-exact gate is TestFigure6Golden; wall-clock claims are made with
 # benchmark/ (BENCHMARK.json), not from this file.
 bench:
-	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest|VetAnalyze' -benchtime 1x ./...
 	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
 
 # Where a Figure 6 regeneration spends its CPU and its bytes, as text: three
@@ -138,6 +138,8 @@ check: build vet staticdiff test race
 # on generated programs outside the 200-seed corpus. FuzzVMEquivalence is the
 # interpreter-level differential under all of them: the typed bytecode VM
 # against the tree-walker on the Machine event stream, errors and memory.
+# FuzzVetSource and FuzzVetGenerated are the static side: vet must not panic
+# on arbitrary text, and must pass every generated program clean.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
@@ -148,6 +150,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzStaticPlacement$$' -fuzztime $(FUZZTIME) ./internal/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzVetSource$$' -fuzztime $(FUZZTIME) ./internal/vet
+	$(GO) test -run '^$$' -fuzz '^FuzzVetGenerated$$' -fuzztime $(FUZZTIME) ./internal/vet
 
 # Coverage with checked-in floors. The floors sit a few points under the
 # current numbers (see EXPERIMENTS.md) so they trip on real regressions, not

@@ -19,6 +19,8 @@ package cachier
 //	                                 of a 4-node corpus program, and one new
 //	                                 program through all four endpoints
 //	                                 (B/op and allocs/op are the point)
+//	BenchmarkVetAnalyze           — vet.Analyze on 4-node corpus programs,
+//	                                 the static layer of a cold request
 //
 // Custom metrics (reported via b.ReportMetric, suffix explains the unit):
 // normalized execution times, measured check-out counts, and percentage
@@ -42,6 +44,7 @@ import (
 	"cachier/internal/parcgen"
 	"cachier/internal/serve"
 	"cachier/internal/sim"
+	"cachier/internal/vet"
 )
 
 // BenchmarkFig6 regenerates Figure 6 (experiment E1): each sub-benchmark
@@ -352,6 +355,22 @@ func BenchmarkSmallRun(b *testing.B) {
 		if _, err := sim.Run(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVetAnalyze vets a slice of the parcgen corpus at 4 nodes, the
+// programs cachierd's /v1/vet sees: the race finder and the annotation lint
+// on many small programs. One op is one Analyze; B/op is what a cold vet
+// request allocates in the analysis itself.
+func BenchmarkVetAnalyze(b *testing.B) {
+	var progs []*parc.Program
+	for seed := int64(0); seed < 16; seed++ {
+		progs = append(progs, parc.MustParse(parcgen.Generate(seed)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vet.Analyze(progs[i%len(progs)], vet.Options{Nprocs: 4})
 	}
 }
 

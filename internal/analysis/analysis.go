@@ -24,27 +24,26 @@ type Ref struct {
 type Info struct {
 	Prog *parc.Program
 
-	parentBlock map[int]*parc.Block // stmt ID -> enclosing block
-	parentIndex map[int]int         // stmt ID -> index within enclosing block
-	parentStmt  map[int]parc.Stmt   // stmt ID -> immediate parent statement
-	loops       map[int][]*parc.ForStmt
-	fn          map[int]*parc.FuncDecl
-	refs        map[int][]Ref
-	hasBarrier  map[int]bool // stmt ID -> subtree contains a barrier
+	stmts []stmtInfo // by statement ID
+}
+
+// stmtInfo is what Info knows about one statement.
+type stmtInfo struct {
+	parentBlock *parc.Block // enclosing block, nil for function bodies
+	parentIndex int         // index within parentBlock
+	parentStmt  parc.Stmt   // immediate parent statement
+	// loops is the enclosing for-loop chain, outermost first. Statements
+	// in one loop body share it; its capacity is clamped to its length, so
+	// appending to it copies.
+	loops      []*parc.ForStmt
+	fn         *parc.FuncDecl
+	refs       []Ref
+	hasBarrier bool // the statement's subtree contains a barrier
 }
 
 // Analyze builds static information for the whole program.
 func Analyze(prog *parc.Program) *Info {
-	in := &Info{
-		Prog:        prog,
-		parentBlock: make(map[int]*parc.Block),
-		parentIndex: make(map[int]int),
-		parentStmt:  make(map[int]parc.Stmt),
-		loops:       make(map[int][]*parc.ForStmt),
-		fn:          make(map[int]*parc.FuncDecl),
-		refs:        make(map[int][]Ref),
-		hasBarrier:  make(map[int]bool),
-	}
+	in := &Info{Prog: prog, stmts: make([]stmtInfo, prog.NumStmts())}
 	for _, f := range prog.Funcs {
 		in.visit(f.Body, f, nil)
 	}
@@ -52,45 +51,46 @@ func Analyze(prog *parc.Program) *Info {
 }
 
 // visit records parent/loop/function links for s's subtree. loops is the
-// enclosing for-loop chain, outermost first.
+// enclosing for-loop chain, outermost first, with its capacity clamped.
 func (in *Info) visit(s parc.Stmt, f *parc.FuncDecl, loops []*parc.ForStmt) bool {
 	if s == nil {
 		return false
 	}
-	in.fn[s.ID()] = f
-	in.loops[s.ID()] = append([]*parc.ForStmt(nil), loops...)
+	si := &in.stmts[s.ID()]
+	si.fn = f
+	si.loops = loops
 	barrier := false
 	switch n := s.(type) {
 	case *parc.Block:
 		for i, c := range n.Stmts {
-			in.parentBlock[c.ID()] = n
-			in.parentIndex[c.ID()] = i
-			in.parentStmt[c.ID()] = n
+			ci := &in.stmts[c.ID()]
+			ci.parentBlock, ci.parentIndex, ci.parentStmt = n, i, n
 			if in.visit(c, f, loops) {
 				barrier = true
 			}
 		}
 	case *parc.IfStmt:
-		in.parentStmt[n.Then.ID()] = n
+		in.stmts[n.Then.ID()].parentStmt = n
 		if in.visit(n.Then, f, loops) {
 			barrier = true
 		}
 		if n.Else != nil {
-			in.parentStmt[n.Else.ID()] = n
+			in.stmts[n.Else.ID()].parentStmt = n
 			if in.visit(n.Else, f, loops) {
 				barrier = true
 			}
 		}
 		in.collectRefs(n.ID(), nil, n.Cond)
 	case *parc.WhileStmt:
-		in.parentStmt[n.Body.ID()] = n
+		in.stmts[n.Body.ID()].parentStmt = n
 		if in.visit(n.Body, f, loops) {
 			barrier = true
 		}
 		in.collectRefs(n.ID(), nil, n.Cond)
 	case *parc.ForStmt:
-		in.parentStmt[n.Body.ID()] = n
-		if in.visit(n.Body, f, append(loops, n)) {
+		in.stmts[n.Body.ID()].parentStmt = n
+		inner := append(loops, n)
+		if in.visit(n.Body, f, inner[:len(inner):len(inner)]) {
 			barrier = true
 		}
 		in.collectRefs(n.ID(), nil, n.From, n.To, n.Step)
@@ -100,12 +100,12 @@ func (in *Info) visit(s parc.Stmt, f *parc.FuncDecl, loops []*parc.ForStmt) bool
 		in.collectRefs(n.ID(), nil, n.Init)
 	case *parc.AssignStmt:
 		if _, shared := in.Prog.SharedMap[n.LHS.Name]; shared {
-			in.refs[n.ID()] = append(in.refs[n.ID()], Ref{
+			si.refs = append(si.refs, Ref{
 				Stmt: n, Var: n.LHS.Name, Indices: n.LHS.Indices, Write: true,
 			})
 			if n.Op != parc.OpSet {
 				// Compound assignment also reads the destination.
-				in.refs[n.ID()] = append(in.refs[n.ID()], Ref{
+				si.refs = append(si.refs, Ref{
 					Stmt: n, Var: n.LHS.Name, Indices: n.LHS.Indices, Write: false,
 				})
 			}
@@ -125,7 +125,7 @@ func (in *Info) visit(s parc.Stmt, f *parc.FuncDecl, loops []*parc.ForStmt) bool
 	case *parc.PrintStmt:
 		in.collectRefs(n.ID(), nil, n.Args...)
 	}
-	in.hasBarrier[s.ID()] = barrier
+	si.hasBarrier = barrier
 	return barrier
 }
 
@@ -146,11 +146,11 @@ func (in *Info) walkExpr(id int, owner parc.Stmt, e parc.Expr) {
 	case nil:
 	case *parc.VarRef:
 		if d, ok := in.Prog.SharedMap[n.Name]; ok && len(d.DimSizes) == 0 {
-			in.refs[id] = append(in.refs[id], Ref{Stmt: owner, Var: n.Name, Write: false})
+			in.stmts[id].refs = append(in.stmts[id].refs, Ref{Stmt: owner, Var: n.Name, Write: false})
 		}
 	case *parc.IndexExpr:
 		if _, ok := in.Prog.SharedMap[n.Name]; ok {
-			in.refs[id] = append(in.refs[id], Ref{Stmt: owner, Var: n.Name, Indices: n.Indices, Write: false})
+			in.stmts[id].refs = append(in.stmts[id].refs, Ref{Stmt: owner, Var: n.Name, Indices: n.Indices, Write: false})
 		}
 		for _, ix := range n.Indices {
 			in.walkExpr(id, owner, ix)
@@ -170,34 +170,35 @@ func (in *Info) walkExpr(id int, owner parc.Stmt, e parc.Expr) {
 // Block returns the block directly containing the statement and the
 // statement's index within it. ok is false for function bodies themselves.
 func (in *Info) Block(id int) (b *parc.Block, index int, ok bool) {
-	b, ok = in.parentBlock[id]
-	return b, in.parentIndex[id], ok
+	si := &in.stmts[id]
+	return si.parentBlock, si.parentIndex, si.parentBlock != nil
 }
 
 // Parent returns the immediate parent statement (a block, if, while, or for).
-func (in *Info) Parent(id int) parc.Stmt { return in.parentStmt[id] }
+func (in *Info) Parent(id int) parc.Stmt { return in.stmts[id].parentStmt }
 
-// Loops returns the for-loops enclosing the statement, outermost first.
-func (in *Info) Loops(id int) []*parc.ForStmt { return in.loops[id] }
+// Loops returns the for-loops enclosing the statement, outermost first. The
+// slice is shared: callers must not modify its elements.
+func (in *Info) Loops(id int) []*parc.ForStmt { return in.stmts[id].loops }
 
 // Func returns the function whose body contains the statement.
-func (in *Info) Func(id int) *parc.FuncDecl { return in.fn[id] }
+func (in *Info) Func(id int) *parc.FuncDecl { return in.stmts[id].fn }
 
 // Refs returns the shared-array references contained in the statement
 // (not including nested statements).
-func (in *Info) Refs(id int) []Ref { return in.refs[id] }
+func (in *Info) Refs(id int) []Ref { return in.stmts[id].refs }
 
 // ContainsBarrier reports whether the statement's subtree contains a
 // barrier; check-outs must not hoist above such statements, since their
 // bodies span epochs.
-func (in *Info) ContainsBarrier(s parc.Stmt) bool { return in.hasBarrier[s.ID()] }
+func (in *Info) ContainsBarrier(s parc.Stmt) bool { return in.stmts[s.ID()].hasBarrier }
 
 // AllRefs returns every shared reference site in the program, in statement
 // ID order.
 func (in *Info) AllRefs() []Ref {
 	var out []Ref
 	parc.WalkProgram(in.Prog, func(s parc.Stmt) bool {
-		out = append(out, in.refs[s.ID()]...)
+		out = append(out, in.stmts[s.ID()].refs...)
 		return true
 	})
 	return out

@@ -15,42 +15,18 @@ import (
 // barrier count is data- or node-dependent, which both voids that epoch
 // numbering and risks real barrier deadlock at run time.
 
-// cfg is the barrier-segmented view of one function body.
-type cfg struct {
-	fn       *parc.FuncDecl
-	segments [][]parc.Stmt // top-level statement runs between barriers
-	barriers int           // statically known barrier executions, -1 if unknown
-	findings []Finding
+// checkCFG adds one function body's structural findings: barrier
+// placements whose epoch structure the abstract interpreter can only
+// approximate.
+func (v *vetter) checkCFG(fn *parc.FuncDecl) {
+	v.countBarriers(fn.Body)
+	if fn.Name != "main" && v.info.ContainsBarrier(fn.Body) {
+		v.warn(fn.Pos, "barrier inside function %q: every node must call it in lockstep or the program deadlocks", fn.Name)
+	}
 }
 
-// buildCFG segments a function at its barriers and collects structural
-// findings about barrier placements whose epoch structure the abstract
-// interpreter can only approximate.
-func buildCFG(fn *parc.FuncDecl, info *analysis.Info, consts map[string]int64) *cfg {
-	c := &cfg{fn: fn}
-	var seg []parc.Stmt
-	for _, s := range fn.Body.Stmts {
-		if _, isBar := s.(*parc.BarrierStmt); isBar {
-			c.segments = append(c.segments, seg)
-			seg = nil
-			continue
-		}
-		seg = append(seg, s)
-	}
-	c.segments = append(c.segments, seg)
-	n, known := c.countBarriers(fn.Body, consts)
-	if !known {
-		n = -1
-	}
-	c.barriers = n
-	if fn.Name != "main" && info.ContainsBarrier(fn.Body) {
-		c.warn(fn.Pos, "barrier inside function %q: every node must call it in lockstep or the program deadlocks", fn.Name)
-	}
-	return c
-}
-
-func (c *cfg) warn(pos parc.Pos, format string, args ...any) {
-	c.findings = append(c.findings, Finding{
+func (v *vetter) warn(pos parc.Pos, format string, args ...any) {
+	v.add(Finding{
 		Rule: RuleStructural, Severity: SevWarning, Pos: pos, Epoch: -1,
 		Nodes: [2]int{-1, -1},
 		Msg:   fmt.Sprintf(format, args...),
@@ -59,12 +35,12 @@ func (c *cfg) warn(pos parc.Pos, format string, args ...any) {
 
 // countBarriers computes how many barriers executing s runs, when that is
 // statically determined, flagging the constructs that make it data-dependent.
-func (c *cfg) countBarriers(s parc.Stmt, consts map[string]int64) (int, bool) {
+func (v *vetter) countBarriers(s parc.Stmt) (int, bool) {
 	switch n := s.(type) {
 	case *parc.Block:
 		total, known := 0, true
 		for _, child := range n.Stmts {
-			k, ok := c.countBarriers(child, consts)
+			k, ok := v.countBarriers(child)
 			if !ok {
 				known = false
 			}
@@ -74,32 +50,32 @@ func (c *cfg) countBarriers(s parc.Stmt, consts map[string]int64) (int, bool) {
 	case *parc.BarrierStmt:
 		return 1, true
 	case *parc.IfStmt:
-		tb, tok := c.countBarriers(n.Then, consts)
+		tb, tok := v.countBarriers(n.Then)
 		eb, eok := 0, true
 		if n.Else != nil {
-			eb, eok = c.countBarriers(n.Else, consts)
+			eb, eok = v.countBarriers(n.Else)
 		}
 		if tok && eok && tb == eb {
 			return tb, true
 		}
 		if tb > 0 || eb > 0 || !tok || !eok {
-			c.warn(n.Position(), "branches of this if may execute different numbers of barriers; if the condition is node-dependent the program deadlocks")
-			return maxInt(tb, eb), false
+			v.warn(n.Position(), "branches of this if may execute different numbers of barriers; if the condition is node-dependent the program deadlocks")
+			return max(tb, eb), false
 		}
 		return 0, true
 	case *parc.WhileStmt:
-		b, _ := c.countBarriers(n.Body, consts)
+		b, _ := v.countBarriers(n.Body)
 		if b > 0 {
-			c.warn(n.Position(), "barrier inside while loop: the iteration count, and so the epoch structure, is data-dependent")
+			v.warn(n.Position(), "barrier inside while loop: the iteration count, and so the epoch structure, is data-dependent")
 			return 0, false
 		}
 		return 0, true
 	case *parc.ForStmt:
-		b, ok := c.countBarriers(n.Body, consts)
+		b, ok := v.countBarriers(n.Body)
 		if b == 0 && ok {
 			return 0, true
 		}
-		if tc, tok := analysis.TripCount(n, consts); tok && ok {
+		if tc, tok := analysis.TripCount(n, v.prog.ConstVal); tok && ok {
 			return int(tc) * b, true
 		}
 		// The abstract interpreter reports this case; it knows whether the
@@ -107,18 +83,4 @@ func (c *cfg) countBarriers(s parc.Stmt, consts map[string]int64) (int, bool) {
 		return 0, false
 	}
 	return 0, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// checkCFG surfaces a CFG's structural findings through the vetter.
-func (v *vetter) checkCFG(c *cfg) {
-	for _, f := range c.findings {
-		v.add(f)
-	}
 }

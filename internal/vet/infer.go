@@ -178,10 +178,11 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		}
 		ns := NodeSummary{Node: p, Epochs: make([]InferEpoch, 0, len(like))}
 		cur := newEpoch(0)
-		for _, ev := range r.events {
+		for i := range r.events {
+			ev := &r.events[i]
 			switch ev.kind {
 			case evBarrier:
-				cur.BarrierID = ev.stmtID
+				cur.BarrierID = int(ev.stmtID)
 				ns.Epochs = append(ns.Epochs, cur)
 				cur = newEpoch(len(ns.Epochs))
 			case evAccess:
@@ -189,26 +190,26 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 					continue
 				}
 				if ev.variant {
-					r.inexact(ev.pos, "subscript of %s does not fold to one element", ev.varName)
+					r.inexact(ev.position(), "subscript of %s does not fold to one element", ev.decl.Name)
 				}
 				acc := InferAccess{
 					Var:     ev.decl.Name,
 					Write:   ev.write,
-					Stmt:    ev.encStmt,
+					Stmt:    int(ev.encStmt),
 					Variant: ev.variant,
 				}
 				for _, d := range ev.dims {
 					acc.Dims = append(acc.Dims, IndexSet{Lo: d.lo, Hi: d.hi, Stride: d.stride})
 				}
-				cur.Events = append(cur.Events, InferEvent{Op: OpAccess, Access: acc, Stmt: ev.encStmt})
+				cur.Events = append(cur.Events, InferEvent{Op: OpAccess, Access: acc, Stmt: int(ev.encStmt)})
 			case evLock:
-				cur.Events = append(cur.Events, InferEvent{Op: OpLock, Lock: ev.lockID, Stmt: ev.stmtID})
+				cur.Events = append(cur.Events, InferEvent{Op: OpLock, Lock: ev.lockID, Stmt: int(ev.stmtID)})
 			case evUnlock:
-				cur.Events = append(cur.Events, InferEvent{Op: OpUnlock, Lock: ev.lockID, Stmt: ev.stmtID})
+				cur.Events = append(cur.Events, InferEvent{Op: OpUnlock, Lock: ev.lockID, Stmt: int(ev.stmtID)})
 			case evPrint:
-				cur.Events = append(cur.Events, InferEvent{Op: OpPrint, Stmt: ev.stmtID})
+				cur.Events = append(cur.Events, InferEvent{Op: OpPrint, Stmt: int(ev.stmtID)})
 			case evWork:
-				cur.Events = append(cur.Events, InferEvent{Op: OpWork, Work: ev.work, Stmt: ev.encStmt})
+				cur.Events = append(cur.Events, InferEvent{Op: OpWork, Work: ev.work, Stmt: int(ev.encStmt)})
 			}
 		}
 		ns.Epochs = append(ns.Epochs, cur)

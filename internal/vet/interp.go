@@ -2,7 +2,7 @@ package vet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cachier/internal/analysis"
@@ -33,7 +33,7 @@ const (
 	maxFuel          = 400000
 )
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evAccess eventKind = iota
@@ -54,24 +54,64 @@ const (
 // machine — a context-switch point — when they reach this many cycles.
 const workFlushLimit = 512
 
-// event is one element of a node's abstract execution stream.
+// event is one element of a node's abstract execution stream. It names
+// what it touched by pointer and integer only; the source text and position
+// of an access are read off its AST node when a finding reports them.
 type event struct {
-	kind     eventKind
-	varName  string
-	decl     *parc.SharedDecl
-	dims     []si
-	write    bool         // for evAccess
-	ann      parc.AnnKind // for evAnn
-	lockID   int64        // for evLock/evUnlock
-	work     uint64       // for evWork: local cycles reported to the machine
-	lockKey  string       // canonical "0,1" of concretely held locks
-	epoch    int
-	pos      parc.Pos
-	stmtID   int
-	encStmt  int // enclosing statement's ID — the VM's pc for this access
-	exprText string
-	iterCtx  int  // which loop-body instance produced it
-	variant  bool // dims depend on an abstract (non-constant) value
+	kind    eventKind
+	write   bool  // for evAccess
+	variant bool  // dims depend on an abstract (non-constant) value
+	locks   int32 // interned set of concretely held locks (vetter.lockSets)
+	epoch   int32
+	stmtID  int32
+	encStmt int32        // enclosing statement's ID — the VM's pc for this access
+	iterCtx int32        // which loop-body instance produced it
+	ann     parc.AnnKind // for evAnn
+	decl    *parc.SharedDecl
+	// ref is the access's or annotation's AST node: *parc.VarRef,
+	// *parc.IndexExpr, *parc.LValue or *parc.CICOStmt.
+	ref    any
+	dims   []si
+	lockID int64  // for evLock/evUnlock
+	work   uint64 // for evWork: local cycles reported to the machine
+}
+
+// position is where the source names the access or annotation.
+func (ev *event) position() parc.Pos {
+	switch n := ev.ref.(type) {
+	case *parc.LValue:
+		return n.Pos
+	case interface{ Position() parc.Pos }:
+		return n.Position()
+	}
+	return parc.Pos{}
+}
+
+// text renders the access or annotation as the source names it: A[i][j-1],
+// a shared scalar's name, or an annotation's range.
+func (ev *event) text() string {
+	switch n := ev.ref.(type) {
+	case *parc.VarRef:
+		return n.Name
+	case *parc.IndexExpr:
+		return indexText(n.Name, n.Indices)
+	case *parc.LValue:
+		return indexText(n.Name, n.Indices)
+	case *parc.CICOStmt:
+		return parc.RangeRefString(n.Target)
+	}
+	return ""
+}
+
+func indexText(name string, idxs []parc.Expr) string {
+	var b strings.Builder
+	b.WriteString(name)
+	for _, ix := range idxs {
+		b.WriteByte('[')
+		b.WriteString(parc.ExprString(ix))
+		b.WriteByte(']')
+	}
+	return b.String()
 }
 
 // aval is an abstract value: a float of unknown value, a strided-interval
@@ -198,7 +238,7 @@ type nodeRun struct {
 	locks    map[int64]int
 	lockTop  int
 	rets     []*retAgg
-	lockStr  string
+	lockSet  int32 // interned set of held locks; valid unless lockDirt
 	lockDirt bool
 	curStmt  int       // enclosing statement's ID, mirroring the VM's pc stamping
 	pending  uint64    // unreported local work cycles (inference mode)
@@ -292,14 +332,14 @@ func (r *nodeRun) emit(ev event) {
 	if r.infer != nil && r.pending > 0 {
 		switch ev.kind {
 		case evAccess, evBarrier, evLock, evUnlock, evPrint:
-			w := event{kind: evWork, work: r.pending, epoch: r.epoch, iterCtx: r.iterCtx, encStmt: r.curStmt}
+			w := event{kind: evWork, work: r.pending, epoch: int32(r.epoch), iterCtx: int32(r.iterCtx), encStmt: int32(r.curStmt)}
 			r.pending = 0
 			r.events = append(r.events, w)
 		}
 	}
-	ev.epoch = r.epoch
-	ev.iterCtx = r.iterCtx
-	ev.encStmt = r.curStmt
+	ev.epoch = int32(r.epoch)
+	ev.iterCtx = int32(r.iterCtx)
+	ev.encStmt = int32(r.curStmt)
 	r.events = append(r.events, ev)
 }
 
@@ -338,7 +378,7 @@ type runSnap struct {
 	epoch    int
 	curStmt  int
 	lockTop  int
-	lockStr  string
+	lockSet  int32
 	lockDirt bool
 	locks    map[int64]int
 	pending  uint64
@@ -351,7 +391,7 @@ func (r *nodeRun) snapshot(st *state) runSnap {
 	}
 	return runSnap{
 		st: st.clone(), events: len(r.events), epoch: r.epoch,
-		curStmt: r.curStmt, lockTop: r.lockTop, lockStr: r.lockStr,
+		curStmt: r.curStmt, lockTop: r.lockTop, lockSet: r.lockSet,
 		lockDirt: r.lockDirt, locks: locks, pending: r.pending,
 	}
 }
@@ -362,15 +402,16 @@ func (r *nodeRun) rollback(st *state, s runSnap) {
 	r.epoch = s.epoch
 	r.curStmt = s.curStmt
 	r.lockTop = s.lockTop
-	r.lockStr = s.lockStr
+	r.lockSet = s.lockSet
 	r.lockDirt = s.lockDirt
 	r.locks = s.locks
 	r.pending = s.pending
 }
 
-func (r *nodeRun) lockKey() string {
+// heldLocks returns the interned set of locks the node concretely holds.
+func (r *nodeRun) heldLocks() int32 {
 	if !r.lockDirt {
-		return r.lockStr
+		return r.lockSet
 	}
 	r.lockDirt = false
 	ids := make([]int64, 0, len(r.locks))
@@ -379,17 +420,12 @@ func (r *nodeRun) lockKey() string {
 			ids = append(ids, id)
 		}
 	}
-	if len(ids) == 0 {
-		r.lockStr = ""
-		return ""
+	slices.Sort(ids)
+	r.lockSet = 0
+	for _, id := range ids {
+		r.lockSet = r.v.lockSets.add(r.lockSet, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprint(id)
-	}
-	r.lockStr = strings.Join(parts, ",")
-	return r.lockStr
+	return r.lockSet
 }
 
 func (r *nodeRun) structural(pos parc.Pos, format string, args ...any) {
@@ -480,7 +516,7 @@ func (r *nodeRun) varRef(st *state, n *parc.VarRef) aval {
 	case parc.RefLocal:
 		return r.localVal(st, n.Slot)
 	case parc.RefShared:
-		return r.sharedScalar(st, n.Shared, n.Position(), n.Name)
+		return r.sharedScalar(n)
 	}
 	return avTopInt()
 }
@@ -498,11 +534,11 @@ func (r *nodeRun) localVal(st *state, slot int) aval {
 	return avAff(slot, 1, 0)
 }
 
-func (r *nodeRun) sharedScalar(st *state, decl *parc.SharedDecl, pos parc.Pos, name string) aval {
-	r.emit(event{
-		kind: evAccess, varName: name, decl: decl, write: false,
-		lockKey: r.lockKey(), pos: pos, exprText: name,
-	})
+func (r *nodeRun) sharedScalar(n *parc.VarRef) aval {
+	decl := n.Shared
+	if r.suppress == 0 {
+		r.emit(event{kind: evAccess, decl: decl, ref: n, locks: r.heldLocks()})
+	}
 	if decl.Base == parc.IntType {
 		return avTopInt()
 	}
@@ -511,12 +547,13 @@ func (r *nodeRun) sharedScalar(st *state, decl *parc.SharedDecl, pos parc.Pos, n
 
 func (r *nodeRun) indexExpr(st *state, n *parc.IndexExpr) aval {
 	if decl := n.Shared; decl != nil {
-		dims, variant, text := r.indexDims(st, decl, n.Name, n.Indices)
-		r.emit(event{
-			kind: evAccess, varName: n.Name, decl: decl, dims: dims,
-			write: false, lockKey: r.lockKey(), pos: n.Position(),
-			exprText: text, variant: variant,
-		})
+		dims, variant := r.indexDims(st, decl, n.Indices)
+		if r.suppress == 0 {
+			r.emit(event{
+				kind: evAccess, decl: decl, ref: n, dims: dims,
+				locks: r.heldLocks(), variant: variant,
+			})
+		}
 		if decl.Base == parc.IntType {
 			return avTopInt()
 		}
@@ -537,12 +574,18 @@ func (r *nodeRun) indexExpr(st *state, n *parc.IndexExpr) aval {
 // indexDims evaluates subscripts to per-dimension element sets, clamped to
 // the array's bounds (a run that stays in bounds cannot touch elements
 // outside them, and clamping keeps data-dependent Top indices readable).
-func (r *nodeRun) indexDims(st *state, decl *parc.SharedDecl, name string, idxs []parc.Expr) (dims []si, variant bool, text string) {
-	var b strings.Builder
-	b.WriteString(name)
+// A suppressed re-walk records no event, so it only evaluates the
+// subscripts for their effects.
+func (r *nodeRun) indexDims(st *state, decl *parc.SharedDecl, idxs []parc.Expr) (dims []si, variant bool) {
+	if r.suppress == 0 {
+		dims = make([]si, 0, len(idxs))
+	}
 	for d, ix := range idxs {
 		r.charge(1) // interpreter's offset() charges one unit per dimension
 		a := r.evalExpr(st, ix)
+		if r.suppress > 0 {
+			continue
+		}
 		s := r.mat(st, a)
 		if d < len(decl.DimSizes) {
 			s = s.clampMin(0).clampMax(int64(decl.DimSizes[d]) - 1)
@@ -551,11 +594,8 @@ func (r *nodeRun) indexDims(st *state, decl *parc.SharedDecl, name string, idxs 
 			variant = true
 		}
 		dims = append(dims, s)
-		b.WriteByte('[')
-		b.WriteString(parc.ExprString(ix))
-		b.WriteByte(']')
 	}
-	return dims, variant, b.String()
+	return dims, variant
 }
 
 func (r *nodeRun) negVal(st *state, a aval) aval {
@@ -637,17 +677,21 @@ func (r *nodeRun) addVal(st *state, a, b aval) aval {
 
 func (r *nodeRun) call(st *state, n *parc.CallExpr) aval {
 	if n.Builtin != parc.BuiltinNone {
-		args := make([]aval, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = r.evalExpr(st, a)
+		var buf [2]aval // no builtin takes more
+		args := buf[:0]
+		for _, a := range n.Args {
+			args = append(args, r.evalExpr(st, a))
 		}
 		r.charge(1)
 		return r.builtin(st, n.Builtin, args)
 	}
 	fn := n.Fn
-	args := make([]aval, len(n.Args))
+	fst := newState(fn)
 	for i, a := range n.Args {
-		args[i] = r.matv(st, r.evalExpr(st, a))
+		v := r.matv(st, r.evalExpr(st, a))
+		if i < len(fn.Params) {
+			fst.vals[i] = v
+		}
 	}
 	r.charge(2) // call overhead, as the interpreter charges at the call site
 	if r.depth >= maxCallDepth {
@@ -656,12 +700,6 @@ func (r *nodeRun) call(st *state, n *parc.CallExpr) aval {
 		return avTopInt()
 	}
 	r.depth++
-	fst := newState(fn)
-	for i := range fn.Params {
-		if i < len(args) {
-			fst.vals[i] = args[i]
-		}
-	}
 	agg := &retAgg{}
 	r.rets = append(r.rets, agg)
 	saveStmt := r.curStmt
@@ -726,14 +764,14 @@ func minSI(a, b si) si {
 	if a.empty() || b.empty() {
 		return siTop
 	}
-	return si{minI(a.lo, b.lo), minI(a.hi, b.hi), unionStride(a, b)}.norm()
+	return si{min(a.lo, b.lo), min(a.hi, b.hi), unionStride(a, b)}.norm()
 }
 
 func maxSI(a, b si) si {
 	if a.empty() || b.empty() {
 		return siTop
 	}
-	return si{maxI(a.lo, b.lo), maxI(a.hi, b.hi), unionStride(a, b)}.norm()
+	return si{max(a.lo, b.lo), max(a.hi, b.hi), unionStride(a, b)}.norm()
 }
 
 func unionStride(a, b si) int64 {
@@ -753,7 +791,7 @@ func absSI(a si) si {
 	case a.hi <= 0:
 		return a.scale(-1)
 	default:
-		return si{0, maxI(-a.lo, a.hi), 1}.norm()
+		return si{0, max(-a.lo, a.hi), 1}.norm()
 	}
 }
 
@@ -1197,7 +1235,7 @@ func (r *nodeRun) evalStmt(st *state, s parc.Stmt) {
 	case *parc.ForStmt:
 		r.evalFor(st, n)
 	case *parc.BarrierStmt:
-		r.emit(event{kind: evBarrier, pos: n.Position(), stmtID: n.ID()})
+		r.emit(event{kind: evBarrier, stmtID: int32(n.ID())})
 		if r.suppress == 0 {
 			r.epoch++
 		}
@@ -1223,7 +1261,7 @@ func (r *nodeRun) evalStmt(st *state, s parc.Stmt) {
 			r.evalExpr(st, a)
 		}
 		if r.infer != nil {
-			r.emit(event{kind: evPrint, pos: n.Position(), stmtID: n.ID()})
+			r.emit(event{kind: evPrint, stmtID: int32(n.ID())})
 		}
 	case *parc.CICOStmt:
 		r.cico(st, n)
@@ -1260,7 +1298,7 @@ func (r *nodeRun) lockOp(st *state, idExpr parc.Expr, delta int, stmtID int) {
 		if delta < 0 {
 			kind = evUnlock
 		}
-		r.emit(event{kind: kind, lockID: id, pos: idExpr.Position(), stmtID: stmtID})
+		r.emit(event{kind: kind, lockID: id, stmtID: int32(stmtID)})
 	}
 	r.locks[id] += delta
 	if r.locks[id] < 0 {
@@ -1274,10 +1312,13 @@ func (r *nodeRun) assign(st *state, n *parc.AssignStmt) {
 	lv := n.LHS
 	switch lv.Ref {
 	case parc.RefShared:
-		dims, variant, text := r.indexDims(st, lv.Shared, lv.Name, lv.Indices)
+		dims, variant := r.indexDims(st, lv.Shared, lv.Indices)
+		if r.suppress > 0 {
+			return
+		}
 		base := event{
-			varName: lv.Name, decl: lv.Shared, dims: dims, lockKey: r.lockKey(),
-			pos: lv.Pos, stmtID: n.ID(), exprText: text, variant: variant,
+			decl: lv.Shared, ref: lv, dims: dims, locks: r.heldLocks(),
+			stmtID: int32(n.ID()), variant: variant,
 		}
 		if n.Op != parc.OpSet {
 			rd := base
@@ -1344,9 +1385,8 @@ func (r *nodeRun) cico(st *state, n *parc.CICOStmt) {
 		dims = append(dims, s)
 	}
 	r.emit(event{
-		kind: evAnn, ann: n.Kind, varName: tgt.Name, decl: decl, dims: dims,
-		lockKey: r.lockKey(), pos: n.Position(), stmtID: n.ID(),
-		exprText: parc.RangeRefString(tgt), variant: variant,
+		kind: evAnn, ann: n.Kind, decl: decl, ref: n, dims: dims,
+		locks: r.heldLocks(), stmtID: int32(n.ID()), variant: variant,
 	})
 }
 
@@ -1363,7 +1403,7 @@ func (r *nodeRun) evalIf(st *state, n *parc.IfStmt) {
 		if !thenSt.dead {
 			r.evalBlock(thenSt, n.Then)
 		}
-		elseSt := st.clone()
+		elseSt := st // the then arm ran on a copy, and st is replaced below
 		r.refine(elseSt, n.Cond, false)
 		if !elseSt.dead && n.Else != nil {
 			r.evalStmt(elseSt, n.Else)
@@ -1382,7 +1422,7 @@ func (r *nodeRun) evalWhile(st *state, n *parc.WhileStmt) {
 	hasBar := r.v.info.ContainsBarrier(n)
 	passes := 1
 	if hasBar {
-		// buildCFG already warned about the data-dependent epoch structure.
+		// checkCFG already warned about the data-dependent epoch structure.
 		passes = 2
 	}
 	cur := st.clone()
@@ -1604,7 +1644,7 @@ func loopVarSI(from, to si, step int64, stepOK bool) si {
 		return siTop
 	}
 	if !stepOK {
-		return si{minI(from.lo, to.lo), maxI(from.hi, to.hi), 1}.norm()
+		return si{min(from.lo, to.lo), max(from.hi, to.hi), 1}.norm()
 	}
 	if step > 0 {
 		if to.hi < from.lo {
@@ -1612,7 +1652,7 @@ func loopVarSI(from, to si, step int64, stepOK bool) si {
 		}
 		g := step
 		if !from.isConst() {
-			g = gcd(step, maxI(from.stride, 1))
+			g = gcd(step, max(from.stride, 1))
 		}
 		return si{from.lo, to.hi, g}.norm()
 	}

@@ -19,38 +19,19 @@ import (
 // instance only when they come from the same loop-body instance (iterCtx)
 // or when neither depends on an abstract value at all (both invariant).
 
-// annEntry is one outstanding or retired checkout region.
-type annEntry struct {
-	dims    []si
-	shared  bool // check_out_s
-	variant bool
-	iterCtx int
-	epoch   int
-	pos     parc.Pos
-}
-
-// access is one shared access not covered by any active checkout when it
-// happened, kept for the late-check-out rule.
-type access struct {
-	dims    []si
-	write   bool
-	variant bool
-	iterCtx int
-	pos     parc.Pos
-	text    string
-}
-
+// lintVar is one variable's checkout state, held as pointers into the
+// node's event stream.
 type lintVar struct {
-	active    []annEntry // checked out, not yet checked in
-	checkedIn []annEntry // checked in during the current epoch
-	bare      []access   // uncovered accesses in the current epoch
+	active    []*event // check-outs not yet checked in
+	checkedIn []*event // check-ins during the current epoch
+	bare      []*event // accesses no active check-out covered, this epoch
 }
 
-func sameInstance(aVariant bool, aIter int, bVariant bool, bIter int) bool {
-	if !aVariant && !bVariant {
+func sameInstance(a, b *event) bool {
+	if !a.variant && !b.variant {
 		return true
 	}
-	return aIter == bIter
+	return a.iterCtx == b.iterCtx
 }
 
 // dimsMayOverlap reports whether two per-dimension element sets can name a
@@ -85,23 +66,24 @@ func dimsCover(outer, inner []si) bool {
 
 // lint replays one node's event stream through the checkout state machine.
 func (v *vetter) lint(r *nodeRun) {
-	vars := make(map[string]*lintVar)
-	get := func(name string) *lintVar {
-		lv := vars[name]
+	vars := make(map[*parc.SharedDecl]*lintVar)
+	get := func(decl *parc.SharedDecl) *lintVar {
+		lv := vars[decl]
 		if lv == nil {
 			lv = &lintVar{}
-			vars[name] = lv
+			vars[decl] = lv
 		}
 		return lv
 	}
-	flagOpen := func(name string, e annEntry, why string) {
+	flagOpen := func(e *event, why string) {
 		v.add(Finding{
-			Rule: RuleMissingCI, Severity: SevInfo, Pos: e.pos, Var: name,
-			Epoch: e.epoch, Nodes: [2]int{r.node, -1},
-			Msg: fmt.Sprintf("%s of %s has no matching check_in before %s", coName(e.shared), name, why),
+			Rule: RuleMissingCI, Severity: SevInfo, Pos: e.position(), Var: e.decl.Name,
+			Epoch: int(e.epoch), Nodes: [2]int{r.node, -1},
+			Msg: fmt.Sprintf("%s of %s has no matching check_in before %s", coName(e), e.decl.Name, why),
 		})
 	}
-	for _, ev := range r.events {
+	for i := range r.events {
+		ev := &r.events[i]
 		switch ev.kind {
 		case evBarrier:
 			// Checked-out blocks legitimately stay out across barriers —
@@ -109,67 +91,62 @@ func (v *vetter) lint(r *nodeRun) {
 			// time loop — so holding one here is only worth an advisory
 			// note (the vetter dedups it to one finding per check-out).
 			// Epoch-scoped state is reset.
-			for name, lv := range vars {
+			for _, lv := range vars {
 				for _, e := range lv.active {
-					flagOpen(name, e, "the barrier")
+					flagOpen(e, "the barrier")
 				}
 				lv.checkedIn = lv.checkedIn[:0]
 				lv.bare = lv.bare[:0]
 			}
 		case evAnn:
-			v.lintAnn(r, ev, get(ev.varName))
+			v.lintAnn(r, ev, get(ev.decl))
 		case evAccess:
-			v.lintAccess(r, ev, get(ev.varName))
+			v.lintAccess(r, ev, get(ev.decl))
 		}
 	}
-	for name, lv := range vars {
+	for _, lv := range vars {
 		for _, e := range lv.active {
-			flagOpen(name, e, "the node returns")
+			flagOpen(e, "the node returns")
 		}
 	}
 }
 
-func coName(shared bool) string {
-	if shared {
+// coName names a check-out annotation's kind.
+func coName(co *event) string {
+	if co.ann == parc.AnnCheckOutS {
 		return "check_out_s"
 	}
 	return "check_out_x"
 }
 
-func (v *vetter) lintAnn(r *nodeRun, ev event, lv *lintVar) {
-	entry := annEntry{
-		dims: ev.dims, shared: ev.ann == parc.AnnCheckOutS,
-		variant: ev.variant, iterCtx: ev.iterCtx, epoch: ev.epoch, pos: ev.pos,
-	}
+func (v *vetter) lintAnn(r *nodeRun, ev *event, lv *lintVar) {
 	switch ev.ann {
 	case parc.AnnCheckOutX, parc.AnnCheckOutS:
 		for _, a := range lv.active {
-			if a.epoch == ev.epoch && dimsMayOverlap(a.dims, ev.dims) &&
-				sameInstance(a.variant, a.iterCtx, ev.variant, ev.iterCtx) {
+			if a.epoch == ev.epoch && dimsMayOverlap(a.dims, ev.dims) && sameInstance(a, ev) {
 				v.add(Finding{
-					Rule: RuleDoubleCO, Severity: SevWarning, Pos: ev.pos,
-					Var: ev.varName, Epoch: ev.epoch, Nodes: [2]int{r.node, -1},
+					Rule: RuleDoubleCO, Severity: SevWarning, Pos: ev.position(),
+					Var: ev.decl.Name, Epoch: int(ev.epoch), Nodes: [2]int{r.node, -1},
 					Msg: fmt.Sprintf("%s overlaps a block of %s already checked out at %s",
-						ev.exprText, ev.varName, posString(a.pos)),
+						ev.text(), ev.decl.Name, posString(a.position())),
 				})
 				break
 			}
 		}
 		for _, b := range lv.bare {
-			if dimsMayOverlap(b.dims, ev.dims) &&
-				sameInstance(b.variant, b.iterCtx, ev.variant, ev.iterCtx) {
+			if dimsMayOverlap(b.dims, ev.dims) && sameInstance(b, ev) {
 				v.add(Finding{
-					Rule: RuleLateCO, Severity: SevWarning, Pos: ev.pos,
-					Var: ev.varName, Epoch: ev.epoch, Nodes: [2]int{r.node, -1},
+					Rule: RuleLateCO, Severity: SevWarning, Pos: ev.position(),
+					Var: ev.decl.Name, Epoch: int(ev.epoch), Nodes: [2]int{r.node, -1},
 					Msg: fmt.Sprintf("%s of %s follows an unannotated access to %s at %s in the same epoch",
-						coName(entry.shared), ev.varName, b.text, posString(b.pos)),
+						coName(ev), ev.decl.Name, b.text(), posString(b.position())),
 				})
 				break
 			}
 		}
-		lv.active = append(lv.active, entry)
+		lv.active = append(lv.active, ev)
 	case parc.AnnCheckIn:
-		lv.checkedIn = append(lv.checkedIn, entry)
+		lv.checkedIn = append(lv.checkedIn, ev)
 		kept := lv.active[:0]
 		for _, a := range lv.active {
 			if !dimsCover(ev.dims, a.dims) {
@@ -184,19 +161,19 @@ func (v *vetter) lintAnn(r *nodeRun, ev event, lv *lintVar) {
 	}
 }
 
-func (v *vetter) lintAccess(r *nodeRun, ev event, lv *lintVar) {
+func (v *vetter) lintAccess(r *nodeRun, ev *event, lv *lintVar) {
 	covered := false
 	for _, a := range lv.active {
 		if !dimsCover(a.dims, ev.dims) {
 			continue
 		}
 		covered = true
-		if ev.write && a.shared {
+		if ev.write && a.ann == parc.AnnCheckOutS {
 			v.add(Finding{
-				Rule: RuleSharedW, Severity: SevWarning, Pos: ev.pos,
-				Var: ev.varName, Epoch: ev.epoch, Nodes: [2]int{r.node, -1},
+				Rule: RuleSharedW, Severity: SevWarning, Pos: ev.position(),
+				Var: ev.decl.Name, Epoch: int(ev.epoch), Nodes: [2]int{r.node, -1},
 				Msg: fmt.Sprintf("write to %s under a shared check-out (check_out_s at %s); shared blocks are read-only",
-					ev.exprText, posString(a.pos)),
+					ev.text(), posString(a.position())),
 			})
 		}
 		break
@@ -212,18 +189,15 @@ func (v *vetter) lintAccess(r *nodeRun, ev event, lv *lintVar) {
 		if ci.epoch == ev.epoch && ci.iterCtx == ev.iterCtx &&
 			dimsMayOverlap(ci.dims, ev.dims) {
 			v.add(Finding{
-				Rule: RuleUseAfterCI, Severity: SevError, Pos: ev.pos,
-				Var: ev.varName, Epoch: ev.epoch, Nodes: [2]int{r.node, -1},
+				Rule: RuleUseAfterCI, Severity: SevError, Pos: ev.position(),
+				Var: ev.decl.Name, Epoch: int(ev.epoch), Nodes: [2]int{r.node, -1},
 				Msg: fmt.Sprintf("%s is accessed after its block was checked in at %s in the same epoch; the node no longer owns it",
-					ev.exprText, posString(ci.pos)),
+					ev.text(), posString(ci.position())),
 			})
 			return
 		}
 	}
-	lv.bare = append(lv.bare, access{
-		dims: ev.dims, write: ev.write, variant: ev.variant,
-		iterCtx: ev.iterCtx, pos: ev.pos, text: ev.exprText,
-	})
+	lv.bare = append(lv.bare, ev)
 }
 
 func posString(p parc.Pos) string {

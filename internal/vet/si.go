@@ -131,7 +131,7 @@ func (a si) mul(b si) si {
 	}
 	p1, p2 := satMul(a.lo, b.lo), satMul(a.lo, b.hi)
 	p3, p4 := satMul(a.hi, b.lo), satMul(a.hi, b.hi)
-	return si{min4(p1, p2, p3, p4), max4(p1, p2, p3, p4), 1}.norm()
+	return si{min(p1, p2, p3, p4), max(p1, p2, p3, p4), 1}.norm()
 }
 
 // divConst divides every element by c (Go truncated division, matching the
@@ -149,7 +149,7 @@ func (a si) divConst(c int64) si {
 	// Truncated division is not monotone across zero; the four candidate
 	// bounds still bracket every quotient.
 	q1, q2 := a.lo/c, a.hi/c
-	return si{min4(q1, q2, q1, q2), max4(q1, q2, q1, q2), 1}.norm()
+	return si{min(q1, q2), max(q1, q2), 1}.norm()
 }
 
 // mod maps every element through ((x % m) + m) % m for m > 0 — the
@@ -190,7 +190,7 @@ func (a si) join(b si) si {
 		d = -d
 	}
 	s := gcd(gcd(a.stride, b.stride), d)
-	return si{minI(a.lo, b.lo), maxI(a.hi, b.hi), s}.norm()
+	return si{min(a.lo, b.lo), max(a.hi, b.hi), s}.norm()
 }
 
 // widen jumps an unstable bound straight to infinity so fixpoints converge.
@@ -248,7 +248,7 @@ func (a si) intersect(b si) si {
 	if a.empty() || b.empty() {
 		return siEmpty
 	}
-	lo, hi := maxI(a.lo, b.lo), minI(a.hi, b.hi)
+	lo, hi := max(a.lo, b.lo), min(a.hi, b.hi)
 	if lo > hi {
 		return siEmpty
 	}
@@ -266,9 +266,9 @@ func (a si) intersect(b si) si {
 	}
 	if a.lo <= negInf || a.hi >= posInf || b.lo <= negInf || b.hi >= posInf {
 		// Widened operands have stride 1; the interval intersection is exact.
-		return si{lo, hi, maxI(a.stride, b.stride)}.norm()
+		return si{lo, hi, max(a.stride, b.stride)}.norm()
 	}
-	sa, sb := maxI(a.stride, 1), maxI(b.stride, 1)
+	sa, sb := max(a.stride, 1), max(b.stride, 1)
 	g, p, _ := egcd(sa, sb)
 	diff := b.lo - a.lo
 	if diff%g != 0 {
@@ -346,20 +346,3 @@ func egcd(a, b int64) (g, p, q int64) {
 	g, p1, q1 := egcd(b, a%b)
 	return g, q1, p1 - (a/b)*q1
 }
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min4(a, b, c, d int64) int64 { return minI(minI(a, b), minI(c, d)) }
-func max4(a, b, c, d int64) int64 { return maxI(maxI(a, b), maxI(c, d)) }

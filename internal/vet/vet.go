@@ -20,7 +20,9 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cachier/internal/analysis"
@@ -152,7 +154,7 @@ func Analyze(prog *parc.Program, opts Options) *Report {
 		seen: make(map[string]bool),
 	}
 	for _, fn := range prog.Funcs {
-		v.checkCFG(buildCFG(fn, v.info, prog.ConstVal))
+		v.checkCFG(fn)
 	}
 	main := prog.FuncMap["main"]
 	runs := make([]*nodeRun, opts.Nprocs)
@@ -200,6 +202,7 @@ type vetter struct {
 	opts     Options
 	findings []Finding
 	seen     map[string]bool // finding dedup keys
+	lockSets interner[int64] // lock sets nodes hold, sorted ascending
 }
 
 func (v *vetter) add(f Finding) {
@@ -230,41 +233,60 @@ func (v *vetter) checkAlignment(runs []*nodeRun) {
 	}
 }
 
-// findRaces pairs shared accesses across nodes within each epoch.
+// findRaces pairs shared accesses across nodes within each epoch. Accesses
+// are keyed by integers and pointers; text is rendered only for a finding.
 func (v *vetter) findRaces(runs []*nodeRun) {
 	// Bucket deduplicated accesses by (var, epoch), keeping per-node lists.
-	type bucket struct {
-		accs [][]event // by node
+	type bucketKey struct {
+		decl  *parc.SharedDecl
+		epoch int32
 	}
-	buckets := make(map[string]*bucket)
+	type bucket struct {
+		name string     // "var@epoch", the order buckets are visited in
+		accs [][]*event // by node
+	}
+	// An access adds nothing to its node's list when one with the same
+	// statement, epoch, direction, element sets and lock set is already
+	// there. Shared reads carry statement 0 and the key names no variable,
+	// so of one node's reads of A[3] and B[3] in an epoch only the first is
+	// kept, and a race on the second goes unreported (ROADMAP.md).
+	type accessKey struct {
+		stmt, epoch, dims, locks int32
+		write                    bool
+	}
+	buckets := make(map[bucketKey]*bucket)
+	var order []*bucket
+	dedup := make(map[accessKey]struct{})
+	var dims interner[si]
 	for _, r := range runs {
-		dedup := make(map[string]bool)
-		for _, ev := range r.events {
+		clear(dedup)
+		dims.reset()
+		for i := range r.events {
+			ev := &r.events[i]
 			if ev.kind != evAccess {
 				continue
 			}
-			key := fmt.Sprintf("%d|%d|%v|%s|%s", ev.stmtID, ev.epoch, ev.write, dimsString(ev.dims), ev.lockKey)
-			if dedup[key] {
+			key := accessKey{ev.stmtID, ev.epoch, dimsID(&dims, ev.dims), ev.locks, ev.write}
+			if _, dup := dedup[key]; dup {
 				continue
 			}
-			dedup[key] = true
-			bk := fmt.Sprintf("%s@%d", ev.varName, ev.epoch)
+			dedup[key] = struct{}{}
+			bk := bucketKey{ev.decl, ev.epoch}
 			b := buckets[bk]
 			if b == nil {
-				b = &bucket{accs: make([][]event, len(runs))}
+				b = &bucket{
+					name: ev.decl.Name + "@" + strconv.Itoa(int(ev.epoch)),
+					accs: make([][]*event, len(runs)),
+				}
 				buckets[bk] = b
+				order = append(order, b)
 			}
 			b.accs[r.node] = append(b.accs[r.node], ev)
 		}
 	}
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	reported := make(map[string]bool)
-	for _, k := range keys {
-		b := buckets[k]
+	slices.SortFunc(order, func(a, b *bucket) int { return strings.Compare(a.name, b.name) })
+	reported := make(map[pairKey]bool)
+	for _, b := range order {
 		for p := 0; p < len(b.accs); p++ {
 			for q := p + 1; q < len(b.accs); q++ {
 				for _, ea := range b.accs[p] {
@@ -277,11 +299,17 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 	}
 }
 
-func (v *vetter) checkPair(a, b event, p, q int, reported map[string]bool) {
-	if !a.write && !b.write {
+// pairKey names one race finding: its rule, statement pair and epoch.
+type pairKey struct {
+	ww            bool
+	lo, hi, epoch int32
+}
+
+func (v *vetter) checkPair(a, b *event, p, q int, reported map[pairKey]bool) {
+	if (!a.write && !b.write) || len(v.findings) >= maxFindings {
 		return
 	}
-	if commonLock(a, b) {
+	if v.commonLock(a.locks, b.locks) {
 		return
 	}
 	for d := range a.dims {
@@ -294,60 +322,104 @@ func (v *vetter) checkPair(a, b event, p, q int, reported map[string]bool) {
 		a, b = b, a
 		p, q = q, p
 	}
-	rule, kind := RuleRaceWR, "write-read"
-	if b.write {
-		rule, kind = RuleRaceWW, "write-write"
-	}
 	// One finding per (rule, statement pair); other node pairs hitting the
 	// same source lines add nothing.
 	lo, hi := a.stmtID, b.stmtID
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	rk := fmt.Sprintf("%s|%d|%d|%d", rule, lo, hi, a.epoch)
+	rk := pairKey{b.write, lo, hi, a.epoch}
 	if reported[rk] {
 		return
 	}
 	reported[rk] = true
-	bverb := "reads"
+	rule, kind, bverb := RuleRaceWR, "write-read", "reads"
 	if b.write {
-		bverb = "writes"
+		rule, kind, bverb = RuleRaceWW, "write-write", "writes"
 	}
+	atext, btext := a.text(), b.text()
 	other := ""
-	if a.stmtID != b.stmtID || a.exprText != b.exprText {
-		otherLoc := b.pos.String()
-		if !b.pos.IsValid() {
-			otherLoc = "<generated>"
-		}
-		other = fmt.Sprintf(" (at %s)", otherLoc)
+	if a.stmtID != b.stmtID || atext != btext {
+		other = fmt.Sprintf(" (at %s)", posString(b.position()))
 	}
 	v.add(Finding{
 		Rule:     rule,
 		Severity: SevError,
-		Pos:      a.pos,
-		Var:      a.varName,
-		Epoch:    a.epoch,
+		Pos:      a.position(),
+		Var:      a.decl.Name,
+		Epoch:    int(a.epoch),
 		Nodes:    [2]int{p, q},
 		Msg: fmt.Sprintf("possible %s data race on %s in epoch %d: node %d writes %s = elements %s, node %d %s %s = elements %s%s, no common lock",
-			kind, a.varName, a.epoch, p, a.exprText, dimsString(a.dims),
-			q, bverb, b.exprText, dimsString(b.dims), other),
+			kind, a.decl.Name, a.epoch, p, atext, dimsString(a.dims),
+			q, bverb, btext, dimsString(b.dims), other),
 	})
 }
 
-func commonLock(a, b event) bool {
-	if a.lockKey == "" || b.lockKey == "" {
-		return false
-	}
-	as := strings.Split(a.lockKey, ",")
-	bs := strings.Split(b.lockKey, ",")
-	for _, x := range as {
-		for _, y := range bs {
-			if x == y {
+// commonLock reports whether two interned lock sets share a lock.
+func (v *vetter) commonLock(a, b int32) bool {
+	for x := a; x != 0; x = v.lockSets.links[x].prev {
+		for y := b; y != 0; y = v.lockSets.links[y].prev {
+			if v.lockSets.links[x].v == v.lockSets.links[y].v {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// dimsID interns an access's element sets as dimsString renders them: every
+// empty set is one, infinite bounds are clamped to the sentinels, and a
+// stride of at most 1 is 1. A scalar access is 0.
+func dimsID(in *interner[si], dims []si) int32 {
+	id := int32(0)
+	for _, d := range dims {
+		switch {
+		case d.empty():
+			d = siEmpty
+		case d.isConst():
+			d.stride = 0
+		default:
+			d.lo, d.hi, d.stride = max(d.lo, negInf), min(d.hi, posInf), max(d.stride, 1)
+		}
+		id = in.add(id, d)
+	}
+	return id
+}
+
+// interner numbers sequences of comparable values, one element at a time:
+// add(prev, x) is the ID of prev's sequence followed by x. Equal sequences
+// get equal IDs, and 0 is the empty sequence.
+type interner[T comparable] struct {
+	ids   map[link[T]]int32
+	links []link[T] // by ID; links[0] stands for the empty sequence
+}
+
+type link[T comparable] struct {
+	prev int32
+	v    T
+}
+
+func (in *interner[T]) add(prev int32, x T) int32 {
+	l := link[T]{prev, x}
+	if id, ok := in.ids[l]; ok {
+		return id
+	}
+	if in.ids == nil {
+		in.ids = make(map[link[T]]int32)
+		in.links = make([]link[T], 1, 16)
+	}
+	id := int32(len(in.links))
+	in.links = append(in.links, l)
+	in.ids[l] = id
+	return id
+}
+
+// reset forgets every sequence, keeping the space.
+func (in *interner[T]) reset() {
+	if in.ids != nil {
+		clear(in.ids)
+		in.links = in.links[:1]
+	}
 }
 
 // dimsString renders element sets like [0:31][1:61:2]; a scalar renders "".

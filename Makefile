@@ -61,7 +61,7 @@ staticdiff:
 # cycles-exact gate is TestFigure6Golden; wall-clock claims are made with
 # benchmark/ (BENCHMARK.json), not from this file.
 bench:
-	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest|VetAnalyze' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest|VetAnalyze|Parse|Print' -benchtime 1x ./...
 	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
 
 # Where a Figure 6 regeneration spends its CPU and its bytes, as text: three
@@ -140,6 +140,9 @@ check: build vet staticdiff test race
 # against the tree-walker on the Machine event stream, errors and memory.
 # FuzzVetSource and FuzzVetGenerated are the static side: vet must not panic
 # on arbitrary text, and must pass every generated program clean.
+# FuzzParsePrint is the front end under all of them: no text may make the
+# parser panic, and every program it accepts must print to text that parses
+# back to an equal AST and prints the same again.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
@@ -152,6 +155,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStaticPlacement$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzVetSource$$' -fuzztime $(FUZZTIME) ./internal/vet
 	$(GO) test -run '^$$' -fuzz '^FuzzVetGenerated$$' -fuzztime $(FUZZTIME) ./internal/vet
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime $(FUZZTIME) ./internal/parc
 
 # Coverage with checked-in floors. The floors sit a few points under the
 # current numbers (see EXPERIMENTS.md) so they trip on real regressions, not

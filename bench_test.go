@@ -21,6 +21,9 @@ package cachier
 //	                                 (B/op and allocs/op are the point)
 //	BenchmarkVetAnalyze           — vet.Analyze on 4-node corpus programs,
 //	                                 the static layer of a cold request
+//	BenchmarkParse, BenchmarkPrint — the ParC front end and printer on 200
+//	                                 corpus programs, the text every cachierd
+//	                                 request starts and ends with
 //
 // Custom metrics (reported via b.ReportMetric, suffix explains the unit):
 // normalized execution times, measured check-out counts, and percentage
@@ -372,6 +375,57 @@ func BenchmarkVetAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		vet.Analyze(progs[i%len(progs)], vet.Options{Nprocs: 4})
 	}
+}
+
+// corpusSlice is the parcgen corpus programs with seeds 0-199 and their
+// total size in bytes.
+func corpusSlice() (srcs []string, bytes int64) {
+	for seed := int64(0); seed < 200; seed++ {
+		srcs = append(srcs, parcgen.Generate(seed))
+		bytes += int64(len(srcs[seed]))
+	}
+	return srcs, bytes
+}
+
+// BenchmarkParse parses and checks 200 corpus programs per op; MB/s is
+// source text per second and us/program the mean time of one Parse.
+func BenchmarkParse(b *testing.B) {
+	srcs, size := corpusSlice()
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := parc.Parse(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(srcs)), "us/program")
+}
+
+// printSink keeps BenchmarkPrint's results live.
+var printSink string
+
+// BenchmarkPrint prints the same 200 checked programs per op; MB/s is
+// printed text per second.
+func BenchmarkPrint(b *testing.B) {
+	srcs, _ := corpusSlice()
+	var progs []*parc.Program
+	var size int64
+	for _, src := range srcs {
+		progs = append(progs, parc.MustParse(src))
+		size += int64(len(parc.Print(progs[len(progs)-1])))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			printSink = parc.Print(p)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(progs)), "us/program")
 }
 
 // BenchmarkColdRequest sends one program nobody has sent before to vet,

@@ -134,7 +134,7 @@ func (in *Info) visit(s parc.Stmt, f *parc.FuncDecl, loops []*parc.ForStmt) bool
 // is the statement the trace PC will name.
 func (in *Info) collectRefs(id int, owner parc.Stmt, exprs ...parc.Expr) {
 	if owner == nil {
-		owner = in.Prog.Stmts[id]
+		owner = in.Prog.Stmt(id)
 	}
 	for _, e := range exprs {
 		in.walkExpr(id, owner, e)

@@ -146,7 +146,7 @@ func (pl *planner) attribute(epochs []*EpochSets, group []int, get func(e, n int
 		if last == nil || last.site.ID() != site || last.varName != region {
 			k := key{site: site, v: region}
 			if last = work[k]; last == nil {
-				stmt := pl.prog.Stmts[site]
+				stmt := pl.prog.Stmt(site)
 				if stmt == nil {
 					return
 				}

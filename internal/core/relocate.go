@@ -28,7 +28,7 @@ func (pl *planner) groupContext(epochs []*EpochSets, g []int) groupCtx {
 	}
 	endPC := epochs[g[0]].BarrierPC
 	if endPC >= 0 {
-		if s, ok := pl.prog.Stmts[endPC].(*parc.BarrierStmt); ok {
+		if s, ok := pl.prog.Stmt(endPC).(*parc.BarrierStmt); ok {
 			ctx.endAnchor, ctx.endWhere = s, whereBefore
 		}
 	}
@@ -39,7 +39,7 @@ func (pl *planner) groupContext(epochs []*EpochSets, g []int) groupCtx {
 	first := g[0]
 	if first > 0 {
 		prevPC := epochs[first-1].BarrierPC
-		if s, ok := pl.prog.Stmts[prevPC].(*parc.BarrierStmt); ok {
+		if s, ok := pl.prog.Stmt(prevPC).(*parc.BarrierStmt); ok {
 			ctx.startAnchor, ctx.startWhere = s, whereAfter
 		}
 	}

@@ -56,7 +56,7 @@ func (c *Context) release(co *fnCode, fr *vmFrame) {
 // source position the tree-walker would have had in curPos.
 func (c *Context) vmErr(pc int32, format string, args ...any) error {
 	var pos parc.Pos
-	if s := c.prog.Stmts[int(pc)]; s != nil {
+	if s := c.prog.Stmt(int(pc)); s != nil {
 		pos = s.Position()
 	}
 	return &RuntimeError{Node: c.node, Pos: pos, PC: int(pc), Msg: fmt.Sprintf(format, args...)}

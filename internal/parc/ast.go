@@ -73,7 +73,7 @@ type Program struct {
 	ConstVal  map[string]int64
 	SharedMap map[string]*SharedDecl
 	FuncMap   map[string]*FuncDecl
-	Stmts     map[int]Stmt // statement ID -> statement
+	Stmts     []Stmt // indexed by statement ID; see Stmt
 
 	artifactMu sync.Mutex
 	artifact   any
@@ -92,6 +92,15 @@ func (p *Program) Artifact(build func() any) any {
 		p.artifact = build()
 	}
 	return p.artifact
+}
+
+// Stmt returns the statement with the given ID, or nil for an ID the
+// program does not have (such as -1, the trace's "no barrier" PC).
+func (p *Program) Stmt(id int) Stmt {
+	if uint(id) < uint(len(p.Stmts)) {
+		return p.Stmts[id]
+	}
+	return nil
 }
 
 // NumStmts returns the number of statement IDs the parser allocated; valid

@@ -41,7 +41,7 @@ var BuiltinByName = map[string]BuiltinID{
 
 // Check resolves and validates a parsed program: it evaluates constants and
 // array dimensions, verifies name resolution and call arities, requires a
-// parameterless main, and builds the Program's lookup maps (ConstVal,
+// parameterless main, and builds the Program's lookup tables (ConstVal,
 // SharedMap, FuncMap, Stmts).
 func Check(p *Program) error {
 	c := &checker{prog: p}
@@ -92,7 +92,7 @@ func (c *checker) run() error {
 	p.ConstVal = make(map[string]int64)
 	p.SharedMap = make(map[string]*SharedDecl)
 	p.FuncMap = make(map[string]*FuncDecl)
-	p.Stmts = make(map[int]Stmt)
+	p.Stmts = make([]Stmt, p.NumStmts())
 
 	for _, d := range p.Consts {
 		if _, dup := p.ConstVal[d.Name]; dup {
@@ -168,13 +168,14 @@ func (c *checker) checkFunc(f *FuncDecl) error {
 	return c.checkStmt(f.Body, f)
 }
 
-func (c *checker) record(s Stmt) { c.prog.Stmts[s.ID()] = s }
-
 func (c *checker) checkStmt(s Stmt, fn *FuncDecl) error {
 	if s == nil {
 		return nil
 	}
-	c.record(s)
+	// A statement spliced in from another parse may carry a foreign ID.
+	if id := s.ID(); id < len(c.prog.Stmts) {
+		c.prog.Stmts[id] = s
+	}
 	switch n := s.(type) {
 	case *Block:
 		for _, child := range n.Stmts {

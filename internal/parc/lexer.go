@@ -3,6 +3,7 @@ package parc
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Error is a front-end error with a source position.
@@ -255,7 +256,8 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{}, l.errorf(pos, "unexpected '|'")
 	}
-	return Token{}, l.errorf(pos, "unexpected character %q", string(c))
+	_, size := utf8.DecodeRuneInString(l.src[l.off:])
+	return Token{}, l.errorf(pos, "unexpected character %q", l.src[l.off:l.off+size])
 }
 
 // Tokenize lexes the whole input, returning the token stream including the

@@ -2,6 +2,7 @@ package parc
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -635,15 +636,15 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case TokInt:
 		p.next()
-		var v int64
-		if _, err := fmt.Sscanf(t.Text, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
 			return nil, p.errorf(t.Pos, "bad integer literal %q", t.Text)
 		}
 		return &IntLit{exprInfo: exprInfo{pos: t.Pos}, Value: v}, nil
 	case TokFloat:
 		p.next()
-		var v float64
-		if _, err := fmt.Sscanf(t.Text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
 			return nil, p.errorf(t.Pos, "bad float literal %q", t.Text)
 		}
 		return &FloatLit{exprInfo: exprInfo{pos: t.Pos}, Value: v}, nil

@@ -104,7 +104,7 @@ func TestStatementIDsUniqueAndDense(t *testing.T) {
 	}
 	for id := range seen {
 		if prog.Stmts[id] == nil {
-			t.Errorf("Stmts map missing ID %d", id)
+			t.Errorf("Stmts missing ID %d", id)
 		}
 	}
 }
@@ -239,6 +239,19 @@ func TestParseErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {
 			t.Errorf("%s: expected parse/check error", c.name)
+		}
+	}
+	// A character outside ASCII is reported whole, and a byte that does
+	// not begin a UTF-8 character is reported as that byte.
+	for _, c := range []struct{ src, want string }{
+		{"var é int;", `1:5: unexpected character "é"`},
+		{"func main() { x → y; }", `1:17: unexpected character "→"`},
+		{"func main() { x = 1; }\n// ok\n\t\xc3 ", `3:2: unexpected character "\xc3"`},
+		{"func main() { \xe2\x86 }", `1:15: unexpected character "\xe2"`},
+		{"func main() { \x01 }", `1:15: unexpected character "\x01"`},
+	} {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
 		}
 	}
 }

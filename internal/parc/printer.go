@@ -1,8 +1,9 @@
 package parc
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Print unparses a program back to ParC source text. The output re-parses to
@@ -13,53 +14,77 @@ func Print(p *Program) string { return PrintEdited(p, nil) }
 // prints the statement list it maps to in place of its own. Cachier emits
 // annotated programs this way: it splices its statements into the lists at
 // print time and never modifies the checked program, which other runs may
-// be executing.
+// be executing. The text is appended into one buffer sized for about 40
+// bytes a statement or declaration.
 func PrintEdited(p *Program, edits map[*Block][]Stmt) string {
-	pr := &printer{edits: edits}
+	pr := printer{edits: edits, b: make([]byte, 0, 40*(p.NumStmts()+len(p.Consts)+len(p.Shareds))+64)}
 	for _, d := range p.Consts {
-		pr.printf("const %s = %s;\n", d.Name, ExprString(d.Expr))
+		pr.put("const ", d.Name, " = ")
+		pr.expr(d.Expr, ";\n")
 	}
 	if len(p.Consts) > 0 {
-		pr.nl()
+		pr.put("\n")
 	}
 	for _, d := range p.Shareds {
-		pr.printf("shared %s %s", d.Base, d.Name)
-		for _, dim := range d.Dims {
-			pr.printf("[%s]", ExprString(dim))
-		}
+		pr.put("shared ", d.Base.String(), " ", d.Name)
+		pr.b = appendIndices(pr.b, d.Dims)
 		if d.Label != "" {
-			pr.printf(" label %s", Quote(d.Label))
+			pr.put(" label ")
+			pr.b = appendQuote(pr.b, d.Label)
 		}
-		pr.printf(";\n")
+		pr.put(";\n")
 	}
 	if len(p.Shareds) > 0 {
-		pr.nl()
+		pr.put("\n")
 	}
 	for i, f := range p.Funcs {
 		if i > 0 {
-			pr.nl()
+			pr.put("\n")
 		}
 		pr.printFunc(f)
 	}
-	return pr.sb.String()
+	return string(pr.b)
 }
 
 type printer struct {
-	sb     strings.Builder
+	b      []byte
 	indent int
 	edits  map[*Block][]Stmt
 }
 
-func (pr *printer) printf(format string, args ...any) {
-	fmt.Fprintf(&pr.sb, format, args...)
+func (pr *printer) put(ss ...string) {
+	for _, s := range ss {
+		pr.b = append(pr.b, s...)
+	}
 }
 
-func (pr *printer) nl() { pr.sb.WriteByte('\n') }
+// expr appends e's text, then ss.
+func (pr *printer) expr(e Expr, ss ...string) {
+	pr.b = appendExpr(pr.b, e, 0)
+	pr.put(ss...)
+}
 
-func (pr *printer) line(format string, args ...any) {
-	pr.sb.WriteString(strings.Repeat("    ", pr.indent))
-	pr.printf(format, args...)
-	pr.nl()
+// opt appends pre and e's text, if there is an e.
+func (pr *printer) opt(pre string, e Expr) {
+	if e != nil {
+		pr.put(pre)
+		pr.expr(e)
+	}
+}
+
+// start begins a line at the current indentation and writes ss.
+func (pr *printer) start(ss ...string) {
+	for i := 0; i < pr.indent; i++ {
+		pr.b = append(pr.b, "    "...)
+	}
+	pr.put(ss...)
+}
+
+// block prints " {", the block's body one level in, and the closing line.
+func (pr *printer) block(b *Block) {
+	pr.put(" {\n")
+	pr.body(b)
+	pr.start("}\n")
 }
 
 // body prints a block's statements one level in: the list edits maps it to,
@@ -77,101 +102,97 @@ func (pr *printer) body(b *Block) {
 }
 
 func (pr *printer) printFunc(f *FuncDecl) {
-	var params []string
+	pr.start("func ", f.Name, "(")
+	sep := ""
 	for _, p := range f.Params {
-		params = append(params, fmt.Sprintf("%s %s", p.Name, p.Base))
+		pr.put(sep, p.Name, " ", p.Base.String())
+		sep = ", "
 	}
-	sig := fmt.Sprintf("func %s(%s)", f.Name, strings.Join(params, ", "))
+	pr.put(")")
 	if f.Result != nil {
-		sig += " " + f.Result.String()
+		pr.put(" ", f.Result.String())
 	}
-	pr.line("%s {", sig)
-	pr.body(f.Body)
-	pr.line("}")
+	pr.block(f.Body)
 }
 
 func (pr *printer) printStmt(s Stmt) {
 	switch n := s.(type) {
 	case *Block:
-		pr.line("{")
+		pr.start("{\n")
 		pr.body(n)
-		pr.line("}")
+		pr.start("}\n")
 	case *VarDeclStmt:
-		dims := ""
-		for _, d := range n.Dims {
-			dims += fmt.Sprintf("[%s]", ExprString(d))
-		}
-		if n.Init != nil {
-			pr.line("var %s %s%s = %s;", n.Name, n.Base, dims, ExprString(n.Init))
-		} else {
-			pr.line("var %s %s%s;", n.Name, n.Base, dims)
-		}
+		pr.start("var ", n.Name, " ", n.Base.String())
+		pr.b = appendIndices(pr.b, n.Dims)
+		pr.opt(" = ", n.Init)
+		pr.put(";\n")
 	case *AssignStmt:
-		pr.line("%s %s %s;", lvalueString(n.LHS), n.Op, ExprString(n.RHS))
+		pr.start()
+		pr.b = appendLValue(pr.b, n.LHS)
+		pr.put(" ", n.Op.String(), " ")
+		pr.expr(n.RHS, ";\n")
 	case *IfStmt:
-		pr.printIf(n, false)
+		pr.start("if ")
+		pr.printIf(n)
 	case *WhileStmt:
-		pr.line("while %s {", ExprString(n.Cond))
-		pr.body(n.Body)
-		pr.line("}")
+		pr.start("while ")
+		pr.expr(n.Cond)
+		pr.block(n.Body)
 	case *ForStmt:
-		head := fmt.Sprintf("for %s = %s to %s", n.Var, ExprString(n.From), ExprString(n.To))
-		if n.Step != nil {
-			head += " step " + ExprString(n.Step)
-		}
-		pr.line("%s {", head)
-		pr.body(n.Body)
-		pr.line("}")
+		pr.start("for ", n.Var, " = ")
+		pr.expr(n.From, " to ")
+		pr.expr(n.To)
+		pr.opt(" step ", n.Step)
+		pr.block(n.Body)
 	case *BarrierStmt:
-		pr.line("barrier;")
+		pr.start("barrier;\n")
 	case *LockStmt:
-		pr.line("lock(%s);", ExprString(n.LockID))
+		pr.start("lock(")
+		pr.expr(n.LockID, ");\n")
 	case *UnlockStmt:
-		pr.line("unlock(%s);", ExprString(n.LockID))
+		pr.start("unlock(")
+		pr.expr(n.LockID, ");\n")
 	case *ReturnStmt:
-		if n.Value != nil {
-			pr.line("return %s;", ExprString(n.Value))
-		} else {
-			pr.line("return;")
-		}
+		pr.start("return")
+		pr.opt(" ", n.Value)
+		pr.put(";\n")
 	case *ExprStmt:
-		pr.line("%s;", ExprString(n.Call))
+		pr.start()
+		pr.expr(n.Call, ";\n")
 	case *PrintStmt:
-		args := make([]string, 0, len(n.Args)+1)
-		args = append(args, Quote(n.Format))
+		pr.start("print(")
+		pr.b = appendQuote(pr.b, n.Format)
 		for _, a := range n.Args {
-			args = append(args, ExprString(a))
+			pr.put(", ")
+			pr.expr(a)
 		}
-		pr.line("print(%s);", strings.Join(args, ", "))
+		pr.put(");\n")
 	case *CICOStmt:
-		pr.line("%s %s;", n.Kind, RangeRefString(n.Target))
+		pr.start(n.Kind.String(), " ")
+		pr.b = appendRangeRef(pr.b, n.Target)
+		pr.put(";\n")
 	case *CommentStmt:
-		pr.line("/*** %s ***/", n.Text)
+		pr.start("/*** ", n.Text, " ***/\n")
 	default:
-		pr.line("/* unprintable statement %T */", s)
+		pr.start()
+		pr.b = fmt.Appendf(pr.b, "/* unprintable statement %T */\n", s)
 	}
 }
 
-// printIf prints an if statement; an else-if (chained) continues the
+// printIf prints an if statement after its "if "; an else-if continues the
 // "} else " line its parent began instead of starting an indented one.
-func (pr *printer) printIf(n *IfStmt, chained bool) {
-	if !chained {
-		pr.sb.WriteString(strings.Repeat("    ", pr.indent))
-	}
-	pr.printf("if %s {", ExprString(n.Cond))
-	pr.nl()
+func (pr *printer) printIf(n *IfStmt) {
+	pr.expr(n.Cond, " {\n")
 	pr.body(n.Then)
 	switch e := n.Else.(type) {
 	case nil:
-		pr.line("}")
+		pr.start("}\n")
 	case *IfStmt:
-		pr.sb.WriteString(strings.Repeat("    ", pr.indent))
-		pr.printf("} else ")
-		pr.printIf(e, true)
+		pr.start("} else if ")
+		pr.printIf(e)
 	case *Block:
-		pr.line("} else {")
-		pr.body(e)
-		pr.line("}")
+		pr.start("} else")
+		pr.block(e)
 	}
 }
 
@@ -180,47 +201,47 @@ func (pr *printer) printIf(n *IfStmt, chained bool) {
 // through raw: Go's %q would produce escapes like \r or \x00 that ParC's
 // lexer rejects, even though the raw bytes themselves are legal inside a
 // ParC string literal. (Found by the conformance round-trip harness.)
-func Quote(s string) string {
-	var sb strings.Builder
-	sb.Grow(len(s) + 2)
-	sb.WriteByte('"')
+func Quote(s string) string { return string(appendQuote(nil, s)) }
+
+var quoteEscape = [256]string{'\n': `\n`, '\t': `\t`, '\\': `\\`, '"': `\"`}
+
+func appendQuote(b []byte, s string) []byte {
+	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\t':
-			sb.WriteString(`\t`)
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		default:
-			sb.WriteByte(c)
+		if esc := quoteEscape[s[i]]; esc != "" {
+			b = append(b, esc...)
+		} else {
+			b = append(b, s[i])
 		}
 	}
-	sb.WriteByte('"')
-	return sb.String()
+	return append(b, '"')
 }
 
-func lvalueString(lv *LValue) string {
-	s := lv.Name
-	for _, ix := range lv.Indices {
-		s += fmt.Sprintf("[%s]", ExprString(ix))
+func appendLValue(b []byte, lv *LValue) []byte {
+	return appendIndices(append(b, lv.Name...), lv.Indices)
+}
+
+// appendIndices appends "[e]" for each expression.
+func appendIndices(b []byte, ixs []Expr) []byte {
+	for _, ix := range ixs {
+		b = append(appendExpr(append(b, '['), ix, 0), ']')
 	}
-	return s
+	return b
 }
 
 // RangeRefString renders an annotation target such as B[k][lo:hi].
-func RangeRefString(r *RangeRef) string {
-	s := r.Name
+func RangeRefString(r *RangeRef) string { return string(appendRangeRef(nil, r)) }
+
+func appendRangeRef(b []byte, r *RangeRef) []byte {
+	b = append(b, r.Name...)
 	for _, ix := range r.Indices {
+		b = appendExpr(append(b, '['), ix.Lo, 0)
 		if ix.Hi != nil {
-			s += fmt.Sprintf("[%s:%s]", ExprString(ix.Lo), ExprString(ix.Hi))
-		} else {
-			s += fmt.Sprintf("[%s]", ExprString(ix.Lo))
+			b = appendExpr(append(b, ':'), ix.Hi, 0)
 		}
+		b = append(b, ']')
 	}
-	return s
+	return b
 }
 
 var opText = map[TokKind]string{
@@ -242,49 +263,47 @@ var opText = map[TokKind]string{
 
 // ExprString renders an expression as source text, parenthesizing only where
 // precedence requires.
-func ExprString(e Expr) string {
-	return exprString(e, 0)
-}
+func ExprString(e Expr) string { return string(appendExpr(nil, e, 0)) }
 
-func exprString(e Expr, parentPrec int) string {
+// appendExpr appends e's text to b. An operator that binds less tightly than
+// parentPrec, the precedence its operand slot requires, is parenthesized.
+func appendExpr(b []byte, e Expr, parentPrec int) []byte {
 	switch n := e.(type) {
 	case *IntLit:
-		return fmt.Sprintf("%d", n.Value)
+		return strconv.AppendInt(b, n.Value, 10)
 	case *FloatLit:
-		s := fmt.Sprintf("%g", n.Value)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		// Go's %g text, with ".0" appended when it reads as an integer.
+		start := len(b)
+		if b = strconv.AppendFloat(b, n.Value, 'g', -1, 64); !bytes.ContainsAny(b[start:], ".eE") {
+			b = append(b, ".0"...)
 		}
-		return s
+		return b
 	case *VarRef:
-		return n.Name
+		return append(b, n.Name...)
 	case *IndexExpr:
-		s := n.Name
-		for _, ix := range n.Indices {
-			s += fmt.Sprintf("[%s]", exprString(ix, 0))
-		}
-		return s
+		return appendIndices(append(b, n.Name...), n.Indices)
 	case *CallExpr:
-		args := make([]string, len(n.Args))
+		b = append(append(b, n.Name...), '(')
 		for i, a := range n.Args {
-			args[i] = exprString(a, 0)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendExpr(b, a, 0)
 		}
-		return fmt.Sprintf("%s(%s)", n.Name, strings.Join(args, ", "))
+		return append(b, ')')
 	case *UnaryExpr:
 		const unaryPrec = 7
-		s := opText[n.Op] + exprString(n.X, unaryPrec)
 		if parentPrec > unaryPrec {
-			return "(" + s + ")"
+			return append(appendExpr(append(b, '('), e, 0), ')')
 		}
-		return s
+		return appendExpr(append(b, opText[n.Op]...), n.X, unaryPrec)
 	case *BinaryExpr:
 		prec := binPrec[n.Op]
-		s := fmt.Sprintf("%s %s %s",
-			exprString(n.X, prec), opText[n.Op], exprString(n.Y, prec+1))
 		if prec < parentPrec {
-			return "(" + s + ")"
+			return append(appendExpr(append(b, '('), e, 0), ')')
 		}
-		return s
+		b = append(append(append(appendExpr(b, n.X, prec), ' '), opText[n.Op]...), ' ')
+		return appendExpr(b, n.Y, prec+1)
 	}
-	return fmt.Sprintf("/* %T */", e)
+	return fmt.Appendf(b, "/* %T */", e)
 }

@@ -11,7 +11,10 @@
 // annotated program.
 package parc
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Pos is a source position: 1-based line and column, plus the name of the
 // file the source came from when it is known (ParseFile stamps it so that
@@ -23,10 +26,13 @@ type Pos struct {
 }
 
 func (p Pos) String() string {
+	var buf [64]byte
+	b := buf[:0]
 	if p.File != "" {
-		return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+		b = append(append(b, p.File...), ':')
 	}
-	return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	b = append(strconv.AppendInt(b, int64(p.Line), 10), ':')
+	return string(strconv.AppendInt(b, int64(p.Col), 10))
 }
 
 // IsValid reports whether the position has been set.

@@ -24,6 +24,9 @@ package cachier
 //	BenchmarkParse, BenchmarkPrint — the ParC front end and printer on 200
 //	                                 corpus programs, the text every cachierd
 //	                                 request starts and ends with
+//	BenchmarkInfer                — static inference (/v1/static without
+//	                                 the annotation) on 200 corpus programs
+//	                                 and on Barnes at 32 nodes
 //
 // Custom metrics (reported via b.ReportMetric, suffix explains the unit):
 // normalized execution times, measured check-out counts, and percentage
@@ -47,6 +50,7 @@ import (
 	"cachier/internal/parcgen"
 	"cachier/internal/serve"
 	"cachier/internal/sim"
+	"cachier/internal/staticanno"
 	"cachier/internal/vet"
 )
 
@@ -426,6 +430,40 @@ func BenchmarkPrint(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(progs)), "us/program")
+}
+
+// BenchmarkInfer runs static inference (vet's abstract interpreter in
+// inference mode, then the coherent replay) the way /v1/static does: one op
+// of "corpus" is the 200-program corpus slice at 4 nodes, one op of "Barnes"
+// the Figure 6 port that costs inference most, at 32 nodes.
+func BenchmarkInfer(b *testing.B) {
+	srcs, _ := corpusSlice()
+	var corpus []*parc.Program
+	for _, src := range srcs {
+		corpus = append(corpus, parc.MustParse(src))
+	}
+	barnes := bench.Barnes()
+	for _, c := range []struct {
+		name  string
+		progs []*parc.Program
+		nodes int
+	}{
+		{"corpus", corpus, 4},
+		{barnes.Name, []*parc.Program{parc.MustParse(barnes.Source(barnes.Train))}, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := staticanno.DefaultConfig()
+			cfg.Nodes = c.nodes
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, prog := range c.progs {
+					if _, err := staticanno.Infer(prog, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkColdRequest sends one program nobody has sent before to vet,

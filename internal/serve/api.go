@@ -204,9 +204,9 @@ type SimResult struct {
 	Output     []string        `json:"output,omitempty"`
 	SnapshotID string          `json:"snapshot_id"`
 
-	// snapshot is the snapshot's JSON, the body of /v1/snapshot/{SnapshotID}:
-	// it travels and is cached with the result, never in the response.
-	snapshot []byte
+	// snapshot is the body of /v1/snapshot/{SnapshotID}: it travels and is
+	// cached with the result, never in the response.
+	snapshot *snapshotBody
 }
 
 // SimulateResponse carries one result per requested config, in order.

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -454,5 +457,93 @@ func TestSharedProgramManyLayouts(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestLazySnapshotConcurrentReads: a simulation's snapshot bytes are made
+// on first read, so the first GET /v1/snapshot/{id} requests race to make
+// them. Several readers send them at once while a repeat /v1/simulate of
+// the same program is in flight, its two finished configs copied out of the
+// simulation cache and its third held at the gate. Every reader must get
+// the golden bytes; under -race nothing may be written unsynchronized.
+func TestLazySnapshotConcurrentReads(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed)
+	configs := []MachineSpec{{Nodes: testNodes}, {Nodes: testNodes, Protocol: "dirnnb:4"}}
+	code, _, body := post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: configs})
+	if code != http.StatusOK {
+		t.Fatalf("simulate: status %d: %s", code, body)
+	}
+	var resp SimulateResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "snapshot_seed7.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := newGate(1)
+	s.eval.slow = g.hook()
+	repeat := make(chan int, 1)
+	go func() {
+		more := append(slices.Clone(configs), MachineSpec{Nodes: testNodes, Protocol: "dirnb:4"})
+		code, _, _ := post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: more})
+		repeat <- code
+	}()
+	g.waitEntered(t)
+
+	const readers = 8
+	bodies := make([][]byte, readers)
+	codes := make([]int, readers)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range resp.Results {
+				code, b := get(t, ts.URL+"/v1/snapshot/"+r.SnapshotID)
+				codes[i] = max(codes[i], code)
+				bodies[i] = append(bodies[i], b...)
+			}
+		}()
+	}
+	wg.Wait()
+	close(g.release)
+	if code := <-repeat; code != http.StatusOK {
+		t.Fatalf("repeat simulate: status %d", code)
+	}
+	for i := range readers {
+		if codes[i] != http.StatusOK || !bytes.Equal(bodies[i], want) {
+			t.Errorf("reader %d: status %d, or its snapshots diverge from snapshot_seed7.golden.json", i, codes[i])
+		}
+	}
+}
+
+// TestEvictedSnapshotUnread: a snapshot evicted with its simulation before
+// anyone read it answers 404, like any snapshot the cache no longer holds.
+func TestEvictedSnapshotUnread(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 1
+	_, ts := newTestServer(t, cfg)
+	var ids []string
+	for _, seed := range []int64{goldenSeed, goldenSeed + 1} {
+		code, _, body := post(t, ts.URL+"/v1/simulate", &SimulateRequest{
+			Source: parcgen.Generate(seed), Configs: []MachineSpec{{Nodes: testNodes}},
+		})
+		if code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, code, body)
+		}
+		var resp SimulateResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.Results[0].SnapshotID)
+	}
+	if code, body := get(t, ts.URL+"/v1/snapshot/"+ids[0]); code != http.StatusNotFound {
+		t.Errorf("evicted unread snapshot: status %d: %s", code, body)
+	}
+	if code, _ := get(t, ts.URL+"/v1/snapshot/"+ids[1]); code != http.StatusOK {
+		t.Errorf("cached snapshot: status %d", code)
 	}
 }

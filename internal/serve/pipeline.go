@@ -391,18 +391,34 @@ func simFault(phase string, err error) error {
 	return &apiError{code: 422, msg: fmt.Sprintf("%s: %v", phase, err)}
 }
 
+// snapshotBody is a simulation's stats snapshot. Its JSON is produced on
+// the first read, by the first /v1/snapshot/{id} request or EvalSimulate,
+// and the Snapshot is then dropped.
+type snapshotBody struct {
+	once sync.Once
+	snap *obs.Snapshot
+	data []byte
+}
+
+// bytes returns the snapshot's canonical JSON. A Snapshot holds no float,
+// map or interface, so marshalling it cannot fail
+// (TestSnapshotMarshalCannotFail).
+func (b *snapshotBody) bytes() []byte {
+	b.once.Do(func() {
+		b.data, _ = b.snap.MarshalIndentJSON()
+		b.snap = nil
+	})
+	return b.data
+}
+
 // runSim executes one simulation with the observability recorder attached
-// and packages the deterministic result with its snapshot's bytes.
+// and packages the deterministic result with its snapshot.
 func runSim(pi *ProgramInfo, m MachineSpec, snapshotID string) (*SimResult, error) {
 	cfg := m.simConfig(sim.ModePerf)
 	cfg.Recorder = obs.New(cfg.Nodes, cfg.BlockSize)
 	res, err := sim.Run(pi.Prog, cfg)
 	if err != nil {
 		return nil, simFault("simulation", err)
-	}
-	snap, err := res.Snapshot.MarshalIndentJSON()
-	if err != nil {
-		return nil, fmt.Errorf("marshal snapshot: %w", err)
 	}
 	return &SimResult{
 		Config:     m,
@@ -413,7 +429,7 @@ func runSim(pi *ProgramInfo, m MachineSpec, snapshotID string) (*SimResult, erro
 		Stats:      res.Stats,
 		Output:     res.Output,
 		SnapshotID: snapshotID,
-		snapshot:   snap,
+		snapshot:   &snapshotBody{snap: res.Snapshot},
 	}, nil
 }
 
@@ -450,7 +466,7 @@ func EvalSimulate(req *SimulateRequest) (*SimulateResponse, map[string][]byte, e
 	}
 	snaps := make(map[string][]byte, len(resp.Results))
 	for _, r := range resp.Results {
-		snaps[r.SnapshotID] = r.snapshot
+		snaps[r.SnapshotID] = r.snapshot.bytes()
 	}
 	return resp, snaps, nil
 }

@@ -182,8 +182,10 @@ func TestGoldenEndpoints(t *testing.T) {
 		}
 
 		// Every snapshot the simulate response references must be served
-		// byte-identically to the library's snapshot bytes.
+		// byte-identically to the library's snapshot bytes. The golden holds
+		// the bodies one after another, in config order.
 		t.Run("snapshot_"+sc.name, func(t *testing.T) {
+			var all []byte
 			for _, r := range wantSim.Results {
 				code, body := get(t, ts.URL+"/v1/snapshot/"+r.SnapshotID)
 				if code != http.StatusOK {
@@ -192,7 +194,9 @@ func TestGoldenEndpoints(t *testing.T) {
 				if !bytes.Equal(body, wantSnaps[r.SnapshotID]) {
 					t.Fatalf("snapshot %s diverges from library bytes", r.SnapshotID)
 				}
+				all = append(all, body...)
 			}
+			checkGolden(t, "snapshot_"+sc.name+".golden.json", all)
 		})
 	}
 }

@@ -236,7 +236,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 	id := r.PathValue("id")
 	if v, ok := s.eval.lookup(s.eval.sims, id); ok {
-		s.finish(w, "snapshot", start, "hit", v.(*SimResult).snapshot, nil)
+		s.finish(w, "snapshot", start, "hit", v.(*SimResult).snapshot.bytes(), nil)
 		return
 	}
 	s.finish(w, "snapshot", start, "", nil,

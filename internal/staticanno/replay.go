@@ -20,69 +20,41 @@ package staticanno
 // replays the simulated schedule cycle for cycle.
 
 import (
-	"fmt"
-
 	"cachier/internal/memory"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/vet"
 )
 
-// rProc is one node's sim.EventSource: a pull cursor over its inferred
-// epochs. The next event is epochs[ep].Events[ev], after the element
-// addresses still owed by the access the cursor last read.
-type rProc struct {
-	epochs []vet.InferEpoch
-	ep, ev int
-	addrs  []uint64
-	acc    *vet.InferAccess // the access addrs belongs to
-}
+// rProc is one node's sim.EventSource: an adapter from the node's inferred
+// steps to machine events, a shared access's element turned into its
+// address in the machine's layout.
+type rProc struct{ cur vet.Cursor }
 
-// Next pulls the processor's next event: the remaining element addresses of
-// a widened access one by one (a widened access reaches the scheduler as
-// one event per element), then the epoch's events in order, then the
-// barrier that closes the epoch. ok is false at the end of the program.
-func (p *rProc) Next(layout *memory.Layout) (ev sim.Event, ok bool, err error) {
-	for {
-		if len(p.addrs) > 0 {
-			addr := p.addrs[0]
-			p.addrs = p.addrs[1:]
-			return sim.Event{Op: sim.EvAccess, Write: p.acc.Write, Addr: addr, PC: p.acc.Stmt}, true, nil
-		}
-		if p.ep >= len(p.epochs) {
-			return sim.Event{}, false, nil
-		}
-		ep := &p.epochs[p.ep]
-		if p.ev >= len(ep.Events) {
-			p.ep++
-			p.ev = 0
-			if ep.BarrierID >= 0 {
-				return sim.Event{Op: sim.EvBarrier, PC: ep.BarrierID}, true, nil
-			}
-			continue
-		}
-		e := &ep.Events[p.ev]
-		p.ev++
-		switch e.Op {
-		case vet.OpAccess:
-			region := layout.Region(e.Access.Var)
-			if region == nil {
-				return sim.Event{}, false, fmt.Errorf("staticanno: access to unknown shared variable %q", e.Access.Var)
-			}
-			if p.addrs, err = elementAddrs(region, e.Access.Dims); err != nil {
-				return sim.Event{}, false, err
-			}
-			p.acc = &e.Access
-		case vet.OpLock:
-			return sim.Event{Op: sim.EvLock, Lock: e.Lock, PC: e.Stmt}, true, nil
-		case vet.OpUnlock:
-			return sim.Event{Op: sim.EvUnlock, Lock: e.Lock, PC: e.Stmt}, true, nil
-		case vet.OpPrint:
-			return sim.Event{Op: sim.EvPrint, PC: e.Stmt}, true, nil
-		case vet.OpWork:
-			return sim.Event{Op: sim.EvWork, Cycles: e.Work, PC: e.Stmt}, true, nil
-		}
+// Next pulls the processor's next event. ok is false at the end of the
+// program.
+func (p *rProc) Next(layout *memory.Layout) (sim.Event, bool, error) {
+	s := p.cur.Next()
+	if s == nil {
+		return sim.Event{}, false, nil
 	}
+	switch s.Op {
+	case vet.OpAccess:
+		addr, err := layout.Regions[s.Decl.Index].AddrOf(s.Index...)
+		if err != nil {
+			return sim.Event{}, false, err
+		}
+		return sim.Event{Op: sim.EvAccess, Write: s.Write, Addr: addr, PC: s.Stmt}, true, nil
+	case vet.OpLock:
+		return sim.Event{Op: sim.EvLock, Lock: s.Lock, PC: s.Stmt}, true, nil
+	case vet.OpUnlock:
+		return sim.Event{Op: sim.EvUnlock, Lock: s.Lock, PC: s.Stmt}, true, nil
+	case vet.OpPrint:
+		return sim.Event{Op: sim.EvPrint, PC: s.Stmt}, true, nil
+	case vet.OpWork:
+		return sim.Event{Op: sim.EvWork, Cycles: s.Work, PC: s.Stmt}, true, nil
+	}
+	return sim.Event{Op: sim.EvBarrier, PC: s.Stmt}, true, nil
 }
 
 // replay runs every node's inferred event stream to completion on the
@@ -95,7 +67,7 @@ func replay(prog *parc.Program, cfg Config, sum *vet.Summary) (*sim.Result, erro
 	procs := make([]rProc, cfg.Nodes)
 	sources := make([]sim.EventSource, cfg.Nodes)
 	for i := range procs {
-		procs[i].epochs = sum.Nodes[i].Epochs
+		procs[i].cur = sum.Cursor(i)
 		sources[i] = &procs[i]
 	}
 	return sim.Replay(prog, mc, sources)

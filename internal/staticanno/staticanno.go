@@ -3,11 +3,12 @@
 // The trace-driven Cachier (internal/core) consumes a miss trace from a
 // simulation of the unannotated program. This package synthesizes that
 // trace statically: the vet abstract interpreter's inference mode
-// (vet.Summarize) reconstructs each node's barrier-delimited stream of
-// scheduler-visible events — shared accesses, locks, prints — directly
-// from the AST, and a coherent replay (replay.go) runs all the streams on
-// the simulator's own machine, scheduler and Dir1SW protocol (sim.Replay),
-// so cross-node interference on falsely-shared blocks produces the same
+// (vet.Summarize) records each node's stream of scheduler-visible events —
+// shared accesses, locks, prints, work, barriers — directly from the AST,
+// and a coherent replay (replay.go) reads every stream through a
+// vet.Cursor, one step and one array element at a time, on the
+// simulator's own machine, scheduler and Dir1SW protocol (sim.Replay), so
+// cross-node interference on falsely-shared blocks produces the same
 // extra misses, kind flips, and write faults a simulated trace carries. The
 // synthetic trace's PCs are the statement IDs of the program it was inferred
 // from, so it feeds the unchanged core.AnnotateMulti on that same checked
@@ -31,7 +32,6 @@ import (
 	"strings"
 
 	"cachier/internal/core"
-	"cachier/internal/memory"
 	"cachier/internal/parc"
 	"cachier/internal/trace"
 	"cachier/internal/vet"
@@ -78,8 +78,6 @@ type Result struct {
 	// Inexact traces over-approximate the footprint.
 	Exact bool
 	Notes []string
-	// Summary is the underlying per-node access inference.
-	Summary *vet.Summary
 }
 
 // Infer synthesizes the miss trace of prog on the configured machine.
@@ -96,14 +94,16 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, machineFault{err}
 	}
-	return &Result{Trace: res.Trace, Exact: sum.Exact, Notes: sum.Notes, Summary: sum}, nil
+	return &Result{Trace: res.Trace, Exact: sum.Exact, Notes: sum.Notes}, nil
 }
 
 // ErrMachineFault matches, under errors.Is, every error Infer's replay met
 // on the machine: a deadlock, an unlock of a lock not held, a layout the
-// machine cannot hold. A simulation of the program meets the same fault, so
-// it is the program's, where Infer's other errors are the inferrer refusing
-// the program.
+// machine cannot hold. Summarize has checked every element the replay
+// reads, so the event source cannot fail and each replay error is the
+// machine's. A simulation of the program meets the same fault, so it is
+// the program's, where Infer's other errors are the inferrer refusing the
+// program.
 var ErrMachineFault = errors.New("staticanno: machine fault")
 
 // machineFault wraps a replay error as an ErrMachineFault, keeping the
@@ -112,62 +112,6 @@ type machineFault struct{ err error }
 
 func (f machineFault) Error() string   { return f.err.Error() }
 func (f machineFault) Unwrap() []error { return []error{ErrMachineFault, f.err} }
-
-// elementAddrs expands one access's per-dimension element sets to byte
-// addresses, row-major ascending. Exact accesses expand to one address;
-// widened ones to their whole (bounds-clamped) footprint.
-func elementAddrs(region *memory.Region, dims []vet.IndexSet) ([]uint64, error) {
-	if len(dims) == 0 {
-		addr, err := region.AddrOf()
-		if err != nil {
-			return nil, err
-		}
-		return []uint64{addr}, nil
-	}
-	perDim := make([][]int64, len(dims))
-	total := 1
-	for d, s := range dims {
-		if s.Empty() {
-			return nil, nil // provably no element touched
-		}
-		limit := 1
-		if d < len(region.DimSizes) {
-			limit = region.DimSizes[d]
-		}
-		els, ok := s.Enumerate(limit)
-		if !ok {
-			// The interpreter clamps subscripts to the array bounds, so an
-			// unenumerable set here means a layout/summary mismatch.
-			return nil, fmt.Errorf("staticanno: subscript set %+v of %s not enumerable", s, region.Name)
-		}
-		perDim[d] = els
-		total *= len(els)
-	}
-	out := make([]uint64, 0, total)
-	ix := make([]int, len(dims))
-	var walk func(d int) error
-	walk = func(d int) error {
-		if d == len(dims) {
-			addr, err := region.AddrOf(ix...)
-			if err != nil {
-				return err
-			}
-			out = append(out, addr)
-			return nil
-		}
-		for _, v := range perDim[d] {
-			ix[d] = int(v)
-			if err := walk(d + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // StyleDiff is one annotation style's static-vs-trace comparison.
 type StyleDiff struct {

@@ -3,9 +3,10 @@
 // over-approximating it. Conditions short-circuit, while loops and large
 // for loops are enumerated concretely, and every access records the ID of
 // its enclosing statement — the "pc" a simulation trace would carry. The
-// result is a per-node, per-epoch access summary precise enough for
-// internal/staticanno to replay against a cache model and synthesize the
-// miss trace Cachier's placement pipeline normally gets from a simulation.
+// result keeps each node's recorded event stream as it is, and a Cursor
+// reads it as the scheduler-visible steps internal/staticanno replays on the
+// simulator's machine to synthesize the miss trace Cachier's placement
+// pipeline normally gets from a simulation.
 //
 // Where the program is not statically enumerable (data-dependent guards,
 // input-dependent subscripts, call-depth or fuel limits) the summary
@@ -35,111 +36,66 @@ const (
 	inferFuel      = 8 << 20
 )
 
-// IndexSet is the set of elements one array subscript may take: the
-// integers Lo, Lo+Stride, ..., Hi. Stride 0 means the single element Lo;
-// an exact inference produces only single-element sets.
-type IndexSet struct {
-	Lo, Hi, Stride int64
-}
-
-// Empty reports whether the set contains no elements.
-func (s IndexSet) Empty() bool { return s.Lo > s.Hi }
-
-// Const returns the single element of a singleton set.
-func (s IndexSet) Const() (int64, bool) {
-	if !s.Empty() && s.Lo == s.Hi {
-		return s.Lo, true
-	}
-	return 0, false
-}
-
-// Enumerate returns the elements in ascending order, or ok=false if the
-// set is unbounded or larger than limit.
-func (s IndexSet) Enumerate(limit int) ([]int64, bool) {
-	if s.Empty() {
-		return nil, true
-	}
-	if s.Lo <= negInf || s.Hi >= posInf {
-		return nil, false
-	}
-	step := s.Stride
-	if step <= 0 {
-		step = 1
-	}
-	n := (s.Hi-s.Lo)/step + 1
-	if n > int64(limit) {
-		return nil, false
-	}
-	out := make([]int64, 0, n)
-	for v := s.Lo; v <= s.Hi; v += step {
-		out = append(out, v)
-	}
-	return out, true
-}
-
-// InferAccess is one shared-memory access in a node's inferred stream, in
-// program order within its epoch.
-type InferAccess struct {
-	Var     string // shared variable name
-	Write   bool
-	Stmt    int        // enclosing statement's ID (the pc a trace would carry)
-	Dims    []IndexSet // per-dimension element sets, clamped to array bounds
-	Variant bool       // some subscript did not fold to a single element
-}
-
-// InferOp tags an entry of a node's inferred event stream. Besides shared
-// accesses the stream keeps the other scheduler-visible operations — lock,
-// unlock, print, local-work reports — because each is a context-switch
-// point in the simulator and a faithful replay of its schedule must switch
-// at the same places with the same clocks.
-type InferOp int
+// StepOp tags a Step. Besides shared accesses a node's stream keeps the
+// other scheduler-visible operations — lock, unlock, print, local-work
+// reports, barriers — because each is a context-switch point in the
+// simulator and a faithful replay of its schedule must switch at the same
+// places with the same clocks.
+type StepOp uint8
 
 const (
-	OpAccess InferOp = iota
+	OpAccess StepOp = iota
 	OpLock
 	OpUnlock
 	OpPrint
 	OpWork
+	OpBarrier
 )
 
-// InferEvent is one scheduler-visible event in a node's stream, in program
-// order within its epoch.
-type InferEvent struct {
-	Op     InferOp
-	Access InferAccess // valid when Op == OpAccess
-	Lock   int64       // lock id, when Op is OpLock or OpUnlock
-	Work   uint64      // local cycles reported to the machine, when Op == OpWork
-	Stmt   int         // statement ID (the access's enclosing statement for OpAccess)
+// Step is one scheduler-visible step of a node's inferred execution. A
+// shared access is one step per element it may touch: an exact access is
+// one step, a widened one a step per element of its bounds-clamped
+// footprint.
+type Step struct {
+	Op StepOp
+	// Stmt is the statement ID a trace would carry: the access's enclosing
+	// statement, the barrier, lock, unlock or print statement, or the
+	// statement whose work is reported.
+	Stmt  int
+	Write bool             // OpAccess: a store
+	Decl  *parc.SharedDecl // OpAccess: the shared variable
+	// Index is the element's subscripts (OpAccess; empty for a scalar). It
+	// is the cursor's own odometer, valid until the next call to Next.
+	Index []int
+	Lock  int64  // OpLock, OpUnlock: the lock id
+	Work  uint64 // OpWork: local cycles reported to the machine
 }
 
-// InferEpoch is one barrier-delimited interval of a node's stream.
-type InferEpoch struct {
-	Index     int
-	BarrierID int // statement ID of the terminating barrier; -1 at program end
-	Events    []InferEvent
-}
-
-// NodeSummary is one node's inferred execution.
-type NodeSummary struct {
-	Node   int
-	Epochs []InferEpoch
-}
-
-// Summary is the result of trace-free inference over a whole program.
+// Summary is the result of trace-free inference over a whole program: every
+// node's event stream as the abstract interpreter recorded it, read one step
+// at a time through a Cursor.
 type Summary struct {
 	Nprocs int
 	// Exact reports that every branch, loop bound, lock id, and subscript
-	// folded to per-node constants: the access streams are the VM's, not an
+	// folded to per-node constants: the streams are the VM's, not an
 	// over-approximation of them.
 	Exact bool
 	Notes []string // first few reasons Exact is false
-	Nodes []NodeSummary
+	nodes []nodeStream
+}
+
+// nodeStream is one node's recorded events and the statement IDs of the
+// barriers it crosses, in order.
+type nodeStream struct {
+	events   []event
+	barriers []int32
 }
 
 // Summarize runs the abstract interpreter in inference mode over a checked
-// program and returns each node's barrier-delimited access stream. It never
-// mutates the program and adds no findings to any report; the regular
-// Analyze entry point is unaffected by inference mode.
+// program and keeps each node's event stream. It never mutates the program
+// and adds no findings to any report; the regular Analyze entry point is
+// unaffected by inference mode. Every access's element sets are checked
+// against its array's bounds here, so a Cursor cannot fail.
 func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	if opts.Nprocs <= 0 {
 		opts.Nprocs = 4
@@ -154,7 +110,7 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		opts: Options{Nprocs: opts.Nprocs},
 		seen: make(map[string]bool),
 	}
-	sum := &Summary{Nprocs: opts.Nprocs, Exact: true, Nodes: make([]NodeSummary, 0, opts.Nprocs)}
+	sum := &Summary{Nprocs: opts.Nprocs, Exact: true, nodes: make([]nodeStream, 0, opts.Nprocs)}
 	var prev *nodeRun
 	for p := 0; p < opts.Nprocs; p++ {
 		r := newNodeRun(v, p, prev)
@@ -165,55 +121,25 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		if r.outOfGas {
 			r.inexact(parc.Pos{}, "analysis budget exhausted")
 		}
-		var like []InferEpoch // the node before's epochs size this node's
-		if p > 0 {
-			like = sum.Nodes[p-1].Epochs
+		ns := nodeStream{events: r.events}
+		if p > 0 { // the node before's barriers size this node's
+			ns.barriers = make([]int32, 0, len(sum.nodes[p-1].barriers))
 		}
-		newEpoch := func(i int) InferEpoch {
-			ep := InferEpoch{Index: i, BarrierID: -1}
-			if i < len(like) {
-				ep.Events = make([]InferEvent, 0, len(like[i].Events))
-			}
-			return ep
-		}
-		ns := NodeSummary{Node: p, Epochs: make([]InferEpoch, 0, len(like))}
-		cur := newEpoch(0)
 		for i := range r.events {
 			ev := &r.events[i]
-			switch ev.kind {
-			case evBarrier:
-				cur.BarrierID = int(ev.stmtID)
-				ns.Epochs = append(ns.Epochs, cur)
-				cur = newEpoch(len(ns.Epochs))
-			case evAccess:
-				if ev.decl == nil {
-					continue
-				}
+			switch {
+			case ev.kind == evBarrier:
+				ns.barriers = append(ns.barriers, ev.stmtID)
+			case ev.kind == evAccess && ev.decl != nil:
 				if ev.variant {
 					r.inexact(ev.position(), "subscript of %s does not fold to one element", ev.decl.Name)
 				}
-				acc := InferAccess{
-					Var:     ev.decl.Name,
-					Write:   ev.write,
-					Stmt:    int(ev.encStmt),
-					Variant: ev.variant,
+				if err := checkElements(ev); err != nil {
+					return nil, err
 				}
-				for _, d := range ev.dims {
-					acc.Dims = append(acc.Dims, IndexSet{Lo: d.lo, Hi: d.hi, Stride: d.stride})
-				}
-				cur.Events = append(cur.Events, InferEvent{Op: OpAccess, Access: acc, Stmt: int(ev.encStmt)})
-			case evLock:
-				cur.Events = append(cur.Events, InferEvent{Op: OpLock, Lock: ev.lockID, Stmt: int(ev.stmtID)})
-			case evUnlock:
-				cur.Events = append(cur.Events, InferEvent{Op: OpUnlock, Lock: ev.lockID, Stmt: int(ev.stmtID)})
-			case evPrint:
-				cur.Events = append(cur.Events, InferEvent{Op: OpPrint, Stmt: int(ev.stmtID)})
-			case evWork:
-				cur.Events = append(cur.Events, InferEvent{Op: OpWork, Work: ev.work, Stmt: int(ev.encStmt)})
 			}
 		}
-		ns.Epochs = append(ns.Epochs, cur)
-		sum.Nodes = append(sum.Nodes, ns)
+		sum.nodes = append(sum.nodes, ns)
 		if !r.infer.exact {
 			sum.Exact = false
 			for _, n := range r.infer.notes {
@@ -226,24 +152,150 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	return sum, nil
 }
 
+// checkElements holds one access's element sets to its array's shape: each
+// set bounded and no larger than its dimension, one set per dimension, every
+// element in bounds. The interpreter clamps subscripts to the array bounds,
+// so a failure means the summary and the declaration disagree. An empty set
+// touches no element and is never walked.
+func checkElements(ev *event) error {
+	decl, dims := ev.decl, ev.dims
+	for d, s := range dims {
+		if s.empty() {
+			return nil
+		}
+		limit := int64(1)
+		if d < len(decl.DimSizes) {
+			limit = int64(decl.DimSizes[d])
+		}
+		if s.lo <= negInf || s.hi >= posInf || (s.hi-s.lo)/max(s.stride, 1)+1 > limit {
+			return fmt.Errorf("staticanno: subscript set {Lo:%d Hi:%d Stride:%d} of %s not enumerable",
+				s.lo, s.hi, s.stride, decl.Name)
+		}
+	}
+	if len(dims) != len(decl.DimSizes) {
+		return fmt.Errorf("memory: %s has rank %d, got %d indices", decl.Name, len(decl.DimSizes), len(dims))
+	}
+	// Report the first element out of bounds in row-major order: the first
+	// element itself if a lower bound is out, else the first element past
+	// the bound of the last dimension that has one.
+	bad, at := -1, int64(0)
+	for d, s := range dims {
+		if size := int64(decl.DimSizes[d]); s.lo < 0 || s.lo >= size {
+			bad, at = d, s.lo
+			break
+		}
+	}
+	for d := len(dims) - 1; bad < 0 && d >= 0; d-- {
+		s, size := dims[d], int64(decl.DimSizes[d])
+		step := max(s.stride, 1)
+		if first := s.lo + (size-s.lo+step-1)/step*step; first <= s.hi {
+			bad, at = d, first
+		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("memory: index %d out of range [0,%d) in dimension %d of %s",
+			at, decl.DimSizes[bad], bad, decl.Name)
+	}
+	return nil
+}
+
+// Cursor reads one node's stream step by step. Its odometer walks a shared
+// access's elements row-major ascending, last subscript fastest, so a
+// widened access costs no list of its elements.
+type Cursor struct {
+	events []event
+	next   int    // the next event to read
+	acc    *event // the access the odometer is walking; nil between accesses
+	ix     []int  // the odometer: acc's current element
+	step   Step   // the last step returned: an access's is every element's, its Index being ix
+}
+
+// Cursor returns a cursor at the start of node's stream.
+func (s *Summary) Cursor(node int) Cursor {
+	return Cursor{events: s.nodes[node].events}
+}
+
+// Next returns the node's next step, or nil at the end of its stream. The
+// step is the cursor's own, valid until the next call.
+func (c *Cursor) Next() *Step {
+	if c.acc != nil && c.advance() {
+		return &c.step
+	}
+	c.acc = nil
+	for c.next < len(c.events) {
+		ev := &c.events[c.next]
+		c.next++
+		switch ev.kind {
+		case evAccess:
+			if ev.decl != nil && c.start(ev) {
+				return &c.step
+			}
+			continue
+		case evBarrier:
+			c.step = Step{Op: OpBarrier, Stmt: int(ev.stmtID)}
+		case evLock:
+			c.step = Step{Op: OpLock, Lock: ev.lockID, Stmt: int(ev.stmtID)}
+		case evUnlock:
+			c.step = Step{Op: OpUnlock, Lock: ev.lockID, Stmt: int(ev.stmtID)}
+		case evPrint:
+			c.step = Step{Op: OpPrint, Stmt: int(ev.stmtID)}
+		case evWork:
+			c.step = Step{Op: OpWork, Work: ev.work, Stmt: int(ev.encStmt)}
+		default:
+			continue
+		}
+		return &c.step
+	}
+	return nil
+}
+
+// start sets the odometer to ev's first element; false if ev touches none.
+func (c *Cursor) start(ev *event) bool {
+	c.ix = c.ix[:0]
+	for _, s := range ev.dims {
+		if s.empty() {
+			return false
+		}
+		c.ix = append(c.ix, int(s.lo))
+	}
+	c.acc = ev
+	c.step = Step{Op: OpAccess, Stmt: int(ev.encStmt), Write: ev.write, Decl: ev.decl, Index: c.ix}
+	return true
+}
+
+// advance turns the odometer to acc's next element; false once every
+// element has been read.
+func (c *Cursor) advance() bool {
+	for d := len(c.ix) - 1; d >= 0; d-- {
+		s := c.acc.dims[d]
+		if v := int64(c.ix[d]) + max(s.stride, 1); v <= s.hi {
+			c.ix[d] = int(v)
+			return true
+		}
+		c.ix[d] = int(s.lo)
+	}
+	return false
+}
+
 // CheckBarrierStructure verifies every node inferred the same sequence of
 // barrier statement IDs — the static analogue of the simulator's barrier
 // alignment. A mismatch means the nodes' epochs cannot be paired and no
 // trace can be synthesized.
 func (s *Summary) CheckBarrierStructure() error {
-	if len(s.Nodes) == 0 {
+	if len(s.nodes) == 0 {
 		return fmt.Errorf("vet: summary has no nodes")
 	}
-	first := s.Nodes[0].Epochs
-	for _, ns := range s.Nodes[1:] {
-		if len(ns.Epochs) != len(first) {
+	first := s.nodes[0].barriers
+	for node := 1; node < len(s.nodes); node++ {
+		ids := s.nodes[node].barriers
+		if len(ids) != len(first) {
 			return fmt.Errorf("vet: node 0 infers %d epoch(s) but node %d infers %d; barrier arrival is node-dependent",
-				len(first), ns.Node, len(ns.Epochs))
+				len(first)+1, node, len(ids)+1)
 		}
-		for i := range ns.Epochs {
-			if ns.Epochs[i].BarrierID != first[i].BarrierID {
+		for i, id := range ids {
+			if id != first[i] {
 				return fmt.Errorf("vet: epoch %d ends at barrier %d on node 0 but at barrier %d on node %d",
-					i, first[i].BarrierID, ns.Epochs[i].BarrierID, ns.Node)
+					i, first[i], id, node)
 			}
 		}
 	}

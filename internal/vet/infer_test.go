@@ -1,6 +1,8 @@
 package vet
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,15 +21,29 @@ func inferProg(t *testing.T, src string) *parc.Program {
 	return prog
 }
 
-// accesses is an epoch's shared accesses, in stream order.
-func accesses(ep InferEpoch) []InferAccess {
-	var out []InferAccess
-	for _, ev := range ep.Events {
-		if ev.Op == OpAccess {
-			out = append(out, ev.Access)
+// access is one element step of a node's stream, copied out of the cursor.
+type access struct {
+	name  string
+	write bool
+	stmt  int
+	index []int
+}
+
+// epochs reads node's stream to its end and returns its shared accesses
+// split at its barriers: one list per epoch, the last ending at program end.
+func epochs(sum *Summary, node int) [][]access {
+	c := sum.Cursor(node)
+	eps := [][]access{nil}
+	for s := c.Next(); s != nil; s = c.Next() {
+		switch s.Op {
+		case OpAccess:
+			last := len(eps) - 1
+			eps[last] = append(eps[last], access{s.Decl.Name, s.Write, s.Stmt, slices.Clone(s.Index)})
+		case OpBarrier:
+			eps = append(eps, nil)
 		}
 	}
-	return out
+	return eps
 }
 
 // TestSummarizeExactPartition pins the core contract: a concretely
@@ -61,29 +77,25 @@ func main() {
 	if err := sum.CheckBarrierStructure(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ns := range sum.Nodes {
+	for node := range 4 {
 		// Two barriers and the trailing program-end interval.
-		if len(ns.Epochs) != 3 {
-			t.Fatalf("node %d: %d epochs, want 3", ns.Node, len(ns.Epochs))
+		eps := epochs(sum, node)
+		if len(eps) != 3 {
+			t.Fatalf("node %d: %d epochs, want 3", node, len(eps))
 		}
-		if ns.Epochs[2].BarrierID != -1 {
-			t.Errorf("final epoch should end at -1, got %d", ns.Epochs[2].BarrierID)
-		}
-		lo := int64(ns.Node * 4)
+		lo := node * 4
 		for ei, wantWrite := range []bool{true, false} {
-			ep := ns.Epochs[ei]
-			if len(accesses(ep)) != 4 {
-				t.Fatalf("node %d epoch %d: %d accesses, want 4", ns.Node, ei, len(accesses(ep)))
+			if len(eps[ei]) != 4 {
+				t.Fatalf("node %d epoch %d: %d accesses, want 4", node, ei, len(eps[ei]))
 			}
-			for k, acc := range accesses(ep) {
-				if acc.Var != "A" || acc.Write != wantWrite || acc.Variant {
-					t.Errorf("node %d epoch %d access %d = %+v", ns.Node, ei, k, acc)
+			for k, acc := range eps[ei] {
+				if acc.name != "A" || acc.write != wantWrite {
+					t.Errorf("node %d epoch %d access %d = %+v", node, ei, k, acc)
 				}
-				if c, ok := acc.Dims[0].Const(); !ok || c != lo+int64(k) {
-					t.Errorf("node %d epoch %d access %d index = %+v, want %d",
-						ns.Node, ei, k, acc.Dims[0], lo+int64(k))
+				if len(acc.index) != 1 || acc.index[0] != lo+k {
+					t.Errorf("node %d epoch %d access %d index = %v, want [%d]", node, ei, k, acc.index, lo+k)
 				}
-				if acc.Stmt == 0 {
+				if acc.stmt == 0 {
 					t.Errorf("access carries no statement ID: %+v", acc)
 				}
 			}
@@ -113,15 +125,16 @@ func main() {
 	if !sum.Exact {
 		t.Fatalf("counted while should infer exactly; notes: %v", sum.Notes)
 	}
-	if got := len(sum.Nodes[0].Epochs); got != 4 {
+	eps0, eps1 := epochs(sum, 0), epochs(sum, 1)
+	if got := len(eps0); got != 4 {
 		t.Fatalf("3 barrier crossings should give 4 epochs, got %d", got)
 	}
 	// Node 0 writes x once per epoch 0..2; node 1 never touches it.
 	for e := 0; e < 3; e++ {
-		if n := len(accesses(sum.Nodes[0].Epochs[e])); n != 1 {
+		if n := len(eps0[e]); n != 1 {
 			t.Errorf("node 0 epoch %d: %d accesses, want 1", e, n)
 		}
-		if n := len(accesses(sum.Nodes[1].Epochs[e])); n != 0 {
+		if n := len(eps1[e]); n != 0 {
 			t.Errorf("node 1 epoch %d: %d accesses, want 0", e, n)
 		}
 	}
@@ -144,12 +157,12 @@ func main() {
 		t.Fatal(err)
 	}
 	// Node 1: pid()==0 folds false, so the VM never reads flag.
-	if n := len(accesses(sum.Nodes[1].Epochs[0])); n != 0 {
+	if n := len(epochs(sum, 1)[0]); n != 0 {
 		t.Errorf("node 1 should not touch flag under short-circuit, got %d accesses", n)
 	}
 	// Node 0 reads flag (guard), and the guard is data-dependent, so the
 	// summary must admit inexactness rather than claim the VM's stream.
-	if len(accesses(sum.Nodes[0].Epochs[0])) == 0 {
+	if len(epochs(sum, 0)[0]) == 0 {
 		t.Error("node 0 should record the guard read of flag")
 	}
 	if sum.Exact {
@@ -176,22 +189,16 @@ func main() {
 	if sum.Exact {
 		t.Fatal("input-dependent subscript should be inexact")
 	}
-	acc := accesses(sum.Nodes[0].Epochs[0])
-	var write *InferAccess
-	for i := range acc {
-		if acc[i].Write {
-			write = &acc[i]
+	// The write widens to every element of A, clamped to its bounds and
+	// walked in ascending order.
+	var written []int
+	for _, acc := range epochs(sum, 0)[0] {
+		if acc.write {
+			written = append(written, acc.index[0])
 		}
 	}
-	if write == nil {
-		t.Fatal("missing write access")
-	}
-	if !write.Variant {
-		t.Error("write should be marked variant")
-	}
-	els, ok := write.Dims[0].Enumerate(16)
-	if !ok || len(els) == 0 || els[0] < 0 || els[len(els)-1] > 7 {
-		t.Errorf("widened subscript should clamp to array bounds, got %v (ok=%v)", els, ok)
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(written, want) {
+		t.Errorf("widened write touches %v, want %v", written, want)
 	}
 	found := false
 	for _, n := range sum.Notes {
@@ -227,18 +234,72 @@ func main() {
 	}
 }
 
-// TestIndexSetEnumerate covers the exported set type's edges.
-func TestIndexSetEnumerate(t *testing.T) {
-	if els, ok := (IndexSet{Lo: 2, Hi: 10, Stride: 4}).Enumerate(8); !ok || len(els) != 3 || els[2] != 10 {
-		t.Errorf("strided enumerate = %v, %v", els, ok)
+// TestCursorOdometer covers the cursor's walk of an access's element sets
+// (strided, several dimensions, empty, scalar, a reference with no shared
+// declaration), the element checks Summarize makes, and
+// CheckBarrierStructure's messages, on hand-built streams.
+func TestCursorOdometer(t *testing.T) {
+	grid := &parc.SharedDecl{Name: "G", DimSizes: []int{3, 4}}
+	scalar := &parc.SharedDecl{Name: "s"}
+	sum := &Summary{nodes: []nodeStream{{events: []event{
+		{kind: evAccess, decl: grid, encStmt: 5, dims: []si{{0, 2, 2}, {1, 3, 1}}},
+		{kind: evAccess, decl: grid, dims: []si{siConst(1), siEmpty}},
+		{kind: evAnn, decl: grid},
+		{kind: evAccess},
+		{kind: evAccess, decl: scalar, write: true, encStmt: 6},
+		{kind: evBarrier, stmtID: 7},
+	}}}}
+	var got []string
+	c := sum.Cursor(0)
+	for s := c.Next(); s != nil; s = c.Next() {
+		if s.Op == OpAccess {
+			got = append(got, fmt.Sprintf("%s%v@%d/%v", s.Decl.Name, s.Index, s.Stmt, s.Write))
+		} else {
+			got = append(got, fmt.Sprintf("op%d@%d", s.Op, s.Stmt))
+		}
 	}
-	if _, ok := (IndexSet{Lo: negInf, Hi: 3, Stride: 1}).Enumerate(8); ok {
-		t.Error("unbounded set must not enumerate")
+	want := []string{
+		"G[0 1]@5/false", "G[0 2]@5/false", "G[0 3]@5/false",
+		"G[2 1]@5/false", "G[2 2]@5/false", "G[2 3]@5/false",
+		"s[]@6/true", fmt.Sprintf("op%d@7", OpBarrier),
 	}
-	if _, ok := (IndexSet{Lo: 0, Hi: 100, Stride: 1}).Enumerate(8); ok {
-		t.Error("oversized set must not enumerate")
+	if !slices.Equal(got, want) {
+		t.Errorf("cursor steps\n got %v\nwant %v", got, want)
 	}
-	if els, ok := (IndexSet{Lo: 1, Hi: 0}).Enumerate(8); !ok || len(els) != 0 {
-		t.Error("empty set enumerates to nothing")
+
+	for _, c := range []struct {
+		decl *parc.SharedDecl
+		dims []si
+		want string
+	}{
+		{grid, []si{{0, 2, 1}, {0, 3, 1}}, ""},
+		{grid, []si{siEmpty, siTop}, ""},
+		{grid, []si{siConst(0), siTop}, "staticanno: subscript set {Lo:-1152921504606846976 Hi:1152921504606846976 Stride:1} of G not enumerable"},
+		{grid, []si{{0, 100, 1}, siConst(0)}, "staticanno: subscript set {Lo:0 Hi:100 Stride:1} of G not enumerable"},
+		{grid, []si{siConst(0)}, "memory: G has rank 2, got 1 indices"},
+		{scalar, []si{siConst(0)}, "memory: s has rank 0, got 1 indices"},
+		{grid, nil, "memory: G has rank 2, got 0 indices"},
+		{grid, []si{siConst(1), {-1, 1, 1}}, "memory: index -1 out of range [0,4) in dimension 1 of G"},
+		{grid, []si{{1, 3, 2}, {2, 4, 2}}, "memory: index 4 out of range [0,4) in dimension 1 of G"},
+		{grid, []si{{1, 3, 1}, siConst(2)}, "memory: index 3 out of range [0,3) in dimension 0 of G"},
+	} {
+		err := checkElements(&event{kind: evAccess, decl: c.decl, dims: c.dims})
+		if got := fmt.Sprint(err); (err == nil) != (c.want == "") || err != nil && got != c.want {
+			t.Errorf("checkElements(%s %v) = %v, want %q", c.decl.Name, c.dims, err, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		barriers [2][]int32
+		want     string
+	}{
+		{[2][]int32{{3, 9}, {3, 9}}, ""},
+		{[2][]int32{{3, 9}, {3}}, "vet: node 0 infers 3 epoch(s) but node 1 infers 2; barrier arrival is node-dependent"},
+		{[2][]int32{{3, 9}, {3, 4}}, "vet: epoch 1 ends at barrier 9 on node 0 but at barrier 4 on node 1"},
+	} {
+		sum := &Summary{nodes: []nodeStream{{barriers: c.barriers[0]}, {barriers: c.barriers[1]}}}
+		if err := sum.CheckBarrierStructure(); fmt.Sprint(err) != c.want && !(err == nil && c.want == "") {
+			t.Errorf("CheckBarrierStructure(%v) = %v, want %q", c.barriers, err, c.want)
+		}
 	}
 }

@@ -67,39 +67,29 @@ func vmSteps(t *testing.T, prog *parc.Program, layout *memory.Layout, node, npro
 	return rec.steps
 }
 
-// inferredSteps flattens one node's inferred epochs into Machine calls.
-func inferredSteps(t *testing.T, layout *memory.Layout, ns vet.NodeSummary) []step {
+// inferredSteps reads node's inferred stream as Machine calls.
+func inferredSteps(t *testing.T, layout *memory.Layout, sum *vet.Summary, node int) []step {
 	t.Helper()
 	var out []step
-	for _, ep := range ns.Epochs {
-		for _, e := range ep.Events {
-			switch e.Op {
-			case vet.OpWork:
-				out = append(out, step{op: "work", n: e.Work})
-			case vet.OpAccess:
-				ix := make([]int, len(e.Access.Dims))
-				for d, s := range e.Access.Dims {
-					v, ok := s.Const()
-					if !ok {
-						t.Fatalf("exact summary has a widened subscript: %+v", e.Access)
-					}
-					ix[d] = int(v)
-				}
-				addr, err := layout.Region(e.Access.Var).AddrOf(ix...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, step{op: "access", addr: addr, write: e.Access.Write, pc: e.Stmt})
-			case vet.OpLock:
-				out = append(out, step{op: "lock", n: uint64(e.Lock), pc: e.Stmt})
-			case vet.OpUnlock:
-				out = append(out, step{op: "unlock", n: uint64(e.Lock), pc: e.Stmt})
-			case vet.OpPrint:
-				out = append(out, step{op: "print"})
+	c := sum.Cursor(node)
+	for s := c.Next(); s != nil; s = c.Next() {
+		switch s.Op {
+		case vet.OpWork:
+			out = append(out, step{op: "work", n: s.Work})
+		case vet.OpAccess:
+			addr, err := layout.Regions[s.Decl.Index].AddrOf(s.Index...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if ep.BarrierID >= 0 {
-			out = append(out, step{op: "barrier", pc: ep.BarrierID})
+			out = append(out, step{op: "access", addr: addr, write: s.Write, pc: s.Stmt})
+		case vet.OpLock:
+			out = append(out, step{op: "lock", n: uint64(s.Lock), pc: s.Stmt})
+		case vet.OpUnlock:
+			out = append(out, step{op: "unlock", n: uint64(s.Lock), pc: s.Stmt})
+		case vet.OpPrint:
+			out = append(out, step{op: "print"})
+		case vet.OpBarrier:
+			out = append(out, step{op: "barrier", pc: s.Stmt})
 		}
 	}
 	return out
@@ -122,7 +112,7 @@ func checkStreams(t *testing.T, prog *parc.Program, nprocs int) bool {
 		t.Fatal(err)
 	}
 	for node := 0; node < nprocs; node++ {
-		got := inferredSteps(t, layout, sum.Nodes[node])
+		got := inferredSteps(t, layout, sum, node)
 		want := vmSteps(t, prog, layout, node, nprocs)
 		if i := firstDifference(got, want); i >= 0 {
 			t.Fatalf("node %d: inferred stream departs from the VM's calls at call %d:\ninferred %v\nVM       %v",

@@ -142,7 +142,10 @@ check: build vet staticdiff test race
 # on arbitrary text, and must pass every generated program clean.
 # FuzzParsePrint is the front end under all of them: no text may make the
 # parser panic, and every program it accepts must print to text that parses
-# back to an equal AST and prints the same again.
+# back to an equal AST and prints the same again. FuzzServeBytes sends raw
+# bytes to cachierd's four POST endpoints: every answer is JSON with a
+# documented status, and the same bytes sent again answer the same bytes, a
+# 200 from the cache.
 # Raise FUZZTIME for long soaks (make fuzz FUZZTIME=10m).
 FUZZTIME ?= 30s
 fuzz:
@@ -156,6 +159,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVetSource$$' -fuzztime $(FUZZTIME) ./internal/vet
 	$(GO) test -run '^$$' -fuzz '^FuzzVetGenerated$$' -fuzztime $(FUZZTIME) ./internal/vet
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime $(FUZZTIME) ./internal/parc
+	$(GO) test -run '^$$' -fuzz '^FuzzServeBytes$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Coverage with checked-in floors. The floors sit a few points under the
 # current numbers (see EXPERIMENTS.md) so they trip on real regressions, not

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -47,6 +48,59 @@ func TestColdRequestAllocBudget(t *testing.T) {
 	t.Logf("one cold program through four endpoints allocates %.1f KB", float64(got)/(1<<10))
 	if got > budget {
 		t.Errorf("cold request allocates %d bytes, budget %d", got, budget)
+	}
+}
+
+// hitWriter is a reusable in-memory http.ResponseWriter, as a load
+// generator that keeps its responses keeps one per connection.
+type hitWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *hitWriter) Header() http.Header  { return w.header }
+func (w *hitWriter) WriteHeader(code int) { w.code = code }
+func (w *hitWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// TestHotRequestAllocBudget is the host-independent gate on a cached
+// request: the objects one repeated request allocates on each endpoint of a
+// warmed server, sent through one reused *http.Request as a closed-loop
+// client sends it. While every request was decoded, canonicalised by the
+// program cache and given a deadline before its response was found, a hit
+// took 25–34 allocations; answered through the body index it takes 6.
+func TestHotRequestAllocBudget(t *testing.T) {
+	h := New(DefaultConfig()).Handler()
+	rd := bytes.NewReader(nil)
+	w := &hitWriter{header: make(http.Header)}
+	for _, c := range coldRequests(parcgen.Generate(goldenSeed + 4)) {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, c.path, nil)
+		req.Body = io.NopCloser(rd)
+		send := func() {
+			rd.Reset(body)
+			clear(w.header)
+			w.body = w.body[:0]
+			h.ServeHTTP(w, req)
+		}
+		send()
+		if w.code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, w.code, w.body)
+		}
+		allocs := testing.AllocsPerRun(200, send)
+		if got := w.header.Get("X-Cachier-Cache"); got != "hit" {
+			t.Fatalf("%s: a repeated request was a %q, want a hit", c.path, got)
+		}
+		t.Logf("%s: %d-byte request, %.0f allocations per hit", c.path, len(body), allocs)
+		if allocs > 10 {
+			t.Errorf("%s: a cached hit allocates %.0f objects, budget 10", c.path, allocs)
+		}
 	}
 }
 

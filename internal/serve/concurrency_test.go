@@ -345,13 +345,17 @@ func TestBatchPanicContained(t *testing.T) {
 
 // TestConcurrentMixedLoad hammers one server with distinct programs and a
 // simulate fan-out from many goroutines; under -race this is the data-race
-// probe for the shared caches and the batch path. Every response must match
-// the library result bytes.
+// probe for the shared caches, the body index and the batch path. Every
+// response must match the library result bytes.
 func TestConcurrentMixedLoad(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 256})
 	const seeds = 6
-	var wg sync.WaitGroup
-	errc := make(chan error, seeds*4)
+	type call struct {
+		url  string
+		req  any
+		want []byte
+	}
+	var calls []call
 	for i := 0; i < seeds; i++ {
 		src := parcgen.Generate(int64(100 + i))
 		vreq := &VetRequest{Source: src, Nodes: testNodes}
@@ -369,30 +373,30 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantSimBytes, _ := MarshalResponse(wantSim)
-		// Two rounds each so both cold and cached paths are exercised
-		// concurrently.
-		for round := 0; round < 2; round++ {
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				code, _, body := post(t, ts.URL+"/v1/vet", vreq)
-				if code != http.StatusOK || !bytes.Equal(body, wantVetBytes) {
-					errc <- fmt.Errorf("vet: status %d or body divergence", code)
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				code, _, body := post(t, ts.URL+"/v1/simulate", sreq)
-				if code != http.StatusOK || !bytes.Equal(body, wantSimBytes) {
-					errc <- fmt.Errorf("simulate: status %d or body divergence", code)
-				}
-			}()
-		}
+		calls = append(calls, call{ts.URL + "/v1/vet", vreq, wantVetBytes}, call{ts.URL + "/v1/simulate", sreq, wantSimBytes})
 	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
+	// The first pass sends every call twice at once, so the cold and cached
+	// paths run concurrently; the second pass is answered by the body index.
+	for range 2 {
+		var wg sync.WaitGroup
+		errc := make(chan error, 2*len(calls))
+		for range 2 {
+			for _, c := range calls {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					code, _, body := post(t, c.url, c.req)
+					if code != http.StatusOK || !bytes.Equal(body, c.want) {
+						errc <- fmt.Errorf("%s: status %d or body divergence", c.url, code)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
 	}
 }
 

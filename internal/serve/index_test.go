@@ -1,0 +1,179 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"cachier/internal/parcgen"
+)
+
+// postAs sends req to url and requires a 200 with the given
+// X-Cachier-Cache disposition; it returns the body.
+func postAs(t *testing.T, url string, req any, disposition string) []byte {
+	t.Helper()
+	code, hdr, body := post(t, url, req)
+	if code != http.StatusOK || hdr.Get("X-Cachier-Cache") != disposition {
+		t.Fatalf("status %d, cache %q, want 200 and %q: %s", code, hdr.Get("X-Cachier-Cache"), disposition, body)
+	}
+	return body
+}
+
+// TestBodyIndexTransparent: the body index changes which path answers a
+// request, never what it answers. A byte-identical repeat is answered by
+// the index; a formatting variant misses the index and still hits the
+// response cache through its content hash; a request whose response was
+// evicted, whether or not the index still names it, is recomputed to the
+// same bytes; and an error is never indexed.
+func TestBodyIndexTransparent(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 1})
+	url := ts.URL + "/v1/vet"
+	indexHits := func() uint64 { return s.metrics.Counter(s.index.hits) }
+
+	for range 2 {
+		code, hdr, body := post(t, ts.URL+"/v1/annotate", json.RawMessage(`{"source": "func main() { nope"}`))
+		if code != http.StatusBadRequest || hdr.Get("X-Cachier-Cache") != "" {
+			t.Fatalf("status %d, cache %q, want a 400 with no cache header: %s", code, hdr.Get("X-Cachier-Cache"), body)
+		}
+	}
+	if n := s.index.len(); n != 0 {
+		t.Fatalf("two 400s left %d index entries, want 0", n)
+	}
+
+	src := parcgen.Generate(goldenSeed + 5)
+	req := &VetRequest{Source: src, Nodes: testNodes}
+	cold := postAs(t, url, req, "miss")
+	if got := postAs(t, url, req, "hit"); !bytes.Equal(got, cold) || indexHits() != 1 {
+		t.Fatalf("a byte-identical repeat was not answered by the index with the cold bytes (%d index hits)", indexHits())
+	}
+	if got := postAs(t, url, &VetRequest{Source: reformat(src), Nodes: testNodes}, "hit"); !bytes.Equal(got, cold) || indexHits() != 1 {
+		t.Fatalf("a formatting variant was not a response-cache hit with the cold bytes (%d index hits)", indexHits())
+	}
+	if n := s.index.len(); n != 2 {
+		t.Fatalf("the index holds %d entries after two bodies of one program, want 2", n)
+	}
+
+	// Another program's four responses evict this one's, and its index
+	// entries with them.
+	for _, c := range coldRequests(parcgen.Generate(goldenSeed + 6)) {
+		postAs(t, ts.URL+c.path, c.req, "miss")
+	}
+	if got := postAs(t, url, req, "miss"); !bytes.Equal(got, cold) {
+		t.Fatalf("an evicted response was recomputed to different bytes\n--- got ---\n%s\n--- cold ---\n%s", got, cold)
+	}
+	// A stale index entry: the response is gone but the index still names it.
+	for i := range 4 {
+		s.resp.put(fmt.Sprint("filler", i), []byte("{}"))
+	}
+	if got := postAs(t, url, req, "miss"); !bytes.Equal(got, cold) {
+		t.Fatalf("a stale index entry answered different bytes\n--- got ---\n%s\n--- cold ---\n%s", got, cold)
+	}
+	if got := postAs(t, url, req, "hit"); !bytes.Equal(got, cold) || indexHits() != 2 {
+		t.Fatalf("a refreshed index entry was not answered by the index (%d index hits)", indexHits())
+	}
+}
+
+// TestPaddingIsNotRetained: a submission padded with a large comment
+// retains none of its padding. The program cache and the body index key on
+// sha256 digests, and every other key derives from the canonical program.
+func TestPaddingIsNotRetained(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed + 5)
+	pad := "/*" + strings.Repeat("padding ", 1<<17) + "*/\n"
+	var first []byte
+	for i := range 4 {
+		padded := &VetRequest{Source: fmt.Sprintf("// copy %d\n%s%s", i, pad, src), Nodes: testNodes}
+		if i == 0 {
+			first = postAs(t, ts.URL+"/v1/vet", padded, "miss")
+		} else if body := postAs(t, ts.URL+"/v1/vet", padded, "hit"); !bytes.Equal(body, first) {
+			t.Fatalf("padded copy %d answered different bytes", i)
+		}
+	}
+	for _, c := range []struct {
+		cache  *lruCache
+		maxKey int
+	}{
+		{s.eval.programs, sha256.Size},
+		{s.index, len("simulate") + sha256.Size},
+		{s.resp, 256},
+		{s.eval.traces, 256},
+		{s.eval.sims, 256},
+	} {
+		for key := range c.cache.items {
+			if len(key) > c.maxKey {
+				t.Errorf("the %s cache retains a %d-byte key, want at most %d", c.cache.label, len(key), c.maxKey)
+			}
+		}
+	}
+	if n := s.eval.programs.len(); n != 4 {
+		t.Errorf("the program cache holds %d entries for four distinct texts, want 4", n)
+	}
+}
+
+// FuzzServeBytes sends arbitrary bytes to each POST endpoint through the
+// server's handler. Whatever arrives, the answer is a JSON body with a
+// status the API documents, and sending the same bytes again answers the
+// same status and body: a 200 is then a cache hit, and an error carries no
+// cache header either time.
+func FuzzServeBytes(f *testing.F) {
+	paths := []string{"/v1/vet", "/v1/annotate", "/v1/static", "/v1/simulate"}
+	for _, seed := range []int64{goldenSeed, 1} {
+		for i, c := range coldRequests(parcgen.Generate(seed)) {
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), body)
+		}
+	}
+	for _, body := range []string{
+		``, `null`, `[]`, `{nope`, `{"source": 7}`, `{"source": "\u0000"}`,
+		`{"source": "func main() { nope"}`,
+		`{"source": "func main() { x = 1; }"}`,
+		`{"source": "shared float A[4000000000];\nfunc main() { A[0] = 1.0; }"}`,
+		`{"source": "shared int A[4];\nfunc main() { var z int = 0; A[pid() % 4] = 1 / z; }", "nodes": 4}`,
+		`{"source": "func main() { }", "nodes": 100000}`,
+		`{"source": "func main() { }", "style": "bogus"}`,
+		`{"source": "func main() { }", "configs": [{"protocol": "dir9000"}]}`,
+	} {
+		for i := range paths {
+			f.Add(uint8(i), []byte(body))
+		}
+	}
+	h := New(Config{CacheEntries: 16}).Handler()
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		path := paths[int(endpoint)%len(paths)]
+		send := func() *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			return w
+		}
+		first := send()
+		switch first.Code {
+		case 200, 400, 413, 422, 429, 500, 503:
+		default:
+			t.Fatalf("%s: status %d: %s", path, first.Code, first.Body)
+		}
+		if !json.Valid(first.Body.Bytes()) {
+			t.Fatalf("%s: status %d with a body that is not JSON: %q", path, first.Code, first.Body)
+		}
+		second := send()
+		if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("%s: the same bytes were answered %d, then %d\n--- first ---\n%s\n--- second ---\n%s",
+				path, first.Code, second.Code, first.Body, second.Body)
+		}
+		cache := second.Header().Get("X-Cachier-Cache")
+		if first.Code != http.StatusOK {
+			if first.Header().Get("X-Cachier-Cache") != "" || cache != "" {
+				t.Fatalf("%s: a %d carries a cache header", path, first.Code)
+			}
+		} else if cache != "hit" {
+			t.Fatalf("%s: a repeated 200 was a %q, want a hit", path, cache)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,10 +26,11 @@ import (
 // cache is the fourth. A vet finding list or an annotation is cached only
 // as the response bytes it becomes.
 type evaluator struct {
-	// programs: raw source string → *ProgramInfo. Keyed by the submitted
-	// text, but the ProgramInfo (and every downstream key) is content-
-	// addressed on the canonical form, so differently-formatted copies of
-	// one program converge on the same downstream entries.
+	// programs: sha256 of the submitted source → *ProgramInfo. The key is a
+	// digest, so padding a submission costs no retained memory; the
+	// ProgramInfo (and every downstream key) is content-addressed on the
+	// canonical form, so differently-formatted copies of one program
+	// converge on the same downstream entries.
 	programs *lruCache
 	// traces: (program hash, machine) → *trace.Trace, shared by both
 	// annotation styles and both prefetch settings.
@@ -132,7 +134,8 @@ func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (an
 // program parses, checks, and canonicalizes src (cached). Canonicalisation
 // holds no worker and is never cancelled.
 func (e *evaluator) program(src string) (*ProgramInfo, error) {
-	v, _, err := e.cached(context.Background(), e.programs, src, func(context.Context) (any, error) {
+	sum := sha256.Sum256([]byte(src))
+	v, _, err := e.cached(context.Background(), e.programs, string(sum[:]), func(context.Context) (any, error) {
 		pi, err := CanonicalProgram(src)
 		if err != nil {
 			return nil, badRequest(err)

@@ -415,9 +415,9 @@ func TestEndlessBarrierIsBounded(t *testing.T) {
 
 // TestHealthzAndMetrics covers the operational endpoints, including the
 // draining flip and the caches' sizes and evictions. The caches hold one
-// entry each (the response cache four): one cold request per endpoint fills
-// them, and a second program's vet request evicts from the two caches it
-// writes.
+// entry each (the response cache and the body index four): one cold request
+// per endpoint fills them, a second program's vet request evicts from the
+// three caches it writes, and its repeat is answered by the body index.
 func TestHealthzAndMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 1})
 	code, body := get(t, ts.URL+"/healthz")
@@ -431,15 +431,20 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 	post(t, ts.URL+"/v1/vet", &VetRequest{Source: parcgen.Generate(3), Nodes: testNodes})
+	post(t, ts.URL+"/v1/vet", &VetRequest{Source: parcgen.Generate(3), Nodes: testNodes})
 	code, body = get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	for _, want := range []string{
-		`requests_total{endpoint="vet",code="200"} 2`,
+		`requests_total{endpoint="vet",code="200"} 3`,
 		`pipeline_executions_total{phase="vet"} 2`,
 		"queue_depth 0",
 		`cache_entries{cache="response"} 4`,
+		`cache_entries{cache="index"} 4`,
+		`cache_hits_total{cache="index"} 1`,
+		`cache_misses_total{cache="index"} 5`,
+		`cache_evictions_total{cache="index"} 1`,
 		`cache_entries{cache="program"} 1`,
 		`cache_entries{cache="trace"} 1`,
 		`cache_entries{cache="simulate"} 1`,
@@ -507,7 +512,8 @@ func coldRequests(src string) []struct {
 // leaves one entry per fact computed, each in exactly one cache: the four
 // response bodies, the canonical program, the trace /v1/annotate ran, and
 // the simulation. Vet findings, annotations and snapshots have no cache of
-// their own: the snapshot is served from its simulation's entry.
+// their own: the snapshot is served from its simulation's entry. The body
+// index holds no fact: its four entries each name a cached response.
 func TestEachFactCachedOnce(t *testing.T) {
 	s, ts := newTestServer(t, DefaultConfig())
 	src := parcgen.Generate(goldenSeed + 2)
@@ -534,9 +540,16 @@ func TestEachFactCachedOnce(t *testing.T) {
 		{"program", s.eval.programs, 1},
 		{"trace", s.eval.traces, 1},
 		{"simulation", s.eval.sims, 1},
+		{"index", s.index, 4},
 	} {
 		if got := c.cache.len(); got != c.want {
 			t.Errorf("%s cache holds %d entries, want %d", c.name, got, c.want)
+		}
+	}
+	for _, el := range s.index.items {
+		key := el.Value.(*lruEntry).val.(string)
+		if _, ok := s.resp.items[key]; !ok {
+			t.Errorf("the body index names response key %q, which the response cache does not hold", key)
 		}
 	}
 

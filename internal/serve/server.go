@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,6 +76,7 @@ type Server struct {
 	cfg      Config
 	eval     *evaluator
 	resp     *lruCache // (endpoint, program hash, options) → response bytes
+	index    *lruCache // endpoint + sha256 of a request body → its resp key
 	metrics  *obs.Metrics
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -97,12 +99,13 @@ func New(cfg Config) *Server {
 			metrics:  m,
 		},
 		resp:    newLRU("response", 4*cfg.CacheEntries),
+		index:   newLRU("index", 4*cfg.CacheEntries),
 		metrics: m,
 		mux:     http.NewServeMux(),
 	}
 	m.RegisterGauge("queue_depth", p.depth)
 	m.RegisterGauge("workers_busy", p.busy)
-	for _, c := range []*lruCache{s.resp, s.eval.programs, s.eval.traces, s.eval.sims} {
+	for _, c := range []*lruCache{s.resp, s.index, s.eval.programs, s.eval.traces, s.eval.sims} {
 		m.RegisterGauge(fmt.Sprintf("cache_entries{cache=%q}", c.label), func() int64 { return int64(c.len()) })
 		m.Add(c.evictions, 0) // listed at zero before the first eviction
 	}
@@ -149,39 +152,63 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 }
 
+// endpoint is a route's name and the metric names of its successes,
+// formatted once.
+type endpoint struct{ name, ok, latency string }
+
+var snapshotEndpoint = newEndpoint("snapshot")
+
+func newEndpoint(name string) *endpoint {
+	return &endpoint{name: name, ok: requestsTotal(name, http.StatusOK), latency: fmt.Sprintf("latency_us{endpoint=%q}", name)}
+}
+
+func requestsTotal(endpoint string, code int) string {
+	return fmt.Sprintf("requests_total{endpoint=%q,code=\"%d\"}", endpoint, code)
+}
+
 // postHandler wires one POST endpoint around its prepare function prep:
-// draining check, body bound, decoding into prep's request type, timing,
-// the response cache over the marshaled response, error mapping, and
-// counters.
-func postHandler[Req, Resp any](s *Server, endpoint string, prep func(*Req) (string, compute[Resp], error)) http.HandlerFunc {
+// draining check, body bound, the body index, decoding into prep's request
+// type, timing, the response cache over the marshaled response, error
+// mapping, and counters. The full path is deterministic in the body, so a
+// body answered 200 before is answered from the response key the index
+// holds for it, undecoded; one whose response was evicted runs again.
+func postHandler[Req, Resp any](s *Server, name string, prep func(*Req) (string, compute[Resp], error)) http.HandlerFunc {
+	ep := newEndpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.draining.Load() {
-			s.finish(w, endpoint, start, "", nil, &apiError{code: http.StatusServiceUnavailable, msg: "server is draining"})
+			s.finish(w, ep, start, "", nil, &apiError{code: http.StatusServiceUnavailable, msg: "server is draining"})
 			return
 		}
 		s.inflight.Add(1)
 		defer s.inflight.Done()
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
-			s.finish(w, endpoint, start, "", nil, &apiError{code: http.StatusRequestEntityTooLarge, msg: err.Error()})
+			s.finish(w, ep, start, "", nil, &apiError{code: http.StatusRequestEntityTooLarge, msg: err.Error()})
 			return
 		}
+		sum := sha256.Sum256(body)
+		digest := name + string(sum[:])
+		if data, ok := s.indexed(digest); ok {
+			s.finish(w, ep, start, "hit", data, nil)
+			return
+		}
+
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
 		req := new(Req)
 		if err := json.Unmarshal(body, req); err != nil {
-			s.finish(w, endpoint, start, "", nil, &apiError{code: 400, msg: fmt.Sprintf("bad request body: %v", err)})
+			s.finish(w, ep, start, "", nil, &apiError{code: 400, msg: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}
 		key, run, err := prep(req)
 		if err != nil {
-			s.finish(w, endpoint, start, "", nil, err)
+			s.finish(w, ep, start, "", nil, err)
 			return
 		}
-		data, disposition, err := s.eval.cached(ctx, s.resp, cacheKey(endpoint, key), func(ctx context.Context) (any, error) {
+		key = cacheKey(name, key)
+		data, disposition, err := s.eval.cached(ctx, s.resp, key, func(ctx context.Context) (any, error) {
 			resp, err := run(ctx)
 			if err != nil {
 				return nil, err
@@ -189,15 +216,32 @@ func postHandler[Req, Resp any](s *Server, endpoint string, prep func(*Req) (str
 			return MarshalResponse(resp)
 		})
 		if err != nil {
-			s.finish(w, endpoint, start, "", nil, err)
+			s.finish(w, ep, start, "", nil, err)
 			return
 		}
-		s.finish(w, endpoint, start, disposition, data.([]byte), nil)
+		if s.index.put(digest, key) {
+			s.eval.count(s.index.evictions)
+		}
+		s.finish(w, ep, start, disposition, data.([]byte), nil)
 	}
 }
 
+// indexed returns the cached response of a body the index holds. A body
+// whose response has been evicted counts as an index miss.
+func (s *Server) indexed(digest string) ([]byte, bool) {
+	if key, ok := s.index.get(digest); ok {
+		if data, ok := s.resp.get(key.(string)); ok {
+			s.eval.count(s.index.hits)
+			s.eval.count(s.resp.hits)
+			return data.([]byte), true
+		}
+	}
+	s.eval.count(s.index.misses)
+	return nil, false
+}
+
 // finish writes the response (success or mapped error) and records metrics.
-func (s *Server) finish(w http.ResponseWriter, endpoint string, start time.Time, cacheStatus string, data []byte, err error) {
+func (s *Server) finish(w http.ResponseWriter, ep *endpoint, start time.Time, cacheStatus string, data []byte, err error) {
 	code := http.StatusOK
 	if err != nil {
 		var ae *apiError
@@ -222,24 +266,28 @@ func (s *Server) finish(w http.ResponseWriter, endpoint string, start time.Time,
 	}
 	w.WriteHeader(code)
 	w.Write(data)
-	s.metrics.Inc(fmt.Sprintf("requests_total{endpoint=%q,code=\"%d\"}", endpoint, code))
-	s.metrics.Observe(fmt.Sprintf("latency_us{endpoint=%q}", endpoint), uint64(time.Since(start).Microseconds()))
+	counter := ep.ok
+	if code != http.StatusOK {
+		counter = requestsTotal(ep.name, code)
+	}
+	s.metrics.Inc(counter)
+	s.metrics.Observe(ep.latency, uint64(time.Since(start).Microseconds()))
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.draining.Load() {
-		s.finish(w, "snapshot", start, "", nil, &apiError{code: http.StatusServiceUnavailable, msg: "server is draining"})
+		s.finish(w, snapshotEndpoint, start, "", nil, &apiError{code: http.StatusServiceUnavailable, msg: "server is draining"})
 		return
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	id := r.PathValue("id")
 	if v, ok := s.eval.lookup(s.eval.sims, id); ok {
-		s.finish(w, "snapshot", start, "hit", v.(*SimResult).snapshot.bytes(), nil)
+		s.finish(w, snapshotEndpoint, start, "hit", v.(*SimResult).snapshot.bytes(), nil)
 		return
 	}
-	s.finish(w, "snapshot", start, "", nil,
+	s.finish(w, snapshotEndpoint, start, "", nil,
 		&apiError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown snapshot %q (snapshots are published by /v1/simulate and bounded by the cache)", id)})
 }
 

@@ -24,6 +24,9 @@ package cachier
 //	BenchmarkParse, BenchmarkPrint — the ParC front end and printer on 200
 //	                                 corpus programs, the text every cachierd
 //	                                 request starts and ends with
+//	BenchmarkProgramKey           — cachierd's program-cache key (the
+//	                                 token digest) against a raw sha256 and
+//	                                 the Parse a hit on it skips
 //	BenchmarkInfer                — static inference (/v1/static without
 //	                                 the annotation) on 200 corpus programs
 //	                                 and on Barnes at 32 nodes
@@ -34,6 +37,7 @@ package cachier
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -406,6 +410,46 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(srcs)), "us/program")
+}
+
+// BenchmarkProgramKey prices cachierd's program-cache key against what a
+// hit saves, per corpus program: the token digest the key is, the sha256 of
+// the raw text it replaced, and the Parse it lets a formatting variant skip.
+func BenchmarkProgramKey(b *testing.B) {
+	srcs, size := corpusSlice()
+	for _, c := range []struct {
+		name string
+		key  func(string) error
+	}{
+		{"digest", func(src string) error { _, err := parc.Digest(src); return err }},
+		{"sha256", func(src string) error { sha256.Sum256([]byte(src)); return nil }},
+		{"parse", func(src string) error { _, err := parc.Parse(src); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range srcs {
+					if err := c.key(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(srcs)), "us/program")
+		})
+	}
+}
+
+// TestProgramKeyAllocs is the host-independent gate on the program key's
+// cost: the digest hashes token spans through a stack buffer and builds no
+// Token, so a corpus program's key takes at most one allocation.
+func TestProgramKeyAllocs(t *testing.T) {
+	srcs, _ := corpusSlice()
+	for seed, src := range srcs {
+		if n := testing.AllocsPerRun(5, func() { parc.Digest(src) }); n > 1 {
+			t.Errorf("Digest of corpus seed %d: %.0f allocations, budget 1", seed, n)
+		}
+	}
 }
 
 // printSink keeps BenchmarkPrint's results live.

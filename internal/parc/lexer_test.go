@@ -152,11 +152,20 @@ func TestTokenizePositions(t *testing.T) {
 }
 
 func TestTokenizeErrors(t *testing.T) {
-	cases := []string{`"unterminated`, `"bad \q escape"`, "@", "&x", "|x", "\"line\nbreak\""}
+	cases := []string{`"unterminated`, `"bad \q escape"`, "@", "&x", "|x", "\"line\nbreak\"", "x /* open", "x /*/"}
 	for _, src := range cases {
-		if _, err := Tokenize(src); err == nil {
+		_, err := Tokenize(src)
+		if err == nil {
 			t.Errorf("%q: expected error", src)
+			continue
 		}
+		if _, derr := Digest(src); derr == nil || derr.Error() != err.Error() {
+			t.Errorf("%q: Digest error %v, Tokenize error %v", src, derr, err)
+		}
+	}
+	// An unclosed block comment is reported where it opens.
+	if _, err := Tokenize("x\n  /* forgot to close\ny = 1;\n"); err == nil || err.Error() != "2:3: unterminated block comment" {
+		t.Errorf("unclosed block comment: %v, want 2:3", err)
 	}
 }
 

@@ -168,8 +168,9 @@ func main() {
 	if count != 2 {
 		t.Errorf("barrier count = %d", count)
 	}
-	// Unterminated block comments consume to EOF without panicking.
-	if _, err := Parse("func main() { } /* unterminated"); err != nil {
+	// An unterminated block comment is an error at its opening: run to
+	// EOF, it would drop what follows it.
+	if _, err := Parse("func main() { } /* unterminated"); err == nil || err.Error() != "1:17: unterminated block comment" {
 		t.Errorf("unterminated trailing comment: %v", err)
 	}
 }

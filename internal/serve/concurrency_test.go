@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cachier/internal/parc"
 	"cachier/internal/parcgen"
 )
 
@@ -396,6 +398,104 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		close(errc)
 		for err := range errc {
 			t.Error(err)
+		}
+	}
+}
+
+// TestConcurrentVariantsCanonicaliseOnce sends eight formatting variants of
+// one new program at once. They share one token digest, so one
+// CanonicalProgram (two parses) serves all eight, through the program
+// cache's singleflight or its entry, and each answer is the library's on
+// that variant.
+func TestConcurrentVariantsCanonicaliseOnce(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed + 9)
+	const variants = 8
+	var reqs []*VetRequest
+	var want [][]byte
+	for i := range variants {
+		req := &VetRequest{Source: fmt.Sprintf("// variant %d\n%s%s", i, src, strings.Repeat("\n", i)), Nodes: testNodes}
+		lib, err := EvalVet(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := MarshalResponse(lib)
+		reqs, want = append(reqs, req), append(want, body)
+	}
+	before := parc.Parses()
+	start := make(chan struct{})
+	errc := make(chan error, variants)
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			code, _, body := post(t, ts.URL+"/v1/vet", req)
+			if code != http.StatusOK || !bytes.Equal(body, want[i]) {
+				errc <- fmt.Errorf("variant %d: status %d or body divergence: %s", i, code, body)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if got := parc.Parses() - before; got != 2 {
+		t.Errorf("eight variants parsed %d times, want 2: one CanonicalProgram", got)
+	}
+	if n := s.eval.programs.len(); n != 1 {
+		t.Errorf("the program cache holds %d entries, want 1", n)
+	}
+}
+
+// TestFlightErrorIsOwn: a malformed text that joins another text's
+// canonicalisation flight on the same token digest does not answer with
+// that text's error. Its 400 quotes its own line:col.
+func TestFlightErrorIsOwn(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	leader, follower := "func main() { x = ; }", "\n\nfunc main() {\n  x = ;\n}"
+	sum, err := parc.Digest(leader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func() uint64 { return s.metrics.Counter("singleflight_shared_total") }
+	for attempt := 0; shared() == 0; attempt++ {
+		if attempt == 5 {
+			t.Fatal("the follower never joined the held flight")
+		}
+		entered, release, led := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(led)
+			s.eval.flight.do(cacheKey(s.eval.programs.label, string(sum[:])), func() (any, error) {
+				close(entered)
+				<-release
+				_, err := CanonicalProgram(leader)
+				return nil, badRequest(err)
+			})
+		}()
+		<-entered
+		misses := s.metrics.Counter(s.eval.programs.misses)
+		type result struct {
+			code int
+			body []byte
+		}
+		done := make(chan result)
+		go func() {
+			code, _, body := post(t, ts.URL+"/v1/vet", &VetRequest{Source: follower, Nodes: testNodes})
+			done <- result{code, body}
+		}()
+		for s.metrics.Counter(s.eval.programs.misses) == misses { // the follower is at the flight
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+		r := <-done
+		<-led
+		if r.code != http.StatusBadRequest || !bytes.Contains(r.body, []byte("4:7: expected expression")) {
+			t.Fatalf("status %d, body %s, want a 400 at the follower's own 4:7", r.code, r.body)
 		}
 	}
 }

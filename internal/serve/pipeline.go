@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
 
 	"cachier/internal/core"
 	"cachier/internal/obs"
+	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
 	"cachier/internal/trace"
@@ -26,11 +26,12 @@ import (
 // cache is the fourth. A vet finding list or an annotation is cached only
 // as the response bytes it becomes.
 type evaluator struct {
-	// programs: sha256 of the submitted source → *ProgramInfo. The key is a
-	// digest, so padding a submission costs no retained memory; the
+	// programs: digest of the submitted source's token stream
+	// (parc.Digest) → *ProgramInfo. Whitespace and comments do not enter
+	// the key, so copies of one program that differ only in them share an
+	// entry, and padding a submission costs no retained memory. The
 	// ProgramInfo (and every downstream key) is content-addressed on the
-	// canonical form, so differently-formatted copies of one program
-	// converge on the same downstream entries.
+	// canonical form.
 	programs *lruCache
 	// traces: (program hash, machine) → *trace.Trace, shared by both
 	// annotation styles and both prefetch settings.
@@ -131,17 +132,30 @@ func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (an
 	return fn()
 }
 
-// program parses, checks, and canonicalizes src (cached). Canonicalisation
-// holds no worker and is never cancelled.
+// program parses, checks, and canonicalizes src (cached). The key is the
+// digest of src's token stream, so a copy that differs only in whitespace
+// and comments hits (DESIGN.md §10). Canonicalisation holds no worker and
+// is never cancelled.
 func (e *evaluator) program(src string) (*ProgramInfo, error) {
-	sum := sha256.Sum256([]byte(src))
-	v, _, err := e.cached(context.Background(), e.programs, string(sum[:]), func(context.Context) (any, error) {
+	canonical := func(context.Context) (any, error) {
 		pi, err := CanonicalProgram(src)
 		if err != nil {
 			return nil, badRequest(err)
 		}
 		return pi, nil
-	})
+	}
+	var v any
+	var how string
+	sum, err := parc.Digest(src)
+	if err == nil {
+		v, how, err = e.cached(context.Background(), e.programs, string(sum[:]), canonical)
+	}
+	// Text the lexer rejects has no key, and an error shared from another
+	// text's flight quotes that text's line:col: both are canonicalised
+	// here, so a 400 always quotes src's own.
+	if err != nil && how != "miss" {
+		v, err = canonical(context.Background())
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -201,30 +202,89 @@ func TestGoldenEndpoints(t *testing.T) {
 	}
 }
 
-// TestFormattingInvariantCache pins the content-addressing contract at the
-// HTTP layer: a formatting-only rewrite of the program (comments, blank
-// lines) is a response-cache hit on first submission, because every key
-// derives from the canonical AST print.
+// TestFormattingInvariantCache: the program cache keys on the digest of the
+// source's token stream, so a copy of a cached program that differs only in
+// whitespace and comments hits it through all four endpoints, runs no
+// canonicalisation, and answers the bytes Eval* gives that copy. A
+// malformed copy is never served from the cache: its 400 quotes its own
+// line:col.
 func TestFormattingInvariantCache(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	s, ts := newTestServer(t, DefaultConfig())
 	src := parcgen.Generate(3)
-	reformatted := "// a formatting-only rewrite\n\n" + src + "\n/* trailing comment */\n"
+	for _, c := range coldRequests(src) {
+		postAs(t, ts.URL+c.path, c.req, "miss")
+	}
+	reindented := regexp.MustCompile(`(?m)^[ \t]*`).ReplaceAllString(src, "\t  ")
+	for name, variant := range map[string]string{
+		"trailing blank lines and spaces": src + "\n\n\n" + "     ",
+		"comments":                        "// a formatting-only rewrite\n\n" + src + "\n/* trailing comment */\n",
+		"line comments":                   reformat(src),
+		"reindented":                      reindented,
+		"CRLF":                            strings.ReplaceAll(src, "\n", "\r\n"),
+		"1 MiB comment pad":               "/*" + strings.Repeat("padding ", 1<<17) + "*/\n" + src,
+	} {
+		if variant == src {
+			t.Fatalf("%s: the variant is the source itself", name)
+		}
+		var want [][]byte
+		for _, c := range coldRequests(variant) {
+			want = append(want, evalBytes(t, c.path, c.req))
+		}
+		parses := parc.Parses()
+		hits, misses := s.metrics.Counter(s.eval.programs.hits), s.metrics.Counter(s.eval.programs.misses)
+		for i, c := range coldRequests(variant) {
+			if body := postAs(t, ts.URL+c.path, c.req, "hit"); !bytes.Equal(body, want[i]) {
+				t.Fatalf("%s %s: the answer is not Eval's on the variant\n--- http ---\n%s\n--- library ---\n%s", name, c.path, body, want[i])
+			}
+		}
+		if got := parc.Parses() - parses; got != 0 {
+			t.Errorf("%s: the variant was parsed %d times, want 0", name, got)
+		}
+		if h, m := s.metrics.Counter(s.eval.programs.hits)-hits, s.metrics.Counter(s.eval.programs.misses)-misses; h != 4 || m != 0 {
+			t.Errorf("%s: %d program-cache hits and %d misses, want 4 and 0", name, h, m)
+		}
+	}
+	if n := s.eval.programs.len(); n != 1 {
+		t.Errorf("the program cache holds %d entries for one program, want 1", n)
+	}
 
-	url := ts.URL + "/v1/vet"
-	code, _, body := post(t, url, &VetRequest{Source: src, Nodes: testNodes})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
+	// Copies of one malformed program, one the lexer rejects: each 400
+	// quotes its own text.
+	for bad, msg := range map[string]string{
+		"func main() { x = ; }":                   "1:19: expected expression",
+		"\n\nfunc main() {\n  x = ;\n}":           "4:7: expected expression",
+		"func main() {\n  x = ; /* unclosed\n}\n": "2:9: unterminated block comment",
+	} {
+		code, _, body := post(t, ts.URL+"/v1/vet", &VetRequest{Source: bad, Nodes: testNodes})
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte(msg)) {
+			t.Errorf("%q: status %d, body %s, want a 400 with %q", bad, code, body, msg)
+		}
 	}
-	code2, hdr2, body2 := post(t, url, &VetRequest{Source: reformatted, Nodes: testNodes})
-	if code2 != http.StatusOK {
-		t.Fatalf("status %d: %s", code2, body2)
+}
+
+// evalBytes is the library's answer to a request to path.
+func evalBytes(t *testing.T, path string, req any) []byte {
+	t.Helper()
+	var resp any
+	var err error
+	switch path {
+	case "/v1/vet":
+		resp, err = EvalVet(req.(*VetRequest))
+	case "/v1/annotate":
+		resp, err = EvalAnnotate(req.(*AnnotateRequest))
+	case "/v1/static":
+		resp, err = EvalStatic(req.(*AnnotateRequest))
+	case "/v1/simulate":
+		resp, _, err = EvalSimulate(req.(*SimulateRequest))
 	}
-	if hdr2.Get("X-Cachier-Cache") != "hit" {
-		t.Fatalf("reformatted submission cache status %q, want hit", hdr2.Get("X-Cachier-Cache"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(body, body2) {
-		t.Fatalf("reformatted submission changed the response")
+	data, err := MarshalResponse(resp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 // TestErrorResponses covers the 4xx surface: malformed JSON, programs the
@@ -487,6 +547,15 @@ func TestColdProgramParses(t *testing.T) {
 	}
 	if got := parc.Parses() - before; got != 4 {
 		t.Errorf("one cold program through four endpoints parsed %d times, want 4", got)
+	}
+	// A formatting variant has the program's token digest: it hits the
+	// program cache and every cache after it, and parses nothing.
+	before = parc.Parses()
+	for _, c := range coldRequests(parcgen.Generate(goldenSeed+1) + "\n\n  \t// edited\n") {
+		postAs(t, ts.URL+c.path, c.req, "hit")
+	}
+	if got := parc.Parses() - before; got != 0 {
+		t.Errorf("a formatting variant through four endpoints parsed %d times, want 0", got)
 	}
 }
 

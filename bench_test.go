@@ -19,6 +19,9 @@ package cachier
 //	                                 of a 4-node corpus program, and one new
 //	                                 program through all four endpoints
 //	                                 (B/op and allocs/op are the point)
+//	BenchmarkHotRequest           — cachierd's cached path: one repeated
+//	                                 request per endpoint, answered by the
+//	                                 body index
 //	BenchmarkVetAnalyze           — vet.Analyze on 4-node corpus programs,
 //	                                 the static layer of a cold request
 //	BenchmarkParse, BenchmarkPrint — the ParC front end and printer on 200
@@ -40,9 +43,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"cachier/internal/bench"
@@ -510,16 +515,17 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkColdRequest sends one program nobody has sent before to vet,
-// annotate, static and simulate on a fresh server: every layer runs once and
-// no cache helps. One op is the four requests.
-func BenchmarkColdRequest(b *testing.B) {
-	src := parcgen.Generate(7)
+// endpointRequest is one POST request body and the path it goes to.
+type endpointRequest struct {
+	path string
+	body []byte
+}
+
+// endpointRequests marshals src as one 4-node request to each of vet,
+// annotate, static and simulate.
+func endpointRequests(b *testing.B, src string) [4]endpointRequest {
 	machine := serve.MachineSpec{Nodes: 4}
-	var reqs [4]struct {
-		path string
-		body []byte
-	}
+	var reqs [4]endpointRequest
 	for i, r := range []struct {
 		path string
 		req  any
@@ -533,8 +539,16 @@ func BenchmarkColdRequest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs[i].path, reqs[i].body = r.path, body
+		reqs[i] = endpointRequest{r.path, body}
 	}
+	return reqs
+}
+
+// BenchmarkColdRequest sends one program nobody has sent before to vet,
+// annotate, static and simulate on a fresh server: every layer runs once and
+// no cache helps. One op is the four requests.
+func BenchmarkColdRequest(b *testing.B) {
+	reqs := endpointRequests(b, parcgen.Generate(7))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -546,6 +560,56 @@ func BenchmarkColdRequest(b *testing.B) {
 				b.Fatalf("%s: status %d: %s", r.path, w.Code, w.Body)
 			}
 		}
+	}
+}
+
+// reusedWriter is an http.ResponseWriter a closed-loop client keeps across
+// its requests.
+type reusedWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *reusedWriter) Header() http.Header  { return w.header }
+func (w *reusedWriter) WriteHeader(code int) { w.code = code }
+func (w *reusedWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// BenchmarkHotRequest repeats one request on each endpoint of a server the
+// request has warmed, through one reused *http.Request and response writer:
+// every op is a body-index hit, so this is the serve layer alone. One op is
+// one request; B/op and allocs/op are what a hit costs.
+func BenchmarkHotRequest(b *testing.B) {
+	h := serve.New(serve.DefaultConfig()).Handler()
+	for _, r := range endpointRequests(b, parcgen.Generate(7)) {
+		b.Run(strings.TrimPrefix(r.path, "/v1/"), func(b *testing.B) {
+			rd := bytes.NewReader(nil)
+			req := httptest.NewRequest(http.MethodPost, r.path, nil)
+			req.Body = io.NopCloser(rd)
+			w := &reusedWriter{header: make(http.Header)}
+			send := func() {
+				rd.Reset(r.body)
+				clear(w.header)
+				w.body = w.body[:0]
+				h.ServeHTTP(w, req)
+			}
+			send()
+			if w.code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", r.path, w.code, w.body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+			b.StopTimer()
+			if got := w.header.Get("X-Cachier-Cache"); got != "hit" {
+				b.Fatalf("%s: a repeated request was a %q, want a hit", r.path, got)
+			}
+		})
 	}
 }
 

@@ -48,8 +48,21 @@ func newLRU(label string, capacity int) *lruCache {
 func (c *lruCache) get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	return c.touch(c.items[key])
+}
+
+// getBytes is get with the key in bytes, for a caller that builds it in a
+// stack array: a map index converts it without allocating.
+func (c *lruCache) getBytes(key []byte) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(c.items[string(key)])
+}
+
+// touch moves a found entry to the front and returns its value; el is nil
+// when the key was not found. c.mu is held.
+func (c *lruCache) touch(el *list.Element) (any, bool) {
+	if el == nil {
 		return nil, false
 	}
 	c.order.MoveToFront(el)

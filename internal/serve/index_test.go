@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"cachier/internal/parcgen"
 )
@@ -114,13 +117,77 @@ func TestPaddingIsNotRetained(t *testing.T) {
 	if n := s.eval.programs.len(); n != 1 {
 		t.Errorf("the program cache holds %d entries for four texts of one token stream, want 1", n)
 	}
+
+	// The padded body's buffer grew past maxPooledBody, so the pool must
+	// not keep it. The handler is called directly: its deferred putBody has
+	// run when ServeHTTP returns.
+	body, err := json.Marshal(&VetRequest{Source: pad + src, Nodes: testNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/vet", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	for v := bodies.Get(); v != nil; v = bodies.Get() {
+		if n := v.(*bytes.Buffer).Cap(); n > maxPooledBody {
+			t.Errorf("the body pool kept a %d-byte buffer, want at most %d", n, maxPooledBody)
+		}
+	}
+}
+
+// TestBodyReadErrors: a body over MaxBodyBytes is answered 413, and a body
+// whose read fails partway (a client that went away) is answered 400, not
+// "request entity too large". Neither is indexed, and a good body sent next
+// is answered from a clean buffer.
+func TestBodyReadErrors(t *testing.T) {
+	s := New(Config{MaxBodyBytes: 4 << 10})
+	h := s.Handler()
+	good, err := json.Marshal(&VetRequest{Source: parcgen.Generate(goldenSeed + 5), Nodes: testNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		code int
+		msg  string
+	}{
+		{"over MaxBodyBytes", bytes.NewReader(bytes.Repeat([]byte(" "), 5<<10)), http.StatusRequestEntityTooLarge, "http: request body too large"},
+		{"failing mid-body", io.MultiReader(bytes.NewReader(good[:len(good)/2]), iotest.ErrReader(errors.New("connection reset"))),
+			http.StatusBadRequest, "reading request body: connection reset"},
+		{"failing at once", iotest.ErrReader(io.ErrUnexpectedEOF), http.StatusBadRequest, "reading request body: unexpected EOF"},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/vet", c.body))
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != c.code || er.Error != c.msg {
+			t.Errorf("%s: status %d, body %s; want %d and %q", c.name, w.Code, w.Body, c.code, c.msg)
+		}
+		if got := w.Header().Get("X-Cachier-Cache"); got != "" {
+			t.Errorf("%s: a %d carries cache header %q", c.name, w.Code, got)
+		}
+	}
+	if n := s.index.len(); n != 0 {
+		t.Fatalf("three failed reads left %d index entries, want 0", n)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/vet", bytes.NewReader(good)))
+		if w.Code != http.StatusOK || w.Header().Get("X-Cachier-Cache") != want {
+			t.Fatalf("a good body after failed reads: status %d, cache %q, want 200 and %q: %s",
+				w.Code, w.Header().Get("X-Cachier-Cache"), want, w.Body)
+		}
+	}
 }
 
 // FuzzServeBytes sends arbitrary bytes to each POST endpoint through the
 // server's handler. Whatever arrives, the answer is a JSON body with a
 // status the API documents, and sending the same bytes again answers the
 // same status and body: a 200 is then a cache hit, and an error carries no
-// cache header either time.
+// cache header either time. Between the two sends goes a longer, unrelated
+// body, so a pooled body buffer that kept a stale tail would show.
 func FuzzServeBytes(f *testing.F) {
 	paths := []string{"/v1/vet", "/v1/annotate", "/v1/static", "/v1/simulate"}
 	for _, seed := range []int64{goldenSeed, 1} {
@@ -147,14 +214,14 @@ func FuzzServeBytes(f *testing.F) {
 		}
 	}
 	h := New(Config{CacheEntries: 16}).Handler()
+	send := func(path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w
+	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		path := paths[int(endpoint)%len(paths)]
-		send := func() *httptest.ResponseRecorder {
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			return w
-		}
-		first := send()
+		first := send(path, body)
 		switch first.Code {
 		case 200, 400, 413, 422, 429, 500, 503:
 		default:
@@ -163,7 +230,9 @@ func FuzzServeBytes(f *testing.F) {
 		if !json.Valid(first.Body.Bytes()) {
 			t.Fatalf("%s: status %d with a body that is not JSON: %q", path, first.Code, first.Body)
 		}
-		second := send()
+		other := append(bytes.Repeat([]byte{' '}, len(body)+1), `{"source": "func main() { }"}`...)
+		send(path, other)
+		second := send(path, body)
 		if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
 			t.Fatalf("%s: the same bytes were answered %d, then %d\n--- first ---\n%s\n--- second ---\n%s",
 				path, first.Code, second.Code, first.Body, second.Body)

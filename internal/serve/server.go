@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -28,8 +29,8 @@ type Config struct {
 	// pipeline execution. Default 60s.
 	RequestTimeout time.Duration
 	// CacheEntries is the entry capacity of the program, trace and
-	// simulation caches; the response cache holds four times as many, one
-	// per endpoint. Default 512.
+	// simulation caches; the response cache and the body index over it
+	// each hold four times as many, one per endpoint. Default 512.
 	CacheEntries int
 	// MaxBodyBytes bounds a request body. Default 4 MiB.
 	MaxBodyBytes int64
@@ -183,13 +184,17 @@ func postHandler[Req, Resp any](s *Server, name string, prep func(*Req) (string,
 		s.inflight.Add(1)
 		defer s.inflight.Done()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		buf := getBody()
+		defer putBody(buf)
+		_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
-			s.finish(w, ep, start, "", nil, &apiError{code: http.StatusRequestEntityTooLarge, msg: err.Error()})
+			s.finish(w, ep, start, "", nil, bodyError(err))
 			return
 		}
+		body := buf.Bytes()
+		var kb [indexKeyMax]byte
 		sum := sha256.Sum256(body)
-		digest := name + string(sum[:])
+		digest := append(append(kb[:0], name...), sum[:]...)
 		if data, ok := s.indexed(digest); ok {
 			s.finish(w, ep, start, "hit", data, nil)
 			return
@@ -219,17 +224,58 @@ func postHandler[Req, Resp any](s *Server, name string, prep func(*Req) (string,
 			s.finish(w, ep, start, "", nil, err)
 			return
 		}
-		if s.index.put(digest, key) {
+		if s.index.put(string(digest), key) {
 			s.eval.count(s.index.evictions)
 		}
 		s.finish(w, ep, start, disposition, data.([]byte), nil)
 	}
 }
 
-// indexed returns the cached response of a body the index holds. A body
-// whose response has been evicted counts as an index miss.
-func (s *Server) indexed(digest string) ([]byte, bool) {
-	if key, ok := s.index.get(digest); ok {
+// indexKeyMax is the size of the stack array an index key is built in:
+// the longest endpoint name and a sha256.
+const indexKeyMax = len("annotate") + sha256.Size
+
+// maxPooledBody bounds the capacity of a body buffer the pool keeps, so one
+// large (or padded) request does not pin its bytes for every later one.
+const maxPooledBody = 64 << 10
+
+// bodies holds request-body buffers between requests. It has no New, so
+// that a test can drain it: getBody makes a buffer when it comes back empty.
+var bodies sync.Pool
+
+func getBody() *bytes.Buffer {
+	if b, ok := bodies.Get().(*bytes.Buffer); ok {
+		b.Reset()
+		return b
+	}
+	return new(bytes.Buffer)
+}
+
+// putBody returns b to the pool unless it has grown past maxPooledBody.
+// Nothing may hold b's bytes afterwards: json.Unmarshal copies the strings
+// it decodes, and the index copies its key on put.
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		bodies.Put(b)
+	}
+}
+
+// bodyError maps a failed body read: a body over MaxBodyBytes is 413, and
+// anything else (a client that went away mid-body, a malformed chunk) is a
+// bad request.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
+	}
+	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("reading request body: %v", err)}
+}
+
+// indexed returns the cached response of a body the index holds under
+// digest (endpoint name, then the body's sha256). A body whose response has
+// been evicted counts as an index miss.
+func (s *Server) indexed(digest []byte) ([]byte, bool) {
+	if key, ok := s.index.getBytes(digest); ok {
 		if data, ok := s.resp.get(key.(string)); ok {
 			s.eval.count(s.index.hits)
 			s.eval.count(s.resp.hits)
@@ -239,6 +285,16 @@ func (s *Server) indexed(digest string) ([]byte, bool) {
 	s.eval.count(s.index.misses)
 	return nil, false
 }
+
+// Header values, assigned into a response's header map rather than Set, so
+// that writing them allocates nothing. Sharing them is safe: http.Header's
+// methods replace a value slice or append to it, never write into it, and
+// a slice with no spare capacity is copied by append.
+var (
+	jsonContentType = []string{"application/json"}
+	dispositions    = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "flight": {"flight"}}
+	retryAfter      = []string{"1"}
+)
 
 // finish writes the response (success or mapped error) and records metrics.
 func (s *Server) finish(w http.ResponseWriter, ep *endpoint, start time.Time, cacheStatus string, data []byte, err error) {
@@ -257,12 +313,13 @@ func (s *Server) finish(w http.ResponseWriter, ep *endpoint, start time.Time, ca
 		}
 		data, _ = MarshalResponse(&ErrorResponse{Error: err.Error()})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
 	if cacheStatus != "" {
-		w.Header().Set("X-Cachier-Cache", cacheStatus)
+		h["X-Cachier-Cache"] = dispositions[cacheStatus]
 	}
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+		h["Retry-After"] = retryAfter
 	}
 	w.WriteHeader(code)
 	w.Write(data)

@@ -230,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stderr, res.Cost.String())
 	}
 	if *stats != "" {
-		if err := writeStats(*stats, res.Program, *nodes, *cache, *protocol, stderr); err != nil {
+		if err := writeStats(*stats, res.Source, *nodes, *cache, *protocol, stderr); err != nil {
 			return err
 		}
 	}
@@ -249,11 +249,15 @@ func reportInexact(stderr io.Writer, inf *staticanno.Result) {
 	}
 }
 
-// writeStats simulates the annotated program on the selected coherence
-// protocol (Dir1SW by default) with the observability recorder attached and
-// writes the structured stats snapshot (internal/obs) — the same schema
-// fig6 -statsjson and tracestat -json emit.
-func writeStats(path string, prog *parc.Program, nodes, cache int, protocol string, stderr io.Writer) error {
+// writeStats parses the annotated program, simulates it on the selected
+// coherence protocol (Dir1SW by default) with the observability recorder
+// attached and writes the structured stats snapshot (internal/obs) — the
+// same schema fig6 -statsjson and tracestat -json emit.
+func writeStats(path, src string, nodes, cache int, protocol string, stderr io.Writer) error {
+	prog, err := parc.Parse(src)
+	if err != nil {
+		return fmt.Errorf("parsing annotated program: %w", err)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.CacheSize = cache

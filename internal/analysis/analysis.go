@@ -9,6 +9,8 @@
 package analysis
 
 import (
+	"sync/atomic"
+
 	"cachier/internal/parc"
 )
 
@@ -20,7 +22,8 @@ type Ref struct {
 	Write   bool
 }
 
-// Info is the static analysis result for one program.
+// Info is the static analysis result for one program. Nothing writes to it
+// after it is built, so any number of goroutines may share it.
 type Info struct {
 	Prog *parc.Program
 
@@ -41,13 +44,26 @@ type stmtInfo struct {
 	hasBarrier bool // the statement's subtree contains a barrier
 }
 
-// Analyze builds static information for the whole program.
+// infoKey names a Program's Info in its Artifact memo.
+type infoKey struct{}
+
+var builds atomic.Uint64
+
+// Builds returns how many Infos this process has built, a work counter.
+func Builds() uint64 { return builds.Load() }
+
+// Analyze returns static information for the whole program, built on the
+// first call and kept with the program, so vet, static inference and every
+// annotation of one parsed program share one Info.
 func Analyze(prog *parc.Program) *Info {
-	in := &Info{Prog: prog, stmts: make([]stmtInfo, prog.NumStmts())}
-	for _, f := range prog.Funcs {
-		in.visit(f.Body, f, nil)
-	}
-	return in
+	return prog.Artifact(infoKey{}, func() any {
+		builds.Add(1)
+		in := &Info{Prog: prog, stmts: make([]stmtInfo, prog.NumStmts())}
+		for _, f := range prog.Funcs {
+			in.visit(f.Body, f, nil)
+		}
+		return in
+	}).(*Info)
 }
 
 // visit records parent/loop/function links for s's subtree. loops is the

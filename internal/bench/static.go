@@ -17,7 +17,6 @@ import (
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
-	"cachier/internal/trace"
 )
 
 // StaticRow is one benchmark's static-vs-trace fidelity measurement.
@@ -85,22 +84,13 @@ func RunStaticFidelity(b *Benchmark) (*StaticRow, error) {
 		}
 	}
 
-	// Annotate both ways exactly as RunBenchmark's Cachier variant does,
-	// then measure on the test input.
-	opts := core.DefaultOptions()
-	opts.CacheSize = cfg.CacheSize
-	traced, err := core.AnnotateMulti(trainProg, []*trace.Trace{traceRes.Trace}, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: trace-driven annotate: %w", b.Name, err)
-	}
-	static, err := core.AnnotateMulti(trainProg, []*trace.Trace{inf.Trace}, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: static annotate: %w", b.Name, err)
-	}
+	// Measure Compare's first pair, Performance CICO (RunBenchmark's Cachier
+	// variant; its default cache size is the machine's), on the test input.
+	perf := diffs[0]
 	for _, m := range []struct {
 		cycles *uint64
 		res    *core.Result
-	}{{&row.CyclesTrace, traced}, {&row.CyclesStatic, static}} {
+	}{{&row.CyclesTrace, perf.Traced}, {&row.CyclesStatic, perf.Static}} {
 		src, err := swapSeed(m.res.Source, b.Train.Seed, b.Test.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)

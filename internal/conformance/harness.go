@@ -35,6 +35,7 @@ import (
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
 	"cachier/internal/sim"
+	"cachier/internal/staticanno"
 	"cachier/internal/testutil"
 	"cachier/internal/trace"
 	"cachier/internal/vet"
@@ -145,43 +146,37 @@ func RunSource(src string) error {
 	}
 
 	// Cachier placement in all three styles, each simulated from its
-	// printed source (Result.Program is that text parsed and checked) so the
-	// annotated text round-trips through the real parser exactly as a user's
-	// file would.
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"performance", core.Options{Style: core.StylePerformance}},
-		{"performance+prefetch", core.Options{Style: core.StylePerformance, Prefetch: true}},
-		{"programmer", core.Options{Style: core.StyleProgrammer}},
-	}
-	for _, v := range variants {
-		res, err := core.AnnotateMulti(prog, []*trace.Trace{traceRes.Trace}, v.opts)
+	// printed source, parsed here, so the annotated text round-trips through
+	// the real parser exactly as a user's file would.
+	for _, v := range staticanno.Styles() {
+		res, err := core.AnnotateMulti(prog, []*trace.Trace{traceRes.Trace}, v.Opts)
 		if err != nil {
-			return fmt.Errorf("%s annotate: %w", v.name, err)
+			return fmt.Errorf("%s annotate: %w", v.Name, err)
 		}
-		if err := checkCostReport(v.name, res.Cost, epochs); err != nil {
+		if err := checkCostReport(v.Name, res.Cost, epochs); err != nil {
 			return err
 		}
-		annProg := res.Program
+		annProg, err := parc.Parse(res.Source)
+		if err != nil {
+			return fmt.Errorf("%s: annotated program does not re-parse: %w\n%s", v.Name, err, res.Source)
+		}
 		// Cachier's inserted annotations must satisfy the CICO protocol
 		// lint (and must not, of course, have introduced races).
 		annVet := vet.Analyze(annProg, vet.Options{Nprocs: Nodes})
 		if races := annVet.Races(); len(races) != 0 {
-			return fmt.Errorf("%s: annotated program has races:\n%s\n%s", v.name, annVet, res.Source)
+			return fmt.Errorf("%s: annotated program has races:\n%s\n%s", v.Name, annVet, res.Source)
 		}
 		if lintErrs := annVet.LintErrors(); len(lintErrs) != 0 {
-			return fmt.Errorf("%s: annotated program fails the CICO lint:\n%s\n%s", v.name, annVet, res.Source)
+			return fmt.Errorf("%s: annotated program fails the CICO lint:\n%s\n%s", v.Name, annVet, res.Source)
 		}
 		annRes, err := sim.Run(annProg, simConfig(sim.ModePerf))
 		if err != nil {
-			return fmt.Errorf("%s run: %w\n%s", v.name, err, res.Source)
+			return fmt.Errorf("%s run: %w\n%s", v.Name, err, res.Source)
 		}
-		if err := checkVariant(v.name, annRes, want); err != nil {
+		if err := checkVariant(v.Name, annRes, want); err != nil {
 			return fmt.Errorf("%w\n%s", err, res.Source)
 		}
-		if err := checkCheckoutBound(v.name, annRes.Stats, want); err != nil {
+		if err := checkCheckoutBound(v.Name, annRes.Stats, want); err != nil {
 			return err
 		}
 	}
@@ -246,7 +241,11 @@ func annotatedForm(prog *parc.Program) (*parc.Program, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("annotate: %w", err)
 	}
-	return res.Program, res.Source, nil
+	annProg, err := parc.Parse(res.Source)
+	if err != nil {
+		return nil, "", fmt.Errorf("annotated program does not re-parse: %w\n%s", err, res.Source)
+	}
+	return annProg, res.Source, nil
 }
 
 // RunReferenceEquivalence is the engine differential: the production engine

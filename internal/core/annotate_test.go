@@ -373,7 +373,7 @@ func main() {
 // TestGeneratedCounterKeepsUserVariable: a generated loop's counter never
 // reuses a name the function already binds, so the annotated program prints
 // and stores exactly what the original does (Section 4.5) — run from the
-// checked program Annotate returns.
+// annotated text, parsed.
 func TestGeneratedCounterKeepsUserVariable(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Style = StyleProgrammer
@@ -389,7 +389,7 @@ func TestGeneratedCounterKeepsUserVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := oracle.Run(res.Program, cfg)
+	got, err := oracle.Run(mustParse(t, res.Source), cfg)
 	if err != nil {
 		t.Fatalf("annotated program: %v\n%s", err, res.Source)
 	}

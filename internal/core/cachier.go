@@ -37,10 +37,10 @@ func DefaultOptions() Options {
 	return Options{Style: StylePerformance, CacheSize: 256 * 1024, CacheFraction: 0.5}
 }
 
-// Result is an annotation run's output.
+// Result is an annotation run's output. Its product is text: a caller that
+// executes the annotated program parses Source itself.
 type Result struct {
 	Source      string           // annotated program text
-	Program     *parc.Program    // Source parsed and checked
 	Reports     []ConflictReport // data races and false sharing found
 	Annotations int              // statements inserted
 	Cost        *CostReport      // the CICO cost model's communication summary
@@ -48,7 +48,8 @@ type Result struct {
 
 // Annotate runs the full Cachier pipeline on source text: parse it, then
 // AnnotateMulti with the one trace. The trace must come from a simulation of
-// the same source text (statement IDs must agree).
+// the same source text (statement IDs must agree). A caller that executes
+// the annotated program parses the result's Source.
 func Annotate(src string, tr *trace.Trace, opts Options) (*Result, error) {
 	prog, err := parc.Parse(src)
 	if err != nil {
@@ -62,7 +63,9 @@ func Annotate(src string, tr *trace.Trace, opts Options) (*Result, error) {
 // and print the program with the annotations spliced in. Every trace must
 // come from a simulation of prog itself (or of a program parsed from the
 // same text), so that its PCs are prog's statement IDs. prog is only read:
-// any number of runs and annotations may share it.
+// any number of runs and annotations may share it, and its static
+// information is built once for all of them (analysis.Analyze). The
+// annotated text is returned unparsed; a caller that executes it parses it.
 //
 // Several traces form a training SET rather than a single execution — the
 // alternative Section 4.5 discusses ("The alternative would have been to use
@@ -118,14 +121,6 @@ func AnnotateMulti(prog *parc.Program, traces []*trace.Trace, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	out := parc.PrintEdited(prog, edits)
-	// The annotated program must remain a valid ParC program; re-parse as a
-	// self-check (annotations never change semantics, Section 4.5). The
-	// re-parsed, checked program is what a caller may execute.
-	annotated, err := parc.Parse(out)
-	if err != nil {
-		return nil, fmt.Errorf("core: internal error: annotated program does not re-parse: %w\n%s", err, out)
-	}
 	sort.Slice(pl.reports, func(i, j int) bool {
 		if pl.reports[i].Epoch != pl.reports[j].Epoch {
 			return pl.reports[i].Epoch < pl.reports[j].Epoch
@@ -133,8 +128,7 @@ func AnnotateMulti(prog *parc.Program, traces []*trace.Trace, opts Options) (*Re
 		return pl.reports[i].Var < pl.reports[j].Var
 	})
 	return &Result{
-		Source:      out,
-		Program:     annotated,
+		Source:      parc.PrintEdited(prog, edits),
 		Reports:     pl.reports,
 		Annotations: inserted,
 		Cost:        buildCostReport(firstEpochs, firstAnn, layout),

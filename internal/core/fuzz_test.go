@@ -96,7 +96,7 @@ func main() {
 }
 
 // TestAnnotateFuzzRaceFree: for random race-free programs, every annotation
-// style must (a) produce a program that re-parses (checked inside Annotate),
+// style must (a) produce text that re-parses (parsed here, before the run),
 // (b) run without errors, and (c) leave every shared value bit-identical to
 // the unannotated run.
 func TestAnnotateFuzzRaceFree(t *testing.T) {

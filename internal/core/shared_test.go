@@ -4,11 +4,13 @@ import (
 	"sync"
 	"testing"
 
+	"cachier/internal/analysis"
 	"cachier/internal/bench"
 	"cachier/internal/core"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/trace"
+	"cachier/internal/vet"
 )
 
 // TestAnnotateSharedProgram: annotation only reads the checked program, so
@@ -16,7 +18,10 @@ import (
 // and each gets the output a lone call gets; afterwards the program still
 // prints as it did. Barnes's placement relocates guarded check-outs and
 // generates loops, and MatMul's flags races, so every kind of generated
-// statement is spliced. make race runs this under the race detector.
+// statement is spliced. The goroutines annotate a copy parsed afresh while
+// vet reads the same copy, so they share its one analysis.Info from whichever
+// call builds it: nothing writes to an Info after it is built. make race runs
+// this under the race detector.
 func TestAnnotateSharedProgram(t *testing.T) {
 	const goroutines = 4
 	styles := []core.Options{
@@ -46,15 +51,22 @@ func TestAnnotateSharedProgram(t *testing.T) {
 			}
 			want[i] = res.Source
 		}
+		fresh := parc.MustParse(b.Source(b.Train))
+		builds := analysis.Builds()
 		got := make([][]string, goroutines)
 		errs := make([]error, goroutines)
 		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vet.Analyze(fresh, vet.Options{Nprocs: b.Nodes})
+		}()
 		for g := range got {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for _, opts := range styles {
-					res, err := core.AnnotateMulti(prog, traces, opts)
+					res, err := core.AnnotateMulti(fresh, traces, opts)
 					if err != nil {
 						errs[g] = err
 						return
@@ -64,6 +76,9 @@ func TestAnnotateSharedProgram(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if n := analysis.Builds() - builds; n != 1 {
+			t.Errorf("%s: %d goroutines built %d Infos for one program, want 1", b.Name, goroutines+1, n)
+		}
 		for g := range got {
 			if errs[g] != nil {
 				t.Fatalf("%s, goroutine %d: %v", b.Name, g, errs[g])
@@ -74,7 +89,7 @@ func TestAnnotateSharedProgram(t *testing.T) {
 				}
 			}
 		}
-		if after := parc.Print(prog); after != printed {
+		if after := parc.Print(fresh); after != printed {
 			t.Errorf("%s: annotating changed the program; it prints as:\n%s", b.Name, after)
 		}
 	}

@@ -350,6 +350,9 @@ type progCode struct {
 	err error                      // the first function the compiler refused, if any
 }
 
+// codeKey names a Program's progCode in its Artifact memo.
+type codeKey struct{}
+
 // compileProgram lowers every function, stopping at the first it refuses.
 func compileProgram(prog *parc.Program) *progCode {
 	pc := &progCode{fns: make(map[*parc.FuncDecl]*fnCode, len(prog.Funcs))}

@@ -122,7 +122,7 @@ func (c *Context) NewLaneVM(y LaneYielder) (*LaneVM, error) {
 	if main == nil {
 		return nil, errNoMain
 	}
-	pcm := c.prog.Artifact(func() any { return compileProgram(c.prog) }).(*progCode)
+	pcm := c.prog.Artifact(codeKey{}, func() any { return compileProgram(c.prog) }).(*progCode)
 	if pcm.err != nil {
 		return nil, pcm.err
 	}

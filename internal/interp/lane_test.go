@@ -34,7 +34,7 @@ func compileFor(t testing.TB, src string) (*parc.Program, *progCode) {
 	if err := parc.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	return prog, prog.Artifact(func() any { return compileProgram(prog) }).(*progCode)
+	return prog, prog.Artifact(codeKey{}, func() any { return compileProgram(prog) }).(*progCode)
 }
 
 // checkFrameClean asserts the frame-pool reuse contract on a frame just

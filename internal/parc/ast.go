@@ -76,22 +76,25 @@ type Program struct {
 	Stmts     []Stmt // indexed by statement ID; see Stmt
 
 	artifactMu sync.Mutex
-	artifact   any
+	artifacts  []struct{ key, val any }
 }
 
-// Artifact returns a per-Program derived artifact, building it on first use.
-// The parc package has no opinion about the value; the interpreter uses it
-// to cache compiled bytecode across the many contexts and runs that execute
-// one parsed Program. Safe for concurrent use. A checked Program is never
-// modified (Cachier prints its annotations into the text with PrintEdited),
-// so the artifact never goes stale.
-func (p *Program) Artifact(build func() any) any {
+// Artifact returns the derived artifact named by key, building it on first
+// use: compiled bytecode (interp) and static Info (analysis) live here. Keys
+// are values of types their packages keep unexported. Safe for concurrent
+// use; build runs under the lock and must not call Artifact. A checked
+// Program is never modified, so an artifact never goes stale.
+func (p *Program) Artifact(key any, build func() any) any {
 	p.artifactMu.Lock()
 	defer p.artifactMu.Unlock()
-	if p.artifact == nil {
-		p.artifact = build()
+	for _, a := range p.artifacts {
+		if a.key == key {
+			return a.val
+		}
 	}
-	return p.artifact
+	v := build()
+	p.artifacts = append(p.artifacts, struct{ key, val any }{key, v})
+	return v
 }
 
 // Stmt returns the statement with the given ID, or nil for an ID the

@@ -116,8 +116,9 @@ func contain(hash string, err *error) {
 
 // heavy runs one expensive pipeline execution on program hash under the
 // worker pool (when there is one), honouring the request deadline while
-// queued. A panic in the execution is contained.
-func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (any, error)) (v any, err error) {
+// queued, and counts it on counter, the phase's metric name in full. A
+// panic in the execution is contained.
+func (e *evaluator) heavy(ctx context.Context, counter, hash string, fn func() (any, error)) (v any, err error) {
 	defer contain(hash, &err)
 	if e.pool != nil {
 		if err := e.pool.acquire(ctx); err != nil {
@@ -125,7 +126,7 @@ func (e *evaluator) heavy(ctx context.Context, phase, hash string, fn func() (an
 		}
 		defer e.pool.release()
 	}
-	e.count(fmt.Sprintf("pipeline_executions_total{phase=%q}", phase))
+	e.count(counter)
 	if e.slow != nil {
 		e.slow()
 	}
@@ -166,7 +167,7 @@ func (e *evaluator) program(src string) (*ProgramInfo, error) {
 // given machine (cached).
 func (e *evaluator) trace(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*trace.Trace, error) {
 	v, _, err := e.cached(ctx, e.traces, cacheKey(pi.Hash, m.key()), func(ctx context.Context) (any, error) {
-		return e.heavy(ctx, "trace", pi.Hash, func() (any, error) {
+		return e.heavy(ctx, `pipeline_executions_total{phase="trace"}`, pi.Hash, func() (any, error) {
 			res, err := sim.Run(pi.Prog, m.simConfig(sim.ModeTrace))
 			if err != nil {
 				return nil, simFault("tracing", err)
@@ -199,7 +200,7 @@ func (e *evaluator) prepVet(req *VetRequest) (string, compute[*VetResponse], err
 		return "", nil, err
 	}
 	return cacheKey(pi.Hash, fmt.Sprint(nodes)), func(ctx context.Context) (*VetResponse, error) {
-		v, err := e.heavy(ctx, "vet", pi.Hash, func() (any, error) {
+		v, err := e.heavy(ctx, `pipeline_executions_total{phase="vet"}`, pi.Hash, func() (any, error) {
 			rep := vet.Analyze(pi.Prog, vet.Options{Nprocs: nodes})
 			out := make([]VetFinding, 0, len(rep.Findings))
 			for _, f := range rep.Findings {
@@ -254,7 +255,7 @@ func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, co
 			)
 			if static {
 				var v any
-				v, err = e.heavy(ctx, "static", pi.Hash, func() (any, error) {
+				v, err = e.heavy(ctx, `pipeline_executions_total{phase="static"}`, pi.Hash, func() (any, error) {
 					return inferTrace(pi, machine)
 				})
 				if err == nil {
@@ -267,7 +268,7 @@ func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, co
 			if err != nil {
 				return nil, err
 			}
-			v, err := e.heavy(ctx, "annotate", pi.Hash, func() (any, error) {
+			v, err := e.heavy(ctx, `pipeline_executions_total{phase="annotate"}`, pi.Hash, func() (any, error) {
 				opts := core.DefaultOptions()
 				opts.Style = style
 				opts.Prefetch = req.Prefetch
@@ -363,7 +364,7 @@ func (e *evaluator) prepSimulate(req *SimulateRequest) (string, compute[*Simulat
 			defer contain(pi.Hash, &errs[i])
 			id := contentID(pi.Hash, m.key())
 			v, _, err := e.cached(ctx, e.sims, id, func(ctx context.Context) (any, error) {
-				return e.heavy(ctx, "simulate", pi.Hash, func() (any, error) {
+				return e.heavy(ctx, `pipeline_executions_total{phase="simulate"}`, pi.Hash, func() (any, error) {
 					return runSim(pi, m, id)
 				})
 			})

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"cachier/internal/analysis"
 	"cachier/internal/bench"
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
@@ -527,35 +528,98 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestColdProgramParses pins the front-end work of one new program sent to
-// all four endpoints: two parses to canonicalise it (the submitted text, then
-// the canonical text the cached AST is built from) and one inside each of
-// the two annotations, which print the cached AST with their annotations
-// spliced in and re-parse that output as a self-check. Every phase reads the
-// cached AST, so nothing else parses. Before the AST was immutable each of
-// the three executing phases parsed a copy of its own, 9 parses in all, and
-// before annotation stopped editing a private AST each annotation parsed
-// twice, 6 in all.
+// TestAnnotatedOutputReparses checks the round trip that annotation does not
+// check at run time, since it returns its text unparsed: on parcgen seeds
+// 0–199 and every Figure 6 training source, the text /v1/annotate and
+// /v1/static return in each style parses, and its print is a parse–print
+// fixpoint. (The returned text is not itself one: Print drops the comments
+// that mark conflicts.)
+func TestAnnotatedOutputReparses(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// One goroutine: the race detector would only multiply its 20 s.
+		t.Skip("annotates 205 programs six ways")
+	}
+	type source struct {
+		name  string
+		src   string
+		nodes int
+	}
+	var sources []source
+	for seed := int64(0); seed < 200; seed++ {
+		sources = append(sources, source{fmt.Sprintf("seed %d", seed), parcgen.Generate(seed), testNodes})
+	}
+	for _, b := range bench.All() {
+		sources = append(sources, source{b.Name, b.Source(b.Train), b.Nodes})
+	}
+	styles := []struct {
+		style    string
+		prefetch bool
+	}{{"performance", false}, {"performance", true}, {"programmer", false}}
+	evals := []struct {
+		path string
+		eval func(*AnnotateRequest) (*AnnotateResponse, error)
+	}{{"/v1/annotate", EvalAnnotate}, {"/v1/static", EvalStatic}}
+	for _, sc := range sources {
+		for _, st := range styles {
+			req := &AnnotateRequest{Source: sc.src, Style: st.style, Prefetch: st.prefetch, Machine: MachineSpec{Nodes: sc.nodes}}
+			for _, e := range evals {
+				resp, err := e.eval(req)
+				if err != nil {
+					t.Fatalf("%s %s %s prefetch=%v: %v", sc.name, e.path, st.style, st.prefetch, err)
+				}
+				prog, err := parc.Parse(resp.Annotated)
+				if err != nil {
+					t.Fatalf("%s %s %s prefetch=%v: annotated text does not parse: %v\n%s",
+						sc.name, e.path, st.style, st.prefetch, err, resp.Annotated)
+				}
+				printed := parc.Print(prog)
+				again, err := parc.Parse(printed)
+				if err != nil || parc.Print(again) != printed {
+					t.Fatalf("%s %s %s prefetch=%v: the annotated program's print is not a parse–print fixpoint (%v)\n%s",
+						sc.name, e.path, st.style, st.prefetch, err, printed)
+				}
+			}
+		}
+	}
+}
+
+// TestColdProgramParses pins the front-end and analysis work of one new
+// program sent to all four endpoints: two parses to canonicalise it (the
+// submitted text, then the canonical text the cached AST is built from), and
+// one build of its static information (analysis.Info), kept with the cached
+// AST and shared by vet, static inference and both annotations. The
+// annotations print the cached AST with their annotations spliced in and
+// return that text without parsing it. While each annotation re-parsed its
+// output as a self-check and each of the four phases built an Info of its
+// own, this was 4 parses and 4 builds; before the AST was immutable each of
+// the three executing phases parsed a copy of its own, 9 parses in all.
 func TestColdProgramParses(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
-	before := parc.Parses()
+	parses, builds := parc.Parses(), analysis.Builds()
 	for _, c := range coldRequests(parcgen.Generate(goldenSeed + 1)) {
 		code, hdr, body := post(t, ts.URL+c.path, c.req)
 		if code != http.StatusOK || hdr.Get("X-Cachier-Cache") != "miss" {
 			t.Fatalf("%s: status %d, cache %q: %s", c.path, code, hdr.Get("X-Cachier-Cache"), body)
 		}
 	}
-	if got := parc.Parses() - before; got != 4 {
-		t.Errorf("one cold program through four endpoints parsed %d times, want 4", got)
+	if got := parc.Parses() - parses; got != 2 {
+		t.Errorf("one cold program through four endpoints parsed %d times, want 2", got)
+	}
+	if got := analysis.Builds() - builds; got != 1 {
+		t.Errorf("one cold program through four endpoints built %d Infos, want 1", got)
 	}
 	// A formatting variant has the program's token digest: it hits the
-	// program cache and every cache after it, and parses nothing.
-	before = parc.Parses()
+	// program cache and every cache after it, and parses and analyses
+	// nothing.
+	parses, builds = parc.Parses(), analysis.Builds()
 	for _, c := range coldRequests(parcgen.Generate(goldenSeed+1) + "\n\n  \t// edited\n") {
 		postAs(t, ts.URL+c.path, c.req, "hit")
 	}
-	if got := parc.Parses() - before; got != 0 {
+	if got := parc.Parses() - parses; got != 0 {
 		t.Errorf("a formatting variant through four endpoints parsed %d times, want 0", got)
+	}
+	if got := analysis.Builds() - builds; got != 0 {
+		t.Errorf("a formatting variant through four endpoints built %d Infos, want 0", got)
 	}
 }
 

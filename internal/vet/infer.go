@@ -18,7 +18,6 @@ package vet
 import (
 	"fmt"
 
-	"cachier/internal/analysis"
 	"cachier/internal/parc"
 )
 
@@ -104,12 +103,7 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	if main == nil {
 		return nil, fmt.Errorf("vet: program has no main function")
 	}
-	v := &vetter{
-		prog: prog,
-		info: analysis.Analyze(prog),
-		opts: Options{Nprocs: opts.Nprocs},
-		seen: make(map[string]bool),
-	}
+	v := newVetter(prog, Options{Nprocs: opts.Nprocs})
 	sum := &Summary{Nprocs: opts.Nprocs, Exact: true, nodes: make([]nodeStream, 0, opts.Nprocs)}
 	var prev *nodeRun
 	for p := 0; p < opts.Nprocs; p++ {

@@ -147,12 +147,7 @@ func Analyze(prog *parc.Program, opts Options) *Report {
 	if opts.Nprocs <= 0 {
 		opts.Nprocs = 4
 	}
-	v := &vetter{
-		prog: prog,
-		info: analysis.Analyze(prog),
-		opts: opts,
-		seen: make(map[string]bool),
-	}
+	v := newVetter(prog, opts)
 	for _, fn := range prog.Funcs {
 		v.checkCFG(fn)
 	}
@@ -203,6 +198,11 @@ type vetter struct {
 	findings []Finding
 	seen     map[string]bool // finding dedup keys
 	lockSets interner[int64] // lock sets nodes hold, sorted ascending
+}
+
+// newVetter prepares a run over prog, reading the program's shared Info.
+func newVetter(prog *parc.Program, opts Options) *vetter {
+	return &vetter{prog: prog, info: analysis.Analyze(prog), opts: opts, seen: make(map[string]bool)}
 }
 
 func (v *vetter) add(f Finding) {

@@ -61,7 +61,7 @@ staticdiff:
 # cycles-exact gate is TestFigure6Golden; wall-clock claims are made with
 # benchmark/ (BENCHMARK.json), not from this file.
 bench:
-	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest|HotRequest|VetAnalyze|Annotate|Parse|Print|ProgramKey|Infer' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'Fig6|Scheduler|DirectoryLookup|Interp|SmallRun|ColdRequest|ColdCorpus|HotRequest|VetAnalyze|Annotate|Parse|Print|ProgramKey|Infer' -benchtime 1x ./...
 	$(GO) run ./cmd/fig6 -json BENCH_fig6.json
 
 # Where a Figure 6 regeneration spends its CPU and its bytes, as text: three

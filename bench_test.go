@@ -19,6 +19,10 @@ package cachier
 //	                                 of a 4-node corpus program, and one new
 //	                                 program through all four endpoints
 //	                                 (B/op and allocs/op are the point)
+//	BenchmarkColdCorpus           — cachierd's cold path over 300 corpus
+//	                                 programs, each new to one server: time,
+//	                                 bytes and annotations per program, and
+//	                                 the profile to attribute them
 //	BenchmarkHotRequest           — cachierd's cached path: one repeated
 //	                                 request per endpoint, answered by the
 //	                                 body index
@@ -47,6 +51,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -561,6 +566,47 @@ func BenchmarkColdRequest(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkColdCorpus sends parcgen seeds 0–299, each once, to the four
+// endpoints of one fresh in-process server: the serve_cold shape, in which
+// every program is new, without HTTP or a load generator. One op is the
+// whole corpus; it reports µs and bytes per program, and annotate
+// executions per program (1 when /v1/static shares /v1/annotate's
+// annotation, 2 when it cannot). The cold path's profile is
+//
+//	go test -run '^$' -bench ColdCorpus -cpuprofile cpu.prof .
+func BenchmarkColdCorpus(b *testing.B) {
+	const programs = 300
+	corpus := make([][4]endpointRequest, programs)
+	for i := range corpus {
+		corpus[i] = endpointRequests(b, parcgen.Generate(int64(i)))
+	}
+	var before, after runtime.MemStats
+	var annotates uint64
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := serve.New(serve.DefaultConfig())
+		h := s.Handler()
+		for _, reqs := range corpus {
+			for _, r := range reqs {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, r.path, bytes.NewReader(r.body)))
+				if w.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %s", r.path, w.Code, w.Body)
+				}
+			}
+		}
+		annotates += s.Metrics().Snapshot()[`pipeline_executions_total{phase="annotate"}`]
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * programs)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "µs/program")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/program")
+	b.ReportMetric(float64(annotates)/n, "annotate-execs/program")
 }
 
 // reusedWriter is an http.ResponseWriter a closed-loop client keeps across

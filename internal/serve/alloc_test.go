@@ -24,10 +24,13 @@ import (
 // 602 KB. Reading vet's stream through a cursor and marshalling the snapshot
 // on first read brought it to 431.6 KB, while both annotations still
 // re-parsed their own output and each phase built its own analysis.Info.
-// Returning the annotated text unparsed and building one Info per program,
-// it costs 399–400 KB, or 425–427 KB under the race detector (464 KB
-// before). The budget sits between 400 and 431.6 KB, above the race
-// detector's reading.
+// Returning the annotated text unparsed and building one Info per program
+// brought it to 399–400.2 KB, or 418–432 KB under the race detector, with
+// /v1/static annotating again the trace /v1/annotate had annotated. Sharing
+// that annotation, it costs 375.0–375.6 KB, or 389–408 KB under the race
+// detector, whose readings spread widely. Each build has its own budget: the
+// plain one within 5% of its reading, the race detector's above its
+// spread.
 func TestColdRequestAllocBudget(t *testing.T) {
 	h := New(DefaultConfig()).Handler()
 	reqs := coldRequests(parcgen.Generate(goldenSeed + 3))
@@ -48,7 +51,10 @@ func TestColdRequestAllocBudget(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	const budget = 430 << 10
+	budget := uint64(390 << 10)
+	if raceEnabled {
+		budget = 430 << 10
+	}
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("one cold program through four endpoints allocates %.1f KB", float64(got)/(1<<10))
 	if got > budget {
@@ -117,7 +123,8 @@ func TestHotRequestAllocBudget(t *testing.T) {
 }
 
 // raceEnabled is set under the race detector (race_test.go), whose
-// allocation counts TestHotRequestAllocBudget does not gate.
+// allocation counts TestHotRequestAllocBudget does not gate and
+// TestColdRequestAllocBudget gates on a budget of their own.
 var raceEnabled bool
 
 // allocsPerRun is testing.AllocsPerRun that also reports bytes: the mean

@@ -23,8 +23,9 @@ import (
 // the library result.
 //
 // Each cache holds a fact no other cache holds; the server's response-byte
-// cache is the fourth. A vet finding list or an annotation is cached only
-// as the response bytes it becomes.
+// cache is the sixth. An annotation is one fact that two endpoints render:
+// each builds its own response from the shared result. A vet finding list
+// is cached only as the response bytes it becomes.
 type evaluator struct {
 	// programs: digest of the submitted source's token stream
 	// (parc.Digest) → *ProgramInfo. Whitespace and comments do not enter
@@ -34,8 +35,14 @@ type evaluator struct {
 	// canonical form.
 	programs *lruCache
 	// traces: (program hash, machine) → *trace.Trace, shared by both
-	// annotation styles and both prefetch settings.
-	traces *lruCache
+	// annotation styles and both prefetch settings; inferences: the same key
+	// → *staticanno.Result, the trace /v1/static infers instead.
+	traces, inferences *lruCache
+	// annotations: (program hash, trace digest, core.Options) →
+	// *core.Result. The key names what the annotation reads, not who
+	// asked, so /v1/annotate and /v1/static share one result whenever
+	// inference reproduces the simulated trace.
+	annotations *lruCache
 	// sims: snapshot ID, itself content-addressed on (program hash,
 	// machine) → *SimResult, snapshot bytes included; /v1/snapshot/{id}
 	// reads it directly.
@@ -230,6 +237,60 @@ func (e *evaluator) prepVet(req *VetRequest) (string, compute[*VetResponse], err
 	}, nil
 }
 
+// infer runs static inference on the machine (cached), shared by every
+// style and prefetch setting. A fault its replay met is the program's, as
+// it is for a simulation (422); anything else is the inferrer refusing the
+// program (400).
+func (e *evaluator) infer(ctx context.Context, pi *ProgramInfo, m MachineSpec) (*staticanno.Result, error) {
+	v, _, err := e.cached(ctx, e.inferences, cacheKey(pi.Hash, m.key()), func(ctx context.Context) (any, error) {
+		return e.heavy(ctx, `pipeline_executions_total{phase="static"}`, pi.Hash, func() (any, error) {
+			inf, err := staticanno.Infer(pi.Prog, staticanno.Config{
+				Nodes:     m.Nodes,
+				CacheSize: m.CacheSize,
+				Assoc:     m.Assoc,
+				BlockSize: m.BlockSize,
+			})
+			switch {
+			case errors.Is(err, staticanno.ErrMachineFault):
+				return nil, simFault("static inference", err)
+			case err != nil:
+				return nil, badRequest(fmt.Errorf("static inference: %w", err))
+			}
+			return inf, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*staticanno.Result), nil
+}
+
+// annotate runs Cachier on the program and trace tr (cached). The key is
+// tr's content (trace.Digest), not the endpoint that asked, so /v1/static
+// shares /v1/annotate's result whenever inference reproduced the simulated
+// trace. Every field of opts is the rest of annotation's input: core reads
+// the machine only through the trace and opts.CacheSize.
+func (e *evaluator) annotate(ctx context.Context, pi *ProgramInfo, tr *trace.Trace, opts core.Options) (*core.Result, error) {
+	var key string
+	if e.annotations != nil {
+		sum := tr.Digest()
+		key = cacheKey(pi.Hash, string(sum[:]), fmt.Sprintf("%+v", opts))
+	}
+	v, _, err := e.cached(ctx, e.annotations, key, func(ctx context.Context) (any, error) {
+		return e.heavy(ctx, `pipeline_executions_total{phase="annotate"}`, pi.Hash, func() (any, error) {
+			res, err := core.AnnotateMulti(pi.Prog, []*trace.Trace{tr}, opts)
+			if err != nil {
+				return nil, fmt.Errorf("annotate: %w", err)
+			}
+			return res, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*core.Result), nil
+}
+
 // prepAnnotate returns the prepare function of /v1/annotate (trace-driven)
 // or, when static, of /v1/static (trace inferred, nothing simulated).
 func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, compute[*AnnotateResponse], error) {
@@ -254,12 +315,7 @@ func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, co
 				err error
 			)
 			if static {
-				var v any
-				v, err = e.heavy(ctx, `pipeline_executions_total{phase="static"}`, pi.Hash, func() (any, error) {
-					return inferTrace(pi, machine)
-				})
-				if err == nil {
-					inf = v.(*staticanno.Result)
+				if inf, err = e.infer(ctx, pi, machine); err == nil {
 					tr = inf.Trace
 				}
 			} else {
@@ -268,68 +324,43 @@ func (e *evaluator) prepAnnotate(static bool) func(*AnnotateRequest) (string, co
 			if err != nil {
 				return nil, err
 			}
-			v, err := e.heavy(ctx, `pipeline_executions_total{phase="annotate"}`, pi.Hash, func() (any, error) {
-				opts := core.DefaultOptions()
-				opts.Style = style
-				opts.Prefetch = req.Prefetch
-				opts.CacheSize = machine.CacheSize
-				res, err := core.AnnotateMulti(pi.Prog, []*trace.Trace{tr}, opts)
-				if err != nil {
-					return nil, fmt.Errorf("annotate: %w", err)
-				}
-				resp := &AnnotateResponse{
-					ProgramHash: pi.Hash,
-					Style:       styleName,
-					Prefetch:    req.Prefetch,
-					Static:      static,
-					Annotated:   res.Source,
-					Annotations: res.Annotations,
-					Cost: CostSummary{
-						CoX:       res.Cost.TotalCoX,
-						CoS:       res.Cost.TotalCoS,
-						CI:        res.Cost.TotalCI,
-						ModelCost: res.Cost.ModelCost,
-					},
-				}
-				for _, r := range res.Reports {
-					cr := ConflictReport{Kind: r.Kind, Var: r.Var, Epoch: r.Epoch, Addrs: r.Addrs}
-					if r.Pos.IsValid() {
-						cr.Pos = r.Pos.String()
-					}
-					resp.Reports = append(resp.Reports, cr)
-				}
-				if inf != nil {
-					exact := inf.Exact
-					resp.Exact = &exact
-					resp.Notes = inf.Notes
-				}
-				return resp, nil
-			})
+			opts := core.DefaultOptions()
+			opts.Style = style
+			opts.Prefetch = req.Prefetch
+			opts.CacheSize = machine.CacheSize
+			res, err := e.annotate(ctx, pi, tr, opts)
 			if err != nil {
 				return nil, err
 			}
-			return v.(*AnnotateResponse), nil
+			resp := &AnnotateResponse{
+				ProgramHash: pi.Hash,
+				Style:       styleName,
+				Prefetch:    req.Prefetch,
+				Static:      static,
+				Annotated:   res.Source,
+				Annotations: res.Annotations,
+				Cost: CostSummary{
+					CoX:       res.Cost.TotalCoX,
+					CoS:       res.Cost.TotalCoS,
+					CI:        res.Cost.TotalCI,
+					ModelCost: res.Cost.ModelCost,
+				},
+			}
+			for _, r := range res.Reports {
+				cr := ConflictReport{Kind: r.Kind, Var: r.Var, Epoch: r.Epoch, Addrs: r.Addrs}
+				if r.Pos.IsValid() {
+					cr.Pos = r.Pos.String()
+				}
+				resp.Reports = append(resp.Reports, cr)
+			}
+			if inf != nil {
+				exact := inf.Exact
+				resp.Exact = &exact
+				resp.Notes = inf.Notes
+			}
+			return resp, nil
 		}, nil
 	}
-}
-
-// inferTrace runs static inference on the machine. A fault its replay met
-// is the program's, as it is for a simulation (422); anything else is the
-// inferrer refusing the program (400).
-func inferTrace(pi *ProgramInfo, m MachineSpec) (*staticanno.Result, error) {
-	inf, err := staticanno.Infer(pi.Prog, staticanno.Config{
-		Nodes:     m.Nodes,
-		CacheSize: m.CacheSize,
-		Assoc:     m.Assoc,
-		BlockSize: m.BlockSize,
-	})
-	switch {
-	case errors.Is(err, staticanno.ErrMachineFault):
-		return nil, simFault("static inference", err)
-	case err != nil:
-		return nil, badRequest(fmt.Errorf("static inference: %w", err))
-	}
-	return inf, nil
 }
 
 // prepSimulate prepares /v1/simulate: Source as given on every requested

@@ -508,10 +508,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`cache_evictions_total{cache="index"} 1`,
 		`cache_entries{cache="program"} 1`,
 		`cache_entries{cache="trace"} 1`,
+		`cache_entries{cache="inference"} 1`,
+		`cache_entries{cache="annotation"} 1`,
 		`cache_entries{cache="simulate"} 1`,
 		`cache_evictions_total{cache="response"} 1`,
 		`cache_evictions_total{cache="program"} 1`,
 		`cache_evictions_total{cache="trace"} 0`,
+		`cache_evictions_total{cache="inference"} 0`,
+		`cache_evictions_total{cache="annotation"} 0`,
 		`cache_evictions_total{cache="simulate"} 0`,
 	} {
 		if !bytes.Contains(body, []byte(want)) {
@@ -583,18 +587,22 @@ func TestAnnotatedOutputReparses(t *testing.T) {
 	}
 }
 
-// TestColdProgramParses pins the front-end and analysis work of one new
-// program sent to all four endpoints: two parses to canonicalise it (the
-// submitted text, then the canonical text the cached AST is built from), and
-// one build of its static information (analysis.Info), kept with the cached
-// AST and shared by vet, static inference and both annotations. The
-// annotations print the cached AST with their annotations spliced in and
-// return that text without parsing it. While each annotation re-parsed its
-// output as a self-check and each of the four phases built an Info of its
-// own, this was 4 parses and 4 builds; before the AST was immutable each of
-// the three executing phases parsed a copy of its own, 9 parses in all.
+// TestColdProgramParses pins the front-end, analysis and annotation work of
+// one new program sent to all four endpoints: two parses to canonicalise it
+// (the submitted text, then the canonical text the cached AST is built
+// from), one build of its static information (analysis.Info), kept with the
+// cached AST and shared by vet, static inference and both annotations, one
+// inference, and one annotation, which /v1/static shares with /v1/annotate
+// because inference reproduced the simulated trace. The annotations print the
+// cached AST with their annotations spliced in and return that text without
+// parsing it. While each annotation re-parsed its output as a self-check
+// and each of the four phases built an Info of its own, this was 4 parses
+// and 4 builds; before the AST was immutable each of the three executing
+// phases parsed a copy of its own, 9 parses in all. An inexact program's
+// inferred trace is not the simulated one, so it is annotated twice.
 func TestColdProgramParses(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	s, ts := newTestServer(t, DefaultConfig())
+	execs := func(phase string) uint64 { return s.metrics.Snapshot()[`pipeline_executions_total{phase="`+phase+`"}`] }
 	parses, builds := parc.Parses(), analysis.Builds()
 	for _, c := range coldRequests(parcgen.Generate(goldenSeed + 1)) {
 		code, hdr, body := post(t, ts.URL+c.path, c.req)
@@ -608,6 +616,11 @@ func TestColdProgramParses(t *testing.T) {
 	if got := analysis.Builds() - builds; got != 1 {
 		t.Errorf("one cold program through four endpoints built %d Infos, want 1", got)
 	}
+	for _, phase := range []string{"annotate", "static"} {
+		if got := execs(phase); got != 1 {
+			t.Errorf("one exact cold program through four endpoints ran %s %d times, want 1", phase, got)
+		}
+	}
 	// A formatting variant has the program's token digest: it hits the
 	// program cache and every cache after it, and parses and analyses
 	// nothing.
@@ -620,6 +633,54 @@ func TestColdProgramParses(t *testing.T) {
 	}
 	if got := analysis.Builds() - builds; got != 0 {
 		t.Errorf("a formatting variant through four endpoints built %d Infos, want 0", got)
+	}
+	annotations := execs("annotate")
+	for _, c := range coldRequests(parcgen.Generate(inexactSeed)) {
+		code, _, body := post(t, ts.URL+c.path, c.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, code, body)
+		}
+		if c.path == "/v1/static" && !bytes.Contains(body, []byte(`"exact": false`)) {
+			t.Fatalf("seed %d was expected to infer inexactly: %s", inexactSeed, body)
+		}
+	}
+	if got := execs("annotate") - annotations; got != 2 {
+		t.Errorf("an inexact cold program through four endpoints was annotated %d times, want 2", got)
+	}
+}
+
+// inexactSeed is a parcgen seed that infers inexactly at testNodes: a branch
+// on a non-concrete condition records both arms.
+const inexactSeed = 47
+
+// TestInferenceAndAnnotationCachedOnce: an exact program sent to /v1/static
+// and /v1/annotate in three styles on one machine infers once, shared by
+// every style, and annotates once per style, shared by both endpoints.
+// Without the inference and annotation caches this was 3 inferences and 6
+// annotations.
+func TestInferenceAndAnnotationCachedOnce(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	src := parcgen.Generate(goldenSeed)
+	for _, st := range []struct {
+		style    string
+		prefetch bool
+	}{{"performance", false}, {"performance", true}, {"programmer", false}} {
+		for _, path := range []string{"/v1/static", "/v1/annotate"} {
+			req := &AnnotateRequest{Source: src, Style: st.style, Prefetch: st.prefetch, Machine: MachineSpec{Nodes: testNodes}}
+			code, _, body := post(t, ts.URL+path, req)
+			if code != http.StatusOK {
+				t.Fatalf("%s %s prefetch=%v: status %d: %s", path, st.style, st.prefetch, code, body)
+			}
+			if !bytes.Equal(body, evalBytes(t, path, req)) {
+				t.Errorf("%s %s prefetch=%v: the server's bytes diverge from the library's", path, st.style, st.prefetch)
+			}
+		}
+	}
+	snap := s.metrics.Snapshot()
+	for phase, want := range map[string]uint64{"static": 1, "trace": 1, "annotate": 3} {
+		if got := snap[`pipeline_executions_total{phase="`+phase+`"}`]; got != want {
+			t.Errorf("%s ran %d times, want %d", phase, got, want)
+		}
 	}
 }
 
@@ -643,10 +704,12 @@ func coldRequests(src string) []struct {
 
 // TestEachFactCachedOnce: one cold program through the four endpoints
 // leaves one entry per fact computed, each in exactly one cache: the four
-// response bodies, the canonical program, the trace /v1/annotate ran, and
-// the simulation. Vet findings, annotations and snapshots have no cache of
-// their own: the snapshot is served from its simulation's entry. The body
-// index holds no fact: its four entries each name a cached response.
+// response bodies, the canonical program, the trace /v1/annotate ran, the
+// trace /v1/static inferred, the one annotation both endpoints render (the
+// program infers exactly), and the simulation. Vet findings and snapshots
+// have no cache of their own: the snapshot is served from its simulation's
+// entry. The body index holds no fact: its four entries each name a cached
+// response.
 func TestEachFactCachedOnce(t *testing.T) {
 	s, ts := newTestServer(t, DefaultConfig())
 	src := parcgen.Generate(goldenSeed + 2)
@@ -672,6 +735,8 @@ func TestEachFactCachedOnce(t *testing.T) {
 		{"response", s.resp, 4},
 		{"program", s.eval.programs, 1},
 		{"trace", s.eval.traces, 1},
+		{"inference", s.eval.inferences, 1},
+		{"annotation", s.eval.annotations, 1},
 		{"simulation", s.eval.sims, 1},
 		{"index", s.index, 4},
 	} {

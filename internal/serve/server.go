@@ -28,9 +28,10 @@ type Config struct {
 	// RequestTimeout is the per-request deadline, covering queue wait and
 	// pipeline execution. Default 60s.
 	RequestTimeout time.Duration
-	// CacheEntries is the entry capacity of the program, trace and
-	// simulation caches; the response cache and the body index over it
-	// each hold four times as many, one per endpoint. Default 512.
+	// CacheEntries is the entry capacity of the program, trace, inference,
+	// annotation and simulation caches; the response cache and the body
+	// index over it each hold four times as many, one per endpoint.
+	// Default 512.
 	CacheEntries int
 	// MaxBodyBytes bounds a request body. Default 4 MiB.
 	MaxBodyBytes int64
@@ -92,12 +93,14 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		eval: &evaluator{
-			programs: newLRU("program", cfg.CacheEntries),
-			traces:   newLRU("trace", cfg.CacheEntries),
-			sims:     newLRU("simulate", cfg.CacheEntries),
-			flight:   newFlightGroup(),
-			pool:     p,
-			metrics:  m,
+			programs:    newLRU("program", cfg.CacheEntries),
+			traces:      newLRU("trace", cfg.CacheEntries),
+			inferences:  newLRU("inference", cfg.CacheEntries),
+			annotations: newLRU("annotation", cfg.CacheEntries),
+			sims:        newLRU("simulate", cfg.CacheEntries),
+			flight:      newFlightGroup(),
+			pool:        p,
+			metrics:     m,
 		},
 		resp:    newLRU("response", 4*cfg.CacheEntries),
 		index:   newLRU("index", 4*cfg.CacheEntries),
@@ -106,7 +109,7 @@ func New(cfg Config) *Server {
 	}
 	m.RegisterGauge("queue_depth", p.depth)
 	m.RegisterGauge("workers_busy", p.busy)
-	for _, c := range []*lruCache{s.resp, s.index, s.eval.programs, s.eval.traces, s.eval.sims} {
+	for _, c := range []*lruCache{s.resp, s.index, s.eval.programs, s.eval.traces, s.eval.inferences, s.eval.annotations, s.eval.sims} {
 		m.RegisterGauge(fmt.Sprintf("cache_entries{cache=%q}", c.label), func() int64 { return int64(c.len()) })
 		m.Add(c.evictions, 0) // listed at zero before the first eviction
 	}

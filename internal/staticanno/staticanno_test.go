@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachier/internal/parc"
+	"cachier/internal/parcgen"
 	"cachier/internal/sim"
 	"cachier/internal/trace"
 )
@@ -92,6 +93,33 @@ func TestInferMatchesSimulatedTrace(t *testing.T) {
 		t.Fatalf("partition program should infer exactly; notes: %v", inf.Notes)
 	}
 	sameMisses(t, inf.Trace, simTrace(t, partitionSrc, nodes))
+}
+
+// TestExactInferenceDigestsAsSimulated pins DESIGN.md §9's claim end to end,
+// on the key cachierd shares an annotation under: over parcgen seeds 0–199
+// at 4 nodes, every Exact inference's trace has the simulated trace's
+// digest, so /v1/static's annotation is /v1/annotate's.
+func TestExactInferenceDigestsAsSimulated(t *testing.T) {
+	const nodes = 4
+	exact := 0
+	for seed := int64(0); seed < 200; seed++ {
+		src := parcgen.Generate(seed)
+		inf, err := Infer(parseTest(t, src), testConfig(nodes))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !inf.Exact {
+			continue
+		}
+		exact++
+		if inf.Trace.Digest() != simTrace(t, src, nodes).Digest() {
+			t.Errorf("seed %d: an exact inference's trace digests unlike the simulated trace", seed)
+		}
+	}
+	t.Logf("%d of 200 programs infer exactly", exact)
+	if exact < 190 {
+		t.Errorf("only %d of 200 programs infer exactly; the check covers too few", exact)
+	}
 }
 
 // TestInferLabels: the synthetic trace must carry the same labelling the

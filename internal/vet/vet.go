@@ -245,12 +245,14 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 		name string     // "var@epoch", the order buckets are visited in
 		accs [][]*event // by node
 	}
-	// An access adds nothing to its node's list when one with the same
-	// statement, epoch, direction, element sets and lock set is already
-	// there. Shared reads carry statement 0 and the key names no variable,
-	// so of one node's reads of A[3] and B[3] in an epoch only the first is
-	// kept, and a race on the second goes unreported (ROADMAP.md).
+	// An access adds nothing to its node's list when one to the same
+	// variable with the same statement, epoch, direction, element sets and
+	// lock set is already there. Shared reads carry statement 0, so without
+	// the variable in the key one node's reads of A[3] and B[3] in an epoch
+	// would keep only the first, and a race on the second would go
+	// unreported.
 	type accessKey struct {
+		decl                     *parc.SharedDecl
 		stmt, epoch, dims, locks int32
 		write                    bool
 	}
@@ -266,7 +268,7 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 			if ev.kind != evAccess {
 				continue
 			}
-			key := accessKey{ev.stmtID, ev.epoch, dimsID(&dims, ev.dims), ev.locks, ev.write}
+			key := accessKey{ev.decl, ev.stmtID, ev.epoch, dimsID(&dims, ev.dims), ev.locks, ev.write}
 			if _, dup := dedup[key]; dup {
 				continue
 			}

@@ -13,12 +13,15 @@ test:
 # The bench package exercises the parallel Figure-6 harness, sim hosts the
 # reference engine's lanes on goroutines that hand one machine back and
 # forth, core annotates one checked program from many goroutines
-# (TestAnnotateSharedProgram), and serve is the HTTP layer (shared caches,
-# singleflight, worker pool); run all of it under the race detector after
-# touching sim, interp, dir1sw, core, parc, bench, or serve.
+# (TestAnnotateSharedProgram), vet hands pooled stream storage between
+# passes on many goroutines (TestStreamsConcurrent), and serve is the HTTP
+# layer (shared caches, singleflight, worker pool); run all of it under the
+# race detector after touching sim, interp, dir1sw, core, parc, vet, bench,
+# or serve.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/coherence/... ./internal/dir1sw/... \
-		./internal/dirn/... ./internal/core/... ./internal/bench/... ./internal/serve/...
+		./internal/dirn/... ./internal/core/... ./internal/vet/... ./internal/bench/... \
+		./internal/serve/...
 
 # Static checks: gofmt (any file it would reformat fails the target) and go
 # vet over the Go code, then parcvet (the ParC static race detector and CICO

@@ -6,7 +6,7 @@
 //
 //	cachierd [-addr :8080] [-addr-file path] [-workers N] [-queue N]
 //	         [-timeout 60s] [-cache-entries N] [-drain-timeout 30s]
-//	         [-metrics-dump path]
+//	         [-metrics-dump path] [-debug-addr 127.0.0.1:6060]
 //
 // The daemon runs until SIGTERM or SIGINT, then drains: new requests get
 // 503, in-flight requests finish (bounded by -drain-timeout), the listener
@@ -15,6 +15,11 @@
 //
 // -addr-file writes the listener's resolved address (useful with -addr
 // 127.0.0.1:0 in test harnesses that need a race-free ephemeral port).
+//
+// -debug-addr, off by default, serves net/http/pprof's /debug/pprof/ on a
+// listener of its own, never on the API's: profiles of a live daemon for
+// whoever can reach that address, which should be a private one. The
+// listener closes when the drain begins.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, which only -debug-addr serves
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,6 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cacheEntries = fs.Int("cache-entries", 512, "entries per content-addressed cache")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		metricsDump  = fs.String("metrics-dump", "", "write a final JSON metrics snapshot to this file on shutdown")
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this address, apart from the API (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,6 +80,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
+	}
+	// The debug listener is up before the address file is written, so a
+	// harness that waits for the file finds both.
+	stopDebug := func() {}
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		ds := &http.Server{Handler: http.DefaultServeMux}
+		dsDone := make(chan struct{})
+		go func() {
+			if err := ds.Serve(dln); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(stderr, "cachierd: debug listener: %v\n", err)
+			}
+			close(dsDone)
+		}()
+		stopDebug = func() { ds.Close(); <-dsDone }
+		defer stopDebug()
+		fmt.Fprintf(stdout, "cachierd: debug listening on %s\n", dln.Addr())
 	}
 	resolved := ln.Addr().String()
 	if *addrFile != "" {
@@ -94,6 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "cachierd: draining")
+	stopDebug()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(dctx); err != nil {

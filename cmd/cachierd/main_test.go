@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +16,34 @@ import (
 	"cachier/internal/serve"
 )
 
+// lockedBuffer is the daemon's output, which a test reads while the daemon
+// writes it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startDaemon runs the daemon in a goroutine on an ephemeral port and
 // returns its base URL, the cancel that triggers drain, and a channel with
 // run's error.
-func startDaemon(t *testing.T, extra ...string) (base string, stop context.CancelFunc, done chan error, out *bytes.Buffer) {
+func startDaemon(t *testing.T, extra ...string) (base string, stop context.CancelFunc, done chan error, out *lockedBuffer) {
 	t.Helper()
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addr")
 	ctx, cancel := context.WithCancel(context.Background())
-	out = &bytes.Buffer{}
+	out = &lockedBuffer{}
 	done = make(chan error, 1)
 	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, extra...)
 	go func() { done <- run(ctx, args, out, out) }()
@@ -142,5 +162,53 @@ func TestDaemonDrainRefusesNewWork(t *testing.T) {
 	// The listener is closed after drain; the port must refuse connections.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("daemon still serving after shutdown")
+	}
+}
+
+// TestDaemonDebugListener: -debug-addr serves net/http/pprof on a listener
+// of its own, the API listener answers 404 for the same path, and the debug
+// listener closes when the drain begins.
+func TestDaemonDebugListener(t *testing.T) {
+	base, stop, done, out := startDaemon(t, "-debug-addr", "127.0.0.1:0")
+	const prefix = "cachierd: debug listening on "
+	var debug string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if addr, ok := strings.CutPrefix(line, prefix); ok {
+			debug = "http://" + addr
+		}
+	}
+	if debug == "" {
+		stop()
+		t.Fatalf("daemon printed no debug address; output:\n%s", out)
+	}
+	for _, c := range []struct {
+		url  string
+		want int
+	}{
+		{debug + "/debug/pprof/", http.StatusOK},
+		{debug + "/debug/pprof/cmdline", http.StatusOK},
+		{base + "/debug/pprof/", http.StatusNotFound},
+		{debug + "/healthz", http.StatusNotFound},
+	} {
+		resp, err := http.Get(c.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("GET %s: status %d, want %d", c.url, resp.StatusCode, c.want)
+		}
+	}
+	stop()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v\noutput:\n%s", err, out)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("daemon did not shut down; output:\n%s", out)
+	}
+	if _, err := http.Get(debug + "/debug/pprof/"); err == nil {
+		t.Fatal("debug listener still serving after shutdown")
 	}
 }

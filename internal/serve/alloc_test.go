@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cachier/internal/obs"
@@ -59,6 +60,51 @@ func TestColdRequestAllocBudget(t *testing.T) {
 	t.Logf("one cold program through four endpoints allocates %.1f KB", float64(got)/(1<<10))
 	if got > budget {
 		t.Errorf("cold request allocates %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestColdCorpusAllocBudget is the steady-state gate on cold requests: the
+// bytes per program that 16 new corpus programs allocate through the four
+// endpoints of a server that has already served 16 others. Unlike
+// TestColdRequestAllocBudget's first program, these find vet's stream
+// storage in its pool, so the gate is on what recycling saves. The
+// collector is off while it runs, so the pool is not emptied mid-way. While
+// every vet pass allocated its streams afresh this cost 418.4–418.8 KB per
+// program, or 452–457 KB under the race detector; recycling them brings it
+// to 290–298 KB, or 384–401 KB under the race detector, whose pool drops a
+// quarter of what is put into it. The plain budget is within 5% of its
+// reading, the race detector's above its spread.
+func TestColdCorpusAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	h := New(DefaultConfig()).Handler()
+	send := func(seeds ...int64) {
+		for _, seed := range seeds {
+			for _, c := range coldRequests(parcgen.Generate(seed)) {
+				body, err := json.Marshal(c.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("seed %d, %s: status %d: %s", seed, c.path, w.Code, w.Body)
+				}
+			}
+		}
+	}
+	send(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31)
+	runtime.ReadMemStats(&after)
+	budget := uint64(310 << 10)
+	if raceEnabled {
+		budget = 430 << 10
+	}
+	got := (after.TotalAlloc - before.TotalAlloc) / 16
+	t.Logf("a cold program on a warm server allocates %.1f KB through four endpoints", float64(got)/(1<<10))
+	if got > budget {
+		t.Errorf("a cold program on a warm server allocates %d bytes, budget %d", got, budget)
 	}
 }
 
@@ -124,7 +170,8 @@ func TestHotRequestAllocBudget(t *testing.T) {
 
 // raceEnabled is set under the race detector (race_test.go), whose
 // allocation counts TestHotRequestAllocBudget does not gate and
-// TestColdRequestAllocBudget gates on a budget of their own.
+// TestColdRequestAllocBudget and TestColdCorpusAllocBudget gate on budgets
+// of their own.
 var raceEnabled bool
 
 // allocsPerRun is testing.AllocsPerRun that also reports bytes: the mean

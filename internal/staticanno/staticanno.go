@@ -87,6 +87,7 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sum.Release()
 	if err := sum.CheckBarrierStructure(); err != nil {
 		return nil, fmt.Errorf("staticanno: %w", err)
 	}

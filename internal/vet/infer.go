@@ -79,22 +79,24 @@ type Summary struct {
 	// folded to per-node constants: the streams are the VM's, not an
 	// over-approximation of them.
 	Exact bool
-	Notes []string // first few reasons Exact is false
-	nodes []nodeStream
+	Notes []string     // first few reasons Exact is false
+	nodes []nodeStream // nil once released
 }
 
-// nodeStream is one node's recorded events and the statement IDs of the
-// barriers it crosses, in order.
+// nodeStream is one node's recorded events, in their pooled storage, and
+// the statement IDs of the barriers it crosses, in order.
 type nodeStream struct {
 	events   []event
 	barriers []int32
+	buf      *streamBuf
 }
 
 // Summarize runs the abstract interpreter in inference mode over a checked
 // program and keeps each node's event stream. It never mutates the program
 // and adds no findings to any report; the regular Analyze entry point is
 // unaffected by inference mode. Every access's element sets are checked
-// against its array's bounds here, so a Cursor cannot fail.
+// against its array's bounds here, so a Cursor cannot fail. Release hands
+// the streams' storage back.
 func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	if opts.Nprocs <= 0 {
 		opts.Nprocs = 4
@@ -115,7 +117,7 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 		if r.outOfGas {
 			r.inexact(parc.Pos{}, "analysis budget exhausted")
 		}
-		ns := nodeStream{events: r.events}
+		ns := nodeStream{events: r.events, buf: r.streamBuf}
 		if p > 0 { // the node before's barriers size this node's
 			ns.barriers = make([]int32, 0, len(sum.nodes[p-1].barriers))
 		}
@@ -193,10 +195,21 @@ func checkElements(ev *event) error {
 	return nil
 }
 
+// Release hands the summary's streams back for a later pass to reuse. Every
+// Cursor on s must be done: afterwards Cursor and Next panic rather than
+// read another pass's events. A second Release does nothing.
+func (s *Summary) Release() {
+	for _, ns := range s.nodes {
+		ns.buf.release()
+	}
+	s.nodes = nil
+}
+
 // Cursor reads one node's stream step by step. Its odometer walks a shared
 // access's elements row-major ascending, last subscript fastest, so a
 // widened access costs no list of its elements.
 type Cursor struct {
+	sum    *Summary
 	events []event
 	next   int    // the next event to read
 	acc    *event // the access the odometer is walking; nil between accesses
@@ -206,12 +219,15 @@ type Cursor struct {
 
 // Cursor returns a cursor at the start of node's stream.
 func (s *Summary) Cursor(node int) Cursor {
-	return Cursor{events: s.nodes[node].events}
+	return Cursor{sum: s, events: s.nodes[node].events}
 }
 
 // Next returns the node's next step, or nil at the end of its stream. The
 // step is the cursor's own, valid until the next call.
 func (c *Cursor) Next() *Step {
+	if c.sum.nodes == nil {
+		panic("vet: Cursor read after its Summary's Release")
+	}
 	if c.acc != nil && c.advance() {
 		return &c.step
 	}

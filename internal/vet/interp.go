@@ -2,8 +2,10 @@ package vet
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 
 	"cachier/internal/analysis"
 	"cachier/internal/parc"
@@ -232,7 +234,7 @@ type nodeRun struct {
 	suppress int // >0: re-evaluation (fixpoint/refinement); no events, no epoch advance
 	fuel     int
 	outOfGas bool
-	events   []event
+	*streamBuf
 	iterCtx  int
 	nextIter int
 	locks    map[int64]int
@@ -270,22 +272,47 @@ func (r *nodeRun) inexact(pos parc.Pos, format string, args ...any) {
 		loc = "<generated>"
 	}
 	note := fmt.Sprintf("node %d: %s: %s", r.node, loc, fmt.Sprintf(format, args...))
-	for _, n := range r.infer.notes {
-		if n == note {
-			return
-		}
+	if !slices.Contains(r.infer.notes, note) {
+		r.infer.notes = append(r.infer.notes, note)
 	}
-	r.infer.notes = append(r.infer.notes, note)
 }
 
-// newNodeRun starts node's run. Every node executes the same program, so the
-// node before's (prev, nil for the first) event count sizes this one's stream.
+// streamBuf is a node stream's storage: its events, the arena their element
+// sets slice into, and the stack indexDims builds them on. It is dead once
+// its pass ends, and release hands it to the next pass through streams.
+type streamBuf struct {
+	events []event
+	dims   []si
+	stack  []si
+}
+
+// streams pools stream storage. Storage above maxPooled events or sets
+// (1.5 MB) is dropped, as fmt drops large printers, so that one Tomcatv
+// inference (450 000 events a node) stays pinned for no later program.
+var streams = sync.Pool{New: func() any { return new(streamBuf) }}
+
+const maxPooled = 1 << 14
+
+// newNodeRun starts node's run on pooled storage. Every node executes the
+// same program, so the node before's (prev, nil for the first) stream sizes
+// this one's when the pooled storage is smaller.
 func newNodeRun(v *vetter, node int, prev *nodeRun) *nodeRun {
 	r := &nodeRun{v: v, node: node, fuel: maxFuel, locks: make(map[int64]int)}
-	if prev != nil {
-		r.events = make([]event, 0, len(prev.events))
+	r.streamBuf = streams.Get().(*streamBuf)
+	if prev != nil && (cap(r.events) < len(prev.events) || cap(r.dims) < len(prev.dims)) {
+		r.events, r.dims = make([]event, 0, len(prev.events)), make([]si, 0, len(prev.dims))
 	}
 	return r
+}
+
+// release clears b's events, so no AST pointer outlives the pass, and pools
+// b unless it is too large to keep.
+func (b *streamBuf) release() {
+	clear(b.events)
+	if cap(b.events) <= maxPooled && cap(b.dims) <= maxPooled {
+		b.events, b.dims, b.stack = b.events[:0], b.dims[:0], b.stack[:0]
+		streams.Put(b)
+	}
 }
 
 func (r *nodeRun) run(main *parc.FuncDecl) {
@@ -375,6 +402,7 @@ func (r *nodeRun) flushWork() {
 type runSnap struct {
 	st       *state
 	events   int
+	dims     int
 	epoch    int
 	curStmt  int
 	lockTop  int
@@ -385,20 +413,17 @@ type runSnap struct {
 }
 
 func (r *nodeRun) snapshot(st *state) runSnap {
-	locks := make(map[int64]int, len(r.locks))
-	for k, n := range r.locks {
-		locks[k] = n
-	}
 	return runSnap{
-		st: st.clone(), events: len(r.events), epoch: r.epoch,
+		st: st.clone(), events: len(r.events), dims: len(r.dims), epoch: r.epoch,
 		curStmt: r.curStmt, lockTop: r.lockTop, lockSet: r.lockSet,
-		lockDirt: r.lockDirt, locks: locks, pending: r.pending,
+		lockDirt: r.lockDirt, locks: maps.Clone(r.locks), pending: r.pending,
 	}
 }
 
 func (r *nodeRun) rollback(st *state, s runSnap) {
 	*st = *s.st
-	r.events = r.events[:s.events]
+	clear(r.events[s.events:])
+	r.events, r.dims = r.events[:s.events], r.dims[:s.dims]
 	r.epoch = s.epoch
 	r.curStmt = s.curStmt
 	r.lockTop = s.lockTop
@@ -577,9 +602,7 @@ func (r *nodeRun) indexExpr(st *state, n *parc.IndexExpr) aval {
 // A suppressed re-walk records no event, so it only evaluates the
 // subscripts for their effects.
 func (r *nodeRun) indexDims(st *state, decl *parc.SharedDecl, idxs []parc.Expr) (dims []si, variant bool) {
-	if r.suppress == 0 {
-		dims = make([]si, 0, len(idxs))
-	}
+	mark := len(r.stack)
 	for d, ix := range idxs {
 		r.charge(1) // interpreter's offset() charges one unit per dimension
 		a := r.evalExpr(st, ix)
@@ -593,9 +616,22 @@ func (r *nodeRun) indexDims(st *state, decl *parc.SharedDecl, idxs []parc.Expr) 
 		if !s.isConst() {
 			variant = true
 		}
-		dims = append(dims, s)
+		r.stack = append(r.stack, s)
 	}
-	return dims, variant
+	return r.popDims(mark), variant
+}
+
+// popDims moves the sets pushed on the stack since mark into the arena and
+// returns them there, or nil in a suppressed re-walk, which records nothing.
+// Sets are stacked first because a subscript can itself access an array
+// (A[B[i]]), whose sets land in between.
+func (r *nodeRun) popDims(mark int) []si {
+	start, sets := len(r.dims), r.stack[mark:]
+	if r.stack = r.stack[:mark]; r.suppress > 0 {
+		return nil
+	}
+	r.dims = append(r.dims, sets...)
+	return r.dims[start:len(r.dims):len(r.dims)]
 }
 
 func (r *nodeRun) negVal(st *state, a aval) aval {
@@ -1361,7 +1397,7 @@ func assignTok(op parc.AssignOp) parc.TokKind {
 func (r *nodeRun) cico(st *state, n *parc.CICOStmt) {
 	tgt := n.Target
 	decl := tgt.Shared
-	var dims []si
+	mark := len(r.stack)
 	variant := false
 	for d, ix := range tgt.Indices {
 		lo := r.mat(st, r.evalExpr(st, ix.Lo))
@@ -1382,10 +1418,10 @@ func (r *nodeRun) cico(st *state, n *parc.CICOStmt) {
 		if !stable {
 			variant = true
 		}
-		dims = append(dims, s)
+		r.stack = append(r.stack, s)
 	}
 	r.emit(event{
-		kind: evAnn, ann: n.Kind, decl: decl, ref: n, dims: dims,
+		kind: evAnn, ann: n.Kind, decl: decl, ref: n, dims: r.popDims(mark),
 		locks: r.heldLocks(), stmtID: int32(n.ID()), variant: variant,
 	})
 }

@@ -108,6 +108,25 @@ func TestSIIntersectSound(t *testing.T) {
 	}
 }
 
+// TestSIDisjointIntervalsNeverOverlap pins what the race finder's pruning
+// rests on: two sets whose intervals are disjoint do not overlap, whatever
+// their strides, widened and huge-stride sets included.
+func TestSIDisjointIntervalsNeverOverlap(t *testing.T) {
+	grids := []si{
+		siEmpty, siConst(0), siConst(7), siConst(-3),
+		siRange(0, 24, 1), siRange(1, 25, 2), siRange(2, 26, 4), siRange(-12, 12, 5),
+		siRange(30, 40, 1), siRange(negInf, -20, 1), siRange(20, posInf, 1),
+		{1, 1 + (1 << 40), 1 << 40}, {3, 3 + 2*(1<<41-1), 1<<41 - 1},
+	}
+	for _, a := range grids {
+		for _, b := range grids {
+			if (a.empty() || b.empty() || a.hi < b.lo || a.lo > b.hi) && a.overlaps(b) {
+				t.Errorf("%+v and %+v have disjoint intervals but overlap", a, b)
+			}
+		}
+	}
+}
+
 func TestSIOverlapsDegenerate(t *testing.T) {
 	cases := []struct {
 		name string

@@ -95,38 +95,27 @@ type Report struct {
 }
 
 // Races returns the data-race findings.
-func (r *Report) Races() []Finding { return r.filter(RuleRaceWW, RuleRaceWR) }
+func (r *Report) Races() []Finding { return r.where(isRace) }
 
 // LintErrors returns annotation-lint findings of Error severity; a program
 // "passes the annotation lint" when this is empty.
 func (r *Report) LintErrors() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Severity == SevError && f.Rule != RuleRaceWW && f.Rule != RuleRaceWR {
-			out = append(out, f)
-		}
-	}
-	return out
+	return r.where(func(f Finding) bool { return f.Severity == SevError && !isRace(f) })
 }
 
 // Errors returns all Error-severity findings (races included).
 func (r *Report) Errors() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Severity == SevError {
-			out = append(out, f)
-		}
-	}
-	return out
+	return r.where(func(f Finding) bool { return f.Severity == SevError })
 }
 
-func (r *Report) filter(rules ...string) []Finding {
+func isRace(f Finding) bool { return f.Rule == RuleRaceWW || f.Rule == RuleRaceWR }
+
+// where returns the findings keep accepts, in order.
+func (r *Report) where(keep func(Finding) bool) []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
-		for _, rule := range rules {
-			if f.Rule == rule {
-				out = append(out, f)
-			}
+		if keep(f) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -163,6 +152,7 @@ func Analyze(prog *parc.Program, opts Options) *Report {
 	v.findRaces(runs)
 	for _, r := range runs {
 		v.lint(r)
+		r.release()
 	}
 	sort.SliceStable(v.findings, func(i, j int) bool {
 		a, b := v.findings[i], v.findings[j]
@@ -243,6 +233,7 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 	}
 	type bucket struct {
 		name string     // "var@epoch", the order buckets are visited in
+		rank int        // the variable's dimensions
 		accs [][]*event // by node
 	}
 	// An access adds nothing to its node's list when one to the same
@@ -278,6 +269,7 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 			if b == nil {
 				b = &bucket{
 					name: ev.decl.Name + "@" + strconv.Itoa(int(ev.epoch)),
+					rank: len(ev.decl.DimSizes),
 					accs: make([][]*event, len(runs)),
 				}
 				buckets[bk] = b
@@ -288,10 +280,33 @@ func (v *vetter) findRaces(runs []*nodeRun) {
 	}
 	slices.SortFunc(order, func(a, b *bucket) int { return strings.Compare(a.name, b.name) })
 	reported := make(map[pairKey]bool)
+	var hulls []si // by node: each dimension's interval hull over the node's accesses
 	for _, b := range order {
+		k := b.rank // parc.Check holds every access to it
+		hulls = slices.Grow(hulls[:0], k*len(b.accs))[:k*len(b.accs)]
+		for p, evs := range b.accs {
+			h := hulls[k*p:][:k]
+			for d := range h {
+				h[d] = si{posInf, negInf, 1} // empty until a set's bounds widen it
+			}
+			for _, ev := range evs {
+				for d, s := range ev.dims {
+					h[d] = si{min(h[d].lo, s.lo), max(h[d].hi, s.hi), 1}
+				}
+			}
+		}
 		for p := 0; p < len(b.accs); p++ {
 			for q := p + 1; q < len(b.accs); q++ {
+				h := hulls[k*q:][:k]
+			pairs:
 				for _, ea := range b.accs[p] {
+					// si.intersect is empty on disjoint intervals, so checkPair
+					// drops every pair of an ea outside h in some dimension.
+					for d, s := range ea.dims {
+						if s.empty() || s.hi < h[d].lo || s.lo > h[d].hi {
+							continue pairs
+						}
+					}
 					for _, eb := range b.accs[q] {
 						v.checkPair(ea, eb, p, q, reported)
 					}

@@ -14,6 +14,7 @@ package cachier
 //	                                 directives vs Performance CICO (Sec. 4.1)
 //	BenchmarkFullMapBaseline      — ablation: the same annotations under a
 //	                                 full-map hardware directory
+//	                                 (protocol dirnnb:<nodes>)
 //	BenchmarkPostStore            — extension: KSR-1 post-store check-ins
 //	BenchmarkSmallRun, BenchmarkColdRequest — cachierd's cold path: one run
 //	                                 of a 4-node corpus program, and one new
@@ -697,8 +698,9 @@ func BenchmarkAnnotate(b *testing.B) {
 
 // BenchmarkFullMapBaseline is the protocol-sensitivity ablation: under a
 // full-map hardware directory (the Dir_N class Dir1SW was designed as a
-// cheap alternative to) no transition traps to software and invalidations
-// are directed, so the unannotated baseline is much faster and CICO
+// cheap alternative to; DirₙNB with a pointer per node, protocol
+// "dirnnb:<nodes>") no transition traps to software and invalidations are
+// directed, so the unannotated baseline is much faster and CICO
 // annotations have far less left to save. The annotations' value is a
 // property of Dir1SW's hardware/software split, exactly as the cooperative
 // shared memory work argues.
@@ -716,10 +718,10 @@ func BenchmarkFullMapBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ratio := func(fullMap bool) float64 {
+	ratio := func(protocol string) float64 {
 		cfg := sim.DefaultConfig()
 		cfg.Nodes = bm.Nodes
-		cfg.FullMap = fullMap
+		cfg.Protocol = protocol
 		base, err := sim.Run(parc.MustParse(src), cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -732,8 +734,8 @@ func BenchmarkFullMapBaseline(b *testing.B) {
 	}
 	var dir1swRatio, fullMapRatio float64
 	for i := 0; i < b.N; i++ {
-		dir1swRatio = ratio(false)
-		fullMapRatio = ratio(true)
+		dir1swRatio = ratio("dir1sw")
+		fullMapRatio = ratio(fmt.Sprintf("dirnnb:%d", bm.Nodes))
 	}
 	b.ReportMetric(dir1swRatio, "cachier/none-dir1sw")
 	b.ReportMetric(fullMapRatio, "cachier/none-fullmap")

@@ -20,13 +20,15 @@
 //	-statsjson FILE write the full stats snapshot as JSON
 //	-timeline FILE  write a Chrome-trace/Perfetto timeline as JSON
 //	-poststore      KSR-1 post-store semantics for check-ins (ablation)
-//	-fullmap        full-map hardware directory instead of Dir1SW (ablation)
-//	-protocol SPEC  coherence protocol: dir1sw (default), dirnnb[:n], dirnb[:n]
+//	-protocol SPEC  coherence protocol: dir1sw (default), dirnnb[:n], dirnb[:n];
+//	                dirnnb:N on N nodes is the full-map hardware directory
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -37,34 +39,48 @@ import (
 )
 
 func main() {
-	var (
-		nodes      = flag.Int("nodes", 32, "simulated processors")
-		cacheSize  = flag.Int("cache", 256*1024, "per-node cache size in bytes")
-		assoc      = flag.Int("assoc", 4, "cache associativity")
-		block      = flag.Int("block", 32, "cache block size in bytes")
-		traceFile  = flag.String("trace", "", "trace mode: write miss trace to this file")
-		ignore     = flag.Bool("ignore-cico", false, "ignore CICO statements")
-		noPrefetch = flag.Bool("no-prefetch", false, "ignore prefetch annotations")
-		stats      = flag.Bool("stats", false, "print detailed protocol statistics")
-		statsJSON  = flag.String("statsjson", "", "write the full stats snapshot as JSON to this file")
-		timeline   = flag.String("timeline", "", "write a Chrome-trace/Perfetto timeline as JSON to this file")
-		postStore  = flag.Bool("poststore", false, "KSR-1 post-store semantics for check-ins")
-		fullMap    = flag.Bool("fullmap", false, "full-map hardware directory instead of Dir1SW")
-		protocol   = flag.String("protocol", "", `coherence protocol spec: "dir1sw" (default), "dirnnb[:n]", or "dirnb[:n]"`)
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: wwt [flags] program.parc")
-		flag.Usage()
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "wwt:", err)
+		}
+		os.Exit(1)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+}
+
+// run is the whole program behind an error seam, so tests drive it with
+// in-memory writers exactly as main drives it with the real streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("wwt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		nodes      = fs.Int("nodes", 32, "simulated processors")
+		cacheSize  = fs.Int("cache", 256*1024, "per-node cache size in bytes")
+		assoc      = fs.Int("assoc", 4, "cache associativity")
+		block      = fs.Int("block", 32, "cache block size in bytes")
+		traceFile  = fs.String("trace", "", "trace mode: write miss trace to this file")
+		ignore     = fs.Bool("ignore-cico", false, "ignore CICO statements")
+		noPrefetch = fs.Bool("no-prefetch", false, "ignore prefetch annotations")
+		stats      = fs.Bool("stats", false, "print detailed protocol statistics")
+		statsJSON  = fs.String("statsjson", "", "write the full stats snapshot as JSON to this file")
+		timeline   = fs.String("timeline", "", "write a Chrome-trace/Perfetto timeline as JSON to this file")
+		postStore  = fs.Bool("poststore", false, "KSR-1 post-store semantics for check-ins")
+		protocol   = fs.String("protocol", "", `coherence protocol spec: "dir1sw" (default), "dirnnb[:n]", or "dirnb[:n]"`)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: wwt [flags] program.parc")
+		fs.Usage()
+		return fmt.Errorf("expected one program, got %d arguments", fs.NArg())
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prog, err := parc.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = *nodes
@@ -74,7 +90,6 @@ func main() {
 	cfg.IgnoreDirectives = *ignore
 	cfg.DisablePrefetch = *noPrefetch
 	cfg.PostStore = *postStore
-	cfg.FullMap = *fullMap
 	cfg.Protocol = *protocol
 	if *traceFile != "" {
 		cfg.Mode = sim.ModeTrace
@@ -87,83 +102,74 @@ func main() {
 	}
 	res, err := sim.Run(prog, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, line := range res.Output {
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	fmt.Printf("execution time: %d cycles on %d nodes (%d barriers, %s)\n",
+	fmt.Fprintf(stdout, "execution time: %d cycles on %d nodes (%d barriers, %s)\n",
 		res.Cycles, *nodes, res.Barriers, res.Protocol)
 	s := res.Stats
-	fmt.Printf("misses: %d read, %d write, %d write faults; %d traps\n",
+	fmt.Fprintf(stdout, "misses: %d read, %d write, %d write faults; %d traps\n",
 		s.ReadMisses, s.WriteMisses, s.WriteFaults, s.Traps)
 	if *stats {
 		snap := res.Snapshot
 		p := &snap.Protocol
-		fmt.Printf("engine: %s\n", res.Engine)
-		fmt.Printf("accesses: %d reads, %d writes, %d hits\n", p.Reads, p.Writes, p.Hits)
-		fmt.Printf("messages: %d requests, %d data, %d control (%d total)\n",
+		fmt.Fprintf(stdout, "engine: %s\n", res.Engine)
+		fmt.Fprintf(stdout, "accesses: %d reads, %d writes, %d hits\n", p.Reads, p.Writes, p.Hits)
+		fmt.Fprintf(stdout, "messages: %d requests, %d data, %d control (%d total)\n",
 			p.ReqMsgs, p.DataMsgs, p.CtlMsgs, p.TotalMsgs())
-		fmt.Printf("coherence: %d invalidations, %d writebacks\n", p.Invalidations, p.Writebacks)
-		fmt.Printf("directives: %d co_x, %d co_s, %d ci, %d pf_x, %d pf_s (%d wasted)\n",
+		fmt.Fprintf(stdout, "coherence: %d invalidations, %d writebacks\n", p.Invalidations, p.Writebacks)
+		fmt.Fprintf(stdout, "directives: %d co_x, %d co_s, %d ci, %d pf_x, %d pf_s (%d wasted)\n",
 			p.CheckOutX, p.CheckOutS, p.CheckIns, p.PrefetchX, p.PrefetchS, p.WastedDirs)
-		fmt.Printf("interp: %d ops, %d handoffs, %d work cycles\n",
+		fmt.Fprintf(stdout, "interp: %d ops, %d handoffs, %d work cycles\n",
 			snap.Interp.Ops, snap.Interp.Handoffs, snap.Interp.WorkCycles)
 		for _, tr := range snap.Directory.Transitions {
-			fmt.Printf("  dir %-9s -> %-9s %d\n", tr.From, tr.To, tr.Count)
+			fmt.Fprintf(stdout, "  dir %-9s -> %-9s %d\n", tr.From, tr.To, tr.Count)
 		}
 		for _, tc := range snap.Directory.TrapCauses {
-			fmt.Printf("  trap %-19s %d\n", tc.Cause, tc.Count)
+			fmt.Fprintf(stdout, "  trap %-19s %d\n", tc.Cause, tc.Count)
 		}
 		loads, stores := res.SharingDegree()
-		fmt.Printf("sharing degree: %.1f%% of loads, %.1f%% of stores\n", 100*loads, 100*stores)
+		fmt.Fprintf(stdout, "sharing degree: %.1f%% of loads, %.1f%% of stores\n", 100*loads, 100*stores)
 		for _, vd := range snap.Vars {
-			fmt.Printf("  %-12s co_x=%-8d co_s=%-8d ci=%-8d pf=%d\n",
+			fmt.Fprintf(stdout, "  %-12s co_x=%-8d co_s=%-8d ci=%-8d pf=%d\n",
 				vd.Name, vd.CheckOutX, vd.CheckOutS, vd.CheckIns, vd.PrefetchX+vd.PrefetchS)
 		}
 	}
 	if *statsJSON != "" {
-		writeFile(*statsJSON, func(w *os.File) error { return res.Snapshot.WriteJSON(w) })
-		fmt.Printf("stats snapshot: %s\n", *statsJSON)
+		if err := writeFile(*statsJSON, res.Snapshot.WriteJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "stats snapshot: %s\n", *statsJSON)
 	}
 	if *timeline != "" {
-		label := filepath.Base(flag.Arg(0))
-		writeFile(*timeline, func(w *os.File) error {
+		label := filepath.Base(fs.Arg(0))
+		if err := writeFile(*timeline, func(w io.Writer) error {
 			return cfg.Recorder.WriteTimeline(w, label)
-		})
-		fmt.Printf("timeline: %s\n", *timeline)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "timeline: %s\n", *timeline)
 	}
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*traceFile, func(w io.Writer) error { return trace.Write(w, res.Trace) }); err != nil {
+			return err
 		}
-		if err := trace.Write(f, res.Trace); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: %d epochs written to %s\n", len(res.Trace.Epochs), *traceFile)
+		fmt.Fprintf(stdout, "trace: %d epochs written to %s\n", len(res.Trace.Epochs), *traceFile)
 	}
+	return nil
 }
 
-// writeFile creates path and streams write into it, failing the command on
-// any error.
-func writeFile(path string, write func(*os.File) error) {
+// writeFile creates path and streams write into it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := write(f); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wwt:", err)
-	os.Exit(1)
+	return f.Close()
 }

@@ -7,38 +7,69 @@ import (
 	"testing"
 )
 
-// TestDir1SWRefactorGuard pins the protocol-interface refactor: Dir1SW
-// selected explicitly through the protocol registry (sim.Config.Protocol =
+// fig6Cycles is one Figure 6 benchmark's cycles per variant.
+type fig6Cycles struct {
+	Benchmark                      string
+	None, Hand, Cachier, CachierPF uint64
+}
+
+// fullMapFig6 is Figure 6 under the full-map directory, DirₙNB with a
+// pointer per node: the cycles the retired full-map switch of Dir1SW gave,
+// which dirnnb:32 reproduces exactly.
+var fullMapFig6 = []fig6Cycles{
+	{"Barnes", 1280960, 1276062, 1041187, 1040227},
+	{"Ocean", 149729, 157958, 197635, 197635},
+	{"Mp3d", 138000, 178282, 206928, 201539},
+	{"MatrixMultiply", 276348, 471531, 503238, 464434},
+	{"Tomcatv", 2224346, 2230626, 2441778, 2362428},
+}
+
+// TestDir1SWRefactorGuard pins the protocols built from the shared
+// directory transitions to frozen Figure 6 cycle counts: Dir1SW selected
+// explicitly through the protocol registry (sim.Config.Protocol =
 // "dir1sw", the same resolution path DirnNB/DirnB use) must reproduce the
-// frozen pre-refactor Figure 6 cycle counts exactly. Any drift here means
-// the extraction of the coherence machinery changed Dir1SW's simulated
-// behaviour, which the refactor forbids — hence Fatalf, not Errorf.
+// pre-refactor goldens, and the full-map baseline dirnnb:32 the cycles of
+// the switch it replaced. Any drift means a refactor of the coherence
+// machinery changed simulated behaviour, which it must not — hence Fatalf,
+// not Errorf.
 func TestDir1SWRefactorGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	rows, err := Figure6Protocol("dir1sw")
-	if err != nil {
-		t.Fatal(err)
+	var dir1swFig6 []fig6Cycles
+	for _, g := range goldenFig6 {
+		dir1swFig6 = append(dir1swFig6, fig6Cycles{g.Benchmark, g.None, g.Hand, g.Cachier, g.CachierPF})
 	}
-	for i, want := range goldenFig6 {
-		r := rows[i]
-		if r.Benchmark != want.Benchmark {
-			t.Fatalf("row %d is %s, want %s", i, r.Benchmark, want.Benchmark)
+	for _, c := range []struct {
+		spec, name string
+		golden     []fig6Cycles
+	}{
+		{"dir1sw", "Dir1SW", dir1swFig6},
+		{"dirnnb:32", "Dir32NB", fullMapFig6},
+	} {
+		rows, err := Figure6Protocol(c.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Protocol != "Dir1SW" {
-			t.Fatalf("%s: protocol %q, want Dir1SW", r.Benchmark, r.Protocol)
-		}
-		golden := map[Variant]uint64{
-			VariantNone:            want.None,
-			VariantHand:            want.Hand,
-			VariantCachier:         want.Cachier,
-			VariantCachierPrefetch: want.CachierPF,
-		}
-		for _, v := range Variants() {
-			if r.Cycles[v] != golden[v] {
-				t.Fatalf("%s/%s: %d cycles under explicit dir1sw, pre-refactor golden %d — the protocol extraction drifted",
-					r.Benchmark, v, r.Cycles[v], golden[v])
+		for i, want := range c.golden {
+			r := rows[i]
+			if r.Benchmark != want.Benchmark {
+				t.Fatalf("%s: row %d is %s, want %s", c.spec, i, r.Benchmark, want.Benchmark)
+			}
+			if r.Protocol != c.name {
+				t.Fatalf("%s/%s: protocol %q, want %s", c.spec, r.Benchmark, r.Protocol, c.name)
+			}
+			golden := map[Variant]uint64{
+				VariantNone:            want.None,
+				VariantHand:            want.Hand,
+				VariantCachier:         want.Cachier,
+				VariantCachierPrefetch: want.CachierPF,
+			}
+			for _, v := range Variants() {
+				if r.Cycles[v] != golden[v] {
+					t.Fatalf("%s/%s/%s: %d cycles, frozen golden %d — the coherence machinery drifted",
+						c.spec, r.Benchmark, v, r.Cycles[v], golden[v])
+				}
 			}
 		}
 	}

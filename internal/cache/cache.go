@@ -82,8 +82,7 @@ type Cache struct {
 }
 
 // New builds a cache with the given total size in bytes, associativity, and
-// block size. Size must be divisible by assoc*blockSize and the resulting
-// set count must be a power of two.
+// block size, which must pass CheckGeometry.
 //
 // reach is the number of blocks in the address space (block numbers are below
 // it), or 0 when unknown. Those blocks index only the first reach sets, so
@@ -92,16 +91,10 @@ type Cache struct {
 // set index is block & (nsets-1) regardless, so no hit, miss, victim, or LRU
 // stamp depends on reach; a block beyond it grows the array first (grow).
 func New(size, assoc, blockSize int, reach uint64) (*Cache, error) {
-	if size <= 0 || assoc <= 0 || blockSize <= 0 {
-		return nil, fmt.Errorf("cache: non-positive geometry (size=%d assoc=%d block=%d)", size, assoc, blockSize)
-	}
-	if size%(assoc*blockSize) != 0 {
-		return nil, fmt.Errorf("cache: size %d not divisible by assoc*block (%d)", size, assoc*blockSize)
+	if err := CheckGeometry(size, assoc, blockSize); err != nil {
+		return nil, err
 	}
 	nsets := size / (assoc * blockSize)
-	if nsets&(nsets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a power of two", nsets)
-	}
 	have := nsets
 	if reach > 0 && reach < uint64(nsets) {
 		have = 1 << bits.Len64(reach-1)
@@ -113,6 +106,37 @@ func New(size, assoc, blockSize int, reach uint64) (*Cache, error) {
 		flat:      make([]line, have*assoc),
 		hot:       make([]uint64, have),
 	}, nil
+}
+
+// CheckGeometry reports whether New can build a cache of size bytes in
+// assoc-way sets of blockSize-byte blocks: all three positive, the block
+// size a valid one (CheckBlockSize), and size a power-of-two number of
+// sets. It never multiplies, so no geometry overflows into a false pass;
+// a caller can refuse a machine with it before building one.
+func CheckGeometry(size, assoc, blockSize int) error {
+	if size <= 0 || assoc <= 0 || blockSize <= 0 {
+		return fmt.Errorf("cache: non-positive geometry (size=%d assoc=%d block=%d)", size, assoc, blockSize)
+	}
+	if err := CheckBlockSize(blockSize); err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	if size%blockSize != 0 || (size/blockSize)%assoc != 0 {
+		return fmt.Errorf("cache: size %d is not a whole number of %d-way sets of %d-byte blocks", size, assoc, blockSize)
+	}
+	if nsets := size / blockSize / assoc; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("cache: set count %d is not a power of two", nsets)
+	}
+	return nil
+}
+
+// CheckBlockSize reports whether blockSize can be the machine's block size:
+// a positive power of two, which the memory layout aligns regions to and
+// the coherence layer finds a block by shifting with.
+func CheckBlockSize(blockSize int) error {
+	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
+		return fmt.Errorf("block size %d is not a positive power of two", blockSize)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error; for configurations known valid.

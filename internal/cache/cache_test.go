@@ -3,6 +3,7 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,6 +23,8 @@ func small(t *testing.T) *Cache {
 func TestGeometryValidation(t *testing.T) {
 	bad := []struct{ size, assoc, block int }{
 		{0, 4, 32}, {256, 0, 32}, {256, 4, 0}, {100, 4, 32}, {3 * 32 * 4, 4, 32},
+		{DefaultSize, 3, 32}, {DefaultSize, -1, 32}, {24 * 4 * 1024, 4, 24},
+		{DefaultSize, 1 << (bits.UintSize - 5), 32}, // assoc*block wraps to 0: refused, not a divide by zero
 	}
 	for _, g := range bad {
 		if _, err := New(g.size, g.assoc, g.block, 0); err == nil {

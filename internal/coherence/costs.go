@@ -6,9 +6,11 @@
 // probe, and the observability seams. What varies between directory
 // protocols — the state-machine transitions a miss/upgrade performs, the
 // cycle cost and trap behaviour of each, and any protocol-specific
-// invariants — is supplied by a Protocol implementation (see protocol.go):
-// internal/dir1sw for the paper's Dir1SW (and its full-map ablation),
-// internal/dirn for the hardware DirₙNB/DirₙB variants.
+// invariants — is supplied by a Protocol implementation (see protocol.go),
+// built from the directory transitions in transitions.go: internal/dir1sw
+// for the paper's Dir1SW, internal/dirn for the hardware DirₙNB/DirₙB
+// variants. The full-map directory Dir1SW is measured against is DirₙNB
+// with a pointer per node (protocol spec "dirnnb:<nodes>").
 package coherence
 
 import "cachier/internal/obs"
@@ -52,6 +54,11 @@ func (c Costs) CleanMiss() uint64 { return 2*c.NetHop + c.DirService + c.MemAcce
 // Upgrade is the latency of a hardware shared-to-exclusive upgrade
 // (request + ack, no data transfer).
 func (c Costs) Upgrade() uint64 { return 2*c.NetHop + c.DirService }
+
+// Forward is the latency of a miss the directory forwards to the block's
+// exclusive owner: request, forward, data to the requester and the
+// directory, directory service, memory access.
+func (c Costs) Forward() uint64 { return 4*c.NetHop + c.DirService + c.MemAccess }
 
 // Stats aggregates protocol activity. Message counts let the experiments
 // show CICO's traffic reduction as well as its latency reduction.

@@ -12,16 +12,15 @@ import (
 // Everything else — hits, installs, evictions, check-ins, prefetch
 // bookkeeping, flushes — is protocol-independent and lives in System.
 //
-// Hooks receive the System (for caches, costs, stats, the recorder, and the
-// SetState/CancelInflight/NoteInvalidated helpers) and the block's directory
-// Entry, already allocated. Each hook must leave the entry in the state its
-// return implies; the caller installs the cache line, classifies the access,
-// and counts Traps from the returned trap flag. A hook must mirror every
-// Stats.Invalidations increment with a Recorder.Invalidations call (the
-// snapshot consistency checker crosses the two).
-//
-// Hooks change other nodes' lines through cache.Cache's methods, which keep
-// the hot keys exact: a lane counting hits off one never sees a stale line.
+// Hooks receive the System (for costs, stats, the recorder, and the shared
+// directory transitions of transitions.go) and the block's directory
+// Entry, already allocated. A hook is those transitions plus what is the
+// protocol's own: its trap surcharges, pointer limits and broadcasts. Each
+// hook must leave the entry in the state its return implies; the caller
+// installs the cache line, classifies the access, and counts Traps from the
+// returned trap flag. A hook that calls System.Invalidate itself must
+// mirror it with a Recorder.Invalidations call (the snapshot consistency
+// checker crosses the two); the other transitions do so on their own.
 type Protocol interface {
 	// Name identifies the protocol in results, snapshots, and goldens
 	// (e.g. "Dir1SW", "Dir4NB").

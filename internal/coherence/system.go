@@ -85,9 +85,8 @@ type Result struct {
 	Trap   bool // a software trap was taken
 }
 
-// Config configures a System. Protocol-specific options (Dir1SW's full-map
-// ablation, the dirn pointer counts) belong to the Protocol value passed to
-// New, not here.
+// Config configures a System. Protocol-specific options (the dirn pointer
+// counts) belong to the Protocol value passed to New, not here.
 type Config struct {
 	Nodes     int
 	CacheSize int
@@ -142,10 +141,9 @@ type System struct {
 	proto Protocol
 
 	caches []*cache.Cache
-	// blockShift is log2(BlockSize) when the block size is a power of two
-	// (every real configuration), letting BlockOf shift instead of paying a
-	// 64-bit divide on every access; blockShift < 0 falls back to division.
-	blockShift int
+	// blockShift is log2(BlockSize), a power of two (cache.CheckBlockSize),
+	// so BlockOf shifts instead of paying a 64-bit divide on every access.
+	blockShift uint
 	// dense holds directory entries for blocks inside the known shared
 	// address space (Config.AddrSpace), indexed by block number; dir is the
 	// fallback for everything else. Entries are zero-initialized to Idle and
@@ -189,10 +187,8 @@ func New(cfg Config, proto Protocol) (*System, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("coherence: nil protocol")
 	}
-	s := &System{cfg: cfg, proto: proto, dir: make(map[uint64]*Entry), rec: cfg.Recorder, blockShift: -1}
-	if b := cfg.BlockSize; b > 0 && b&(b-1) == 0 {
-		s.blockShift = bits.TrailingZeros(uint(b))
-	}
+	s := &System{cfg: cfg, proto: proto, dir: make(map[uint64]*Entry), rec: cfg.Recorder,
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockSize)))}
 	blocks := cfg.addrBlocks()
 	if blocks > 0 && blocks <= maxDenseBlocks {
 		s.dense = make([]Entry, blocks)
@@ -246,12 +242,7 @@ func (s *System) Recorder() *obs.Recorder { return s.rec }
 func (s *System) Protocol() Protocol { return s.proto }
 
 // BlockOf returns the block number for an address.
-func (s *System) BlockOf(addr uint64) uint64 {
-	if s.blockShift >= 0 {
-		return addr >> uint(s.blockShift)
-	}
-	return addr / uint64(s.cfg.BlockSize)
-}
+func (s *System) BlockOf(addr uint64) uint64 { return addr >> s.blockShift }
 
 func (s *System) entryFor(block uint64) *Entry {
 	if block < uint64(len(s.dense)) {
@@ -278,15 +269,6 @@ func (s *System) initEntry(e *Entry) {
 	}
 }
 
-// NoteInvalidated records that a node lost its copy to an invalidation, for
-// post-store's "allocated but invalid" set. Protocol hooks call it for every
-// copy they invalidate.
-func (s *System) NoteInvalidated(e *Entry, node int) {
-	if s.cfg.PostStore {
-		e.pastHolders.Add(node)
-	}
-}
-
 // DirView returns the entry's directory view, for tests.
 func (s *System) DirView(block uint64) (state DirState, owner int, sharers []int) {
 	e := s.entryFor(block)
@@ -304,20 +286,6 @@ func obsState(st DirState) obs.DirState {
 	return obs.StateIdle
 }
 
-// SetState moves a directory entry to a new state, recording the
-// transition. Exclusive-to-exclusive ownership handoffs are recorded too
-// (callers invoke it even when the state enum is unchanged but the owner
-// moves). Leaving Shared drops any broadcast bit: the sharer set is empty
-// or precisely one owner again.
-func (s *System) SetState(e *Entry, to DirState) {
-	s.rec.DirTransition(obsState(e.State), obsState(to))
-	s.Stats.DirEvents++
-	e.State = to
-	if to != Shared {
-		e.Bcast = false
-	}
-}
-
 // evict reconciles the directory with a cache eviction. Every supported
 // protocol requires replacement notification so its sharer accounting stays
 // exact.
@@ -325,23 +293,15 @@ func (s *System) evict(node int, v cache.Victim) {
 	if s.cfg.Probe {
 		defer s.probeAfter("evict", v.Block)
 	}
-	e := s.entryFor(v.Block)
-	switch e.State {
+	switch s.drop(s.entryFor(v.Block), node) {
 	case Shared:
-		e.Sharers.Remove(node)
 		s.Stats.CtlMsgs++ // replacement notification
-		if e.Sharers.Count() == 0 {
-			s.SetState(e, Idle)
-		}
 	case Exclusive:
-		if e.Owner == node {
-			s.SetState(e, Idle)
-			if v.Dirty {
-				s.Stats.Writebacks++
-				s.Stats.DataMsgs++
-			} else {
-				s.Stats.CtlMsgs++
-			}
+		if v.Dirty {
+			s.Stats.Writebacks++
+			s.Stats.DataMsgs++
+		} else {
+			s.Stats.CtlMsgs++
 		}
 	}
 }
@@ -353,10 +313,10 @@ func (s *System) install(node int, block uint64, st cache.State) {
 	}
 }
 
-// CancelInflight drops a node's in-flight prefetch of block, if any. Called
-// by protocol hooks when another node's access invalidates or downgrades
-// the block before the prefetched data was consumed.
-func (s *System) CancelInflight(node int, block uint64) {
+// cancelInflight drops a node's in-flight prefetch of block, if any: another
+// node's access invalidated or downgraded the block before the prefetched
+// data was consumed.
+func (s *System) cancelInflight(node int, block uint64) {
 	delete(s.inflight[node], block)
 }
 
@@ -505,16 +465,15 @@ type LaneView struct {
 // LaneView returns node's view; clock, limit and the two counters of the
 // node's shared reads and writes are the caller's. There is none under a
 // recorder (every access is an event) or the probe (every access is
-// checked), nor when the block size is no power of two (Hit finds a block by
-// shifting).
+// checked).
 func (s *System) LaneView(node int, clock, limit, nodeReads, nodeWrites *uint64) (LaneView, bool) {
-	if s.rec != nil || s.cfg.Probe || s.blockShift < 0 {
+	if s.rec != nil || s.cfg.Probe {
 		return LaneView{}, false
 	}
 	hot, mask := s.caches[node].Hot()
 	return LaneView{
 		Clock: clock, Limit: limit,
-		hot: hot, setMask: mask, blockShift: uint(s.blockShift), hitCost: s.cfg.Costs.CacheHit,
+		hot: hot, setMask: mask, blockShift: s.blockShift, hitCost: s.cfg.Costs.CacheHit,
 		reads: &s.Stats.Reads, writes: &s.Stats.Writes, hits: &s.Stats.Hits,
 		nodeReads: nodeReads, nodeWrites: nodeWrites,
 	}, true
@@ -634,26 +593,19 @@ func (s *System) CheckIn(node int, addr uint64) Result {
 	}
 	e := s.entryFor(block)
 	cost := co.DirectiveOverhead
-	switch e.State {
+	switch s.drop(e, node) {
 	case Shared:
-		e.Sharers.Remove(node)
 		s.Stats.CtlMsgs++
-		if e.Sharers.Count() == 0 {
-			s.SetState(e, Idle)
-		}
 	case Exclusive:
-		if e.Owner == node {
-			s.SetState(e, Idle)
-			if dirty {
-				s.Stats.Writebacks++
-				s.Stats.DataMsgs++
-				cost += co.WritebackLocal
-			} else {
-				s.Stats.CtlMsgs++
-			}
-			if s.cfg.PostStore && dirty {
-				s.postStore(e, block, node)
-			}
+		if !dirty {
+			s.Stats.CtlMsgs++
+			break
+		}
+		s.Stats.Writebacks++
+		s.Stats.DataMsgs++
+		cost += co.WritebackLocal
+		if s.cfg.PostStore {
+			s.postStore(e, block, node)
 		}
 	}
 	return Result{Cycles: cost, Kind: Hit}
@@ -677,11 +629,7 @@ func (s *System) postStore(e *Entry, block uint64, node int) {
 			continue
 		}
 		s.install(h, block, cache.Shared)
-		if e.State == Idle {
-			s.SetState(e, Shared)
-		}
-		e.Sharers.Add(h)
-		s.Stats.DataMsgs++
+		s.Join(e, h)
 		s.Stats.PostStores++
 	}
 	e.pastHolders.Clear()
@@ -742,37 +690,14 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 // all nodes at every barrier (paper Section 3.3).
 func (s *System) FlushNode(node int) {
 	s.caches[node].FlushAll(func(block uint64, st cache.State, dirty bool) {
-		e := s.entryFor(block)
-		switch e.State {
-		case Shared:
-			e.Sharers.Remove(node)
-			if e.Sharers.Count() == 0 {
-				s.SetState(e, Idle)
-			}
-		case Exclusive:
-			if e.Owner == node {
-				s.SetState(e, Idle)
-				if dirty {
-					s.Stats.Writebacks++
-				}
-			}
+		if s.drop(s.entryFor(block), node) == Exclusive && dirty {
+			s.Stats.Writebacks++
 		}
 	})
 	// Drop in-flight prefetches too; their directory transitions already
 	// happened, so release them as if installed then flushed.
 	for block := range s.inflight[node] {
-		e := s.entryFor(block)
-		switch e.State {
-		case Shared:
-			e.Sharers.Remove(node)
-			if e.Sharers.Count() == 0 {
-				s.SetState(e, Idle)
-			}
-		case Exclusive:
-			if e.Owner == node {
-				s.SetState(e, Idle)
-			}
-		}
+		s.drop(s.entryFor(block), node)
 		delete(s.inflight[node], block)
 	}
 }

@@ -57,7 +57,7 @@ func TestAccessMemoDifferential(t *testing.T) {
 		name string
 		mk   func() coherence.Protocol
 	}{
-		{"dir1sw", func() coherence.Protocol { return dir1sw.Protocol(false) }},
+		{"dir1sw", func() coherence.Protocol { return dir1sw.Protocol() }},
 		{"dirnnb:1", func() coherence.Protocol { return dirn.NB(1) }},
 		{"dirnb:4", func() coherence.Protocol { return dirn.B(4) }},
 	}

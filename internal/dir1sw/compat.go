@@ -38,8 +38,7 @@ const (
 // DefaultCosts returns the model's default cost parameters.
 func DefaultCosts() Costs { return coherence.DefaultCosts() }
 
-// Config configures a Dir1SW System: the shared machinery's options plus
-// the protocol's FullMap ablation switch.
+// Config configures a Dir1SW System: the shared machinery's options.
 type Config struct {
 	Nodes     int
 	CacheSize int
@@ -50,14 +49,6 @@ type Config struct {
 	// PostStore emulates the KSR-1's post-store check-in (see
 	// coherence.Config.PostStore).
 	PostStore bool
-
-	// FullMap models a full-map hardware directory (the Dir_N class the
-	// Dir1SW work positions itself against): the directory knows every
-	// sharer, so no transition traps to software and invalidations are
-	// directed rather than broadcast. CICO directives still work but have
-	// far less to save — the ablation that shows the annotations' value is
-	// protocol-specific.
-	FullMap bool
 
 	// AddrSpace, Probe, Recorder: see coherence.Config.
 	AddrSpace uint64
@@ -77,7 +68,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// New builds a System running Dir1SW (or its full-map ablation).
+// New builds a System running Dir1SW.
 func New(cfg Config) (*System, error) {
 	return coherence.New(coherence.Config{
 		Nodes:     cfg.Nodes,
@@ -89,7 +80,7 @@ func New(cfg Config) (*System, error) {
 		AddrSpace: cfg.AddrSpace,
 		Probe:     cfg.Probe,
 		Recorder:  cfg.Recorder,
-	}, Protocol(cfg.FullMap))
+	}, Protocol())
 }
 
 // MustNew is New but panics on error.

@@ -16,6 +16,10 @@
 //   - any miss to a block held Exclusive by another node: software trap
 //     that retrieves/downgrades the owner's copy.
 //
+// Each hook is the shared directory transitions of internal/coherence plus
+// the trap surcharge; the hardware transitions alone, with a pointer per
+// node, are the full-map directory DirₙNB (protocol spec "dirnnb:<nodes>").
+//
 // CICO annotations act as directives (paper Section 4.1): a miss performs an
 // implicit check-out; an explicit check_out_x before a read-then-write
 // avoids the later upgrade fault; a check_in returns the block toward Idle
@@ -24,61 +28,28 @@
 package dir1sw
 
 import (
-	"cachier/internal/cache"
 	"cachier/internal/coherence"
 	"cachier/internal/obs"
 )
 
-// protocol is the Dir1SW transition machine; fullMap switches it to the
-// full-map ablation (see Config.FullMap).
-type protocol struct {
-	fullMap bool
-}
+// protocol is the Dir1SW transition machine.
+type protocol struct{}
 
-// Protocol returns the Dir1SW protocol, or its full-map ablation.
-func Protocol(fullMap bool) coherence.Protocol {
-	return protocol{fullMap: fullMap}
-}
+// Protocol returns the Dir1SW protocol.
+func Protocol() coherence.Protocol { return protocol{} }
 
-func (p protocol) Name() string {
-	if p.fullMap {
-		return "FullMap"
-	}
-	return "Dir1SW"
-}
+func (protocol) Name() string { return "Dir1SW" }
 
 // FetchShared acquires a read-only copy for node; the caller installs it.
-func (p protocol) FetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	co := s.Costs()
-	switch e.State {
-	case coherence.Idle:
-		s.SetState(e, coherence.Shared)
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		return co.CleanMiss(), false
-	case coherence.Shared:
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		return co.CleanMiss(), false
-	default: // Exclusive by another node: trap, downgrade owner
-		owner := e.Owner
-		s.CancelInflight(owner, block)
-		if s.Cache(owner).Dirty(block) {
-			s.Stats.Writebacks++
-		}
-		s.Cache(owner).SetState(block, cache.Shared)
-		s.SetState(e, coherence.Shared)
-		e.Sharers.Clear()
-		e.Sharers.Add(owner)
-		e.Sharers.Add(node)
-		s.Stats.CtlMsgs += 2 // downgrade request + ack
-		s.Stats.DataMsgs += 2
-		if p.fullMap {
-			return 4*co.NetHop + co.DirService + co.MemAccess, false
-		}
-		s.Recorder().Trap(obs.TrapDowngrade)
-		return co.Trap + 4*co.NetHop + co.DirService + co.MemAccess, true
+// A block held Exclusive by another node traps to downgrade the owner.
+func (protocol) FetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
+	if e.State != coherence.Exclusive {
+		s.Join(e, node)
+		return s.Costs().CleanMiss(), false
 	}
+	cost = s.Downgrade(e, block, node)
+	s.Recorder().Trap(obs.TrapDowngrade)
+	return s.Costs().Trap + cost, true
 }
 
 // Upgrade makes node's shared copy exclusive, invalidating other sharers.
@@ -87,102 +58,41 @@ func (p protocol) FetchShared(s *coherence.System, e *coherence.Entry, block uin
 // and, because the counter does not say who the sharers are, BROADCASTS
 // invalidations to every other node (the protocol's key weakness, and the
 // reason check-ins pay off).
-func (p protocol) Upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	co := s.Costs()
-	others := 0
-	for _, sh := range e.Sharers.Members() {
-		if sh != node {
-			s.CancelInflight(sh, block)
-			s.Cache(sh).Invalidate(block)
-			s.NoteInvalidated(e, sh)
-			s.Stats.Invalidations++
-			others++
-		}
-	}
-	s.SetState(e, coherence.Exclusive)
-	e.Owner = node
-	e.Sharers.Clear()
-	s.Recorder().Invalidations(node, uint64(others))
-	if others == 0 {
-		// Pointer check succeeds: hardware handles the sole-sharer upgrade.
-		return co.Upgrade(), false
-	}
-	if p.fullMap {
-		// Full-map directory: directed invalidations in hardware, no trap.
-		s.Stats.CtlMsgs += 2 * uint64(others)
-		return co.Upgrade() + uint64(others)*co.InvalMsg, false
-	}
-	bcast := uint64(s.Nodes() - 1)
-	s.Stats.CtlMsgs += 2 * bcast // broadcast invalidations + acks
-	s.Recorder().Trap(obs.TrapUpgrade)
-	return co.Trap + co.Upgrade() + bcast*co.InvalMsg, true
+func (protocol) Upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
+	others := s.TakeOwnership(e, block, node)
+	return broadcast(s, others, s.Costs().Upgrade(), obs.TrapUpgrade)
 }
 
 // FetchExclusive acquires a writable copy for node; the caller installs it.
-func (p protocol) FetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	co := s.Costs()
-	switch e.State {
-	case coherence.Idle:
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		s.Stats.DataMsgs++
-		return co.CleanMiss(), false
-	case coherence.Shared:
-		n := 0
-		for _, sh := range e.Sharers.Members() {
-			if sh != node {
-				s.CancelInflight(sh, block)
-				s.Cache(sh).Invalidate(block)
-				s.NoteInvalidated(e, sh)
-				s.Stats.Invalidations++
-				n++
-			}
-		}
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		e.Sharers.Clear()
-		s.Recorder().Invalidations(node, uint64(n))
-		s.Stats.DataMsgs++
-		if n == 0 {
-			return co.CleanMiss(), false
-		}
-		if p.fullMap {
-			s.Stats.CtlMsgs += 2 * uint64(n)
-			return co.CleanMiss() + uint64(n)*co.InvalMsg, false
-		}
-		// Trap + broadcast: the counter does not identify the sharers.
-		bcast := uint64(s.Nodes() - 1)
-		s.Stats.CtlMsgs += 2 * bcast
-		s.Recorder().Trap(obs.TrapWriteBroadcast)
-		return co.Trap + co.CleanMiss() + bcast*co.InvalMsg, true
-	default: // Exclusive by another node
-		owner := e.Owner
-		s.CancelInflight(owner, block)
-		if s.Cache(owner).Dirty(block) {
-			s.Stats.Writebacks++
-		}
-		s.Cache(owner).Invalidate(block)
-		s.NoteInvalidated(e, owner)
-		s.Stats.Invalidations++
-		// An ownership handoff is a transition even though the state enum
-		// is unchanged.
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		s.Recorder().Invalidations(node, 1)
-		s.Stats.CtlMsgs += 2
-		s.Stats.DataMsgs += 2
-		if p.fullMap {
-			// Hardware forwarding: same messages, no software trap.
-			return 4*co.NetHop + co.DirService + co.MemAccess, false
-		}
+// Other sharers are invalidated as Upgrade does; a block held Exclusive by
+// another node traps to steal it from the owner.
+func (protocol) FetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
+	if e.State == coherence.Exclusive {
+		cost = s.Handoff(e, block, node)
 		s.Recorder().Trap(obs.TrapSteal)
-		return co.Trap + 4*co.NetHop + co.DirService + co.MemAccess, true
+		return s.Costs().Trap + cost, true
 	}
+	others := s.TakeOwnership(e, block, node)
+	s.Stats.DataMsgs++
+	return broadcast(s, others, s.Costs().CleanMiss(), obs.TrapWriteBroadcast)
+}
+
+// broadcast finishes a transition that invalidated others copies at the
+// hardware cost base: none is the pointer check succeeding in hardware,
+// any is a trap that broadcasts, since the counter does not identify the
+// sharers.
+func broadcast(s *coherence.System, others int, base uint64, cause obs.TrapCause) (cost uint64, trap bool) {
+	if others == 0 {
+		return base, false
+	}
+	cost = s.Deliver(others, true)
+	s.Recorder().Trap(cause)
+	return s.Costs().Trap + base + cost, true
 }
 
 // CheckEntry: the model keeps the exact sharer set (the hardware's
 // pointer+counter imprecision is charged as trap cost, not modelled as
 // state loss), so Dir1SW adds no entry invariants beyond the generic ones.
-func (p protocol) CheckEntry(s *coherence.System, e *coherence.Entry, block uint64) error {
+func (protocol) CheckEntry(s *coherence.System, e *coherence.Entry, block uint64) error {
 	return nil
 }

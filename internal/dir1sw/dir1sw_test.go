@@ -1,11 +1,29 @@
 package dir1sw
 
-import "testing"
+import (
+	"testing"
+
+	"cachier/internal/coherence"
+	"cachier/internal/dirn"
+)
 
 // The protocol-independent machinery's behavioural tests live in
 // internal/coherence (driven through this protocol); this file pins what is
-// Dir1SW's own — the exact trap costs, the broadcast-on-imprecision message
-// accounting, and the full-map ablation.
+// Dir1SW's own — the exact trap costs and the broadcast-on-imprecision
+// message accounting — against the full-map baseline, DirₙNB with a pointer
+// per node (protocol spec "dirnnb:<nodes>"): the same transitions without
+// the traps.
+
+// fullMap builds cfg's machine with the full-map directory instead.
+func fullMap(cfg Config) *System {
+	return coherence.MustNew(coherence.Config{
+		Nodes:     cfg.Nodes,
+		CacheSize: cfg.CacheSize,
+		Assoc:     cfg.Assoc,
+		BlockSize: cfg.BlockSize,
+		Costs:     cfg.Costs,
+	}, dirn.NB(cfg.Nodes))
+}
 
 func TestExactStallCycles(t *testing.T) {
 	cfg := DefaultConfig()
@@ -75,10 +93,10 @@ func TestBroadcastCountsControlMessages(t *testing.T) {
 }
 
 func TestProtocolNames(t *testing.T) {
-	if got := Protocol(false).Name(); got != "Dir1SW" {
+	if got := Protocol().Name(); got != "Dir1SW" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := Protocol(true).Name(); got != "FullMap" {
+	if got := fullMap(DefaultConfig()).Protocol().Name(); got != "Dir32NB" {
 		t.Errorf("full-map Name = %q", got)
 	}
 }
@@ -87,8 +105,7 @@ func TestFullMapNeverTraps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 8
 	cfg.CacheSize = 1024
-	cfg.FullMap = true
-	s := MustNew(cfg)
+	s := fullMap(cfg)
 	// Every conflicting transition that traps under Dir1SW.
 	s.Read(1, 64, 0)
 	s.Read(2, 64, 0)
@@ -114,8 +131,7 @@ func TestFullMapDirectedInvalidations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 16
 	cfg.CacheSize = 1024
-	cfg.FullMap = true
-	s := MustNew(cfg)
+	s := fullMap(cfg)
 	s.Read(1, 64, 0)
 	s.Read(2, 64, 0)
 	before := s.Stats.CtlMsgs
@@ -130,12 +146,14 @@ func TestFullMapDirectedInvalidations(t *testing.T) {
 }
 
 func TestFullMapUpgradeCheaperThanDir1SW(t *testing.T) {
-	run := func(fullMap bool) uint64 {
+	run := func(full bool) uint64 {
 		cfg := DefaultConfig()
 		cfg.Nodes = 32
 		cfg.CacheSize = 1024
-		cfg.FullMap = fullMap
 		s := MustNew(cfg)
+		if full {
+			s = fullMap(cfg)
+		}
 		for n := 1; n < 8; n++ {
 			s.Read(n, 64, 0)
 		}

@@ -20,10 +20,14 @@
 //     precision) and clears when the entry leaves Shared.
 //
 // Both service exclusive-held blocks by hardware forwarding (downgrade or
-// ownership handoff), like Dir1SW's full-map ablation. CICO check-ins still
-// help — they shrink the sharer set before a write, avoiding directed
-// invalidations, overflow evictions, and broadcasts — which is exactly the
-// cross-protocol question the Figure-6 sweep answers.
+// ownership handoff). Each hook is the shared directory transitions of
+// internal/coherence plus the variant's pointer enforcement or broadcast
+// bit. With a pointer per node (spec "dirnnb:<nodes>") no pointer ever
+// overflows and DirₙNB is the full-map directory, the hardware-only
+// baseline Dir1SW is measured against. CICO check-ins still help — they
+// shrink the sharer set before a write, avoiding directed invalidations,
+// overflow evictions, and broadcasts — which is exactly the cross-protocol
+// question the Figure-6 sweep answers.
 //
 // The model keeps the exact sharer set for both variants (as it does for
 // Dir1SW) so invalidations can be delivered; the pointer limit is enforced
@@ -35,7 +39,6 @@ package dirn
 import (
 	"fmt"
 
-	"cachier/internal/cache"
 	"cachier/internal/coherence"
 )
 
@@ -65,54 +68,29 @@ func (p nb) Name() string { return fmt.Sprintf("Dir%dNB", p.n) }
 // keep loses its copy to a directed hardware invalidation. Returns the
 // extra cost charged to the requester.
 func (p nb) enforce(s *coherence.System, e *coherence.Entry, block uint64, keep int) (cost uint64) {
-	co := s.Costs()
 	for e.Sharers.Count() > p.n {
-		victim := -1
-		for _, m := range e.Sharers.Members() {
-			if m != keep {
-				victim = m
-				break
-			}
+		victim := e.Sharers.First()
+		if victim == keep {
+			victim = e.Sharers.Members()[1]
 		}
-		if victim < 0 {
-			break
-		}
-		s.CancelInflight(victim, block)
-		s.Cache(victim).Invalidate(block)
-		s.NoteInvalidated(e, victim)
+		s.Invalidate(e, block, victim)
 		e.Sharers.Remove(victim)
-		s.Stats.Invalidations++
-		s.Stats.CtlMsgs += 2 // directed invalidation + ack
 		s.Recorder().Invalidations(keep, 1)
-		cost += co.InvalMsg
+		cost += s.Deliver(1, false)
 	}
 	return cost
 }
 
 func (p nb) FetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	co := s.Costs()
-	switch e.State {
-	case coherence.Idle:
-		s.SetState(e, coherence.Shared)
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		return co.CleanMiss(), false
-	case coherence.Shared:
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		return co.CleanMiss() + p.enforce(s, e, block, node), false
-	default: // Exclusive by another node: hardware forwarding + downgrade
-		cost = downgradeOwner(s, e, block, node)
-		return cost + p.enforce(s, e, block, node), false
-	}
+	return fetchShared(s, e, block, node) + p.enforce(s, e, block, node), false
 }
 
 func (p nb) Upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	return directedUpgrade(s, e, block, node), false
+	return upgrade(s, e, block, node, false), false
 }
 
 func (p nb) FetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	return directedFetchExclusive(s, e, block, node), false
+	return fetchExclusive(s, e, block, node, false), false
 }
 
 func (p nb) CheckEntry(s *coherence.System, e *coherence.Entry, block uint64) error {
@@ -129,61 +107,22 @@ type broadcast struct{ n int }
 
 func (p broadcast) Name() string { return fmt.Sprintf("Dir%dB", p.n) }
 
+// FetchShared sets the broadcast bit when the new sharer overflows the
+// pointers: the directory stops tracking, and the next write broadcasts.
 func (p broadcast) FetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	co := s.Costs()
-	switch e.State {
-	case coherence.Idle:
-		s.SetState(e, coherence.Shared)
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		return co.CleanMiss(), false
-	case coherence.Shared:
-		e.Sharers.Add(node)
-		s.Stats.DataMsgs++
-		if e.Sharers.Count() > p.n {
-			e.Bcast = true // pointers overflow: stop tracking, mark for broadcast
-		}
-		return co.CleanMiss(), false
-	default: // Exclusive by another node: hardware forwarding + downgrade
-		cost = downgradeOwner(s, e, block, node)
-		if e.Sharers.Count() > p.n {
-			e.Bcast = true
-		}
-		return cost, false
+	cost = fetchShared(s, e, block, node)
+	if e.Sharers.Count() > p.n {
+		e.Bcast = true
 	}
+	return cost, false
 }
 
 func (p broadcast) Upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	if !e.Bcast {
-		return directedUpgrade(s, e, block, node), false
-	}
-	// Overflowed: the directory no longer knows the sharers, so hardware
-	// broadcasts invalidations to every other node and collects acks.
-	co := s.Costs()
-	others := invalidateSharers(s, e, block, node)
-	s.SetState(e, coherence.Exclusive) // clears the broadcast bit
-	e.Owner = node
-	e.Sharers.Clear()
-	s.Recorder().Invalidations(node, uint64(others))
-	bcast := uint64(s.Nodes() - 1)
-	s.Stats.CtlMsgs += 2 * bcast
-	return co.Upgrade() + bcast*co.InvalMsg, false
+	return upgrade(s, e, block, node, e.Bcast), false
 }
 
 func (p broadcast) FetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	if e.State != coherence.Shared || !e.Bcast {
-		return directedFetchExclusive(s, e, block, node), false
-	}
-	co := s.Costs()
-	others := invalidateSharers(s, e, block, node)
-	s.SetState(e, coherence.Exclusive)
-	e.Owner = node
-	e.Sharers.Clear()
-	s.Recorder().Invalidations(node, uint64(others))
-	s.Stats.DataMsgs++
-	bcast := uint64(s.Nodes() - 1)
-	s.Stats.CtlMsgs += 2 * bcast
-	return co.CleanMiss() + bcast*co.InvalMsg, false
+	return fetchExclusive(s, e, block, node, e.Bcast), false
 }
 
 func (p broadcast) CheckEntry(s *coherence.System, e *coherence.Entry, block uint64) error {
@@ -198,98 +137,33 @@ func (p broadcast) CheckEntry(s *coherence.System, e *coherence.Entry, block uin
 	return nil
 }
 
-// downgradeOwner services a shared fetch of an Exclusive-held block in
-// hardware: forward the request to the owner, write back if dirty,
-// downgrade its copy, and register both nodes as sharers. Returns the
-// 4-hop forwarding cost.
-func downgradeOwner(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64) {
-	co := s.Costs()
-	owner := e.Owner
-	s.CancelInflight(owner, block)
-	if s.Cache(owner).Dirty(block) {
-		s.Stats.Writebacks++
+// fetchShared is the read miss both variants handle in hardware: node joins
+// an Idle or Shared block, or the owner of an Exclusive one is downgraded.
+func fetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64) {
+	if e.State == coherence.Exclusive {
+		return s.Downgrade(e, block, node)
 	}
-	s.Cache(owner).SetState(block, cache.Shared)
-	s.SetState(e, coherence.Shared)
-	e.Sharers.Clear()
-	e.Sharers.Add(owner)
-	e.Sharers.Add(node)
-	s.Stats.CtlMsgs += 2 // downgrade request + ack
-	s.Stats.DataMsgs += 2
-	return 4*co.NetHop + co.DirService + co.MemAccess
+	s.Join(e, node)
+	return s.Costs().CleanMiss()
 }
 
-// invalidateSharers invalidates every sharer's copy except node's,
-// returning how many copies were dropped. Message accounting is the
-// caller's (directed vs broadcast).
-func invalidateSharers(s *coherence.System, e *coherence.Entry, block uint64, node int) (others int) {
-	for _, sh := range e.Sharers.Members() {
-		if sh != node {
-			s.CancelInflight(sh, block)
-			s.Cache(sh).Invalidate(block)
-			s.NoteInvalidated(e, sh)
-			s.Stats.Invalidations++
-			others++
-		}
-	}
-	return others
+// upgrade is the write fault both variants handle in hardware: the other
+// sharers are invalidated, directed while the pointers know them and
+// broadcast once a DirₙB entry has overflowed (the bit clears as the entry
+// turns Exclusive).
+func upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int, bcast bool) (cost uint64) {
+	others := s.TakeOwnership(e, block, node)
+	return s.Costs().Upgrade() + s.Deliver(others, bcast)
 }
 
-// directedUpgrade is the in-pointer-bound write fault both variants share:
-// the directory knows every sharer, so invalidations are directed and
-// handled in hardware (the same transition Dir1SW's full-map ablation
-// performs).
-func directedUpgrade(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64) {
-	co := s.Costs()
-	others := invalidateSharers(s, e, block, node)
-	s.SetState(e, coherence.Exclusive)
-	e.Owner = node
-	e.Sharers.Clear()
-	s.Recorder().Invalidations(node, uint64(others))
-	if others == 0 {
-		return co.Upgrade()
+// fetchExclusive is the write miss: an Exclusive block's ownership is handed
+// off, and an Idle or Shared block's other copies invalidated as upgrade
+// does.
+func fetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int, bcast bool) (cost uint64) {
+	if e.State == coherence.Exclusive {
+		return s.Handoff(e, block, node)
 	}
-	s.Stats.CtlMsgs += 2 * uint64(others)
-	return co.Upgrade() + uint64(others)*co.InvalMsg
-}
-
-// directedFetchExclusive is the write-miss path with exact sharer
-// knowledge: directed invalidations from Shared, hardware ownership
-// handoff from Exclusive.
-func directedFetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64) {
-	co := s.Costs()
-	switch e.State {
-	case coherence.Idle:
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		s.Stats.DataMsgs++
-		return co.CleanMiss()
-	case coherence.Shared:
-		others := invalidateSharers(s, e, block, node)
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		e.Sharers.Clear()
-		s.Recorder().Invalidations(node, uint64(others))
-		s.Stats.DataMsgs++
-		if others == 0 {
-			return co.CleanMiss()
-		}
-		s.Stats.CtlMsgs += 2 * uint64(others)
-		return co.CleanMiss() + uint64(others)*co.InvalMsg
-	default: // Exclusive by another node: hardware ownership handoff
-		owner := e.Owner
-		s.CancelInflight(owner, block)
-		if s.Cache(owner).Dirty(block) {
-			s.Stats.Writebacks++
-		}
-		s.Cache(owner).Invalidate(block)
-		s.NoteInvalidated(e, owner)
-		s.Stats.Invalidations++
-		s.SetState(e, coherence.Exclusive)
-		e.Owner = node
-		s.Recorder().Invalidations(node, 1)
-		s.Stats.CtlMsgs += 2
-		s.Stats.DataMsgs += 2
-		return 4*co.NetHop + co.DirService + co.MemAccess
-	}
+	others := s.TakeOwnership(e, block, node)
+	s.Stats.DataMsgs++
+	return s.Costs().CleanMiss() + s.Deliver(others, bcast)
 }

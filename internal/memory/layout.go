@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cachier/internal/cache"
 	"cachier/internal/parc"
 	"cachier/internal/trace"
 )
@@ -58,8 +59,8 @@ type Layout struct {
 // is only read, so any number of runs may lay out one checked program at
 // once, each with its own block size.
 func New(prog *parc.Program, blockSize int) (*Layout, error) {
-	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
-		return nil, fmt.Errorf("memory: block size %d is not a positive power of two", blockSize)
+	if err := cache.CheckBlockSize(blockSize); err != nil {
+		return nil, fmt.Errorf("memory: %w", err)
 	}
 	l := &Layout{
 		BlockSize: blockSize,

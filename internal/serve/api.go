@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"cachier/internal/cache"
 	"cachier/internal/coherence"
 	"cachier/internal/core"
 	"cachier/internal/sim"
@@ -68,20 +69,18 @@ func (m MachineSpec) resolved() (MachineSpec, error) {
 	if m.CacheSize < m.BlockSize || m.BlockSize < 8 {
 		return m, &apiError{code: 400, msg: "cache_size/block_size out of range"}
 	}
+	// The caches and the memory layout refuse the same geometries in
+	// simulation; refused here, they are the client's error before any
+	// work is queued.
+	if err := cache.CheckGeometry(m.CacheSize, m.Assoc, m.BlockSize); err != nil {
+		return m, &apiError{code: 400, msg: err.Error()}
+	}
 	spec, err := coherence.ParseSpec(m.Protocol)
 	if err != nil {
 		return m, &apiError{code: 400, msg: err.Error()}
 	}
-	m.Protocol = specString(spec)
+	m.Protocol = spec.String()
 	return m, nil
-}
-
-// specString canonicalizes a parsed protocol spec ("dirnnb" → "dirnnb:4").
-func specString(s coherence.Spec) string {
-	if s.Name == coherence.SpecDir1SW {
-		return s.Name
-	}
-	return fmt.Sprintf("%s:%d", s.Name, s.N)
 }
 
 // simCycleBudget is the simulated time, in node-cycles, one submitted

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -322,6 +323,24 @@ func TestErrorResponses(t *testing.T) {
 		Configs: []MachineSpec{{Nodes: testNodes, Protocol: "dir9000"}},
 	})
 	checkErr("bad protocol", code, 400, body)
+
+	// Geometries the caches or the memory layout cannot build are the
+	// client's error on every endpoint, refused before a worker runs them;
+	// the huge associativity wraps assoc*block_size to zero.
+	for name, machine := range map[string]MachineSpec{
+		"huge assoc":     {Nodes: testNodes, Assoc: 1 << (bits.UintSize - 5)},
+		"assoc 3":        {Nodes: testNodes, Assoc: 3},
+		"negative assoc": {Nodes: testNodes, Assoc: -1},
+		"block size 24":  {Nodes: testNodes, BlockSize: 24},
+	} {
+		src := parcgen.Generate(1)
+		code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}})
+		checkErr(name+", simulate", code, 400, body)
+		code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: src, Machine: machine})
+		checkErr(name+", annotate", code, 400, body)
+		code, _, body = post(t, ts.URL+"/v1/static", &AnnotateRequest{Source: src, Machine: machine})
+		checkErr(name+", static", code, 400, body)
+	}
 
 	// Array sizes the machine cannot hold: refused by the checker, never
 	// allocated (see parc.MaxArrayBytes).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -60,21 +61,28 @@ func TestProtocolSelection(t *testing.T) {
 	}
 }
 
-// TestFullMapAblationStillSelectsDir1SWFamily pins the FullMap switch to the
-// explicit-spec path: "" and "dir1sw" both honour it.
+// TestFullMapAblationStillSelectsDir1SWFamily: the full-map baseline is
+// "dirnnb:<nodes>", Dir1SW's transitions without its traps. On the same
+// program it misses exactly where Dir1SW does, never traps, and so runs no
+// slower.
 func TestFullMapAblationStillSelectsDir1SWFamily(t *testing.T) {
-	for _, spec := range []string{"", "dir1sw"} {
-		cfg := cfg4()
-		cfg.Protocol = spec
-		cfg.FullMap = true
-		res := runSrc(t, protoTestSrc, cfg)
-		if res.Protocol != "FullMap" {
-			t.Errorf("spec %q + FullMap: protocol %q", spec, res.Protocol)
-		}
+	cfg := cfg4()
+	d1 := runSrc(t, protoTestSrc, cfg)
+	cfg.Protocol = fmt.Sprintf("dirnnb:%d", cfg.Nodes)
+	fm := runSrc(t, protoTestSrc, cfg)
+	if fm.Protocol != "Dir4NB" {
+		t.Errorf("protocol %q, want Dir4NB", fm.Protocol)
+	}
+	if d1.Stats.Traps == 0 || fm.Stats.Traps != 0 {
+		t.Errorf("traps: Dir1SW %d, full map %d; want some and none", d1.Stats.Traps, fm.Stats.Traps)
+	}
+	if fm.Stats.Misses() != d1.Stats.Misses() || fm.Cycles > d1.Cycles {
+		t.Errorf("full map: %d misses in %d cycles; Dir1SW: %d misses in %d cycles",
+			fm.Stats.Misses(), fm.Cycles, d1.Stats.Misses(), d1.Cycles)
 	}
 }
 
-// TestProtocolConfigRejections: unknown specs, and the Dir1SW-only switches
+// TestProtocolConfigRejections: unknown specs, and the Dir1SW-only switch
 // combined with hardware protocols, fail up front rather than mis-simulate.
 func TestProtocolConfigRejections(t *testing.T) {
 	prog, err := parc.Parse(protoTestSrc)
@@ -87,15 +95,14 @@ func TestProtocolConfigRejections(t *testing.T) {
 	}{
 		{func(c *Config) { c.Protocol = "mesi" }, "unknown"},
 		{func(c *Config) { c.Protocol = "dirnnb:0" }, "pointer"},
-		{func(c *Config) { c.Protocol = "dirnnb:4"; c.FullMap = true }, "FullMap"},
 		{func(c *Config) { c.Protocol = "dirnb:4"; c.PostStore = true }, "PostStore"},
 	}
 	for _, c := range cases {
 		cfg := cfg4()
 		c.mutate(&cfg)
 		if _, err := Run(prog, cfg); err == nil || !strings.Contains(err.Error(), c.substr) {
-			t.Errorf("protocol %q fullmap=%v poststore=%v: err = %v, want mention of %q",
-				cfg.Protocol, cfg.FullMap, cfg.PostStore, err, c.substr)
+			t.Errorf("protocol %q poststore=%v: err = %v, want mention of %q",
+				cfg.Protocol, cfg.PostStore, err, c.substr)
 		}
 	}
 }

@@ -105,16 +105,11 @@ type Config struct {
 	// of dirty blocks (see dir1sw.Config.PostStore).
 	PostStore bool
 
-	// FullMap swaps Dir1SW for a full-map hardware directory (see
-	// dir1sw.Protocol); used by the protocol-sensitivity ablation. Only
-	// meaningful with the Dir1SW protocol.
-	FullMap bool
-
 	// Protocol selects the coherence protocol by spec string (see
 	// coherence.ParseSpec): "dir1sw" (the default for ""), "dirnnb[:n]"
 	// (n-pointer, broadcast-free), or "dirnb[:n]" (n-pointer, broadcast on
-	// overflow). FullMap and PostStore are Dir1SW-specific and reject any
-	// other protocol.
+	// overflow); "dirnnb:<nodes>" is the full-map hardware directory.
+	// PostStore is Dir1SW-specific and rejects any other protocol.
 	Protocol string
 
 	// Probe enables the Dir1SW per-access invariant probe
@@ -221,7 +216,7 @@ type Result struct {
 	Engine string
 
 	// Protocol is the coherence protocol's display name ("Dir1SW",
-	// "FullMap", "Dir4NB", "Dir4B", ...).
+	// "Dir4NB", "Dir4B", ...).
 	Protocol string
 
 	Cycles     uint64   // execution time: max node completion clock
@@ -486,20 +481,15 @@ func (m *Machine) compiledLanes() error {
 	return nil
 }
 
-// protocolFor resolves Config.Protocol (plus the Dir1SW-specific FullMap
-// and PostStore switches) into a coherence.Protocol.
+// protocolFor resolves Config.Protocol (plus the Dir1SW-specific PostStore
+// switch) into a coherence.Protocol.
 func protocolFor(cfg Config) (coherence.Protocol, error) {
 	spec, err := coherence.ParseSpec(cfg.Protocol)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if spec.Name != coherence.SpecDir1SW {
-		if cfg.FullMap {
-			return nil, fmt.Errorf("sim: FullMap is a Dir1SW ablation; protocol %q already has hardware pointers", spec)
-		}
-		if cfg.PostStore {
-			return nil, fmt.Errorf("sim: PostStore refills past holders behind the pointer directory and is only modelled for Dir1SW, not %q", spec)
-		}
+	if spec.Name != coherence.SpecDir1SW && cfg.PostStore {
+		return nil, fmt.Errorf("sim: PostStore refills past holders behind the pointer directory and is only modelled for Dir1SW, not %q", spec)
 	}
 	switch spec.Name {
 	case coherence.SpecDirnNB:
@@ -507,7 +497,7 @@ func protocolFor(cfg Config) (coherence.Protocol, error) {
 	case coherence.SpecDirnB:
 		return dirn.B(spec.N), nil
 	default:
-		return dir1sw.Protocol(cfg.FullMap), nil
+		return dir1sw.Protocol(), nil
 	}
 }
 

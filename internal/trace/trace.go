@@ -195,9 +195,9 @@ func (b *Builder) Trace() *Trace {
 	return &b.tr
 }
 
-// Compare orders misses by node, kind, address, then PC: the order
-// SortMisses leaves an epoch in, and the one core's trace processing groups
-// by without re-sorting.
+// Compare orders misses by node, kind, address, then PC: the order Builder
+// leaves an epoch in, and the one core's trace processing groups by without
+// re-sorting. Within an epoch the order carries no timing meaning.
 func (m Miss) Compare(o Miss) int {
 	if c := cmp.Compare(m.Node, o.Node); c != 0 {
 		return c
@@ -209,14 +209,6 @@ func (m Miss) Compare(o Miss) int {
 		return c
 	}
 	return cmp.Compare(m.PC, o.PC)
-}
-
-// SortMisses orders each epoch's misses deterministically (see Compare).
-// Within an epoch the order carries no timing meaning.
-func (t *Trace) SortMisses() {
-	for i := range t.Epochs {
-		slices.SortFunc(t.Epochs[i].Misses, Miss.Compare)
-	}
 }
 
 // Digest is the sha256 of a binary fold of every field of t, in order:

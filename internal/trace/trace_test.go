@@ -165,18 +165,6 @@ func pick(rng *rand.Rand, final bool) int {
 	return rng.Intn(50)
 }
 
-func TestSortMissesDeterministic(t *testing.T) {
-	tr := sample()
-	tr.SortMisses()
-	ms := tr.Epochs[0].Misses
-	for i := 1; i < len(ms); i++ {
-		a, b := ms[i-1], ms[i]
-		if a.Node > b.Node {
-			t.Errorf("misses not sorted by node: %+v before %+v", a, b)
-		}
-	}
-}
-
 func TestReadErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -141,6 +141,9 @@ check: build vet staticdiff test race
 # on generated programs outside the 200-seed corpus. FuzzVMEquivalence is the
 # interpreter-level differential under all of them: the typed bytecode VM
 # against the tree-walker on the Machine event stream, errors and memory.
+# FuzzCoherenceOps is the memory system under all of them: any sequence of
+# accesses, directives and flushes keeps the probe and CheckCoherence clean
+# under Dir1SW, Dir2NB and Dir2B, and classifies every read and write once.
 # FuzzVetSource and FuzzVetGenerated are the static side: vet must not panic
 # on arbitrary text, and must pass every generated program clean.
 # FuzzParsePrint is the front end under all of them: no text may make the
@@ -153,6 +156,7 @@ check: build vet staticdiff test race
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVMEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
+	$(GO) test -run '^$$' -fuzz '^FuzzCoherenceOps$$' -fuzztime $(FUZZTIME) ./internal/coherence
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotatedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzLanesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/conformance

@@ -58,8 +58,8 @@ import (
 
 	"cachier/internal/bench"
 	"cachier/internal/cico"
+	"cachier/internal/coherence"
 	"cachier/internal/core"
-	"cachier/internal/dir1sw"
 	"cachier/internal/obs"
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
@@ -230,7 +230,7 @@ func BenchmarkTrapCostSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("trap-x%g", scale), func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Nodes = bm.Nodes
-			cfg.Costs.Trap = uint64(float64(dir1sw.DefaultCosts().Trap) * scale)
+			cfg.Costs.Trap = uint64(float64(coherence.DefaultCosts().Trap) * scale)
 			traceCfg := cfg
 			traceCfg.Mode = sim.ModeTrace
 			var ratio float64

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"cachier/internal/coherence"
 	"cachier/internal/core"
-	"cachier/internal/dir1sw"
 	"cachier/internal/obs"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
@@ -51,7 +51,7 @@ type Row struct {
 	// "Dir4NB", ...); every variant of a row runs under the same protocol.
 	Protocol string
 	Cycles   map[Variant]uint64
-	Stats    map[Variant]dir1sw.Stats
+	Stats    map[Variant]coherence.Stats
 
 	// Walls is each variant's simulation wall-clock on the host (just the
 	// measured sim.Run, not tracing or annotation); Engines is the engine
@@ -229,7 +229,7 @@ func runBenchmark(b *Benchmark, observe, timeline bool) (*Row, error) {
 		Benchmark:       b.Name,
 		Nodes:           b.Nodes,
 		Cycles:          make(map[Variant]uint64),
-		Stats:           make(map[Variant]dir1sw.Stats),
+		Stats:           make(map[Variant]coherence.Stats),
 		Walls:           make(map[Variant]time.Duration),
 		Engines:         make(map[Variant]string),
 		AnnotatedSource: annotated.Source,

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cachier/internal/cache"
 )
@@ -41,47 +42,55 @@ func (s *System) probeAfter(op string, block uint64) {
 	}
 }
 
-// checkBlock is the single-block core of CheckCoherence: O(nodes) per call,
-// generic invariants first, then the protocol's CheckEntry.
+// checkBlock gathers block's copies into the probe's scratch sets, one
+// Lookup per cache, and verifies them.
 func (s *System) checkBlock(block uint64) error {
-	var holders []int
-	exclCount, exclNode := 0, -1
+	s.probeHold.Clear()
+	s.probeExcl.Clear()
 	for n, c := range s.caches {
 		switch c.Lookup(block) {
 		case cache.Exclusive:
-			exclCount++
-			exclNode = n
+			s.probeExcl.Add(n)
 		case cache.Shared:
-			holders = append(holders, n)
+			s.probeHold.Add(n)
 		}
 	}
-	if exclCount > 1 {
-		return fmt.Errorf("exclusive in %d caches", exclCount)
+	return s.verify(block, s.probeHold, s.probeExcl)
+}
+
+// verify checks the copies of block that holders (Shared) and exclusive
+// (Exclusive) name against its directory entry — the generic invariants
+// above — and then the entry against the protocol's CheckEntry. Both the
+// probe and CheckCoherence call it.
+func (s *System) verify(block uint64, holders, exclusive NodeSet) error {
+	ne, nh := exclusive.Count(), holders.Count()
+	if ne > 1 {
+		return fmt.Errorf("exclusive in %d caches", ne)
 	}
-	if exclCount == 1 && len(holders) > 0 {
-		return fmt.Errorf("exclusive in node %d but shared in %v", exclNode, holders)
+	if ne == 1 && nh > 0 {
+		return fmt.Errorf("exclusive in node %d but shared in %v", exclusive.Sole(), holders.Members())
 	}
 	e := s.entryFor(block)
 	switch e.State {
 	case Idle:
-		if exclCount > 0 || len(holders) > 0 {
-			return fmt.Errorf("idle in directory but cached by %v/%d", holders, exclNode)
+		if ne+nh > 0 {
+			return fmt.Errorf("idle in directory but cached by %v/%v", holders.Members(), exclusive.Members())
 		}
 	case Shared:
-		if exclCount > 0 {
-			return fmt.Errorf("shared in directory but exclusive in node %d", exclNode)
+		if ne > 0 {
+			return fmt.Errorf("shared in directory but exclusive in node %d", exclusive.Sole())
 		}
-		for _, h := range holders {
-			if !e.Sharers.Has(h) {
-				return fmt.Errorf("cached shared by node %d missing from sharer set", h)
+		for i, w := range holders.words {
+			if missing := w &^ e.Sharers.words[i]; missing != 0 {
+				return fmt.Errorf("cached shared by node %d missing from sharer set", i*64+bits.TrailingZeros64(missing))
 			}
 		}
 	case Exclusive:
-		if exclCount == 1 && exclNode != e.Owner {
-			return fmt.Errorf("owned by %d per directory but exclusive in %d", e.Owner, exclNode)
+		if ne == 1 && exclusive.Sole() != e.Owner {
+			return fmt.Errorf("owned by %d per directory but exclusive in %d", e.Owner, exclusive.Sole())
 		}
-		if len(holders) > 0 {
-			return fmt.Errorf("exclusive in directory but shared in %v", holders)
+		if nh > 0 {
+			return fmt.Errorf("exclusive in directory but shared in %v", holders.Members())
 		}
 	}
 	return s.proto.CheckEntry(s, e, block)

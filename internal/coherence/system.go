@@ -166,8 +166,10 @@ type System struct {
 	checkSlot   []int32
 	checkIdx    map[uint64]int
 
-	// probeErr latches the first violation the per-access probe found.
-	probeErr error
+	// probeErr latches the first violation the per-access probe found;
+	// probeHold and probeExcl are checkBlock's scratch holder sets.
+	probeErr             error
+	probeHold, probeExcl NodeSet
 
 	// rec is the observability recorder (nil when disabled).
 	rec *obs.Recorder
@@ -192,6 +194,9 @@ func New(cfg Config, proto Protocol) (*System, error) {
 	blocks := cfg.addrBlocks()
 	if blocks > 0 && blocks <= maxDenseBlocks {
 		s.dense = make([]Entry, blocks)
+	}
+	if cfg.Probe {
+		s.probeHold, s.probeExcl = NewNodeSet(cfg.Nodes), NewNodeSet(cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		c, err := cache.New(cfg.CacheSize, cfg.Assoc, cfg.BlockSize, blocks)
@@ -320,126 +325,105 @@ func (s *System) cancelInflight(node int, block uint64) {
 	delete(s.inflight[node], block)
 }
 
-// checkInflight resolves an in-flight prefetch for (node, block). It returns
-// the stall cycles needed to wait for the data (0 if already arrived) and
-// whether a prefetch covered this block.
-func (s *System) checkInflight(node int, block uint64, now uint64, needExclusive bool) (stall uint64, covered bool) {
-	p, ok := s.inflight[node][block]
-	if !ok {
-		return 0, false
+// acquire is the access rule behind Read, Write and both check-outs: it
+// gives node a copy of block good for a read, or for a write when
+// exclusive, at local time now. A copy the cache holds already is a Hit at
+// no cost, and held. A prefetch in flight is consumed: its copy is
+// installed, and when it serves the access that is a Hit stalled until the
+// data arrives. A shared prefetch cannot serve a write; its copy is then
+// upgraded in place, like any other shared copy a write meets (paper
+// Section 4.1). Whatever is still missing is obtain's.
+func (s *System) acquire(node int, block uint64, now uint64, exclusive bool) (r Result, held bool) {
+	have := s.caches[node].Touch(block)
+	if have == cache.Exclusive || (have == cache.Shared && !exclusive) {
+		return Result{Kind: Hit}, true
 	}
-	if needExclusive && p.state != cache.Exclusive {
-		// A shared prefetch cannot satisfy a write; drop it and fall through
-		// to the normal write path. The directory already lists this node as
-		// a sharer, which the write path will upgrade.
+	if p, ok := s.inflight[node][block]; ok {
 		delete(s.inflight[node], block)
 		s.install(node, block, p.state)
-		return 0, false
+		if !exclusive || p.state == cache.Exclusive {
+			if p.arrival > now {
+				r.Cycles = p.arrival - now
+				s.Stats.PrefetchStalls += r.Cycles
+			}
+			s.Stats.PrefetchHits++
+			return r, false
+		}
+		have = p.state
 	}
-	delete(s.inflight[node], block)
-	s.install(node, block, p.state)
-	if p.arrival > now {
-		stall = p.arrival - now
-		s.Stats.PrefetchStalls += stall
+	r, arrives := s.obtain(node, block, have, exclusive)
+	if arrives != cache.Invalid {
+		s.install(node, block, arrives)
 	}
-	s.Stats.PrefetchHits++
-	return stall, true
+	return r, false
 }
 
-// fetchShared acquires a read-only copy for node via the protocol; the
-// caller installs it.
-func (s *System) fetchShared(node int, block uint64) (cost uint64, trap bool) {
+// obtain gets node the copy of block that acquire or Prefetch still lacks,
+// through the protocol: a shared copy (ReadMiss) or an exclusive one
+// (WriteMiss), which arrives in the state it returns for the caller to
+// place, or an upgrade in place of the Shared copy node has (WriteFault),
+// which arrives as cache.Invalid. It counts the request and any trap.
+func (s *System) obtain(node int, block uint64, have cache.State, exclusive bool) (r Result, arrives cache.State) {
 	e := s.entryFor(block)
 	s.Stats.ReqMsgs++
-	return s.proto.FetchShared(s, e, block, node)
+	switch {
+	case !exclusive:
+		r.Cycles, r.Trap = s.proto.FetchShared(s, e, block, node)
+		r.Kind, arrives = ReadMiss, cache.Shared
+	case have == cache.Shared:
+		r.Cycles, r.Trap = s.proto.Upgrade(s, e, block, node)
+		r.Kind = WriteFault
+		s.caches[node].SetState(block, cache.Exclusive)
+	default:
+		r.Cycles, r.Trap = s.proto.FetchExclusive(s, e, block, node)
+		r.Kind, arrives = WriteMiss, cache.Exclusive
+	}
+	if r.Trap {
+		s.Stats.Traps++
+	}
+	return r, arrives
 }
 
-// fetchExclusive acquires a writable copy for node via the protocol; the
-// caller installs it.
-func (s *System) fetchExclusive(node int, block uint64) (cost uint64, trap bool) {
-	e := s.entryFor(block)
-	s.Stats.ReqMsgs++
-	return s.proto.FetchExclusive(s, e, block, node)
-}
-
-// upgrade makes node's shared copy exclusive via the protocol.
-func (s *System) upgrade(node int, block uint64) (cost uint64, trap bool) {
-	e := s.entryFor(block)
-	s.Stats.ReqMsgs++
-	return s.proto.Upgrade(s, e, block, node)
-}
-
-// Read performs a shared-data read by node at addr, at local time now. Its
-// first return, a cache hit, has a twin in LaneView.Hit, which a compiled
-// lane tries before it calls Read at all: what that return counts or charges
-// must change in both.
+// Read performs a shared-data read by node at addr, at local time now.
 func (s *System) Read(node int, addr uint64, now uint64) Result {
 	s.Stats.Reads++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("read", block)
 	}
-	c := s.caches[node]
-	if st := c.Touch(block); st != cache.Invalid {
-		s.Stats.Hits++ // LaneView.Hit mirrors this return
-		return Result{Cycles: s.cfg.Costs.CacheHit, Kind: Hit}
-	}
-	if stall, ok := s.checkInflight(node, block, now, false); ok {
-		s.Stats.Hits++
-		c.Touch(block)
-		return Result{Cycles: stall + s.cfg.Costs.CacheHit, Kind: Hit}
-	}
-	cost, trap := s.fetchShared(node, block)
-	s.Stats.ReadMisses++
-	if trap {
-		s.Stats.Traps++
-	}
-	s.install(node, block, cache.Shared)
-	return Result{Cycles: cost, Kind: ReadMiss, Trap: trap}
+	r, _ := s.acquire(node, block, now, false)
+	return s.account(r)
 }
 
-// Write performs a shared-data write by node at addr, at local time now. Its
-// first return, a hit on an exclusive line, has a twin in LaneView.Hit for
-// the lines already dirty (see Read).
+// Write performs a shared-data write by node at addr, at local time now.
 func (s *System) Write(node int, addr uint64, now uint64) Result {
 	s.Stats.Writes++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("write", block)
 	}
-	c := s.caches[node]
-	co := s.cfg.Costs
-	switch c.Touch(block) {
-	case cache.Exclusive:
-		s.Stats.Hits++ // LaneView.Hit mirrors this return when the line is dirty already
-		c.MarkDirty(block)
-		return Result{Cycles: co.CacheHit, Kind: Hit}
-	case cache.Shared:
-		// Write fault: upgrade the shared copy (paper Section 4.1). The
-		// explicit check_out_x directive exists to avoid exactly this.
-		cost, trap := s.upgrade(node, block)
-		s.Stats.WriteFaults++
-		if trap {
-			s.Stats.Traps++
-		}
-		c.SetState(block, cache.Exclusive)
-		c.MarkDirty(block)
-		return Result{Cycles: cost, Kind: WriteFault, Trap: trap}
-	}
-	if stall, ok := s.checkInflight(node, block, now, true); ok {
+	r, _ := s.acquire(node, block, now, true)
+	s.caches[node].MarkDirty(block)
+	return s.account(r)
+}
+
+// account counts a Read's or Write's outcome and charges a hit its cache
+// access. A hit on a line whose state it leaves alone has a twin in
+// LaneView.Hit, which a compiled lane tries before it calls Read or Write
+// at all: what this counts or charges for a hit must change in both.
+func (s *System) account(r Result) Result {
+	switch r.Kind {
+	case Hit:
 		s.Stats.Hits++
-		c.Touch(block)
-		c.MarkDirty(block)
-		return Result{Cycles: stall + co.CacheHit, Kind: Hit}
+		r.Cycles += s.cfg.Costs.CacheHit
+	case ReadMiss:
+		s.Stats.ReadMisses++
+	case WriteMiss:
+		s.Stats.WriteMisses++
+	case WriteFault:
+		s.Stats.WriteFaults++
 	}
-	cost, trap := s.fetchExclusive(node, block)
-	s.Stats.WriteMisses++
-	if trap {
-		s.Stats.Traps++
-	}
-	s.install(node, block, cache.Exclusive)
-	c.MarkDirty(block)
-	return Result{Cycles: cost, Kind: WriteMiss, Trap: trap}
+	return r
 }
 
 // LaneView is what the processor running on a node may touch of the
@@ -479,14 +463,14 @@ func (s *System) LaneView(node int, clock, limit, nodeReads, nodeWrites *uint64)
 	}, true
 }
 
-// Hit is the first return of System.Read and of System.Write with the calls
-// taken out (their comments point back here): it
-// reports whether the access to addr hits a line whose state it leaves alone
-// (cache.HotHit), and if so does what that return and its caller do and
-// nothing else: Stats.Reads or Writes, Stats.Hits, the caller's count of the
-// node's references, and Costs.CacheHit onto the clock. Whatever Read, Write
-// or their caller (sim.Machine.Access) come to count or charge for such a hit
-// belongs here too; the differentials' bare third run is what tells.
+// Hit is account's hit with the calls taken out (account's comment points
+// back here): it reports whether the access to addr hits a line whose state
+// it leaves alone (cache.HotHit), and if so does what Read or Write, account
+// and their caller do for it and nothing else: Stats.Reads or Writes,
+// Stats.Hits, the caller's count of the node's references, and
+// Costs.CacheHit onto the clock. Whatever they, sim.Machine.Access
+// included, come to count or charge for such a hit belongs here too; the
+// differentials' bare third run is what tells.
 func (v *LaneView) Hit(write bool, addr uint64) bool {
 	block := addr >> v.blockShift
 	hot := *v.hot
@@ -506,46 +490,16 @@ func (v *LaneView) Hit(write bool, addr uint64) bool {
 	return true
 }
 
-// CheckOutX explicitly checks out addr's block exclusive. It is the
-// directive counterpart of a write miss/fault, issued early so that later
-// reads-then-writes find the block already writable.
+// CheckOutX explicitly checks out addr's block exclusive: the write miss or
+// fault taken early (paper Section 4.1), so that later reads-then-writes
+// find the block already writable.
 func (s *System) CheckOutX(node int, addr uint64, now uint64) Result {
 	s.Stats.CheckOutX++
 	block := s.BlockOf(addr)
 	if s.cfg.Probe {
 		defer s.probeAfter("check_out_x", block)
 	}
-	c := s.caches[node]
-	co := s.cfg.Costs
-	st := c.Touch(block)
-	if st == cache.Invalid {
-		// Consume any in-flight prefetch first: a directive must never
-		// leave a pending entry shadowing a live cache line (the pending's
-		// directory registration could be dropped by a later eviction and
-		// then wrongly resurrected).
-		if stall, ok := s.checkInflight(node, block, now, true); ok {
-			return Result{Cycles: co.DirectiveOverhead + stall, Kind: Hit}
-		}
-		st = c.Lookup(block) // a shared prefetch may just have installed
-	}
-	switch st {
-	case cache.Exclusive:
-		s.Stats.WastedDirs++
-		return Result{Cycles: co.DirectiveOverhead, Kind: Hit}
-	case cache.Shared:
-		cost, trap := s.upgrade(node, block)
-		if trap {
-			s.Stats.Traps++
-		}
-		c.SetState(block, cache.Exclusive)
-		return Result{Cycles: co.DirectiveOverhead + cost, Kind: WriteFault, Trap: trap}
-	}
-	cost, trap := s.fetchExclusive(node, block)
-	if trap {
-		s.Stats.Traps++
-	}
-	s.install(node, block, cache.Exclusive)
-	return Result{Cycles: co.DirectiveOverhead + cost, Kind: WriteMiss, Trap: trap}
+	return s.checkOut(s.acquire(node, block, now, true))
 }
 
 // CheckOutS explicitly checks out addr's block shared. Under Dir1SW this is
@@ -558,21 +512,17 @@ func (s *System) CheckOutS(node int, addr uint64, now uint64) Result {
 	if s.cfg.Probe {
 		defer s.probeAfter("check_out_s", block)
 	}
-	c := s.caches[node]
-	co := s.cfg.Costs
-	if st := c.Touch(block); st != cache.Invalid {
+	return s.checkOut(s.acquire(node, block, now, false))
+}
+
+// checkOut charges a check-out directive its overhead; one whose copy was
+// held already is wasted.
+func (s *System) checkOut(r Result, held bool) Result {
+	if held {
 		s.Stats.WastedDirs++
-		return Result{Cycles: co.DirectiveOverhead, Kind: Hit}
 	}
-	if stall, ok := s.checkInflight(node, block, now, false); ok {
-		return Result{Cycles: co.DirectiveOverhead + stall, Kind: Hit}
-	}
-	cost, trap := s.fetchShared(node, block)
-	if trap {
-		s.Stats.Traps++
-	}
-	s.install(node, block, cache.Shared)
-	return Result{Cycles: co.DirectiveOverhead + cost, Kind: ReadMiss, Trap: trap}
+	r.Cycles += s.cfg.Costs.DirectiveOverhead
+	return r
 }
 
 // CheckIn relinquishes node's copy of addr's block, returning it toward
@@ -637,8 +587,8 @@ func (s *System) postStore(e *Entry, block uint64, node int) {
 
 // Prefetch initiates a non-blocking transfer of addr's block; exclusive
 // selects prefetch_x vs prefetch_s. The directory transitions immediately;
-// the data arrives at now + miss latency, and a later Read/Write stalls only
-// for the remaining time.
+// the data arrives at now + miss latency, and a later access stalls only
+// for the remaining time. An upgrade carries no data and is immediate.
 func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Result {
 	if exclusive {
 		s.Stats.PrefetchX++
@@ -649,40 +599,19 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 	if s.cfg.Probe {
 		defer s.probeAfter("prefetch", block)
 	}
-	c := s.caches[node]
-	co := s.cfg.Costs
-	if st := c.Lookup(block); st == cache.Exclusive || (st == cache.Shared && !exclusive) {
+	r := Result{Cycles: s.cfg.Costs.PrefetchIssue, Kind: Hit}
+	have := s.caches[node].Lookup(block)
+	_, busy := s.inflight[node][block]
+	if busy || have == cache.Exclusive || (have == cache.Shared && !exclusive) {
 		s.Stats.WastedDirs++
-		return Result{Cycles: co.PrefetchIssue, Kind: Hit}
+		return r
 	}
-	if _, busy := s.inflight[node][block]; busy {
-		s.Stats.WastedDirs++
-		return Result{Cycles: co.PrefetchIssue, Kind: Hit}
+	got, arrives := s.obtain(node, block, have, exclusive)
+	if arrives != cache.Invalid {
+		s.inflight[node][block] = pending{arrival: now + got.Cycles, state: arrives}
 	}
-	var cost uint64
-	var trap bool
-	var st cache.State
-	if exclusive {
-		if c.Lookup(block) == cache.Shared {
-			cost, trap = s.upgrade(node, block)
-			c.SetState(block, cache.Exclusive)
-			if trap {
-				s.Stats.Traps++
-			}
-			// Upgrades carry no data; model them as immediate.
-			return Result{Cycles: co.PrefetchIssue, Kind: Hit, Trap: trap}
-		}
-		cost, trap = s.fetchExclusive(node, block)
-		st = cache.Exclusive
-	} else {
-		cost, trap = s.fetchShared(node, block)
-		st = cache.Shared
-	}
-	if trap {
-		s.Stats.Traps++
-	}
-	s.inflight[node][block] = pending{arrival: now + cost, state: st}
-	return Result{Cycles: co.PrefetchIssue, Kind: Hit, Trap: trap}
+	r.Trap = got.Trap
+	return r
 }
 
 // FlushNode invalidates every line in a node's cache, writing back dirty
@@ -785,44 +714,9 @@ func (s *System) CheckCoherence() error {
 	}
 	s.checkBlocks, s.checkHold, s.checkExcl = blocks, hold, excl
 	for i, block := range blocks {
-		// Wrapping the arena windows in NodeSet reuses its ascending-order
-		// Members() for error formatting; the happy path only pops counts.
 		holders := NodeSet{words: hold[i*w : (i+1)*w]}
 		exclusive := NodeSet{words: excl[i*w : (i+1)*w]}
-		ne := exclusive.Count()
-		nh := holders.Count()
-		if ne > 1 {
-			return fmt.Errorf("block %d exclusive in %d caches", block, ne)
-		}
-		if ne == 1 && nh > 0 {
-			return fmt.Errorf("block %d exclusive in node %d but shared in %v", block, exclusive.Sole(), holders.Members())
-		}
-		e := s.entryFor(block)
-		switch e.State {
-		case Idle:
-			return fmt.Errorf("block %d idle in directory but cached by %v/%v", block, holders.Members(), exclusive.Members())
-		case Shared:
-			if ne > 0 {
-				return fmt.Errorf("block %d shared in directory but exclusive in node %d", block, exclusive.Sole())
-			}
-			for hw, word := range holders.words {
-				for word != 0 {
-					h := hw*64 + bits.TrailingZeros64(word)
-					if !e.Sharers.Has(h) {
-						return fmt.Errorf("block %d cached shared by node %d missing from sharer set", block, h)
-					}
-					word &= word - 1
-				}
-			}
-		case Exclusive:
-			if ne == 1 && exclusive.Sole() != e.Owner {
-				return fmt.Errorf("block %d owned by %d per directory but exclusive in %d", block, e.Owner, exclusive.Sole())
-			}
-			if nh > 0 {
-				return fmt.Errorf("block %d exclusive in directory but shared in %v", block, holders.Members())
-			}
-		}
-		if err := s.proto.CheckEntry(s, e, block); err != nil {
+		if err := s.verify(block, holders, exclusive); err != nil {
 			return fmt.Errorf("block %d: %s: %w", block, s.proto.Name(), err)
 		}
 	}

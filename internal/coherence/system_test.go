@@ -221,15 +221,37 @@ func TestPrefetchOverlapsLatency(t *testing.T) {
 	}
 }
 
+// A write that meets its own shared prefetch cannot be served by it: it
+// upgrades the copy the prefetch delivered, a write fault at the upgrade's
+// cost with no second data message, exactly as CheckOutX does from the
+// same state less the directive's overhead.
 func TestPrefetchSharedDoesNotSatisfyWrite(t *testing.T) {
-	s := sys(t, 2)
-	s.Prefetch(0, 64, 0, false)
+	co := coherence.DefaultCosts()
+	prefetched := func() *coherence.System {
+		s := sys(t, 2)
+		s.Prefetch(0, 64, 0, false)
+		return s
+	}
+	s := prefetched()
+	data := s.Stats.DataMsgs
 	r := s.Write(0, 64, 10_000)
-	if r.Kind == coherence.Hit {
-		t.Errorf("shared prefetch satisfied a write: %+v", r)
+	if r.Kind != coherence.WriteFault || r.Trap || r.Cycles != co.Upgrade() {
+		t.Errorf("write after a shared prefetch: %+v, want a write fault at %d cycles", r, co.Upgrade())
+	}
+	if got := s.Stats.DataMsgs - data; got != 0 {
+		t.Errorf("write after a shared prefetch sent %d data messages, want 0", got)
 	}
 	if err := s.CheckCoherence(); err != nil {
 		t.Error(err)
+	}
+	x := prefetched()
+	rx := x.CheckOutX(0, 64, 10_000)
+	rx.Cycles -= co.DirectiveOverhead
+	if r != rx {
+		t.Errorf("write %+v, check_out_x less its overhead %+v", r, rx)
+	}
+	if x.Stats.DataMsgs != s.Stats.DataMsgs {
+		t.Errorf("data messages: write %d, check_out_x %d", s.Stats.DataMsgs, x.Stats.DataMsgs)
 	}
 }
 

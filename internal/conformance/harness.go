@@ -9,7 +9,7 @@
 //     Performance+prefetch, Programmer CICO) is bit-identical to the
 //     oracle's, and print output matches as a multiset.
 //  2. Dir1SW never violates its coherence invariants, checked per access by
-//     the dir1sw probe rather than only at barriers.
+//     the coherence probe rather than only at barriers.
 //  3. The CICO cost equations bound the measured protocol counts: a
 //     program that writes W distinct blocks must check out at least W
 //     blocks exclusively, the annotation sets stay inside the trace's
@@ -28,8 +28,8 @@ import (
 	"sort"
 
 	"cachier/internal/cico"
+	"cachier/internal/coherence"
 	"cachier/internal/core"
-	"cachier/internal/dir1sw"
 	"cachier/internal/obs"
 	"cachier/internal/oracle"
 	"cachier/internal/parc"
@@ -490,7 +490,7 @@ func diffOutput(got, want []string) error {
 // prefetch_x — so the distinct written-block count bounds the sum from
 // below (cost model Section 2: "a processor must check out a block to write
 // it").
-func checkCheckoutBound(name string, st dir1sw.Stats, want *oracle.Result) error {
+func checkCheckoutBound(name string, st coherence.Stats, want *oracle.Result) error {
 	addrs := make([]uint64, 0, len(want.Written))
 	for a := range want.Written {
 		addrs = append(addrs, a)

@@ -7,36 +7,10 @@ import (
 )
 
 // The memory-system machinery (caches, directory storage, directive
-// surface, self-checks) lives in internal/coherence; this file re-exports
-// the shared types under their historical names and keeps the
-// dir1sw.Config/New construction surface, so code that only ever wants the
-// paper's protocol does not need to assemble the two halves itself.
-
-// System is the shared memory system (see coherence.System).
-type System = coherence.System
-
-// Costs parameterizes the cycle cost model (see coherence.Costs).
-type Costs = coherence.Costs
-
-// Stats aggregates protocol activity (see coherence.Stats).
-type Stats = coherence.Stats
-
-// Result reports the outcome of one access or directive.
-type Result = coherence.Result
-
-// AccessKind classifies the outcome of a shared-memory access.
-type AccessKind = coherence.AccessKind
-
-// Access outcomes.
-const (
-	Hit        = coherence.Hit
-	ReadMiss   = coherence.ReadMiss
-	WriteMiss  = coherence.WriteMiss
-	WriteFault = coherence.WriteFault
-)
-
-// DefaultCosts returns the model's default cost parameters.
-func DefaultCosts() Costs { return coherence.DefaultCosts() }
+// surface, self-checks) lives in internal/coherence, whose types callers
+// name directly; this file keeps the dir1sw.Config/New construction
+// surface, so code that only ever wants the paper's protocol does not need
+// to assemble the two halves itself.
 
 // Config configures a Dir1SW System: the shared machinery's options.
 type Config struct {
@@ -44,7 +18,7 @@ type Config struct {
 	CacheSize int
 	Assoc     int
 	BlockSize int
-	Costs     Costs
+	Costs     coherence.Costs
 
 	// PostStore emulates the KSR-1's post-store check-in (see
 	// coherence.Config.PostStore).
@@ -64,12 +38,12 @@ func DefaultConfig() Config {
 		CacheSize: cache.DefaultSize,
 		Assoc:     cache.DefaultAssoc,
 		BlockSize: cache.DefaultBlockSize,
-		Costs:     DefaultCosts(),
+		Costs:     coherence.DefaultCosts(),
 	}
 }
 
 // New builds a System running Dir1SW.
-func New(cfg Config) (*System, error) {
+func New(cfg Config) (*coherence.System, error) {
 	return coherence.New(coherence.Config{
 		Nodes:     cfg.Nodes,
 		CacheSize: cfg.CacheSize,
@@ -84,7 +58,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // MustNew is New but panics on error.
-func MustNew(cfg Config) *System {
+func MustNew(cfg Config) *coherence.System {
 	s, err := New(cfg)
 	if err != nil {
 		panic(err)

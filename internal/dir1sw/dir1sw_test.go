@@ -15,7 +15,7 @@ import (
 // the traps.
 
 // fullMap builds cfg's machine with the full-map directory instead.
-func fullMap(cfg Config) *System {
+func fullMap(cfg Config) *coherence.System {
 	return coherence.MustNew(coherence.Config{
 		Nodes:     cfg.Nodes,
 		CacheSize: cfg.CacheSize,

@@ -31,8 +31,8 @@ package obs
 
 import "sort"
 
-// AccessKind classifies a shared-data access outcome, mirroring the
-// protocol's classification (obs deliberately does not import dir1sw; the
+// AccessKind classifies a shared-data access outcome, mirroring
+// coherence.AccessKind (obs cannot import coherence without a cycle; the
 // simulator maps between the two).
 type AccessKind uint8
 

@@ -7,9 +7,9 @@ import (
 )
 
 // ProtocolStats is the memory-system counter block of a Snapshot. It
-// mirrors dir1sw.Stats field for field (dir1sw converts; obs cannot import
-// it without a cycle) with stable JSON names, and is the single form the
-// CLIs print protocol statistics from.
+// mirrors coherence.Stats field for field (coherence.Stats.Protocol
+// converts; obs cannot import coherence without a cycle) with stable JSON
+// names, and is the single form the CLIs print protocol statistics from.
 type ProtocolStats struct {
 	Reads  uint64 `json:"reads"`
 	Writes uint64 `json:"writes"`

@@ -47,6 +47,11 @@ type MachineSpec struct {
 	Protocol  string `json:"protocol,omitempty"` // "dir1sw", "dirnnb[:n]", "dirnb[:n]"
 }
 
+// maxMachineLines bounds the cache lines of one machine (nodes ×
+// cache_size / block_size): the paper's machine has 2^18, a 1024-node
+// machine of default caches 2^23.
+const maxMachineLines = 1 << 24
+
 // resolved fills defaults and validates the spec; the returned spec is
 // fully explicit, so its JSON form is a canonical cache-key component.
 func (m MachineSpec) resolved() (MachineSpec, error) {
@@ -74,6 +79,12 @@ func (m MachineSpec) resolved() (MachineSpec, error) {
 	// work is queued.
 	if err := cache.CheckGeometry(m.CacheSize, m.Assoc, m.BlockSize); err != nil {
 		return m, &apiError{code: 400, msg: err.Error()}
+	}
+	// cache.New builds every way of each set it reaches, so a valid
+	// geometry can still ask for gigabytes.
+	if m.CacheSize/m.BlockSize > maxMachineLines/m.Nodes {
+		return m, &apiError{code: 400, msg: fmt.Sprintf("%d caches of %d lines exceed %d cache lines per machine",
+			m.Nodes, m.CacheSize/m.BlockSize, maxMachineLines)}
 	}
 	spec, err := coherence.ParseSpec(m.Protocol)
 	if err != nil {

@@ -289,6 +289,25 @@ func evalBytes(t *testing.T, path string, req any) []byte {
 	return data
 }
 
+// One machine may have 2^24 cache lines in all: the paper's machine and a
+// 1024-node machine of default caches are inside the bound, a 1024-node
+// machine of 512 KB caches is not.
+func TestMachineLineBound(t *testing.T) {
+	for _, c := range []struct {
+		m  MachineSpec
+		ok bool
+	}{
+		{MachineSpec{}, true},
+		{MachineSpec{Nodes: 1024}, true},
+		{MachineSpec{Nodes: 1024, CacheSize: 1 << 19}, true},
+		{MachineSpec{Nodes: 1024, CacheSize: 1 << 20}, false},
+	} {
+		if _, err := c.m.resolved(); (err == nil) != c.ok {
+			t.Errorf("%+v: resolved error %v, want accepted %v", c.m, err, c.ok)
+		}
+	}
+}
+
 // TestErrorResponses covers the 4xx surface: malformed JSON, programs the
 // front end rejects, bad machine specs, unknown snapshots.
 func TestErrorResponses(t *testing.T) {
@@ -326,12 +345,14 @@ func TestErrorResponses(t *testing.T) {
 
 	// Geometries the caches or the memory layout cannot build are the
 	// client's error on every endpoint, refused before a worker runs them;
-	// the huge associativity wraps assoc*block_size to zero.
+	// the huge associativity wraps assoc*block_size to zero, and the
+	// 1024 caches of one 2^20-way set would take about 16 GB.
 	for name, machine := range map[string]MachineSpec{
 		"huge assoc":     {Nodes: testNodes, Assoc: 1 << (bits.UintSize - 5)},
 		"assoc 3":        {Nodes: testNodes, Assoc: 3},
 		"negative assoc": {Nodes: testNodes, Assoc: -1},
 		"block size 24":  {Nodes: testNodes, BlockSize: 24},
+		"2^30 lines":     {Nodes: 1024, CacheSize: 1 << 25, Assoc: 1 << 20},
 	} {
 		src := parcgen.Generate(1)
 		code, _, body = post(t, ts.URL+"/v1/simulate", &SimulateRequest{Source: src, Configs: []MachineSpec{machine}})

@@ -69,7 +69,7 @@ type Config struct {
 	CacheSize int
 	Assoc     int
 	BlockSize int
-	Costs     dir1sw.Costs
+	Costs     coherence.Costs
 	Mode      Mode
 
 	// Quantum is how many cycles the running processor may get ahead of the
@@ -102,7 +102,7 @@ type Config struct {
 	SelfCheck bool
 
 	// PostStore enables the KSR-1-style post-store semantics for check-ins
-	// of dirty blocks (see dir1sw.Config.PostStore).
+	// of dirty blocks (see coherence.Config.PostStore).
 	PostStore bool
 
 	// Protocol selects the coherence protocol by spec string (see
@@ -112,8 +112,8 @@ type Config struct {
 	// PostStore is Dir1SW-specific and rejects any other protocol.
 	Protocol string
 
-	// Probe enables the Dir1SW per-access invariant probe
-	// (dir1sw.Config.Probe): every access and directive re-validates the
+	// Probe enables the per-access invariant probe
+	// (coherence.Config.Probe): every access and directive re-validates the
 	// coherence invariants on the blocks it touched, and the first
 	// violation fails the run at the next barrier (or at completion).
 	// O(nodes) per access — for conformance testing, not performance runs.
@@ -162,7 +162,7 @@ func DefaultConfig() Config {
 		CacheSize:      256 * 1024,
 		Assoc:          4,
 		BlockSize:      32,
-		Costs:          dir1sw.DefaultCosts(),
+		Costs:          coherence.DefaultCosts(),
 		Quantum:        100,
 		BarrierBase:    80,
 		BarrierPerNode: 10,
@@ -221,7 +221,7 @@ type Result struct {
 
 	Cycles     uint64   // execution time: max node completion clock
 	NodeCycles []uint64 // per-node completion clocks
-	Stats      dir1sw.Stats
+	Stats      coherence.Stats
 	Trace      *trace.Trace // non-nil in ModeTrace
 	Output     []string     // print statements, in schedule order
 	Layout     *memory.Layout
@@ -319,7 +319,7 @@ type Machine struct {
 	prog   *parc.Program
 	layout *memory.Layout
 	store  *interp.Store
-	sys    *dir1sw.System
+	sys    *coherence.System
 
 	procs            []*proc
 	ctxs             []*interp.Context
@@ -564,7 +564,7 @@ func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 	// What this does for a hit (the node's reference count, the hit's cycles
 	// onto the clock, yield's compare) coherence.LaneView.Hit and the lane do
 	// without the call; keep them in step.
-	var r dir1sw.Result
+	var r coherence.Result
 	if write {
 		m.sharedWrites[node]++
 		r = m.sys.Write(node, addr, p.clock)
@@ -573,7 +573,7 @@ func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 		r = m.sys.Read(node, addr, p.clock)
 	}
 	p.clock += r.Cycles
-	if m.builder != nil && r.Kind != dir1sw.Hit {
+	if m.builder != nil && r.Kind != coherence.Hit {
 		m.builder.AddMiss(missKind(r.Kind), addr, pc, node)
 	}
 	if m.rec != nil {
@@ -582,24 +582,24 @@ func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 	m.yield(p)
 }
 
-func obsAccessKind(k dir1sw.AccessKind) obs.AccessKind {
+func obsAccessKind(k coherence.AccessKind) obs.AccessKind {
 	switch k {
-	case dir1sw.Hit:
+	case coherence.Hit:
 		return obs.Hit
-	case dir1sw.ReadMiss:
+	case coherence.ReadMiss:
 		return obs.ReadMiss
-	case dir1sw.WriteMiss:
+	case coherence.WriteMiss:
 		return obs.WriteMiss
 	default:
 		return obs.WriteFault
 	}
 }
 
-func missKind(k dir1sw.AccessKind) trace.Kind {
+func missKind(k coherence.AccessKind) trace.Kind {
 	switch k {
-	case dir1sw.ReadMiss:
+	case coherence.ReadMiss:
 		return trace.ReadMiss
-	case dir1sw.WriteMiss:
+	case coherence.WriteMiss:
 		return trace.WriteMiss
 	default:
 		return trace.WriteFault
@@ -623,7 +623,7 @@ func (m *Machine) Directive(node int, kind parc.AnnKind, ranges []interp.AddrRan
 		blocks := ar.Hi/bs - ar.Lo/bs + 1
 		for b := ar.Lo / bs; b <= ar.Hi/bs; b++ {
 			addr := b * bs
-			var r dir1sw.Result
+			var r coherence.Result
 			switch kind {
 			case parc.AnnCheckOutX:
 				r = m.sys.CheckOutX(node, addr, p.clock)

@@ -24,17 +24,14 @@ type Options struct {
 
 	// CacheSize is the target machine's per-node cache capacity in bytes
 	// (placement models the finite cache; Section 4.2). Defaults to 256 KB.
+	// One hoisted annotation's footprint may occupy half of it before
+	// placement descends a loop level.
 	CacheSize int
-
-	// CacheFraction is the fraction of the cache one hoisted annotation's
-	// footprint may occupy before placement descends a loop level.
-	// Defaults to 0.5.
-	CacheFraction float64
 }
 
 // DefaultOptions returns Performance CICO for the paper's machine.
 func DefaultOptions() Options {
-	return Options{Style: StylePerformance, CacheSize: 256 * 1024, CacheFraction: 0.5}
+	return Options{Style: StylePerformance, CacheSize: 256 * 1024}
 }
 
 // Result is an annotation run's output. Its product is text: a caller that
@@ -457,10 +454,5 @@ func (pl *planner) placePrefetch(kind parc.AnnKind, w *siteWork, wantWrite bool)
 			return
 		}
 	}
-	pl.addInsertionAt(kind, anchor, whereBlockStart, target)
-}
-
-// addInsertionAt is addInsertion for whereBlockStart placements.
-func (pl *planner) addInsertionAt(kind parc.AnnKind, anchor parc.Stmt, where whereKind, target *parc.RangeRef) {
-	pl.addInsertion(kind, anchor, where, target)
+	pl.addInsertion(kind, anchor, whereBlockStart, target)
 }

@@ -95,14 +95,9 @@ func newPlanner(prog *parc.Program, info *analysis.Info, layout *memory.Layout, 
 	}
 }
 
-// budget returns the per-variable footprint limit for hoisting decisions.
-func (pl *planner) budget() uint64 {
-	frac := pl.opts.CacheFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	return uint64(float64(pl.opts.CacheSize) * frac)
-}
+// budget returns the per-variable footprint limit for hoisting decisions:
+// half the cache.
+func (pl *planner) budget() uint64 { return uint64(pl.opts.CacheSize / 2) }
 
 // refFor finds the static reference in stmt matching varName; write selects
 // among read/write references when both exist.

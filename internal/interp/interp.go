@@ -128,7 +128,7 @@ func (c *Context) errf(format string, args ...any) error {
 
 func (c *Context) work(n uint64) {
 	c.pending += n
-	if c.pending >= workFlushLimit {
+	if c.pending >= WorkFlushLimit {
 		c.flush()
 	}
 }
@@ -556,7 +556,7 @@ func (c *Context) eval(e parc.Expr, fr *frame) (Value, error) {
 			}
 			args[i] = v
 		}
-		c.work(2)
+		c.work(CallCharge)
 		savedPC, savedPos := c.curPC, c.curPos
 		v, err := c.call(n.Fn, args)
 		c.curPC, c.curPos = savedPC, savedPos

@@ -204,14 +204,14 @@ func (lv *LaneVM) access(write bool, pc int32) bool {
 
 // drainPending replays the flush cadence of the tree-walker's per-unit
 // work(1) charges, which cross the limit one unit at a time: pending
-// crossed the limit, so report exactly workFlushLimit cycles per Work call
+// crossed the limit, so report exactly WorkFlushLimit cycles per Work call
 // until it is below the limit again. Returns false when the yielder parked the lane
 // mid-drain; Resume's preamble finishes the job on the next schedule.
 func (lv *LaneVM) drainPending() bool {
 	c := lv.c
-	for c.pending >= workFlushLimit {
-		c.pending -= workFlushLimit
-		if !lv.work(workFlushLimit) {
+	for c.pending >= WorkFlushLimit {
+		c.pending -= WorkFlushLimit
+		if !lv.work(WorkFlushLimit) {
 			lv.drain = true
 			return false
 		}
@@ -237,7 +237,7 @@ func (lv *LaneVM) flushPending() bool {
 // lv.off), else as the phased walk at phMem.
 func (lv *LaneVM) startWalk(ma *memAccess, regs []uint64) uint8 {
 	c := lv.c
-	if c.pending+ma.work < workFlushLimit {
+	if c.pending+ma.work < WorkFlushLimit {
 		if off, ok := ma.offset(regs); ok {
 			c.pending += ma.work
 			lv.off = off
@@ -263,7 +263,7 @@ func (lv *LaneVM) memWalk(ma *memAccess, regs []uint64, pc int32) stepResult {
 			lv.charged = true
 			c.pending += uint64(t.nwork)
 		}
-		if c.pending >= workFlushLimit && !lv.drainPending() {
+		if c.pending >= WorkFlushLimit && !lv.drainPending() {
 			return stepSuspend
 		}
 		lv.charged = false
@@ -279,7 +279,7 @@ func (lv *LaneVM) memWalk(ma *memAccess, regs []uint64, pc int32) stepResult {
 		lv.charged = true
 		c.pending += uint64(ma.postWork)
 	}
-	if c.pending >= workFlushLimit && !lv.drainPending() {
+	if c.pending >= WorkFlushLimit && !lv.drainPending() {
 		return stepSuspend
 	}
 	lv.charged = false
@@ -315,7 +315,7 @@ func (lv *LaneVM) walk(in *instr, ma *memAccess, regs []uint64, ph uint8) (uint8
 func (lv *LaneVM) fastAddr(ma *memAccess, regs []uint64) bool {
 	c, v := lv.c, &lv.view
 	w := c.pending + ma.work
-	if !lv.viewed || w >= workFlushLimit || *v.Clock+w > *v.Limit {
+	if !lv.viewed || w >= WorkFlushLimit || *v.Clock+w > *v.Limit {
 		return false
 	}
 	off, ok := ma.offset(regs)
@@ -506,16 +506,16 @@ func (lv *LaneVM) machineCall(in *instr, regs []uint64, ph uint8) stepResult {
 	return stepAdvance
 }
 
-// call is opCall in phases: the call-overhead charge (Context.work(2) — a
-// single flush of the whole pending amount at the threshold, unlike
+// call is opCall in phases: the call-overhead charge (Context.work(CallCharge)
+// — a single flush of the whole pending amount at the threshold, unlike
 // drainPending's fixed-size drains), then depth check and frame push. The
 // arguments are already of the parameters' types.
 func (lv *LaneVM) call(in *instr, regs []uint64, ph uint8) stepResult {
 	c := lv.c
 	p := in.aux.(*callPayload)
 	if ph == phStart {
-		c.pending += 2
-		if c.pending >= workFlushLimit {
+		c.pending += CallCharge
+		if c.pending >= WorkFlushLimit {
 			lv.phase = phCallWork
 			if !lv.flushPending() {
 				return stepSuspend
@@ -656,7 +656,7 @@ func (lv *LaneVM) run() (LaneStatus, uint64) {
 			in := &ins[ip]
 			nops++
 			if in.nwork != 0 {
-				if pending += uint64(in.nwork); pending >= workFlushLimit {
+				if pending += uint64(in.nwork); pending >= WorkFlushLimit {
 					c.pending, f.ip = pending, ip
 					lv.phase = phBody
 					if !lv.drainPending() {
@@ -930,7 +930,7 @@ func (lv *LaneVM) run() (LaneStatus, uint64) {
 
 			case opLoadArr, opAsgArr:
 				ma := in.aux.(*memAccess)
-				if w := pending + ma.work; w < workFlushLimit {
+				if w := pending + ma.work; w < WorkFlushLimit {
 					// The usual case, inline: no charge of the walk can flush.
 					if off, ok := ma.offset(regs); ok {
 						pending = w

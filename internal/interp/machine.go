@@ -48,7 +48,13 @@ type Machine interface {
 	Print(node int, text string)
 }
 
-// workFlushLimit bounds how much local work accumulates before being
-// reported, so that compute-only stretches still advance the node's clock
-// and yield to the scheduler.
-const workFlushLimit = 512
+// The local-work cost model every executor of ParC shares, vet's inference
+// mode included. WorkFlushLimit bounds how much local work accumulates
+// before being reported, so that compute-only stretches still advance the
+// node's clock and yield to the scheduler. CallCharge is the work a user
+// function call charges at its call site; it is added whole, so a call can
+// push the pending amount past WorkFlushLimit and flush all of it at once.
+const (
+	WorkFlushLimit = 512
+	CallCharge     = 2
+)

@@ -29,7 +29,11 @@
 // (timeline.go).
 package obs
 
-import "sort"
+import (
+	"sort"
+
+	"cachier/internal/parc"
+)
 
 // AccessKind classifies a shared-data access outcome, mirroring
 // coherence.AccessKind (obs cannot import coherence without a cycle; the
@@ -45,34 +49,8 @@ const (
 	nAccessKinds
 )
 
-// DirKind classifies a CICO directive.
-type DirKind uint8
-
-// Directive kinds, in source-syntax order.
-const (
-	DirCheckOutX DirKind = iota
-	DirCheckOutS
-	DirCheckIn
-	DirPrefetchX
-	DirPrefetchS
-	nDirKinds
-)
-
-func (k DirKind) String() string {
-	switch k {
-	case DirCheckOutX:
-		return "check_out_x"
-	case DirCheckOutS:
-		return "check_out_s"
-	case DirCheckIn:
-		return "check_in"
-	case DirPrefetchX:
-		return "prefetch_x"
-	case DirPrefetchS:
-		return "prefetch_s"
-	}
-	return "directive?"
-}
+// nDirKinds is the number of CICO directive kinds, parc.AnnKind's values.
+const nDirKinds = parc.AnnPrefetchS + 1
 
 // TrapCause classifies why the directory trapped to software. Dir1SW's
 // whole case rests on which of these the annotations remove, so the causes
@@ -242,7 +220,7 @@ func (r *Recorder) trapAt(node int, now uint64) {
 
 // Directive records one CICO directive execution by node covering the
 // given number of cache blocks, ending at the node's clock now.
-func (r *Recorder) Directive(node int, kind DirKind, blocks uint64, now uint64) {
+func (r *Recorder) Directive(node int, kind parc.AnnKind, blocks uint64, now uint64) {
 	if r == nil {
 		return
 	}
@@ -267,7 +245,7 @@ func (r *Recorder) DirectiveTrap(node int, now uint64) {
 
 // VarDirective attributes a directive's blocks to a labelled shared
 // variable (the simulator resolves the address to a region name).
-func (r *Recorder) VarDirective(name string, kind DirKind, blocks uint64) {
+func (r *Recorder) VarDirective(name string, kind parc.AnnKind, blocks uint64) {
 	if r == nil {
 		return
 	}
@@ -277,15 +255,15 @@ func (r *Recorder) VarDirective(name string, kind DirKind, blocks uint64) {
 		r.vars[name] = v
 	}
 	switch kind {
-	case DirCheckOutX:
+	case parc.AnnCheckOutX:
 		v.CheckOutX += blocks
-	case DirCheckOutS:
+	case parc.AnnCheckOutS:
 		v.CheckOutS += blocks
-	case DirCheckIn:
+	case parc.AnnCheckIn:
 		v.CheckIns += blocks
-	case DirPrefetchX:
+	case parc.AnnPrefetchX:
 		v.PrefetchX += blocks
-	case DirPrefetchS:
+	case parc.AnnPrefetchS:
 		v.PrefetchS += blocks
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"cachier/internal/parc"
 )
 
 // checkHistogram asserts the documented Histogram invariants.
@@ -117,16 +119,16 @@ func drive(r *Recorder) {
 	r.Invalidations(1, 1)
 	r.DirTransition(StateIdle, StateShared)
 	r.DirTransition(StateShared, StateExclusive)
-	r.Directive(0, DirCheckOutX, 4, 130)
-	r.VarDirective("U", DirCheckOutX, 4)
+	r.Directive(0, parc.AnnCheckOutX, 4, 130)
+	r.VarDirective("U", parc.AnnCheckOutX, 4)
 	r.DirectiveTrap(0, 130)
 	r.Trap(TrapUpgrade)
 	r.Work(0, 50)
 	r.Handoff()
 	r.BarrierEnd(3, []uint64{180, 150}, 260)
 	r.Access(1, WriteFault, 7, 60, false, 320)
-	r.Directive(1, DirCheckIn, 2, 330)
-	r.VarDirective("V", DirCheckIn, 2)
+	r.Directive(1, parc.AnnCheckIn, 2, 330)
+	r.VarDirective("V", parc.AnnCheckIn, 2)
 	r.Handoff()
 	r.BarrierEnd(3, []uint64{300, 330}, 410)
 	r.Access(0, Hit, 7, 1, false, 411)
@@ -302,9 +304,9 @@ func TestRepeatedSnapshotsAgree(t *testing.T) {
 }
 
 func TestEnumStrings(t *testing.T) {
-	for k := DirKind(0); k < nDirKinds; k++ {
-		if k.String() == "directive?" {
-			t.Errorf("DirKind %d has no name", k)
+	for k := parc.AnnKind(0); k < nDirKinds; k++ {
+		if k.String() == "cico(?)" {
+			t.Errorf("AnnKind %d has no name", k)
 		}
 	}
 	for c := TrapCause(0); c < nTrapCauses; c++ {

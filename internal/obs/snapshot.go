@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"cachier/internal/parc"
 )
 
 // ProtocolStats is the memory-system counter block of a Snapshot. It
@@ -218,7 +220,7 @@ func (r *Recorder) Snapshot(cycles uint64, nodeCycles []uint64, barriers int, pr
 				TrapStats{Cause: cause.String(), Count: c})
 		}
 	}
-	for k := DirKind(0); k < nDirKinds; k++ {
+	for k := parc.AnnKind(0); k < nDirKinds; k++ {
 		if agg := r.dirAgg[k]; agg.Events > 0 {
 			agg.Kind = k.String()
 			s.Directives = append(s.Directives, agg)
@@ -316,11 +318,11 @@ func (s *Snapshot) CheckConsistency() error {
 		}
 	}
 	dirWant := map[string]uint64{
-		DirCheckOutX.String(): p.CheckOutX,
-		DirCheckOutS.String(): p.CheckOutS,
-		DirCheckIn.String():   p.CheckIns,
-		DirPrefetchX.String(): p.PrefetchX,
-		DirPrefetchS.String(): p.PrefetchS,
+		parc.AnnCheckOutX.String(): p.CheckOutX,
+		parc.AnnCheckOutS.String(): p.CheckOutS,
+		parc.AnnCheckIn.String():   p.CheckIns,
+		parc.AnnPrefetchX.String(): p.PrefetchX,
+		parc.AnnPrefetchS.String(): p.PrefetchS,
 	}
 	var dirBlocks uint64
 	for _, d := range s.Directives {

@@ -41,11 +41,13 @@ type Event struct {
 }
 
 // EventSource is one processor's program as a stream of events in program
-// order. ok is false once the program has ended; an error faults the
-// processor like a runtime error of an interpreted one. The layout is the
-// machine's, for sources that hold variables rather than addresses.
+// order. Next returns nil once the program has ended; an error faults the
+// processor like a runtime error of an interpreted one. The event is the
+// source's own, read before the next call, so a source may rewrite one Event
+// in place. The layout is the machine's, for sources that hold variables
+// rather than addresses.
 type EventSource interface {
-	Next(layout *memory.Layout) (ev Event, ok bool, err error)
+	Next(layout *memory.Layout) (*Event, error)
 }
 
 // Replay simulates the machine cfg describes with every processor driven by
@@ -78,8 +80,8 @@ type eventLane struct {
 func (l *eventLane) Resume() interp.LaneStatus {
 	m := l.m
 	for !l.done && m.LaneRunning(l.node) {
-		ev, ok, err := l.src.Next(m.layout)
-		if err != nil || !ok {
+		ev, err := l.src.Next(m.layout)
+		if err != nil || ev == nil {
 			l.err, l.done = err, true
 			break
 		}

@@ -15,21 +15,22 @@ type sliceSource struct {
 	err    error
 }
 
-func (s *sliceSource) Next(*memory.Layout) (Event, bool, error) {
+func (s *sliceSource) Next(*memory.Layout) (*Event, error) {
 	if len(s.events) == 0 {
-		return Event{}, false, s.err
+		return nil, s.err
 	}
-	ev := s.events[0]
+	ev := &s.events[0]
 	s.events = s.events[1:]
-	return ev, true, nil
+	return ev, nil
 }
 
 // TestReplay drives the event engine with hand-made streams (that an
 // inferred stream replays to the trace of the program's own run is
 // staticanno's and the conformance harness's business): two nodes store to
-// one block on either side of a barrier, and the Result is the machine's —
-// a trace with the cold miss and the invalidation miss of each epoch, the
-// barrier, both clocks — with nothing an interpreter would have added.
+// one block under one lock on either side of a barrier, and the Result is
+// the machine's — a trace with the cold miss and the invalidation miss of
+// each epoch, the barrier, both clocks — with nothing an interpreter would
+// have added.
 func TestReplay(t *testing.T) {
 	prog := parc.MustParse(`shared int v[4]; func main() { }`)
 	layout, err := memory.New(prog, 32)
@@ -46,7 +47,9 @@ func TestReplay(t *testing.T) {
 	stream := func() *sliceSource {
 		return &sliceSource{events: []Event{
 			{Op: EvWork, Cycles: 7},
+			{Op: EvLock, Lock: 9, PC: 2},
 			{Op: EvAccess, Write: true, Addr: addr, PC: 3},
+			{Op: EvUnlock, Lock: 9, PC: 2},
 			{Op: EvPrint, PC: 4},
 			{Op: EvBarrier, PC: 5},
 			{Op: EvAccess, Write: true, Addr: addr, PC: 6},

@@ -642,29 +642,13 @@ func (m *Machine) Directive(node int, kind parc.AnnKind, ranges []interp.AddrRan
 			}
 		}
 		if m.rec != nil {
-			dk := obsDirKind(kind)
-			m.rec.Directive(node, dk, blocks, p.clock)
+			m.rec.Directive(node, kind, blocks, p.clock)
 			if reg, _, ok := m.layout.Resolve(ar.Lo); ok {
-				m.rec.VarDirective(reg.Name, dk, blocks)
+				m.rec.VarDirective(reg.Name, kind, blocks)
 			}
 		}
 	}
 	m.yield(p)
-}
-
-func obsDirKind(kind parc.AnnKind) obs.DirKind {
-	switch kind {
-	case parc.AnnCheckOutX:
-		return obs.DirCheckOutX
-	case parc.AnnCheckOutS:
-		return obs.DirCheckOutS
-	case parc.AnnCheckIn:
-		return obs.DirCheckIn
-	case parc.AnnPrefetchX:
-		return obs.DirPrefetchX
-	default:
-		return obs.DirPrefetchS
-	}
 }
 
 // Barrier implements interp.Machine.

@@ -4,16 +4,21 @@
 // simulation of the unannotated program. This package synthesizes that
 // trace statically: the vet abstract interpreter's inference mode
 // (vet.Summarize) records each node's stream of scheduler-visible events —
-// shared accesses, locks, prints, work, barriers — directly from the AST,
-// and a coherent replay (replay.go) reads every stream through a
-// vet.Cursor, one step and one array element at a time, on the
-// simulator's own machine, scheduler and Dir1SW protocol (sim.Replay), so
-// cross-node interference on falsely-shared blocks produces the same
-// extra misses, kind flips, and write faults a simulated trace carries. The
-// synthetic trace's PCs are the statement IDs of the program it was inferred
-// from, so it feeds the unchanged core.AnnotateMulti on that same checked
-// program, and every placement rule (hoisting, generated loops, pinned
-// conflict annotations) behaves identically whether the trace came from a
+// shared accesses, locks, prints, work, barriers — directly from the AST.
+// Each node's vet.Cursor is its sim.EventSource: it hands out those events
+// as sim.Events, one array element at a time, and sim.Replay runs them on
+// the simulator's own machine, scheduler and Dir1SW protocol in trace mode.
+// An isolated per-node cache replay would be blind to cross-node
+// interference on falsely-shared blocks; on the coherent machine that
+// interference produces the same extra misses, kind flips, and write
+// faults a simulated trace carries, and the paper's trace-driven Cachier
+// pins annotations at those boundaries. Local work is in the streams too,
+// charged and flushed with the interpreter's own constants, so an exact
+// inference replays the simulated schedule cycle for cycle. The synthetic
+// trace's PCs are the statement IDs of the program it was inferred from, so
+// it feeds the unchanged core.AnnotateMulti on that same checked program,
+// and every placement rule (hoisting, generated loops, pinned conflict
+// annotations) behaves identically whether the trace came from a
 // simulation or from this package.
 //
 // On programs the interpreter can enumerate exactly — concrete loop
@@ -33,6 +38,7 @@ import (
 
 	"cachier/internal/core"
 	"cachier/internal/parc"
+	"cachier/internal/sim"
 	"cachier/internal/trace"
 	"cachier/internal/vet"
 )
@@ -80,10 +86,11 @@ type Result struct {
 	Notes []string
 }
 
-// Infer synthesizes the miss trace of prog on the configured machine.
+// Infer synthesizes the miss trace of prog on the configured machine: the
+// trace of a trace-mode replay of every node's inferred stream.
 func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: cfg.Nodes})
+	sum, err := vet.Summarize(prog, vet.Options{Nprocs: cfg.Nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +98,16 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	if err := sum.CheckBarrierStructure(); err != nil {
 		return nil, fmt.Errorf("staticanno: %w", err)
 	}
-	res, err := replay(prog, cfg, sum)
+	mc := sim.DefaultConfig()
+	mc.Nodes, mc.CacheSize, mc.Assoc, mc.BlockSize = cfg.Nodes, cfg.CacheSize, cfg.Assoc, cfg.BlockSize
+	mc.Mode = sim.ModeTrace
+	cursors := make([]vet.Cursor, cfg.Nodes)
+	sources := make([]sim.EventSource, cfg.Nodes)
+	for i := range cursors {
+		cursors[i] = sum.Cursor(i)
+		sources[i] = &cursors[i]
+	}
+	res, err := sim.Replay(prog, mc, sources)
 	if err != nil {
 		return nil, machineFault{err}
 	}

@@ -4,9 +4,9 @@
 // for loops are enumerated concretely, and every access records the ID of
 // its enclosing statement — the "pc" a simulation trace would carry. The
 // result keeps each node's recorded event stream as it is, and a Cursor
-// reads it as the scheduler-visible steps internal/staticanno replays on the
-// simulator's machine to synthesize the miss trace Cachier's placement
-// pipeline normally gets from a simulation.
+// reads it as the sim.Events internal/staticanno replays on the simulator's
+// machine to synthesize the miss trace Cachier's placement pipeline
+// normally gets from a simulation.
 //
 // Where the program is not statically enumerable (data-dependent guards,
 // input-dependent subscripts, call-depth or fuel limits) the summary
@@ -18,14 +18,10 @@ package vet
 import (
 	"fmt"
 
+	"cachier/internal/memory"
 	"cachier/internal/parc"
+	"cachier/internal/sim"
 )
-
-// InferOptions configures a trace-free inference run.
-type InferOptions struct {
-	// Nprocs is the number of SPMD nodes to model. Defaults to 4.
-	Nprocs int
-}
 
 // Inference bounds: inferEnumLimit caps concrete enumeration per loop (trip
 // count for for loops, iterations for while loops), and inferFuel the total
@@ -35,44 +31,9 @@ const (
 	inferFuel      = 8 << 20
 )
 
-// StepOp tags a Step. Besides shared accesses a node's stream keeps the
-// other scheduler-visible operations — lock, unlock, print, local-work
-// reports, barriers — because each is a context-switch point in the
-// simulator and a faithful replay of its schedule must switch at the same
-// places with the same clocks.
-type StepOp uint8
-
-const (
-	OpAccess StepOp = iota
-	OpLock
-	OpUnlock
-	OpPrint
-	OpWork
-	OpBarrier
-)
-
-// Step is one scheduler-visible step of a node's inferred execution. A
-// shared access is one step per element it may touch: an exact access is
-// one step, a widened one a step per element of its bounds-clamped
-// footprint.
-type Step struct {
-	Op StepOp
-	// Stmt is the statement ID a trace would carry: the access's enclosing
-	// statement, the barrier, lock, unlock or print statement, or the
-	// statement whose work is reported.
-	Stmt  int
-	Write bool             // OpAccess: a store
-	Decl  *parc.SharedDecl // OpAccess: the shared variable
-	// Index is the element's subscripts (OpAccess; empty for a scalar). It
-	// is the cursor's own odometer, valid until the next call to Next.
-	Index []int
-	Lock  int64  // OpLock, OpUnlock: the lock id
-	Work  uint64 // OpWork: local cycles reported to the machine
-}
-
 // Summary is the result of trace-free inference over a whole program: every
-// node's event stream as the abstract interpreter recorded it, read one step
-// at a time through a Cursor.
+// node's event stream as the abstract interpreter recorded it, read one
+// machine event at a time through a Cursor.
 type Summary struct {
 	Nprocs int
 	// Exact reports that every branch, loop bound, lock id, and subscript
@@ -97,7 +58,7 @@ type nodeStream struct {
 // unaffected by inference mode. Every access's element sets are checked
 // against its array's bounds here, so a Cursor cannot fail. Release hands
 // the streams' storage back.
-func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
+func Summarize(prog *parc.Program, opts Options) (*Summary, error) {
 	if opts.Nprocs <= 0 {
 		opts.Nprocs = 4
 	}
@@ -105,7 +66,7 @@ func Summarize(prog *parc.Program, opts InferOptions) (*Summary, error) {
 	if main == nil {
 		return nil, fmt.Errorf("vet: program has no main function")
 	}
-	v := newVetter(prog, Options{Nprocs: opts.Nprocs})
+	v := newVetter(prog, opts)
 	sum := &Summary{Nprocs: opts.Nprocs, Exact: true, nodes: make([]nodeStream, 0, opts.Nprocs)}
 	var prev *nodeRun
 	for p := 0; p < opts.Nprocs; p++ {
@@ -205,16 +166,17 @@ func (s *Summary) Release() {
 	s.nodes = nil
 }
 
-// Cursor reads one node's stream step by step. Its odometer walks a shared
-// access's elements row-major ascending, last subscript fastest, so a
-// widened access costs no list of its elements.
+// Cursor reads one node's stream as the machine events a simulation of the
+// node would make; a pointer to it is the node's sim.EventSource. Its
+// odometer walks a shared access's elements row-major ascending, last
+// subscript fastest, so a widened access costs no list of its elements.
 type Cursor struct {
 	sum    *Summary
 	events []event
-	next   int    // the next event to read
-	acc    *event // the access the odometer is walking; nil between accesses
-	ix     []int  // the odometer: acc's current element
-	step   Step   // the last step returned: an access's is every element's, its Index being ix
+	next   int       // the next event to read
+	acc    *event    // the access the odometer is walking; nil between accesses
+	ix     []int     // the odometer: acc's current element
+	ev     sim.Event // the last event returned: an access's is every element's, Addr aside
 }
 
 // Cursor returns a cursor at the start of node's stream.
@@ -222,14 +184,15 @@ func (s *Summary) Cursor(node int) Cursor {
 	return Cursor{sum: s, events: s.nodes[node].events}
 }
 
-// Next returns the node's next step, or nil at the end of its stream. The
-// step is the cursor's own, valid until the next call.
-func (c *Cursor) Next() *Step {
+// Next implements sim.EventSource: the node's next event, with an access's
+// element at its address in layout, or nil at the end of the stream. The
+// event is the cursor's own, valid until the next call.
+func (c *Cursor) Next(layout *memory.Layout) (*sim.Event, error) {
 	if c.sum.nodes == nil {
 		panic("vet: Cursor read after its Summary's Release")
 	}
 	if c.acc != nil && c.advance() {
-		return &c.step
+		return c.access(layout)
 	}
 	c.acc = nil
 	for c.next < len(c.events) {
@@ -238,25 +201,25 @@ func (c *Cursor) Next() *Step {
 		switch ev.kind {
 		case evAccess:
 			if ev.decl != nil && c.start(ev) {
-				return &c.step
+				return c.access(layout)
 			}
 			continue
 		case evBarrier:
-			c.step = Step{Op: OpBarrier, Stmt: int(ev.stmtID)}
+			c.ev = sim.Event{Op: sim.EvBarrier, PC: int(ev.stmtID)}
 		case evLock:
-			c.step = Step{Op: OpLock, Lock: ev.lockID, Stmt: int(ev.stmtID)}
+			c.ev = sim.Event{Op: sim.EvLock, Lock: ev.lockID, PC: int(ev.stmtID)}
 		case evUnlock:
-			c.step = Step{Op: OpUnlock, Lock: ev.lockID, Stmt: int(ev.stmtID)}
+			c.ev = sim.Event{Op: sim.EvUnlock, Lock: ev.lockID, PC: int(ev.stmtID)}
 		case evPrint:
-			c.step = Step{Op: OpPrint, Stmt: int(ev.stmtID)}
+			c.ev = sim.Event{Op: sim.EvPrint, PC: int(ev.stmtID)}
 		case evWork:
-			c.step = Step{Op: OpWork, Work: ev.work, Stmt: int(ev.encStmt)}
+			c.ev = sim.Event{Op: sim.EvWork, Cycles: ev.work, PC: int(ev.encStmt)}
 		default:
 			continue
 		}
-		return &c.step
+		return &c.ev, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // start sets the odometer to ev's first element; false if ev touches none.
@@ -269,8 +232,19 @@ func (c *Cursor) start(ev *event) bool {
 		c.ix = append(c.ix, int(s.lo))
 	}
 	c.acc = ev
-	c.step = Step{Op: OpAccess, Stmt: int(ev.encStmt), Write: ev.write, Decl: ev.decl, Index: c.ix}
+	c.ev = sim.Event{Op: sim.EvAccess, Write: ev.write, PC: int(ev.encStmt)}
 	return true
+}
+
+// access returns the access event at the odometer's element: its address
+// in acc's region of layout.
+func (c *Cursor) access(layout *memory.Layout) (*sim.Event, error) {
+	addr, err := layout.Regions[c.acc.decl.Index].AddrOf(c.ix...)
+	if err != nil {
+		return nil, err
+	}
+	c.ev.Addr = addr
+	return &c.ev, nil
 }
 
 // advance turns the odometer to acc's next element; false once every

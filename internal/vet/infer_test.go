@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"cachier/internal/memory"
 	"cachier/internal/parc"
+	"cachier/internal/sim"
 )
 
 func inferProg(t *testing.T, src string) *parc.Program {
@@ -21,7 +23,8 @@ func inferProg(t *testing.T, src string) *parc.Program {
 	return prog
 }
 
-// access is one element step of a node's stream, copied out of the cursor.
+// access is one element access of a node's stream, its address resolved
+// back to the variable and subscripts.
 type access struct {
 	name  string
 	write bool
@@ -29,20 +32,48 @@ type access struct {
 	index []int
 }
 
+// events reads node's stream to its end on prog's layout and calls f with
+// each event, an access's resolved.
+func events(t *testing.T, prog *parc.Program, sum *Summary, node int, f func(*sim.Event, access)) {
+	t.Helper()
+	layout, err := memory.New(prog, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sum.Cursor(node)
+	for {
+		ev, err := c.Next(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == nil {
+			return
+		}
+		var acc access
+		if ev.Op == sim.EvAccess {
+			r, ix, ok := layout.Resolve(ev.Addr)
+			if !ok {
+				t.Fatalf("node %d: access of %#x outside every region", node, ev.Addr)
+			}
+			acc = access{r.Name, ev.Write, ev.PC, ix}
+		}
+		f(ev, acc)
+	}
+}
+
 // epochs reads node's stream to its end and returns its shared accesses
 // split at its barriers: one list per epoch, the last ending at program end.
-func epochs(sum *Summary, node int) [][]access {
-	c := sum.Cursor(node)
+func epochs(t *testing.T, prog *parc.Program, sum *Summary, node int) [][]access {
 	eps := [][]access{nil}
-	for s := c.Next(); s != nil; s = c.Next() {
-		switch s.Op {
-		case OpAccess:
+	events(t, prog, sum, node, func(ev *sim.Event, acc access) {
+		switch ev.Op {
+		case sim.EvAccess:
 			last := len(eps) - 1
-			eps[last] = append(eps[last], access{s.Decl.Name, s.Write, s.Stmt, slices.Clone(s.Index)})
-		case OpBarrier:
+			eps[last] = append(eps[last], acc)
+		case sim.EvBarrier:
 			eps = append(eps, nil)
 		}
-	}
+	})
 	return eps
 }
 
@@ -67,7 +98,7 @@ func main() {
     }
     barrier;
 }`)
-	sum, err := Summarize(prog, InferOptions{Nprocs: 4})
+	sum, err := Summarize(prog, Options{Nprocs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +110,7 @@ func main() {
 	}
 	for node := range 4 {
 		// Two barriers and the trailing program-end interval.
-		eps := epochs(sum, node)
+		eps := epochs(t, prog, sum, node)
 		if len(eps) != 3 {
 			t.Fatalf("node %d: %d epochs, want 3", node, len(eps))
 		}
@@ -118,14 +149,14 @@ func main() {
         w = w + 1;
     }
 }`)
-	sum, err := Summarize(prog, InferOptions{Nprocs: 2})
+	sum, err := Summarize(prog, Options{Nprocs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Exact {
 		t.Fatalf("counted while should infer exactly; notes: %v", sum.Notes)
 	}
-	eps0, eps1 := epochs(sum, 0), epochs(sum, 1)
+	eps0, eps1 := epochs(t, prog, sum, 0), epochs(t, prog, sum, 1)
 	if got := len(eps0); got != 4 {
 		t.Fatalf("3 barrier crossings should give 4 epochs, got %d", got)
 	}
@@ -152,17 +183,17 @@ func main() {
     }
     barrier;
 }`)
-	sum, err := Summarize(prog, InferOptions{Nprocs: 2})
+	sum, err := Summarize(prog, Options{Nprocs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Node 1: pid()==0 folds false, so the VM never reads flag.
-	if n := len(epochs(sum, 1)[0]); n != 0 {
+	if n := len(epochs(t, prog, sum, 1)[0]); n != 0 {
 		t.Errorf("node 1 should not touch flag under short-circuit, got %d accesses", n)
 	}
 	// Node 0 reads flag (guard), and the guard is data-dependent, so the
 	// summary must admit inexactness rather than claim the VM's stream.
-	if len(epochs(sum, 0)[0]) == 0 {
+	if len(epochs(t, prog, sum, 0)[0]) == 0 {
 		t.Error("node 0 should record the guard read of flag")
 	}
 	if sum.Exact {
@@ -182,7 +213,7 @@ func main() {
     A[j] = 1.0;
     barrier;
 }`)
-	sum, err := Summarize(prog, InferOptions{Nprocs: 2})
+	sum, err := Summarize(prog, Options{Nprocs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +223,7 @@ func main() {
 	// The write widens to every element of A, clamped to its bounds and
 	// walked in ascending order.
 	var written []int
-	for _, acc := range epochs(sum, 0)[0] {
+	for _, acc := range epochs(t, prog, sum, 0)[0] {
 		if acc.write {
 			written = append(written, acc.index[0])
 		}
@@ -222,7 +253,7 @@ func main() {
 }`
 	prog := inferProg(t, src)
 	before := Analyze(prog, Options{Nprocs: 4}).String()
-	if _, err := Summarize(prog, InferOptions{Nprocs: 4}); err != nil {
+	if _, err := Summarize(prog, Options{Nprocs: 4}); err != nil {
 		t.Fatal(err)
 	}
 	after := Analyze(prog, Options{Nprocs: 4}).String()
@@ -239,8 +270,8 @@ func main() {
 // declaration), the element checks Summarize makes, and
 // CheckBarrierStructure's messages, on hand-built streams.
 func TestCursorOdometer(t *testing.T) {
-	grid := &parc.SharedDecl{Name: "G", DimSizes: []int{3, 4}}
-	scalar := &parc.SharedDecl{Name: "s"}
+	prog := inferProg(t, "shared int G[3][4];\nshared int s;\nfunc main() { }")
+	grid, scalar := prog.Shareds[0], prog.Shareds[1]
 	sum := &Summary{nodes: []nodeStream{{events: []event{
 		{kind: evAccess, decl: grid, encStmt: 5, dims: []si{{0, 2, 2}, {1, 3, 1}}},
 		{kind: evAccess, decl: grid, dims: []si{siConst(1), siEmpty}},
@@ -250,18 +281,17 @@ func TestCursorOdometer(t *testing.T) {
 		{kind: evBarrier, stmtID: 7},
 	}}}}
 	var got []string
-	c := sum.Cursor(0)
-	for s := c.Next(); s != nil; s = c.Next() {
-		if s.Op == OpAccess {
-			got = append(got, fmt.Sprintf("%s%v@%d/%v", s.Decl.Name, s.Index, s.Stmt, s.Write))
+	events(t, prog, sum, 0, func(ev *sim.Event, acc access) {
+		if ev.Op == sim.EvAccess {
+			got = append(got, fmt.Sprintf("%s%v@%d/%v", acc.name, acc.index, acc.stmt, acc.write))
 		} else {
-			got = append(got, fmt.Sprintf("op%d@%d", s.Op, s.Stmt))
+			got = append(got, fmt.Sprintf("op%d@%d", ev.Op, ev.PC))
 		}
-	}
+	})
 	want := []string{
 		"G[0 1]@5/false", "G[0 2]@5/false", "G[0 3]@5/false",
 		"G[2 1]@5/false", "G[2 2]@5/false", "G[2 3]@5/false",
-		"s[]@6/true", fmt.Sprintf("op%d@7", OpBarrier),
+		"s[]@6/true", fmt.Sprintf("op%d@7", sim.EvBarrier),
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("cursor steps\n got %v\nwant %v", got, want)

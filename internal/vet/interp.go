@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"cachier/internal/analysis"
+	"cachier/internal/interp"
 	"cachier/internal/parc"
 )
 
@@ -50,11 +51,6 @@ const (
 	evPrint
 	evWork
 )
-
-// workFlushLimit mirrors the interpreter's local-work flush boundary
-// (interp.workFlushLimit): pending unit charges are reported to the
-// machine — a context-switch point — when they reach this many cycles.
-const workFlushLimit = 512
 
 // event is one element of a node's abstract execution stream. It names
 // what it touched by pointer and integer only; the source text and position
@@ -372,16 +368,16 @@ func (r *nodeRun) emit(ev event) {
 
 // charge does what the interpreter's Context.work does with n cycles of
 // work: add them to the pending count and, once that reaches
-// workFlushLimit, report all of it in one Work call (and so a context-switch
-// point in the simulator). Unit charges reach the limit exactly, so they
-// report workFlushLimit each time; the call overhead of 2 can pass it and
-// report one cycle more. Charging is inference-only and off during
+// interp.WorkFlushLimit, report all of it in one Work call (and so a
+// context-switch point in the simulator). Unit charges reach the limit
+// exactly, so they report the limit each time; interp.CallCharge can pass
+// it and report one cycle more. Charging is inference-only and off during
 // suppressed re-walks, which the concrete interpreter never performs.
 func (r *nodeRun) charge(n uint64) {
 	if r.infer == nil || r.suppress > 0 {
 		return
 	}
-	if r.pending += n; r.pending >= workFlushLimit {
+	if r.pending += n; r.pending >= interp.WorkFlushLimit {
 		r.flushWork()
 	}
 }
@@ -729,7 +725,7 @@ func (r *nodeRun) call(st *state, n *parc.CallExpr) aval {
 			fst.vals[i] = v
 		}
 	}
-	r.charge(2) // call overhead, as the interpreter charges at the call site
+	r.charge(interp.CallCharge)
 	if r.depth >= maxCallDepth {
 		r.structural(n.Position(), "call depth limit reached at %s(); analysis truncated", n.Name)
 		r.inexact(n.Position(), "call depth limit reached at %s()", n.Name)
@@ -1562,12 +1558,7 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 		// surfaces later as a barrier-structure mismatch between the nodes'
 		// summaries.
 		if from.isConst() && to.isConst() && stepOK {
-			trip := int64(0)
-			if step > 0 && to.lo >= from.lo {
-				trip = (to.lo-from.lo)/step + 1
-			} else if step < 0 && from.lo >= to.lo {
-				trip = (from.lo-to.lo)/(-step) + 1
-			}
+			trip := tripCount(from.lo, to.lo, step)
 			if trip <= inferEnumLimit {
 				r.enumFor(st, n, slot, from.lo, to.lo, step)
 				return
@@ -1589,19 +1580,23 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 		r.approxFor(st, n, slot, from, to, step, stepOK, 2)
 		return
 	}
-	if from.isConst() && to.isConst() && stepOK {
-		trip := int64(0)
-		if step > 0 && to.lo >= from.lo {
-			trip = (to.lo-from.lo)/step + 1
-		} else if step < 0 && from.lo >= to.lo {
-			trip = (from.lo-to.lo)/(-step) + 1
-		}
-		if trip <= enumLimit {
-			r.enumFor(st, n, slot, from.lo, to.lo, step)
-			return
-		}
+	if from.isConst() && to.isConst() && stepOK && tripCount(from.lo, to.lo, step) <= enumLimit {
+		r.enumFor(st, n, slot, from.lo, to.lo, step)
+		return
 	}
 	r.approxFor(st, n, slot, from, to, step, stepOK, 1)
+}
+
+// tripCount is the number of iterations of a for loop from from to to by a
+// nonzero step.
+func tripCount(from, to, step int64) int64 {
+	switch {
+	case step > 0 && to >= from:
+		return (to-from)/step + 1
+	case step < 0 && from >= to:
+		return (from-to)/(-step) + 1
+	}
+	return 0
 }
 
 func (r *nodeRun) enumFor(st *state, n *parc.ForStmt, slot int, from, to, step int64) {

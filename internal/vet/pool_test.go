@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"cachier/internal/bench"
+	"cachier/internal/memory"
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
+	"cachier/internal/sim"
 	"cachier/internal/vet"
 )
 
@@ -29,7 +31,7 @@ func poolPrograms(t *testing.T) []*parc.Program {
 }
 
 // vetBytes is everything one program's vet passes produce, as text: the
-// Analyze report and, unless analyzeOnly, a digest of every step a Cursor
+// Analyze report and, unless analyzeOnly, a digest of every event a Cursor
 // reads off each node of its Summary, with Exact and Notes. The summary is
 // released after.
 func vetBytes(prog *parc.Program, analyzeOnly bool) string {
@@ -38,28 +40,34 @@ func vetBytes(prog *parc.Program, analyzeOnly bool) string {
 	if analyzeOnly {
 		return out
 	}
-	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: nprocs})
+	layout, err := memory.New(prog, 32)
+	if err != nil {
+		return out + "layout: " + err.Error()
+	}
+	sum, err := vet.Summarize(prog, vet.Options{Nprocs: nprocs})
 	if err != nil {
 		return out + "summarize: " + err.Error()
 	}
 	defer sum.Release()
-	h := uint64(14695981039346656037) // FNV-1a over the steps' fields
+	h := uint64(14695981039346656037) // FNV-1a over the events' fields
 	fold := func(x uint64) { h = (h ^ x) * 1099511628211 }
 	for node := range nprocs {
 		c := sum.Cursor(node)
-		for s := c.Next(); s != nil; s = c.Next() {
-			fold(uint64(s.Op))
-			fold(uint64(s.Stmt))
-			fold(uint64(s.Lock))
-			fold(s.Work)
-			if s.Op == vet.OpAccess {
-				fold(uint64(s.Decl.Index))
-				if s.Write {
-					fold(1)
-				}
-				for _, i := range s.Index {
-					fold(uint64(i))
-				}
+		for {
+			ev, err := c.Next(layout)
+			if err != nil {
+				return out + "cursor: " + err.Error()
+			}
+			if ev == nil {
+				break
+			}
+			fold(uint64(ev.Op))
+			fold(uint64(ev.PC))
+			fold(uint64(ev.Lock))
+			fold(ev.Cycles)
+			fold(ev.Addr)
+			if ev.Write {
+				fold(1)
 			}
 		}
 	}
@@ -125,20 +133,24 @@ func TestStreamsConcurrent(t *testing.T) {
 // reading whatever pass reuses the storage.
 func TestReleasedSummaryFailsFast(t *testing.T) {
 	prog := parc.MustParse(parcgen.Generate(1))
-	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: 2})
+	layout, err := memory.New(prog, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := vet.Summarize(prog, vet.Options{Nprocs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := sum.Cursor(0)
-	if c.Next() == nil {
-		t.Fatal("node 0's stream is empty")
+	if ev, err := c.Next(layout); ev == nil || err != nil {
+		t.Fatalf("node 0's first event is %v, err %v", ev, err)
 	}
 	sum.Release()
 	sum.Release() // does nothing
 	vet.Analyze(prog, vet.Options{Nprocs: 2})
 	for name, read := range map[string]func(){
 		"Cursor": func() { sum.Cursor(0) },
-		"Next":   func() { c.Next() },
+		"Next":   func() { c.Next(layout) },
 	} {
 		func() {
 			defer func() {
@@ -168,16 +180,23 @@ shared float A[N][N] label "A";
 func main() {
     A[pid()][B[pid()]] = 1.0;
 }`)
-	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: 2})
+	layout, err := memory.New(prog, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := vet.Summarize(prog, vet.Options{Nprocs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sum.Release()
 	var got []string
-	c := sum.Cursor(1)
-	for s := c.Next(); s != nil; s = c.Next() {
-		if s.Op == vet.OpAccess {
-			got = append(got, fmt.Sprint(s.Decl.Name, s.Index))
+	for _, ev := range inferredEvents(t, layout, sum, 1) {
+		if ev.Op == sim.EvAccess {
+			r, ix, ok := layout.Resolve(ev.Addr)
+			if !ok {
+				t.Fatalf("access of %#x outside every region", ev.Addr)
+			}
+			got = append(got, fmt.Sprint(r.Name, ix))
 		}
 	}
 	// B[1] is read, then the row A[1] is written wherever B[1] points.

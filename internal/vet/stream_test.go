@@ -10,89 +10,72 @@ import (
 	"cachier/internal/memory"
 	"cachier/internal/parc"
 	"cachier/internal/parcgen"
+	"cachier/internal/sim"
 	"cachier/internal/vet"
 )
 
-// step is one Machine call, in a form both sides can produce: the VM's
-// calls as a recorder sees them, and an inferred stream's events.
-type step struct {
-	op    string // work, access, lock, unlock, print, barrier, directive
-	n     uint64 // work cycles, or the lock id
-	addr  uint64
-	write bool
-	pc    int
-}
+// opDirective marks a recorded Directive call; no event source makes one,
+// so a directive in a VM's calls is always a difference.
+const opDirective sim.EventOp = 255
 
-func (s step) String() string {
-	switch s.op {
-	case "work":
-		return fmt.Sprintf("Work(%d)", s.n)
-	case "access":
-		return fmt.Sprintf("Access(%#x, write=%v, pc %d)", s.addr, s.write, s.pc)
-	case "lock", "unlock":
-		return fmt.Sprintf("%s(%d, pc %d)", s.op, s.n, s.pc)
-	}
-	return fmt.Sprintf("%s(pc %d)", s.op, s.pc)
-}
-
-// recorder is an interp.Machine that writes down every call, in order.
-type recorder struct{ steps []step }
+// recorder is an interp.Machine that writes down every call, in order, as
+// the sim.Event an event lane would make that call from.
+type recorder struct{ events []sim.Event }
 
 func (r *recorder) Access(_ int, write bool, addr uint64, pc int) {
-	r.steps = append(r.steps, step{op: "access", addr: addr, write: write, pc: pc})
+	r.events = append(r.events, sim.Event{Op: sim.EvAccess, Write: write, Addr: addr, PC: pc})
 }
 func (r *recorder) Directive(_ int, _ parc.AnnKind, _ []interp.AddrRange, pc int) {
-	r.steps = append(r.steps, step{op: "directive", pc: pc})
+	r.events = append(r.events, sim.Event{Op: opDirective, PC: pc})
 }
-func (r *recorder) Barrier(_ int, pc int) { r.steps = append(r.steps, step{op: "barrier", pc: pc}) }
+func (r *recorder) Barrier(_ int, pc int) {
+	r.events = append(r.events, sim.Event{Op: sim.EvBarrier, PC: pc})
+}
 func (r *recorder) Lock(_ int, id int64, pc int) {
-	r.steps = append(r.steps, step{op: "lock", n: uint64(id), pc: pc})
+	r.events = append(r.events, sim.Event{Op: sim.EvLock, Lock: id, PC: pc})
 }
 func (r *recorder) Unlock(_ int, id int64, pc int) {
-	r.steps = append(r.steps, step{op: "unlock", n: uint64(id), pc: pc})
+	r.events = append(r.events, sim.Event{Op: sim.EvUnlock, Lock: id, PC: pc})
 }
-func (r *recorder) Work(_ int, cycles uint64) { r.steps = append(r.steps, step{op: "work", n: cycles}) }
-func (r *recorder) Print(int, string)         { r.steps = append(r.steps, step{op: "print"}) }
+func (r *recorder) Work(_ int, cycles uint64) {
+	r.events = append(r.events, sim.Event{Op: sim.EvWork, Cycles: cycles})
+}
+func (r *recorder) Print(int, string) { r.events = append(r.events, sim.Event{Op: sim.EvPrint}) }
 
-// vmSteps runs node's instance of prog on the production VM, alone, and
+// vmEvents runs node's instance of prog on the production VM, alone, and
 // returns the Machine calls it makes. An exact summary promises that no
 // branch, bound, lock id or subscript depends on shared data, so running
 // the node alone on a fresh store makes the calls a simulation makes.
-func vmSteps(t *testing.T, prog *parc.Program, layout *memory.Layout, node, nprocs int) []step {
+func vmEvents(t *testing.T, prog *parc.Program, layout *memory.Layout, node, nprocs int) []sim.Event {
 	t.Helper()
 	rec := &recorder{}
 	if err := interp.NewContext(prog, interp.NewStoreFor(layout), rec, node, nprocs).Run(); err != nil {
 		t.Fatalf("node %d: %v", node, err)
 	}
-	return rec.steps
+	return rec.events
 }
 
-// inferredSteps reads node's inferred stream as Machine calls.
-func inferredSteps(t *testing.T, layout *memory.Layout, sum *vet.Summary, node int) []step {
+// inferredEvents reads node's inferred stream through its cursor, the
+// event source a replay reads. The Machine's Work and Print take no
+// statement, so those events' PCs are not compared.
+func inferredEvents(t *testing.T, layout *memory.Layout, sum *vet.Summary, node int) []sim.Event {
 	t.Helper()
-	var out []step
+	var out []sim.Event
 	c := sum.Cursor(node)
-	for s := c.Next(); s != nil; s = c.Next() {
-		switch s.Op {
-		case vet.OpWork:
-			out = append(out, step{op: "work", n: s.Work})
-		case vet.OpAccess:
-			addr, err := layout.Regions[s.Decl.Index].AddrOf(s.Index...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, step{op: "access", addr: addr, write: s.Write, pc: s.Stmt})
-		case vet.OpLock:
-			out = append(out, step{op: "lock", n: uint64(s.Lock), pc: s.Stmt})
-		case vet.OpUnlock:
-			out = append(out, step{op: "unlock", n: uint64(s.Lock), pc: s.Stmt})
-		case vet.OpPrint:
-			out = append(out, step{op: "print"})
-		case vet.OpBarrier:
-			out = append(out, step{op: "barrier", pc: s.Stmt})
+	for {
+		ev, err := c.Next(layout)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ev == nil {
+			return out
+		}
+		e := *ev
+		if e.Op == sim.EvWork || e.Op == sim.EvPrint {
+			e.PC = 0
+		}
+		out = append(out, e)
 	}
-	return out
 }
 
 // checkStreams holds an exact summary of prog to its promise: every node's
@@ -100,7 +83,7 @@ func inferredSteps(t *testing.T, layout *memory.Layout, sum *vet.Summary, node i
 // whether the summary was exact (an inexact one promises nothing).
 func checkStreams(t *testing.T, prog *parc.Program, nprocs int) bool {
 	t.Helper()
-	sum, err := vet.Summarize(prog, vet.InferOptions{Nprocs: nprocs})
+	sum, err := vet.Summarize(prog, vet.Options{Nprocs: nprocs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +95,10 @@ func checkStreams(t *testing.T, prog *parc.Program, nprocs int) bool {
 		t.Fatal(err)
 	}
 	for node := 0; node < nprocs; node++ {
-		got := inferredSteps(t, layout, sum, node)
-		want := vmSteps(t, prog, layout, node, nprocs)
+		got := inferredEvents(t, layout, sum, node)
+		want := vmEvents(t, prog, layout, node, nprocs)
 		if i := firstDifference(got, want); i >= 0 {
-			t.Fatalf("node %d: inferred stream departs from the VM's calls at call %d:\ninferred %v\nVM       %v",
+			t.Fatalf("node %d: inferred stream departs from the VM's calls at call %d:\ninferred %+v\nVM       %+v",
 				node, i, window(got, i), window(want, i))
 		}
 	}
@@ -124,7 +107,7 @@ func checkStreams(t *testing.T, prog *parc.Program, nprocs int) bool {
 
 // firstDifference returns the index of the first call where a and b
 // differ, or -1 if they are equal.
-func firstDifference(a, b []step) int {
+func firstDifference(a, b []sim.Event) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
 			return i
@@ -137,13 +120,14 @@ func firstDifference(a, b []step) int {
 }
 
 // window shows the calls around i.
-func window(s []step, i int) []step { return s[max(i-2, 0):min(i+3, len(s))] }
+func window(s []sim.Event, i int) []sim.Event { return s[max(i-2, 0):min(i+3, len(s))] }
 
-// TestInferredStreamsMatchVM: where vet.Summarize says Exact, the access
-// streams are the VM's (Summary.Exact's promise), call for call: the same
-// Work amounts, the same accesses (address, write flag, statement), locks,
-// unlocks, prints and barriers, in the same order. That is what lets the
-// static replay reproduce a simulated trace. It checks every exact corpus
+// TestInferredStreamsMatchVM: where vet.Summarize says Exact, the sim.Events
+// a replay reads off each node's Cursor are the VM's Machine calls
+// (Summary.Exact's promise), call for call: the same Work amounts, the same
+// accesses (address, write flag, statement), locks, unlocks, prints and
+// barriers, in the same order. That is what lets the static replay
+// reproduce a simulated trace. It checks every exact corpus
 // seed, the exact Figure 6 ports at training size, and a program that makes
 // a user call with 511 units of work pending: the VM's call overhead (2)
 // then flushes 513 cycles at once, where a drain in 512-cycle chunks would

@@ -12,16 +12,17 @@ test:
 
 # The bench package exercises the parallel Figure-6 harness, sim hosts the
 # reference engine's lanes on goroutines that hand one machine back and
-# forth, core annotates one checked program from many goroutines
-# (TestAnnotateSharedProgram), vet hands pooled stream storage between
-# passes on many goroutines (TestStreamsConcurrent), and serve is the HTTP
-# layer (shared caches, singleflight, worker pool); run all of it under the
-# race detector after touching sim, interp, dir1sw, core, parc, vet, bench,
-# or serve.
+# forth, the oracle runs the tree-walker on one goroutine per processor with
+# channel hand-offs the same way, core annotates one checked program from
+# many goroutines (TestAnnotateSharedProgram), vet hands pooled stream
+# storage between passes on many goroutines (TestStreamsConcurrent), and
+# serve is the HTTP layer (shared caches, singleflight, worker pool); run all
+# of it under the race detector after touching sim, interp, oracle, dir1sw,
+# core, parc, vet, bench, or serve.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/coherence/... ./internal/dir1sw/... \
 		./internal/dirn/... ./internal/core/... ./internal/vet/... ./internal/bench/... \
-		./internal/serve/...
+		./internal/serve/... ./internal/oracle/...
 
 # Static checks: gofmt (any file it would reformat fails the target) and go
 # vet over the Go code, then parcvet (the ParC static race detector and CICO
@@ -167,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVetGenerated$$' -fuzztime $(FUZZTIME) ./internal/vet
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime $(FUZZTIME) ./internal/parc
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBytes$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # Coverage with checked-in floors. The floors sit a few points under the
 # current numbers (see EXPERIMENTS.md) so they trip on real regressions, not

@@ -165,27 +165,13 @@ func barrierPCOf(tr *trace.Trace, index int) int {
 func replayTrace(tr *trace.Trace) *obs.Snapshot {
 	rec := obs.New(tr.Nodes, tr.BlockSize)
 	bs := uint64(tr.BlockSize)
-	var p obs.ProtocolStats
+	var kinds [trace.NumKinds]uint64
 	var cycles uint64
 	last := make([]uint64, tr.Nodes)
 	for i, ep := range tr.Epochs {
 		for _, m := range ep.Misses {
-			var k obs.AccessKind
-			switch m.Kind {
-			case trace.ReadMiss:
-				k = obs.ReadMiss
-				p.ReadMisses++
-				p.Reads++
-			case trace.WriteMiss:
-				k = obs.WriteMiss
-				p.WriteMisses++
-				p.Writes++
-			default:
-				k = obs.WriteFault
-				p.WriteFaults++
-				p.Writes++
-			}
-			rec.Access(m.Node, k, m.Addr/bs, 0, false, 0)
+			kinds[m.Kind]++
+			rec.Access(m.Node, m.Kind, m.Addr/bs, 0, false, 0)
 		}
 		var release uint64
 		for _, vt := range ep.VT {
@@ -207,6 +193,13 @@ func replayTrace(tr *trace.Trace) *obs.Snapshot {
 	if len(tr.Epochs) == 0 {
 		rec.Finish(last)
 		barriers = 0
+	}
+	p := obs.ProtocolStats{
+		Reads:       kinds[trace.ReadMiss],
+		Writes:      kinds[trace.WriteMiss] + kinds[trace.WriteFault],
+		ReadMisses:  kinds[trace.ReadMiss],
+		WriteMisses: kinds[trace.WriteMiss],
+		WriteFaults: kinds[trace.WriteFault],
 	}
 	return rec.Snapshot(cycles, last, barriers, p)
 }

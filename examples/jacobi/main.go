@@ -56,10 +56,9 @@ func main() {
 		cico.JacobiPerProcColumnBlocksWholeFit(n, pp, b),
 		cico.JacobiPerProcColumnBlocksColumnFit(n, pp, t, b), t)
 
-	costs := cico.DefaultCosts()
 	fmt.Printf("\nCICO model communication cost: regime 1 = %d, regime 2 = %d\n",
-		costs.ProgramCost(wholeU.CheckOuts(), wholeU.CheckIns),
-		costs.ProgramCost(rowU.CheckOuts(), rowU.CheckIns))
+		cico.ProgramCost(wholeU.CheckOuts(), wholeU.CheckIns),
+		cico.ProgramCost(rowU.CheckOuts(), rowU.CheckIns))
 	fmt.Printf("simulated execution time:      regime 1 = %d, regime 2 = %d cycles\n",
 		whole.Cycles, row.Cycles)
 }

@@ -9,6 +9,7 @@
 package analysis
 
 import (
+	"math"
 	"sync/atomic"
 
 	"cachier/internal/parc"
@@ -289,15 +290,15 @@ func AffineInVar(e parc.Expr, v string) (offset parc.Expr, negated bool, ok bool
 // are program constants. Both Cachier's placement (loop footprints) and the
 // vet race detector (epoch-aligned loop enumeration) depend on it.
 func TripCount(l *parc.ForStmt, consts map[string]int64) (uint64, bool) {
-	from, ok1 := ConstExpr(l.From, consts)
-	to, ok2 := ConstExpr(l.To, consts)
-	if !ok1 || !ok2 {
+	from, _, f1 := parc.FoldConst(l.From, consts)
+	to, _, f2 := parc.FoldConst(l.To, consts)
+	if f1 != parc.Folded || f2 != parc.Folded {
 		return 0, false
 	}
 	step := int64(1)
 	if l.Step != nil {
-		s, ok := ConstExpr(l.Step, consts)
-		if !ok || s == 0 {
+		s, _, f := parc.FoldConst(l.Step, consts)
+		if f != parc.Folded {
 			return 0, false
 		}
 		step = s
@@ -305,119 +306,31 @@ func TripCount(l *parc.ForStmt, consts map[string]int64) (uint64, bool) {
 	return TripCountBounds(from, to, step)
 }
 
-// TripCountBounds is TripCount on already-evaluated bounds; the vet abstract
-// interpreter uses it for loops whose bounds are node-concrete (pid-derived)
-// rather than program constants. A range so wide that to-from overflows int64
-// reports ok=false rather than folding a wrapped value.
+// TripCountBounds is TripCount on already-evaluated bounds; vet's abstract
+// interpreter uses it for every loop it may enumerate, including those whose
+// bounds are node-concrete (pid-derived) rather than program constants. A
+// zero step, or a range so wide that to-from overflows int64, reports
+// ok=false rather than folding a wrapped value.
 func TripCountBounds(from, to, step int64) (uint64, bool) {
 	if step == 0 {
 		return 0, false
 	}
-	if step > 0 {
-		if to < from {
-			return 0, true
-		}
-		diff, ok := subOK(to, from)
-		if !ok {
-			return 0, false
-		}
-		return uint64(diff)/uint64(step) + 1, true
+	if step < 0 {
+		from, to = to, from
 	}
-	if from < to {
+	if to < from {
 		return 0, true
 	}
-	diff, ok := subOK(from, to)
-	if !ok {
+	// The difference of two int64s in order is exact in uint64; over
+	// MaxInt64 it is a range no int64 subtraction could fold.
+	diff := uint64(to) - uint64(from)
+	if diff > math.MaxInt64 {
 		return 0, false
 	}
 	// |step| computed in uint64 so MinInt64 needs no special case.
-	mag := uint64(-(step + 1)) + 1
-	return uint64(diff)/mag + 1, true
-}
-
-// addOK, subOK, mulOK, and negOK are int64 arithmetic with explicit overflow
-// reporting; ConstExpr must never fold a silently wrapped value into a trip
-// count or footprint.
-func addOK(x, y int64) (int64, bool) {
-	s := x + y
-	if (x > 0 && y > 0 && s < 0) || (x < 0 && y < 0 && s >= 0) {
-		return 0, false
+	mag := uint64(step)
+	if step < 0 {
+		mag = -mag
 	}
-	return s, true
-}
-
-func subOK(x, y int64) (int64, bool) {
-	d := x - y
-	if (y < 0 && d < x) || (y > 0 && d > x) {
-		return 0, false
-	}
-	return d, true
-}
-
-func mulOK(x, y int64) (int64, bool) {
-	if x == 0 || y == 0 {
-		return 0, true
-	}
-	p := x * y
-	if p/y != x {
-		return 0, false
-	}
-	return p, true
-}
-
-func negOK(x int64) (int64, bool) {
-	if x == -x && x != 0 { // MinInt64
-		return 0, false
-	}
-	return -x, true
-}
-
-// ConstExpr evaluates an expression that uses only literals and program
-// constants, reporting ok=false otherwise. Used to compute trip counts and
-// footprints statically where possible.
-func ConstExpr(e parc.Expr, consts map[string]int64) (int64, bool) {
-	switch n := e.(type) {
-	case *parc.IntLit:
-		return n.Value, true
-	case *parc.VarRef:
-		v, ok := consts[n.Name]
-		return v, ok
-	case *parc.UnaryExpr:
-		if n.Op != parc.TokMinus {
-			return 0, false
-		}
-		v, ok := ConstExpr(n.X, consts)
-		if !ok {
-			return 0, false
-		}
-		return negOK(v)
-	case *parc.BinaryExpr:
-		x, okx := ConstExpr(n.X, consts)
-		y, oky := ConstExpr(n.Y, consts)
-		if !okx || !oky {
-			return 0, false
-		}
-		switch n.Op {
-		case parc.TokPlus:
-			return addOK(x, y)
-		case parc.TokMinus:
-			return subOK(x, y)
-		case parc.TokStar:
-			return mulOK(x, y)
-		case parc.TokSlash:
-			if y == 0 {
-				return 0, false
-			}
-			if x == -x && x != 0 && y == -1 { // MinInt64 / -1 wraps
-				return 0, false
-			}
-			return x / y, true
-		case parc.TokPercent:
-			if y == 0 {
-				return 0, false
-			}
-			return x % y, true
-		}
-	}
-	return 0, false
+	return diff/mag + 1, true
 }

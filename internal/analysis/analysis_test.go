@@ -216,6 +216,13 @@ func TestAffineInVar(t *testing.T) {
 	}
 }
 
+// constExpr folds e with parc.FoldConst, the one constant folder the
+// analyses share, reporting whether it folded.
+func constExpr(e parc.Expr, consts map[string]int64) (int64, bool) {
+	v, _, fault := parc.FoldConst(e, consts)
+	return v, fault == parc.Folded
+}
+
 func TestConstExpr(t *testing.T) {
 	consts := map[string]int64{"N": 8}
 	mk := func(src string) parc.Expr {
@@ -223,16 +230,16 @@ func TestConstExpr(t *testing.T) {
 		asn := findStmt[*parc.AssignStmt](prog, func(*parc.AssignStmt) bool { return true })
 		return asn.LHS.Indices[0]
 	}
-	if v, ok := ConstExpr(mk("N * 2 + 1"), consts); !ok || v != 17 {
+	if v, ok := constExpr(mk("N * 2 + 1"), consts); !ok || v != 17 {
 		t.Errorf("N*2+1 = %d, %v", v, ok)
 	}
-	if v, ok := ConstExpr(mk("N - 1"), consts); !ok || v != 7 {
+	if v, ok := constExpr(mk("N - 1"), consts); !ok || v != 7 {
 		t.Errorf("N-1 = %d, %v", v, ok)
 	}
-	if _, ok := ConstExpr(mk("i + 1"), consts); ok {
+	if _, ok := constExpr(mk("i + 1"), consts); ok {
 		t.Error("non-const accepted")
 	}
-	if v, ok := ConstExpr(mk("0 - N"), consts); !ok || v != -8 {
+	if v, ok := constExpr(mk("0 - N"), consts); !ok || v != -8 {
 		t.Errorf("0-N = %d, %v", v, ok)
 	}
 }
@@ -265,7 +272,7 @@ func TestConstExprOverflow(t *testing.T) {
 		{"MIN - MIN", 0, true},
 	}
 	for _, c := range cases {
-		v, ok := ConstExpr(mk(c.expr), consts)
+		v, ok := constExpr(mk(c.expr), consts)
 		if ok != c.ok || (ok && v != c.want) {
 			t.Errorf("ConstExpr(%q) = %d, %v; want %d, %v", c.expr, v, ok, c.want, c.ok)
 		}

@@ -106,21 +106,17 @@ func FootprintOverlap(a, b map[uint64]bool) (both, onlyA, onlyB uint64) {
 	return both, onlyA, onlyB
 }
 
-// Costs attributes an abstract communication cost to CICO events, in the
-// spirit of the CICO cost model: checking out a block costs a full block
-// transfer, checking in costs a message, and a block-race re-checkout pays
-// the transfer every time.
-type Costs struct {
-	CheckOutBlock uint64 // cost per block checked out
-	CheckInBlock  uint64 // cost per block checked in
-}
-
-// DefaultCosts mirrors the relative weights of the memory-system model: a
-// check-out moves a block (expensive), a check-in sends it home (cheaper).
-func DefaultCosts() Costs { return Costs{CheckOutBlock: 100, CheckInBlock: 10} }
+// The CICO model's abstract communication cost, weighted like the
+// memory-system model: checking out a block costs a full block transfer
+// (expensive), checking in sends it home (cheaper), and a block-race
+// re-checkout pays the transfer every time.
+const (
+	checkOutBlockCost = 100 // per block checked out
+	checkInBlockCost  = 10  // per block checked in
+)
 
 // ProgramCost is the CICO model's communication cost for a program whose
 // annotations checked out co blocks and checked in ci blocks in total.
-func (c Costs) ProgramCost(co, ci uint64) uint64 {
-	return co*c.CheckOutBlock + ci*c.CheckInBlock
+func ProgramCost(co, ci uint64) uint64 {
+	return co*checkOutBlockCost + ci*checkInBlockCost
 }

@@ -65,11 +65,10 @@ func TestMatMulSection5Counts(t *testing.T) {
 }
 
 func TestProgramCost(t *testing.T) {
-	c := DefaultCosts()
-	if got := c.ProgramCost(10, 10); got != 10*c.CheckOutBlock+10*c.CheckInBlock {
+	if got := ProgramCost(10, 10); got != 10*checkOutBlockCost+10*checkInBlockCost {
 		t.Errorf("cost = %d", got)
 	}
-	if c.ProgramCost(0, 0) != 0 {
+	if ProgramCost(0, 0) != 0 {
 		t.Error("empty program has nonzero cost")
 	}
 }

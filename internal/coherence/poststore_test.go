@@ -5,6 +5,7 @@ import (
 
 	"cachier/internal/coherence"
 	"cachier/internal/dir1sw"
+	"cachier/internal/trace"
 )
 
 func postStoreSys(t *testing.T) *coherence.System {
@@ -33,7 +34,7 @@ func TestPostStoreRefillsInvalidatedReaders(t *testing.T) {
 		t.Fatalf("post-stores = %d, want 3", s.Stats.PostStores)
 	}
 	for n := 1; n <= 3; n++ {
-		if r := s.Read(n, 64, 20); r.Kind != coherence.Hit {
+		if r := s.Read(n, 64, 20); r.Kind != trace.Hit {
 			t.Errorf("node %d read after post-store: %v, want hit", n, r.Kind)
 		}
 	}
@@ -68,7 +69,7 @@ func TestPostStoreDisabledByDefault(t *testing.T) {
 		t.Errorf("post-stores = %d with PostStore off", s.Stats.PostStores)
 	}
 	// The reader misses again, as plain Dir1SW dictates.
-	if r := s.Read(1, 64, 20); r.Kind != coherence.ReadMiss {
+	if r := s.Read(1, 64, 20); r.Kind != trace.ReadMiss {
 		t.Errorf("read = %v, want miss", r.Kind)
 	}
 }

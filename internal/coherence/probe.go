@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cachier/internal/cache"
+	"cachier/internal/obs"
 )
 
 // The per-access invariant probe (Config.Probe) re-validates the coherence
@@ -72,11 +73,11 @@ func (s *System) verify(block uint64, holders, exclusive NodeSet) error {
 	}
 	e := s.entryFor(block)
 	switch e.State {
-	case Idle:
+	case obs.StateIdle:
 		if ne+nh > 0 {
 			return fmt.Errorf("idle in directory but cached by %v/%v", holders.Members(), exclusive.Members())
 		}
-	case Shared:
+	case obs.StateShared:
 		if ne > 0 {
 			return fmt.Errorf("shared in directory but exclusive in node %d", exclusive.Sole())
 		}
@@ -85,7 +86,7 @@ func (s *System) verify(block uint64, holders, exclusive NodeSet) error {
 				return fmt.Errorf("cached shared by node %d missing from sharer set", i*64+bits.TrailingZeros64(missing))
 			}
 		}
-	case Exclusive:
+	case obs.StateExclusive:
 		if ne == 1 && exclusive.Sole() != e.Owner {
 			return fmt.Errorf("owned by %d per directory but exclusive in %d", e.Owner, exclusive.Sole())
 		}

@@ -1,6 +1,11 @@
 package coherence
 
-import "testing"
+import (
+	"testing"
+
+	"cachier/internal/obs"
+	"cachier/internal/trace"
+)
 
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
@@ -37,7 +42,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestDirStateString(t *testing.T) {
-	for st, want := range map[DirState]string{Idle: "idle", Shared: "shared", Exclusive: "exclusive"} {
+	for st, want := range map[obs.DirState]string{obs.StateIdle: "idle", obs.StateShared: "shared", obs.StateExclusive: "exclusive"} {
 		if st.String() != want {
 			t.Errorf("%d -> %q, want %q", int(st), st.String(), want)
 		}
@@ -54,13 +59,19 @@ func TestStatsAggregates(t *testing.T) {
 	}
 }
 
+// TestAccessKindStrings pins the access outcomes a Result reports: the
+// three misses keep the trace format's values and letters, which the text
+// format and Trace.Digest are written in, and a hit has a letter of its own.
 func TestAccessKindStrings(t *testing.T) {
-	for k, want := range map[AccessKind]string{
-		Hit: "hit", ReadMiss: "read-miss", WriteMiss: "write-miss", WriteFault: "write-fault",
+	for k, want := range map[trace.Kind]string{
+		trace.ReadMiss: "r", trace.WriteMiss: "w", trace.WriteFault: "f", trace.Hit: "h",
 	} {
 		if k.String() != want {
 			t.Errorf("%d -> %q, want %q", int(k), k.String(), want)
 		}
+	}
+	if trace.ReadMiss != 0 || trace.WriteMiss != 1 || trace.WriteFault != 2 {
+		t.Error("the miss kinds' values moved")
 	}
 }
 

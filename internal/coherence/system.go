@@ -6,37 +6,17 @@ import (
 
 	"cachier/internal/cache"
 	"cachier/internal/obs"
+	"cachier/internal/trace"
 )
 
-// DirState is a directory entry's state. All supported protocols share the
-// three-state directory (Idle / Shared / Exclusive); they differ in how and
-// at what cost they move entries between the states.
-type DirState int
-
-const (
-	Idle DirState = iota
-	Shared
-	Exclusive
-)
-
-func (d DirState) String() string {
-	switch d {
-	case Idle:
-		return "idle"
-	case Shared:
-		return "shared"
-	case Exclusive:
-		return "exclusive"
-	}
-	return fmt.Sprintf("DirState(%d)", int(d))
-}
-
-// Entry is one block's directory entry. Protocol hooks mutate State, Owner,
-// Sharers, and Bcast directly (always moving State through System.SetState
-// so transitions are recorded); pastHolders belongs to the protocol-
-// independent post-store machinery.
+// Entry is one block's directory entry. Every supported protocol shares the
+// three-state directory (obs.DirState: Idle / Shared / Exclusive); they
+// differ in how and at what cost they move entries between the states.
+// Protocol hooks mutate State, Owner, Sharers, and Bcast directly (always
+// moving State through System.SetState so transitions are recorded);
+// pastHolders belongs to the protocol-independent post-store machinery.
 type Entry struct {
-	State   DirState
+	State   obs.DirState
 	Owner   int // valid when Exclusive
 	Sharers NodeSet
 
@@ -53,36 +33,11 @@ type Entry struct {
 	pastHolders NodeSet
 }
 
-// AccessKind classifies the outcome of a shared-memory access.
-type AccessKind int
-
-// Access outcomes.
-const (
-	Hit AccessKind = iota
-	ReadMiss
-	WriteMiss
-	WriteFault
-)
-
-func (k AccessKind) String() string {
-	switch k {
-	case Hit:
-		return "hit"
-	case ReadMiss:
-		return "read-miss"
-	case WriteMiss:
-		return "write-miss"
-	case WriteFault:
-		return "write-fault"
-	}
-	return fmt.Sprintf("AccessKind(%d)", int(k))
-}
-
 // Result reports the outcome of one access or directive.
 type Result struct {
-	Cycles uint64 // stall cycles charged to the issuing processor
-	Kind   AccessKind
-	Trap   bool // a software trap was taken
+	Cycles uint64     // stall cycles charged to the issuing processor
+	Kind   trace.Kind // always set: its zero value is trace.ReadMiss
+	Trap   bool       // a software trap was taken
 }
 
 // Config configures a System. Protocol-specific options (the dirn pointer
@@ -259,7 +214,7 @@ func (s *System) entryFor(block uint64) *Entry {
 	}
 	e := s.dir[block]
 	if e == nil {
-		e = &Entry{State: Idle}
+		e = &Entry{State: obs.StateIdle}
 		s.initEntry(e)
 		s.dir[block] = e
 	}
@@ -275,20 +230,9 @@ func (s *System) initEntry(e *Entry) {
 }
 
 // DirView returns the entry's directory view, for tests.
-func (s *System) DirView(block uint64) (state DirState, owner int, sharers []int) {
+func (s *System) DirView(block uint64) (state obs.DirState, owner int, sharers []int) {
 	e := s.entryFor(block)
 	return e.State, e.Owner, e.Sharers.Members()
-}
-
-// obsState maps a directory state to its observability-layer enum.
-func obsState(st DirState) obs.DirState {
-	switch st {
-	case Shared:
-		return obs.StateShared
-	case Exclusive:
-		return obs.StateExclusive
-	}
-	return obs.StateIdle
 }
 
 // evict reconciles the directory with a cache eviction. Every supported
@@ -299,9 +243,9 @@ func (s *System) evict(node int, v cache.Victim) {
 		defer s.probeAfter("evict", v.Block)
 	}
 	switch s.drop(s.entryFor(v.Block), node) {
-	case Shared:
+	case obs.StateShared:
 		s.Stats.CtlMsgs++ // replacement notification
-	case Exclusive:
+	case obs.StateExclusive:
 		if v.Dirty {
 			s.Stats.Writebacks++
 			s.Stats.DataMsgs++
@@ -336,12 +280,13 @@ func (s *System) cancelInflight(node int, block uint64) {
 func (s *System) acquire(node int, block uint64, now uint64, exclusive bool) (r Result, held bool) {
 	have := s.caches[node].Touch(block)
 	if have == cache.Exclusive || (have == cache.Shared && !exclusive) {
-		return Result{Kind: Hit}, true
+		return Result{Kind: trace.Hit}, true
 	}
 	if p, ok := s.inflight[node][block]; ok {
 		delete(s.inflight[node], block)
 		s.install(node, block, p.state)
 		if !exclusive || p.state == cache.Exclusive {
+			r.Kind = trace.Hit
 			if p.arrival > now {
 				r.Cycles = p.arrival - now
 				s.Stats.PrefetchStalls += r.Cycles
@@ -369,14 +314,14 @@ func (s *System) obtain(node int, block uint64, have cache.State, exclusive bool
 	switch {
 	case !exclusive:
 		r.Cycles, r.Trap = s.proto.FetchShared(s, e, block, node)
-		r.Kind, arrives = ReadMiss, cache.Shared
+		r.Kind, arrives = trace.ReadMiss, cache.Shared
 	case have == cache.Shared:
 		r.Cycles, r.Trap = s.proto.Upgrade(s, e, block, node)
-		r.Kind = WriteFault
+		r.Kind = trace.WriteFault
 		s.caches[node].SetState(block, cache.Exclusive)
 	default:
 		r.Cycles, r.Trap = s.proto.FetchExclusive(s, e, block, node)
-		r.Kind, arrives = WriteMiss, cache.Exclusive
+		r.Kind, arrives = trace.WriteMiss, cache.Exclusive
 	}
 	if r.Trap {
 		s.Stats.Traps++
@@ -413,14 +358,14 @@ func (s *System) Write(node int, addr uint64, now uint64) Result {
 // at all: what this counts or charges for a hit must change in both.
 func (s *System) account(r Result) Result {
 	switch r.Kind {
-	case Hit:
+	case trace.Hit:
 		s.Stats.Hits++
 		r.Cycles += s.cfg.Costs.CacheHit
-	case ReadMiss:
+	case trace.ReadMiss:
 		s.Stats.ReadMisses++
-	case WriteMiss:
+	case trace.WriteMiss:
 		s.Stats.WriteMisses++
-	case WriteFault:
+	case trace.WriteFault:
 		s.Stats.WriteFaults++
 	}
 	return r
@@ -539,14 +484,14 @@ func (s *System) CheckIn(node int, addr uint64) Result {
 	st, dirty := c.Invalidate(block)
 	if st == cache.Invalid {
 		s.Stats.WastedDirs++
-		return Result{Cycles: co.DirectiveOverhead, Kind: Hit}
+		return Result{Cycles: co.DirectiveOverhead, Kind: trace.Hit}
 	}
 	e := s.entryFor(block)
 	cost := co.DirectiveOverhead
 	switch s.drop(e, node) {
-	case Shared:
+	case obs.StateShared:
 		s.Stats.CtlMsgs++
-	case Exclusive:
+	case obs.StateExclusive:
 		if !dirty {
 			s.Stats.CtlMsgs++
 			break
@@ -558,7 +503,7 @@ func (s *System) CheckIn(node int, addr uint64) Result {
 			s.postStore(e, block, node)
 		}
 	}
-	return Result{Cycles: cost, Kind: Hit}
+	return Result{Cycles: cost, Kind: trace.Hit}
 }
 
 // postStore pushes read-only copies of a just-checked-in block to every
@@ -599,7 +544,7 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 	if s.cfg.Probe {
 		defer s.probeAfter("prefetch", block)
 	}
-	r := Result{Cycles: s.cfg.Costs.PrefetchIssue, Kind: Hit}
+	r := Result{Cycles: s.cfg.Costs.PrefetchIssue, Kind: trace.Hit}
 	have := s.caches[node].Lookup(block)
 	_, busy := s.inflight[node][block]
 	if busy || have == cache.Exclusive || (have == cache.Shared && !exclusive) {
@@ -619,7 +564,7 @@ func (s *System) Prefetch(node int, addr uint64, now uint64, exclusive bool) Res
 // all nodes at every barrier (paper Section 3.3).
 func (s *System) FlushNode(node int) {
 	s.caches[node].FlushAll(func(block uint64, st cache.State, dirty bool) {
-		if s.drop(s.entryFor(block), node) == Exclusive && dirty {
+		if s.drop(s.entryFor(block), node) == obs.StateExclusive && dirty {
 			s.Stats.Writebacks++
 		}
 	})

@@ -13,6 +13,8 @@ import (
 
 	"cachier/internal/coherence"
 	"cachier/internal/dir1sw"
+	"cachier/internal/obs"
+	"cachier/internal/trace"
 )
 
 func sys(t *testing.T, nodes int) *coherence.System {
@@ -31,14 +33,14 @@ func TestReadMissThenHit(t *testing.T) {
 	s := sys(t, 2)
 	co := coherence.DefaultCosts()
 	r := s.Read(0, 64, 0)
-	if r.Kind != coherence.ReadMiss || r.Trap {
+	if r.Kind != trace.ReadMiss || r.Trap {
 		t.Fatalf("first read: %+v", r)
 	}
 	if r.Cycles != co.CleanMiss() {
 		t.Errorf("clean miss cost %d", r.Cycles)
 	}
 	r = s.Read(0, 72, 10) // same 32B block
-	if r.Kind != coherence.Hit || r.Cycles != co.CacheHit {
+	if r.Kind != trace.Hit || r.Cycles != co.CacheHit {
 		t.Errorf("second read: %+v", r)
 	}
 	if s.Stats.ReadMisses != 1 || s.Stats.Hits != 1 {
@@ -51,7 +53,7 @@ func TestWriteFaultUpgrade(t *testing.T) {
 	co := coherence.DefaultCosts()
 	s.Read(0, 64, 0)
 	r := s.Write(0, 64, 10)
-	if r.Kind != coherence.WriteFault {
+	if r.Kind != trace.WriteFault {
 		t.Fatalf("write after read: %+v", r)
 	}
 	if r.Trap {
@@ -61,7 +63,7 @@ func TestWriteFaultUpgrade(t *testing.T) {
 		t.Errorf("upgrade cost %d", r.Cycles)
 	}
 	// Now exclusive: further writes hit.
-	if r := s.Write(0, 64, 20); r.Kind != coherence.Hit {
+	if r := s.Write(0, 64, 20); r.Kind != trace.Hit {
 		t.Errorf("write to exclusive: %+v", r)
 	}
 }
@@ -72,14 +74,14 @@ func TestWriteFaultWithOtherSharersTraps(t *testing.T) {
 	s.Read(1, 64, 0)
 	s.Read(2, 64, 0)
 	r := s.Write(0, 64, 10)
-	if r.Kind != coherence.WriteFault || !r.Trap {
+	if r.Kind != trace.WriteFault || !r.Trap {
 		t.Fatalf("upgrade with sharers: %+v", r)
 	}
 	if s.Stats.Invalidations != 2 {
 		t.Errorf("invalidations = %d, want 2", s.Stats.Invalidations)
 	}
 	// Other sharers lost their copies.
-	if r := s.Read(1, 64, 20); r.Kind != coherence.ReadMiss {
+	if r := s.Read(1, 64, 20); r.Kind != trace.ReadMiss {
 		t.Errorf("node 1 after invalidation: %+v", r)
 	}
 	if err := s.CheckCoherence(); err != nil {
@@ -91,14 +93,14 @@ func TestReadFromExclusiveTrapsAndDowngrades(t *testing.T) {
 	s := sys(t, 2)
 	s.Write(0, 64, 0)
 	r := s.Read(1, 64, 10)
-	if r.Kind != coherence.ReadMiss || !r.Trap {
+	if r.Kind != trace.ReadMiss || !r.Trap {
 		t.Fatalf("read of remote-exclusive: %+v", r)
 	}
 	if s.Stats.Writebacks != 1 {
 		t.Errorf("writebacks = %d (dirty owner copy must be written back)", s.Stats.Writebacks)
 	}
 	// Both nodes now share.
-	if r := s.Read(0, 64, 20); r.Kind != coherence.Hit {
+	if r := s.Read(0, 64, 20); r.Kind != trace.Hit {
 		t.Errorf("owner post-downgrade: %+v", r)
 	}
 	if err := s.CheckCoherence(); err != nil {
@@ -110,10 +112,10 @@ func TestWriteToRemoteExclusiveTraps(t *testing.T) {
 	s := sys(t, 2)
 	s.Write(0, 64, 0)
 	r := s.Write(1, 64, 10)
-	if r.Kind != coherence.WriteMiss || !r.Trap {
+	if r.Kind != trace.WriteMiss || !r.Trap {
 		t.Fatalf("write steal: %+v", r)
 	}
-	if r := s.Write(0, 64, 20); r.Kind != coherence.WriteMiss {
+	if r := s.Write(0, 64, 20); r.Kind != trace.WriteMiss {
 		t.Errorf("node 0 lost its copy, expected write miss: %+v", r)
 	}
 	if err := s.CheckCoherence(); err != nil {
@@ -160,7 +162,7 @@ func TestCheckInAvoidsInvalidationTrap(t *testing.T) {
 	if r.Trap {
 		t.Error("write after check-in should not trap")
 	}
-	if r.Kind != coherence.WriteMiss {
+	if r.Kind != trace.WriteMiss {
 		t.Errorf("kind = %v", r.Kind)
 	}
 	if cico.Stats.Writebacks != 1 {
@@ -203,7 +205,7 @@ func TestPrefetchOverlapsLatency(t *testing.T) {
 	}
 	// Access long after arrival: full hit.
 	r = s.Read(0, 64, 10_000)
-	if r.Kind != coherence.Hit || r.Cycles != co.CacheHit {
+	if r.Kind != trace.Hit || r.Cycles != co.CacheHit {
 		t.Errorf("post-arrival read: %+v", r)
 	}
 	if s.Stats.PrefetchHits != 1 {
@@ -235,7 +237,7 @@ func TestPrefetchSharedDoesNotSatisfyWrite(t *testing.T) {
 	s := prefetched()
 	data := s.Stats.DataMsgs
 	r := s.Write(0, 64, 10_000)
-	if r.Kind != coherence.WriteFault || r.Trap || r.Cycles != co.Upgrade() {
+	if r.Kind != trace.WriteFault || r.Trap || r.Cycles != co.Upgrade() {
 		t.Errorf("write after a shared prefetch: %+v, want a write fault at %d cycles", r, co.Upgrade())
 	}
 	if got := s.Stats.DataMsgs - data; got != 0 {
@@ -261,7 +263,7 @@ func TestPrefetchInvalidatedBeforeUse(t *testing.T) {
 	// Node 1 steals the block before node 0 consumes the prefetch.
 	s.Write(1, 64, 5)
 	r := s.Read(0, 64, 10_000)
-	if r.Kind != coherence.ReadMiss {
+	if r.Kind != trace.ReadMiss {
 		t.Errorf("read after stolen prefetch: %+v", r)
 	}
 	if err := s.CheckCoherence(); err != nil {
@@ -359,11 +361,11 @@ func TestDirView(t *testing.T) {
 	s := sys(t, 3)
 	s.Read(1, 64, 0)
 	s.Read(2, 64, 0)
-	if st, _, sh := s.DirView(2); st != coherence.Shared || len(sh) != 2 {
+	if st, _, sh := s.DirView(2); st != obs.StateShared || len(sh) != 2 {
 		t.Errorf("after two reads: state %v sharers %v", st, sh)
 	}
 	s.Write(0, 64, 10)
-	if st, owner, sh := s.DirView(2); st != coherence.Exclusive || owner != 0 || len(sh) != 0 {
+	if st, owner, sh := s.DirView(2); st != obs.StateExclusive || owner != 0 || len(sh) != 0 {
 		t.Errorf("after write: state %v owner %d sharers %v", st, owner, sh)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"cachier/internal/cache"
+	"cachier/internal/obs"
 )
 
 // The directory transitions every protocol is built from. A Protocol hook
@@ -20,19 +21,19 @@ import (
 // (callers invoke it even when the state enum is unchanged but the owner
 // moves). Leaving Shared drops any broadcast bit: the sharer set is empty
 // or precisely one owner again.
-func (s *System) SetState(e *Entry, to DirState) {
-	s.rec.DirTransition(obsState(e.State), obsState(to))
+func (s *System) SetState(e *Entry, to obs.DirState) {
+	s.rec.DirTransition(e.State, to)
 	s.Stats.DirEvents++
 	e.State = to
-	if to != Shared {
+	if to != obs.StateShared {
 		e.Bcast = false
 	}
 }
 
 // Join adds node to an Idle or Shared block's sharers, with the data reply.
 func (s *System) Join(e *Entry, node int) {
-	if e.State == Idle {
-		s.SetState(e, Shared)
+	if e.State == obs.StateIdle {
+		s.SetState(e, obs.StateShared)
 	}
 	e.Sharers.Add(node)
 	s.Stats.DataMsgs++
@@ -49,7 +50,7 @@ func (s *System) Downgrade(e *Entry, block uint64, node int) uint64 {
 		s.Stats.Writebacks++
 	}
 	s.caches[owner].SetState(block, cache.Shared)
-	s.SetState(e, Shared)
+	s.SetState(e, obs.StateShared)
 	e.Sharers.Clear()
 	e.Sharers.Add(owner)
 	e.Sharers.Add(node)
@@ -66,7 +67,7 @@ func (s *System) Handoff(e *Entry, block uint64, node int) uint64 {
 	if s.Invalidate(e, block, e.Owner) {
 		s.Stats.Writebacks++
 	}
-	s.SetState(e, Exclusive)
+	s.SetState(e, obs.StateExclusive)
 	e.Owner = node
 	s.rec.Invalidations(node, 1)
 	s.Stats.CtlMsgs += 2
@@ -86,7 +87,7 @@ func (s *System) TakeOwnership(e *Entry, block uint64, node int) (others int) {
 			}
 		}
 	}
-	s.SetState(e, Exclusive)
+	s.SetState(e, obs.StateExclusive)
 	e.Owner = node
 	e.Sharers.Clear()
 	s.rec.Invalidations(node, uint64(others))
@@ -125,19 +126,19 @@ func (s *System) Invalidate(e *Entry, block uint64, node int) (dirty bool) {
 // It reports what the entry held the block as, Shared or Exclusive, or Idle
 // when node was not the owner of an Idle or Exclusive block; the messages
 // are the caller's, whose cache has already let the line go.
-func (s *System) drop(e *Entry, node int) DirState {
+func (s *System) drop(e *Entry, node int) obs.DirState {
 	switch e.State {
-	case Shared:
+	case obs.StateShared:
 		e.Sharers.Remove(node)
 		if e.Sharers.Count() == 0 {
-			s.SetState(e, Idle)
+			s.SetState(e, obs.StateIdle)
 		}
-		return Shared
-	case Exclusive:
+		return obs.StateShared
+	case obs.StateExclusive:
 		if e.Owner == node {
-			s.SetState(e, Idle)
-			return Exclusive
+			s.SetState(e, obs.StateIdle)
+			return obs.StateExclusive
 		}
 	}
-	return Idle
+	return obs.StateIdle
 }

@@ -8,6 +8,7 @@ import (
 	"cachier/internal/coherence"
 	"cachier/internal/dir1sw"
 	"cachier/internal/dirn"
+	"cachier/internal/trace"
 )
 
 // viewAccess is an access the way a simulator lane with a view makes it
@@ -15,7 +16,7 @@ import (
 // with no call into the system; anything else is Read or Write.
 func viewAccess(s *coherence.System, v *coherence.LaneView, node int, write bool, addr, now uint64) coherence.Result {
 	if before := *v.Clock; v.Hit(write, addr) {
-		return coherence.Result{Cycles: *v.Clock - before, Kind: coherence.Hit}
+		return coherence.Result{Cycles: *v.Clock - before, Kind: trace.Hit}
 	}
 	if write {
 		return s.Write(node, addr, now)

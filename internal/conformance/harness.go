@@ -534,7 +534,7 @@ func checkCostReport(name string, rep *core.CostReport, epochs []*core.EpochSets
 	if rep.TotalCI > sBlocks {
 		return fmt.Errorf("%s: ci %d blocks exceeds trace footprint %d", name, rep.TotalCI, sBlocks)
 	}
-	if wantCost := cico.DefaultCosts().ProgramCost(rep.TotalCoX+rep.TotalCoS, rep.TotalCI); rep.ModelCost != wantCost {
+	if wantCost := cico.ProgramCost(rep.TotalCoX+rep.TotalCoS, rep.TotalCI); rep.ModelCost != wantCost {
 		return fmt.Errorf("%s: model cost %d, model arithmetic says %d", name, rep.ModelCost, wantCost)
 	}
 	return nil

@@ -107,7 +107,7 @@ func buildCostReport(epochs []*EpochSets, ann [][]AnnSets, layout *memory.Layout
 			})
 		}
 	}
-	rep.ModelCost = cico.DefaultCosts().ProgramCost(rep.TotalCoX+rep.TotalCoS, rep.TotalCI)
+	rep.ModelCost = cico.ProgramCost(rep.TotalCoX+rep.TotalCoS, rep.TotalCI)
 	return rep
 }
 

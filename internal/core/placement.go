@@ -295,8 +295,8 @@ func unitStep(l *parc.ForStmt, consts map[string]int64) bool {
 	if l.Step == nil {
 		return true
 	}
-	v, ok := analysis.ConstExpr(l.Step, consts)
-	return ok && (v == 1 || v == -1)
+	v, _, f := parc.FoldConst(l.Step, consts)
+	return f == parc.Folded && (v == 1 || v == -1)
 }
 
 // spansFor returns, per dimension, the maximum single-node index span of
@@ -577,7 +577,7 @@ func substVar(e parc.Expr, name string, repl parc.Expr) parc.Expr {
 func pipelineTarget(t *parc.RangeRef, m *parc.ForStmt, consts map[string]int64) *parc.RangeRef {
 	step := int64(1)
 	if m.Step != nil {
-		if v, ok := analysis.ConstExpr(m.Step, consts); ok {
+		if v, _, f := parc.FoldConst(m.Step, consts); f == parc.Folded {
 			step = v
 		}
 	}
@@ -613,7 +613,7 @@ func (pl *planner) targetFor(ref analysis.Ref, hoisted []*parc.ForStmt) *parc.Ra
 			}
 			lo, hi := l.From, l.To
 			if l.Step != nil {
-				if v, ok := analysis.ConstExpr(l.Step, pl.prog.ConstVal); ok && v < 0 {
+				if v, _, f := parc.FoldConst(l.Step, pl.prog.ConstVal); f == parc.Folded && v < 0 {
 					lo, hi = hi, lo
 				}
 			}

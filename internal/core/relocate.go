@@ -59,7 +59,7 @@ func (pl *planner) groupContext(epochs []*EpochSets, g []int) groupCtx {
 func (pl *planner) dynamicRef(ref analysis.Ref) bool {
 	loops := pl.info.Loops(ref.Stmt.ID())
 	for _, ix := range ref.Indices {
-		if _, ok := analysis.ConstExpr(ix, pl.prog.ConstVal); ok {
+		if _, _, f := parc.FoldConst(ix, pl.prog.ConstVal); f == parc.Folded {
 			continue
 		}
 		structured := false

@@ -43,7 +43,7 @@ func (protocol) Name() string { return "Dir1SW" }
 // FetchShared acquires a read-only copy for node; the caller installs it.
 // A block held Exclusive by another node traps to downgrade the owner.
 func (protocol) FetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	if e.State != coherence.Exclusive {
+	if e.State != obs.StateExclusive {
 		s.Join(e, node)
 		return s.Costs().CleanMiss(), false
 	}
@@ -67,7 +67,7 @@ func (protocol) Upgrade(s *coherence.System, e *coherence.Entry, block uint64, n
 // Other sharers are invalidated as Upgrade does; a block held Exclusive by
 // another node traps to steal it from the owner.
 func (protocol) FetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64, trap bool) {
-	if e.State == coherence.Exclusive {
+	if e.State == obs.StateExclusive {
 		cost = s.Handoff(e, block, node)
 		s.Recorder().Trap(obs.TrapSteal)
 		return s.Costs().Trap + cost, true

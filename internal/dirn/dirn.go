@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"cachier/internal/coherence"
+	"cachier/internal/obs"
 )
 
 // NB returns the DirₙNB protocol with n sharing pointers. It panics if
@@ -126,7 +127,7 @@ func (p broadcast) FetchExclusive(s *coherence.System, e *coherence.Entry, block
 }
 
 func (p broadcast) CheckEntry(s *coherence.System, e *coherence.Entry, block uint64) error {
-	if e.Bcast && e.State != coherence.Shared {
+	if e.Bcast && e.State != obs.StateShared {
 		return fmt.Errorf("broadcast bit set on a %v entry", e.State)
 	}
 	if !e.Bcast {
@@ -140,7 +141,7 @@ func (p broadcast) CheckEntry(s *coherence.System, e *coherence.Entry, block uin
 // fetchShared is the read miss both variants handle in hardware: node joins
 // an Idle or Shared block, or the owner of an Exclusive one is downgraded.
 func fetchShared(s *coherence.System, e *coherence.Entry, block uint64, node int) (cost uint64) {
-	if e.State == coherence.Exclusive {
+	if e.State == obs.StateExclusive {
 		return s.Downgrade(e, block, node)
 	}
 	s.Join(e, node)
@@ -160,7 +161,7 @@ func upgrade(s *coherence.System, e *coherence.Entry, block uint64, node int, bc
 // off, and an Idle or Shared block's other copies invalidated as upgrade
 // does.
 func fetchExclusive(s *coherence.System, e *coherence.Entry, block uint64, node int, bcast bool) (cost uint64) {
-	if e.State == coherence.Exclusive {
+	if e.State == obs.StateExclusive {
 		return s.Handoff(e, block, node)
 	}
 	others := s.TakeOwnership(e, block, node)

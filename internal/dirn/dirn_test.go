@@ -6,6 +6,8 @@ import (
 
 	"cachier/internal/coherence"
 	"cachier/internal/dirn"
+	"cachier/internal/obs"
+	"cachier/internal/trace"
 )
 
 func mk(t *testing.T, nodes int, proto coherence.Protocol) *coherence.System {
@@ -94,10 +96,10 @@ func TestNBOverflowEvicts(t *testing.T) {
 		t.Errorf("sharers = %v, want [1 2] (node 0 evicted)", sharers)
 	}
 	// Node 0 lost its copy; node 1 kept its.
-	if r := s.Read(0, 96, 0); r.Kind != coherence.ReadMiss {
+	if r := s.Read(0, 96, 0); r.Kind != trace.ReadMiss {
 		t.Errorf("unrelated read: %v", r.Kind)
 	}
-	if r := s.Read(1, 64, 0); r.Kind != coherence.Hit {
+	if r := s.Read(1, 64, 0); r.Kind != trace.Hit {
 		t.Errorf("surviving sharer: %v, want hit", r.Kind)
 	}
 	if err := s.CheckCoherence(); err != nil {
@@ -168,7 +170,7 @@ func TestBSetsBroadcastBitAndBroadcastsOnWrite(t *testing.T) {
 		t.Fatalf("overflow invalidated a copy: %d", s.Stats.Invalidations)
 	}
 	for n := 0; n < 3; n++ {
-		if r := s.Read(n, 64, 1); r.Kind != coherence.Hit {
+		if r := s.Read(n, 64, 1); r.Kind != trace.Hit {
 			t.Errorf("node %d lost its copy to overflow", n)
 		}
 	}
@@ -235,7 +237,7 @@ func TestBBitClearsWhenBlockGoesIdle(t *testing.T) {
 	s.Read(1, 64, 0) // overflow
 	s.CheckIn(0, 64)
 	s.CheckIn(1, 64)
-	if st, _, _ := s.DirView(2); st != coherence.Idle {
+	if st, _, _ := s.DirView(2); st != obs.StateIdle {
 		t.Fatalf("state = %v after all check-ins", st)
 	}
 	if r := s.Write(0, 64, 1); r.Cycles != co.CleanMiss() {

@@ -20,23 +20,14 @@ import (
 
 // Region describes one shared variable's placement in the address space.
 type Region struct {
-	Name     string // declared name
-	Label    string // label if given, else Name
-	Base     Base   // declared element type
-	BaseAddr uint64 // first byte, block-aligned
-	DimSizes []int  // per-dimension element counts; empty for scalars
-	Elems    int    // total element count
-	Bytes    uint64 // total size in bytes
+	Name     string        // declared name
+	Label    string        // label if given, else Name
+	Base     parc.BaseType // declared element type
+	BaseAddr uint64        // first byte, block-aligned
+	DimSizes []int         // per-dimension element counts; empty for scalars
+	Elems    int           // total element count
+	Bytes    uint64        // total size in bytes
 }
-
-// Base is the element type of a region.
-type Base int
-
-// Element types.
-const (
-	Int Base = iota
-	Float
-)
 
 // End returns the first byte past the region.
 func (r *Region) End() uint64 { return r.BaseAddr + r.Bytes }
@@ -68,10 +59,6 @@ func New(prog *parc.Program, blockSize int) (*Layout, error) {
 	}
 	var next uint64 = uint64(blockSize) // keep address 0 unused as a sentinel
 	for _, d := range prog.Shareds {
-		base := Int
-		if d.Base == parc.FloatType {
-			base = Float
-		}
 		label := d.Label
 		if label == "" {
 			label = d.Name
@@ -79,7 +66,7 @@ func New(prog *parc.Program, blockSize int) (*Layout, error) {
 		r := &Region{
 			Name:     d.Name,
 			Label:    label,
-			Base:     base,
+			Base:     d.Base,
 			BaseAddr: next,
 			DimSizes: append([]int(nil), d.DimSizes...),
 			Elems:    d.Size,

@@ -33,20 +33,7 @@ import (
 	"sort"
 
 	"cachier/internal/parc"
-)
-
-// AccessKind classifies a shared-data access outcome, mirroring
-// coherence.AccessKind (obs cannot import coherence without a cycle; the
-// simulator maps between the two).
-type AccessKind uint8
-
-// Access outcomes.
-const (
-	Hit AccessKind = iota
-	ReadMiss
-	WriteMiss
-	WriteFault // write found the block cached read-only (upgrade)
-	nAccessKinds
+	"cachier/internal/trace"
 )
 
 // nDirKinds is the number of CICO directive kinds, parc.AnnKind's values.
@@ -88,7 +75,8 @@ func (c TrapCause) String() string {
 	return "trap?"
 }
 
-// DirState is a directory entry state, for transition counting.
+// DirState is a directory entry's state: the coherence protocols move
+// entries between these three, and the recorder counts the transitions.
 type DirState uint8
 
 // Directory states.
@@ -113,7 +101,7 @@ func (s DirState) String() string {
 
 // nodeEpoch accumulates one node's activity within the current epoch.
 type nodeEpoch struct {
-	access   [nAccessKinds]uint64
+	access   [trace.NumKinds]uint64
 	traps    uint64
 	invals   uint64
 	stall    uint64 // cycles lost to misses, faults, and prefetch waits
@@ -194,14 +182,14 @@ func (r *Recorder) EnableTimeline() {
 // Access records one shared-data access by node: its outcome, the cache
 // block it touched, the stall cycles it cost, whether it trapped, and the
 // node's clock after the access completed.
-func (r *Recorder) Access(node int, kind AccessKind, block uint64, cycles uint64, trap bool, now uint64) {
+func (r *Recorder) Access(node int, kind trace.Kind, block uint64, cycles uint64, trap bool, now uint64) {
 	if r == nil {
 		return
 	}
 	ne := &r.cur[node]
 	ne.access[kind]++
 	ne.workSet[block] = struct{}{}
-	if kind != Hit {
+	if kind != trace.Hit {
 		ne.stall += cycles
 	}
 	if trap {
@@ -367,10 +355,10 @@ func (r *Recorder) closeEpoch(barrierPC int, arrivals []uint64, release uint64, 
 		ne.barStall = stall
 		ws := uint64(len(ne.workSet))
 		ep.Nodes[n] = NodeEpochStats{
-			Hits:            ne.access[Hit],
-			ReadMisses:      ne.access[ReadMiss],
-			WriteMisses:     ne.access[WriteMiss],
-			WriteFaults:     ne.access[WriteFault],
+			Hits:            ne.access[trace.Hit],
+			ReadMisses:      ne.access[trace.ReadMiss],
+			WriteMisses:     ne.access[trace.WriteMiss],
+			WriteFaults:     ne.access[trace.WriteFault],
 			Traps:           ne.traps,
 			Invalidations:   ne.invals,
 			StallCycles:     ne.stall,
@@ -394,7 +382,7 @@ func (r *Recorder) closeEpoch(barrierPC int, arrivals []uint64, release uint64, 
 		}
 		// Reset for the next epoch; the map is reused to stay allocation-
 		// light across epochs.
-		ne.access = [nAccessKinds]uint64{}
+		ne.access = [trace.NumKinds]uint64{}
 		ne.traps, ne.invals, ne.stall = 0, 0, 0
 		ne.dirOps, ne.dirBlks, ne.barStall = 0, 0, 0
 		clear(ne.workSet)

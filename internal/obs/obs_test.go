@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachier/internal/parc"
+	"cachier/internal/trace"
 )
 
 // checkHistogram asserts the documented Histogram invariants.
@@ -112,9 +113,9 @@ func TestHistogramMerge(t *testing.T) {
 // drive replays a fixed scripted run against a recorder; the script touches
 // every recording entry point across two epochs plus a final partial one.
 func drive(r *Recorder) {
-	r.Access(0, Hit, 1, 1, false, 10)
-	r.Access(0, ReadMiss, 2, 80, false, 90)
-	r.Access(1, WriteMiss, 2, 120, true, 120)
+	r.Access(0, trace.Hit, 1, 1, false, 10)
+	r.Access(0, trace.ReadMiss, 2, 80, false, 90)
+	r.Access(1, trace.WriteMiss, 2, 120, true, 120)
 	r.Trap(TrapSteal)
 	r.Invalidations(1, 1)
 	r.DirTransition(StateIdle, StateShared)
@@ -126,12 +127,12 @@ func drive(r *Recorder) {
 	r.Work(0, 50)
 	r.Handoff()
 	r.BarrierEnd(3, []uint64{180, 150}, 260)
-	r.Access(1, WriteFault, 7, 60, false, 320)
+	r.Access(1, trace.WriteFault, 7, 60, false, 320)
 	r.Directive(1, parc.AnnCheckIn, 2, 330)
 	r.VarDirective("V", parc.AnnCheckIn, 2)
 	r.Handoff()
 	r.BarrierEnd(3, []uint64{300, 330}, 410)
-	r.Access(0, Hit, 7, 1, false, 411)
+	r.Access(0, trace.Hit, 7, 1, false, 411)
 	r.NodeDone(0, 500)
 	r.NodeDone(1, 520)
 	r.Finish([]uint64{500, 520})
@@ -239,8 +240,8 @@ func TestCounterMonotonicity(t *testing.T) {
 	fullSnap := snapshotOf(full)
 
 	prefix := New(2, 32)
-	prefix.Access(0, Hit, 1, 1, false, 10)
-	prefix.Access(0, ReadMiss, 2, 80, false, 90)
+	prefix.Access(0, trace.Hit, 1, 1, false, 10)
+	prefix.Access(0, trace.ReadMiss, 2, 80, false, 90)
 	prefix.Trap(TrapSteal)
 	prefix.Handoff()
 	prefix.Finish([]uint64{90, 0})

@@ -1,6 +1,9 @@
 package parc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Builtins maps builtin function names to their arities. float/int are
 // conversions; rnd returns a deterministic per-processor pseudo-random float
@@ -71,7 +74,7 @@ func (c *checker) arrayDims(pos Pos, what, name string, dims []Expr) (sizes []in
 	const limit = MaxArrayBytes / ElemSize
 	elems = 1
 	for _, dim := range dims {
-		n, err := evalConstExpr(dim, c.prog.ConstVal)
+		n, err := c.constValue(dim)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -98,7 +101,7 @@ func (c *checker) run() error {
 		if _, dup := p.ConstVal[d.Name]; dup {
 			return c.errorf(d.Pos, "constant %q redeclared", d.Name)
 		}
-		v, err := evalConstExpr(d.Expr, p.ConstVal)
+		v, err := c.constValue(d.Expr)
 		if err != nil {
 			return err
 		}
@@ -472,54 +475,104 @@ func (c *checker) checkExpr(e Expr, fn *FuncDecl) error {
 	return c.errorf(e.Position(), "unknown expression type %T", e)
 }
 
-// evalConstExpr evaluates an integer constant expression using consts for
-// name lookup.
-func evalConstExpr(e Expr, consts map[string]int64) (int64, error) {
+// ConstFault says why FoldConst could not fold an expression.
+type ConstFault uint8
+
+// Constant-folding outcomes.
+const (
+	Folded   ConstFault = iota // the value is exact
+	NotConst                   // a name that is no constant, or an operator a constant may not use
+	DivZero                    // a division or modulo by zero
+	Overflow                   // the exact value does not fit an int64
+)
+
+// FoldConst evaluates an integer constant expression: literals, the names in
+// consts, unary minus and + - * / %. It never folds a wrapped value: a
+// result outside int64 is an Overflow. On a fault it returns the innermost
+// expression at fault and allocates nothing; the checker turns the fault
+// into a positioned error, and trip counts and footprints take it as "not
+// static".
+func FoldConst(e Expr, consts map[string]int64) (v int64, at Expr, fault ConstFault) {
 	switch n := e.(type) {
 	case *IntLit:
-		return n.Value, nil
+		return n.Value, nil, Folded
 	case *VarRef:
 		if v, ok := consts[n.Name]; ok {
-			return v, nil
+			return v, nil, Folded
 		}
-		return 0, &Error{Pos: n.Position(), Msg: fmt.Sprintf("%q is not a constant", n.Name)}
+		return 0, n, NotConst
 	case *UnaryExpr:
 		if n.Op != TokMinus {
-			return 0, &Error{Pos: n.Position(), Msg: "non-constant unary operator"}
+			return 0, n, NotConst
 		}
-		v, err := evalConstExpr(n.X, consts)
-		if err != nil {
-			return 0, err
+		x, at, fault := FoldConst(n.X, consts)
+		if fault != Folded {
+			return 0, at, fault
 		}
-		return -v, nil
+		if x == math.MinInt64 {
+			return 0, n, Overflow
+		}
+		return -x, nil, Folded
 	case *BinaryExpr:
-		x, err := evalConstExpr(n.X, consts)
-		if err != nil {
-			return 0, err
+		x, at, fault := FoldConst(n.X, consts)
+		if fault != Folded {
+			return 0, at, fault
 		}
-		y, err := evalConstExpr(n.Y, consts)
-		if err != nil {
-			return 0, err
+		y, at, fault := FoldConst(n.Y, consts)
+		if fault != Folded {
+			return 0, at, fault
 		}
+		var ok bool
 		switch n.Op {
 		case TokPlus:
-			return x + y, nil
+			v = x + y
+			ok = (v > x) == (y > 0)
 		case TokMinus:
-			return x - y, nil
+			v = x - y
+			ok = (v < x) == (y > 0)
 		case TokStar:
-			return x * y, nil
-		case TokSlash:
+			v = x * y
+			ok = x == 0 || (v/x == y && !(x == -1 && y == math.MinInt64))
+		case TokSlash, TokPercent:
 			if y == 0 {
-				return 0, &Error{Pos: n.Position(), Msg: "division by zero in constant expression"}
+				return 0, n, DivZero
 			}
-			return x / y, nil
-		case TokPercent:
-			if y == 0 {
-				return 0, &Error{Pos: n.Position(), Msg: "modulo by zero in constant expression"}
+			if n.Op == TokPercent {
+				return x % y, nil, Folded
 			}
-			return x % y, nil
+			v, ok = x/y, !(x == math.MinInt64 && y == -1)
+		default:
+			return 0, n, NotConst
 		}
-		return 0, &Error{Pos: n.Position(), Msg: fmt.Sprintf("operator %s not allowed in constant expression", n.Op)}
+		if !ok {
+			return 0, n, Overflow
+		}
+		return v, nil, Folded
 	}
-	return 0, &Error{Pos: e.Position(), Msg: "expression is not constant"}
+	return 0, e, NotConst
+}
+
+// constValue folds a constant expression for the checker, reporting a fault
+// at the subexpression that caused it.
+func (c *checker) constValue(e Expr) (int64, error) {
+	v, at, fault := FoldConst(e, c.prog.ConstVal)
+	switch {
+	case fault == Folded:
+		return v, nil
+	case fault == Overflow:
+		return 0, c.errorf(at.Position(), "integer overflow in constant expression")
+	case fault == DivZero && at.(*BinaryExpr).Op == TokSlash:
+		return 0, c.errorf(at.Position(), "division by zero in constant expression")
+	case fault == DivZero:
+		return 0, c.errorf(at.Position(), "modulo by zero in constant expression")
+	}
+	switch n := at.(type) {
+	case *VarRef:
+		return 0, c.errorf(n.Position(), "%q is not a constant", n.Name)
+	case *UnaryExpr:
+		return 0, c.errorf(n.Position(), "non-constant unary operator")
+	case *BinaryExpr:
+		return 0, c.errorf(n.Position(), "operator %s not allowed in constant expression", n.Op)
+	}
+	return 0, c.errorf(at.Position(), "expression is not constant")
 }

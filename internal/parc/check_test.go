@@ -1,6 +1,7 @@
 package parc
 
 import (
+	"math"
 	"testing"
 )
 
@@ -77,6 +78,20 @@ func main() { A[0][0] = 1; }`,
     y = 1;
 }`,
 			want: `test.parc:2:5: undefined variable "y"`,
+		},
+		// A constant is folded exactly or refused: an intermediate that
+		// leaves int64 is an error where it happens, never a wrapped value.
+		{
+			name: "constant whose product overflows",
+			src: `const N = 4611686018427387904 * 4 + 8;
+func main() { barrier; }`,
+			want: `test.parc:1:31: integer overflow in constant expression`,
+		},
+		{
+			name: "constant whose sum overflows",
+			src: `const M = 9223372036854775807 + 9;
+func main() { barrier; }`,
+			want: `test.parc:1:31: integer overflow in constant expression`,
 		},
 		{
 			name: "assignment to constant",
@@ -166,5 +181,37 @@ func TestCheckerErrorsWithoutFile(t *testing.T) {
 	}
 	if got, want := err.Error(), `2:5: undefined variable "y"`; got != want {
 		t.Errorf("error message:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestFoldConstFaults: the one constant folder names its fault and the
+// subexpression at fault, and allocates nothing doing it; only the checker
+// turns a fault into an error.
+func TestFoldConstFaults(t *testing.T) {
+	consts := map[string]int64{"N": 8, "MAX": math.MaxInt64}
+	big := NewBinary(TokStar, NewIntLit(1<<62), NewIntLit(4))
+	zero := NewBinary(TokPercent, NewVarRef("N"), NewIntLit(0))
+	free := NewVarRef("i")
+	cases := []struct {
+		e     Expr
+		want  int64
+		at    Expr
+		fault ConstFault
+	}{
+		{NewBinary(TokPlus, NewBinary(TokStar, NewVarRef("N"), NewIntLit(2)), NewIntLit(1)), 17, nil, Folded},
+		{NewBinary(TokPlus, big, NewIntLit(8)), 0, big, Overflow},
+		{NewBinary(TokMinus, NewIntLit(0), NewBinary(TokMinus, NewIntLit(0), NewVarRef("MAX"))), math.MaxInt64, nil, Folded},
+		{NewBinary(TokSlash, NewIntLit(1), zero), 0, zero, DivZero},
+		{NewBinary(TokPlus, NewIntLit(1), free), 0, free, NotConst},
+		{NewBinary(TokLt, NewIntLit(1), NewIntLit(2)), 0, nil, NotConst},
+	}
+	for i, c := range cases {
+		v, at, fault := FoldConst(c.e, consts)
+		if fault != c.fault || v != c.want || (c.at != nil && at != c.at) {
+			t.Errorf("case %d: FoldConst = %d, %v, %d; want %d, %v, %d", i, v, at, fault, c.want, c.at, c.fault)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { FoldConst(c.e, consts) }); allocs != 0 {
+			t.Errorf("case %d: FoldConst allocates %.0f times", i, allocs)
+		}
 	}
 }

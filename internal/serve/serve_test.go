@@ -376,6 +376,13 @@ func TestErrorResponses(t *testing.T) {
 		checkErr(name+", static", code, 400, body)
 	}
 
+	// A constant whose value leaves int64 is refused by the checker, not
+	// folded to a wrapped size.
+	code, _, body = post(t, ts.URL+"/v1/annotate", &AnnotateRequest{
+		Source: "const N = 4611686018427387904 * 4 + 8;\nshared int A[N];\nfunc main() { A[pid() % N] = 1; }",
+	})
+	checkErr("overflowing constant, annotate", code, 400, body)
+
 	// A program that faults when run is the submitter's error on every
 	// endpoint that runs it, whichever simulation (measuring or tracing)
 	// met the fault.

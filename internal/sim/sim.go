@@ -76,12 +76,6 @@ type Config struct {
 	// minimum runnable clock before yielding; WWT used the network latency.
 	Quantum uint64
 
-	// BarrierBase and BarrierPerNode model barrier synchronization cost:
-	// all nodes leave the barrier at max(arrival) + BarrierBase +
-	// BarrierPerNode*log2(Nodes).
-	BarrierBase    uint64
-	BarrierPerNode uint64
-
 	// LockAcquire is the cost of an uncontended lock acquire or release;
 	// LockTransfer is the extra handoff cost to a waiting node.
 	LockAcquire  uint64
@@ -158,19 +152,25 @@ type Config struct {
 // 32-byte blocks.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:          32,
-		CacheSize:      256 * 1024,
-		Assoc:          4,
-		BlockSize:      32,
-		Costs:          coherence.DefaultCosts(),
-		Quantum:        100,
-		BarrierBase:    80,
-		BarrierPerNode: 10,
-		LockAcquire:    60,
-		LockTransfer:   40,
-		SelfCheck:      true,
+		Nodes:        32,
+		CacheSize:    256 * 1024,
+		Assoc:        4,
+		BlockSize:    32,
+		Costs:        coherence.DefaultCosts(),
+		Quantum:      100,
+		LockAcquire:  60,
+		LockTransfer: 40,
+		SelfCheck:    true,
 	}
 }
+
+// barrierBase and barrierPerNode model barrier synchronization cost: all
+// nodes leave a barrier at max(arrival) + barrierBase +
+// barrierPerNode*log2(Nodes) cycles.
+const (
+	barrierBase    = 80
+	barrierPerNode = 10
+)
 
 // ErrCycleBudget is the error of a run that Config.CycleBudget cut short.
 var ErrCycleBudget = errors.New("sim: cycle budget exceeded")
@@ -573,37 +573,13 @@ func (m *Machine) Access(node int, write bool, addr uint64, pc int) {
 		r = m.sys.Read(node, addr, p.clock)
 	}
 	p.clock += r.Cycles
-	if m.builder != nil && r.Kind != coherence.Hit {
-		m.builder.AddMiss(missKind(r.Kind), addr, pc, node)
+	if m.builder != nil && r.Kind != trace.Hit {
+		m.builder.AddMiss(r.Kind, addr, pc, node)
 	}
 	if m.rec != nil {
-		m.rec.Access(node, obsAccessKind(r.Kind), addr/m.blockSz, r.Cycles, r.Trap, p.clock)
+		m.rec.Access(node, r.Kind, addr/m.blockSz, r.Cycles, r.Trap, p.clock)
 	}
 	m.yield(p)
-}
-
-func obsAccessKind(k coherence.AccessKind) obs.AccessKind {
-	switch k {
-	case coherence.Hit:
-		return obs.Hit
-	case coherence.ReadMiss:
-		return obs.ReadMiss
-	case coherence.WriteMiss:
-		return obs.WriteMiss
-	default:
-		return obs.WriteFault
-	}
-}
-
-func missKind(k coherence.AccessKind) trace.Kind {
-	switch k {
-	case coherence.ReadMiss:
-		return trace.ReadMiss
-	case coherence.WriteMiss:
-		return trace.WriteMiss
-	default:
-		return trace.WriteFault
-	}
 }
 
 // Directive implements interp.Machine: CICO statements become Dir1SW
@@ -686,7 +662,7 @@ func (m *Machine) releaseBarrier(pc int, active int) {
 			maxClock = q.arrival
 		}
 	}
-	release := maxClock + m.cfg.BarrierBase + m.cfg.BarrierPerNode*log2(len(m.procs))
+	release := maxClock + barrierBase + barrierPerNode*log2(len(m.procs))
 	if m.rec != nil {
 		arrivals := make([]uint64, len(m.procs))
 		for i, q := range m.procs {

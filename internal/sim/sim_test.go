@@ -35,7 +35,7 @@ func load(t *testing.T, res *Result, name string, ix ...int) interp.Value {
 		t.Fatal(err)
 	}
 	r := res.Layout.Region(name)
-	return interp.FromBits(res.Store.Load(addr), r.Base == 1 /* memory.Float */)
+	return interp.FromBits(res.Store.Load(addr), r.Base == parc.FloatType)
 }
 
 func TestSPMDExecutionAllNodes(t *testing.T) {

@@ -53,10 +53,10 @@ type Config struct {
 	BlockSize int
 }
 
-// DefaultConfig mirrors sim.DefaultConfig's machine: 32 nodes with 256 KB
-// 4-way caches of 32-byte blocks.
+// DefaultConfig is sim.DefaultConfig's machine.
 func DefaultConfig() Config {
-	return Config{Nodes: 32, CacheSize: 256 * 1024, Assoc: 4, BlockSize: 32}
+	m := sim.DefaultConfig()
+	return Config{Nodes: m.Nodes, CacheSize: m.CacheSize, Assoc: m.Assoc, BlockSize: m.BlockSize}
 }
 
 func (c Config) withDefaults() Config {

@@ -86,8 +86,8 @@ func DiffSharedMemory(layout *memory.Layout, got, want *interp.Store) error {
 				idx, _ := r.IndexOf(addr)
 				return fmt.Errorf("shared %s%v: got %#x (%v), want %#x (%v)",
 					r.Name, idx,
-					g, interp.FromBits(g, r.Base == memory.Float),
-					w, interp.FromBits(w, r.Base == memory.Float))
+					g, interp.FromBits(g, r.Base == parc.FloatType),
+					w, interp.FromBits(w, r.Base == parc.FloatType))
 			}
 		}
 	}

@@ -21,15 +21,19 @@ import (
 	"strings"
 )
 
-// Kind is the miss type recorded in the trace.
+// Kind is the outcome of one shared-data access, as the coherence protocol
+// reports it and the observability layer counts it. A trace records only the
+// three miss kinds, by their values and letters; a Hit never appears in one.
 type Kind int
 
-// Miss kinds. A write fault is a write that found the block cached
+// Access outcomes. A write fault is a write that found the block cached
 // read-only (Section 4, "trace processing").
 const (
 	ReadMiss Kind = iota
 	WriteMiss
 	WriteFault
+	Hit
+	NumKinds // the number of access outcomes
 )
 
 func (k Kind) String() string {
@@ -40,6 +44,8 @@ func (k Kind) String() string {
 		return "w"
 	case WriteFault:
 		return "f"
+	case Hit:
+		return "h"
 	}
 	return "?"
 }
@@ -282,7 +288,14 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read parses a trace written by Write.
+// maxNodes bounds a trace's node count, so that a malformed header cannot
+// size every epoch's virtual-time vector past memory. It is 64 times the
+// widest machine cachierd simulates (1 024 nodes).
+const maxNodes = 1 << 16
+
+// Read parses a trace written by Write. The header must give a node count in
+// [1, maxNodes], once and before the first epoch, and a block size that is a
+// positive power of two.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -317,8 +330,14 @@ func Read(r io.Reader) (*Trace, error) {
 			if len(f) != 2 {
 				return nil, fail("bad nodes line")
 			}
+			if t.Nodes != 0 || len(t.Epochs) > 0 {
+				return nil, fail("nodes line repeated or after an epoch")
+			}
 			if _, err := fmt.Sscanf(f[1], "%d", &t.Nodes); err != nil {
 				return nil, fail("bad node count %q", f[1])
+			}
+			if t.Nodes <= 0 || t.Nodes > maxNodes {
+				return nil, fail("node count %d out of range [1,%d]", t.Nodes, maxNodes)
 			}
 		case "block":
 			if len(f) != 2 {
@@ -326,6 +345,9 @@ func Read(r io.Reader) (*Trace, error) {
 			}
 			if _, err := fmt.Sscanf(f[1], "%d", &t.BlockSize); err != nil {
 				return nil, fail("bad block size %q", f[1])
+			}
+			if t.BlockSize <= 0 || t.BlockSize&(t.BlockSize-1) != 0 {
+				return nil, fail("block size %d is not a positive power of two", t.BlockSize)
 			}
 		case "label":
 			// label NAME base B elem E dims D1 D2 ...
@@ -350,6 +372,9 @@ func Read(r io.Reader) (*Trace, error) {
 		case "epoch":
 			if len(f) != 4 || f[2] != "barrierpc" {
 				return nil, fail("bad epoch line %q", line)
+			}
+			if t.Nodes == 0 {
+				return nil, fail("epoch before the nodes line")
 			}
 			e := Epoch{VT: make([]uint64, t.Nodes)}
 			if _, err := fmt.Sscanf(f[1], "%d", &e.Index); err != nil {
@@ -419,8 +444,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if t.Nodes <= 0 {
-		return nil, fmt.Errorf("trace: missing or invalid nodes header")
+	if t.Nodes == 0 {
+		return nil, fmt.Errorf("trace: missing nodes header")
+	}
+	if t.BlockSize == 0 {
+		return nil, fmt.Errorf("trace: missing block header")
 	}
 	return t, nil
 }

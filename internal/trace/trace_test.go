@@ -178,6 +178,17 @@ func TestReadErrors(t *testing.T) {
 		{"unterminated epoch", "cachier-trace v1\nnodes 1\nblock 32\nepoch 0 barrierpc 1\nmiss r 0 0 0\n"},
 		{"garbage line", "cachier-trace v1\nnodes 1\nwat\n"},
 		{"bad vt node", "cachier-trace v1\nnodes 1\nblock 32\nepoch 0 barrierpc 1\nvt 9 3\nend\n"},
+		// A header that would size each epoch's VT past memory or below zero,
+		// leave the block size for a reader to divide by, or come after the
+		// epochs it sizes.
+		{"negative nodes", "cachier-trace v1\nnodes -1\nblock 32\nepoch 0 barrierpc 1\nend\n"},
+		{"huge nodes", "cachier-trace v1\nnodes 4611686018427387904\nblock 32\nepoch 0 barrierpc 1\nend\n"},
+		{"nodes over the bound", "cachier-trace v1\nnodes 65537\nblock 32\nepoch 0 barrierpc 1\nend\n"},
+		{"missing block", "cachier-trace v1\nnodes 1\nepoch 0 barrierpc 1\nend\n"},
+		{"zero block", "cachier-trace v1\nnodes 1\nblock 0\nepoch 0 barrierpc 1\nend\n"},
+		{"block not a power of two", "cachier-trace v1\nnodes 1\nblock 24\nepoch 0 barrierpc 1\nend\n"},
+		{"epoch before nodes", "cachier-trace v1\nblock 32\nepoch 0 barrierpc 1\nend\nnodes 1\n"},
+		{"nodes after an epoch", "cachier-trace v1\nnodes 1\nblock 32\nepoch 0 barrierpc 1\nend\nnodes 4\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.src)); err == nil {
@@ -258,4 +269,35 @@ func TestDigestCoversEveryField(t *testing.T) {
 	}
 	walk("Trace", reflect.ValueOf(tr).Elem())
 	t.Logf("%d mutations checked", mutated)
+}
+
+// FuzzTraceRead feeds arbitrary text to Read: it must never panic, and a
+// trace it accepts must read back from its own Write output with the same
+// digest.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("cachier-trace v1\nnodes 1\nblock 32\nepoch 0 barrierpc -1\nvt 0 7\nmiss f 8 3 0\nend\n")
+	f.Add("cachier-trace v1\nnodes -1\nepoch 0 barrierpc 1\nend\n")
+	f.Add("cachier-trace v1\nnodes 2\nblock 0\nlabel A base 0 elem 8 dims 2 2\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := Read(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("an accepted trace does not read back: %v\n%s", err, out.String())
+		}
+		if back.Digest() != tr.Digest() {
+			t.Fatalf("the trace read back has another digest\n%s", out.String())
+		}
+	})
 }

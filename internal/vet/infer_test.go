@@ -242,6 +242,44 @@ func main() {
 	}
 }
 
+// TestOverflowingTripCountWidens: a loop whose trip count leaves int64 is
+// widened, by the race detector and by inference alike, rather than
+// enumerated from a wrapped count until the analysis budget runs out.
+func TestOverflowingTripCountWidens(t *testing.T) {
+	prog := inferProg(t, `
+shared int x label "x";
+func main() {
+    for i = -9223372036854775807 to 9223372036854775807 {
+        if pid() == 0 {
+            x = i;
+        }
+    }
+    barrier;
+}`)
+	for _, f := range Analyze(prog, Options{Nprocs: 2}).Findings {
+		if strings.Contains(f.Msg, "budget exhausted") {
+			t.Errorf("Analyze: %s", f)
+		}
+	}
+	sum, err := Summarize(prog, Options{Nprocs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Exact {
+		t.Error("an overflowing trip count should make the summary inexact")
+	}
+	trip := false
+	for _, n := range sum.Notes {
+		if strings.Contains(n, "budget exhausted") {
+			t.Errorf("Summarize ran out of fuel: %v", sum.Notes)
+		}
+		trip = trip || strings.Contains(n, "trip count")
+	}
+	if !trip {
+		t.Errorf("notes should name the trip count: %v", sum.Notes)
+	}
+}
+
 // TestSummarizeDoesNotPerturbAnalyze: running inference must leave the
 // regular analysis untouched — same findings before and after.
 func TestSummarizeDoesNotPerturbAnalyze(t *testing.T) {

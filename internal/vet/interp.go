@@ -1558,12 +1558,16 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 		// surfaces later as a barrier-structure mismatch between the nodes'
 		// summaries.
 		if from.isConst() && to.isConst() && stepOK {
-			trip := tripCount(from.lo, to.lo, step)
-			if trip <= inferEnumLimit {
+			trip, ok := analysis.TripCountBounds(from.lo, to.lo, step)
+			if ok && trip <= inferEnumLimit {
 				r.enumFor(st, n, slot, from.lo, to.lo, step)
 				return
 			}
-			r.inexact(n.Position(), "trip count %d exceeds the enumeration limit", trip)
+			if ok {
+				r.inexact(n.Position(), "trip count %d exceeds the enumeration limit", trip)
+			} else {
+				r.inexact(n.Position(), "trip count overflows int64; loop approximated")
+			}
 		} else {
 			r.inexact(n.Position(), "loop bounds are not node-constant; loop approximated")
 		}
@@ -1580,23 +1584,13 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 		r.approxFor(st, n, slot, from, to, step, stepOK, 2)
 		return
 	}
-	if from.isConst() && to.isConst() && stepOK && tripCount(from.lo, to.lo, step) <= enumLimit {
-		r.enumFor(st, n, slot, from.lo, to.lo, step)
-		return
+	if from.isConst() && to.isConst() && stepOK {
+		if trip, ok := analysis.TripCountBounds(from.lo, to.lo, step); ok && trip <= enumLimit {
+			r.enumFor(st, n, slot, from.lo, to.lo, step)
+			return
+		}
 	}
 	r.approxFor(st, n, slot, from, to, step, stepOK, 1)
-}
-
-// tripCount is the number of iterations of a for loop from from to to by a
-// nonzero step.
-func tripCount(from, to, step int64) int64 {
-	switch {
-	case step > 0 && to >= from:
-		return (to-from)/step + 1
-	case step < 0 && from >= to:
-		return (from-to)/(-step) + 1
-	}
-	return 0
 }
 
 func (r *nodeRun) enumFor(st *state, n *parc.ForStmt, slot int, from, to, step int64) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc staticdiff bench profile protosweep check fuzz cover timeline serve-smoke
+.PHONY: all build test race vet loc staticdiff bench profile protosweep check fuzz cover timeline serve-smoke mutants
 
 all: build
 
@@ -10,19 +10,29 @@ build:
 test:
 	$(GO) test ./...
 
-# The bench package exercises the parallel Figure-6 harness, sim hosts the
-# reference engine's lanes on goroutines that hand one machine back and
-# forth, the oracle runs the tree-walker on one goroutine per processor with
-# channel hand-offs the same way, core annotates one checked program from
-# many goroutines (TestAnnotateSharedProgram), vet hands pooled stream
-# storage between passes on many goroutines (TestStreamsConcurrent), and
-# serve is the HTTP layer (shared caches, singleflight, worker pool); run all
-# of it under the race detector after touching sim, interp, oracle, dir1sw,
-# core, parc, vet, bench, or serve.
+# interp's TreeLane runs the tree-walker on a goroutine that hands one
+# machine back and forth with its driver, and both drivers run it that way:
+# sim's reference engine and the oracle. The bench package exercises the
+# parallel Figure-6 harness, core annotates one checked program from many
+# goroutines (TestAnnotateSharedProgram), vet hands pooled stream storage
+# between passes on many goroutines (TestStreamsConcurrent), and serve is
+# the HTTP layer (shared caches, singleflight, worker pool); run all of it
+# under the race detector after touching interp, sim, oracle, dir1sw, core,
+# parc, vet, bench, or serve.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/coherence/... ./internal/dir1sw/... \
-		./internal/dirn/... ./internal/core/... ./internal/vet/... ./internal/bench/... \
-		./internal/serve/... ./internal/oracle/...
+	$(GO) test -race ./internal/interp/... ./internal/sim/... ./internal/coherence/... \
+		./internal/dir1sw/... ./internal/dirn/... ./internal/core/... ./internal/vet/... \
+		./internal/bench/... ./internal/serve/... ./internal/oracle/...
+
+# The mutation ledger (mutants_test.go, outside tier-1 and CI): each source
+# edit in testdata/mutants.json is applied to a temporary copy of the module,
+# whose tests then run (90 s timeout per package); one row per mutant names
+# the tests that killed it, and the run fails if a mutant survives without a
+# written reason. DESIGN.md section 7 records the verdict. About half an hour
+# on 2 vCPUs; pick mutants with MUTANTS='TestMutants/name'.
+MUTANTS ?= TestMutants
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 0 -v -run '$(MUTANTS)' .
 
 # Static checks: gofmt (any file it would reformat fails the target) and go
 # vet over the Go code, then parcvet (the ParC static race detector and CICO

@@ -138,8 +138,8 @@ const (
 	opCall     // regs[a] = call aux.(*callPayload)
 	opRet      // return regs[a] (a<0: fall-off-end/void)
 	opForPrep  // init hidden loop state for aux.(*forPayload)
-	opForCheck // loop entry test; sets counter reg; exit to n
-	opForNext  // back edge: counter += step, re-test, continue to n+1
+	opForCheck // loop entry test; sets last value and counter reg; exit to n
+	opForNext  // back edge: unless at last, counter += step, continue to n+1
 	opAllocArr // (re)allocate private array aux.(*allocPayload)
 	opArrNil   // error if private array a never allocated (msg aux)
 	opBounds   // bounds-check index regs[b] against size n
@@ -272,7 +272,8 @@ type callPayload struct {
 
 // forPayload carries a counted loop's register layout: from/to/step source
 // registers (int; step < 0 means the default step of 1), and the triple of
-// hidden state registers at base (i, hi, step).
+// hidden state registers at base (i, to, step), where opForCheck replaces
+// to with the counter's last value (forLast).
 type forPayload struct {
 	varName        string
 	from, to, step int32

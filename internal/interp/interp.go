@@ -35,8 +35,7 @@ type Context struct {
 	ops      uint64
 
 	// Bytecode engine state (lane.go, vm.go). The tree-walker below stays
-	// the reference implementation; set treeWalk to force it.
-	treeWalk bool
+	// the reference implementation (TreeLane).
 	pools    [][]*vmFrame // per-function frame free-lists
 	printBuf []Value      // print argument scratch
 	rangeBuf []AddrRange  // directive range scratch (valid during the call only)
@@ -44,13 +43,6 @@ type Context struct {
 	dirHis   []int
 	dirIdx   []int // cartesian walk scratch
 }
-
-// UseTreeWalker makes Run execute on the reference tree-walking interpreter
-// instead of the compiled bytecode VM. The two are observationally identical
-// (the conformance corpus and FuzzVMEquivalence run them differentially);
-// the tree-walker exists as the executable specification and for debugging
-// the compiler.
-func (c *Context) UseTreeWalker() { c.treeWalk = true }
 
 // PrivateAccesses returns how many private-array loads and stores this
 // context performed; the simulator uses them to compute sharing degrees
@@ -99,18 +91,21 @@ func NewContext(prog *parc.Program, store *Store, mach Machine, node, nprocs int
 
 // Run executes main to completion, flushing any residual work. Programs are
 // compiled to bytecode once (cached on the Program itself) and run on the
-// lane VM without a yielder, so it never suspends; after UseTreeWalker the
-// program executes on the reference tree-walker instead, with identical
-// observable behaviour. Either way the program must be checked: a program
-// the compiler refuses is an error, not a reason to switch engines.
+// lane VM without a yielder, so it never suspends. The program must be
+// checked: a program the compiler refuses is an error.
 func (c *Context) Run() error {
-	if !c.treeWalk {
-		lv, err := c.NewLaneVM(nil)
-		if err != nil {
-			return err
-		}
-		return lv.RunToCompletion()
+	lv, err := c.NewLaneVM(nil)
+	if err != nil {
+		return err
 	}
+	return lv.RunToCompletion()
+}
+
+// runTree executes main to completion on the reference tree-walking
+// interpreter, flushing any residual work: the executable specification the
+// lane VM is held to (FuzzVMEquivalence and the conformance corpus run the
+// two differentially). Its only host is TreeLane.
+func (c *Context) runTree() error {
 	main := c.prog.FuncMap["main"]
 	if main == nil {
 		return errNoMain
@@ -308,15 +303,17 @@ func (c *Context) execStmt(s parc.Stmt, fr *frame) (ctrl, Value, error) {
 		}
 		// The counter is an int; a counter slot declared float holds it
 		// converted, like any other assignment to the slot.
-		lo, hi := from.AsInt(), to.AsInt()
+		lo := from.AsInt()
+		last, trips := forLast(lo, to.AsInt(), step)
 		base := fr.types[n.VarSlot-1]
-		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
+		for i := lo; trips; i += step {
 			fr.scalars[n.VarSlot-1] = coerce(IntVal(i), base)
 			ct, v, err := c.execBlock(n.Body, fr)
 			if err != nil || ct == ctrlReturn {
 				return ct, v, err
 			}
 			c.work(1)
+			trips = i != last
 		}
 		return ctrlNext, Value{}, nil
 
@@ -383,6 +380,30 @@ func (c *Context) execStmt(s parc.Stmt, fr *frame) (ctrl, Value, error) {
 		return ctrlNext, Value{}, nil
 	}
 	return ctrlNext, Value{}, c.errf("cannot execute %T", s)
+}
+
+// forLast returns the last value a for loop's counter takes, stepping from
+// from by step while it has not passed to, and false when the loop makes no
+// trip. Both engines stop at it rather than test the counter against to
+// after each step, which would wrap at the int64 edge; the trips it implies
+// are analysis.TripCountBounds's wherever that is defined. A unit step, the
+// common case, ends at to itself and needs no division.
+func forLast(from, to, step int64) (int64, bool) {
+	switch {
+	case step > 0 && from <= to:
+		if step == 1 {
+			return to, true
+		}
+		d := uint64(to) - uint64(from)
+		return int64(uint64(from) + d - d%uint64(step)), true
+	case step < 0 && from >= to:
+		if step == -1 {
+			return to, true
+		}
+		d := uint64(from) - uint64(to)
+		return int64(uint64(from) - (d - d%-uint64(step))), true
+	}
+	return 0, false
 }
 
 func (c *Context) execAssign(n *parc.AssignStmt, fr *frame) error {

@@ -489,10 +489,11 @@ func main() {
 			store := NewStoreFor(layout)
 			m := &mockMachine{}
 			ctx := NewContext(prog, store, m, 0, 1)
+			run := ctx.Run
 			if engine == "tree" {
-				ctx.UseTreeWalker()
+				run = ctx.runTree
 			}
-			if err := ctx.Run(); err != nil {
+			if err := run(); err != nil {
 				t.Fatalf("%s, block size %d: %v", engine, blockSize, err)
 			}
 			if a, b, c := loadInt(store, layout, "a", 2), loadInt(store, layout, "b"), loadInt(store, layout, "c", 1); a != 7 || b != 8 || c != 9 {

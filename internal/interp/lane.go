@@ -26,8 +26,8 @@ import (
 // calls the tree-walker issues at that point and nothing else. Data touches
 // (Store.Load/StoreWord) stay *after* the corresponding Access call returns
 // control to the lane — the same point in the total order at which the
-// tree-walker, resumed from its park inside that call (sim/reference.go),
-// performs them.
+// tree-walker, resumed from its park inside that call (TreeLane), performs
+// them.
 
 // LaneYielder is the lane's scheduling contract. After every Machine call
 // the stepper asks LaneRunning whether its node is still the running lane; a
@@ -875,20 +875,19 @@ func (lv *LaneVM) run() (LaneStatus, uint64) {
 				regs[p.base+2] = uint64(st)
 
 			case opForCheck:
-				i, hi, st := int64(regs[in.a]), int64(regs[in.a+1]), int64(regs[in.a+2])
-				if (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-					regs[in.b] = uint64(i)
-				} else {
+				last, trips := forLast(int64(regs[in.a]), int64(regs[in.a+1]), int64(regs[in.a+2]))
+				if !trips {
 					ip = in.n
 					continue
 				}
+				regs[in.a+1] = uint64(last)
+				regs[in.b] = regs[in.a]
 
 			case opForNext:
-				st := int64(regs[in.a+2])
-				i := int64(regs[in.a]) + st
-				regs[in.a] = uint64(i)
-				if hi := int64(regs[in.a+1]); (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-					regs[in.b] = uint64(i)
+				if i := regs[in.a]; i != regs[in.a+1] {
+					i += regs[in.a+2]
+					regs[in.a] = i
+					regs[in.b] = i
 					ip = in.n + 1 // skip the entry check, straight to the body
 					continue
 				}

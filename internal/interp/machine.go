@@ -15,10 +15,9 @@ type AddrRange struct {
 // which is what lets the conformance harness run the same interpreter under
 // both and compare results. A call may leave another processor scheduled:
 // the lane VM then returns to its caller and is resumed later (LaneYielder),
-// while the tree-walker can only be made to wait inside the call (the
-// oracle's machine and the simulator's reference lanes block it there). All
-// methods are invoked with the processor's accumulated local work already
-// flushed.
+// while the tree-walker can only be made to wait inside the call (TreeLane
+// parks it there). All methods are invoked with the processor's accumulated
+// local work already flushed.
 //
 // A Machine is owned by a single simulation run: implementations are not
 // required to be safe for use by goroutines outside that run, and callers

@@ -12,7 +12,9 @@ import (
 // typedPrograms maps each program in testdata/typed to the runtime error
 // it must end in ("" for none). They aim at what parcgen's corpus never
 // reaches: its generated code never mixes operand types in min or max, nor
-// divides by zero. internal/sim runs the same files on its two lane hosts.
+// divides by zero, nor loops at the int64 edge, nor meets the flush limit
+// exactly before a call. internal/sim runs the same files on its two lane
+// hosts.
 var typedPrograms = map[string]string{
 	"minmax.parc":          "",
 	"divzero_int.parc":     "integer division by zero",
@@ -27,6 +29,12 @@ var typedPrograms = map[string]string{
 	"coerce.parc":          "",
 	"print.parc":           "",
 	"nan.parc":             "",
+	"fortrips.parc":        "",
+	"mixed_float.parc":     "",
+	"shortcircuit.parc":    "",
+	"privflush.parc":       "",
+	"bounds_late.parc":     "g: index 3 out of range [0,3) in dimension 0",
+	"redeclare.parc":       "",
 }
 
 // TestTypedVMMatchesTreeWalker holds the typed registers to the Value-based

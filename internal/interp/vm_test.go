@@ -32,10 +32,11 @@ func execAll(t *testing.T, src string, nprocs int, tree bool) (*mockMachine, *St
 	var errs []string
 	for node := 0; node < nprocs; node++ {
 		ctx := NewContext(prog, store, m, node, nprocs)
+		run := ctx.Run
 		if tree {
-			ctx.UseTreeWalker()
+			run = ctx.runTree
 		}
-		if err := ctx.Run(); err != nil {
+		if err := run(); err != nil {
 			errs = append(errs, err.Error())
 		}
 	}
@@ -199,10 +200,11 @@ func BenchmarkInterp(b *testing.B) {
 				store := NewStoreFor(layout)
 				ctx := NewContext(prog, store, &mockMachine{}, 0, 1)
 				ctx.CountOps(true)
+				run := ctx.Run
 				if eng.tree {
-					ctx.UseTreeWalker()
+					run = ctx.runTree
 				}
-				if err := ctx.Run(); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 				ops += ctx.OpsDispatched()

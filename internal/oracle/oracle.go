@@ -3,11 +3,13 @@
 //
 // The oracle is the ground truth for differential testing: it shares the
 // reference interpreter (the tree-walker, never the compiled bytecode the
-// production engine runs) and the memory layout with the simulator but
-// replaces the whole Dir1SW machine with the trivial one — every access hits the flat store
-// directly, caches and directives do not exist, and scheduling is the
-// simplest deterministic policy imaginable: processors run one at a time in
-// node order, each to its next barrier (or completion), epoch by epoch.
+// production engine runs, hosted as the interp.TreeLanes the simulator's
+// reference engine drives too) and the memory layout with the simulator,
+// but replaces the whole Dir1SW machine with the trivial one — every access
+// hits the flat store directly, caches and directives do not exist, and
+// scheduling is the simplest deterministic policy imaginable: processors
+// run one at a time in node order, each to its next barrier (or
+// completion), epoch by epoch.
 // For a program that is element-level race-free within every epoch (at most
 // one writer per shared element, cross-node reads only of data stable since
 // an earlier epoch, multi-writer cells confined to lock-protected
@@ -18,7 +20,6 @@
 package oracle
 
 import (
-	"errors"
 	"fmt"
 
 	"cachier/internal/interp"
@@ -66,17 +67,17 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 		store:   interp.NewStoreFor(layout),
 		written: make(map[uint64]bool),
 	}
-	for i := 0; i < cfg.Nprocs; i++ {
-		m.procs = append(m.procs, &proc{
-			resume: make(chan bool),
-			parked: make(chan parkMsg),
-		})
+	lanes := make([]*interp.TreeLane, cfg.Nprocs)
+	for i := range lanes {
+		lanes[i] = interp.NewContext(prog, m.store, m, i, cfg.Nprocs).NewTreeLane(m)
 	}
-	for i := 0; i < cfg.Nprocs; i++ {
-		ctx := interp.NewContext(prog, m.store, m, i, cfg.Nprocs)
-		ctx.UseTreeWalker()
-		go m.runProc(ctx, m.procs[i])
-	}
+	// However the run ends, a lane still parked at a barrier unwinds.
+	defer func() {
+		for _, l := range lanes {
+			l.Kill()
+			l.Resume()
+		}
+	}()
 
 	// Epoch loop: resume every still-active processor in node order; each
 	// runs to its next barrier or to completion before the next one starts.
@@ -87,25 +88,12 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	barriers := 0
 	for len(active) > 0 {
 		var arrived []int
-		for ai, id := range active {
-			p := m.procs[id]
-			p.resume <- true
-			msg := <-p.parked
-			if msg.err != nil {
-				// Unwind the still-live goroutines: earlier procs that
-				// arrived at the barrier this round, and later procs still
-				// parked at the previous round's stop point. Procs that
-				// already finished have exited and must not be signalled.
-				for _, other := range arrived {
-					m.procs[other].resume <- false
-				}
-				for _, other := range active[ai+1:] {
-					m.procs[other].resume <- false
-				}
-				return nil, msg.err
-			}
-			if !msg.done {
+		for _, id := range active {
+			m.atBarrier = false
+			if lanes[id].Resume() == interp.LaneSuspended {
 				arrived = append(arrived, id)
+			} else if err := lanes[id].Err(); err != nil {
+				return nil, err
 			}
 		}
 		if len(arrived) > 0 {
@@ -123,51 +111,18 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	}, nil
 }
 
-var errAborted = errors.New("oracle: aborted")
-
-type parkMsg struct {
-	done bool
-	err  error
-}
-
-type proc struct {
-	resume chan bool // coordinator -> proc; false aborts
-	parked chan parkMsg
-}
-
-// machine implements interp.Machine with no memory system at all. Exactly
-// one processor goroutine runs at any time (the coordinator resumes one and
-// blocks until it parks), so the shared fields need no locking.
+// machine implements interp.Machine with no memory system at all, and is
+// its lanes' yielder. Exactly one lane runs at any time (Run resumes one and
+// waits until it parks), so the fields need no locking.
 type machine struct {
-	procs   []*proc
-	store   *interp.Store
-	written map[uint64]bool
-	outputs []string
+	store     *interp.Store
+	written   map[uint64]bool
+	outputs   []string
+	atBarrier bool // the running lane has reached a barrier
 }
 
-func (m *machine) runProc(ctx *interp.Context, p *proc) {
-	if !<-p.resume {
-		return
-	}
-	err := m.runInterp(ctx)
-	if errors.Is(err, errAborted) {
-		return
-	}
-	p.parked <- parkMsg{done: true, err: err}
-}
-
-func (m *machine) runInterp(ctx *interp.Context) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, errAborted) {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
-	return ctx.Run()
-}
+// LaneRunning is the lanes' yielder: a lane runs until it reaches a barrier.
+func (m *machine) LaneRunning(node int) bool { return !m.atBarrier }
 
 // Access implements interp.Machine: loads and stores hit the flat store
 // directly (the interpreter performs the store itself; the machine only
@@ -184,15 +139,9 @@ func (m *machine) Access(node int, write bool, addr uint64, pc int) {
 // annotated and unannotated variants alike.
 func (m *machine) Directive(node int, kind parc.AnnKind, ranges []interp.AddrRange, pc int) {}
 
-// Barrier implements interp.Machine: park until the coordinator's next
-// epoch round.
-func (m *machine) Barrier(node int, pc int) {
-	p := m.procs[node]
-	p.parked <- parkMsg{}
-	if !<-p.resume {
-		panic(errAborted)
-	}
-}
+// Barrier implements interp.Machine: the lane parks until Run's next epoch
+// round.
+func (m *machine) Barrier(node int, pc int) { m.atBarrier = true }
 
 // Lock and Unlock implement interp.Machine. Processors only yield at
 // barriers, so a critical section always runs to completion before any

@@ -46,7 +46,7 @@ func runHost(t *testing.T, src string, reference, bare bool, mutate func(*Config
 
 // checkBothHosts runs src under the scheduler's two lane hosts — compiled
 // lanes stepped in the scheduler's own loop, and tree-walking interpreters
-// parked on goroutines (reference.go) — and asserts the runs bit-identical
+// parked on goroutines (interp.TreeLane) — and asserts the runs bit-identical
 // on every observable surface, each reporting the engine it was asked for.
 // The recorder that makes the surfaces observable also takes the compiled
 // lanes' view away (LaneView), so a third run, production with no recorder,

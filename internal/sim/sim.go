@@ -23,9 +23,9 @@
 // lanes. The production engine, "lanes", runs each processor's compiled
 // bytecode on a resumable VM, which charges local work and counts cache hits
 // in place through a view of its node's state (LaneView, sched.go). The
-// reference engine runs the tree-walking interpreter instead, each lane
-// parked on a goroutine (reference.go), every event a Machine call; only
-// Config.TreeWalk selects it. The conformance harness holds the two
+// reference engine runs the tree-walking interpreter instead, as the lanes
+// the oracle also drives (interp.TreeLane), every event a Machine call;
+// only Config.TreeWalk selects it. The conformance harness holds the two
 // bit-identical on every result. A third kind of lane executes no ParC at
 // all: Replay (events.go) drives the same machine from ready-made event
 // streams, which is how the static annotator gets its trace.
@@ -121,8 +121,8 @@ type Config struct {
 	Recorder *obs.Recorder
 
 	// TreeWalk runs the program on the reference engine: the tree-walking
-	// interpreter, hosted as lanes of the same scheduler (reference.go) with
-	// no lane view. The reference and the production
+	// interpreter, as lanes of the same scheduler (interp.TreeLane, the lane
+	// the oracle drives too) with no lane view. The reference and the production
 	// engine are maintained to produce identical Machine call sequences and
 	// therefore identical results; the conformance harness runs both and
 	// compares every surface, and this switch is how it (or a suspicious
@@ -298,8 +298,8 @@ type lockState struct {
 // and reports whether its program has ended; Err is that ending's error.
 // Kill ends a lane from outside its program: it never executes another
 // statement, and its next Resume reports it done with a nil Err.
-// *interp.LaneVM is the production implementation, refLane (reference.go)
-// the reference one, and eventLane (events.go) replays a ready-made stream.
+// *interp.LaneVM is the production implementation, *interp.TreeLane the
+// reference one, and eventLane (events.go) replays a ready-made stream.
 type lane interface {
 	Resume() interp.LaneStatus
 	Kill()
@@ -376,7 +376,10 @@ func Run(prog *parc.Program, cfg Config) (*Result, error) {
 	m.store = interp.NewStoreFor(m.layout)
 	m.ctxs = make([]*interp.Context, cfg.Nodes)
 	if cfg.TreeWalk {
-		m.referenceLanes()
+		for i := range m.procs {
+			m.ctxs[i] = m.newContext(i, m)
+			m.lanes[i] = m.ctxs[i].NewTreeLane(m)
+		}
 		return m.finish(engineReference)
 	}
 	if err := m.compiledLanes(); err != nil {
@@ -397,8 +400,8 @@ func (m *Machine) finish(engine string) (*Result, error) {
 
 // newMachine normalises cfg and builds the simulation state every engine
 // shares: layout, memory system, and processors. The lanes that execute the
-// program are attached by the caller (Run: compiledLanes or referenceLanes,
-// with the store and contexts interpreters need; Replay: event lanes).
+// program are attached by the caller (Run: compiled or tree lanes, with the
+// store and contexts interpreters need; Replay: event lanes).
 func newMachine(prog *parc.Program, cfg Config) (*Machine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("sim: need at least one node")

@@ -120,6 +120,31 @@ func TestExactInferenceDigestsAsSimulated(t *testing.T) {
 	if exact < 190 {
 		t.Errorf("only %d of 200 programs infer exactly; the check covers too few", exact)
 	}
+	// A loop counter read after its loop holds its last value, and a loop
+	// of no trips leaves it alone.
+	for _, src := range []string{`
+shared int A[8] label "A";
+func main() {
+    for i = 0 to 3 { A[i] = 1; }
+    barrier;
+    A[i] = 2;
+}`, `
+shared int A[8] label "A";
+func main() {
+    for i = 5 to 4 { A[i] = 1; }
+    barrier;
+    A[i] = 2;
+}`} {
+		inf, err := Infer(parseTest(t, src), testConfig(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inf.Exact {
+			t.Errorf("%s\ninfers inexactly: %v", src, inf.Notes)
+		} else if inf.Trace.Digest() != simTrace(t, src, nodes).Digest() {
+			t.Errorf("%s\nan exact inference's trace digests unlike the simulated trace", src)
+		}
+	}
 }
 
 // TestInferLabels: the synthetic trace must carry the same labelling the

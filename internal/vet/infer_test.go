@@ -280,6 +280,48 @@ func main() {
 	}
 }
 
+// TestEdgeLoopsEnumerate: a loop within a step of either int64 edge, in
+// either direction, makes exactly its trip count (two each here, eight in
+// all) rather than wrapping its counter; the race detector and inference
+// both finish, and inference is exact, with the write after the loops at
+// A[8].
+func TestEdgeLoopsEnumerate(t *testing.T) {
+	prog := inferProg(t, `
+shared int A[10] label "A";
+func main() {
+    var c int = 0;
+    for i = 9223372036854775806 to 9223372036854775807 { c = c + 1; }
+    for i = 9223372036854775807 to 9223372036854775806 step -1 { c = c + 1; }
+    for i = -9223372036854775807 to -9223372036854775807 - 1 step -1 { c = c + 1; }
+    for i = -9223372036854775807 - 1 to -9223372036854775807 { c = c + 1; }
+    if pid() == 0 {
+        A[c] = 1;
+    }
+    barrier;
+}`)
+	for _, f := range Analyze(prog, Options{Nprocs: 2}).Findings {
+		if strings.Contains(f.Msg, "budget exhausted") {
+			t.Errorf("Analyze: %s", f)
+		}
+	}
+	sum, err := Summarize(prog, Options{Nprocs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Exact {
+		t.Fatalf("edge loops should infer exactly; notes: %v", sum.Notes)
+	}
+	var written []int
+	for _, acc := range epochs(t, prog, sum, 0)[0] {
+		if acc.write {
+			written = append(written, acc.index[0])
+		}
+	}
+	if want := []int{8}; !slices.Equal(written, want) {
+		t.Errorf("the write after the loops touches A%v, want A%v", written, want)
+	}
+}
+
 // TestSummarizeDoesNotPerturbAnalyze: running inference must leave the
 // regular analysis untouched — same findings before and after.
 func TestSummarizeDoesNotPerturbAnalyze(t *testing.T) {

@@ -1593,10 +1593,16 @@ func (r *nodeRun) evalFor(st *state, n *parc.ForStmt) {
 	r.approxFor(st, n, slot, from, to, step, stepOK, 1)
 }
 
+// enumFor runs a for loop's trips one by one, the counter at from, from+step,
+// and so on; callers have checked that TripCountBounds defines the count.
+// Like the engines it counts trips rather than test the counter against to,
+// which would wrap at the int64 edge, and it leaves the counter as the last
+// trip left it (untouched by a loop of no trips).
 func (r *nodeRun) enumFor(st *state, n *parc.ForStmt, slot int, from, to, step int64) {
+	trips, _ := analysis.TripCountBounds(from, to, step)
 	save := r.iterCtx
 	v := from
-	for ; (step > 0 && v <= to) || (step < 0 && v >= to); v += step {
+	for k := uint64(0); k < trips; k, v = k+1, v+step {
 		if st.dead || st.ret || r.outOfGas {
 			break
 		}
@@ -1608,19 +1614,12 @@ func (r *nodeRun) enumFor(st *state, n *parc.ForStmt, slot int, from, to, step i
 		}
 	}
 	r.iterCtx = save
-	if !st.dead && !st.ret {
-		r.store(st, slot, avC(v))
-	}
 }
 
 func (r *nodeRun) approxFor(st *state, n *parc.ForStmt, slot int, from, to si, step int64, stepOK bool, passes int) {
 	varSI := loopVarSI(from, to, step, stepOK)
 	if varSI.empty() {
-		// Provably zero trips for this node.
-		if !from.empty() {
-			r.store(st, slot, avInt(from))
-		}
-		return
+		return // provably zero trips for this node: the counter is untouched
 	}
 	cur := st.clone()
 	r.suppress++
@@ -1652,13 +1651,10 @@ func (r *nodeRun) approxFor(st *state, n *parc.ForStmt, slot int, from, to si, s
 		r.evalBlock(body, n.Body)
 	}
 	r.iterCtx = save
+	// The fixpoint joins the counter's value before the loop with what each
+	// trip left in it, which is all the engines can leave there.
 	*st = *cur
 	st.dead, st.ret = false, false
-	exit := varSI
-	if stepOK {
-		exit = varSI.join(varSI.addConst(step))
-	}
-	r.store(st, slot, avInt(exit))
 }
 
 // loopVarSI over-approximates the values a for-loop variable takes. The

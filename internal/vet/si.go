@@ -8,7 +8,9 @@ package vet
 // overlap — via a Chinese-remainder emptiness test.
 
 // Infinity sentinels for widened bounds. They are far from the int64 edges
-// so sums of two in-range values never overflow.
+// so sums of two in-range values never overflow. Arithmetic on constants
+// alone is exact instead, wrapping as the engines' int64 arithmetic does,
+// so a constant past a sentinel is still the value the program computes.
 const (
 	negInf = -(1 << 60)
 	posInf = 1 << 60
@@ -93,6 +95,9 @@ func (a si) addConst(c int64) si {
 	if a.empty() {
 		return a
 	}
+	if a.isConst() {
+		return siConst(a.lo + c)
+	}
 	return si{satAdd(a.lo, c), satAdd(a.hi, c), a.stride}.norm()
 }
 
@@ -101,6 +106,8 @@ func (a si) scale(c int64) si {
 	switch {
 	case a.empty():
 		return a
+	case a.isConst():
+		return siConst(a.lo * c)
 	case c == 0:
 		return siConst(0)
 	case c > 0:
@@ -113,6 +120,9 @@ func (a si) scale(c int64) si {
 func (a si) add(b si) si {
 	if a.empty() || b.empty() {
 		return siEmpty
+	}
+	if a.isConst() && b.isConst() {
+		return siConst(a.lo + b.lo)
 	}
 	return si{satAdd(a.lo, b.lo), satAdd(a.hi, b.hi), gcd(a.stride, b.stride)}.norm()
 }
@@ -139,6 +149,9 @@ func (a si) mul(b si) si {
 func (a si) divConst(c int64) si {
 	if a.empty() || c == 0 {
 		return siTop
+	}
+	if a.isConst() {
+		return siConst(a.lo / c)
 	}
 	if c < 0 {
 		return a.divConst(-c).scale(-1)

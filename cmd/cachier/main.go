@@ -16,17 +16,17 @@
 //	-style STYLE    "performance" (default) or "programmer" (Section 4.1)
 //	-prefetch       also insert prefetch annotations
 //	-cache BYTES    cache capacity assumed by placement (default 262144)
-//	-nodes N        nodes for -self tracing (default 32)
+//	-nodes N        nodes of the -self, -static and -stats machine
+//	                (default 32)
 //	-stats FILE     simulate the annotated program and write its structured
 //	                stats snapshot (internal/obs JSON) to FILE
-//	-protocol SPEC  coherence protocol for -self tracing and -stats
-//	                simulation: dir1sw (default), dirnnb[:n], dirnb[:n];
-//	                annotation itself is protocol-independent
+//	-protocol SPEC  coherence protocol of the -self, -static and -stats
+//	                machine: dir1sw (default), dirnnb[:n], dirnb[:n]; it
+//	                shapes the trace, and annotation reads only the trace
 //	-static         infer the trace statically (internal/staticanno) instead
 //	                of simulating or reading one; no trace input needed
-//	-static=verify  run both pipelines — trace-driven (from -trace or -self)
-//	                and static — and diff the annotated outputs in every
-//	                style; placement divergence is a nonzero exit
+//
+// staticdiff -nodes N program.parc runs both pipelines and diffs them.
 package main
 
 import (
@@ -43,43 +43,6 @@ import (
 	"cachier/internal/staticanno"
 	"cachier/internal/trace"
 )
-
-// staticMode is the tri-state -static flag: off, on (annotate from the
-// statically inferred trace), or verify (run both pipelines and diff).
-type staticMode int
-
-const (
-	staticOff staticMode = iota
-	staticOn
-	staticVerify
-)
-
-func (m *staticMode) String() string {
-	switch *m {
-	case staticOn:
-		return "true"
-	case staticVerify:
-		return "verify"
-	}
-	return "false"
-}
-
-func (m *staticMode) Set(s string) error {
-	switch s {
-	case "", "true", "on", "1":
-		*m = staticOn
-	case "false", "off", "0":
-		*m = staticOff
-	case "verify":
-		*m = staticVerify
-	default:
-		return fmt.Errorf(`want "true", "false", or "verify"`)
-	}
-	return nil
-}
-
-// IsBoolFlag lets plain -static (no value) mean -static=true.
-func (m *staticMode) IsBoolFlag() bool { return true }
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -103,12 +66,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		prefetch  = fs.Bool("prefetch", false, "insert prefetch annotations")
 		report    = fs.Bool("report", false, "print the CICO communication cost report")
 		cache     = fs.Int("cache", 256*1024, "cache capacity for placement decisions")
-		nodes     = fs.Int("nodes", 32, "nodes for -self tracing")
+		nodes     = fs.Int("nodes", 32, "nodes for -self tracing and -static inference")
 		stats     = fs.String("stats", "", "simulate the annotated program and write its stats snapshot (JSON) to this file")
-		protocol  = fs.String("protocol", "", `coherence protocol for -self/-stats simulations: "dir1sw" (default), "dirnnb[:n]", or "dirnb[:n]"`)
+		protocol  = fs.String("protocol", "", `coherence protocol for -self/-static/-stats machines: "dir1sw" (default), "dirnnb[:n]", or "dirnb[:n]"`)
+		static    = fs.Bool("static", false, "infer the trace statically instead of simulating or reading one")
 	)
-	var static staticMode
-	fs.Var(&static, "static", `infer the trace statically: "true", or "verify" to diff against the trace-driven placement`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -126,13 +88,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	staticCfg := staticanno.DefaultConfig()
-	staticCfg.Nodes = *nodes
-
 	var traces []*trace.Trace
 	switch {
-	case static == staticOn:
+	case *static:
 		// Trace-free mode: synthesize the trace from the program alone.
+		staticCfg := staticanno.DefaultConfig()
+		staticCfg.Nodes, staticCfg.Protocol = *nodes, *protocol
 		inf, err := staticanno.Infer(prog, staticCfg)
 		if err != nil {
 			return fmt.Errorf("static inference: %w", err)
@@ -167,32 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	default:
 		return fmt.Errorf("either -trace FILE[,FILE...], -self, or -static is required")
-	}
-
-	if static == staticVerify {
-		if len(traces) != 1 {
-			return fmt.Errorf("-static=verify compares against a single trace, got %d", len(traces))
-		}
-		diffs, inf, err := staticanno.Compare(prog, traces[0], staticCfg)
-		if err != nil {
-			return fmt.Errorf("static verify: %w", err)
-		}
-		reportInexact(stderr, inf)
-		diverged := 0
-		for _, d := range diffs {
-			if d.Match {
-				fmt.Fprintf(stderr, "cachier: %s: static and trace-driven placements match (%d annotation(s))\n",
-					d.Name, d.Traced.Annotations)
-				continue
-			}
-			diverged++
-			fmt.Fprintf(stderr, "cachier: %s: placements DIVERGE (-trace-driven, +static):\n%s",
-				d.Name, d.Diff)
-		}
-		if diverged > 0 {
-			return fmt.Errorf("static placement diverges from trace-driven in %d of %d style(s)", diverged, len(diffs))
-		}
-		return nil
 	}
 
 	opts := core.DefaultOptions()

@@ -57,48 +57,48 @@ func TestStaticAnnotate(t *testing.T) {
 	}
 }
 
+// protocolSrc places differently by protocol: under the one-pointer
+// DirnNB the second loop's four readers of each A[i] overflow its one
+// pointer, and Cachier adds a check_in of A that Dir1SW's trace does not
+// call for.
+const protocolSrc = `
+shared float A[64] label "A";
+shared float B[64] label "B";
+func main() {
+  var i int;
+  for i = 0 to 63 { A[i] = A[i] + 1.0; }
+  barrier;
+  for i = 0 to 63 { B[pid()] = B[pid()] + A[i]; }
+  barrier;
+  for i = 0 to 63 { A[i] = B[i % 4]; }
+}`
+
 // TestStaticMatchesSelf: on a race-free enumerable program, -static and
-// -self must print byte-identical annotated output.
+// -self must print byte-identical annotated output on the same machine,
+// protocol included.
 func TestStaticMatchesSelf(t *testing.T) {
-	prog := writeProg(t, partitionSrc)
-	fromStatic, _, err := runCachier(t, "-static", "-nodes", "4", "-prefetch", prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSelf, _, err := runCachier(t, "-self", "-nodes", "4", "-prefetch", prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromStatic != fromSelf {
-		t.Errorf("-static and -self annotate differently:\n--- static ---\n%s\n--- self ---\n%s",
-			fromStatic, fromSelf)
-	}
-}
-
-// TestStaticVerifySelf: -static=verify -self runs both pipelines; on a
-// race-free enumerable program they must agree in every style.
-func TestStaticVerifySelf(t *testing.T) {
-	prog := writeProg(t, partitionSrc)
-	_, stderr, err := runCachier(t, "-static=verify", "-self", "-nodes", "4", prog)
-	if err != nil {
-		t.Fatalf("verify should pass: %v\nstderr:\n%s", err, stderr)
-	}
-	if strings.Count(stderr, "placements match") != 3 {
-		t.Errorf("expected all three styles to match:\n%s", stderr)
+	for _, tc := range []struct{ src, protocol string }{
+		{partitionSrc, ""},
+		{protocolSrc, "dirnnb:1"},
+	} {
+		prog := writeProg(t, tc.src)
+		args := []string{"-nodes", "4", "-prefetch", "-protocol", tc.protocol, prog}
+		fromStatic, _, err := runCachier(t, append([]string{"-static"}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromSelf, _, err := runCachier(t, append([]string{"-self"}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fromStatic != fromSelf {
+			t.Errorf("-protocol %q: -static and -self annotate differently:\n--- static ---\n%s\n--- self ---\n%s",
+				tc.protocol, fromStatic, fromSelf)
+		}
 	}
 }
 
-// TestStaticVerifyNeedsTrace: verify mode compares against a trace, so a
-// trace source is required.
-func TestStaticVerifyNeedsTrace(t *testing.T) {
-	prog := writeProg(t, partitionSrc)
-	_, _, err := runCachier(t, "-static=verify", prog)
-	if err == nil || !strings.Contains(err.Error(), "required") {
-		t.Errorf("expected missing-trace error, got %v", err)
-	}
-}
-
-// TestStaticFlagRejectsGarbage pins the tri-state flag's parsing.
+// TestStaticFlagRejectsGarbage: -static is a plain bool flag.
 func TestStaticFlagRejectsGarbage(t *testing.T) {
 	prog := writeProg(t, partitionSrc)
 	if _, _, err := runCachier(t, "-static=sometimes", prog); err == nil {

@@ -22,12 +22,9 @@ import (
 	"os"
 
 	"cachier/internal/bench"
-	"cachier/internal/cico"
-	"cachier/internal/conformance"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
 	"cachier/internal/staticanno"
-	"cachier/internal/trace"
 )
 
 func main() {
@@ -113,66 +110,30 @@ func diffOne(out io.Writer, name, src string, nodes int, racy, verbose bool) err
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.Mode = sim.ModeTrace
 	cfg.SelfCheck = false
-	traceRes, err := sim.Run(prog, cfg)
-	if err != nil {
-		return fmt.Errorf("trace run: %w", err)
-	}
-	scfg := staticanno.Config{
-		Nodes: nodes, CacheSize: cfg.CacheSize,
-		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize,
-	}
-	diffs, inf, err := staticanno.Compare(prog, traceRes.Trace, scfg)
+	c, err := staticanno.Compare(prog, cfg)
 	if err != nil {
 		return fmt.Errorf("static compare: %w", err)
 	}
-	matched := 0
-	for _, d := range diffs {
-		if d.Match {
-			matched++
-		}
-	}
-	coverErr := conformance.StaticCoversResult(inf, traceRes.Trace)
-	both, staticOnly, tracedOnly := footprintOverlap(inf.Trace, traceRes.Trace)
+	inf := c.Inferred
 	fmt.Fprintf(out, "%-34s %6d %6v %4d/%d %7v | %7d %8d %8d\n",
-		name, nodes, inf.Exact, matched, len(diffs), coverErr == nil,
-		both, staticOnly, tracedOnly)
+		name, nodes, inf.Exact, c.Matched, len(c.Styles), c.Covers == nil,
+		c.Both, c.StaticOnly, c.TracedOnly)
 	if verbose {
 		for _, n := range inf.Notes {
 			fmt.Fprintf(out, "  note: %s\n", n)
 		}
-		for _, d := range diffs {
+		for _, d := range c.Styles {
 			if !d.Match {
 				fmt.Fprintf(out, "  %s (-trace-driven, +static):\n%s", d.Name, d.Diff)
 			}
 		}
 	}
-	if coverErr != nil {
-		return fmt.Errorf("covering violated: %w", coverErr)
+	if c.Covers != nil {
+		return fmt.Errorf("covering violated: %w", c.Covers)
 	}
-	if inf.Exact && matched != len(diffs) && !racy {
-		return fmt.Errorf("exact inference but %d/%d styles diverge", matched, len(diffs))
+	if inf.Exact && c.Matched != len(c.Styles) && !racy {
+		return fmt.Errorf("exact inference but %d/%d styles diverge", c.Matched, len(c.Styles))
 	}
 	return nil
-}
-
-// footprintOverlap compares the two traces' miss-block footprints (all
-// nodes pooled): blocks both miss on, blocks only the static trace misses
-// on (the over-approximation's extra CICO check-outs), and blocks only the
-// simulation misses on (zero whenever the covering guarantee holds, which
-// pools per node and so is the stricter test).
-func footprintOverlap(static, traced *trace.Trace) (both, staticOnly, tracedOnly uint64) {
-	return cico.FootprintOverlap(missBlocks(static), missBlocks(traced))
-}
-
-func missBlocks(tr *trace.Trace) map[uint64]bool {
-	bs := uint64(tr.BlockSize)
-	blocks := make(map[uint64]bool)
-	for _, e := range tr.Epochs {
-		for _, m := range e.Misses {
-			blocks[m.Addr/bs] = true
-		}
-	}
-	return blocks
 }

@@ -15,7 +15,6 @@ import (
 
 	"cachier/internal/core"
 	"cachier/internal/parc"
-	"cachier/internal/sim"
 	"cachier/internal/staticanno"
 )
 
@@ -46,47 +45,29 @@ func (r *StaticRow) Gap() float64 {
 	return float64(r.CyclesStatic) / float64(r.CyclesTrace)
 }
 
-// RunStaticFidelity traces b on the training input, annotates it from the
-// simulated trace and from static inference (both in the harness's
-// Performance-CICO configuration), and measures both annotated programs on
-// the test input.
+// RunStaticFidelity compares b's trace-driven and static annotation on the
+// training input (staticanno.Compare on the benchmark's machine) and
+// measures both Performance-CICO programs on the test input.
 func RunStaticFidelity(b *Benchmark) (*StaticRow, error) {
 	cfg := machineConfig(b.Nodes)
-	trainSrc := b.Source(b.Train)
-	traceCfg := cfg
-	traceCfg.Mode = sim.ModeTrace
-	trainProg, err := parc.Parse(trainSrc)
+	trainProg, err := parc.Parse(b.Source(b.Train))
 	if err != nil {
 		return nil, fmt.Errorf("%s: parsing: %w", b.Name, err)
 	}
 	acquireWork()
-	traceRes, err := sim.Run(trainProg, traceCfg)
+	c, err := staticanno.Compare(trainProg, cfg)
 	releaseWork()
-	if err != nil {
-		return nil, fmt.Errorf("%s: tracing: %w", b.Name, err)
-	}
-
-	scfg := staticanno.Config{
-		Nodes: b.Nodes, CacheSize: cfg.CacheSize,
-		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize,
-	}
-	diffs, inf, err := staticanno.Compare(trainProg, traceRes.Trace, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: static compare: %w", b.Name, err)
 	}
 	row := &StaticRow{
-		Benchmark: b.Name, Nodes: b.Nodes,
-		Exact: inf.Exact, StylesTotal: len(diffs), Notes: inf.Notes,
-	}
-	for _, d := range diffs {
-		if d.Match {
-			row.StylesMatched++
-		}
+		Benchmark: b.Name, Nodes: b.Nodes, Exact: c.Inferred.Exact,
+		StylesMatched: c.Matched, StylesTotal: len(c.Styles), Notes: c.Inferred.Notes,
 	}
 
 	// Measure Compare's first pair, Performance CICO (RunBenchmark's Cachier
 	// variant; its default cache size is the machine's), on the test input.
-	perf := diffs[0]
+	perf := c.Styles[0]
 	for _, m := range []struct {
 		cycles *uint64
 		res    *core.Result

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"cachier/internal/parcgen"
@@ -87,5 +88,43 @@ func TestServeEquivalenceCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeStaticProtocols: /v1/static infers on the machine it is asked
+// about, protocol included, so where it answers exact its placement is
+// /v1/annotate's. Under the one-pointer DirnNB the second loop's four
+// readers of each A[i] overflow its pointer, and the simulated trace calls
+// for a check_in of A that Dir1SW's does not.
+func TestServeStaticProtocols(t *testing.T) {
+	const src = `
+shared float A[64] label "A";
+shared float B[64] label "B";
+func main() {
+  var i int;
+  for i = 0 to 63 { A[i] = A[i] + 1.0; }
+  barrier;
+  for i = 0 to 63 { B[pid()] = B[pid()] + A[i]; }
+  barrier;
+  for i = 0 to 63 { A[i] = B[i % 4]; }
+}`
+	for _, spec := range ProtocolSpecs() {
+		req := &serve.AnnotateRequest{Source: src, Machine: serve.MachineSpec{Nodes: 4, Protocol: spec}}
+		ann, err := serve.EvalAnnotate(req)
+		if err != nil {
+			t.Fatalf("%s: EvalAnnotate: %v", spec, err)
+		}
+		st, err := serve.EvalStatic(req)
+		if err != nil {
+			t.Fatalf("%s: EvalStatic: %v", spec, err)
+		}
+		if st.Exact == nil || !*st.Exact {
+			t.Errorf("%s: static inference is not exact: %v", spec, st.Notes)
+		}
+		st.Static, st.Exact, st.Notes = false, nil, nil
+		if !reflect.DeepEqual(st, ann) {
+			t.Errorf("%s: /v1/static places %d annotation(s), /v1/annotate %d\n--- static ---\n%s\n--- annotate ---\n%s",
+				spec, st.Annotations, ann.Annotations, st.Annotated, ann.Annotated)
+		}
 	}
 }

@@ -20,22 +20,45 @@ func TestStaticPlacementCorpus(t *testing.T) {
 		seed := seed
 		t.Run(seedName(seed), func(t *testing.T) {
 			t.Parallel()
-			if err := RunStaticPlacement(parcgen.Generate(seed)); err != nil {
+			if err := RunStaticPlacement(parcgen.Generate(seed), ""); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})
 	}
 }
 
-// FuzzStaticPlacement extends TestStaticPlacementCorpus to arbitrary seeds.
-// The static replay runs on the simulator's own scheduler, so what is left
-// to go wrong on a program nobody has looked at is vet's event streams.
+// TestStaticPlacementProtocolCorpus is the same differential on the
+// hardware directories: the inference replays on the machine it is asked
+// about, so its trace is that protocol's trace, and under the one-pointer
+// DirnNB (a sharer evicted on every second reader) that trace moves many
+// placements away from Dir1SW's.
+func TestStaticPlacementProtocolCorpus(t *testing.T) {
+	for _, spec := range ProtocolSpecs()[1:] {
+		spec := spec
+		for seed := int64(0); seed < corpusSize; seed++ {
+			seed := seed
+			t.Run(spec+"/"+seedName(seed), func(t *testing.T) {
+				t.Parallel()
+				if err := RunStaticPlacement(parcgen.Generate(seed), spec); err != nil {
+					t.Fatalf("seed %d under %s: %v", seed, spec, err)
+				}
+			})
+		}
+	}
+}
+
+// FuzzStaticPlacement extends TestStaticPlacementCorpus to arbitrary seeds,
+// under a protocol the seed picks. The static replay runs on the
+// simulator's own scheduler, so what is left to go wrong on a program
+// nobody has looked at is vet's event streams.
 func FuzzStaticPlacement(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed)
 	}
+	specs := ProtocolSpecs()
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := RunStaticPlacement(parcgen.Generate(seed)); err != nil {
+		spec := specs[uint64(seed)%uint64(len(specs))]
+		if err := RunStaticPlacement(parcgen.Generate(seed), spec); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -54,7 +77,7 @@ func TestStaticPlacementExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inf, err := staticanno.Infer(prog, staticConfig(Nodes))
+			inf, err := staticanno.Infer(prog, staticanno.Config{Nodes: Nodes, BlockSize: blockSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,37 +129,26 @@ func TestStaticPlacementBench(t *testing.T) {
 			// at bench geometry it multiplies runtime without adding placement
 			// coverage.
 			mc.SelfCheck = false
-			traceRes, err := sim.Run(prog, mc)
-			if err != nil {
-				t.Fatalf("trace run: %v", err)
-			}
-			cfg := staticConfig(b.Nodes)
-			diffs, inf, err := staticanno.Compare(prog, traceRes.Trace, cfg)
+			c, err := staticanno.Compare(prog, mc)
 			if err != nil {
 				t.Fatalf("static compare: %v", err)
 			}
-			if inf.Exact != w.exact {
+			if inf := c.Inferred; inf.Exact != w.exact {
 				t.Errorf("exact = %v, want %v (notes: %v)", inf.Exact, w.exact, inf.Notes)
 			}
-			matched := 0
-			for _, d := range diffs {
-				if d.Match {
-					matched++
-				}
-			}
-			if got := matched == len(diffs); got != w.matchAll {
+			if got := c.Matched == len(c.Styles); got != w.matchAll {
 				var sample string
-				for _, d := range diffs {
+				for _, d := range c.Styles {
 					if !d.Match {
 						sample = d.Name + ":\n" + d.Diff
 						break
 					}
 				}
 				t.Errorf("%d/%d styles matched, want matchAll=%v\n%s",
-					matched, len(diffs), w.matchAll, sample)
+					c.Matched, len(c.Styles), w.matchAll, sample)
 			}
-			if err := StaticCoversResult(inf, traceRes.Trace); err != nil {
-				t.Errorf("covering violated: %v", err)
+			if c.Covers != nil {
+				t.Errorf("covering violated: %v", c.Covers)
 			}
 		})
 	}

@@ -249,6 +249,7 @@ func (e *evaluator) infer(ctx context.Context, pi *ProgramInfo, m MachineSpec) (
 				CacheSize: m.CacheSize,
 				Assoc:     m.Assoc,
 				BlockSize: m.BlockSize,
+				Protocol:  m.Protocol,
 			})
 			switch {
 			case errors.Is(err, staticanno.ErrMachineFault):

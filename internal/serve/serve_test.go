@@ -456,22 +456,41 @@ func TestSpinningProgramIsBounded(t *testing.T) {
 
 // TestEndlessPrintIsBounded: a program that prints forever on the default
 // machine is answered with a 422 naming the output limit well within a
-// second, instead of growing the server's heap until the cycle budget ends
-// it.
+// second (ten under the race detector), instead of growing the server's
+// heap until the cycle budget ends it. The request allocates under 64 MB
+// in all (about 16 MB, 23 MB under the race detector), a bound that holds
+// whatever else the host runs; without sim.MaxOutputBytes it allocated
+// gigabytes.
 func TestEndlessPrintIsBounded(t *testing.T) {
 	body, err := json.Marshal(&SimulateRequest{Source: `func main() { while (1) { print("x"); } }`})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	rec := httptest.NewRecorder()
 	New(DefaultConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate", bytes.NewReader(body)))
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("answered after %v, want well within a second", elapsed)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if limit := wallLimit(); elapsed > limit {
+		t.Errorf("answered after %v, want within %v", elapsed, limit)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("the request allocated %d MB, want under 64", alloc>>20)
 	}
 	if rec.Code != 422 || !strings.Contains(rec.Body.String(), "output limit exceeded") {
 		t.Fatalf("status %d %s, want a 422 naming the output limit", rec.Code, rec.Body)
 	}
+}
+
+// wallLimit is the wall-clock bound of one bounded request: a second, ten
+// under the race detector.
+func wallLimit() time.Duration {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		return 10 * time.Second
+	}
+	return time.Second
 }
 
 // TestEndlessBarrierIsBounded: a program that does nothing but pass barriers
@@ -483,10 +502,7 @@ func TestEndlessPrintIsBounded(t *testing.T) {
 // until the cycle budget ended the run: about 50 GB on one node.
 func TestEndlessBarrierIsBounded(t *testing.T) {
 	const src = `func main() { while (1) { barrier; } }`
-	limit := time.Second
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		limit *= 10
-	}
+	limit := wallLimit()
 	h := New(DefaultConfig()).Handler()
 	for _, nodes := range []int{1, 1024} {
 		machine := MachineSpec{Nodes: nodes}

@@ -7,7 +7,8 @@
 // shared accesses, locks, prints, work, barriers — directly from the AST.
 // Each node's vet.Cursor is its sim.EventSource: it hands out those events
 // as sim.Events, one array element at a time, and sim.Replay runs them on
-// the simulator's own machine, scheduler and Dir1SW protocol in trace mode.
+// the simulator's own machine, scheduler and coherence protocol in trace
+// mode.
 // An isolated per-node cache replay would be blind to cross-node
 // interference on falsely-shared blocks; on the coherent machine that
 // interference produces the same extra misses, kind flips, and write
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cachier/internal/cico"
 	"cachier/internal/core"
 	"cachier/internal/parc"
 	"cachier/internal/sim"
@@ -51,6 +53,7 @@ type Config struct {
 	CacheSize int
 	Assoc     int
 	BlockSize int
+	Protocol  string // sim.Config.Protocol's spec; "" is Dir1SW
 }
 
 // DefaultConfig is sim.DefaultConfig's machine.
@@ -100,6 +103,7 @@ func Infer(prog *parc.Program, cfg Config) (*Result, error) {
 	}
 	mc := sim.DefaultConfig()
 	mc.Nodes, mc.CacheSize, mc.Assoc, mc.BlockSize = cfg.Nodes, cfg.CacheSize, cfg.Assoc, cfg.BlockSize
+	mc.Protocol = cfg.Protocol
 	mc.Mode = sim.ModeTrace
 	cursors := make([]vet.Cursor, cfg.Nodes)
 	sources := make([]sim.EventSource, cfg.Nodes)
@@ -149,33 +153,98 @@ func Styles() []StyleDiff {
 	}
 }
 
-// Compare annotates prog from the given simulation trace and from static
-// inference, in every style, and diffs the outputs. The caller supplies the
-// trace so it controls the traced machine; cfg must describe the same one.
-// Both traces carry prog's own statement IDs, so every annotation reads the
-// one checked program.
-func Compare(prog *parc.Program, tr *trace.Trace, cfg Config) ([]StyleDiff, *Result, error) {
-	inf, err := Infer(prog, cfg)
+// Comparison is the static differential of one program on one machine:
+// the trace-driven and the trace-free placement in every style, and how the
+// two traces' miss-block footprints relate.
+type Comparison struct {
+	Inferred *Result     // the static inference
+	Styles   []StyleDiff // Styles(), each with both placements
+	Matched  int         // styles whose two placements are byte-identical
+	// Covers is the guarantee every inference keeps, exact or widened: nil
+	// when every block a node missed on in the simulation is in the static
+	// trace's footprint for that node. The over-approximation may add blocks
+	// but never drop one a real execution touched. Blocks (not element
+	// addresses) are compared because a widened access can shift which
+	// element of a block is touched first, and they are compared per node
+	// over the whole run because a widened loop may merge epochs.
+	Covers error
+	// Both, StaticOnly and TracedOnly pool the miss-block footprints over
+	// all nodes (cico.FootprintOverlap): StaticOnly prices the
+	// over-approximation's extra check-outs, and TracedOnly is zero
+	// whenever Covers holds, which pools per node and so is the stricter
+	// test.
+	Both, StaticOnly, TracedOnly uint64
+}
+
+// Compare runs the static differential of prog on the machine mc: a
+// trace-mode simulation, an inference on the same geometry and protocol,
+// and both annotations in every style. Both traces carry prog's own
+// statement IDs, so every annotation reads the one checked program.
+func Compare(prog *parc.Program, mc sim.Config) (*Comparison, error) {
+	mc.Mode = sim.ModeTrace
+	run, err := sim.Run(prog, mc)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("staticanno: trace run: %w", err)
 	}
-	styles := Styles()
-	for i := range styles {
-		traced, err := core.AnnotateMulti(prog, []*trace.Trace{tr}, styles[i].Opts)
-		if err != nil {
-			return nil, inf, fmt.Errorf("staticanno: traced %s annotate: %w", styles[i].Name, err)
+	inf, err := Infer(prog, Config{
+		Nodes: mc.Nodes, CacheSize: mc.CacheSize, Assoc: mc.Assoc,
+		BlockSize: mc.BlockSize, Protocol: mc.Protocol,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c := &Comparison{Inferred: inf, Styles: Styles()}
+	for i := range c.Styles {
+		d := &c.Styles[i]
+		if d.Traced, err = core.AnnotateMulti(prog, []*trace.Trace{run.Trace}, d.Opts); err != nil {
+			return nil, fmt.Errorf("staticanno: traced %s annotate: %w", d.Name, err)
 		}
-		static, err := core.AnnotateMulti(prog, []*trace.Trace{inf.Trace}, styles[i].Opts)
-		if err != nil {
-			return nil, inf, fmt.Errorf("staticanno: static %s annotate: %w", styles[i].Name, err)
+		if d.Static, err = core.AnnotateMulti(prog, []*trace.Trace{inf.Trace}, d.Opts); err != nil {
+			return nil, fmt.Errorf("staticanno: static %s annotate: %w", d.Name, err)
 		}
-		styles[i].Traced, styles[i].Static = traced, static
-		styles[i].Match = traced.Source == static.Source
-		if !styles[i].Match {
-			styles[i].Diff = DiffLines(traced.Source, static.Source)
+		if d.Match = d.Traced.Source == d.Static.Source; d.Match {
+			c.Matched++
+		} else {
+			d.Diff = DiffLines(d.Traced.Source, d.Static.Source)
 		}
 	}
-	return styles, inf, nil
+	c.compareFootprints(run.Trace)
+	return c, nil
+}
+
+// compareFootprints sets Covers and the pooled overlap in one pass over
+// each trace.
+func (c *Comparison) compareFootprints(tr *trace.Trace) {
+	type nodeBlock struct {
+		node int
+		blk  uint64
+	}
+	bs := uint64(c.Inferred.Trace.BlockSize)
+	perNode := make(map[nodeBlock]bool)
+	static, traced := make(map[uint64]bool), make(map[uint64]bool)
+	for _, e := range c.Inferred.Trace.Epochs {
+		for _, m := range e.Misses {
+			perNode[nodeBlock{m.Node, m.Addr / bs}] = true
+			static[m.Addr/bs] = true
+		}
+	}
+	var missing int
+	var first string
+	for _, e := range tr.Epochs {
+		for _, m := range e.Misses {
+			traced[m.Addr/bs] = true
+			if !perNode[nodeBlock{m.Node, m.Addr / bs}] {
+				if missing == 0 {
+					first = fmt.Sprintf("node %d addr %#x pc %d (%s)", m.Node, m.Addr, m.PC, m.Kind)
+				}
+				missing++
+			}
+		}
+	}
+	if missing > 0 {
+		c.Covers = fmt.Errorf("static footprint drops %d simulated miss block(s); first: %s", missing, first)
+	}
+	c.Both, c.StaticOnly, c.TracedOnly = cico.FootprintOverlap(static, traced)
 }
 
 // DiffLines renders a minimal unified diff of two texts ("-" lines from a,

@@ -166,17 +166,27 @@ func TestInferLabels(t *testing.T) {
 	}
 }
 
+func testMachine(nodes int) sim.Config {
+	mc := sim.DefaultConfig()
+	mc.Nodes = nodes
+	return mc
+}
+
 // TestCompareAllStylesMatch: end-to-end differential — both pipelines must
 // print byte-identical annotated sources in every style.
 func TestCompareAllStylesMatch(t *testing.T) {
-	diffs, inf, err := Compare(parseTest(t, partitionSrc), simTrace(t, partitionSrc, 4), testConfig(4))
+	c, err := Compare(parseTest(t, partitionSrc), testMachine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inf.Exact {
-		t.Fatalf("expected exact inference; notes: %v", inf.Notes)
+	if !c.Inferred.Exact {
+		t.Fatalf("expected exact inference; notes: %v", c.Inferred.Notes)
 	}
-	for _, d := range diffs {
+	if c.Matched != len(c.Styles) || c.Covers != nil || c.StaticOnly+c.TracedOnly != 0 {
+		t.Errorf("%d/%d styles match, covers %v, footprint %d+%d-%d; want all, nil, none apart",
+			c.Matched, len(c.Styles), c.Covers, c.Both, c.StaticOnly, c.TracedOnly)
+	}
+	for _, d := range c.Styles {
 		if !d.Match {
 			t.Errorf("%s placements diverge:\n%s", d.Name, d.Diff)
 		}
@@ -199,10 +209,11 @@ func main() {
     }
     barrier;
 }`
-	inf, err := Infer(parseTest(t, src), testConfig(2))
+	c, err := Compare(parseTest(t, src), testMachine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	inf := c.Inferred
 	if inf.Exact {
 		t.Fatal("input-dependent subscript should be inexact")
 	}
@@ -217,6 +228,10 @@ func main() {
 	}
 	if len(blocks) != 2 {
 		t.Errorf("widened write should touch both blocks of A, touched %d", len(blocks))
+	}
+	// The simulation wrote A[0] only: covered, with the other block extra.
+	if c.Covers != nil || c.StaticOnly == 0 {
+		t.Errorf("covers %v, %d static-only block(s); want nil and some", c.Covers, c.StaticOnly)
 	}
 }
 
